@@ -3,7 +3,7 @@
 DESIGN.md calls out the independent/dependent element split as a design
 choice.  On the emulated tier the deterministic observable is the
 *exposed communication wait* (virtual time spent blocked in
-``scatter_end``): overlap lets the independent-element sweep absorb it.
+``HaloExchange.finish_scatter``): overlap lets the independent-element sweep absorb it.
 The wall-clock benefit at paper scale is asserted on the model tier
 (``tests/test_perfmodel.py::test_overlap_helps_or_is_neutral``).
 """

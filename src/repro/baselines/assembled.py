@@ -17,11 +17,7 @@ import scipy.sparse as sp
 from repro.core.da import DistributedArray, DistributedMultiVector
 from repro.core.kernels import resolve_mode
 from repro.core.maps import NodeMaps
-from repro.core.scatter import (
-    build_comm_maps,
-    scatter_begin,
-    scatter_end,
-)
+from repro.core.scatter import HaloExchange, build_comm_maps
 from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
@@ -144,6 +140,7 @@ class AssembledOperator:
             self.A_diag = A_ext[:, lo:hi].tocsr()
             self.A_pre = A_ext[:, :lo].tocsr()
             self.A_post = A_ext[:, hi:].tocsr()
+            self._blocks = (self.A_diag, self.A_pre, self.A_post)
             self.nnz = A_ext.nnz
 
         t0 = comm.vtime
@@ -151,10 +148,12 @@ class AssembledOperator:
         comm.timing.add(f"{prefix}.comm_maps", comm.vtime - t0)
 
         self.n_dofs_owned = n_owned_dofs
-        self._work_multi: dict[int, DistributedMultiVector] = {}
-        # the node maps may change across a reassembly (halo columns
-        # follow the values' sparsity), so cached work vectors must not
+        # packed halo exchanges and multi-RHS work buffers, per column
+        # count k.  The node maps may change across a reassembly (halo
+        # columns follow the values' sparsity), so none of them may
         # survive it
+        self._halos: dict[int, HaloExchange] = {}
+        self._work_multi: dict[int, tuple] = {}
         if hasattr(self, "_work_u"):
             del self._work_u
 
@@ -210,37 +209,74 @@ class AssembledOperator:
     def new_array(self) -> DistributedArray:
         return DistributedArray(self.maps, self.ndpn)
 
+    def _halo_for(self, k: int) -> HaloExchange:
+        """Packed halo exchange for node rows of width ``ndpn * k``."""
+        h = self._halos.get(k)
+        if h is None:
+            h = self._halos[k] = HaloExchange(self.cmaps, self.ndpn * k)
+        return h
+
+    #: phases of the diagonal-block and halo-block products
+    _phases = ("spmv.csr.diag", "spmv.csr.halo")
+
+    def _block_product(self, i: int, x: np.ndarray) -> np.ndarray:
+        """Product of ``_blocks[i]`` (0 diag, 1 pre, 2 post) with its
+        column slice ``x`` of the dof vector, or of the ``(·, k)`` dof
+        block under the GEMM mode (one SpMM)."""
+        return self._blocks[i] @ x
+
+    def _apply(self, un: np.ndarray, D: np.ndarray, k: int) -> np.ndarray:
+        """Algorithm 2 for assembled blocks over ``k`` columns: the ghost
+        scatter of the node rows ``un`` is in flight during the diagonal
+        block product; the pre/post halo blocks then add into it in that
+        order.  ``D`` is the dof view of ``un``."""
+        comm = self.comm
+        t0 = comm.vtime
+        halo = self._halo_for(k)
+        npre = self.maps.n_pre * self.ndpn
+        off = npre + self.n_dofs_owned
+        reqs = halo.start_scatter(comm, un)
+        with comm.compute(self._phases[0]):
+            y = self._block_product(0, D[npre:off])
+        tw = comm.vtime
+        halo.finish_scatter(comm, un, reqs)
+        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
+        with comm.compute(self._phases[1]):
+            if self.A_pre.shape[1]:
+                y += self._block_product(1, D[:npre])
+            if self.A_post.shape[1]:
+                y += self._block_product(2, D[off:])
+        comm.obs.incr("spmv.flops", 2.0 * self.nnz * k)
+        comm.timing.add("spmv.total", comm.vtime - t0)
+        self.spmv_count += k
+        return y
+
+    def _work(self, k: int) -> tuple:
+        """``(U, xcol, Y)`` for ``k`` columns: the GEMM mode's work
+        multivector, the oracle loop's contiguous column and its output
+        block."""
+        w = self._work_multi.get(k)
+        if w is None:
+            n = self.n_dofs_owned
+            w = self._work_multi[k] = (
+                DistributedMultiVector(self.maps, self.ndpn, k),
+                np.empty(n),
+                np.empty((n, k)),
+            )
+        return w
+
     def apply_owned(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
         """``y = A x`` on owned dofs; halo exchange overlapped with the
         diagonal-block product (PETSc's MatMult structure).
 
-        The CSR product allocates a fresh result either way, so the
-        ``copy`` flag (kept for signature parity with
-        :meth:`repro.core.hymv.EbeOperatorBase.apply_owned`) is a
-        no-op: the returned array is always caller-owned."""
-        comm = self.comm
-        t0 = comm.vtime
+        ``copy=False`` may return an operator-owned buffer, overwritten
+        by the next call."""
         if not hasattr(self, "_work_u"):
             self._work_u = self.new_array()
         u = self._work_u
         u.set_owned(x)
-        reqs = scatter_begin(comm, u.data, self.cmaps)
-        with comm.compute("spmv.csr.diag"):
-            y = self.A_diag @ u.owned_flat
-        tw = comm.vtime
-        scatter_end(comm, u.data, self.cmaps, reqs)
-        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-        with comm.compute("spmv.csr.halo"):
-            npre = self.maps.n_pre * self.ndpn
-            if self.A_pre.shape[1]:
-                y += self.A_pre @ u.data.reshape(-1)[:npre]
-            if self.A_post.shape[1]:
-                off = npre + self.n_dofs_owned
-                y += self.A_post @ u.data.reshape(-1)[off:]
-        comm.obs.incr("spmv.flops", 2.0 * self.nnz)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += 1
-        return y
+        y = self._apply(u.data, u.data.reshape(-1), 1)
+        return y.copy() if copy else y
 
     def apply_owned_multi(
         self, X: np.ndarray, copy: bool = True, mode: str = "auto"
@@ -250,55 +286,35 @@ class AssembledOperator:
         The resolved ``"oracle"`` mode runs one :meth:`apply_owned` per
         column — each column pays its own message round, and the result
         is trivially bitwise-per-column (signature parity with
-        :meth:`repro.core.hymv.EbeOperatorBase.apply_owned_multi`).
+        :meth:`repro.core.hymv.EbeOperatorBase.apply_owned_multi`).  A
+        single column always takes the single-RHS path.
 
         The resolved ``"gemm"`` mode exchanges ghosts for all k columns
-        in ONE packed ``ndpn*k``-wide scatter and computes each CSR block
-        with a single SpMM over the ``(·, k)`` dof matrix — the BLAS3
-        analogue for the assembled baseline (scipy's CSR·dense kernel
-        streams the matrix once for all columns).  SpMM accumulates
-        across the three blocks in the same block order as the 1-D path
-        and each CSR row in index order, so it matches the oracle to
-        rounding; it is not bitwise (the halo blocks' partial sums add
-        to the diag product in a different grouping).
+        in ONE packed ``ndpn*k``-wide scatter and computes each block
+        with a single product over the ``(·, k)`` dof matrix — the BLAS3
+        analogue (scipy's CSR·dense kernel streams the matrix once for
+        all columns).  It accumulates the three blocks in the same order
+        as the 1-D path, so it matches the oracle to rounding; it is not
+        bitwise (the halo blocks' partial sums add to the diag product in
+        a different grouping).  ``copy=False`` may return an
+        operator-owned block, overwritten by the next same-``k`` call.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"expected (n, k) multivector, got shape {X.shape}")
         k = X.shape[1]
+        if k == 1:
+            y = self.apply_owned(np.ascontiguousarray(X[:, 0]), copy=copy)
+            return y.reshape(-1, 1)
+        U, xcol, Y = self._work(k)
         if resolve_mode(mode, k, self.gemm_k_min) != "gemm":
-            Y = np.empty_like(X)
             for j in range(k):
-                Y[:, j] = self.apply_owned(
-                    np.ascontiguousarray(X[:, j]), copy=False
-                )
-            return Y
-        comm = self.comm
-        t0 = comm.vtime
-        U = self._work_multi.get(k)
-        if U is None:
-            U = self._work_multi[k] = DistributedMultiVector(
-                self.maps, self.ndpn, k
-            )
-        U.set_owned(X)
-        D = U.dof_view  # (n_total_dofs, k)
-        npre = self.maps.n_pre * self.ndpn
-        off = npre + self.n_dofs_owned
-        reqs = scatter_begin(comm, U.node_view, self.cmaps)
-        with comm.compute("spmv.csr.diag"):
-            Y = self.A_diag @ D[npre:off]
-        tw = comm.vtime
-        scatter_end(comm, U.node_view, self.cmaps, reqs)
-        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-        with comm.compute("spmv.csr.halo"):
-            if self.A_pre.shape[1]:
-                Y += self.A_pre @ D[:npre]
-            if self.A_post.shape[1]:
-                Y += self.A_post @ D[off:]
-        comm.obs.incr("spmv.flops", 2.0 * self.nnz * k)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += k
-        return Y
+                np.copyto(xcol, X[:, j])
+                Y[:, j] = self.apply_owned(xcol, copy=False)
+        else:
+            U.set_owned(X)
+            Y = self._apply(U.node_view, U.dof_view, k)
+        return Y.copy() if copy else Y
 
     # ------------------------------------------------------------------
     # preconditioner support / accounting

@@ -36,11 +36,10 @@ class PartialAssemblyOperator(EbeOperatorBase):
     """Matrix-free with precomputed geometric factors (libCEED-style)."""
 
     def __init__(self, comm, lmesh, operator, ranges=None, kernel="einsum",
-                 modeled_rate_gflops=None, workspace=True, elem_scale=None):
+                 modeled_rate_gflops=None, elem_scale=None):
         super().__init__(
             comm, lmesh, operator, ranges=ranges, kernel=kernel,
-            modeled_rate_gflops=modeled_rate_gflops, workspace=workspace,
-            elem_scale=elem_scale,
+            modeled_rate_gflops=modeled_rate_gflops, elem_scale=elem_scale,
         )
         if not isinstance(operator, (PoissonOperator, ElasticityOperator)):
             raise TypeError(
@@ -112,65 +111,26 @@ class PartialAssemblyOperator(EbeOperatorBase):
 
     # ------------------------------------------------------------------
 
-    def _emv_sweep(self, uf, vf, sl) -> None:
-        idx = self.e2l_dofs[sl]
-        if idx.shape[0] == 0:
-            return
-        if self._ws is not None:
-            from repro.core.kernels import gather_element_vectors
+    def _local_emv(self, sl, ue, ve=None):
+        """Quadrature contractions against the stored geometric factors
+        (allocating; the ``_multi`` forms carry the GEMM column axis ``k``
+        through every einsum, so the factors stream once for all k)."""
+        poisson = isinstance(self.operator, PoissonOperator)
+        if ue.ndim == 3:
+            if poisson:
+                return self._apply_poisson_multi(sl, ue)
+            return self._apply_elasticity_multi(sl, ue)
+        if poisson:
+            return self._apply_poisson(sl, ue)
+        return self._apply_elasticity(sl, ue)
 
-            ue = gather_element_vectors(uf, idx, out=self._ws.ue[: idx.shape[0]])
-        else:
-            ue = uf[idx]  # (E, nd)
-        if isinstance(self.operator, PoissonOperator):
-            ve = self._apply_poisson(sl, ue)
-        else:
-            ve = self._apply_elasticity(sl, ue)
-        seg = self._segment_for(sl) if self._ws is not None else None
-        if seg is not None:
-            seg.add_into(vf, ve)
-        else:
-            from repro.util.arrays import scatter_add
-
-            scatter_add(vf, idx, ve)
+    def _account_sweep(self, n, k) -> None:
+        """Modeled compute only: partial assembly counts no
+        ``spmv.elements`` / ``spmv.flops``."""
         if self.modeled_rate_gflops:
             flops = self.flops_per_spmv() / max(self.n_local_elements, 1)
             self.comm.advance(
-                idx.shape[0] * flops / (self.modeled_rate_gflops * 1e9),
-                "spmv.emv.modeled",
-            )
-
-    def _emv_sweep_multi(self, UF, VF, sl) -> None:
-        """GEMM-mode sweep: the quadrature contractions carry the column
-        axis ``k`` through every einsum, so the stored geometric factors
-        are streamed once for all k columns (the partial-assembly
-        analogue of the BLAS3 elemental GEMM)."""
-        idx = self.e2l_dofs[sl]
-        if idx.shape[0] == 0:
-            return
-        k = UF.shape[1]
-        if self._ws is not None:
-            from repro.core.kernels import gather_element_vectors
-
-            ue, _ = self._ws.multi_views(idx.shape[0], k)
-            gather_element_vectors(UF, idx, out=ue)
-        else:
-            ue = UF[idx]  # (E, nd, k)
-        if isinstance(self.operator, PoissonOperator):
-            ve = self._apply_poisson_multi(sl, ue)
-        else:
-            ve = self._apply_elasticity_multi(sl, ue)
-        seg = self._segment_for(sl) if self._ws is not None else None
-        if seg is not None:
-            seg.add_into_multi(VF, ve)
-        else:
-            from repro.core.kernels import accumulate_element_vectors
-
-            accumulate_element_vectors(VF, idx, ve)
-        if self.modeled_rate_gflops:
-            flops = self.flops_per_spmv() / max(self.n_local_elements, 1)
-            self.comm.advance(
-                idx.shape[0] * k * flops / (self.modeled_rate_gflops * 1e9),
+                n * k * flops / (self.modeled_rate_gflops * 1e9),
                 "spmv.emv.modeled",
             )
 

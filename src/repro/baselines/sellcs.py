@@ -33,10 +33,7 @@ import numpy as np
 
 from repro.baselines.assembled import AssembledOperator
 from repro.core.da import DistributedArray, DistributedMultiVector
-from repro.core.kernels import resolve_mode
-from repro.core.scatter import scatter_begin, scatter_end
 from repro.core.sellcs import (
-    SellCS,
     SellWorkspace,
     build_sellcs,
     resolve_sell_params,
@@ -48,30 +45,6 @@ from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
 
 __all__ = ["SellCSOperator"]
-
-
-class _WsBundle:
-    """Workspaces + scratch for one column count ``k``."""
-
-    __slots__ = ("diag", "pre", "post", "xcol", "Yout")
-
-    def __init__(
-        self,
-        S_diag: SellCS,
-        S_pre: SellCS | None,
-        S_post: SellCS | None,
-        k: int,
-    ):
-        self.diag = SellWorkspace(S_diag, k)
-        self.pre = SellWorkspace(S_pre, k) if S_pre is not None else None
-        self.post = SellWorkspace(S_post, k) if S_post is not None else None
-        if k > 1:
-            # per-column scratch for the oracle loop and its output block
-            self.xcol = np.empty(S_diag.n_cols)
-            self.Yout = np.empty((S_diag.n_rows, k))
-        else:
-            self.xcol = None
-            self.Yout = None
 
 
 class SellCSOperator(AssembledOperator):
@@ -116,7 +89,9 @@ class SellCSOperator(AssembledOperator):
                 if self.A_post.shape[1]
                 else None
             )
-            self._sell_ws: dict[int, _WsBundle] = {}
+            self._blocks = (self.S_diag, self.S_pre, self.S_post)
+            # per-k kernel workspaces of the three blocks
+            self._sell_ws: dict[int, tuple] = {}
         blocks = [s for s in (self.S_diag, self.S_pre, self.S_post) if s is not None]
         padded = sum(s.padded_nnz for s in blocks)
         stored = sum(s.nnz for s in blocks)
@@ -131,110 +106,29 @@ class SellCSOperator(AssembledOperator):
         self.padded_nnz = padded
         self.occupancy = occ
 
-    def _bundle(self, k: int) -> _WsBundle:
-        b = self._sell_ws.get(k)
-        if b is None:
-            b = self._sell_ws[k] = _WsBundle(
-                self.S_diag, self.S_pre, self.S_post, k
+    def _workspaces(self, k: int) -> tuple:
+        ws = self._sell_ws.get(k)
+        if ws is None:
+            ws = self._sell_ws[k] = tuple(
+                None if S is None else SellWorkspace(S, k) for S in self._blocks
             )
-        return b
+        return ws
 
     # ------------------------------------------------------------------
-    # application
+    # application: the inherited Algorithm-2 schedule over SELL blocks
     # ------------------------------------------------------------------
 
-    def apply_owned(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
-        """``y = A x`` on owned dofs through the SELL slice kernels,
-        bitwise-identical to :meth:`AssembledOperator.apply_owned`.
+    _phases = ("spmv.sell.diag", "spmv.sell.halo")
 
-        ``copy=False`` returns a workspace-owned buffer (overwritten by
-        the next call) and is allocation-free in steady state."""
-        comm = self.comm
-        t0 = comm.vtime
-        if not hasattr(self, "_work_u"):
-            self._work_u = self.new_array()
-        u = self._work_u
-        u.set_owned(x)
-        reqs = scatter_begin(comm, u.data, self.cmaps)
-        ws = self._bundle(1)
-        with comm.compute("spmv.sell.diag"):
-            y = sell_spmv(self.S_diag, u.owned_flat, ws.diag)
-        tw = comm.vtime
-        scatter_end(comm, u.data, self.cmaps, reqs)
-        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-        with comm.compute("spmv.sell.halo"):
-            npre = self.maps.n_pre * self.ndpn
-            flat = u.data.reshape(-1)
-            if self.S_pre is not None:
-                y2 = sell_spmv(self.S_pre, flat[:npre], ws.pre)
-                np.add(y, y2, out=y)
-            if self.S_post is not None:
-                off = npre + self.n_dofs_owned
-                y3 = sell_spmv(self.S_post, flat[off:], ws.post)
-                np.add(y, y3, out=y)
-        comm.obs.incr("spmv.flops", 2.0 * self.nnz)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += 1
-        return y.copy() if copy else y
-
-    def apply_owned_multi(
-        self, X: np.ndarray, copy: bool = True, mode: str = "auto"
-    ) -> np.ndarray:
-        """Multi-RHS application with the standard mode contract.
-
-        ``"oracle"``: one single-RHS SELL application per column —
-        bitwise-per-column against the assembled-CSR oracle, one halo
-        round per column.  ``"gemm"``: ONE packed ``ndpn*k``-wide ghost
-        exchange, then the chunk-batched matmul kernel per block —
-        matches the oracle to rounding.  ``copy=False`` returns a
-        workspace-owned block (overwritten by the next same-``k`` call).
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"expected (n, k) multivector, got shape {X.shape}")
-        k = X.shape[1]
-        if k == 1:
-            # a 1-wide "gemm" batch (k_min == 1) is the single-RHS kernel
-            # with extra steps — the workspaces only carry multi buffers
-            # for k > 1, so always take the single-RHS path here
-            y = self.apply_owned(np.ascontiguousarray(X[:, 0]), copy=copy)
-            return y.reshape(-1, 1)
-        if resolve_mode(mode, k, self.gemm_k_min) != "gemm":
-            ws = self._bundle(k)
-            Y = ws.Yout
-            for j in range(k):
-                np.copyto(ws.xcol, X[:, j])
-                Y[:, j] = self.apply_owned(ws.xcol, copy=False)
-            return Y.copy() if copy else Y
-        comm = self.comm
-        t0 = comm.vtime
-        U = self._work_multi.get(k)
-        if U is None:
-            U = self._work_multi[k] = DistributedMultiVector(
-                self.maps, self.ndpn, k
-            )
-        U.set_owned(X)
-        D = U.dof_view  # (n_total_dofs, k)
-        npre = self.maps.n_pre * self.ndpn
-        off = npre + self.n_dofs_owned
-        reqs = scatter_begin(comm, U.node_view, self.cmaps)
-        ws = self._bundle(k)
-        with comm.compute("spmv.sell.diag"):
-            Y = sell_spmm(self.S_diag, D[npre:off], ws.diag)
-        tw = comm.vtime
-        scatter_end(comm, U.node_view, self.cmaps, reqs)
-        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-        with comm.compute("spmv.sell.halo"):
-            if self.S_pre is not None:
-                Y2 = sell_spmm(self.S_pre, D[:npre], ws.pre)
-                np.add(Y, Y2, out=Y)
-            if self.S_post is not None:
-                Y3 = sell_spmm(self.S_post, D[off:], ws.post)
-                np.add(Y, Y3, out=Y)
-        comm.obs.incr("spmv.flops", 2.0 * self.nnz * k)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += k
-        return Y.copy() if copy else Y
+    def _block_product(self, i: int, x: np.ndarray) -> np.ndarray:
+        """SELL slice kernel (1-D) or chunk-batched matmul (``(·, k)``)
+        of block ``i``, into the block's workspace buffer —
+        allocation-free in steady state, so ``copy=False`` results are
+        workspace-owned."""
+        if x.ndim == 1:
+            return sell_spmv(self._blocks[i], x, self._workspaces(1)[i])
+        k = x.shape[1]
+        return sell_spmm(self._blocks[i], x, self._workspaces(k)[i])
 
     # ------------------------------------------------------------------
     # DistributedArray-level API parity with the EMV operators

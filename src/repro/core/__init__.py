@@ -3,7 +3,7 @@
 * :mod:`repro.core.maps` — Algorithm 1: E2L map construction and
   pre-/post-ghost classification from the E2G map and owned-node range.
 * :mod:`repro.core.scatter` — LNSM / GNGM construction (one alltoall at
-  setup) and the nonblocking ghost scatter / gather exchanges.
+  setup) and the packed ghost scatter / gather exchange.
 * :mod:`repro.core.da` — the distributed array with
   ``[pre-ghost | owned | post-ghost]`` layout (Fig. 2).
 * :mod:`repro.core.hymv` — HYMV setup (compute + store element matrices),
@@ -18,24 +18,13 @@
 from repro.core.da import DistributedArray, DistributedMultiVector
 from repro.core.hymv import HymvOperator
 from repro.core.maps import NodeMaps, build_node_maps
-from repro.core.scatter import (
-    CommMaps,
-    build_comm_maps,
-    gather_begin,
-    gather_end,
-    scatter_begin,
-    scatter_end,
-)
+from repro.core.scatter import CommMaps, build_comm_maps
 
 __all__ = [
     "NodeMaps",
     "build_node_maps",
     "CommMaps",
     "build_comm_maps",
-    "scatter_begin",
-    "scatter_end",
-    "gather_begin",
-    "gather_end",
     "DistributedArray",
     "DistributedMultiVector",
     "HymvOperator",

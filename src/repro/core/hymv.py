@@ -16,6 +16,8 @@ batch — no per-SPMV copies.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.core.da import DistributedArray, DistributedMultiVector
@@ -32,11 +34,8 @@ from repro.core.scatter import (
     CommMaps,
     HaloExchange,
     build_comm_maps,
-    gather_begin,
-    gather_end,
+    gather,
     scatter,
-    scatter_begin,
-    scatter_end,
 )
 from repro.core.segment import SegmentScatter
 from repro.fem.operators import Operator
@@ -44,7 +43,12 @@ from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
 from repro.util.arrays import INDEX_DTYPE, as_index, inverse_permutation, scatter_add
 
-__all__ = ["EbeOperatorBase", "HymvOperator"]
+__all__ = ["EbeOperatorBase", "HymvOperator", "reference_spmv"]
+
+#: host-compute phase of each Algorithm-2 slice
+_EMV_PHASES = {
+    part: f"spmv.emv.{part}" for part in ("independent", "dependent", "all")
+}
 
 
 class EbeOperatorBase:
@@ -58,7 +62,6 @@ class EbeOperatorBase:
         ranges: np.ndarray | None = None,
         kernel: str = "einsum",
         modeled_rate_gflops: float | None = None,
-        workspace: bool = True,
         elem_scale: np.ndarray | None = None,
     ):
         self.comm = comm
@@ -142,27 +145,19 @@ class EbeOperatorBase:
         )
 
         # zero-allocation hot path: preallocated EMV workspace, packed
-        # halo buffers and precomputed segment-sum scatters per sweep.
-        # ``workspace=False`` keeps the legacy allocating path as the
-        # bitwise reference for equivalence tests and ablations.
-        self.workspace_enabled = bool(workspace)
-        self._ws: EmvWorkspace | None = None
-        self.halo: HaloExchange | None = None
-        self._seg_indep: SegmentScatter | None = None
-        self._seg_dep: SegmentScatter | None = None
+        # halo buffers and precomputed segment-sum scatters per sweep
+        with comm.compute("setup.workspace"):
+            self._ws = EmvWorkspace(
+                lmesh.n_local_elements, self.e2l_dofs.shape[1]
+            )
+            self._seg_indep = SegmentScatter(self.e2l_dofs[self._sl_indep])
+            self._seg_dep = SegmentScatter(self.e2l_dofs[self._sl_dep])
+            # one packed halo exchange per node-row width ndpn*k, so one
+            # exchange serves all k columns of a multivector product
+            self._halos: dict[int, HaloExchange] = {}
+            self.halo = self._halo_for(1)
         self._seg_all: SegmentScatter | None = None
-        if workspace:
-            with comm.compute("setup.workspace"):
-                self._ws = EmvWorkspace(
-                    lmesh.n_local_elements, self.e2l_dofs.shape[1]
-                )
-                self.halo = HaloExchange(self.cmaps, self.ndpn)
-                self._seg_indep = SegmentScatter(self.e2l_dofs[self._sl_indep])
-                self._seg_dep = SegmentScatter(self.e2l_dofs[self._sl_dep])
-        # multi-RHS machinery, built lazily per column count k: one packed
-        # halo exchange of node-row width ndpn*k serves all k columns, and
-        # work multivectors back apply_owned_multi (mirrors _work_u/_work_v)
-        self._halo_multi: dict[int, HaloExchange] = {}
+        # work multivectors backing apply_owned_multi, cached per k
         self._work_multi: dict[int, tuple] = {}
         # mode="auto" crossover for the BLAS3 multi-RHS path; None means
         # repro.core.kernels.DEFAULT_K_MIN (set a calibrated value from
@@ -189,105 +184,86 @@ class EbeOperatorBase:
         recompute is the HYMV/matrix-free distinction)."""
         raise NotImplementedError
 
-    def _segment_for(self, sl: slice) -> SegmentScatter | None:
-        """Precomputed segment scatter of a sweep slice (``None`` when
-        the slice has no frozen structure, e.g. GPU chunk schedules)."""
+    def _segment_for(self, sl: slice) -> SegmentScatter:
+        """Precomputed segment scatter of a sweep slice (the whole-range
+        one is built on first use: only blocking products sweep it)."""
         if sl is self._sl_indep:
             return self._seg_indep
         if sl is self._sl_dep:
             return self._seg_dep
-        if sl is self._sl_all:
-            if self._seg_all is None and self.workspace_enabled:
-                self._seg_all = SegmentScatter(self.e2l_dofs)
-            return self._seg_all
-        return None
+        if self._seg_all is None:
+            self._seg_all = SegmentScatter(self.e2l_dofs)
+        return self._seg_all
 
     def _columns_batch(self, sl: slice) -> np.ndarray | None:
         """Optional precomputed column-major matrix batch for the
         ``columns`` kernel (operators with stored matrices override)."""
         return None
 
+    def _local_emv(
+        self, sl: slice, ue: np.ndarray, ve: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The local kernel: element products of slice ``sl`` for the
+        gathered ``ue`` — ``(E, nd)``, or ``(E, nd, k)`` under the GEMM
+        mode — written into ``ve`` when given, freshly allocated
+        otherwise.  Operators that do not store or recompute element
+        matrices (partial assembly) override this."""
+        ke = self._element_matrices(sl)
+        if ue.ndim == 3:
+            return self.kernel(ke, ue, out=ve, mode="gemm")
+        if self.kernel is emv_columns and ve is not None:
+            return emv_columns(
+                ke, ue, out=ve, tmp=self._ws.tmp[: ue.shape[0]],
+                columns=self._columns_batch(sl),
+            )
+        return self.kernel(ke, ue, out=ve)
+
+    def _gather_emv_add(self, uf: np.ndarray, vf: np.ndarray, sl: slice) -> int:
+        """Gather → local kernel → segment-add over slice ``sl``, through
+        the workspace; returns the number of elements swept.
+
+        ``uf``/``vf`` are flat local dof vectors — 1-D (possibly strided
+        multivector columns: the gathered and accumulated values are
+        identical either way, so the oracle multivector path inherits the
+        single-RHS bits column by column) or ``(n_dofs, k)`` blocks for
+        the BLAS3 GEMM mode, where the element matrices are produced once
+        for all k columns."""
+        idx = self.e2l_dofs[sl]
+        n = idx.shape[0]
+        if n == 0:
+            return 0
+        if uf.ndim == 1:
+            ue, ve = self._ws.views(n)
+        else:
+            ue, ve = self._ws.multi_views(n, uf.shape[1])
+        gather_element_vectors(uf, idx, out=ue)
+        ve = self._local_emv(sl, ue, ve)
+        seg = self._segment_for(sl)
+        if uf.ndim == 1:
+            seg.add_into(vf, ve)
+        else:
+            seg.add_into_multi(vf, ve)
+        return n
+
+    def _account_sweep(self, n: int, k: int) -> None:
+        """Counters and modeled compute of an ``n``-element sweep over
+        ``k`` columns (k-scaled totals, so virtual-time studies stay
+        independent of the multi-RHS mode)."""
+        flops = n * self.operator.emv_flops(self.etype) * k
+        self.comm.obs.incr("spmv.elements", n * k)
+        self.comm.obs.incr("spmv.flops", flops)
+        if self.modeled_rate_gflops:
+            self.comm.advance(
+                flops / (self.modeled_rate_gflops * 1e9), "spmv.emv.modeled"
+            )
+
     def _emv_sweep(self, uf: np.ndarray, vf: np.ndarray, sl: slice) -> None:
-        """One elemental sweep over flat local dof vectors.
+        """One accounted elemental sweep (see :meth:`_gather_emv_add`)."""
+        n = self._gather_emv_add(uf, vf, sl)
+        if n:
+            self._account_sweep(n, 1 if uf.ndim == 1 else uf.shape[1])
 
-        ``uf``/``vf`` are 1-D views of length ``n_total * ndpn`` and may
-        be strided (multi-RHS columns); the gathered/accumulated values
-        are identical either way, so the multivector path inherits the
-        single-RHS bits column by column.
-        """
-        idx = self.e2l_dofs[sl]
-        if idx.shape[0] == 0:
-            return
-        ke = self._element_matrices(sl)
-        if self._ws is not None:
-            ue, ve = self._ws.views(idx.shape[0])
-            gather_element_vectors(uf, idx, out=ue)
-            if self.kernel is emv_columns:
-                emv_columns(
-                    ke, ue, out=ve, tmp=self._ws.tmp[: idx.shape[0]],
-                    columns=self._columns_batch(sl),
-                )
-            else:
-                self.kernel(ke, ue, out=ve)
-            seg = self._segment_for(sl)
-            if seg is not None:
-                seg.add_into(vf, ve)
-            else:
-                accumulate_element_vectors(vf, idx, ve)
-        else:
-            ue = gather_element_vectors(uf, idx)
-            ve = self.kernel(ke, ue)
-            accumulate_element_vectors(vf, idx, ve)
-        flops = idx.shape[0] * self.operator.emv_flops(self.etype)
-        self.comm.obs.incr("spmv.elements", idx.shape[0])
-        self.comm.obs.incr("spmv.flops", flops)
-        if self.modeled_rate_gflops:
-            self.comm.advance(
-                flops / (self.modeled_rate_gflops * 1e9), "spmv.emv.modeled"
-            )
-
-    def _emv_sweep_multi(
-        self, UF: np.ndarray, VF: np.ndarray, sl: slice
-    ) -> None:
-        """One BLAS3 elemental sweep over ``(n_total*ndpn, k)`` dof
-        multivectors (``mode="gemm"``).
-
-        The gathered ``(E, nd, k)`` block is multiplied by the element-
-        matrix batch in ONE batched ``np.matmul`` — a dense
-        ``(nd, nd) @ (nd, k)`` GEMM per element — and scattered with the
-        k-column segment sum.  Element matrices are produced once for all
-        k columns (for the matrix-free operator this also amortizes the
-        recompute k-fold).  Counters and the modeled compute time advance
-        by the same k-scaled totals as k oracle sweeps, so virtual-time
-        studies stay mode-independent.
-        """
-        idx = self.e2l_dofs[sl]
-        if idx.shape[0] == 0:
-            return
-        k = UF.shape[1]
-        ke = self._element_matrices(sl)
-        if self._ws is not None:
-            ue, ve = self._ws.multi_views(idx.shape[0], k)
-            gather_element_vectors(UF, idx, out=ue)
-            self.kernel(ke, ue, out=ve, mode="gemm")
-            seg = self._segment_for(sl)
-            if seg is not None:
-                seg.add_into_multi(VF, ve)
-            else:
-                accumulate_element_vectors(VF, idx, ve)
-        else:
-            ue = gather_element_vectors(UF, idx)
-            ve = self.kernel(ke, ue, mode="gemm")
-            accumulate_element_vectors(VF, idx, ve)
-        flops = idx.shape[0] * self.operator.emv_flops(self.etype) * k
-        self.comm.obs.incr("spmv.elements", idx.shape[0] * k)
-        self.comm.obs.incr("spmv.flops", flops)
-        if self.modeled_rate_gflops:
-            self.comm.advance(
-                flops / (self.modeled_rate_gflops * 1e9), "spmv.emv.modeled"
-            )
-
-    def _verify_ghosts(self, u: DistributedArray | DistributedMultiVector) -> None:
+    def _verify_ghosts(self, un: np.ndarray) -> None:
         """Flag non-finite received ghost values (fault-injection runs
         only): raises the ``spmv.ghost_nonfinite`` counter that the
         resilient CG treats as a local corruption signal.
@@ -296,12 +272,79 @@ class EbeOperatorBase:
         array precomputed at setup (no per-neighbor Python loop)."""
         if self._recv_all.size == 0:
             return
-        vals = u.data[self._recv_all]
+        vals = un[self._recv_all]
         bad = int(vals.size - np.count_nonzero(np.isfinite(vals)))
         if bad:
             self.comm.obs.incr("spmv.ghost_nonfinite", bad)
 
     # -- Algorithm 2 ------------------------------------------------------
+
+    def _halo_for(self, k: int) -> HaloExchange:
+        """Packed halo exchange for node rows of width ``ndpn * k``
+        (built once per distinct column count)."""
+        h = self._halos.get(k)
+        if h is None:
+            h = self._halos[k] = HaloExchange(self.cmaps, self.ndpn * k)
+        return h
+
+    def _algorithm2(
+        self,
+        un: np.ndarray,
+        vn: np.ndarray,
+        uf: np.ndarray,
+        vf: np.ndarray,
+        k: int,
+        overlap: bool,
+        run: Callable[[str, slice, np.ndarray, np.ndarray], None],
+    ) -> None:
+        """The Algorithm-2 schedule on ``(n_total, ndpn*k)`` node rows:
+        post the ghost scatter of ``un``, run the independent elements,
+        finish the scatter, run the dependent elements, gather ``vn``.
+        ``overlap=False`` completes the scatter first and runs all
+        elements in one sweep.  ``run(part, sl, uf, vf)`` does (and
+        times) the local work of slice ``sl`` on the dof views ``uf`` /
+        ``vf`` of ``un`` / ``vn``; ``part`` names the slice
+        ``"independent"``, ``"dependent"`` or ``"all"``."""
+        comm = self.comm
+        halo = self._halo_for(k)
+        t0 = comm.vtime
+        vn[:] = 0.0
+        if overlap:
+            reqs = halo.start_scatter(comm, un)
+            run("independent", self._sl_indep, uf, vf)
+            tw = comm.vtime
+            halo.finish_scatter(comm, un, reqs)
+        else:
+            tw = comm.vtime
+            halo.scatter(comm, un)
+        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
+        if self._check_ghosts:
+            self._verify_ghosts(un)
+        if overlap:
+            run("dependent", self._sl_dep, uf, vf)
+        else:
+            run("all", self._sl_all, uf, vf)
+        tg = comm.vtime
+        halo.gather(comm, vn)
+        comm.timing.add("spmv.gather", comm.vtime - tg)
+        comm.timing.add("spmv.total", comm.vtime - t0)
+        self.spmv_count += k
+
+    def _host_run(
+        self, part: str, sl: slice, uf: np.ndarray, vf: np.ndarray
+    ) -> None:
+        """``run`` of :meth:`_algorithm2`: one measured host sweep."""
+        with self.comm.compute(_EMV_PHASES[part]):
+            self._emv_sweep(uf, vf, sl)
+
+    def _host_run_columns(
+        self, part: str, sl: slice, uf: np.ndarray, vf: np.ndarray
+    ) -> None:
+        """``run`` of :meth:`_algorithm2` for the oracle multi-RHS mode:
+        the single-RHS sweep per column."""
+        with self.comm.compute(_EMV_PHASES[part]):
+            for j in range(uf.shape[1]):
+                self._emv_sweep(uf[:, j], vf[:, j], sl)
 
     def spmv(
         self,
@@ -316,49 +359,10 @@ class EbeOperatorBase:
         flight while independent elements compute; ``overlap=False`` is
         the blocking variant used in the ablation study.
         """
-        comm = self.comm
-        halo = self.halo
-        t0 = comm.vtime
-        v.data[:] = 0.0
-        uf = u.data.reshape(-1)
-        vf = v.data.reshape(-1)
-        if overlap:
-            if halo is not None:
-                reqs = halo.scatter_begin(comm, u.data)
-            else:
-                reqs = scatter_begin(comm, u.data, self.cmaps)
-            with comm.compute("spmv.emv.independent"):
-                self._emv_sweep(uf, vf, self._sl_indep)
-            tw = comm.vtime
-            if halo is not None:
-                halo.scatter_end(comm, u.data, reqs)
-            else:
-                scatter_end(comm, u.data, self.cmaps, reqs)
-            comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            with comm.compute("spmv.emv.dependent"):
-                self._emv_sweep(uf, vf, self._sl_dep)
-        else:
-            tw = comm.vtime
-            if halo is not None:
-                halo.scatter(comm, u.data)
-            else:
-                scatter(comm, u.data, self.cmaps)
-            comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            with comm.compute("spmv.emv.all"):
-                self._emv_sweep(uf, vf, self._sl_all)
-        tg = comm.vtime
-        if halo is not None:
-            halo.gather_end(comm, v.data, halo.gather_begin(comm, v.data))
-        else:
-            greqs = gather_begin(comm, v.data, self.cmaps)
-            gather_end(comm, v.data, self.cmaps, greqs)
-        comm.timing.add("spmv.gather", comm.vtime - tg)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += 1
+        self._algorithm2(
+            u.data, v.data, u.data.reshape(-1), v.data.reshape(-1), 1,
+            overlap, self._host_run,
+        )
         return v
 
     def apply(self, u: DistributedArray, v: DistributedArray) -> DistributedArray:
@@ -390,18 +394,6 @@ class EbeOperatorBase:
     def new_multivector(self, k: int) -> DistributedMultiVector:
         return DistributedMultiVector(self.maps, self.ndpn, k)
 
-    def _halo_for(self, k: int) -> HaloExchange | None:
-        """Packed halo exchange for node rows of width ``ndpn * k``
-        (built once per distinct column count, like ``halo`` for k=1)."""
-        if k == 1:
-            return self.halo
-        if not self.workspace_enabled:
-            return None
-        h = self._halo_multi.get(k)
-        if h is None:
-            h = self._halo_multi[k] = HaloExchange(self.cmaps, self.ndpn * k)
-        return h
-
     def spmv_multi(
         self,
         u: DistributedMultiVector,
@@ -423,67 +415,21 @@ class EbeOperatorBase:
         accumulations are independent, so packing cannot change bits).
 
         Under ``mode="gemm"`` the elemental stage additionally runs as
-        batched BLAS3 GEMMs over the whole ``(E, nd, k)`` block
-        (:meth:`_emv_sweep_multi`): each stored/recomputed element matrix
-        is streamed through memory once for all k columns instead of k
-        times.  Results match the oracle to rounding
-        (:func:`repro.core.kernels.gemm_equivalence_rtol`), not bitwise.
-        ``mode="auto"`` (the default) picks GEMM when
+        batched BLAS3 GEMMs over the whole ``(E, nd, k)`` block: each
+        stored/recomputed element matrix is streamed through memory once
+        for all k columns instead of k times.  Results match the oracle
+        to rounding (:func:`repro.core.kernels.gemm_equivalence_rtol`),
+        not bitwise.  ``mode="auto"`` (the default) picks GEMM when
         ``k >= self.gemm_k_min`` (``None`` → ``DEFAULT_K_MIN``).
         """
-        comm = self.comm
         k = u.k
-        gemm = resolve_mode(mode, k, self.gemm_k_min) == "gemm"
-        halo = self._halo_for(k)
-        t0 = comm.vtime
-        v.data[:] = 0.0
-        un, vn = u.node_view, v.node_view
-        uf, vf = u.dof_view, v.dof_view
-
-        def sweep(sl: slice) -> None:
-            if gemm:
-                self._emv_sweep_multi(uf, vf, sl)
-            else:
-                for j in range(k):
-                    self._emv_sweep(uf[:, j], vf[:, j], sl)
-
-        if overlap:
-            if halo is not None:
-                reqs = halo.scatter_begin(comm, un)
-            else:
-                reqs = scatter_begin(comm, un, self.cmaps)
-            with comm.compute("spmv.emv.independent"):
-                sweep(self._sl_indep)
-            tw = comm.vtime
-            if halo is not None:
-                halo.scatter_end(comm, un, reqs)
-            else:
-                scatter_end(comm, un, self.cmaps, reqs)
-            comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            with comm.compute("spmv.emv.dependent"):
-                sweep(self._sl_dep)
+        if resolve_mode(mode, k, self.gemm_k_min) == "gemm":
+            run = self._host_run
         else:
-            tw = comm.vtime
-            if halo is not None:
-                halo.scatter(comm, un)
-            else:
-                scatter(comm, un, self.cmaps)
-            comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            with comm.compute("spmv.emv.all"):
-                sweep(self._sl_all)
-        tg = comm.vtime
-        if halo is not None:
-            halo.gather_end(comm, vn, halo.gather_begin(comm, vn))
-        else:
-            greqs = gather_begin(comm, vn, self.cmaps)
-            gather_end(comm, vn, self.cmaps, greqs)
-        comm.timing.add("spmv.gather", comm.vtime - tg)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += k
+            run = self._host_run_columns
+        self._algorithm2(
+            u.node_view, v.node_view, u.dof_view, v.dof_view, k, overlap, run
+        )
         return v
 
     def apply_owned_multi(
@@ -654,8 +600,7 @@ class EbeOperatorBase:
         after an in-place update, so no cached scratch view outlives the
         element state it was sized against (halo exchanges depend only
         on the comm maps, which an in-place update never changes)."""
-        if self._ws is not None:
-            self._ws.clear_multi()
+        self._ws.clear_multi()
         for seg in (self._seg_indep, self._seg_dep, self._seg_all):
             if seg is not None:
                 seg._multi.clear()
@@ -697,7 +642,6 @@ class HymvOperator(EbeOperatorBase):
         kernel: str = "einsum",
         modeled_rate_gflops: float | None = None,
         ke_cache: dict | None = None,
-        workspace: bool = True,
         elem_scale: np.ndarray | None = None,
     ):
         """``ke_cache`` optionally maps *global element ids* to previously
@@ -709,8 +653,7 @@ class HymvOperator(EbeOperatorBase):
         only to freshly computed rows."""
         super().__init__(
             comm, lmesh, operator, ranges=ranges, kernel=kernel,
-            modeled_rate_gflops=modeled_rate_gflops, workspace=workspace,
-            elem_scale=elem_scale,
+            modeled_rate_gflops=modeled_rate_gflops, elem_scale=elem_scale,
         )
         gids = lmesh.elements[self._order]
         if ke_cache:
@@ -740,7 +683,7 @@ class HymvOperator(EbeOperatorBase):
         # (paper eq. 4's SIMD layout).  Same operands, same add order —
         # bitwise identical products.
         self._kcol: np.ndarray | None = None
-        if self.workspace_enabled and self.kernel_name == "columns":
+        if self.kernel_name == "columns":
             with comm.compute("setup.column_layout"):
                 self._kcol = np.ascontiguousarray(self.ke.transpose(2, 0, 1))
 
@@ -782,6 +725,33 @@ class HymvOperator(EbeOperatorBase):
     def stored_bytes(self) -> int:
         """Memory footprint of the stored element matrices."""
         return self.ke.nbytes
+
+
+def reference_spmv(
+    A: EbeOperatorBase, u: DistributedArray, v: DistributedArray
+) -> DistributedArray:
+    """``v = K u`` by the plain allocating product, without workspace,
+    packed halo, segment scatter or overlap — the bitwise reference the
+    Algorithm-2 driver is checked against (tests, the kernels bench).
+
+    Blocking ghost fill, then per independent/dependent slice an
+    allocating gather → :meth:`EbeOperatorBase._local_emv` →
+    ``scatter_add``, then the blocking gather.  Counts ``spmv.elements``
+    and ``spmv.flops`` like an EMV sweep; records no phases."""
+    comm = A.comm
+    v.data[:] = 0.0
+    scatter(comm, u.data, A.cmaps)
+    uf, vf = u.data.reshape(-1), v.data.reshape(-1)
+    for sl in (A._sl_indep, A._sl_dep):
+        idx = A.e2l_dofs[sl]
+        if idx.shape[0]:
+            ve = A._local_emv(sl, gather_element_vectors(uf, idx))
+            accumulate_element_vectors(vf, idx, ve)
+    gather(comm, v.data, A.cmaps)
+    n = A.n_local_elements
+    comm.obs.incr("spmv.elements", n)
+    comm.obs.incr("spmv.flops", n * A.operator.emv_flops(A.etype))
+    return v
 
 
 def as_scipy_operator(op) -> "object":

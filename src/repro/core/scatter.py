@@ -31,10 +31,6 @@ __all__ = [
     "CommMaps",
     "HaloExchange",
     "build_comm_maps",
-    "scatter_begin",
-    "scatter_end",
-    "gather_begin",
-    "gather_end",
     "scatter",
     "gather",
 ]
@@ -43,8 +39,6 @@ __all__ = [
 #: plans can target the ghost scatter / gather selectively)
 SCATTER_TAG = 101
 GATHER_TAG = 102
-_SCATTER_TAG = SCATTER_TAG
-_GATHER_TAG = GATHER_TAG
 
 
 @dataclass
@@ -124,16 +118,16 @@ def build_comm_maps(
 class HaloExchange:
     """Packed-buffer halo exchange, built once and reused across SPMVs.
 
-    The module-level ``scatter_*``/``gather_*`` functions fancy-index a
-    fresh per-neighbor copy out of ``data`` for every message; a
+    The blocking module-level :func:`scatter` / :func:`gather` fancy-index
+    a fresh per-neighbor copy out of ``data`` for every message; a
     ``HaloExchange`` instead concatenates each direction's slot arrays at
     setup and packs all outgoing values with a single ``np.take(...,
     out=)`` into a preallocated contiguous buffer, then sends per-neighbor
     slices of it.  The gather accumulation likewise runs through a
     preallocated gather/add/scatter scratch instead of an allocating
     fancy ``+=``.  Message partners, ordering, payload bytes and the
-    accumulation arithmetic are unchanged, so results are bitwise
-    identical to the legacy functions.
+    accumulation arithmetic are the same, so results are bitwise
+    identical to the blocking functions.
 
     One instance per (operator, ndpn); not thread-safe, and at most one
     exchange per direction may be in flight at a time (the pack buffers
@@ -183,50 +177,47 @@ class HaloExchange:
         self._gbuf = np.empty((self.recv_all.size, self.ndpn))
         self._acc = np.empty((self.send_all.size, self.ndpn))
 
-    # -- scatter: owner values -> ghost copies -----------------------------
-
-    def scatter_begin(self, comm: Communicator, data: np.ndarray) -> list[Request]:
-        """Pack all owned send values and post the ghost-fill exchange."""
+    def _check_len(self, data: np.ndarray) -> None:
         if self._max_slot >= data.shape[0]:
             raise IndexError(
                 f"HaloExchange: data has {data.shape[0]} slots, "
                 f"map references slot {self._max_slot}"
             )
+
+    # -- scatter: owner values -> ghost copies -----------------------------
+
+    def start_scatter(self, comm: Communicator, data: np.ndarray) -> list[Request]:
+        """Pack all owned send values and post the ghost-fill exchange."""
+        self._check_len(data)
         if self.send_all.size:
             np.take(data, self.send_all, axis=0, out=self._sbuf, mode="clip")
         off = self.send_offsets
         for k, rank in enumerate(self.cmaps.send_ranks):
-            comm.isend(self._sbuf[off[k]:off[k + 1]], rank, tag=_SCATTER_TAG)
-        return [comm.irecv(rank, tag=_SCATTER_TAG) for rank in self.cmaps.recv_ranks]
+            comm.isend(self._sbuf[off[k]:off[k + 1]], rank, tag=SCATTER_TAG)
+        return [comm.irecv(rank, tag=SCATTER_TAG) for rank in self.cmaps.recv_ranks]
 
-    def scatter_end(
+    def finish_scatter(
         self, comm: Communicator, data: np.ndarray, reqs: list[Request]
     ) -> None:
+        """Complete the ghost fill: copy received owner values into ghosts."""
         for slots, req in zip(self.cmaps.recv_slots, reqs):
             data[slots] = comm.wait(req)
 
     def scatter(self, comm: Communicator, data: np.ndarray) -> None:
-        self.scatter_end(comm, data, self.scatter_begin(comm, data))
+        self.finish_scatter(comm, data, self.start_scatter(comm, data))
 
     # -- gather: ghost partial sums -> owner accumulation ------------------
 
-    def gather_begin(self, comm: Communicator, data: np.ndarray) -> list[Request]:
-        """Pack all ghost partial sums and post the reverse exchange."""
-        if self._max_slot >= data.shape[0]:
-            raise IndexError(
-                f"HaloExchange: data has {data.shape[0]} slots, "
-                f"map references slot {self._max_slot}"
-            )
+    def gather(self, comm: Communicator, data: np.ndarray) -> None:
+        """Ship all ghost partial sums to their owners and accumulate the
+        received contributions into my owned slots."""
+        self._check_len(data)
         if self.recv_all.size:
             np.take(data, self.recv_all, axis=0, out=self._gbuf, mode="clip")
         off = self.recv_offsets
         for k, rank in enumerate(self.cmaps.recv_ranks):
-            comm.isend(self._gbuf[off[k]:off[k + 1]], rank, tag=_GATHER_TAG)
-        return [comm.irecv(rank, tag=_GATHER_TAG) for rank in self.cmaps.send_ranks]
-
-    def gather_end(
-        self, comm: Communicator, data: np.ndarray, reqs: list[Request]
-    ) -> None:
+            comm.isend(self._gbuf[off[k]:off[k + 1]], rank, tag=GATHER_TAG)
+        reqs = [comm.irecv(rank, tag=GATHER_TAG) for rank in self.cmaps.send_ranks]
         off = self.send_offsets
         for k, (slots, req) in enumerate(zip(self.cmaps.send_slots, reqs)):
             recv = comm.wait(req)
@@ -235,55 +226,26 @@ class HaloExchange:
             np.add(acc, recv, out=acc)
             data[slots] = acc
 
-    def gather(self, comm: Communicator, data: np.ndarray) -> None:
-        self.gather_end(comm, data, self.gather_begin(comm, data))
-
 
 # ----------------------------------------------------------------------------
-# scatter: owner values -> ghost copies (read halo before SPMV)
+# blocking, allocating exchanges (setup-time use and the SPMV reference)
 # ----------------------------------------------------------------------------
 
-def scatter_begin(
-    comm: Communicator, data: np.ndarray, cmaps: CommMaps
-) -> list[Request]:
-    """Post the ghost-fill exchange for ``data`` (``(n_total, ndpn)``)."""
+def scatter(comm: Communicator, data: np.ndarray, cmaps: CommMaps) -> None:
+    """Ghost fill: copy owner values into my ghost copies of ``data``
+    (``(n_total, ndpn)``)."""
     for rank, slots in zip(cmaps.send_ranks, cmaps.send_slots):
-        comm.isend(data[slots], rank, tag=_SCATTER_TAG)
-    return [comm.irecv(rank, tag=_SCATTER_TAG) for rank in cmaps.recv_ranks]
-
-
-def scatter_end(
-    comm: Communicator, data: np.ndarray, cmaps: CommMaps, reqs: list[Request]
-) -> None:
-    """Complete the ghost fill: copy received owner values into ghosts."""
+        comm.isend(data[slots], rank, tag=SCATTER_TAG)
+    reqs = [comm.irecv(rank, tag=SCATTER_TAG) for rank in cmaps.recv_ranks]
     for slots, req in zip(cmaps.recv_slots, reqs):
         data[slots] = comm.wait(req)
 
 
-def scatter(comm: Communicator, data: np.ndarray, cmaps: CommMaps) -> None:
-    scatter_end(comm, data, cmaps, scatter_begin(comm, data, cmaps))
-
-
-# ----------------------------------------------------------------------------
-# gather: ghost partial sums -> owner accumulation (after SPMV)
-# ----------------------------------------------------------------------------
-
-def gather_begin(
-    comm: Communicator, data: np.ndarray, cmaps: CommMaps
-) -> list[Request]:
-    """Post the reverse exchange shipping ghost contributions to owners."""
+def gather(comm: Communicator, data: np.ndarray, cmaps: CommMaps) -> None:
+    """Ship my ghost partial sums to their owners and accumulate the
+    received contributions into my owned slots."""
     for rank, slots in zip(cmaps.recv_ranks, cmaps.recv_slots):
-        comm.isend(data[slots], rank, tag=_GATHER_TAG)
-    return [comm.irecv(rank, tag=_GATHER_TAG) for rank in cmaps.send_ranks]
-
-
-def gather_end(
-    comm: Communicator, data: np.ndarray, cmaps: CommMaps, reqs: list[Request]
-) -> None:
-    """Accumulate the received contributions into my owned slots."""
+        comm.isend(data[slots], rank, tag=GATHER_TAG)
+    reqs = [comm.irecv(rank, tag=GATHER_TAG) for rank in cmaps.send_ranks]
     for slots, req in zip(cmaps.send_slots, reqs):
         data[slots] += comm.wait(req)
-
-
-def gather(comm: Communicator, data: np.ndarray, cmaps: CommMaps) -> None:
-    gather_end(comm, data, cmaps, gather_begin(comm, data, cmaps))

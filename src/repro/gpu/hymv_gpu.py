@@ -21,18 +21,6 @@ import numpy as np
 from repro.baselines.assembled import AssembledOperator
 from repro.core.da import DistributedArray
 from repro.core.hymv import HymvOperator
-from repro.core.kernels import (
-    accumulate_element_vectors,
-    emv_columns,
-    gather_element_vectors,
-)
-from repro.core.scatter import (
-    gather_begin,
-    gather_end,
-    scatter,
-    scatter_begin,
-    scatter_end,
-)
 from repro.gpu.streams import StreamScheduler
 from repro.perfmodel.machine import FRONTERA, GPU_NODE, FronteraMachine, GpuModel
 
@@ -60,13 +48,12 @@ class HymvGpuOperator(HymvOperator):
         gpu: GpuModel = GPU_NODE,
         machine: FronteraMachine = FRONTERA,
         threads: int = 4,
-        workspace: bool = True,
         ke_cache: dict | None = None,
         elem_scale: np.ndarray | None = None,
     ):
         super().__init__(
             comm, lmesh, operator, ranges=ranges, kernel=kernel,
-            workspace=workspace, ke_cache=ke_cache, elem_scale=elem_scale,
+            ke_cache=ke_cache, elem_scale=elem_scale,
         )
         if scheme not in ("gpu", "gpu_cpu_overlap", "gpu_gpu_overlap"):
             raise ValueError(f"unknown GPU scheme {scheme!r}")
@@ -98,63 +85,35 @@ class HymvGpuOperator(HymvOperator):
         eff = self.threads * r.omp_efficiency if self.threads > 1 else 1.0
         return r.rhs_gather_gbps * 1e9 * eff
 
-    def _device_sweep(
-        self, u: DistributedArray, v: DistributedArray, sl: slice
-    ) -> float:
-        """Run one batched EMV on the device; returns modeled duration."""
-        idx = self.e2l_dofs[sl]
-        if idx.shape[0] == 0:
+    def _device_sweep(self, uf: np.ndarray, vf: np.ndarray, sl: slice) -> float:
+        """Run one batched EMV on the device; returns modeled duration.
+
+        The numerics are the shared host sweep (device-equivalent): host
+        ``bue`` gather (Alg. 3 line 3), kernel, host ``bve`` accumulation
+        (line 8); the modeled time is the chunked stream pipeline plus
+        the host staging of both vector batches."""
+        E = self._gather_emv_add(uf, vf, sl)
+        if E == 0:
             return 0.0
-        ke = self.ke[sl]
-        uf = u.data.reshape(-1)
-        vf = v.data.reshape(-1)
-        # host: build bue (pinned staging buffer), Alg. 3 line 3
-        if self._ws is not None:
-            ue, _ = self._ws.views(idx.shape[0])
-            gather_element_vectors(uf, idx, out=ue)
-        else:
-            ue = gather_element_vectors(uf, idx)
-        t_host = ue.nbytes / self._host_rate()
-        # device: chunked pipeline
+        nd = self.e2l_dofs.shape[1]
+        vec_bytes = E * nd * 8
+        t_host = vec_bytes / self._host_rate()
         sched = StreamScheduler(gpu=self.gpu, n_streams=self.n_streams)
-        E, nd = ue.shape
         t_pipe = sched.run_batch(
-            h2d_bytes=ue.nbytes,
+            h2d_bytes=vec_bytes,
             kernel_flops=2.0 * E * nd * nd,
-            kernel_bytes=ke.nbytes,
-            d2h_bytes=ue.nbytes,
+            kernel_bytes=E * nd * nd * 8,
+            d2h_bytes=vec_bytes,
         )
         self.last_timeline = sched
         obs = self.comm.obs
-        obs.incr("gpu.h2d_bytes", ue.nbytes)
-        obs.incr("gpu.d2h_bytes", ue.nbytes)
+        obs.incr("gpu.h2d_bytes", vec_bytes)
+        obs.incr("gpu.d2h_bytes", vec_bytes)
         obs.incr("gpu.kernel_flops", 2.0 * E * nd * nd)
         obs.incr("gpu.batches")
         sched.export_events(obs, t_offset=self.comm.vtime)
-        ve = self._kernel_into(ke, ue, sl)  # actual math (device-equivalent)
-        # host: accumulate bve, Alg. 3 line 8
-        self._accumulate(vf, idx, ve, sl)
-        t_host += ve.nbytes / self._host_rate()
+        t_host += vec_bytes / self._host_rate()
         return t_host + t_pipe
-
-    def _kernel_into(self, ke, ue, sl) -> np.ndarray:
-        """Run the EMV kernel, through the workspace when enabled."""
-        if self._ws is None:
-            return self.kernel(ke, ue)
-        _, ve = self._ws.views(ue.shape[0])
-        if self.kernel is emv_columns:
-            return emv_columns(
-                ke, ue, out=ve, tmp=self._ws.tmp[: ue.shape[0]],
-                columns=self._columns_batch(sl),
-            )
-        return self.kernel(ke, ue, out=ve)
-
-    def _accumulate(self, vf, idx, ve, sl) -> None:
-        seg = self._segment_for(sl) if self._ws is not None else None
-        if seg is not None:
-            seg.add_into(vf, ve)
-        else:
-            accumulate_element_vectors(vf, idx, ve)
 
     def spmv(
         self,
@@ -162,61 +121,30 @@ class HymvGpuOperator(HymvOperator):
         v: DistributedArray,
         overlap: bool | None = None,
     ) -> DistributedArray:
-        comm = self.comm
-        halo = self.halo
-        t0 = comm.vtime
-        v.data[:] = 0.0
+        """Algorithm 3 under the configured scheme.  The base-class
+        ``overlap`` flag maps onto schemes: ``False`` → blocking
+        ``"gpu"``; ``True`` → the configured scheme if it overlaps, else
+        ``"gpu_gpu_overlap"``; ``None`` → the configured scheme."""
         scheme = self.scheme
-        if overlap is not None:  # the base-class flag maps onto schemes
-            scheme = "gpu_gpu_overlap" if overlap else scheme
+        if overlap is False:
+            scheme = "gpu"
+        elif overlap and scheme == "gpu":
+            scheme = "gpu_gpu_overlap"
+        comm = self.comm
 
-        def _scatter_begin():
-            if halo is not None:
-                return halo.scatter_begin(comm, u.data)
-            return scatter_begin(comm, u.data, self.cmaps)
-
-        def _scatter_end(reqs):
-            if halo is not None:
-                halo.scatter_end(comm, u.data, reqs)
+        def run(part: str, sl: slice, uf: np.ndarray, vf: np.ndarray) -> None:
+            if part == "all":
+                comm.advance(self._device_sweep(uf, vf, sl), "spmv.gpu")
+            elif part == "dependent" and scheme == "gpu_cpu_overlap":
+                # dependent elements on the host CPU
+                comm.advance(self._cpu_sweep(uf, vf, sl), "spmv.cpu.dependent")
             else:
-                scatter_end(comm, u.data, self.cmaps, reqs)
+                comm.advance(self._device_sweep(uf, vf, sl), "spmv.gpu." + part)
 
-        if scheme == "gpu":
-            if halo is not None:
-                halo.scatter(comm, u.data)
-            else:
-                scatter(comm, u.data, self.cmaps)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            comm.advance(self._device_sweep(u, v, self._sl_all), "spmv.gpu")
-        elif scheme == "gpu_gpu_overlap":
-            reqs = _scatter_begin()
-            comm.advance(
-                self._device_sweep(u, v, self._sl_indep), "spmv.gpu.independent"
-            )
-            _scatter_end(reqs)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            comm.advance(
-                self._device_sweep(u, v, self._sl_dep), "spmv.gpu.dependent"
-            )
-        else:  # gpu_cpu_overlap: dependent elements on the host CPU
-            reqs = _scatter_begin()
-            comm.advance(
-                self._device_sweep(u, v, self._sl_indep), "spmv.gpu.independent"
-            )
-            _scatter_end(reqs)
-            if self._check_ghosts:
-                self._verify_ghosts(u)
-            t_cpu = self._cpu_sweep(u, v, self._sl_dep)
-            comm.advance(t_cpu, "spmv.cpu.dependent")
-        if halo is not None:
-            halo.gather_end(comm, v.data, halo.gather_begin(comm, v.data))
-        else:
-            greqs = gather_begin(comm, v.data, self.cmaps)
-            gather_end(comm, v.data, self.cmaps, greqs)
-        comm.timing.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += 1
+        self._algorithm2(
+            u.data, v.data, u.data.reshape(-1), v.data.reshape(-1), 1,
+            scheme != "gpu", run,
+        )
         return v
 
     def spmv_multi(self, u, v, overlap: bool = True, mode: str = "auto"):
@@ -258,24 +186,14 @@ class HymvGpuOperator(HymvOperator):
             comm.advance(t_host + t_pipe, "spmv.gpu.multivector")
         return v
 
-    def _cpu_sweep(
-        self, u: DistributedArray, v: DistributedArray, sl: slice
-    ) -> float:
+    def _cpu_sweep(self, uf: np.ndarray, vf: np.ndarray, sl: slice) -> float:
         """Host EMV of a subset; returns modeled CPU duration."""
-        idx = self.e2l_dofs[sl]
-        if idx.shape[0] == 0:
+        E = self._gather_emv_add(uf, vf, sl)
+        if E == 0:
             return 0.0
-        ke = self.ke[sl]
-        if self._ws is not None:
-            ue, _ = self._ws.views(idx.shape[0])
-            gather_element_vectors(u.data.reshape(-1), idx, out=ue)
-        else:
-            ue = gather_element_vectors(u.data.reshape(-1), idx)
-        ve = self._kernel_into(ke, ue, sl)
-        self._accumulate(v.data.reshape(-1), idx, ve, sl)
         r = self.machine.rates
         eff = self.threads * r.omp_efficiency if self.threads > 1 else 1.0
-        flops = 2.0 * ue.shape[0] * ue.shape[1] ** 2
+        flops = 2.0 * E * self.e2l_dofs.shape[1] ** 2
         return flops / (r.emv_gflops * 1e9 * eff)
 
 
@@ -331,7 +249,7 @@ class AssembledGpuOperator(AssembledOperator):
         # MPI exchange, H2D of received ghosts
         ghost_bytes = sum(s.size for s in self.cmaps.recv_slots) * self.ndpn * 8.0
         comm.advance(ghost_bytes / (self.gpu.pcie_gbps * 1e9), "spmv.halo.d2h")
-        scatter(comm, u.data, self.cmaps)
+        self._halo_for(1).scatter(comm, u.data)
         comm.advance(ghost_bytes / (self.gpu.pcie_gbps * 1e9), "spmv.halo.h2d")
         npre = self.maps.n_pre * self.ndpn
         y = self.A_diag @ u.owned_flat

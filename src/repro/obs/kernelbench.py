@@ -1,10 +1,12 @@
 """The kernels microbench suite: ``python -m repro.harness bench --suite kernels``.
 
 Measures the *real* single-rank SPMV hot path — no simulator threads, no
-virtual clock — on medium meshes, comparing the legacy allocating path
-(``workspace=False``, exactly the pre-workspace code) against the
-zero-allocation workspace path, for both EMV kernels.  Three properties
-are machine-checked per (case, kernel):
+virtual clock — on medium meshes, comparing the allocating reference
+product (:func:`repro.core.hymv.reference_spmv`: blocking exchanges and
+an allocating gather → kernel → scatter-add, the product the workspace
+driver replaced) against the zero-allocation Algorithm-2 driver
+(``HymvOperator.spmv``), for both EMV kernels.  Three properties are
+machine-checked per (case, kernel):
 
 * **speed** — wall-clock per SPMV, medians over repeats; workspace rows
   carry ``speedup_vs_reference``, a same-machine *best-of-repeats*
@@ -137,36 +139,34 @@ KERNEL_CASES: tuple[KernelCase, ...] = (
 )
 
 
-def _build_operator(spec, kernel: str, workspace: bool):
+def _build_operator(spec, kernel: str):
     from repro.core.hymv import HymvOperator
 
     comm = _NullComm()
     lmesh = spec.partition.local(0)
-    return HymvOperator(
-        comm, lmesh, spec.operator, kernel=kernel, workspace=workspace
-    )
+    return HymvOperator(comm, lmesh, spec.operator, kernel=kernel)
 
 
-def _time_spmv(A, u, v, n_spmv: int, repeats: int) -> list[float]:
+def _time_spmv(spmv, u, v, n_spmv: int, repeats: int) -> list[float]:
     """Per-SPMV wall seconds, one sample per repeat."""
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(n_spmv):
-            A.spmv(u, v)
+            spmv(u, v)
         samples.append((time.perf_counter() - t0) / n_spmv)
     return samples
 
 
-def _measure_alloc(A, u, v, n_spmv: int) -> int:
+def _measure_alloc(spmv, u, v, n_spmv: int) -> int:
     """Peak heap growth (bytes) over ``n_spmv`` post-warmup SPMVs."""
     tracemalloc.start()
     try:
-        A.spmv(u, v)  # warm tracemalloc's own structures on this path
+        spmv(u, v)  # warm tracemalloc's own structures on this path
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         for _ in range(n_spmv):
-            A.spmv(u, v)
+            spmv(u, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,24 +185,31 @@ def _phase_stats(samples: list[float]) -> dict[str, float]:
 def _run_case_kernel(
     case: KernelCase, kernel: str, repeats: int, verbose: bool
 ) -> list[dict[str, Any]]:
+    from repro.core.hymv import reference_spmv
+
     spec = case.make_spec()
-    A_ref = _build_operator(spec, kernel, workspace=False)
-    A_ws = _build_operator(spec, kernel, workspace=True)
+    # separate operators (and counters) per row
+    A_ref = _build_operator(spec, kernel)
+    A_ws = _build_operator(spec, kernel)
+    ops = (
+        ("reference", A_ref, lambda u, v: reference_spmv(A_ref, u, v)),
+        ("workspace", A_ws, A_ws.spmv),
+    )
 
     rng = np.random.default_rng(1234)
     x = rng.standard_normal(A_ref.n_dofs_owned)
     arrays = {}
-    for tag, A in (("reference", A_ref), ("workspace", A_ws)):
+    for tag, A, _ in ops:
         u, v = A.new_array(), A.new_array()
         u.set_owned(x)
         arrays[tag] = (u, v)
 
     # --- bitwise identity gate (before any timing is trusted) ----------
     y = {}
-    for tag, A in (("reference", A_ref), ("workspace", A_ws)):
+    for tag, _, spmv in ops:
         u, v = arrays[tag]
-        A.spmv(u, v)  # warmup 1
-        A.spmv(u, v)  # warmup 2 (steady state)
+        spmv(u, v)  # warmup 1
+        spmv(u, v)  # warmup 2 (steady state)
         y[tag] = v.owned_flat.copy()
     if not np.array_equal(y["reference"], y["workspace"]):
         diff = int(np.sum(y["reference"] != y["workspace"]))
@@ -214,10 +221,10 @@ def _run_case_kernel(
     rows = []
     medians = {}
     best = {}
-    for tag, A in (("reference", A_ref), ("workspace", A_ws)):
+    for tag, A, spmv in ops:
         u, v = arrays[tag]
-        samples = _time_spmv(A, u, v, case.n_spmv, repeats)
-        raw_alloc = _measure_alloc(A, u, v, case.n_spmv)
+        samples = _time_spmv(spmv, u, v, case.n_spmv, repeats)
+        raw_alloc = _measure_alloc(spmv, u, v, case.n_spmv)
         alloc = 0 if raw_alloc <= ALLOC_FLOOR_BYTES else raw_alloc
         counters = dict(A.comm.obs.snapshot()["counters"])
         counters["spmv.bytes_alloc"] = float(alloc)
@@ -304,12 +311,12 @@ def _run_case_multirhs(
 
     spec = case.make_spec()
     ops = {
-        "oracle": _build_operator(spec, "einsum", workspace=True),
-        "gemm": _build_operator(spec, "einsum", workspace=True),
+        "oracle": _build_operator(spec, "einsum"),
+        "gemm": _build_operator(spec, "einsum"),
     }
     # magnitude-scale operator: |K| |u| bounds every intermediate of both
     # accumulation orders, so the derived rtol is a rigorous bound
-    A_abs = _build_operator(spec, "einsum", workspace=True)
+    A_abs = _build_operator(spec, "einsum")
     A_abs.ke[:] = np.abs(A_abs.ke)
     nd = A_abs.e2l_dofs.shape[1]
 
@@ -579,7 +586,7 @@ def _run_case_sellcs(
 
     # --- multi-RHS: sellcs GEMM vs the assembled per-column oracle -----
     H = HymvOperator(
-        _NullComm(), lmesh, spec.operator, kernel="einsum", workspace=True
+        _NullComm(), lmesh, spec.operator, kernel="einsum"
     )
     abs_diag = abs(A_asm.A_diag)
     wmax = max((int(w) for w in S_default.S_diag.widths[:1]), default=1)
@@ -673,7 +680,7 @@ def run_sellcs_suite(
     size (dofs) at which the sellcs GEMM beat the HYMV GEMM at the
     widest batch — ``SolverService(backend="auto")`` routes shapes at or
     below it to SELL-C-sigma (see
-    :func:`repro.serve.loadgen.load_calibrated_crossover`).  ``None``
+    :func:`repro.tune.calibration.load_tuned_config`).  ``None``
     when HYMV won everywhere on this machine.
     """
     doc = new_bench_doc(
@@ -734,7 +741,7 @@ def run_kernels_suite(
             )
     # multi-RHS (BLAS3) suite on the first case: GEMM-vs-oracle rows plus
     # the calibrated crossover width the serve batcher can load instead of
-    # the hard-coded DEFAULT_K_MIN (see repro.serve.loadgen.load_calibrated_k_min)
+    # the hard-coded DEFAULT_K_MIN (see repro.tune.calibration.load_tuned_config)
     if cases:
         if verbose:
             print(f"[bench] {cases[0].name} multirhs ...", flush=True)

@@ -21,7 +21,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "CHAOS_SCHEMA",
     "SERVE_SCHEMA",
-    "SERVE_SCHEMA_V1",
     "SHARD_SCHEMA",
     "TUNE_CONFIG_SCHEMA",
     "TUNE_SCHEMA",
@@ -51,11 +50,8 @@ CHAOS_SCHEMA = "repro.chaos/1"
 #: Serve-report schema (``SERVE_report.json`` written by
 #: ``python -m repro.harness serve``).  v2 adds the per-scenario
 #: ``modes`` histogram (execution mode each dispatched batch ran under:
-#: oracle / gemm / degraded).  v1 documents — identical minus that key —
-#: are still accepted on the read path for compatibility with reports
-#: produced before the BLAS3 fast path landed.
+#: oracle / gemm / degraded).
 SERVE_SCHEMA = "repro.serve/2"
-SERVE_SCHEMA_V1 = "repro.serve/1"
 
 #: Shard-report schema (``SHARD_report.json`` written by
 #: ``python -m repro.harness shard``): the sharded-tier counterpart of
@@ -223,7 +219,7 @@ def validate_chaos_doc(doc: Any) -> dict[str, Any]:
 
 _SERVE_SCENARIO_REQUIRED = (
     "scenario", "workload", "requests", "latency_s", "throughput_rps",
-    "makespan_s", "batch_histogram", "cache", "counters",
+    "makespan_s", "batch_histogram", "cache", "counters", "modes",
 )
 _SERVE_REQUEST_KEYS = (
     "submitted", "completed", "rejected", "shed_deadline", "cancelled",
@@ -248,14 +244,10 @@ def validate_serve_doc(doc: Any) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise SchemaError(f"serve doc must be an object, got {type(doc).__name__}")
     schema = doc.get("schema")
-    if schema not in (SERVE_SCHEMA, SERVE_SCHEMA_V1):
+    if schema != SERVE_SCHEMA:
         raise SchemaError(
-            f"unsupported schema {schema!r} (expected {SERVE_SCHEMA!r} "
-            f"or the legacy {SERVE_SCHEMA_V1!r})"
+            f"unsupported schema {schema!r} (expected {SERVE_SCHEMA!r})"
         )
-    required = _SERVE_SCENARIO_REQUIRED
-    if schema == SERVE_SCHEMA:  # v2: execution-mode histogram is mandatory
-        required = required + ("modes",)
     for key in ("machine", "config", "scenarios"):
         if key not in doc:
             raise SchemaError(f"serve doc missing key {key!r}")
@@ -265,10 +257,10 @@ def validate_serve_doc(doc: Any) -> dict[str, Any]:
         where = f"scenarios[{i}]"
         if not isinstance(sc, dict):
             raise SchemaError(f"{where} must be an object")
-        for key in required:
+        for key in _SERVE_SCENARIO_REQUIRED:
             if key not in sc:
                 raise SchemaError(f"{where} missing key {key!r}")
-        if schema == SERVE_SCHEMA and not isinstance(sc["modes"], dict):
+        if not isinstance(sc["modes"], dict):
             raise SchemaError(f"{where}.modes must be an object")
         for key in _SERVE_REQUEST_KEYS:
             if key not in sc["requests"]:

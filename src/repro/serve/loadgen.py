@@ -48,7 +48,6 @@ __all__ = [
     "Workload",
     "run_workload",
     "run_serve_suite",
-    "load_calibrated_k_min",
     "main",
 ]
 
@@ -113,10 +112,8 @@ def run_workload(
 ) -> dict[str, Any]:
     """Simulate one scenario; returns a schema-conforming scenario dict.
 
-    ``k_min`` overrides the workload's ``auto`` crossover (e.g. a
-    calibrated value loaded from a kernels-bench document via
-    :func:`load_calibrated_k_min`); the workload's own ``k_min`` wins
-    when set, keeping checked-in scenario baselines deterministic.
+    ``k_min`` overrides the workload's ``auto`` crossover (e.g. the
+    ``--k-min`` flag); the workload's own ``k_min`` wins when set, keeping checked-in scenario baselines deterministic.
     ``tuned`` (a ``get``-able autotuner artifact) fills the service
     knobs the workload left at defaults — same precedence as
     :class:`~repro.serve.service.SolverService`.
@@ -364,41 +361,6 @@ def suite_workloads(seed: int, smoke: bool = True) -> tuple[Workload, ...]:
     return (clean, gemm, faulted)
 
 
-def load_calibrated_k_min(path: pathlib.Path) -> int | None:
-    """Deprecated alias: read the GEMM crossover from any tuned artifact.
-
-    Thin wrapper over the unified
-    :func:`repro.tune.calibration.load_tuned_config` — kept so existing
-    ``--k-min-from`` call sites keep working.  Accepts the historical
-    ``BENCH_kernels.json`` (``config.gemm_k_min_crossover``) as well as
-    the autotuner's ``tuned_config.json``/``TUNE_report.json``.  Returns
-    ``None`` (→ ``DEFAULT_K_MIN``) when the file or key is absent.
-    """
-    from repro.tune.calibration import load_tuned_config
-
-    tuned = load_tuned_config(path)
-    val = tuned.get("gemm_k_min") if tuned is not None else None
-    return int(val) if val is not None else None
-
-
-def load_calibrated_crossover(path: pathlib.Path) -> int | None:
-    """Deprecated alias: read the HYMV-vs-SELL shape crossover from any
-    tuned artifact.
-
-    Thin wrapper over the unified
-    :func:`repro.tune.calibration.load_tuned_config` — kept for existing
-    call sites (``SolverService(backend="auto")`` wiring).  Accepts the
-    historical ``BENCH_sellcs.json`` (``config.sellcs_crossover_dofs``)
-    as well as the autotuner artifacts.  Returns ``None`` — meaning no
-    shape routes to sellcs — when the file or key is absent.
-    """
-    from repro.tune.calibration import load_tuned_config
-
-    tuned = load_tuned_config(path)
-    val = tuned.get("sellcs_crossover_dofs") if tuned is not None else None
-    return int(val) if val is not None else None
-
-
 def run_serve_suite(
     seed: int = 1234,
     smoke: bool = True,
@@ -505,23 +467,14 @@ def main(argv: list[str] | None = None) -> int:
         help="auto-mode GEMM crossover (default: kernels DEFAULT_K_MIN)",
     )
     ap.add_argument(
-        "--k-min-from",
-        type=pathlib.Path,
-        default=None,
-        metavar="BENCH_KERNELS_JSON",
-        help="load the calibrated crossover from a kernels-bench "
-        "document's config.gemm_k_min_crossover (--k-min wins if both "
-        "are given; missing file/key falls back to the default)",
-    )
-    ap.add_argument(
         "--tuned-from",
         type=pathlib.Path,
         default=None,
         metavar="TUNED_CONFIG_JSON",
         help="load an autotuner artifact (tuned_config.json, "
         "TUNE_report.json or a legacy bench doc) and apply its service "
-        "knobs + SELL (C, sigma) defaults (--k-min/--k-min-from win for "
-        "the GEMM crossover)",
+        "knobs + SELL (C, sigma) defaults (--k-min wins for the GEMM "
+        "crossover)",
     )
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
@@ -541,14 +494,9 @@ def main(argv: list[str] | None = None) -> int:
         if not args.quiet:
             print(f"[serve] tuned config from {args.tuned_from}")
 
-    k_min = args.k_min
-    if k_min is None and args.k_min_from is not None:
-        k_min = load_calibrated_k_min(args.k_min_from)
-        if not args.quiet and k_min is not None:
-            print(f"[serve] calibrated k_min={k_min} from {args.k_min_from}")
-
     doc, bench = run_serve_suite(
-        seed=args.seed, smoke=args.smoke, verbose=not args.quiet, k_min=k_min,
+        seed=args.seed, smoke=args.smoke, verbose=not args.quiet,
+        k_min=args.k_min,
         tuned=tuned,
     )
     for path, payload in ((args.out, doc), (args.bench_out, bench)):

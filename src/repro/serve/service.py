@@ -92,9 +92,9 @@ class SolverService:
         the calibrated crossover — SELL-C-sigma for problems with at
         most ``sellcs_crossover_dofs`` dofs (where the sellcs bench
         measured it winning the batched apply), HYMV above it.  Pass the
-        sellcs-bench report's ``config.sellcs_crossover_dofs`` via
-        :func:`repro.serve.loadgen.load_calibrated_crossover` (the
-        ``--k-min-from`` convention); with no calibration, ``"auto"``
+        sellcs-bench report's ``config.sellcs_crossover_dofs`` (read by
+        :func:`repro.tune.calibration.load_tuned_config`, or passed
+        through ``tuned``); with no calibration, ``"auto"``
         keeps every shape on HYMV.  Routed batches are counted in
         ``backend_histogram`` and the ``serve.backend.*`` counters.
 

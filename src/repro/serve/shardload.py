@@ -45,7 +45,7 @@ from repro.obs.schema import (
 )
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher
 from repro.serve.cache import OperatorCache, ProblemKey
-from repro.serve.loadgen import SPMV_REL_TOL, load_calibrated_k_min
+from repro.serve.loadgen import SPMV_REL_TOL
 from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
 from repro.serve.shard import ShardCluster, ShardRouter
@@ -570,22 +570,13 @@ def main(argv: list[str] | None = None) -> int:
         help="auto-mode GEMM crossover (default: kernels DEFAULT_K_MIN)",
     )
     ap.add_argument(
-        "--k-min-from",
-        type=pathlib.Path,
-        default=None,
-        metavar="BENCH_KERNELS_JSON",
-        help="load the calibrated crossover from a kernels-bench "
-        "document's config.gemm_k_min_crossover (--k-min wins if both "
-        "are given; missing file/key falls back to the default)",
-    )
-    ap.add_argument(
         "--tuned-from",
         type=pathlib.Path,
         default=None,
         metavar="TUNED_CONFIG_JSON",
         help="load an autotuner artifact (tuned_config.json, "
         "TUNE_report.json or a legacy bench doc) and apply its GEMM "
-        "crossover + SELL (C, sigma) defaults (--k-min/--k-min-from win)",
+        "crossover + SELL (C, sigma) defaults (--k-min wins)",
     )
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
@@ -604,10 +595,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"[shard] tuned SELL defaults C={c} sigma={sigma}")
 
     k_min = args.k_min
-    if k_min is None and args.k_min_from is not None:
-        k_min = load_calibrated_k_min(args.k_min_from)
-        if not args.quiet and k_min is not None:
-            print(f"[shard] calibrated k_min={k_min} from {args.k_min_from}")
     if k_min is None and tuned is not None and tuned.get("gemm_k_min") is not None:
         k_min = int(tuned.get("gemm_k_min"))
         if not args.quiet:

@@ -9,8 +9,7 @@ the serving tier can consume tuned configs without a cycle:
   full ``repro.tune/1`` reports (the winner's config is extracted), and
   legacy ``repro.bench/1`` reports whose ``config`` block carries the
   one-off crossover fields (``gemm_k_min_crossover``,
-  ``sellcs_crossover_dofs``).  The old ``--k-min-from`` loaders in
-  ``repro.serve.loadgen`` now delegate here.
+  ``sellcs_crossover_dofs``).
 
 * :func:`fit_machine_constants` — least-squares fit of the perfmodel's
   effective machine rates (EMV sweep, CSR SPMV, SELL slice sweep) from

@@ -327,12 +327,7 @@ def test_forced_oracle_workload_never_runs_gemm():
 
 
 def test_serve_schema_v2_requires_modes():
-    from repro.obs.schema import (
-        SERVE_SCHEMA_V1,
-        SchemaError,
-        new_serve_doc,
-        validate_serve_doc,
-    )
+    from repro.obs.schema import SchemaError, new_serve_doc, validate_serve_doc
 
     sc = {
         "scenario": "s", "workload": {}, "requests": {
@@ -352,21 +347,20 @@ def test_serve_schema_v2_requires_modes():
         validate_serve_doc(doc)  # v2 without "modes"
     doc["scenarios"][0]["modes"] = {"oracle": 0}
     validate_serve_doc(doc)
-    # a legacy v1 doc — no "modes" — is still accepted on read
-    legacy = new_serve_doc()
-    legacy["schema"] = SERVE_SCHEMA_V1
-    legacy["scenarios"] = [dict(sc)]
-    validate_serve_doc(legacy)
+    # v1 documents are no longer read, with or without "modes"
+    doc["schema"] = "repro.serve/1"
+    with pytest.raises(SchemaError):
+        validate_serve_doc(doc)
 
 
 def test_load_calibrated_k_min_roundtrip(tmp_path):
     import json
 
-    from repro.serve.loadgen import load_calibrated_k_min
+    from repro.tune.calibration import load_tuned_config
 
     p = tmp_path / "BENCH_kernels.json"
     p.write_text(json.dumps({"config": {"gemm_k_min_crossover": 2}}))
-    assert load_calibrated_k_min(p) == 2
-    assert load_calibrated_k_min(tmp_path / "missing.json") is None
+    assert load_tuned_config(p).get("gemm_k_min") == 2
+    assert load_tuned_config(tmp_path / "missing.json") is None
     p.write_text(json.dumps({"config": {}}))
-    assert load_calibrated_k_min(p) is None
+    assert load_tuned_config(p) is None

@@ -231,6 +231,47 @@ def test_gpu_operator_single_element_ranks():
     )
 
 
+def test_gpu_spmv_overlap_false_is_blocking():
+    """``overlap=False`` maps onto the blocking ``"gpu"`` scheme even when
+    the configured scheme overlaps: no independent device batch is
+    recorded, and the product is bitwise that of a ``scheme="gpu"``
+    operator.  (Blocking and overlapped products agree only to rounding:
+    a dof touched by both element sets is summed in two groups.)"""
+    from repro.fem import PoissonOperator
+    from repro.gpu import HymvGpuOperator
+    from repro.mesh import box_hex_mesh
+    from repro.partition import build_partition
+    from repro.simmpi import run_spmd
+
+    mesh = box_hex_mesh(3, 3, 4)
+    part = build_partition(mesh, 2, method="slab")
+    x = np.random.default_rng(3).standard_normal(mesh.n_nodes)
+
+    def prog(comm, lmesh, xo):
+        A = HymvGpuOperator(comm, lmesh, PoissonOperator())
+        B = HymvGpuOperator(comm, lmesh, PoissonOperator(), scheme="gpu")
+        assert A.scheme == "gpu_gpu_overlap"
+        u, v, w, b = (A.new_array() for _ in range(4))
+        u.set_owned(xo)
+        A.spmv(u, v)
+        phases = comm.obs.phases
+        n_indep = phases["spmv.gpu.independent"].count
+        assert "spmv.gpu" not in phases
+        A.spmv(u, w, overlap=False)
+        assert phases["spmv.gpu.independent"].count == n_indep
+        assert phases["spmv.gpu"].count == 1
+        B.spmv(u, b)
+        np.testing.assert_allclose(w.owned_flat, v.owned_flat, atol=1e-13)
+        return np.array_equal(w.owned_flat, b.owned_flat)
+
+    args = [
+        (part.local(r), x[part.ranges[r, 0]: part.ranges[r, 1]])
+        for r in range(2)
+    ]
+    res, _ = run_spmd(2, prog, rank_args=args)
+    assert all(res)
+
+
 @pytest.mark.parametrize("scheme", ["gpu", "gpu_cpu_overlap", "gpu_gpu_overlap"])
 def test_gpu_solve_unchanged_under_noncorrupting_faults(scheme):
     """The GPU pipeline rides the same fault-tolerant exchange: delays,

@@ -17,7 +17,9 @@ import pytest
 
 from repro.baselines import AssembledOperator, MatrixFreeOperator
 from repro.baselines.partial import PartialAssemblyOperator
+from repro.baselines.sellcs import SellCSOperator
 from repro.core import HymvOperator
+from repro.core.hymv import reference_spmv
 from repro.fem import ElasticityOperator, PoissonOperator
 from repro.gpu import HymvGpuOperator
 from repro.mesh import ElementType, jittered_hex_mesh
@@ -35,6 +37,7 @@ FACTORIES = {
     "partial": PartialAssemblyOperator,
     "assembled": AssembledOperator,
     "hymv_gpu": HymvGpuOperator,
+    "sellcs": SellCSOperator,
 }
 
 N_PARTS = 4
@@ -46,15 +49,14 @@ def _mesh_op():
     return mesh, op
 
 
-def _multi_vs_single(kind: str, k: int, workspace: bool, mode: str | None = None):
+def _multi_vs_single(kind: str, k: int, mode: str | None = None):
     mesh, op = _mesh_op()
     part = build_partition(mesh, N_PARTS, method="graph")
     n = mesh.n_nodes * op.ndpn
     X = np.random.default_rng(7 * k + 1).standard_normal((n, k))
 
     def prog(comm, lmesh, Xr):
-        opts = {} if kind == "assembled" else {"workspace": workspace}
-        A = FACTORIES[kind](comm, lmesh, op, **opts)
+        A = FACTORIES[kind](comm, lmesh, op)
         singles = np.column_stack(
             [A.apply_owned(np.ascontiguousarray(Xr[:, j])) for j in range(k)]
         )
@@ -76,16 +78,36 @@ def _multi_vs_single(kind: str, k: int, workspace: bool, mode: str | None = None
 @pytest.mark.parametrize("kind", sorted(FACTORIES))
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_apply_multi_bitwise_per_column(kind, k):
-    results = _multi_vs_single(kind, k, workspace=True)
+    results = _multi_vs_single(kind, k)
     assert all(ok for ok, _ in results)
 
 
-@pytest.mark.parametrize(
-    "kind", [k for k in sorted(FACTORIES) if k != "assembled"]
-)
+@pytest.mark.parametrize("kind", ["hymv", "hymv_gpu", "matfree", "partial"])
 def test_apply_multi_bitwise_without_workspace(kind):
-    results = _multi_vs_single(kind, 3, workspace=False)
-    assert all(ok for ok, _ in results)
+    """Every column of the multi-RHS driver equals the allocating,
+    workspace-free ``reference_spmv`` of that column alone."""
+    mesh, op = _mesh_op()
+    part = build_partition(mesh, N_PARTS, method="graph")
+    k = 3
+    X = np.random.default_rng(5).standard_normal((mesh.n_nodes * op.ndpn, k))
+
+    def prog(comm, lmesh, Xr):
+        A = FACTORIES[kind](comm, lmesh, op)
+        multi = A.apply_owned_multi(Xr)
+        u, v = A.new_array(), A.new_array()
+        ref = np.empty_like(multi)
+        for j in range(k):
+            u.set_owned(Xr[:, j])
+            ref[:, j] = reference_spmv(A, u, v).owned_flat
+        return np.array_equal(ref, multi)
+
+    ndpn = op.ndpn
+    rank_args = []
+    for r in range(N_PARTS):
+        lm = part.local(r)
+        rank_args.append((lm, X[lm.n_begin * ndpn: lm.n_end * ndpn]))
+    results, _ = run_spmd(N_PARTS, prog, rank_args=rank_args)
+    assert all(results)
 
 
 @pytest.mark.parametrize("kind", sorted(FACTORIES))
@@ -95,15 +117,8 @@ def test_mode_oracle_pins_bitwise_above_default_k_min(kind):
     # per-column bitwise contract regardless of batch width
     from repro.core.kernels import DEFAULT_K_MIN
 
-    results = _multi_vs_single(kind, DEFAULT_K_MIN, workspace=True,
-                               mode="oracle")
+    results = _multi_vs_single(kind, DEFAULT_K_MIN, mode="oracle")
     assert all(ok for ok, _ in results)
-
-
-def test_workspace_choice_does_not_change_bits():
-    with_ws = np.vstack([m for _, m in _multi_vs_single("hymv", 2, True)])
-    without = np.vstack([m for _, m in _multi_vs_single("hymv", 2, False)])
-    assert np.array_equal(with_ws, without)
 
 
 def test_multivector_shape_validation():
@@ -236,5 +251,5 @@ def test_elasticity_mesh_has_multiple_ranks_of_work():
 @pytest.mark.parametrize("etype", [ElementType.HEX8])
 def test_elasticity_multivector_elementtype(etype):
     # ndpn=3 stresses the packed (ndpn*k)-wide halo path
-    results = _multi_vs_single("hymv", 2, workspace=True)
+    results = _multi_vs_single("hymv", 2)
     assert all(ok for ok, _ in results)

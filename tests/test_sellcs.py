@@ -210,12 +210,12 @@ def test_backend_forced_sellcs_serves_requests():
 def test_crossover_loader_round_trip(tmp_path):
     import json
 
-    from repro.serve.loadgen import load_calibrated_crossover
+    from repro.tune.calibration import load_tuned_config
 
     doc = {"config": {"sellcs_crossover_dofs": 4913}}
     path = tmp_path / "BENCH_sellcs.json"
     path.write_text(json.dumps(doc))
-    assert load_calibrated_crossover(path) == 4913
-    assert load_calibrated_crossover(tmp_path / "absent.json") is None
+    assert load_tuned_config(path).get("sellcs_crossover_dofs") == 4913
+    assert load_tuned_config(tmp_path / "absent.json") is None
     path.write_text("{not json")
-    assert load_calibrated_crossover(path) is None
+    assert load_tuned_config(path) is None

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import AssembledOperator, MatrixFreeOperator, SerialReference
+from repro.baselines.partial import PartialAssemblyOperator
 from repro.core import HymvOperator
+from repro.core.hymv import reference_spmv
 from repro.fem import ElasticityOperator, PoissonOperator
 from repro.gpu import AssembledGpuOperator, HymvGpuOperator
 from repro.mesh import ElementType, box_hex_mesh, box_tet_mesh, jittered_hex_mesh
@@ -164,13 +166,25 @@ def test_single_rank_needs_no_communication():
     np.testing.assert_allclose(y, _reference_product(mesh, op, part, x), atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["hymv", "matfree", "hymv_gpu"])
-@pytest.mark.parametrize("kernel", ["einsum", "columns"])
+REFERENCE_CASES = [
+    (kind, kernel)
+    for kind in ("hymv", "matfree", "partial", "hymv_gpu")
+    for kernel in ("einsum", "columns")
+    if not (kind == "partial" and kernel == "columns")
+]
+
+
+@pytest.mark.parametrize(
+    "kind,kernel", REFERENCE_CASES,
+    ids=[f"{kernel}-{kind}" for kind, kernel in REFERENCE_CASES],
+)
 @pytest.mark.parametrize("p", [1, 4])
 def test_workspace_path_bitwise_identical_to_legacy(kind, kernel, p):
-    """The zero-allocation hot path (workspaces, segment scatter, packed
-    halo buffers, column-major matrix layout) must not change a single
-    bit of any SPMV product relative to the legacy allocating path."""
+    """The Algorithm-2 driver (workspaces, segment scatter, packed halo
+    buffers, column-major matrix layout, overlap) must not change a
+    single bit of any SPMV product relative to the allocating
+    ``reference_spmv``, in steady state."""
+    factories = dict(FACTORIES, partial=PartialAssemblyOperator)
     mesh = jittered_hex_mesh(3, 3, 4, ElementType.HEX8, jitter=0.1)
     op = ElasticityOperator()
     part = build_partition(mesh, p, method="graph" if p > 1 else "slab")
@@ -178,17 +192,13 @@ def test_workspace_path_bitwise_identical_to_legacy(kind, kernel, p):
     x = rng.standard_normal(mesh.n_nodes * 3)
 
     def prog(comm, lmesh, xo):
-        ys = []
-        for workspace in (False, True):
-            A = FACTORIES[kind](
-                comm, lmesh, op, kernel=kernel, workspace=workspace
-            )
-            u, v = A.new_array(), A.new_array()
-            u.set_owned(xo)
-            for _ in range(3):  # steady state: buffers fully reused
-                A.spmv(u, v)
-            ys.append(v.owned_flat.copy())
-        return np.array_equal(ys[0], ys[1])
+        A = factories[kind](comm, lmesh, op, kernel=kernel)
+        u, v, v_ref = A.new_array(), A.new_array(), A.new_array()
+        u.set_owned(xo)
+        for _ in range(3):  # steady state: buffers fully reused
+            A.spmv(u, v)
+        reference_spmv(A, u, v_ref)
+        return np.array_equal(v.owned_flat, v_ref.owned_flat)
 
     args = [
         (part.local(r), x[part.ranges[r, 0] * 3: part.ranges[r, 1] * 3])
