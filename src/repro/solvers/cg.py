@@ -84,7 +84,8 @@ def cg(
         Owned right-hand side.
     apply_M:
         Preconditioner application (``M ≈ A^-1``); identity if None.
-        May optionally accept an ``out=`` keyword to apply in place.
+        Follows the ``M(r, out=)`` protocol of
+        :mod:`repro.solvers.preconditioners`.
     rtol:
         Relative tolerance on ``||r||_2 / ||r_0||_2`` (the paper solves to
         ``1e-3``).
@@ -233,21 +234,12 @@ def _cg_fused(
     r = b - matvec(x) if x0 is not None else b.copy()
 
     zbuf = np.empty_like(b) if apply_M is not None else None
-    use_out = apply_M is not None  # downgraded on first TypeError
 
     def precond(r: np.ndarray) -> np.ndarray:
-        nonlocal use_out
         if apply_M is None:
             return r
         t = comm.vtime
-        if use_out:
-            try:
-                z = apply_M(r, out=zbuf)
-            except TypeError:
-                use_out = False
-                z = apply_M(r)
-        else:
-            z = apply_M(r)
+        z = apply_M(r, out=zbuf)
         obs.record("solve.precond", vtime=comm.vtime - t)
         return z
 
@@ -297,13 +289,6 @@ def _cg_fused(
     return CGResult(x, it, converged, norms)
 
 
-def _col(A: np.ndarray, j: int) -> np.ndarray:
-    """Contiguous copy of column ``j`` — dots must run on contiguous
-    operands so BLAS picks the same accumulation path as the single-RHS
-    loop (strided ddot kernels may sum in a different order)."""
-    return np.ascontiguousarray(A[:, j])
-
-
 def cg_multi(
     comm: Communicator,
     apply_A: Callable[[np.ndarray], np.ndarray],
@@ -319,30 +304,33 @@ def cg_multi(
     ``B`` at once, advancing the ``k`` independent Krylov iterations in
     lock-step.
 
-    With the default/oracle execution, column ``j`` of the result is
-    **bitwise identical** to ``cg(comm, ..., B[:, j], fused=True)``: each
-    column's arithmetic is the exact fused-loop sequence (same in-place
-    axpy updates, same contiguous dot operands), the columns never mix
-    numerically, and a converged column is frozen — never touched again —
-    just as its single-RHS solve would have stopped.  What *is* batched
-    is the synchronization: each iteration ships ONE allreduce of a
-    ``k``-vector of ``p·Ap`` values and one of the fused ``[r·r, r·z]``
-    pairs, where ``k`` sequential solves would ship ``2 k`` — the
-    elementwise vector reduction reduces every slot in the same rank
-    order as a scalar, so the reduced values carry the single-RHS bits.
-    With the batched SPMV (``apply_owned_multi``) as ``apply_A`` this is
-    the serve layer's latency story: global synchronizations per
-    iteration drop k-fold.
+    The Krylov vectors live in ``(k, n)`` blocks — row ``j`` is column
+    ``j``, contiguous — so the vector stage is block-wide: one ufunc per
+    axpy / direction update, masked (``where=``) to the active rows once
+    one has converged, one ``apply_M(R, out=Z)`` over the block (see
+    :mod:`repro.solvers.preconditioners`), and BLAS ddot on each
+    contiguous row.  Elementwise IEEE operations round each element on
+    its own and a contiguous row is the operand the single-RHS loop dots,
+    so column ``j`` carries exactly the bits of the fused single-RHS
+    sequence; the columns never mix numerically, and a converged row is
+    frozen — never written again — just as its single-RHS solve would
+    have stopped.  What *is* batched is the
+    synchronization: each iteration ships ONE allreduce of a ``k``-vector
+    of ``p·Ap`` values and one of the fused ``[r·r, r·z]`` pairs, where
+    ``k`` sequential solves would ship ``2 k`` — the elementwise vector
+    reduction reduces every slot in the same rank order as a scalar.
 
-    ``mode`` (``"oracle"`` | ``"gemm"`` | ``"auto"``) is forwarded to
-    ``apply_A`` as a keyword on every matvec, selecting the multi-RHS
-    execution mode of operators that support it; ``None`` (the default)
-    calls ``apply_A(P)`` unchanged, so plain closures keep working.
-    Under a resolved ``"gemm"`` the per-column bitwise identity above is
-    relaxed to rounding-level equivalence (the BLAS3 elemental stage
-    reorders accumulation, see
-    :func:`repro.core.kernels.gemm_equivalence_rtol`); CG convergence
-    behaviour is unaffected beyond the usual last-ulp iterate drift.
+    The operator still sees ``(n, k)``: each matvec transposes ``P`` into
+    a preallocated ``(n, k)`` buffer and copies the product back into the
+    block.  ``mode`` (``"oracle"`` | ``"gemm"`` | ``"auto"``) is forwarded
+    to ``apply_A`` as a keyword, selecting the multi-RHS execution mode
+    of operators that support it; ``None`` (the default) calls
+    ``apply_A(P)`` unchanged, so plain closures keep working.  The vector
+    stage is the same in every mode, so with an oracle-mode operator
+    column ``j`` is **bitwise identical** to ``cg(comm, ..., B[:, j],
+    fused=True)``; under a resolved ``"gemm"`` only the operator's
+    elemental accumulation differs (rounding level, see
+    :func:`repro.core.kernels.gemm_equivalence_rtol`).
 
     Returns one :class:`CGResult` per column.
     """
@@ -351,103 +339,107 @@ def cg_multi(
     if B.ndim != 2:
         raise ValueError(f"expected (n, k) multivector RHS, got shape {B.shape}")
     n, k = B.shape
+    if k == 0:
+        raise ValueError("need at least one column, got k=0")
     t_solve = comm.vtime
+    P_op = np.empty((n, k))  # the operator's (n, k) image of a block
+    AP = np.empty((k, n))
 
-    def matvec(P: np.ndarray) -> np.ndarray:
+    def matvec(V: np.ndarray) -> np.ndarray:
+        np.copyto(P_op, V.T)
         t = comm.vtime
-        AP = apply_A(P) if mode is None else apply_A(P, mode=mode)
+        Y = apply_A(P_op) if mode is None else apply_A(P_op, mode=mode)
         obs.record("solve.spmv", vtime=comm.vtime - t)
+        np.copyto(AP, Y.T)
         return AP
 
-    def reduce_vec(payload: np.ndarray) -> np.ndarray:
+    def reduce_dots(*pairs) -> np.ndarray:
+        """Allreduce of the row dots ``U[j]·V[j]`` of each pair.  A
+        batched ``(1, n) @ (n, 1)`` matmul runs BLAS ddot on every
+        contiguous row: the single-RHS operand, so the same bits.  The
+        reduction is elementwise, so the (unread) slots of frozen rows
+        touch no other slot.  The payload is fresh, so no rank reuses a
+        buffer a sibling is still reducing."""
+        payload = np.concatenate(
+            [np.matmul(U[:, None], V[..., None]) for U, V in pairs], axis=1
+        )
         t = comm.vtime
-        out = comm.allreduce(payload)
+        out = comm.allreduce(payload.reshape(-1))
         obs.record("solve.reduce", vtime=comm.vtime - t)
-        return np.asarray(out)
+        return np.asarray(out).reshape(k, len(pairs))
 
-    X = np.zeros_like(B) if x0 is None else np.asarray(
+    X = np.zeros((k, n)) if x0 is None else np.asarray(
         x0, dtype=np.float64
-    ).reshape(n, k).copy()
-    R = B - matvec(X) if x0 is not None else B.copy()
-    Z = R if apply_M is None else np.empty_like(B)
-    active = np.ones(k, dtype=bool)
+    ).reshape(n, k).T.copy()
+    R = B.T.copy()
+    if x0 is not None:
+        R -= matvec(X)
+    Z = R if apply_M is None else np.empty_like(R)
 
-    def precond_into() -> None:
-        if apply_M is None:
-            return
-        t = comm.vtime
-        for j in range(k):
-            if active[j]:
-                Z[:, j] = apply_M(_col(R, j))
-        obs.record("solve.precond", vtime=comm.vtime - t)
+    def precond() -> None:
+        if apply_M is not None:
+            t = comm.vtime
+            apply_M(R, out=Z)
+            obs.record("solve.precond", vtime=comm.vtime - t)
 
-    precond_into()
+    precond()
     P = Z.copy()
-    payload = np.zeros(k)
-    for j in range(k):
-        payload[j] = float(_col(R, j) @ _col(Z, j))
-    rz = reduce_vec(payload.copy())
-    for j in range(k):
-        payload[j] = float(_col(R, j) @ _col(R, j))
-    r0 = np.sqrt(reduce_vec(payload.copy()))
-    norms = [[float(r0[j])] for j in range(k)]
-    iters = [0] * k
-    conv = [False] * k
-    for j in range(k):
-        if r0[j] == 0.0:
-            active[j] = False
-            conv[j] = True
+    # rz, pAp and coef are (k, 1) columns that broadcast along the rows
+    rz = reduce_dots((R, Z))
+    r0 = np.sqrt(reduce_dots((R, R))[:, 0])
+    tol = np.maximum(rtol * r0, atol)
+    history = [r0]  # residual norms per iteration; row j reads to iters[j]
+    iters = np.zeros(k, dtype=int)
+    active = np.ones(k, dtype=bool)
+    n_active = k
+    live = True  # ufunc ``where=``: all rows, then only the active ones
+    W = np.empty((k, n))  # axpy scratch
+    coef = np.empty((k, 1))  # alpha, then beta
 
-    w = np.empty(n)  # axpy scratch, shared across columns
-    pair = np.empty(2 * k)  # fused payload: [r·r, r·z] per column
-    it = 0
-    while bool(active.any()) and it < maxiter:
-        it += 1
-        AP = matvec(P)
-        payload[:] = 0.0
-        for j in range(k):
-            if active[j]:
-                payload[j] = float(_col(P, j) @ _col(AP, j))
-        pAp = reduce_vec(payload.copy())
-        for j in range(k):
-            if active[j] and pAp[j] <= 0.0:
-                raise RuntimeError(
-                    f"CG breakdown: p^T A p = {pAp[j]:.3e} (operator not SPD?)"
-                )
-        for j in range(k):
-            if not active[j]:
-                continue
-            alpha = float(rz[j]) / float(pAp[j])
-            np.multiply(P[:, j], alpha, out=w)
-            X[:, j] += w
-            np.multiply(AP[:, j], alpha, out=w)
-            R[:, j] -= w
-        precond_into()
-        pair[:] = 0.0
-        for j in range(k):
-            if active[j]:
-                pair[2 * j] = float(_col(R, j) @ _col(R, j))
-                pair[2 * j + 1] = float(_col(R, j) @ _col(Z, j))
-        red = reduce_vec(pair.copy())
-        for j in range(k):
-            if not active[j]:
-                continue
-            rn = float(np.sqrt(red[2 * j]))
-            norms[j].append(rn)
-            iters[j] = it
-            if rn <= max(rtol * float(r0[j]), atol):
-                conv[j] = True
-                active[j] = False
-                continue
-            rz_new = float(red[2 * j + 1])
-            beta = rz_new / float(rz[j])
-            rz[j] = rz_new
-            P[:, j] *= beta
-            P[:, j] += Z[:, j]
-    obs.incr("solve.iterations", sum(iters))
+    def freeze(done: np.ndarray) -> None:
+        """Freeze the active rows ``done`` marks: every later update is
+        masked off them, so a frozen row is never written again."""
+        nonlocal n_active, live
+        done &= active
+        if np.count_nonzero(done):
+            iters[done] = len(history) - 1
+            active[done] = False
+            n_active = np.count_nonzero(active)
+            live = active[:, None]
+
+    freeze(r0 == 0.0)
+    while n_active and len(history) <= maxiter:
+        matvec(P)
+        pAp = reduce_dots((P, AP))
+        bad = active & (pAp[:, 0] <= 0.0)
+        if np.count_nonzero(bad):
+            raise RuntimeError(
+                f"CG breakdown: p^T A p = {pAp[bad.argmax(), 0]:.3e} "
+                "(operator not SPD?)"
+            )
+        np.divide(rz, pAp, out=coef, where=live)
+        np.multiply(P, coef, out=W, where=live)
+        np.add(X, W, out=X, where=live)
+        np.multiply(AP, coef, out=W, where=live)
+        np.subtract(R, W, out=R, where=live)
+        precond()
+        red = reduce_dots((R, R), (R, Z))
+        rn = np.sqrt(red[:, 0])
+        history.append(rn)
+        freeze(rn <= tol)
+        # p = z + beta*p in place (IEEE addition commutes bitwise)
+        rz_new = red[:, 1:]
+        np.divide(rz_new, rz, out=coef, where=live)
+        np.copyto(rz, rz_new, where=live)
+        np.multiply(P, coef, out=P, where=live)
+        np.add(P, Z, out=P, where=live)
+    iters[active] = len(history) - 1
+    obs.incr("solve.iterations", int(iters.sum()))
     obs.incr("solve.mrhs_columns", k)
     obs.record("solve.cg", vtime=comm.vtime - t_solve)
+    norms = np.array(history)
     return [
-        CGResult(np.ascontiguousarray(X[:, j]), iters[j], conv[j], norms[j])
+        CGResult(X[j], int(iters[j]), not active[j],
+                 norms[: iters[j] + 1, j].tolist())
         for j in range(k)
     ]

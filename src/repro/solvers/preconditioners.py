@@ -8,6 +8,12 @@
   matrix"); the assembled baseline extracts the exact block from its CSR,
   so iteration counts may differ slightly between the two — as they do
   between the real codes.
+
+Protocol: ``M(r, out=None)`` applies ``M ≈ A^-1`` to an ``(n,)`` vector
+or to a ``(k, n)`` block of ``k`` row vectors (the layout of
+:func:`repro.solvers.cg.cg_multi`), writing into ``out`` when given and
+returning the result.  Row ``j`` of a block apply is bitwise equal to
+applying ``M`` to row ``j`` alone.
 """
 
 from __future__ import annotations
@@ -68,5 +74,10 @@ class BlockJacobiPreconditioner:
         self.setup_flops = 2.0 * block.nnz * 10.0  # rough LU estimate
         self.apply_flops = 4.0 * block.nnz
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self._lu.solve(r)
+    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # one solve per row: SuperLU's multi-RHS triangular solves take a
+        # BLAS3 path whose columns need not match single solves bitwise
+        z = np.empty(r.shape) if out is None else out
+        for src, dst in zip(np.atleast_2d(r), np.atleast_2d(z)):
+            dst[:] = self._lu.solve(src)
+        return z

@@ -249,13 +249,14 @@ def test_operator_gemm_within_derived_bound(kind):
 # ----------------------------------------------------------------------------
 
 
-def test_cg_multi_gemm_converges_to_oracle_solution():
+def _hymv_cg_multi_by_mode(k=8, rtol=1e-9):
+    """Per-mode ``cg_multi`` results of a shifted HYMV Poisson system on
+    2 ranks: ``{mode: [per-rank list of CGResult]}``."""
     from repro.core import HymvOperator
     from repro.problems import poisson_problem
     from repro.simmpi import run_spmd
     from repro.solvers.cg import cg_multi
 
-    k, rtol = 8, 1e-9
     spec = poisson_problem(5, n_parts=2)
     F = np.random.default_rng(13).standard_normal((spec.n_dofs, k))
 
@@ -267,25 +268,71 @@ def test_cg_multi_gemm_converges_to_oracle_solution():
         def apply_shifted(X, mode="auto"):
             return A.apply_owned_multi(X, mode=mode) + X
 
-        sols = {}
-        for m in ("oracle", "gemm"):
-            res = cg_multi(comm, apply_shifted, Fr, rtol=rtol, mode=m)
-            assert all(r.converged for r in res)
-            sols[m] = np.column_stack([r.x for r in res])
-        return sols
+        return {
+            m: cg_multi(comm, apply_shifted, Fr, rtol=rtol, mode=m)
+            for m in ("oracle", "gemm")
+        }
 
     rank_args = []
     for r in range(2):
         lm = spec.partition.local(r)
         rank_args.append((lm, F[lm.n_begin: lm.n_end]))
     results, _ = run_spmd(2, prog, rank_args=rank_args)
-    X_o = np.vstack([res["oracle"] for res in results])
-    X_g = np.vstack([res["gemm"] for res in results])
+    return {m: [res[m] for res in results] for m in ("oracle", "gemm")}
+
+
+def test_cg_multi_gemm_converges_to_oracle_solution():
+    rtol = 1e-9
+    by_mode = _hymv_cg_multi_by_mode(rtol=rtol)
+    for ranks in by_mode.values():
+        assert all(r.converged for res in ranks for r in res)
+    X_o, X_g = (
+        np.vstack([np.column_stack([r.x for r in res]) for res in ranks])
+        for ranks in (by_mode["oracle"], by_mode["gemm"])
+    )
     # both converged to rtol of the same system: iterates agree to the
     # solver tolerance (the elemental reordering only shifts last ulps
     # per matvec, amplified at most by the usual CG error constant)
     scale = np.max(np.abs(X_o), axis=0)
     assert np.all(np.max(np.abs(X_g - X_o), axis=0) <= 100 * rtol * scale)
+
+
+def test_cg_multi_gemm_iterations_within_one_of_oracle():
+    by_mode = _hymv_cg_multi_by_mode()
+    it_o = [r.iterations for r in by_mode["oracle"][0]]
+    it_g = [r.iterations for r in by_mode["gemm"][0]]
+    assert all(abs(a - b) <= 1 for a, b in zip(it_o, it_g)), (it_o, it_g)
+
+
+def test_cg_multi_vector_stage_is_mode_independent():
+    """With an operator that ignores ``mode``, oracle and gemm solves
+    are bitwise equal: CG's own (k, n) vector stage has no mode branch,
+    so any gemm-mode drift comes from the operator alone."""
+    from repro.simmpi import run_spmd
+    from repro.solvers.cg import cg_multi
+    from repro.solvers.preconditioners import JacobiPreconditioner
+
+    n, k = 300, 8
+    rng = np.random.default_rng(17)
+    d = rng.uniform(1.0, 1e3, n)
+    B = rng.standard_normal((n, k)) * np.logspace(0, 2, k)
+
+    def apply_diag(P, mode="auto"):
+        return d[:, None] * P
+
+    def prog(comm):
+        return {
+            m: cg_multi(comm, apply_diag, B, apply_M=JacobiPreconditioner(
+                np.sqrt(d)), rtol=1e-10, atol=1e-8, mode=m)
+            for m in ("oracle", "gemm")
+        }
+
+    res = run_spmd(1, prog)[0][0]
+    assert len({r.iterations for r in res["oracle"]}) > 1  # staggered
+    for o, g in zip(res["oracle"], res["gemm"]):
+        assert np.array_equal(o.x, g.x)
+        assert o.iterations == g.iterations
+        assert o.residual_norms == g.residual_norms
 
 
 # ----------------------------------------------------------------------------

@@ -4,10 +4,11 @@ single-RHS runs.
 
 This is the property the serving layer's micro-batcher stands on: a
 request's answer must not depend on which batch it happened to ride in.
-The implementation guarantees it by keeping every floating-point
-operation in per-column loops through the exact single-RHS code paths —
-only the communication layer batches (packed ndpn·k-wide halos, k-vector
-allreduces), and elementwise/same-order reductions preserve bits.
+The oracle operators guarantee it by running every column through the
+exact single-RHS code paths; CG's ``(k, n)`` vector stage by using only
+elementwise block ops and contiguous-row dots.  Only the communication
+layer batches (packed ndpn·k-wide halos, k-vector allreduces), and
+elementwise/same-order reductions preserve bits.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def test_multivector_shape_validation():
 # cg_multi vs the production single-RHS fused CG
 # ----------------------------------------------------------------------------
 
-def _cg_program(comm, lmesh, Fr, spec, k, rtol):
+def _cg_program(comm, lmesh, Fr, spec, k, rtol, X0r=None, atol=0.0):
     ndpn = spec.operator.ndpn
     ranges = np.asarray(
         comm.allgather((lmesh.n_begin, lmesh.n_end)), dtype=INDEX_DTYPE
@@ -173,8 +174,10 @@ def _cg_program(comm, lmesh, Fr, spec, k, rtol):
         apply_hat, b_hat = dirichlet_system(
             A.apply_owned, np.ascontiguousarray(Fr[:, j]), u0, mask
         )
+        x0 = None if X0r is None else np.ascontiguousarray(X0r[:, j])
         singles.append(
-            cg(comm, apply_hat, b_hat, apply_M=M, rtol=rtol, fused=True)
+            cg(comm, apply_hat, b_hat, x0=x0, apply_M=M, rtol=rtol,
+               atol=atol, fused=True)
         )
 
     # batched path
@@ -185,11 +188,13 @@ def _cg_program(comm, lmesh, Fr, spec, k, rtol):
     def hat_multi(X):
         Xp = X.copy()
         Xp[mask, :] = 0.0
-        Y = A.apply_owned_multi(Xp)
+        Y = A.apply_owned_multi(Xp, mode="oracle")
         Y[mask, :] = X[mask, :]
         return Y
 
-    multi = cg_multi(comm, hat_multi, B_hat, apply_M=M, rtol=rtol)
+    multi = cg_multi(
+        comm, hat_multi, B_hat, x0=X0r, apply_M=M, rtol=rtol, atol=atol
+    )
 
     return {
         "x_equal": [
@@ -205,23 +210,74 @@ def _cg_program(comm, lmesh, Fr, spec, k, rtol):
     }
 
 
-def test_cg_multi_bitwise_matches_fused_cg():
-    k, rtol = 3, 1e-8
-    spec = poisson_problem(5, n_parts=N_PARTS)
-    F = np.random.default_rng(42).standard_normal((spec.n_dofs, k))
-    ndpn = spec.operator.ndpn
+def _cg_case(spec, F, X0=None, rtol=1e-8, atol=0.0):
+    ndpn, k = spec.operator.ndpn, F.shape[1]
     rank_args = []
     for r in range(N_PARTS):
         lm = spec.partition.local(r)
-        rank_args.append(
-            (lm, F[lm.n_begin * ndpn: lm.n_end * ndpn], spec, k, rtol)
-        )
+        rows = slice(lm.n_begin * ndpn, lm.n_end * ndpn)
+        x0 = None if X0 is None else X0[rows]
+        rank_args.append((lm, F[rows], spec, k, rtol, x0, atol))
     results, _ = run_spmd(N_PARTS, _cg_program, rank_args=rank_args)
-    for res in results:
-        assert all(res["converged"])
-        assert all(res["x_equal"])
-        assert all(a == b for a, b in res["iters"])
-        assert all(res["norms_equal"])
+    return results
+
+
+def test_cg_multi_bitwise_matches_fused_cg():
+    """Column j of the (k, n)-block solve is bitwise the fused single-RHS
+    solve of column j: at every batch width, with columns converging at
+    different iterations (frozen rows), a zero column (r0 = 0, frozen
+    from the start) and a nonzero initial guess."""
+    spec = poisson_problem(5, n_parts=N_PARTS)
+    n = spec.n_dofs
+    rng = np.random.default_rng(42)
+    cases = {f"k={k}": dict(F=rng.standard_normal((n, k)))
+             for k in (1, 2, 8, 32)}
+    # with an absolute floor, larger columns need more iterations
+    cases["staggered"] = dict(
+        F=rng.standard_normal((n, 8)) * np.logspace(0, 3, 8), atol=1e-5
+    )
+    F = rng.standard_normal((n, 4))
+    F[:, 1] = 0.0  # homogeneous Dirichlet: a zero b_hat column
+    cases["zero-column"] = dict(F=F)
+    cases["x0"] = dict(
+        F=rng.standard_normal((n, 4)), X0=rng.standard_normal((n, 4))
+    )
+    for name, case in cases.items():
+        results = _cg_case(spec, **case)
+        for res in results:
+            assert all(res["converged"]), name
+            assert all(res["x_equal"]), name
+            assert all(a == b for a, b in res["iters"]), name
+            assert all(res["norms_equal"]), name
+        iters = [b for _, b in results[0]["iters"]]
+        if name == "staggered":
+            assert len(set(iters)) > 2, iters
+        if name == "zero-column":
+            assert iters[1] == 0 and min(iters[0], *iters[2:]) > 0
+
+
+def test_cg_multi_detects_non_spd():
+    d = np.linspace(-1.0, 5.0, 50)[:, None]  # indefinite diagonal
+
+    def prog(comm):
+        with pytest.raises(RuntimeError, match="breakdown"):
+            cg_multi(comm, lambda P: d * P, np.ones((50, 3)))
+        return True
+
+    results, _ = run_spmd(1, prog)
+    assert results == [True]
+
+
+def test_solve_multi_rejects_empty_block():
+    # cg_multi raises the typed error apply_multi raises, not NumPy's
+    # untyped concatenate error
+    from repro.serve import ProblemKey, SolverContext
+
+    ctx = SolverContext(
+        ProblemKey("poisson", 3, 2, "hex8", 0, "hymv", "einsum")
+    )
+    with pytest.raises(ValueError, match="need at least one column, got k=0"):
+        ctx.solve_multi(np.zeros((ctx.n_dofs, 0)), rtol=1e-6)
 
 
 def test_cg_multi_k1_matches_fused_cg():

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from repro.simmpi import run_spmd
 from repro.solvers import (
     BlockJacobiPreconditioner,
+    IdentityPreconditioner,
     JacobiPreconditioner,
     cg,
     dirichlet_system,
@@ -211,6 +212,38 @@ def test_block_jacobi_exact_for_block_system():
 def test_block_jacobi_requires_square():
     with pytest.raises(ValueError):
         BlockJacobiPreconditioner(sp.csr_matrix(np.ones((2, 3))))
+
+
+def _laplacian_3d(m):
+    T = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(m, m))
+    eye = sp.eye(m)
+    return (
+        sp.kron(sp.kron(T, eye), eye)
+        + sp.kron(sp.kron(eye, T), eye)
+        + sp.kron(sp.kron(eye, eye), T)
+    ).tocsr()
+
+
+@pytest.mark.parametrize("kind", ["identity", "jacobi", "bjacobi"])
+def test_preconditioner_block_apply_matches_rows(kind):
+    """``M(R, out=Z)`` on a (k, n) block is bitwise the per-row apply
+    (the protocol cg_multi's block vector stage relies on).  The 3-D
+    Laplacian's LU has supernodes, where SuperLU's multi-RHS solve would
+    round differently from single solves."""
+    A = _laplacian_3d(13)
+    M = {
+        "identity": IdentityPreconditioner(),
+        "jacobi": JacobiPreconditioner(A.diagonal()),
+        "bjacobi": BlockJacobiPreconditioner(A),
+    }[kind]
+    R = np.random.default_rng(3).standard_normal((8, A.shape[0]))
+    Z = np.empty_like(R)
+    assert M(R, out=Z) is Z
+    rows = np.stack([M(r) for r in R])
+    assert np.array_equal(Z, rows)
+    assert np.array_equal(M(R), rows)
+    z = np.empty(A.shape[0])
+    assert M(R[0], out=z) is z and np.array_equal(z, rows[0])
 
 
 def test_dirichlet_system_solution_matches_elimination():
