@@ -40,7 +40,7 @@ def solve_on(mesh, ke_cache=None):
 
     def prog(comm):
         A = HymvOperator(comm, lmesh, op, ke_cache=ke_cache)
-        t_emat = comm.timing.total("setup.emat_compute")
+        t_emat = comm.obs.total("setup.emat_compute")
         f = np.zeros(A.n_dofs_owned)
         fe = body_force_rhs_batch(
             lmesh.coords, mesh.etype,

@@ -44,7 +44,7 @@ def main() -> None:
 
     def prog(comm, lmesh):
         A = HymvOperator(comm, lmesh, op)
-        setup_t = comm.timing.total("setup.emat_compute") + comm.timing.total(
+        setup_t = comm.obs.total("setup.emat_compute") + comm.obs.total(
             "setup.local_copy"
         )
         rng = np.random.default_rng(0)

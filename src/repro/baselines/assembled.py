@@ -62,9 +62,6 @@ class AssembledOperator:
                 )
             self._elem_scale = np.ascontiguousarray(scale)
         self.spmv_count = 0
-        # mode="auto" crossover (None -> kernels.DEFAULT_K_MIN); the
-        # gemm path's work multivectors are cached per column count
-        self.gemm_k_min: int | None = None
         self._assemble("setup")
 
     def _assemble(self, prefix: str) -> None:
@@ -105,7 +102,7 @@ class AssembledOperator:
         # the expensive part: off-rank row contributions to their owners
         t0 = comm.vtime
         received = comm.alltoall(per_dest)
-        comm.timing.add(f"{prefix}.comm", comm.vtime - t0)
+        comm.obs.add(f"{prefix}.comm", comm.vtime - t0)
 
         with comm.compute(f"{prefix}.assembly_local"):
             rparts = [(rows[mine], cols[mine], vals[mine])] + [
@@ -145,7 +142,7 @@ class AssembledOperator:
 
         t0 = comm.vtime
         self.cmaps = build_comm_maps(comm, self.maps, ranges=self._ranges)
-        comm.timing.add(f"{prefix}.comm_maps", comm.vtime - t0)
+        comm.obs.add(f"{prefix}.comm_maps", comm.vtime - t0)
 
         self.n_dofs_owned = n_owned_dofs
         # packed halo exchanges and multi-RHS work buffers, per column
@@ -240,14 +237,14 @@ class AssembledOperator:
             y = self._block_product(0, D[npre:off])
         tw = comm.vtime
         halo.finish_scatter(comm, un, reqs)
-        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
+        comm.obs.add("spmv.scatter.wait", comm.vtime - tw)
         with comm.compute(self._phases[1]):
             if self.A_pre.shape[1]:
                 y += self._block_product(1, D[:npre])
             if self.A_post.shape[1]:
                 y += self._block_product(2, D[off:])
         comm.obs.incr("spmv.flops", 2.0 * self.nnz * k)
-        comm.timing.add("spmv.total", comm.vtime - t0)
+        comm.obs.add("spmv.total", comm.vtime - t0)
         self.spmv_count += k
         return y
 
@@ -307,7 +304,7 @@ class AssembledOperator:
             y = self.apply_owned(np.ascontiguousarray(X[:, 0]), copy=copy)
             return y.reshape(-1, 1)
         U, xcol, Y = self._work(k)
-        if resolve_mode(mode, k, self.gemm_k_min) != "gemm":
+        if resolve_mode(mode, k) != "gemm":
             for j in range(k):
                 np.copyto(xcol, X[:, j])
                 Y[:, j] = self.apply_owned(xcol, copy=False)

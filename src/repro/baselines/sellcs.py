@@ -34,9 +34,10 @@ import numpy as np
 from repro.baselines.assembled import AssembledOperator
 from repro.core.da import DistributedArray, DistributedMultiVector
 from repro.core.sellcs import (
+    DEFAULT_C,
+    DEFAULT_SIGMA_FACTOR,
     SellWorkspace,
     build_sellcs,
-    resolve_sell_params,
     sell_spmm,
     sell_spmv,
 )
@@ -57,18 +58,14 @@ class SellCSOperator(AssembledOperator):
         operator: Operator,
         ranges: np.ndarray | None = None,
         elem_scale: np.ndarray | None = None,
-        C: int | None = None,
+        C: int = DEFAULT_C,
         sigma: int | None = None,
-        gemm_k_min: int | None = None,
     ):
-        # _assemble (called from the base constructor) reads these.
-        # ``C=None`` resolves through the process-wide configured
-        # defaults (repro.core.sellcs.configure_sell_defaults — the
-        # autotuner's hook); an explicit C keeps sigma=8C unless sigma
-        # is also given, preserving the historical hard-coded behavior.
-        self.C, self.sigma = resolve_sell_params(C, sigma)
+        # _assemble (called from the base constructor) reads these;
+        # sigma=None is the 8C sorting window
+        self.C = int(C)
+        self.sigma = int(sigma) if sigma is not None else DEFAULT_SIGMA_FACTOR * self.C
         super().__init__(comm, lmesh, operator, ranges=ranges, elem_scale=elem_scale)
-        self.gemm_k_min = gemm_k_min
 
     # ------------------------------------------------------------------
     # assembly: CSR first (inherited), then the SELL conversion

@@ -128,7 +128,7 @@ class EbeOperatorBase:
             )
         self._ranges = ranges
         self.cmaps: CommMaps = build_comm_maps(comm, self.maps, ranges=ranges)
-        comm.timing.add("setup.comm_maps", comm.vtime - t0)
+        comm.obs.add("setup.comm_maps", comm.vtime - t0)
 
         self._sl_indep = slice(0, self._n_indep)
         self._sl_dep = slice(self._n_indep, lmesh.n_local_elements)
@@ -159,10 +159,6 @@ class EbeOperatorBase:
         self._seg_all: SegmentScatter | None = None
         # work multivectors backing apply_owned_multi, cached per k
         self._work_multi: dict[int, tuple] = {}
-        # mode="auto" crossover for the BLAS3 multi-RHS path; None means
-        # repro.core.kernels.DEFAULT_K_MIN (set a calibrated value from
-        # BENCH_kernels.json's config.gemm_k_min_crossover to override)
-        self.gemm_k_min: int | None = None
 
     # -- construction helpers -------------------------------------------
 
@@ -317,7 +313,7 @@ class EbeOperatorBase:
         else:
             tw = comm.vtime
             halo.scatter(comm, un)
-        comm.timing.add("spmv.scatter.wait", comm.vtime - tw)
+        comm.obs.add("spmv.scatter.wait", comm.vtime - tw)
         if self._check_ghosts:
             self._verify_ghosts(un)
         if overlap:
@@ -326,8 +322,8 @@ class EbeOperatorBase:
             run("all", self._sl_all, uf, vf)
         tg = comm.vtime
         halo.gather(comm, vn)
-        comm.timing.add("spmv.gather", comm.vtime - tg)
-        comm.timing.add("spmv.total", comm.vtime - t0)
+        comm.obs.add("spmv.gather", comm.vtime - tg)
+        comm.obs.add("spmv.total", comm.vtime - t0)
         self.spmv_count += k
 
     def _host_run(
@@ -420,10 +416,10 @@ class EbeOperatorBase:
         for all k columns instead of k times.  Results match the oracle
         to rounding (:func:`repro.core.kernels.gemm_equivalence_rtol`),
         not bitwise.  ``mode="auto"`` (the default) picks GEMM when
-        ``k >= self.gemm_k_min`` (``None`` → ``DEFAULT_K_MIN``).
+        ``k >= DEFAULT_K_MIN``.
         """
         k = u.k
-        if resolve_mode(mode, k, self.gemm_k_min) == "gemm":
+        if resolve_mode(mode, k) == "gemm":
             run = self._host_run
         else:
             run = self._host_run_columns
@@ -440,7 +436,7 @@ class EbeOperatorBase:
 
         Under the resolved ``"oracle"`` mode column ``j`` of the result
         is bitwise identical to ``apply_owned(X[:, j])``; the resolved
-        ``"gemm"`` mode (``auto`` picks it for ``k >= gemm_k_min``) runs
+        ``"gemm"`` mode (``auto`` picks it for ``k >= DEFAULT_K_MIN``) runs
         the BLAS3 elemental stage and matches to rounding (see
         :meth:`spmv_multi`).  Work multivectors are cached per distinct
         ``k``; the aliasing contract matches ``apply_owned``
@@ -518,7 +514,7 @@ class EbeOperatorBase:
                 per_dest[int(r)] = (rows[sel], cols[sel], vals[sel])
         t0 = comm.vtime
         received = comm.alltoall(per_dest)
-        comm.timing.add("precond.block_comm", comm.vtime - t0)
+        comm.obs.add("precond.block_comm", comm.vtime - t0)
         with comm.compute("precond.block_assemble"):
             parts = [(rows[mine], cols[mine], vals[mine])] + [
                 t for t in received if t is not None

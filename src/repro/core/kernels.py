@@ -61,8 +61,9 @@ EMV_MODES = ("oracle", "gemm", "auto")
 #: for k >= DEFAULT_K_MIN columns.  The kernels microbench
 #: (``python -m repro.harness bench --suite kernels``) measures the real
 #: crossover on the current machine and writes it into
-#: ``BENCH_kernels.json`` as ``config.gemm_k_min_crossover`` so serving
-#: deployments can load a calibrated threshold instead of this constant.
+#: ``BENCH_kernels.json`` as ``config.gemm_k_min_crossover``; the
+#: autotuner carries a tuned threshold to the serve tier as
+#: :attr:`repro.serve.plan.ExecutionPlan.k_min`.
 DEFAULT_K_MIN = 8
 
 

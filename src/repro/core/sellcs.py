@@ -53,9 +53,6 @@ __all__ = [
     "SellGroup",
     "SellWorkspace",
     "build_sellcs",
-    "configure_sell_defaults",
-    "resolve_sell_params",
-    "sell_defaults",
     "sell_spmv",
     "sell_spmm",
 ]
@@ -63,58 +60,11 @@ __all__ = [
 #: Hand-picked (C, sigma) defaults: chunk height 32 (one GPU warp / a
 #: full AVX-512 lane tier) with an 8C sorting window — the layout the
 #: sellcs bench measured at 0.94-0.97 occupancy across the harness
-#: problems.  Kreutzer et al. show these are machine-dependent; the
-#: autotuner (``repro.tune``) overrides them per machine profile via
-#: :func:`configure_sell_defaults`.
+#: problems.  Kreutzer et al. show these are machine-dependent; a tuned
+#: layout travels in a :class:`repro.serve.plan.ExecutionPlan` and
+#: becomes part of the serving key of every SELL operator built under it.
 DEFAULT_C = 32
 DEFAULT_SIGMA_FACTOR = 8
-
-# process-wide tuned overrides: (C, sigma) — None means hand-picked
-_SELL_DEFAULTS: list = [None, None]
-
-
-def configure_sell_defaults(
-    C: int | None = None, sigma: int | None = None
-) -> tuple[int, int]:
-    """Install process-wide SELL-C-sigma layout defaults.
-
-    Called by the tuned-config loaders so every
-    :class:`~repro.baselines.sellcs.SellCSOperator` built afterwards
-    (serve cache misses, bench cases) picks up the tuned ``(C, sigma)``
-    without threading parameters through every factory.  Passing
-    ``None`` for both resets to the hand-picked defaults.  Returns the
-    now-effective ``(C, sigma)`` pair.
-    """
-    if C is not None and C < 1:
-        raise ValueError(f"chunk height C must be >= 1, got {C}")
-    if sigma is not None and sigma < 1:
-        raise ValueError(f"sorting window sigma must be >= 1, got {sigma}")
-    _SELL_DEFAULTS[0] = int(C) if C is not None else None
-    _SELL_DEFAULTS[1] = int(sigma) if sigma is not None else None
-    return sell_defaults()
-
-
-def sell_defaults() -> tuple[int, int]:
-    """The currently effective default ``(C, sigma)`` layout parameters."""
-    C = _SELL_DEFAULTS[0] if _SELL_DEFAULTS[0] is not None else DEFAULT_C
-    sigma = (
-        _SELL_DEFAULTS[1]
-        if _SELL_DEFAULTS[1] is not None
-        else DEFAULT_SIGMA_FACTOR * C
-    )
-    return C, sigma
-
-
-def resolve_sell_params(
-    C: int | None, sigma: int | None
-) -> tuple[int, int]:
-    """Resolve explicit ``(C, sigma)`` arguments against the configured
-    defaults: an explicit value always wins; ``sigma=None`` with an
-    explicit ``C`` keeps the historical ``8 * C`` window."""
-    if C is None:
-        dC, dsigma = sell_defaults()
-        return dC, int(sigma) if sigma is not None else dsigma
-    return int(C), int(sigma) if sigma is not None else DEFAULT_SIGMA_FACTOR * int(C)
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,6 @@ class AssembledGpuOperator(AssembledOperator):
             csr_bytes / (self.gpu.csr_gbps * 1e9) + self.gpu.kernel_launch_s,
             "spmv.cusparse",
         )
-        comm.timing.add("spmv.total", comm.vtime - t0)
+        comm.obs.add("spmv.total", comm.vtime - t0)
         self.spmv_count += 1
         return y

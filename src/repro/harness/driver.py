@@ -138,7 +138,7 @@ def _bench_program(comm, lmesh, kind, n_spmv, overlap, options, seed):
     return {
         "setup": setup_time,
         "spmv": spmv_time,
-        "timing": comm.timing.as_dict(),
+        "timing": comm.obs.as_dict(),
         "obs": comm.obs.snapshot(),
         "flops": flops,
         "stored": stored,
@@ -305,7 +305,7 @@ def _solve_program(
         "solve": solve_time,
         "total": comm.vtime,
         "err": err,
-        "timing": comm.timing.as_dict(),
+        "timing": comm.obs.as_dict(),
         "obs": comm.obs.snapshot(),
     }
 

@@ -213,29 +213,8 @@ def main(argv: list[str] | None = None) -> int:
         "deterministic model (machine-dependent output; not comparable "
         "across hosts)",
     )
-    ap.add_argument(
-        "--tuned-from",
-        type=pathlib.Path,
-        default=None,
-        metavar="TUNED_CONFIG_JSON",
-        help="load an autotuner artifact and install its SELL (C, sigma) "
-        "defaults before running the suite (affects every default-layout "
-        "SELL-C-sigma build)",
-    )
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
-    if args.tuned_from is not None:
-        from repro.tune.calibration import load_tuned_config
-
-        tuned = load_tuned_config(args.tuned_from)
-        if tuned is not None and tuned.get("sell_c") is not None:
-            from repro.core.sellcs import configure_sell_defaults
-
-            c = int(tuned.get("sell_c"))
-            sigma = int(tuned.get("sell_sigma_factor", 8)) * c
-            configure_sell_defaults(c, sigma)
-            if not args.quiet:
-                print(f"[bench] tuned SELL defaults C={c} sigma={sigma}")
     if args.repeats is None:
         args.repeats = 3 if args.suite == "smoke" else 5
     if args.repeats < 1:

@@ -2,10 +2,8 @@
 
 One :class:`Instrumentation` instance per rank (owned by its
 :class:`~repro.simmpi.communicator.Communicator`) plus an optional
-process-wide instance for harness-level phases.  It subsumes the old
-``repro.util.timer.TimingRecord`` API (``add``/``total``/``mean``/
-``merge``/``as_dict``), so every call site that used the ad-hoc plumbing
-keeps working, and adds the three things the paper's analysis needs:
+process-wide instance for harness-level phases.  It records the three
+things the paper's analysis needs:
 
 * **hierarchical phase timers** — dotted paths (``spmv.emv.independent``)
   accumulating both *wall* seconds and *virtual* (modeled) seconds, with
@@ -218,47 +216,25 @@ class Instrumentation:
             self.events.append(TraceEvent(label, t0, t1, kind, meta))
 
     # ------------------------------------------------------------------
-    # TimingRecord-compatible surface (the old ad-hoc API)
+    # virtual-time shorthands
     # ------------------------------------------------------------------
 
     def add(self, label: str, seconds: float) -> None:
-        """Accumulate virtual seconds under ``label`` (legacy API)."""
+        """Accumulate virtual seconds under ``label``."""
         self.record(label, vtime=seconds)
 
     def total(self, label: str) -> float:
+        """Accumulated virtual seconds of ``label`` (0 when unseen)."""
         s = self.phases.get(label)
         return s.vtime if s is not None else 0.0
 
-    def wall(self, label: str) -> float:
-        s = self.phases.get(label)
-        return s.wall if s is not None else 0.0
-
-    def mean(self, label: str) -> float:
-        s = self.phases.get(label)
-        return s.vtime / s.count if s is not None and s.count else 0.0
-
-    def merge(self, other: "Instrumentation") -> None:
-        """Accumulate another instrumentation into this one (sum-reduce;
-        the legacy ``TimingRecord.merge`` semantics)."""
-        for label, stats in other.phases.items():
-            self.record(
-                label, vtime=stats.vtime, wall=stats.wall, count=stats.count
-            )
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        self.events.extend(other.events)
-
     def as_dict(self) -> dict[str, float]:
-        """Virtual-time totals keyed by label (legacy breakdown dict)."""
+        """Virtual-time totals keyed by label."""
         return {label: s.vtime for label, s in self.phases.items()}
 
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
-
-    @property
-    def totals(self) -> dict[str, float]:
-        return self.as_dict()
 
     def snapshot(self, events: bool = False) -> dict[str, Any]:
         """JSON-able view of this rank's phases and counters."""

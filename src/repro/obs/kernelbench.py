@@ -76,7 +76,6 @@ class _NullComm:
 
     def __init__(self) -> None:
         self.obs = Instrumentation(rank=0, clock=lambda: 0.0, trace=False)
-        self.timing = self.obs
 
     @contextmanager
     def compute(self, label: str = "compute"):
@@ -678,9 +677,8 @@ def run_sellcs_suite(
     Writes the per-shape backend crossover into
     ``config.sellcs_crossover_dofs``: the largest benchmarked problem
     size (dofs) at which the sellcs GEMM beat the HYMV GEMM at the
-    widest batch — ``SolverService(backend="auto")`` routes shapes at or
-    below it to SELL-C-sigma (see
-    :func:`repro.tune.calibration.load_tuned_config`).  ``None``
+    widest batch — an ``ExecutionPlan(backend="auto")`` with this
+    crossover routes shapes at or below it to SELL-C-sigma.  ``None``
     when HYMV won everywhere on this machine.
     """
     doc = new_bench_doc(
@@ -740,8 +738,7 @@ def run_kernels_suite(
                 _run_case_kernel(case, kernel, repeats, verbose)
             )
     # multi-RHS (BLAS3) suite on the first case: GEMM-vs-oracle rows plus
-    # the calibrated crossover width the serve batcher can load instead of
-    # the hard-coded DEFAULT_K_MIN (see repro.tune.calibration.load_tuned_config)
+    # the measured crossover width (the autotuner's calibration input)
     if cases:
         if verbose:
             print(f"[bench] {cases[0].name} multirhs ...", flush=True)

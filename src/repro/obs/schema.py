@@ -68,9 +68,9 @@ SHARD_SCHEMA = "repro.shard/1"
 TUNE_SCHEMA = "repro.tune/1"
 
 #: Tuned-config artifact schema (``tuned_config.json``): the small
-#: loadable distillation of a tune run — one flat knob→value config plus
-#: the calibrated constants — consumed by ``SolverService`` and the
-#: benches through :func:`repro.tune.calibration.load_tuned_config`.
+#: loadable distillation of a tune run — the winner's flat knob→value
+#: config — which :func:`repro.serve.plan.load_tuned_config` turns into
+#: an execution plan.
 TUNE_CONFIG_SCHEMA = "repro.tune-config/1"
 
 #: Adapt-report schema (``ADAPT_report.json`` written by

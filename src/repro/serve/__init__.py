@@ -14,6 +14,9 @@ and amortized over the solver iterations"; here, over *requests* too).
 * :mod:`repro.serve.batcher` — micro-batcher grouping compatible requests
   per operator into one multi-RHS product (bitwise identical per column
   to independent single-RHS execution).
+* :mod:`repro.serve.plan` — :class:`ExecutionPlan`: the frozen execution
+  policy (mode, GEMM crossover, backend routing, SELL layout) and
+  :func:`load_tuned_config`, the one way an autotuner artifact gets in.
 * :mod:`repro.serve.service` — :class:`SolverService`: dispatch loop with
   load shedding and fault-aware degradation (never wrong answers).
 * :mod:`repro.serve.loadgen` — seeded open-/closed-loop load generator
@@ -31,6 +34,7 @@ and amortized over the solver iterations"; here, over *requests* too).
 
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher, MicroBatcher
 from repro.serve.cache import OperatorCache, ProblemKey, SolverContext
+from repro.serve.plan import ExecutionPlan, PlanError, load_tuned_config
 from repro.serve.queue import RequestQueue, ServeRequest
 from repro.serve.service import Completion, DispatchOutcome, SolverService
 from repro.serve.shard import HashRing, ShardCluster, ShardRouter
@@ -40,13 +44,16 @@ __all__ = [
     "Completion",
     "DeadlineBatcher",
     "DispatchOutcome",
+    "ExecutionPlan",
     "HashRing",
     "MicroBatcher",
     "OperatorCache",
+    "PlanError",
     "ProblemKey",
     "RequestQueue",
     "ServeRequest",
     "ShardCluster",
     "ShardRouter",
     "SolverContext",
+    "load_tuned_config",
 ]

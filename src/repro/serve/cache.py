@@ -65,9 +65,13 @@ class ProblemKey:
     #: a delta-updated operator and one built fresh from the same key are
     #: the same servable identity (and bitwise the same operator)
     deltas: tuple = ()
+    #: SELL-C-sigma layout ``(C, sigma)`` of a ``sellcs`` operator;
+    #: ``None`` is the hand-picked default layout
+    sell: tuple[int, int] | None = None
 
     def fingerprint(self) -> str:
-        """Stable short hash of the canonical field tuple."""
+        """Stable short hash of the canonical field tuple (optional
+        fields join only when set, so default keys keep their hash)."""
         canon = (
             f"problem={self.problem};nel={self.nel};n_parts={self.n_parts};"
             f"etype={self.etype};seed={self.seed};method={self.method};"
@@ -77,6 +81,8 @@ class ProblemKey:
             canon += ";deltas=" + ",".join(
                 d.fingerprint() for d in self.deltas
             )
+        if self.sell is not None:
+            canon += ";sell={},{}".format(*self.sell)
         return hashlib.sha1(canon.encode()).hexdigest()[:12]
 
     def n_dofs_estimate(self) -> int:
@@ -161,7 +167,7 @@ def _dirichlet_state(comm, A, maps, lmesh, spec) -> dict:
 
 
 def _setup_program(comm, lmesh, spec, method, kernel, modeled_rate,
-                   ke_cache=None):
+                   sell=None, ke_cache=None):
     """Per-rank setup: operator + Dirichlet machinery + preconditioner."""
     from repro.core.maps import build_node_maps
     from repro.core.scatter import build_comm_maps
@@ -179,6 +185,8 @@ def _setup_program(comm, lmesh, spec, method, kernel, modeled_rate,
         options["elem_scale"] = spec.elem_scale[lmesh.elements]
     if ke_cache is not None and method in ("hymv", "hymv_gpu"):
         options["ke_cache"] = ke_cache
+    if sell is not None and method == "sellcs":
+        options["C"], options["sigma"] = sell
     A = OPERATOR_FACTORIES[method](
         comm, lmesh, spec.operator, ranges=ranges, **options
     )
@@ -330,6 +338,7 @@ class SolverContext:
                 method=key.method,
                 kernel=key.kernel,
                 modeled_rate=modeled_rate_gflops,
+                sell=key.sell,
             )
             now = self.fault_signal()
             if now == sig:
@@ -549,6 +558,7 @@ class SolverContext:
             method=method,
             kernel=self.key.kernel,
             modeled_rate=self.modeled_rate,
+            sell=self.key.sell,
             ke_cache=ke_cache,
         )
         counts = [st["n_owned"] for st in self.ranks]

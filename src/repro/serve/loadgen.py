@@ -41,6 +41,7 @@ from repro.obs.schema import (
     validate_serve_doc,
 )
 from repro.serve.cache import OperatorCache, ProblemKey
+from repro.serve.plan import ExecutionPlan, add_tuned_from_argument
 from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
 
@@ -76,10 +77,7 @@ class Workload:
     queue_capacity: int = 32
     cache_capacity: int = 2
     faults: FaultPlan | None = None
-    mode: str = "auto"  # multi-RHS execution mode per batch
-    k_min: int | None = None  # "auto" crossover (None -> DEFAULT_K_MIN)
-    backend: str | None = None  # operator routing policy (None/auto/hymv/sellcs)
-    sellcs_crossover_dofs: int | None = None  # "auto" backend crossover
+    plan: ExecutionPlan = ExecutionPlan()
     verify: bool = True  # post-run answer re-check (off for tuner probes)
 
     def describe(self) -> dict[str, Any]:
@@ -97,34 +95,23 @@ class Workload:
             "max_batch": self.max_batch,
             "queue_capacity": self.queue_capacity,
             "cache_capacity": self.cache_capacity,
-            "mode": self.mode,
-            "k_min": self.k_min,
-            "backend": self.backend,
-            "sellcs_crossover_dofs": self.sellcs_crossover_dofs,
+            "mode": self.plan.mode,
+            "k_min": self.plan.k_min,
+            "backend": self.plan.backend,
+            "sellcs_crossover_dofs": self.plan.sellcs_crossover_dofs,
             "verify": self.verify,
             "keys": [k.fingerprint() for k in self.keys],
             "faults": self.faults.describe() if self.faults else None,
         }
 
 
-def run_workload(
-    w: Workload, seed: int = 1234, k_min: int | None = None, tuned=None
-) -> dict[str, Any]:
-    """Simulate one scenario; returns a schema-conforming scenario dict.
-
-    ``k_min`` overrides the workload's ``auto`` crossover (e.g. the
-    ``--k-min`` flag); the workload's own ``k_min`` wins when set, keeping checked-in scenario baselines deterministic.
-    ``tuned`` (a ``get``-able autotuner artifact) fills the service
-    knobs the workload left at defaults — same precedence as
-    :class:`~repro.serve.service.SolverService`.
-    """
+def run_workload(w: Workload, seed: int = 1234) -> dict[str, Any]:
+    """Simulate one scenario; returns a schema-conforming scenario dict."""
     obs = Instrumentation(rank=-1)
     cache = OperatorCache(capacity=w.cache_capacity, obs=obs, faults=w.faults)
     service = SolverService(
         cache, max_batch=w.max_batch, queue_capacity=w.queue_capacity,
-        mode=w.mode, k_min=w.k_min if w.k_min is not None else k_min,
-        backend=w.backend, sellcs_crossover_dofs=w.sellcs_crossover_dofs,
-        tuned=tuned,
+        plan=w.plan,
     )
     rng = np.random.default_rng(seed)
 
@@ -265,13 +252,14 @@ def run_workload(
 
 
 def _verify(w: Workload, completions: list) -> tuple[int, OperatorCache]:
-    """Re-check every delivered answer on a fault-free reference cache."""
+    """Re-check every delivered answer on a fault-free reference cache
+    holding the operators the plan binds the requests to."""
     ref = OperatorCache(
         capacity=max(len(w.keys), 1), obs=Instrumentation(rank=-1)
     )
     wrong = 0
     for c in completions:
-        ctx, _ = ref.get(c.request.key)
+        ctx, _ = ref.get(w.plan.bind(c.request.key))
         x = SolverService.input_vector(ctx, c.request.seed)
         if c.request.kind == "spmv":
             y_ref, _ = ctx.apply_multi(x[:, None])
@@ -291,13 +279,15 @@ def _verify(w: Workload, completions: list) -> tuple[int, OperatorCache]:
 # the standard suite
 # ----------------------------------------------------------------------------
 
-def suite_workloads(seed: int, smoke: bool = True) -> tuple[Workload, ...]:
-    """The three standard scenarios: a clean open-loop burst (batching +
-    cache churn + cancellations), a wide-batch open-loop burst
-    (``max_batch=16`` so ``auto`` crosses into the BLAS3 GEMM mode —
-    and its answers still verify against the oracle reference), and a
-    fault-injected closed loop (degradation, retries, deadline shedding —
-    and still zero wrong answers)."""
+def suite_workloads(
+    seed: int, smoke: bool = True, plan: ExecutionPlan = ExecutionPlan()
+) -> tuple[Workload, ...]:
+    """The three standard scenarios, all executed under ``plan``: a clean
+    open-loop burst (batching + cache churn + cancellations), a
+    wide-batch open-loop burst (``max_batch=16`` so ``auto`` crosses into
+    the BLAS3 GEMM mode — and its answers still verify against the oracle
+    reference), and a fault-injected closed loop (degradation, retries,
+    deadline shedding — and still zero wrong answers)."""
     scale = 1 if smoke else 3
     keys = (
         ProblemKey(problem="poisson", nel=4, n_parts=4, etype="tet4", seed=1),
@@ -317,6 +307,7 @@ def suite_workloads(seed: int, smoke: bool = True) -> tuple[Workload, ...]:
         cancel_frac=0.08,
         max_batch=6,
         cache_capacity=2,
+        plan=plan,
     )
     # wide batches: one hot key, arrivals far faster than service, so the
     # queue backs up and the batcher forms (close to) max_batch-wide
@@ -334,8 +325,9 @@ def suite_workloads(seed: int, smoke: bool = True) -> tuple[Workload, ...]:
         max_batch=16,
         queue_capacity=64,
         cache_capacity=2,
+        plan=plan,
     )
-    plan = FaultPlan(
+    faults = FaultPlan(
         rules=(
             Delay(2e-4, tag=SCATTER_TAG, jitter=1e-4),
             Drop(src=0, dst=1, tag=SCATTER_TAG, times=1),
@@ -356,7 +348,8 @@ def suite_workloads(seed: int, smoke: bool = True) -> tuple[Workload, ...]:
         deadline_s=0.01,
         max_batch=4,
         cache_capacity=2,
-        faults=plan,
+        faults=faults,
+        plan=plan,
     )
     return (clean, gemm, faulted)
 
@@ -365,15 +358,17 @@ def run_serve_suite(
     seed: int = 1234,
     smoke: bool = True,
     verbose: bool = True,
-    k_min: int | None = None,
-    tuned=None,
+    plan: ExecutionPlan = ExecutionPlan(),
 ) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Run the standard scenarios; returns ``(serve_doc, bench_doc)``."""
-    doc = new_serve_doc(config={"seed": seed, "smoke": smoke, "k_min": k_min})
-    for w in suite_workloads(seed, smoke=smoke):
+    """Run the standard scenarios under ``plan``; returns
+    ``(serve_doc, bench_doc)``."""
+    doc = new_serve_doc(
+        config={"seed": seed, "smoke": smoke, "k_min": plan.k_min}
+    )
+    for w in suite_workloads(seed, smoke=smoke, plan=plan):
         if verbose:
             print(f"[serve] scenario {w.name} ...", flush=True)
-        sc = run_workload(w, seed=seed, k_min=k_min, tuned=tuned)
+        sc = run_workload(w, seed=seed)
         doc["scenarios"].append(sc)
         if verbose:
             lat = sc["latency_s"].get("all", {})
@@ -460,44 +455,15 @@ def main(argv: list[str] | None = None) -> int:
         default=pathlib.Path("BENCH_serve.json"),
         help="bench-schema projection path (default: ./BENCH_serve.json)",
     )
-    ap.add_argument(
-        "--k-min",
-        type=int,
-        default=None,
-        help="auto-mode GEMM crossover (default: kernels DEFAULT_K_MIN)",
-    )
-    ap.add_argument(
-        "--tuned-from",
-        type=pathlib.Path,
-        default=None,
-        metavar="TUNED_CONFIG_JSON",
-        help="load an autotuner artifact (tuned_config.json, "
-        "TUNE_report.json or a legacy bench doc) and apply its service "
-        "knobs + SELL (C, sigma) defaults (--k-min wins for the GEMM "
-        "crossover)",
-    )
+    add_tuned_from_argument(ap)
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
 
-    from repro.tune.calibration import load_tuned_config
-
-    tuned = load_tuned_config(args.tuned_from)
-    if tuned is not None:
-        if tuned.get("sell_c") is not None:
-            from repro.core.sellcs import configure_sell_defaults
-
-            c = int(tuned.get("sell_c"))
-            sigma = int(tuned.get("sell_sigma_factor", 8)) * c
-            configure_sell_defaults(c, sigma)
-            if not args.quiet:
-                print(f"[serve] tuned SELL defaults C={c} sigma={sigma}")
-        if not args.quiet:
-            print(f"[serve] tuned config from {args.tuned_from}")
-
+    if not args.quiet:
+        print(f"[serve] {args.plan}")
     doc, bench = run_serve_suite(
         seed=args.seed, smoke=args.smoke, verbose=not args.quiet,
-        k_min=args.k_min,
-        tuned=tuned,
+        plan=args.plan,
     )
     for path, payload in ((args.out, doc), (args.bench_out, bench)):
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.kernels import EMV_MODES, resolve_mode
+from repro.core.kernels import resolve_mode
 from repro.obs.instrumentation import Instrumentation
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.cache import OperatorCache
+from repro.serve.plan import ExecutionPlan
 from repro.serve.queue import RequestQueue, ServeRequest
 
 __all__ = ["Completion", "DispatchOutcome", "SolverService"]
@@ -68,67 +69,21 @@ class SolverService:
         retry_limit: int = 2,
         maxiter: int = 2000,
         obs: Instrumentation | None = None,
-        mode: str = "auto",
-        k_min: int | None = None,
         batcher: MicroBatcher | None = None,
-        backend: str | None = None,
-        sellcs_crossover_dofs: int | None = None,
-        tuned=None,
+        plan: ExecutionPlan = ExecutionPlan(),
     ):
-        """``mode`` is the multi-RHS execution mode every batch runs
-        under (``"auto"`` resolves per batch: GEMM when the batch width
-        reaches ``k_min``, the bitwise per-column oracle below it);
-        ``k_min=None`` uses :data:`repro.core.kernels.DEFAULT_K_MIN` —
-        pass the calibrated ``config.gemm_k_min_crossover`` from a
-        kernels-bench document to use the measured crossover instead.
-        ``batcher`` swaps the batch-forming policy (the shard tier passes
-        a :class:`~repro.serve.batcher.DeadlineBatcher`); when given, it
-        carries its own policy and ``max_batch`` is ignored.
+        """``plan`` is the execution policy every batch runs under: the
+        multi-RHS mode and its GEMM crossover, the backend routing, and
+        the SELL-C-sigma layout of every ``sellcs`` operator this service
+        builds (see :mod:`repro.serve.plan`).  Routed batches are counted
+        in ``backend_histogram`` and the ``serve.backend.*`` counters.
 
-        ``backend`` is the per-problem-shape operator policy: ``None``
-        serves every request under the method its key asks for (the
-        historical behavior); ``"hymv"`` / ``"sellcs"`` force that
-        operator kind for every batch; ``"auto"`` picks per shape from
-        the calibrated crossover — SELL-C-sigma for problems with at
-        most ``sellcs_crossover_dofs`` dofs (where the sellcs bench
-        measured it winning the batched apply), HYMV above it.  Pass the
-        sellcs-bench report's ``config.sellcs_crossover_dofs`` (read by
-        :func:`repro.tune.calibration.load_tuned_config`, or passed
-        through ``tuned``); with no calibration, ``"auto"``
-        keeps every shape on HYMV.  Routed batches are counted in
-        ``backend_histogram`` and the ``serve.backend.*`` counters.
-
-        ``tuned`` is an autotuner artifact — anything with a
-        ``get(name, default)`` (a ``repro.tune.calibration.TunedConfig``
-        loaded from ``tuned_config.json``, or a plain dict-like).  Its
-        values fill every knob the caller left at the built-in default:
-        ``max_batch``, ``queue_capacity``, ``gemm_k_min`` (→ ``k_min``)
-        and ``sellcs_crossover_dofs`` (a positive value also switches an
-        unset ``backend`` to ``"auto"`` so the routing takes effect).
-        Explicitly passed knobs win over the artifact.
+        ``max_batch`` / ``queue_capacity`` size the batcher and the
+        admission queue; ``batcher`` swaps the batch-forming policy (the
+        shard tier passes a :class:`~repro.serve.batcher.DeadlineBatcher`),
+        and when given it carries its own policy and ``max_batch`` is
+        ignored.
         """
-        if tuned is not None:
-            if max_batch == 8 and tuned.get("max_batch") is not None:
-                max_batch = int(tuned.get("max_batch"))
-            if queue_capacity == 64 and tuned.get("queue_capacity") is not None:
-                queue_capacity = int(tuned.get("queue_capacity"))
-            if k_min is None and tuned.get("gemm_k_min") is not None:
-                k_min = int(tuned.get("gemm_k_min"))
-            if sellcs_crossover_dofs is None:
-                crossover = tuned.get("sellcs_crossover_dofs")
-                if crossover:
-                    sellcs_crossover_dofs = int(crossover)
-                    if backend is None:
-                        backend = "auto"
-        if mode not in EMV_MODES:
-            raise ValueError(
-                f"unknown execution mode {mode!r} (expected one of {EMV_MODES})"
-            )
-        if backend not in (None, "auto", "hymv", "sellcs"):
-            raise ValueError(
-                f"unknown backend policy {backend!r} "
-                "(expected None, 'auto', 'hymv' or 'sellcs')"
-            )
         self.cache = cache
         self.obs = obs if obs is not None else cache.obs
         self.queue = RequestQueue(queue_capacity)
@@ -137,10 +92,7 @@ class SolverService:
         )
         self.retry_limit = retry_limit
         self.maxiter = maxiter
-        self.mode = mode
-        self.k_min = k_min
-        self.backend = backend
-        self.sellcs_crossover_dofs = sellcs_crossover_dofs
+        self.plan = plan
         # backend the routing policy actually dispatched to -> batch count
         self.backend_histogram: dict[str, int] = {}
         self.batch_histogram: dict[int, int] = {}
@@ -194,32 +146,18 @@ class SolverService:
         return DispatchOutcome(completions, duration, expired, k)
 
     def _route_key(self, key):
-        """Apply the backend policy: rewrite the key's operator kind (the
-        rest of the identity — problem, shape, deltas — is untouched, so
-        the cached context is still the right operator)."""
-        if self.backend is None:
-            return key
-        if self.backend == "auto":
-            method = (
-                "sellcs"
-                if (
-                    self.sellcs_crossover_dofs is not None
-                    and key.n_dofs_estimate() <= self.sellcs_crossover_dofs
-                )
-                else "hymv"
+        """Apply the plan to a request's key (:meth:`ExecutionPlan.bind`
+        — operator kind and SELL layout) and count the routing."""
+        routed = self.plan.bind(key)
+        if self.plan.backend is not None:
+            method = routed.method
+            self.backend_histogram[method] = (
+                self.backend_histogram.get(method, 0) + 1
             )
-        else:
-            method = self.backend
-        self.backend_histogram[method] = (
-            self.backend_histogram.get(method, 0) + 1
-        )
-        self.obs.incr(f"serve.backend.{method}")
-        if method == key.method:
-            return key
-        from dataclasses import replace
-
-        self.obs.incr("serve.backend.rerouted")
-        return replace(key, method=method)
+            self.obs.incr(f"serve.backend.{method}")
+            if method != key.method:
+                self.obs.incr("serve.backend.rerouted")
+        return routed
 
     def _execute(self, batch: list[ServeRequest]) -> tuple[list[Completion], float]:
         key, kind = self._route_key(batch[0].key), batch[0].kind
@@ -262,7 +200,7 @@ class SolverService:
         X = np.column_stack(
             [self.input_vector(ctx, r.seed) for r in batch]
         )
-        mode = resolve_mode(self.mode, len(batch), self.k_min)
+        mode = resolve_mode(self.plan.mode, len(batch), self.plan.k_min)
         if kind == "spmv":
             self._record_mode(mode)
             Y, dt = ctx.apply_multi(X, mode=mode)

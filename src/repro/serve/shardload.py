@@ -30,7 +30,7 @@ import heapq
 import json
 import pathlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -46,6 +46,7 @@ from repro.obs.schema import (
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher
 from repro.serve.cache import OperatorCache, ProblemKey
 from repro.serve.loadgen import SPMV_REL_TOL
+from repro.serve.plan import ExecutionPlan, add_tuned_from_argument
 from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
 from repro.serve.shard import ShardCluster, ShardRouter
@@ -91,8 +92,7 @@ class ShardWorkload:
     hot_threshold: int = 12
     max_replicas: int = 1
     vnodes: int = 64
-    mode: str = "auto"
-    k_min: int | None = None
+    plan: ExecutionPlan = ExecutionPlan()
     shard_faults: ShardFaultPlan | None = None
     verify: str = "tolerance"  # "tolerance" | "bitwise"
 
@@ -115,8 +115,8 @@ class ShardWorkload:
             "hot_threshold": self.hot_threshold,
             "max_replicas": self.max_replicas,
             "vnodes": self.vnodes,
-            "mode": self.mode,
-            "k_min": self.k_min,
+            "mode": self.plan.mode,
+            "k_min": self.plan.k_min,
             "verify": self.verify,
             "keys": [k.fingerprint() for k in self.keys],
             "shard_faults": (
@@ -126,13 +126,13 @@ class ShardWorkload:
 
 
 def build_cluster(
-    w: ShardWorkload, k_min: int | None = None
+    w: ShardWorkload,
 ) -> tuple[ShardCluster, VirtualCluster, Instrumentation]:
     """Materialize the cluster a workload describes: one
     :class:`SolverService` (own cache, own instrumentation, deadline
-    batcher) per shard, wired through a :class:`ShardRouter` and
-    registered on a :class:`VirtualCluster` for per-shard busy-time
-    accounting."""
+    batcher, the workload's plan) per shard, wired through a
+    :class:`ShardRouter` and registered on a :class:`VirtualCluster` for
+    per-shard busy-time accounting."""
     obs = Instrumentation(rank=-1)
     vcluster = VirtualCluster()
     shard_ids = [f"s{i}" for i in range(w.n_shards)]
@@ -153,9 +153,8 @@ def build_cluster(
         services[sid] = SolverService(
             cache,
             queue_capacity=w.queue_capacity,
-            mode=w.mode,
-            k_min=w.k_min if w.k_min is not None else k_min,
             batcher=DeadlineBatcher(BatchPolicy(w.max_batch)),
+            plan=w.plan,
         )
     cluster = ShardCluster(
         router,
@@ -167,11 +166,9 @@ def build_cluster(
     return cluster, vcluster, obs
 
 
-def run_shard_workload(
-    w: ShardWorkload, seed: int = 1234, k_min: int | None = None
-) -> dict[str, Any]:
+def run_shard_workload(w: ShardWorkload, seed: int = 1234) -> dict[str, Any]:
     """Simulate one scenario; returns a schema-conforming scenario dict."""
-    cluster, vcluster, obs = build_cluster(w, k_min=k_min)
+    cluster, vcluster, obs = build_cluster(w)
     rng = np.random.default_rng(seed)
     key_p = zipf_weights(len(w.keys), w.zipf_s)
     tenant_p = zipf_weights(w.n_tenants, w.tenant_zipf_s)
@@ -312,13 +309,14 @@ def run_shard_workload(
 
 def _verify(w: ShardWorkload, completions: list) -> int:
     """Re-check every delivered answer on a fault-free single-node
-    reference cache; returns the wrong-answer count."""
+    reference cache holding the operators the plan binds the requests
+    to; returns the wrong-answer count."""
     ref = OperatorCache(
         capacity=max(len(w.keys), 1), obs=Instrumentation(rank=-1)
     )
     wrong = 0
     for c in completions:
-        ctx, _ = ref.get(c.request.key)
+        ctx, _ = ref.get(w.plan.bind(c.request.key))
         x = SolverService.input_vector(ctx, c.request.seed)
         if c.request.kind == "spmv":
             y_ref, _ = ctx.apply_multi(x[:, None])
@@ -367,9 +365,10 @@ def _catalog(n: int) -> tuple[ProblemKey, ...]:
 
 
 def shard_suite_workloads(
-    seed: int, smoke: bool = True
+    seed: int, smoke: bool = True, plan: ExecutionPlan = ExecutionPlan()
 ) -> tuple[ShardWorkload, ...]:
-    """The three standard sharded scenarios.
+    """The three standard sharded scenarios, executed under ``plan``
+    (``shard-kill`` pins its mode to the oracle its bitwise check needs).
 
     * ``zipf-hot`` — skewed key popularity over a 4-shard ring: the hot
       head keys cross the replication threshold, spill balances them
@@ -401,6 +400,7 @@ def shard_suite_workloads(
         cache_capacity=3,
         hot_threshold=10,
         max_replicas=2,
+        plan=plan,
     )
     storm = ShardWorkload(
         name="tenant-storm",
@@ -419,6 +419,7 @@ def shard_suite_workloads(
         tenant_quota=3,
         hot_threshold=12,
         max_replicas=1,
+        plan=plan,
     )
     kill = ShardWorkload(
         name="shard-kill",
@@ -435,7 +436,7 @@ def shard_suite_workloads(
         cache_capacity=4,
         hot_threshold=4,  # replicate early so the kill has warm failover
         max_replicas=2,
-        mode="oracle",
+        plan=replace(plan, mode="oracle"),
         verify="bitwise",
         # arrivals outpace service (2.5 us inter-arrival vs tens-of-us
         # dispatches) so every shard holds a backlog; the kill lands mid
@@ -449,14 +450,17 @@ def run_shard_suite(
     seed: int = 1234,
     smoke: bool = True,
     verbose: bool = True,
-    k_min: int | None = None,
+    plan: ExecutionPlan = ExecutionPlan(),
 ) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Run the standard scenarios; returns ``(shard_doc, bench_doc)``."""
-    doc = new_shard_doc(config={"seed": seed, "smoke": smoke, "k_min": k_min})
-    for w in shard_suite_workloads(seed, smoke=smoke):
+    """Run the standard scenarios under ``plan``; returns
+    ``(shard_doc, bench_doc)``."""
+    doc = new_shard_doc(
+        config={"seed": seed, "smoke": smoke, "k_min": plan.k_min}
+    )
+    for w in shard_suite_workloads(seed, smoke=smoke, plan=plan):
         if verbose:
             print(f"[shard] scenario {w.name} ...", flush=True)
-        sc = run_shard_workload(w, seed=seed, k_min=k_min)
+        sc = run_shard_workload(w, seed=seed)
         doc["scenarios"].append(sc)
         if verbose:
             lat = sc["latency_s"].get("all", {})
@@ -563,45 +567,15 @@ def main(argv: list[str] | None = None) -> int:
         help="fail when any scenario's per-shard utilization peak-to-mean "
         "ratio exceeds this bound (1.0 = perfectly balanced)",
     )
-    ap.add_argument(
-        "--k-min",
-        type=int,
-        default=None,
-        help="auto-mode GEMM crossover (default: kernels DEFAULT_K_MIN)",
-    )
-    ap.add_argument(
-        "--tuned-from",
-        type=pathlib.Path,
-        default=None,
-        metavar="TUNED_CONFIG_JSON",
-        help="load an autotuner artifact (tuned_config.json, "
-        "TUNE_report.json or a legacy bench doc) and apply its GEMM "
-        "crossover + SELL (C, sigma) defaults (--k-min wins)",
-    )
+    add_tuned_from_argument(ap)
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
 
-    from repro.tune.calibration import load_tuned_config
-
-    tuned = load_tuned_config(args.tuned_from)
-    if tuned is not None:
-        if tuned.get("sell_c") is not None:
-            from repro.core.sellcs import configure_sell_defaults
-
-            c = int(tuned.get("sell_c"))
-            sigma = int(tuned.get("sell_sigma_factor", 8)) * c
-            configure_sell_defaults(c, sigma)
-            if not args.quiet:
-                print(f"[shard] tuned SELL defaults C={c} sigma={sigma}")
-
-    k_min = args.k_min
-    if k_min is None and tuned is not None and tuned.get("gemm_k_min") is not None:
-        k_min = int(tuned.get("gemm_k_min"))
-        if not args.quiet:
-            print(f"[shard] tuned k_min={k_min} from {args.tuned_from}")
-
+    if not args.quiet:
+        print(f"[shard] {args.plan}")
     doc, bench = run_shard_suite(
-        seed=args.seed, smoke=args.smoke, verbose=not args.quiet, k_min=k_min
+        seed=args.seed, smoke=args.smoke, verbose=not args.quiet,
+        plan=args.plan,
     )
     for path, payload in ((args.out, doc), (args.bench_out, bench)):
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -9,9 +9,7 @@ Every communicator owns an :class:`repro.obs.Instrumentation`: compute
 sections and modeled advances record dotted phases, point-to-point calls
 count per-message bytes and wait time, and — with ``Simulator(trace=True)``
 — each interval lands on the structured event stream that
-:func:`repro.simmpi.trace.render_gantt` renders.  ``comm.timing`` is the
-same object (the instrumentation implements the legacy ``TimingRecord``
-API), so existing call sites keep working.
+:func:`repro.simmpi.trace.render_gantt` renders.
 """
 
 from __future__ import annotations
@@ -138,9 +136,6 @@ class Communicator:
             clock=lambda: self.vtime,
             trace=bool(getattr(simulator, "trace_enabled", False)),
         )
-        #: legacy alias — the instrumentation implements the old
-        #: ``TimingRecord`` API (``add``/``total``/``mean``/``as_dict``)
-        self.timing = self.obs
         self.network: NetworkModel = simulator.network
         #: bound fault injector (None on fault-free runs)
         self._faults = getattr(simulator, "faults", None)

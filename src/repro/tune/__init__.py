@@ -7,19 +7,16 @@ Pareto pruning, and perfmodel calibration from measured bench reports.
 
 Entry point: ``python -m repro.harness tune``.
 
+The winner reaches the serving tier as ``tuned_config.json``, which
+:func:`repro.serve.plan.load_tuned_config` turns into an
+:class:`~repro.serve.plan.ExecutionPlan`.
+
 This package root only exposes the dependency-light pieces (space,
-Pareto, calibration) so that ``repro.serve`` can import
-:func:`~repro.tune.calibration.load_tuned_config` without a cycle; the
-evaluator, strategies and CLI (which import the serve/harness tiers)
-load on demand from their own modules.
+Pareto, calibration); the evaluator, strategies and CLI (which import
+the serve/harness tiers) load on demand from their own modules.
 """
 
-from repro.tune.calibration import (
-    TunedConfig,
-    calibrated_machine,
-    fit_machine_constants,
-    load_tuned_config,
-)
+from repro.tune.calibration import calibrated_machine, fit_machine_constants
 from repro.tune.pareto import Objectives, dominates, pareto_front
 from repro.tune.space import Knob, SearchSpace, default_space
 
@@ -27,11 +24,9 @@ __all__ = [
     "Knob",
     "Objectives",
     "SearchSpace",
-    "TunedConfig",
     "calibrated_machine",
     "default_space",
     "dominates",
     "fit_machine_constants",
-    "load_tuned_config",
     "pareto_front",
 ]

@@ -1,23 +1,14 @@
-"""Tuned-config loading and perfmodel calibration from measured reports.
+"""Perfmodel calibration from measured reports.
 
-Two jobs live here, deliberately free of any ``repro.serve`` import so
-the serving tier can consume tuned configs without a cycle:
+:func:`fit_machine_constants` is a least-squares fit of the perfmodel's
+effective machine rates (EMV sweep, CSR SPMV, SELL slice sweep) from
+measured ``BENCH_kernels``/``BENCH_sellcs`` reports, with a rank-
+agreement check that the calibrated model orders backends the way the
+measurements do.  The affine fit ``t = a + f·b`` is clamped: a negative
+intercept or non-positive slope (possible on noisy two-point data) falls
+back to the through-origin estimator ``b = Σf·t / Σf²``.
 
-* :class:`TunedConfig` / :func:`load_tuned_config` — the *single*
-  loader for every calibrated-artifact format the repo has grown:
-  ``repro.tune-config/1`` documents (the autotuner's native artifact),
-  full ``repro.tune/1`` reports (the winner's config is extracted), and
-  legacy ``repro.bench/1`` reports whose ``config`` block carries the
-  one-off crossover fields (``gemm_k_min_crossover``,
-  ``sellcs_crossover_dofs``).
-
-* :func:`fit_machine_constants` — least-squares fit of the perfmodel's
-  effective machine rates (EMV sweep, CSR SPMV, SELL slice sweep) from
-  measured ``BENCH_kernels``/``BENCH_sellcs`` reports, with a rank-
-  agreement check that the calibrated model orders backends the way the
-  measurements do.  The affine fit ``t = a + f·b`` is clamped: a
-  negative intercept or non-positive slope (possible on noisy two-point
-  data) falls back to the through-origin estimator ``b = Σf·t / Σf²``.
+Tuned configs are loaded by :func:`repro.serve.plan.load_tuned_config`.
 """
 
 from __future__ import annotations
@@ -28,25 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs.schema import (
-    BENCH_SCHEMA,
-    TUNE_CONFIG_SCHEMA,
-    TUNE_SCHEMA,
-)
+from repro.obs.schema import BENCH_SCHEMA
 from repro.perfmodel.machine import FRONTERA, FronteraMachine
 
 __all__ = [
-    "TunedConfig",
     "calibrated_machine",
     "fit_machine_constants",
-    "load_tuned_config",
 ]
-
-#: legacy repro.bench/1 config keys → tuned-config knob names
-_LEGACY_KEYS = {
-    "gemm_k_min_crossover": "gemm_k_min",
-    "sellcs_crossover_dofs": "sellcs_crossover_dofs",
-}
 
 #: analytic per-SPMV HYMV flop counts for the kernel-suite cases
 #: (2 · n_elements · (nodes_per_elem · dofs_per_node)², the batched
@@ -56,83 +35,6 @@ _KERNEL_CASE_FLOPS = {
     "poisson-hex8-medium": 2.0 * 8000 * (8 * 1) ** 2,
     "elastic-bar-hex8-medium": 2.0 * 1024 * (8 * 3) ** 2,
 }
-
-
-class TunedConfig:
-    """A named bag of tuned knob values with dict-like ``get``.
-
-    Consumers (``SolverService``, the kernel benches) duck-type against
-    ``get`` only, so they never import this module.
-    """
-
-    def __init__(self, values: dict, source: str = ""):
-        self.values = dict(values)
-        self.source = source
-
-    def get(self, name: str, default=None):
-        v = self.values.get(name, default)
-        return default if v is None else v
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
-
-    def __repr__(self) -> str:
-        return f"TunedConfig({self.values!r}, source={self.source!r})"
-
-    def to_doc(self) -> dict:
-        return {
-            "schema": TUNE_CONFIG_SCHEMA,
-            "config": dict(self.values),
-            "source": self.source,
-        }
-
-
-def load_tuned_config(path) -> TunedConfig | None:
-    """Load a tuned config from any supported artifact, or ``None``.
-
-    Accepts ``repro.tune-config/1`` documents, ``repro.tune/1`` reports
-    (winner's config), and legacy ``repro.bench/1`` reports (crossover
-    fields only).  A missing, unreadable, or unrecognized file yields
-    ``None`` — callers fall back to hand-picked defaults.
-    """
-    if path is None:
-        return None
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(doc, dict):
-        return None
-    schema = doc.get("schema")
-    if schema == TUNE_CONFIG_SCHEMA:
-        cfg = doc.get("config")
-        if isinstance(cfg, dict):
-            return TunedConfig(cfg, source=str(path))
-        return None
-    if schema == TUNE_SCHEMA:
-        winner = doc.get("winner") or {}
-        cfg = winner.get("config")
-        if isinstance(cfg, dict):
-            return TunedConfig(cfg, source=str(path))
-        return None
-    # legacy fallback: any bench-style doc (repro.bench/1 or the older
-    # schema-less reports) whose config block carries the one-off
-    # crossover fields
-    cfg = doc.get("config")
-    if schema in (BENCH_SCHEMA, None) and isinstance(cfg, dict):
-        values = {
-            new: cfg[old]
-            for old, new in _LEGACY_KEYS.items()
-            if cfg.get(old) is not None
-        }
-        if values:
-            return TunedConfig(values, source=str(path))
-    return None
-
-
-# ----------------------------------------------------------------------
-# machine-constant calibration
-# ----------------------------------------------------------------------
 
 
 def _affine_fit(points: list) -> tuple[float, float]:

@@ -6,8 +6,9 @@ the exact knob subset it reads (so a hill-climb step that only moves
 
 * **serve** — a short open-loop workload through the real
   :class:`~repro.serve.service.SolverService` in virtual time
-  (throughput, p99, per-request latency), with the config's backend
-  crossover and SELL ``(C, sigma)`` defaults installed;
+  (throughput, p99, per-request latency), under the config's
+  :class:`~repro.serve.plan.ExecutionPlan` (GEMM crossover, backend
+  crossover, SELL ``(C, sigma)`` layout);
 * **solve** — one distributed CG solve in pure virtual time
   (fused vs classic iteration);
 * **layout** — an exact SELL-C-sigma build of a reference stencil
@@ -31,11 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.sellcs import (
-    _SELL_DEFAULTS,
-    build_sellcs,
-    configure_sell_defaults,
-)
+from repro.core.sellcs import build_sellcs
 from repro.fem.operators import ElasticityOperator
 from repro.mesh.element import ElementType
 from repro.perfmodel.costs import (
@@ -189,8 +186,8 @@ class Evaluator(BaseEvaluator):
             return self._serve_cache[key]
         from repro.serve.cache import ProblemKey
         from repro.serve.loadgen import Workload, run_workload
+        from repro.serve.plan import ExecutionPlan
 
-        crossover = config["sellcs_crossover_dofs"]
         w = Workload(
             name="tune-probe",
             keys=(
@@ -206,20 +203,10 @@ class Evaluator(BaseEvaluator):
             max_batch=config["max_batch"],
             queue_capacity=config["queue_capacity"],
             cache_capacity=config["cache_capacity"],
-            k_min=config["gemm_k_min"],
-            backend="auto" if crossover > 0 else None,
-            sellcs_crossover_dofs=crossover if crossover > 0 else None,
+            plan=ExecutionPlan.from_tuned(config),
             verify=False,
         )
-        saved = list(_SELL_DEFAULTS)
-        try:
-            configure_sell_defaults(
-                config["sell_c"],
-                config["sell_sigma_factor"] * config["sell_c"],
-            )
-            sc = run_workload(w, seed=self.seed)
-        finally:
-            _SELL_DEFAULTS[:] = saved
+        sc = run_workload(w, seed=self.seed)
         lat = sc["latency_s"].get("all", {})
         thr = sc["throughput_rps"]
         out = {

@@ -14,8 +14,9 @@ Artifacts:
 * ``TUNE_report.json`` — schema ``repro.tune/1``: the full trajectory,
   Pareto front, calibrated constants, default and winner;
 * ``tuned_config.json`` — schema ``repro.tune-config/1``: just the
-  winning knobs, consumable by ``SolverService(tuned=...)`` and the
-  serve/shard harness ``--tuned-from`` flags;
+  winning knobs; :func:`repro.serve.plan.load_tuned_config` turns it
+  into the :class:`~repro.serve.plan.ExecutionPlan` the serve/shard
+  harnesses run under with ``--tuned-from``;
 * ``BENCH_tune.json`` — the standard bench projection so
   ``repro.obs.compare`` can gate default-vs-winner phases against a
   checked-in baseline.
@@ -29,12 +30,13 @@ import pathlib
 import sys
 
 from repro.obs.schema import (
+    TUNE_CONFIG_SCHEMA,
     new_bench_doc,
     new_tune_doc,
     validate_bench_doc,
     validate_tune_doc,
 )
-from repro.tune.calibration import TunedConfig, fit_machine_constants
+from repro.tune.calibration import fit_machine_constants
 from repro.tune.evaluate import GATED_METRICS, EvalResult, Evaluator
 from repro.tune.pareto import pareto_front
 from repro.tune.space import default_space
@@ -187,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--tuned-out", type=pathlib.Path,
         default=pathlib.Path("tuned_config.json"),
-        help="winning-knobs artifact for SolverService/--tuned-from",
+        help="winning-knobs artifact for --tuned-from",
     )
     ap.add_argument(
         "--bench-out", type=pathlib.Path,
@@ -215,11 +217,15 @@ def main(argv: list[str] | None = None) -> int:
         machine_profile=args.machine_profile,
         verbose=not args.quiet,
     )
-    tuned = TunedConfig(doc["winner"]["config"], source=str(args.out))
+    tuned = {
+        "schema": TUNE_CONFIG_SCHEMA,
+        "config": dict(doc["winner"]["config"]),
+        "source": str(args.out),
+    }
     bench = _bench_doc(doc)
     for path, payload in (
         (args.out, doc),
-        (args.tuned_out, tuned.to_doc()),
+        (args.tuned_out, tuned),
         (args.bench_out, bench),
     ):
         path.parent.mkdir(parents=True, exist_ok=True)

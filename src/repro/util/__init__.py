@@ -7,11 +7,10 @@ from repro.util.arrays import (
     scatter_add,
 )
 from repro.util.tables import ResultTable
-from repro.util.timer import Timer, TimingRecord
+from repro.util.timer import Timer
 
 __all__ = [
     "Timer",
-    "TimingRecord",
     "ResultTable",
     "as_f64",
     "as_index",

@@ -8,34 +8,6 @@ timers here only need to be cheap and re-entrant.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-
-
-@dataclass
-class TimingRecord:
-    """Accumulated timings keyed by label (seconds)."""
-
-    totals: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def add(self, label: str, seconds: float) -> None:
-        self.totals[label] = self.totals.get(label, 0.0) + float(seconds)
-        self.counts[label] = self.counts.get(label, 0) + 1
-
-    def total(self, label: str) -> float:
-        return self.totals.get(label, 0.0)
-
-    def mean(self, label: str) -> float:
-        n = self.counts.get(label, 0)
-        return self.totals.get(label, 0.0) / n if n else 0.0
-
-    def merge(self, other: "TimingRecord") -> None:
-        for label, seconds in other.totals.items():
-            self.totals[label] = self.totals.get(label, 0.0) + seconds
-            self.counts[label] = self.counts.get(label, 0) + other.counts[label]
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.totals)
 
 
 class Timer:

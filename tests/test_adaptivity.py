@@ -21,7 +21,7 @@ def _spmv_all(part, op, x, update=None):
             local_ids, scale = update(lmesh)
             A.update_elements(local_ids, stiffness_scale=scale)
         y = A.apply_owned(xo)
-        return y, A.comm.timing.as_dict()
+        return y, A.comm.obs.as_dict()
 
     ndpn = op.ndpn
     args = [
@@ -110,9 +110,9 @@ def test_update_cost_proportional_to_subset():
 
     def prog(comm):
         A = HymvOperator(comm, lmesh, op)
-        t_setup = comm.timing.total("setup.emat_compute")
+        t_setup = comm.obs.total("setup.emat_compute")
         A.update_elements(np.arange(8))  # 8 of 512 elements
-        t_update = comm.timing.total("update.emat_compute")
+        t_update = comm.obs.total("update.emat_compute")
         return t_setup, t_update
 
     res, _ = run_spmd(1, prog)

@@ -341,14 +341,10 @@ def test_cg_multi_vector_stage_is_mode_independent():
 
 
 def test_solver_service_rejects_unknown_mode():
-    from repro.obs.instrumentation import Instrumentation
-    from repro.serve.service import SolverService
+    from repro.serve.plan import ExecutionPlan, PlanError
 
-    class _Cache:
-        obs = Instrumentation(rank=-1)
-
-    with pytest.raises(ValueError):
-        SolverService(_Cache(), mode="blas3")
+    with pytest.raises(PlanError, match="execution mode"):
+        ExecutionPlan(mode="blas3")
 
 
 def test_run_workload_records_modes():
@@ -365,10 +361,11 @@ def test_forced_oracle_workload_never_runs_gemm():
     import dataclasses
 
     from repro.serve.loadgen import run_workload, suite_workloads
+    from repro.serve.plan import ExecutionPlan
 
     _clean, gemm, _faulted = suite_workloads(seed=5, smoke=True)
     forced = dataclasses.replace(gemm, name="open-forced-oracle",
-                                 mode="oracle")
+                                 plan=ExecutionPlan(mode="oracle"))
     sc = run_workload(forced, seed=5)
     assert set(sc["modes"]) <= {"oracle", "degraded"}
 
@@ -401,13 +398,43 @@ def test_serve_schema_v2_requires_modes():
 
 
 def test_load_calibrated_k_min_roundtrip(tmp_path):
+    """A tuned GEMM crossover reaches the service's per-batch mode
+    resolution through the one loader: a 2-wide batch runs GEMM under
+    ``gemm_k_min=2`` and the oracle under the default plan."""
     import json
 
-    from repro.tune.calibration import load_tuned_config
+    from repro.obs.instrumentation import Instrumentation
+    from repro.obs.schema import TUNE_CONFIG_SCHEMA
+    from repro.serve.cache import ProblemKey
+    from repro.serve.plan import ExecutionPlan, load_tuned_config
+    from repro.serve.queue import ServeRequest
+    from repro.serve.service import SolverService
 
-    p = tmp_path / "BENCH_kernels.json"
-    p.write_text(json.dumps({"config": {"gemm_k_min_crossover": 2}}))
-    assert load_tuned_config(p).get("gemm_k_min") == 2
-    assert load_tuned_config(tmp_path / "missing.json") is None
-    p.write_text(json.dumps({"config": {}}))
-    assert load_tuned_config(p) is None
+    class _Ctx:
+        n_dofs = 4
+        faulted = False
+
+        def fault_signal(self):
+            return 0.0
+
+        def apply_multi(self, X, mode="auto"):
+            return X.copy(), 0.0
+
+    class _Cache:
+        obs = Instrumentation(rank=-1)
+
+        def get(self, key):
+            return _Ctx(), 0.0
+
+    p = tmp_path / "tuned_config.json"
+    p.write_text(json.dumps(
+        {"schema": TUNE_CONFIG_SCHEMA, "config": {"gemm_k_min": 2}}
+    ))
+    for plan, expect in ((load_tuned_config(p), "gemm"),
+                         (ExecutionPlan(), "oracle")):
+        svc = SolverService(_Cache(), plan=plan)
+        for rid in range(2):
+            assert svc.submit(ServeRequest(rid=rid, key=ProblemKey(),
+                                           kind="spmv", seed=rid))
+        assert svc.dispatch(now=0.0).batch_size == 2
+        assert svc.mode_histogram == {expect: 1}

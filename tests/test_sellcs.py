@@ -13,6 +13,7 @@ from repro.baselines import AssembledOperator, SellCSOperator
 from repro.obs.instrumentation import Instrumentation
 from repro.problems import graph_laplacian_problem, poisson_problem
 from repro.serve.cache import OperatorCache, ProblemKey
+from repro.serve.plan import ExecutionPlan, PlanError
 from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
 from repro.simmpi import run_spmd
@@ -140,10 +141,10 @@ def test_sellcs_serve_context_bitwise_vs_assembled():
 # backend routing policy
 # ----------------------------------------------------------------------------
 
-def _mini_service(**kw):
+def _mini_service(**plan):
     obs = Instrumentation(rank=-1)
     cache = OperatorCache(capacity=4, obs=obs)
-    return SolverService(cache, obs=obs, **kw), obs
+    return SolverService(cache, obs=obs, plan=ExecutionPlan(**plan)), obs
 
 
 def test_backend_none_preserves_key():
@@ -154,8 +155,8 @@ def test_backend_none_preserves_key():
 
 
 def test_backend_rejects_unknown_policy():
-    with pytest.raises(ValueError, match="backend"):
-        _mini_service(backend="cuda")
+    with pytest.raises(PlanError, match="backend"):
+        ExecutionPlan(backend="cuda")
 
 
 def test_backend_auto_routes_by_crossover():
@@ -208,14 +209,22 @@ def test_backend_forced_sellcs_serves_requests():
 
 
 def test_crossover_loader_round_trip(tmp_path):
+    """A tuned backend crossover reaches the service's routing through
+    the one loader (a positive crossover turns on ``backend="auto"``)."""
     import json
 
-    from repro.tune.calibration import load_tuned_config
+    from repro.obs.schema import TUNE_CONFIG_SCHEMA
+    from repro.serve.plan import load_tuned_config
 
-    doc = {"config": {"sellcs_crossover_dofs": 4913}}
-    path = tmp_path / "BENCH_sellcs.json"
-    path.write_text(json.dumps(doc))
-    assert load_tuned_config(path).get("sellcs_crossover_dofs") == 4913
-    assert load_tuned_config(tmp_path / "absent.json") is None
-    path.write_text("{not json")
-    assert load_tuned_config(path) is None
+    path = tmp_path / "tuned_config.json"
+    path.write_text(json.dumps(
+        {"schema": TUNE_CONFIG_SCHEMA, "config": {"sellcs_crossover_dofs": 400}}
+    ))
+    obs = Instrumentation(rank=-1)
+    svc = SolverService(
+        OperatorCache(capacity=4, obs=obs), obs=obs,
+        plan=load_tuned_config(path),
+    )
+    small = ProblemKey(problem="poisson", nel=3, n_parts=2, etype="hex8")
+    assert svc._route_key(small).method == "sellcs"
+    assert svc._route_key(dataclasses.replace(small, nel=12)).method == "hymv"

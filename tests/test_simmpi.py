@@ -153,7 +153,7 @@ def test_compute_context_measures_and_labels():
     def prog(comm):
         with comm.compute("kernel"):
             np.ones(200_000) @ np.ones(200_000)
-        return comm.timing.total("kernel")
+        return comm.obs.total("kernel")
 
     res, _ = run_spmd(2, prog)
     assert all(t > 0 for t in res)

@@ -1,25 +1,15 @@
 """repro.tune unit tests: search space semantics, calibration fitting,
-tuned-config loading (all three artifact formats + legacy aliases), the
-evaluation cache, winner selection, and the end-to-end harness doc."""
+tuned configs as execution plans, the evaluation cache, winner
+selection, and the end-to-end harness doc."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.obs.schema import (
-    TUNE_CONFIG_SCHEMA,
-    new_bench_doc,
-    validate_tune_doc,
-)
-from repro.tune.calibration import (
-    TunedConfig,
-    calibrated_machine,
-    fit_machine_constants,
-    load_tuned_config,
-)
+from repro.obs.schema import validate_tune_doc
+from repro.serve.plan import ExecutionPlan
+from repro.tune.calibration import calibrated_machine, fit_machine_constants
 from repro.tune.evaluate import GATED_METRICS, BaseEvaluator
 from repro.tune.pareto import Objectives, dominates, pareto_front
 from repro.tune.space import SearchSpace, choice_knob, default_space, int_knob
@@ -168,58 +158,6 @@ class TestCalibration:
         assert a == 0.0 and b > 0.0
 
 
-class TestTunedConfigLoading:
-    def test_native_config_doc(self, tmp_path):
-        p = tmp_path / "tuned_config.json"
-        p.write_text(json.dumps(
-            {"schema": TUNE_CONFIG_SCHEMA, "config": {"gemm_k_min": 4}}
-        ))
-        tuned = load_tuned_config(p)
-        assert tuned.get("gemm_k_min") == 4
-        assert tuned.get("missing", 7) == 7
-
-    def test_tune_report_doc_uses_winner(self, tmp_path):
-        p = tmp_path / "TUNE_report.json"
-        p.write_text(json.dumps({
-            "schema": "repro.tune/1",
-            "winner": {"config": {"max_batch": 16}},
-        }))
-        assert load_tuned_config(p).get("max_batch") == 16
-
-    def test_legacy_bench_doc_maps_crossovers(self, tmp_path):
-        doc = new_bench_doc(suite="kernels", repeats=1, config={
-            "gemm_k_min_crossover": 2, "sellcs_crossover_dofs": 4913,
-        })
-        p = tmp_path / "BENCH_kernels.json"
-        p.write_text(json.dumps(doc))
-        tuned = load_tuned_config(p)
-        assert tuned.get("gemm_k_min") == 2
-        assert tuned.get("sellcs_crossover_dofs") == 4913
-
-    def test_missing_and_garbage_files_yield_none(self, tmp_path):
-        assert load_tuned_config(None) is None
-        assert load_tuned_config(tmp_path / "absent.json") is None
-        p = tmp_path / "garbage.json"
-        p.write_text("not json {")
-        assert load_tuned_config(p) is None
-        p2 = tmp_path / "other.json"
-        p2.write_text(json.dumps({"schema": "something/else"}))
-        assert load_tuned_config(p2) is None
-
-    def test_legacy_loaders_delegate(self, tmp_path):
-        # the checked-in bench reports and the native artifact carry the
-        # crossovers under the same names
-        assert load_tuned_config(KERNELS).get("gemm_k_min") == 2
-        assert load_tuned_config(SELLCS).get("sellcs_crossover_dofs") == 4913
-        p = tmp_path / "tuned_config.json"
-        p.write_text(json.dumps({
-            "schema": TUNE_CONFIG_SCHEMA,
-            "config": {"gemm_k_min": 16, "sellcs_crossover_dofs": 999},
-        }))
-        assert load_tuned_config(p).get("gemm_k_min") == 16
-        assert load_tuned_config(p).get("sellcs_crossover_dofs") == 999
-
-
 # ----------------------------------------------------------------------
 # evaluation cache + service round-trip
 # ----------------------------------------------------------------------
@@ -277,36 +215,39 @@ class TestServiceRoundTrip:
         from repro.serve.cache import OperatorCache
         from repro.serve.service import SolverService
 
-        tuned = TunedConfig({
+        plan = ExecutionPlan.from_tuned({
             "max_batch": 4, "queue_capacity": 16, "gemm_k_min": 16,
-            "sellcs_crossover_dofs": 1000,
+            "sellcs_crossover_dofs": 1000, "sell_c": 8,
+            "sell_sigma_factor": 2,
         })
-        svc = SolverService(OperatorCache(capacity=2), tuned=tuned)
-        assert svc.k_min == 16
-        assert svc.backend == "auto"
-        assert svc.sellcs_crossover_dofs == 1000
-        assert svc.queue.capacity == 16
+        assert plan == ExecutionPlan(
+            k_min=16, backend="auto", sellcs_crossover_dofs=1000,
+            sell_c=8, sell_sigma=16,
+        )
+        svc = SolverService(OperatorCache(capacity=2), plan=plan)
+        assert svc.plan is plan
 
     def test_explicit_args_beat_tuned(self):
+        # sizing is always the caller's: a tuned artifact's max_batch /
+        # queue_capacity never override explicit (even default-valued)
+        # arguments
         from repro.serve.cache import OperatorCache
         from repro.serve.service import SolverService
 
-        tuned = TunedConfig({"gemm_k_min": 16, "sellcs_crossover_dofs": 1000})
-        svc = SolverService(
-            OperatorCache(capacity=2), k_min=2, backend="hymv",
-            sellcs_crossover_dofs=50, tuned=tuned,
+        plan = ExecutionPlan.from_tuned(
+            {"max_batch": 4, "queue_capacity": 16, "gemm_k_min": 16}
         )
-        assert svc.k_min == 2
-        assert svc.backend == "hymv"
-        assert svc.sellcs_crossover_dofs == 50
+        svc = SolverService(
+            OperatorCache(capacity=1), max_batch=8, queue_capacity=64,
+            plan=plan,
+        )
+        assert svc.batcher.policy.max_batch == 8
+        assert svc.queue.capacity == 64
+        assert svc.plan.k_min == 16
 
     def test_zero_crossover_does_not_enable_routing(self):
-        from repro.serve.cache import OperatorCache
-        from repro.serve.service import SolverService
-
-        tuned = TunedConfig({"sellcs_crossover_dofs": 0})
-        svc = SolverService(OperatorCache(capacity=2), tuned=tuned)
-        assert svc.backend is None
+        plan = ExecutionPlan.from_tuned({"sellcs_crossover_dofs": 0})
+        assert plan.backend is None and plan.sellcs_crossover_dofs is None
 
 
 # ----------------------------------------------------------------------

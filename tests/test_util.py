@@ -16,7 +16,7 @@ from repro.util.arrays import (
     scatter_add,
 )
 from repro.util.tables import ResultTable, render_many
-from repro.util.timer import Timer, TimingRecord
+from repro.util.timer import Timer
 from repro.util.vtk import write_vtk
 
 
@@ -113,20 +113,6 @@ def test_result_table_render_and_columns():
     with pytest.raises(ValueError):
         t.add_row(1)
     assert "demo" in render_many([t, t])
-
-
-def test_timing_record_merge_and_mean():
-    a = TimingRecord()
-    a.add("x", 1.0)
-    a.add("x", 3.0)
-    b = TimingRecord()
-    b.add("x", 2.0)
-    b.add("y", 5.0)
-    a.merge(b)
-    assert a.total("x") == 6.0
-    assert a.mean("x") == 2.0
-    assert a.total("y") == 5.0
-    assert a.total("missing") == 0.0
 
 
 def test_timer_context():
