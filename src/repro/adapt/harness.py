@@ -24,7 +24,6 @@ bench-schema projection ``BENCH_adapt.json`` for ``repro.obs.compare``.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 from dataclasses import dataclass
@@ -35,10 +34,11 @@ import numpy as np
 from repro.adapt.delta import CrackFront, MeshDelta
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.schema import (
-    new_adapt_doc,
-    new_bench_doc,
-    validate_adapt_doc,
-    validate_bench_doc,
+    ADAPT_SCHEMA,
+    BENCH_SCHEMA,
+    new_report,
+    validate_report,
+    write_report,
 )
 from repro.serve.cache import (
     DEFAULT_RATE_GFLOPS,
@@ -236,7 +236,7 @@ def run_adapt_suite(
     seed: int = 1234, smoke: bool = True, verbose: bool = True
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """Run the standard scenarios; returns ``(adapt_doc, bench_doc)``."""
-    doc = new_adapt_doc(config={"seed": seed, "smoke": smoke})
+    doc = new_report(ADAPT_SCHEMA, {"seed": seed, "smoke": smoke}, scenarios=[])
     for sc in suite_scenarios(smoke=smoke):
         if verbose:
             print(f"[adapt] scenario {sc.name} ...", flush=True)
@@ -253,19 +253,21 @@ def run_adapt_suite(
                 f"({c['speedup_vs_rebuild']:.1f}x), "
                 f"wrong {v['wrong_answers']}"
             )
-    return validate_adapt_doc(doc), validate_bench_doc(_bench_doc(doc))
+    return validate_report(doc, ADAPT_SCHEMA), _bench_doc(doc)
 
 
 def _bench_doc(adapt_doc: dict[str, Any]) -> dict[str, Any]:
     """Project the adapt report onto the standard bench schema so the
     existing ``repro.obs.compare`` gate applies unchanged."""
-    bench = new_bench_doc(
-        suite="adapt", repeats=1, config=dict(adapt_doc["config"])
+    bench = new_report(
+        BENCH_SCHEMA, adapt_doc["config"], suite="adapt", repeats=1, results=[]
     )
     for sc in adapt_doc["scenarios"]:
         steps = sc["steps_detail"]
         phases = {}
         for label in ("delta_s", "rebuild_s", "reassembly_s"):
+            # the upper median, not percentile(·, 50): the checked-in
+            # baseline was recorded with it
             vals = sorted(st[label] for st in steps)
             phases[f"adapt.update.{label[:-2]}"] = {
                 "median": vals[len(vals) // 2],
@@ -288,7 +290,7 @@ def _bench_doc(adapt_doc: dict[str, Any]) -> dict[str, Any]:
             "phases": phases,
             "counters": counters,
         })
-    return bench
+    return validate_report(bench, BENCH_SCHEMA)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -323,9 +325,8 @@ def main(argv: list[str] | None = None) -> int:
     doc, bench = run_adapt_suite(
         seed=args.seed, smoke=args.smoke, verbose=not args.quiet
     )
-    for path, payload in ((args.out, doc), (args.bench_out, bench)):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_report(args.out, doc)
+    write_report(args.bench_out, bench)
     wrong = sum(sc["verify"]["wrong_answers"] for sc in doc["scenarios"])
     if not args.quiet:
         print(f"\n[adapt] wrote {args.out} and {args.bench_out}")

@@ -23,7 +23,6 @@ iterations and faults land mid-solve.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -38,7 +37,7 @@ from repro.faults.plan import (
     Reorder,
     Straggler,
 )
-from repro.obs.schema import new_chaos_doc, validate_chaos_doc
+from repro.obs.schema import CHAOS_SCHEMA, new_report, validate_report, write_report
 
 __all__ = ["run_chaos", "main"]
 
@@ -181,15 +180,17 @@ def run_chaos(
     x_ref = ref.solution
     scale = float(np.abs(x_ref).max()) or 1.0
 
-    doc = new_chaos_doc(
-        config={
+    doc = new_report(
+        CHAOS_SCHEMA,
+        {
             "nel": nel,
             "n_ranks": n_ranks,
             "seed": seed,
             "rtol": rtol,
             "edge": list(edges[0]),
             "reference_iterations": ref.iterations,
-        }
+        },
+        scenarios=[],
     )
     for sc in _scenarios(n_ranks, edges[0], seed):
         failures: list[str] = []
@@ -247,7 +248,7 @@ def run_chaos(
                 "rel_err": rel_err,
             }
         )
-    return validate_chaos_doc(doc)
+    return validate_report(doc, CHAOS_SCHEMA)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -267,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
 
     nel = args.nel if args.nel is not None else (5 if args.smoke else 6)
     doc = run_chaos(nel=nel, n_ranks=args.ranks, seed=args.seed)
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_report(args.out, doc)
 
     n_ok = sum(1 for s in doc["scenarios"] if s["ok"])
     for s in doc["scenarios"]:

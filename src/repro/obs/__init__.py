@@ -1,7 +1,9 @@
 """Unified observability: phase timers, counters, traces, bench gating.
 
 * :mod:`repro.obs.instrumentation` — the per-rank/process registry.
-* :mod:`repro.obs.schema` — the versioned ``BENCH_*.json`` document shape.
+* :mod:`repro.obs.schema` — the versioned JSON reports: the table
+  declaring every report's shape and :func:`validate_report`, which
+  checks a parsed report against it.
 * :mod:`repro.obs.bench` — the CI smoke-bench suite (``python -m
   repro.harness bench``).
 * :mod:`repro.obs.compare` — the perf gate (``python -m repro.obs.compare
@@ -24,9 +26,7 @@ from repro.obs.schema import (
     SERVE_SCHEMA,
     SchemaError,
     machine_fingerprint,
-    validate_bench_doc,
-    validate_chaos_doc,
-    validate_serve_doc,
+    validate_report,
 )
 
 __all__ = [
@@ -43,7 +43,5 @@ __all__ = [
     "SERVE_SCHEMA",
     "SchemaError",
     "machine_fingerprint",
-    "validate_bench_doc",
-    "validate_chaos_doc",
-    "validate_serve_doc",
+    "validate_report",
 ]

@@ -17,14 +17,19 @@ seconds are still recorded per phase, but only as informational data.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.obs.instrumentation import percentile
-from repro.obs.schema import new_bench_doc, validate_bench_doc
+from repro.obs.schema import (
+    BENCH_SCHEMA,
+    new_report,
+    phase_stats,
+    validate_report,
+    write_report,
+)
 
 __all__ = ["SmokeCase", "SMOKE_CASES", "run_smoke_suite", "main"]
 
@@ -69,18 +74,6 @@ SMOKE_CASES: tuple[SmokeCase, ...] = (
 )
 
 
-def _phase_stats(samples: list[float]) -> dict[str, float]:
-    # percentile(·, 50) is the shared first-class summary helper (also
-    # used by the serve report); for the smoke suite's repeat counts it
-    # agrees with statistics.median to the last ulp or better
-    return {
-        "median": percentile(samples, 50),
-        "min": min(samples),
-        "max": max(samples),
-        "repeats": len(samples),
-    }
-
-
 def _run_case_method(
     case: SmokeCase, method: str, repeats: int, modeled: bool
 ) -> dict[str, Any]:
@@ -115,7 +108,7 @@ def _run_case_method(
 
     phases = {}
     for label, samples in sorted(vtimes.items()):
-        phases[label] = _phase_stats(samples)
+        phases[label] = phase_stats(samples)
         phases[label]["wall_median"] = percentile(walls[label], 50)
     return {
         "case": case.name,
@@ -124,8 +117,8 @@ def _run_case_method(
         "n_dofs": spec.n_dofs,
         "n_spmv": case.n_spmv,
         "modeled": modeled,
-        "setup_s": _phase_stats(setup_s),
-        "spmv_s": _phase_stats(spmv_s),
+        "setup_s": phase_stats(setup_s),
+        "spmv_s": phase_stats(spmv_s),
         "phases": phases,
         "counters": counters,
     }
@@ -138,14 +131,16 @@ def run_smoke_suite(
     verbose: bool = True,
 ) -> dict[str, Any]:
     """Run the full smoke matrix; returns a validated bench document."""
-    doc = new_bench_doc(
-        suite="smoke",
-        repeats=repeats,
-        config={
+    doc = new_report(
+        BENCH_SCHEMA,
+        {
             "modeled": modeled,
             "modeled_rate_gflops": MODELED_RATE_GFLOPS if modeled else None,
             "cases": [c.name for c in cases],
         },
+        suite="smoke",
+        repeats=repeats,
+        results=[],
     )
     for case in cases:
         for method in case.methods:
@@ -161,7 +156,7 @@ def run_smoke_suite(
                     f"(spmv.total {total * 1e3:.3f} ms, "
                     f"{len(res['phases'])} phases)"
                 )
-    return validate_bench_doc(doc)
+    return validate_report(doc, BENCH_SCHEMA)
 
 
 def _summary_table(doc: dict[str, Any]) -> str:
@@ -236,8 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             modeled=not args.measured,
             verbose=not args.quiet,
         )
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_report(args.out, doc)
     if not args.quiet:
         if args.suite == "smoke":
             print()

@@ -28,14 +28,19 @@ Exit codes: ``0`` pass, ``1`` regression, ``2`` bad input/schema.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import sys
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs.schema import SchemaError, result_key, validate_bench_doc
+from repro.obs.schema import (
+    BENCH_SCHEMA,
+    SchemaError,
+    read_json,
+    result_key,
+    validate_report,
+)
 
 __all__ = ["Finding", "compare_docs", "markdown_summary", "main"]
 
@@ -163,6 +168,22 @@ def _compare_counters(
             )
 
 
+def _matching(
+    cand_doc: dict[str, Any], substr: str, gate: str, findings: list[Finding]
+) -> list[tuple[str, dict[str, Any]]]:
+    """``(key, result)`` of every candidate result whose key contains
+    ``substr``; a gate that matches nothing is misconfigured and fails."""
+    rows = [
+        (result_key(r), r) for r in cand_doc["results"]
+        if substr in result_key(r)
+    ]
+    if not rows:
+        findings.append(
+            Finding("fail", gate, "no candidate result matches the key substring")
+        )
+    return rows
+
+
 def _check_zero_counters(
     cand_doc: dict[str, Any],
     require_zero: list[tuple[str, str]],
@@ -170,12 +191,8 @@ def _check_zero_counters(
 ) -> None:
     """Absolute gate: counter must be exactly 0 in matching results."""
     for name, substr in require_zero:
-        matched = False
-        for res in cand_doc["results"]:
-            key = result_key(res)
-            if substr not in key:
-                continue
-            matched = True
+        gate = f"--require-zero {name}@{substr}"
+        for key, res in _matching(cand_doc, substr, gate, findings):
             value = res["counters"].get(name)
             if value is None:
                 findings.append(
@@ -189,14 +206,6 @@ def _check_zero_counters(
                         f"must be 0, got {value:.6g}",
                     )
                 )
-        if not matched:
-            findings.append(
-                Finding(
-                    "fail",
-                    f"--require-zero {name}@{substr}",
-                    "no candidate result matches the key substring",
-                )
-            )
 
 
 def _check_min_speedups(
@@ -206,12 +215,8 @@ def _check_min_speedups(
 ) -> None:
     """Absolute gate: ``speedup_vs_reference`` floor on matching results."""
     for floor, substr in min_speedup:
-        matched = False
-        for res in cand_doc["results"]:
-            key = result_key(res)
-            if substr not in key:
-                continue
-            matched = True
+        gate = f"--min-speedup {floor}@{substr}"
+        for key, res in _matching(cand_doc, substr, gate, findings):
             ratio = res.get("speedup_vs_reference")
             if ratio is None:
                 findings.append(
@@ -237,14 +242,6 @@ def _check_min_speedups(
                         f"{ratio:.2f}x >= required {floor:.2f}x",
                     )
                 )
-        if not matched:
-            findings.append(
-                Finding(
-                    "fail",
-                    f"--min-speedup {floor}@{substr}",
-                    "no candidate result matches the key substring",
-                )
-            )
 
 
 def compare_docs(
@@ -262,8 +259,8 @@ def compare_docs(
     ``require_zero`` and ``min_speedup`` are the absolute candidate-side
     gates described in the module docstring.
     """
-    validate_bench_doc(base_doc)
-    validate_bench_doc(cand_doc)
+    validate_report(base_doc, BENCH_SCHEMA)
+    validate_report(cand_doc, BENCH_SCHEMA)
     findings: list[Finding] = []
     cand_by_key = {result_key(r): r for r in cand_doc["results"]}
     for base in base_doc["results"]:
@@ -385,15 +382,6 @@ def _split_gate(spec: str) -> tuple[str, str]:
     return left, right
 
 
-def _load(path: pathlib.Path) -> dict[str, Any]:
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise SchemaError(f"no such bench file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.obs.compare",
@@ -443,8 +431,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise SchemaError(
                     f"bad --min-speedup value {value!r} in {s!r}"
                 ) from None
-        base = validate_bench_doc(_load(args.baseline))
-        cand = validate_bench_doc(_load(args.candidate))
+        base = read_json(args.baseline)
+        cand = read_json(args.candidate)
         ok, findings = compare_docs(
             base,
             cand,

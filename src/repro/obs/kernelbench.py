@@ -33,8 +33,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.obs.instrumentation import Instrumentation, percentile
-from repro.obs.schema import new_bench_doc, validate_bench_doc
+from repro.obs.instrumentation import Instrumentation
+from repro.obs.schema import BENCH_SCHEMA, new_report, phase_stats, validate_report
 
 __all__ = [
     "KernelCase",
@@ -106,6 +106,17 @@ class _NullComm:
     wait = isend
 
 
+def _alloc_counters(A, raw_alloc: int) -> dict[str, float]:
+    """A row's counters: the operator's own plus the allocation gauges
+    (``spmv.bytes_alloc`` floored at ``ALLOC_FLOOR_BYTES``)."""
+    counters = dict(A.comm.obs.snapshot()["counters"])
+    counters["spmv.bytes_alloc"] = float(
+        0 if raw_alloc <= ALLOC_FLOOR_BYTES else raw_alloc
+    )
+    counters["spmv.bytes_alloc_raw"] = float(raw_alloc)
+    return counters
+
+
 @dataclass(frozen=True)
 class KernelCase:
     """One problem of the kernels microbench."""
@@ -172,15 +183,6 @@ def _measure_alloc(spmv, u, v, n_spmv: int) -> int:
     return max(0, int(peak - base))
 
 
-def _phase_stats(samples: list[float]) -> dict[str, float]:
-    return {
-        "median": percentile(samples, 50),
-        "min": min(samples),
-        "max": max(samples),
-        "repeats": len(samples),
-    }
-
-
 def _run_case_kernel(
     case: KernelCase, kernel: str, repeats: int, verbose: bool
 ) -> list[dict[str, Any]]:
@@ -218,17 +220,11 @@ def _run_case_kernel(
         )
 
     rows = []
-    medians = {}
     best = {}
     for tag, A, spmv in ops:
         u, v = arrays[tag]
         samples = _time_spmv(spmv, u, v, case.n_spmv, repeats)
-        raw_alloc = _measure_alloc(spmv, u, v, case.n_spmv)
-        alloc = 0 if raw_alloc <= ALLOC_FLOOR_BYTES else raw_alloc
-        counters = dict(A.comm.obs.snapshot()["counters"])
-        counters["spmv.bytes_alloc"] = float(alloc)
-        counters["spmv.bytes_alloc_raw"] = float(raw_alloc)
-        medians[tag] = percentile(samples, 50)
+        counters = _alloc_counters(A, _measure_alloc(spmv, u, v, case.n_spmv))
         best[tag] = min(samples)
         rows.append(
             {
@@ -237,7 +233,7 @@ def _run_case_kernel(
                 "n_parts": 1,
                 "n_dofs": spec.n_dofs,
                 "n_spmv": case.n_spmv,
-                "phases": {"spmv.total": _phase_stats(samples)},
+                "phases": {"spmv.total": phase_stats(samples)},
                 "counters": counters,
                 "bitwise_identical_to_reference": True,
             }
@@ -347,11 +343,9 @@ def _run_case_multirhs(
             A.spmv_multi(U, V, mode=mode)  # warmup 1
             A.spmv_multi(U, V, mode=mode)  # warmup 2 (steady state)
             samples = _time_spmv_multi(A, U, V, mode, n_mult, repeats)
-            raw_alloc = _measure_alloc_multi(A, U, V, mode, n_mult)
-            alloc = 0 if raw_alloc <= ALLOC_FLOOR_BYTES else raw_alloc
-            counters = dict(A.comm.obs.snapshot()["counters"])
-            counters["spmv.bytes_alloc"] = float(alloc)
-            counters["spmv.bytes_alloc_raw"] = float(raw_alloc)
+            counters = _alloc_counters(
+                A, _measure_alloc_multi(A, U, V, mode, n_mult)
+            )
             best[mode] = min(samples)
             rows.append(
                 {
@@ -361,7 +355,7 @@ def _run_case_multirhs(
                     "n_dofs": spec.n_dofs,
                     "n_spmv": n_mult,
                     "k": k,
-                    "phases": {"spmv.total": _phase_stats(samples)},
+                    "phases": {"spmv.total": phase_stats(samples)},
                     "counters": counters,
                     "gemm_equivalence_rtol": rtol,
                 }
@@ -460,15 +454,6 @@ def _measure_alloc_fn(fn: Callable[[], Any], n: int) -> int:
     return max(0, int(peak - base))
 
 
-def _sellcs_counters(A, raw_alloc: int) -> dict[str, float]:
-    counters = dict(A.comm.obs.snapshot()["counters"])
-    counters["spmv.bytes_alloc"] = float(
-        0 if raw_alloc <= ALLOC_FLOOR_BYTES else raw_alloc
-    )
-    counters["spmv.bytes_alloc_raw"] = float(raw_alloc)
-    return counters
-
-
 def _run_case_sellcs(
     case: KernelCase, repeats: int, verbose: bool
 ) -> tuple[list[dict[str, Any]], int | None]:
@@ -527,8 +512,8 @@ def _run_case_sellcs(
             "n_parts": 1,
             "n_dofs": spec.n_dofs,
             "n_spmv": n_spmv,
-            "phases": {"spmv.total": _phase_stats(samples)},
-            "counters": _sellcs_counters(A_asm, raw),
+            "phases": {"spmv.total": phase_stats(samples)},
+            "counters": _alloc_counters(A_asm, raw),
         }
     )
     best_asm_single = min(samples)
@@ -567,8 +552,8 @@ def _run_case_sellcs(
             "n_parts": 1,
             "n_dofs": spec.n_dofs,
             "n_spmv": n_spmv,
-            "phases": {"spmv.total": _phase_stats(samples)},
-            "counters": _sellcs_counters(S, raw),
+            "phases": {"spmv.total": phase_stats(samples)},
+            "counters": _alloc_counters(S, raw),
             "bitwise_identical_to_reference": True,
             "speedup_vs_reference": best_asm_single / min(samples),
         }
@@ -642,8 +627,8 @@ def _run_case_sellcs(
                 "n_dofs": spec.n_dofs,
                 "n_spmv": n_mult,
                 "k": k,
-                "phases": {"spmv.total": _phase_stats(samples)},
-                "counters": _sellcs_counters(A, raw),
+                "phases": {"spmv.total": phase_stats(samples)},
+                "counters": _alloc_counters(A, raw),
             }
             if tag != "assembled-oracle":
                 row["speedup_vs_reference"] = (
@@ -681,10 +666,9 @@ def run_sellcs_suite(
     crossover routes shapes at or below it to SELL-C-sigma.  ``None``
     when HYMV won everywhere on this machine.
     """
-    doc = new_bench_doc(
-        suite="sellcs",
-        repeats=repeats,
-        config={
+    doc = new_report(
+        BENCH_SCHEMA,
+        {
             "chunks": list(SELLCS_CHUNKS),
             "sigmas": "1,C,8C",
             "multirhs_ks": list(SELLCS_KS),
@@ -692,6 +676,9 @@ def run_sellcs_suite(
             "alloc_floor_bytes": ALLOC_FLOOR_BYTES,
             "measured": True,  # real wall clock — gate ratios, not medians
         },
+        suite="sellcs",
+        repeats=repeats,
+        results=[],
     )
     wins: list[int] = []
     for case in cases:
@@ -711,7 +698,7 @@ def run_sellcs_suite(
                 else "none measured (hymv fastest at every shape)"
             )
         )
-    return validate_bench_doc(doc)
+    return validate_report(doc, BENCH_SCHEMA)
 
 
 def run_kernels_suite(
@@ -720,15 +707,17 @@ def run_kernels_suite(
     verbose: bool = True,
 ) -> dict[str, Any]:
     """Run the kernels matrix; returns a validated bench document."""
-    doc = new_bench_doc(
-        suite="kernels",
-        repeats=repeats,
-        config={
+    doc = new_report(
+        BENCH_SCHEMA,
+        {
             "kernels": list(KERNELS),
             "cases": [c.name for c in cases],
             "alloc_floor_bytes": ALLOC_FLOOR_BYTES,
             "measured": True,  # real wall clock — gate ratios, not medians
         },
+        suite="kernels",
+        repeats=repeats,
+        results=[],
     )
     for case in cases:
         if verbose:
@@ -752,4 +741,4 @@ def run_kernels_suite(
                 + (f"k={k_min}" if k_min is not None else
                    "none measured (oracle fastest at every k)")
             )
-    return validate_bench_doc(doc)
+    return validate_report(doc, BENCH_SCHEMA)

@@ -1,95 +1,205 @@
-"""Bench-document schema: versioning, machine fingerprint, validation.
+"""Versioned JSON reports: one schema table, one validator, one reader.
 
-``BENCH_smoke.json`` is the machine-readable artifact the CI perf gate
-exchanges between runs, so its shape is versioned and validated on both
-the write path (:mod:`repro.obs.bench`) and the read path
-(:mod:`repro.obs.compare`).  The schema is deliberately flat: a list of
-``(case, method)`` results, each with per-phase statistics over repeats
-and summed counters.
+:data:`REPORTS` is the one place a report's shape is declared, as plain
+data (the spec language is documented on :func:`validate_report`).  Bump
+a schema id's trailing integer on every breaking change to a shape;
+readers reject ids they do not know.  :func:`new_report` builds the
+envelope every report shares, :func:`read_json` and :func:`write_report`
+are the one way a report enters and leaves the program, and bench rows
+(flat ``(case, method)`` results with per-phase statistics and summed
+counters) are built from :func:`phase_stats` and :func:`point_phase`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import socket
 import time
+from pathlib import Path
 from typing import Any
+
+from repro.obs.instrumentation import percentile
 
 __all__ = [
     "ADAPT_SCHEMA",
     "BENCH_SCHEMA",
     "CHAOS_SCHEMA",
+    "REPORTS",
     "SERVE_SCHEMA",
     "SHARD_SCHEMA",
     "TUNE_CONFIG_SCHEMA",
     "TUNE_SCHEMA",
     "SchemaError",
     "machine_fingerprint",
-    "new_adapt_doc",
-    "new_bench_doc",
-    "new_chaos_doc",
-    "new_serve_doc",
-    "new_shard_doc",
-    "new_tune_doc",
-    "validate_adapt_doc",
-    "validate_bench_doc",
-    "validate_chaos_doc",
-    "validate_serve_doc",
-    "validate_shard_doc",
-    "validate_tune_doc",
+    "new_report",
+    "phase_stats",
+    "point_phase",
+    "read_json",
+    "result_key",
+    "validate_report",
+    "write_report",
 ]
 
-#: Schema identifier; bump the trailing integer on breaking changes.
 BENCH_SCHEMA = "repro.bench/1"
-
-#: Chaos-report schema (``CHAOS_report.json`` written by
-#: ``python -m repro.harness chaos``).
 CHAOS_SCHEMA = "repro.chaos/1"
-
-#: Serve-report schema (``SERVE_report.json`` written by
-#: ``python -m repro.harness serve``).  v2 adds the per-scenario
-#: ``modes`` histogram (execution mode each dispatched batch ran under:
-#: oracle / gemm / degraded).
 SERVE_SCHEMA = "repro.serve/2"
-
-#: Shard-report schema (``SHARD_report.json`` written by
-#: ``python -m repro.harness shard``): the sharded-tier counterpart of
-#: the serve report, adding per-shard utilization, replication state,
-#: per-tenant stats and failover counts.
 SHARD_SCHEMA = "repro.shard/1"
-
-#: Tune-report schema (``TUNE_report.json`` written by
-#: ``python -m repro.harness tune``): the autotuner's full record —
-#: declarative search space, seeded search trajectory, Pareto set over
-#: (throughput, p99, memory), calibrated machine constants, and the
-#: winning config for the machine profile.  Bit-reproducible given the
-#: seed and the calibration inputs (modulo ``created_unix``/``machine``).
 TUNE_SCHEMA = "repro.tune/1"
-
-#: Tuned-config artifact schema (``tuned_config.json``): the small
-#: loadable distillation of a tune run — the winner's flat knob→value
-#: config — which :func:`repro.serve.plan.load_tuned_config` turns into
-#: an execution plan.
 TUNE_CONFIG_SCHEMA = "repro.tune-config/1"
-
-#: Adapt-report schema (``ADAPT_report.json`` written by
-#: ``python -m repro.harness adapt``): incremental-update scenarios —
-#: per-scenario delta accounting (patches vs rebuilds), differential
-#: verification tallies (delta-updated vs freshly built, bitwise) and the
-#: modeled cost comparison delta / full rebuild / CSR reassembly.
 ADAPT_SCHEMA = "repro.adapt/1"
-
-_PHASE_STAT_KEYS = ("median", "min", "max", "repeats")
-_RESULT_REQUIRED = ("case", "method", "n_parts", "n_dofs", "phases", "counters")
 
 
 class SchemaError(ValueError):
-    """A bench document does not conform to :data:`BENCH_SCHEMA`."""
+    """A report is missing, unreadable, not JSON, or does not conform to
+    its :data:`REPORTS` entry."""
+
+
+def _keys(*names: str) -> dict:
+    """Spec of an object that must carry ``names`` (values unchecked)."""
+    return dict.fromkeys(names)
+
+
+def _latency_all(doc: dict) -> None:
+    """A scenario that completed requests carries the 'all' summary."""
+    for i, sc in enumerate(doc["scenarios"]):
+        if sc["requests"]["completed"] and "all" not in sc["latency_s"]:
+            raise SchemaError(
+                f"scenarios[{i}].latency_s missing the 'all' summary"
+            )
+
+
+#: the :func:`new_report` envelope (``created_unix`` is informational)
+_ENVELOPE = {"machine": {}, "config": {}}
+_CACHE = _keys("hits", "misses", "evictions", "hit_rate")
+_OBJECTIVES = _keys("throughput_rps", "p99_s", "mem_bytes")
+_TUNE_ENTRY = _keys("fingerprint", "config", "objectives", "metrics", "score")
+#: the scenario fields serve and shard reports share
+_SERVED = {
+    **_keys("scenario", "workload", "throughput_rps", "makespan_s"),
+    "latency_s": {"*": _keys("p50", "p95", "p99", "mean", "min", "max", "n")},
+    "batch_histogram": {},
+    "modes": {},
+    "counters": {},
+}
+
+#: every report the program writes: schema id -> shape
+REPORTS: dict[str, dict] = {
+    # BENCH_<suite>.json: `python -m repro.harness bench` and the
+    # serve/shard/adapt/tune projections; what every compare gate reads
+    BENCH_SCHEMA: {
+        **_ENVELOPE,
+        **_keys("suite", "repeats"),
+        "results": [{
+            **_keys("case", "method", "n_parts", "n_dofs"),
+            "phases": {"*": _keys("median", "min", "max", "repeats")},
+            "counters": {},
+        }],
+    },
+    # CHAOS_report.json: `python -m repro.harness chaos`
+    CHAOS_SCHEMA: {
+        **_ENVELOPE,
+        "scenarios": [{
+            **_keys("scenario", "ok", "plan", "iterations", "restarts",
+                    "rel_err"),
+            "failures": [None],
+            "counters": {},
+        }],
+    },
+    # SERVE_report.json: `python -m repro.harness serve`.  v2 added the
+    # per-scenario `modes` histogram (the execution mode each dispatched
+    # batch ran under: oracle / gemm / degraded)
+    SERVE_SCHEMA: {
+        **_ENVELOPE,
+        "scenarios": [{
+            **_SERVED,
+            "requests": _keys(
+                "submitted", "completed", "rejected", "shed_deadline",
+                "cancelled", "failed", "wrong_answers",
+            ),
+            "cache": _CACHE,
+        }],
+    },
+    # SHARD_report.json: `python -m repro.harness shard`, the sharded-tier
+    # serve report plus per-shard utilization, replication state,
+    # per-tenant stats and failover counts
+    SHARD_SCHEMA: {
+        **_ENVELOPE,
+        "scenarios": [{
+            **_SERVED,
+            "n_shards": None,
+            "requests": _keys(
+                "submitted", "completed", "rejected", "shed_tenant",
+                "shed_deadline", "spilled", "failed", "failovers",
+                "wrong_answers",
+            ),
+            "shards": ("non-empty", {"*": {
+                **_keys("utilization", "busy_s", "dispatches", "alive"),
+                "cache": _CACHE,
+            }}),
+            "utilization": _keys("mean", "min", "max", "peak_to_mean"),
+            "replication": _keys(
+                "keys_seen", "replicated_keys", "replication_factor"
+            ),
+            "tenants": {},
+        }],
+    },
+    # ADAPT_report.json: `python -m repro.harness adapt`.  Per scenario:
+    # delta accounting (patches vs rebuilds), differential verification
+    # tallies (delta-updated vs freshly built, bitwise) and the modeled
+    # costs of delta / full rebuild / CSR reassembly
+    ADAPT_SCHEMA: {
+        **_ENVELOPE,
+        "scenarios": [{
+            **_keys("scenario", "method", "n_parts", "n_dofs", "steps"),
+            "deltas": _keys(
+                "applied", "patches", "rebuilds", "touched_total",
+                "max_fraction",
+            ),
+            "verify": _keys("checks", "bitwise", "wrong_answers"),
+            "costs": _keys(
+                "delta_s", "rebuild_s", "reassembly_s", "speedup_vs_rebuild"
+            ),
+            "cache": _CACHE,
+            "steps_detail": [None],
+            "counters": {},
+        }],
+    },
+    # TUNE_report.json: `python -m repro.harness tune`, the autotuner's
+    # full record (search space, seeded trajectory, Pareto set over
+    # throughput/p99/memory, calibrated constants, default and winner).
+    # Bit-reproducible given the seed and the calibration inputs, modulo
+    # `created_unix` and `machine`
+    TUNE_SCHEMA: {
+        **_ENVELOPE,
+        **_keys("evaluations", "cache_hits", "machine_profile"),
+        "space": ("non-empty", [_keys("name", "values", "default")]),
+        "calibrated": ("nullable", {}),
+        "trajectory": ("non-empty", [{
+            **_keys("step", "strategy", "fingerprint", "config", "score",
+                    "cached"),
+            "objectives": _OBJECTIVES,
+        }]),
+        "pareto": ("non-empty", [{
+            **_keys("fingerprint", "config"),
+            "objectives": _OBJECTIVES,
+        }]),
+        "default": _TUNE_ENTRY,
+        "winner": _TUNE_ENTRY,
+    },
+    # tuned_config.json: `python -m repro.harness tune`, the winner's flat
+    # knob -> value config; repro.serve.plan.load_tuned_config turns it
+    # into an execution plan
+    TUNE_CONFIG_SCHEMA: {"config": {}, "source": None},
+}
+
+#: the rules a shape cannot express, checked once the shape validated
+_CHECKS = {SERVE_SCHEMA: _latency_all, SHARD_SCHEMA: _latency_all}
 
 
 def machine_fingerprint() -> dict[str, Any]:
-    """Identify the machine a bench document was produced on."""
+    """Identify the machine a report was produced on."""
     import numpy
     import scipy
 
@@ -103,424 +213,112 @@ def machine_fingerprint() -> dict[str, Any]:
     }
 
 
-def new_bench_doc(
-    suite: str,
-    repeats: int,
-    config: dict[str, Any] | None = None,
+def new_report(
+    schema: str, config: dict[str, Any] | None = None, **fields: Any
 ) -> dict[str, Any]:
-    """An empty, schema-conforming bench document."""
+    """The envelope every report shares, plus the kind's ``fields``."""
     return {
-        "schema": BENCH_SCHEMA,
-        "suite": suite,
-        "repeats": int(repeats),
+        "schema": schema,
         "created_unix": time.time(),
         "machine": machine_fingerprint(),
         "config": dict(config or {}),
-        "results": [],
+        **fields,
     }
 
 
-def validate_bench_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed bench document; returns it on success.
+def _walk(value: Any, spec: Any, where: str) -> None:
+    mark = None
+    if isinstance(spec, tuple):
+        mark, spec = spec
+        if mark == "nullable" and value is None:
+            return
+    if spec is None:
+        return
+    is_list = isinstance(spec, list)
+    if not isinstance(value, list if is_list else dict) or (
+        mark == "non-empty" and not value
+    ):
+        what = "a list" if is_list else "an object"
+        if mark == "non-empty":
+            what = "a non-empty " + what.split()[-1]
+        elif mark == "nullable":
+            what += " or null"
+        raise SchemaError(f"{where or 'report'} must be {what}")
+    if is_list:
+        for i, item in enumerate(value):
+            _walk(item, spec[0], f"{where}[{i}]")
+    elif "*" in spec:
+        for label, item in value.items():
+            _walk(item, spec["*"], f"{where}[{label!r}]")
+    else:
+        for key, sub in spec.items():
+            if key not in value:
+                raise SchemaError(f"{where or 'report'} missing key {key!r}")
+            _walk(value[key], sub, f"{where}.{key}" if where else key)
 
-    Raises :class:`SchemaError` with a pin-pointed message otherwise.
+
+def validate_report(doc: Any, *schemas: str) -> dict[str, Any]:
+    """Validate a parsed report whose id must be one of ``schemas``;
+    returns it on success.
+
+    The :data:`REPORTS` spec language: ``None`` accepts any value; a
+    dict is an object carrying every key, each value checked against the
+    key's spec; ``{"*": spec}`` is an object whose every value matches
+    ``spec``; ``[spec]`` is a list whose every item matches ``spec``;
+    ``("non-empty", spec)`` and ``("nullable", spec)`` mark a spec.
+    Extra keys are allowed everywhere.  Raises :class:`SchemaError`
+    naming the path of the first violation.
     """
     if not isinstance(doc, dict):
-        raise SchemaError(f"bench doc must be an object, got {type(doc).__name__}")
+        raise SchemaError(f"report must be an object, got {type(doc).__name__}")
     schema = doc.get("schema")
-    if schema != BENCH_SCHEMA:
+    if schema not in schemas:
         raise SchemaError(
-            f"unsupported schema {schema!r} (expected {BENCH_SCHEMA!r})"
+            f"unsupported schema {schema!r} (expected "
+            f"{' or '.join(map(repr, schemas))})"
         )
-    for key in ("suite", "repeats", "machine", "results"):
-        if key not in doc:
-            raise SchemaError(f"bench doc missing key {key!r}")
-    if not isinstance(doc["results"], list):
-        raise SchemaError("'results' must be a list")
-    for i, res in enumerate(doc["results"]):
-        where = f"results[{i}]"
-        if not isinstance(res, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in _RESULT_REQUIRED:
-            if key not in res:
-                raise SchemaError(f"{where} missing key {key!r}")
-        if not isinstance(res["phases"], dict):
-            raise SchemaError(f"{where}.phases must be an object")
-        for label, stats in res["phases"].items():
-            if not isinstance(stats, dict):
-                raise SchemaError(f"{where}.phases[{label!r}] must be an object")
-            for key in _PHASE_STAT_KEYS:
-                if key not in stats:
-                    raise SchemaError(
-                        f"{where}.phases[{label!r}] missing key {key!r}"
-                    )
-        if not isinstance(res["counters"], dict):
-            raise SchemaError(f"{where}.counters must be an object")
+    _walk(doc, REPORTS[schema], "")
+    if schema in _CHECKS:
+        _CHECKS[schema](doc)
     return doc
+
+
+def read_json(path) -> Any:
+    """Parse the JSON file at ``path``.  Raises :class:`SchemaError` for a
+    missing or unreadable file and for invalid JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # invalid JSON, or bytes that are not text
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+
+
+def write_report(path, doc: dict[str, Any]) -> None:
+    """Write ``doc`` as stable, diffable JSON, creating parent dirs."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def result_key(res: dict[str, Any]) -> str:
-    """Stable identity of one result row: ``case/method``."""
+    """Stable identity of one bench result row: ``case/method``."""
     return f"{res['case']}/{res['method']}"
 
 
-# ----------------------------------------------------------------------------
-# chaos report
-# ----------------------------------------------------------------------------
-
-_SCENARIO_REQUIRED = (
-    "scenario", "ok", "failures", "plan", "counters", "iterations",
-    "restarts", "rel_err",
-)
-
-
-def new_chaos_doc(config: dict[str, Any] | None = None) -> dict[str, Any]:
-    """An empty, schema-conforming chaos report."""
+def phase_stats(samples: list[float]) -> dict[str, float]:
+    """A bench phase row summarizing repeated samples."""
+    # percentile(·, 50) is the shared first-class summary helper (also
+    # used by the serve report); for the bench suites' repeat counts it
+    # agrees with statistics.median to the last ulp or better
     return {
-        "schema": CHAOS_SCHEMA,
-        "created_unix": time.time(),
-        "machine": machine_fingerprint(),
-        "config": dict(config or {}),
-        "scenarios": [],
+        "median": percentile(samples, 50),
+        "min": min(samples),
+        "max": max(samples),
+        "repeats": len(samples),
     }
 
 
-def validate_chaos_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed chaos report; returns it on success."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"chaos doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != CHAOS_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {CHAOS_SCHEMA!r})"
-        )
-    for key in ("machine", "config", "scenarios"):
-        if key not in doc:
-            raise SchemaError(f"chaos doc missing key {key!r}")
-    if not isinstance(doc["scenarios"], list):
-        raise SchemaError("'scenarios' must be a list")
-    for i, sc in enumerate(doc["scenarios"]):
-        where = f"scenarios[{i}]"
-        if not isinstance(sc, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in _SCENARIO_REQUIRED:
-            if key not in sc:
-                raise SchemaError(f"{where} missing key {key!r}")
-        if not isinstance(sc["counters"], dict):
-            raise SchemaError(f"{where}.counters must be an object")
-        if not isinstance(sc["failures"], list):
-            raise SchemaError(f"{where}.failures must be a list")
-    return doc
-
-
-# ----------------------------------------------------------------------------
-# serve report
-# ----------------------------------------------------------------------------
-
-_SERVE_SCENARIO_REQUIRED = (
-    "scenario", "workload", "requests", "latency_s", "throughput_rps",
-    "makespan_s", "batch_histogram", "cache", "counters", "modes",
-)
-_SERVE_REQUEST_KEYS = (
-    "submitted", "completed", "rejected", "shed_deadline", "cancelled",
-    "failed", "wrong_answers",
-)
-_SERVE_LATENCY_KEYS = ("p50", "p95", "p99", "mean", "min", "max", "n")
-
-
-def new_serve_doc(config: dict[str, Any] | None = None) -> dict[str, Any]:
-    """An empty, schema-conforming serve report."""
-    return {
-        "schema": SERVE_SCHEMA,
-        "created_unix": time.time(),
-        "machine": machine_fingerprint(),
-        "config": dict(config or {}),
-        "scenarios": [],
-    }
-
-
-def validate_serve_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed serve report; returns it on success."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"serve doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != SERVE_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {SERVE_SCHEMA!r})"
-        )
-    for key in ("machine", "config", "scenarios"):
-        if key not in doc:
-            raise SchemaError(f"serve doc missing key {key!r}")
-    if not isinstance(doc["scenarios"], list):
-        raise SchemaError("'scenarios' must be a list")
-    for i, sc in enumerate(doc["scenarios"]):
-        where = f"scenarios[{i}]"
-        if not isinstance(sc, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in _SERVE_SCENARIO_REQUIRED:
-            if key not in sc:
-                raise SchemaError(f"{where} missing key {key!r}")
-        if not isinstance(sc["modes"], dict):
-            raise SchemaError(f"{where}.modes must be an object")
-        for key in _SERVE_REQUEST_KEYS:
-            if key not in sc["requests"]:
-                raise SchemaError(f"{where}.requests missing key {key!r}")
-        if not isinstance(sc["latency_s"], dict):
-            raise SchemaError(f"{where}.latency_s must be an object")
-        if sc["requests"]["completed"] and "all" not in sc["latency_s"]:
-            raise SchemaError(f"{where}.latency_s missing the 'all' summary")
-        for kind, summ in sc["latency_s"].items():
-            for key in _SERVE_LATENCY_KEYS:
-                if key not in summ:
-                    raise SchemaError(
-                        f"{where}.latency_s[{kind!r}] missing key {key!r}"
-                    )
-        if not isinstance(sc["batch_histogram"], dict):
-            raise SchemaError(f"{where}.batch_histogram must be an object")
-        for key in ("hits", "misses", "evictions", "hit_rate"):
-            if key not in sc["cache"]:
-                raise SchemaError(f"{where}.cache missing key {key!r}")
-        if not isinstance(sc["counters"], dict):
-            raise SchemaError(f"{where}.counters must be an object")
-    return doc
-
-
-# ----------------------------------------------------------------------------
-# shard report
-# ----------------------------------------------------------------------------
-
-_SHARD_SCENARIO_REQUIRED = (
-    "scenario", "workload", "n_shards", "requests", "latency_s",
-    "throughput_rps", "makespan_s", "shards", "utilization", "replication",
-    "tenants", "batch_histogram", "modes", "counters",
-)
-_SHARD_REQUEST_KEYS = (
-    "submitted", "completed", "rejected", "shed_tenant", "shed_deadline",
-    "spilled", "failed", "failovers", "wrong_answers",
-)
-_SHARD_UTIL_KEYS = ("mean", "min", "max", "peak_to_mean")
-_SHARD_REPL_KEYS = ("keys_seen", "replicated_keys", "replication_factor")
-_SHARD_PER_SHARD_KEYS = ("utilization", "busy_s", "dispatches", "alive", "cache")
-
-
-def new_shard_doc(config: dict[str, Any] | None = None) -> dict[str, Any]:
-    """An empty, schema-conforming shard report."""
-    return {
-        "schema": SHARD_SCHEMA,
-        "created_unix": time.time(),
-        "machine": machine_fingerprint(),
-        "config": dict(config or {}),
-        "scenarios": [],
-    }
-
-
-def validate_shard_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed shard report; returns it on success."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"shard doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != SHARD_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {SHARD_SCHEMA!r})"
-        )
-    for key in ("machine", "config", "scenarios"):
-        if key not in doc:
-            raise SchemaError(f"shard doc missing key {key!r}")
-    if not isinstance(doc["scenarios"], list):
-        raise SchemaError("'scenarios' must be a list")
-    for i, sc in enumerate(doc["scenarios"]):
-        where = f"scenarios[{i}]"
-        if not isinstance(sc, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in _SHARD_SCENARIO_REQUIRED:
-            if key not in sc:
-                raise SchemaError(f"{where} missing key {key!r}")
-        for key in _SHARD_REQUEST_KEYS:
-            if key not in sc["requests"]:
-                raise SchemaError(f"{where}.requests missing key {key!r}")
-        if not isinstance(sc["latency_s"], dict):
-            raise SchemaError(f"{where}.latency_s must be an object")
-        if sc["requests"]["completed"] and "all" not in sc["latency_s"]:
-            raise SchemaError(f"{where}.latency_s missing the 'all' summary")
-        for kind, summ in sc["latency_s"].items():
-            for key in _SERVE_LATENCY_KEYS:
-                if key not in summ:
-                    raise SchemaError(
-                        f"{where}.latency_s[{kind!r}] missing key {key!r}"
-                    )
-        if not isinstance(sc["shards"], dict) or not sc["shards"]:
-            raise SchemaError(f"{where}.shards must be a non-empty object")
-        for sid, ssum in sc["shards"].items():
-            for key in _SHARD_PER_SHARD_KEYS:
-                if key not in ssum:
-                    raise SchemaError(
-                        f"{where}.shards[{sid!r}] missing key {key!r}"
-                    )
-            for key in ("hits", "misses", "evictions", "hit_rate"):
-                if key not in ssum["cache"]:
-                    raise SchemaError(
-                        f"{where}.shards[{sid!r}].cache missing key {key!r}"
-                    )
-        for key in _SHARD_UTIL_KEYS:
-            if key not in sc["utilization"]:
-                raise SchemaError(f"{where}.utilization missing key {key!r}")
-        for key in _SHARD_REPL_KEYS:
-            if key not in sc["replication"]:
-                raise SchemaError(f"{where}.replication missing key {key!r}")
-        for label in ("tenants", "batch_histogram", "modes", "counters"):
-            if not isinstance(sc[label], dict):
-                raise SchemaError(f"{where}.{label} must be an object")
-    return doc
-
-
-# ----------------------------------------------------------------------------
-# adapt report
-# ----------------------------------------------------------------------------
-
-_ADAPT_SCENARIO_REQUIRED = (
-    "scenario", "method", "n_parts", "n_dofs", "steps", "deltas", "verify",
-    "costs", "cache", "steps_detail", "counters",
-)
-_ADAPT_DELTA_KEYS = (
-    "applied", "patches", "rebuilds", "touched_total", "max_fraction",
-)
-_ADAPT_VERIFY_KEYS = ("checks", "bitwise", "wrong_answers")
-_ADAPT_COST_KEYS = (
-    "delta_s", "rebuild_s", "reassembly_s", "speedup_vs_rebuild",
-)
-
-
-def new_adapt_doc(config: dict[str, Any] | None = None) -> dict[str, Any]:
-    """An empty, schema-conforming adapt report."""
-    return {
-        "schema": ADAPT_SCHEMA,
-        "created_unix": time.time(),
-        "machine": machine_fingerprint(),
-        "config": dict(config or {}),
-        "scenarios": [],
-    }
-
-
-def validate_adapt_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed adapt report; returns it on success."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"adapt doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != ADAPT_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {ADAPT_SCHEMA!r})"
-        )
-    for key in ("machine", "config", "scenarios"):
-        if key not in doc:
-            raise SchemaError(f"adapt doc missing key {key!r}")
-    if not isinstance(doc["scenarios"], list):
-        raise SchemaError("'scenarios' must be a list")
-    for i, sc in enumerate(doc["scenarios"]):
-        where = f"scenarios[{i}]"
-        if not isinstance(sc, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in _ADAPT_SCENARIO_REQUIRED:
-            if key not in sc:
-                raise SchemaError(f"{where} missing key {key!r}")
-        for key in _ADAPT_DELTA_KEYS:
-            if key not in sc["deltas"]:
-                raise SchemaError(f"{where}.deltas missing key {key!r}")
-        for key in _ADAPT_VERIFY_KEYS:
-            if key not in sc["verify"]:
-                raise SchemaError(f"{where}.verify missing key {key!r}")
-        for key in _ADAPT_COST_KEYS:
-            if key not in sc["costs"]:
-                raise SchemaError(f"{where}.costs missing key {key!r}")
-        for key in ("hits", "misses", "evictions", "hit_rate"):
-            if key not in sc["cache"]:
-                raise SchemaError(f"{where}.cache missing key {key!r}")
-        if not isinstance(sc["steps_detail"], list):
-            raise SchemaError(f"{where}.steps_detail must be a list")
-        if not isinstance(sc["counters"], dict):
-            raise SchemaError(f"{where}.counters must be an object")
-    return doc
-
-
-# ----------------------------------------------------------------------------
-# tune report
-# ----------------------------------------------------------------------------
-
-_TUNE_REQUIRED = (
-    "config", "space", "calibrated", "trajectory", "evaluations",
-    "cache_hits", "pareto", "default", "winner", "machine_profile",
-)
-_TUNE_TRIAL_KEYS = (
-    "step", "strategy", "fingerprint", "config", "objectives", "score",
-    "cached",
-)
-_TUNE_OBJECTIVE_KEYS = ("throughput_rps", "p99_s", "mem_bytes")
-_TUNE_WINNER_KEYS = ("fingerprint", "config", "objectives", "metrics", "score")
-
-
-def new_tune_doc(config: dict[str, Any] | None = None) -> dict[str, Any]:
-    """An empty, schema-conforming tune report."""
-    return {
-        "schema": TUNE_SCHEMA,
-        "created_unix": time.time(),
-        "machine": machine_fingerprint(),
-        "config": dict(config or {}),
-        "space": [],
-        "calibrated": None,
-        "trajectory": [],
-        "evaluations": 0,
-        "cache_hits": 0,
-        "pareto": [],
-        "default": None,
-        "winner": None,
-        "machine_profile": "",
-    }
-
-
-def validate_tune_doc(doc: Any) -> dict[str, Any]:
-    """Validate a parsed tune report; returns it on success."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"tune doc must be an object, got {type(doc).__name__}")
-    schema = doc.get("schema")
-    if schema != TUNE_SCHEMA:
-        raise SchemaError(
-            f"unsupported schema {schema!r} (expected {TUNE_SCHEMA!r})"
-        )
-    for key in ("machine",) + _TUNE_REQUIRED:
-        if key not in doc:
-            raise SchemaError(f"tune doc missing key {key!r}")
-    if not isinstance(doc["space"], list) or not doc["space"]:
-        raise SchemaError("'space' must be a non-empty list of knob specs")
-    for i, knob in enumerate(doc["space"]):
-        for key in ("name", "values", "default"):
-            if key not in knob:
-                raise SchemaError(f"space[{i}] missing key {key!r}")
-    if not isinstance(doc["trajectory"], list) or not doc["trajectory"]:
-        raise SchemaError("'trajectory' must be a non-empty list of trials")
-    for i, tr in enumerate(doc["trajectory"]):
-        where = f"trajectory[{i}]"
-        for key in _TUNE_TRIAL_KEYS:
-            if key not in tr:
-                raise SchemaError(f"{where} missing key {key!r}")
-        for key in _TUNE_OBJECTIVE_KEYS:
-            if key not in tr["objectives"]:
-                raise SchemaError(f"{where}.objectives missing key {key!r}")
-    if not isinstance(doc["pareto"], list) or not doc["pareto"]:
-        raise SchemaError("'pareto' must be a non-empty list")
-    for i, pt in enumerate(doc["pareto"]):
-        where = f"pareto[{i}]"
-        for key in ("fingerprint", "config", "objectives"):
-            if key not in pt:
-                raise SchemaError(f"{where} missing key {key!r}")
-        for key in _TUNE_OBJECTIVE_KEYS:
-            if key not in pt["objectives"]:
-                raise SchemaError(f"{where}.objectives missing key {key!r}")
-    for label in ("default", "winner"):
-        entry = doc[label]
-        if not isinstance(entry, dict):
-            raise SchemaError(f"'{label}' must be an object")
-        for key in _TUNE_WINNER_KEYS:
-            if key not in entry:
-                raise SchemaError(f"'{label}' missing key {key!r}")
-    if doc["calibrated"] is not None and not isinstance(doc["calibrated"], dict):
-        raise SchemaError("'calibrated' must be an object or null")
-    return doc
+def point_phase(value: float, repeats: int = 1) -> dict[str, float]:
+    """A bench phase row for one value (median = min = max)."""
+    return {"median": value, "min": value, "max": value, "repeats": repeats}

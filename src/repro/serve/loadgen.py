@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import heapq
-import json
 import pathlib
 import sys
 from dataclasses import dataclass
@@ -35,10 +34,12 @@ from repro.core.scatter import SCATTER_TAG
 from repro.faults.plan import Corrupt, Delay, Drop, FaultPlan, Straggler
 from repro.obs.instrumentation import Instrumentation, percentile_summary
 from repro.obs.schema import (
-    new_bench_doc,
-    new_serve_doc,
-    validate_bench_doc,
-    validate_serve_doc,
+    BENCH_SCHEMA,
+    SERVE_SCHEMA,
+    new_report,
+    point_phase,
+    validate_report,
+    write_report,
 )
 from repro.serve.cache import OperatorCache, ProblemKey
 from repro.serve.plan import ExecutionPlan, add_tuned_from_argument
@@ -362,8 +363,10 @@ def run_serve_suite(
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """Run the standard scenarios under ``plan``; returns
     ``(serve_doc, bench_doc)``."""
-    doc = new_serve_doc(
-        config={"seed": seed, "smoke": smoke, "k_min": plan.k_min}
+    doc = new_report(
+        SERVE_SCHEMA,
+        {"seed": seed, "smoke": smoke, "k_min": plan.k_min},
+        scenarios=[],
     )
     for w in suite_workloads(seed, smoke=smoke, plan=plan):
         if verbose:
@@ -384,7 +387,8 @@ def run_serve_suite(
                 f"modes [{modes}], "
                 f"wrong {sc['requests']['wrong_answers']}"
             )
-    return validate_serve_doc(doc), validate_bench_doc(_bench_doc(doc))
+    bench = bench_projection(doc, "serve", _BENCH_COUNTERS)
+    return validate_report(doc, SERVE_SCHEMA), bench
 
 
 #: request counters exported to the bench doc — only ones that are robust
@@ -393,16 +397,20 @@ def run_serve_suite(
 _BENCH_COUNTERS = ("submitted", "completed", "failed", "wrong_answers")
 
 
-def _bench_doc(serve_doc: dict[str, Any]) -> dict[str, Any]:
-    """Project the serve report onto the standard bench schema so the
-    existing ``repro.obs.compare`` gate applies unchanged."""
-    bench = new_bench_doc(
-        suite="serve", repeats=1, config=dict(serve_doc["config"])
+def bench_projection(
+    doc: dict[str, Any], suite: str, counters: tuple[str, ...]
+) -> dict[str, Any]:
+    """Project a serve or shard report onto the standard bench schema so
+    the existing ``repro.obs.compare`` gate applies unchanged.  Per
+    scenario: every latency summary (p50 is the gated median, p95/p99
+    ride along) and the makespan as phases, plus the named request
+    counters."""
+    bench = new_report(
+        BENCH_SCHEMA, doc["config"], suite=suite, repeats=1, results=[]
     )
-    for sc in serve_doc["scenarios"]:
-        phases = {}
-        for kind, summ in sc["latency_s"].items():
-            phases[f"serve.latency.{kind}"] = {
+    for sc in doc["scenarios"]:
+        phases = {
+            f"{suite}.latency.{kind}": {
                 "median": summ["p50"],
                 "min": summ["min"],
                 "max": summ["max"],
@@ -410,24 +418,20 @@ def _bench_doc(serve_doc: dict[str, Any]) -> dict[str, Any]:
                 "p95": summ["p95"],
                 "p99": summ["p99"],
             }
-        phases["serve.makespan"] = {
-            "median": sc["makespan_s"],
-            "min": sc["makespan_s"],
-            "max": sc["makespan_s"],
-            "repeats": 1,
+            for kind, summ in sc["latency_s"].items()
         }
-        counters = {
-            f"serve.{name}": sc["requests"][name] for name in _BENCH_COUNTERS
-        }
+        phases[f"{suite}.makespan"] = point_phase(sc["makespan_s"])
         bench["results"].append({
-            "case": f"serve-{sc['scenario']}",
-            "method": "serve",
+            "case": f"{suite}-{sc['scenario']}",
+            "method": suite,
             "n_parts": sc["n_parts"],
             "n_dofs": sc["n_dofs"],
             "phases": phases,
-            "counters": counters,
+            "counters": {
+                f"{suite}.{name}": sc["requests"][name] for name in counters
+            },
         })
-    return bench
+    return validate_report(bench, BENCH_SCHEMA)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -465,9 +469,8 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed, smoke=args.smoke, verbose=not args.quiet,
         plan=args.plan,
     )
-    for path, payload in ((args.out, doc), (args.bench_out, bench)):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_report(args.out, doc)
+    write_report(args.bench_out, bench)
     wrong = sum(sc["requests"]["wrong_answers"] for sc in doc["scenarios"])
     if not args.quiet:
         print(f"\n[serve] wrote {args.out} and {args.bench_out}")

@@ -27,14 +27,12 @@ unreadable or unknown-schema file, or an out-of-range value, raises
 from __future__ import annotations
 
 import argparse
-import json
 from dataclasses import dataclass, replace
 from numbers import Integral
-from pathlib import Path
 
 from repro.core.kernels import EMV_MODES
 from repro.core.sellcs import DEFAULT_C, DEFAULT_SIGMA_FACTOR
-from repro.obs.schema import TUNE_CONFIG_SCHEMA, TUNE_SCHEMA
+from repro.obs.schema import TUNE_CONFIG_SCHEMA, TUNE_SCHEMA, SchemaError, read_json
 
 __all__ = [
     "ExecutionPlan",
@@ -151,9 +149,9 @@ def load_tuned_config(path) -> ExecutionPlan:
     missing, unreadable or unknown-schema file and for out-of-range
     values."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise PlanError(f"cannot read tuned config {path}: {exc}") from exc
+        doc = read_json(path)
+    except SchemaError as exc:
+        raise PlanError(f"tuned config: {exc}") from exc
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema == TUNE_CONFIG_SCHEMA:
         config = doc.get("config")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import heapq
-import json
 import pathlib
 import sys
 from dataclasses import dataclass, replace
@@ -38,14 +37,15 @@ import numpy as np
 from repro.faults.shard import ShardFaultPlan, ShardKill
 from repro.obs.instrumentation import Instrumentation, percentile_summary
 from repro.obs.schema import (
-    new_bench_doc,
-    new_shard_doc,
-    validate_bench_doc,
-    validate_shard_doc,
+    SHARD_SCHEMA,
+    new_report,
+    point_phase,
+    validate_report,
+    write_report,
 )
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher
 from repro.serve.cache import OperatorCache, ProblemKey
-from repro.serve.loadgen import SPMV_REL_TOL
+from repro.serve.loadgen import SPMV_REL_TOL, bench_projection
 from repro.serve.plan import ExecutionPlan, add_tuned_from_argument
 from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
@@ -454,8 +454,10 @@ def run_shard_suite(
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """Run the standard scenarios under ``plan``; returns
     ``(shard_doc, bench_doc)``."""
-    doc = new_shard_doc(
-        config={"seed": seed, "smoke": smoke, "k_min": plan.k_min}
+    doc = new_report(
+        SHARD_SCHEMA,
+        {"seed": seed, "smoke": smoke, "k_min": plan.k_min},
+        scenarios=[],
     )
     for w in shard_suite_workloads(seed, smoke=smoke, plan=plan):
         if verbose:
@@ -475,7 +477,7 @@ def run_shard_suite(
                 f"failovers {sc['requests']['failovers']}, "
                 f"wrong {sc['requests']['wrong_answers']}"
             )
-    return validate_shard_doc(doc), validate_bench_doc(_bench_doc(doc))
+    return validate_report(doc, SHARD_SCHEMA), _bench_doc(doc)
 
 
 #: request counters exported to the bench doc — the deterministic ones
@@ -486,51 +488,20 @@ _BENCH_COUNTERS = ("submitted", "completed", "failed", "wrong_answers",
 
 
 def _bench_doc(shard_doc: dict[str, Any]) -> dict[str, Any]:
-    """Project the shard report onto the standard bench schema so the
-    existing ``repro.obs.compare`` gate applies unchanged.  The p99 tail
-    is exported as its own phase (``…latency.all.p99``) whose *median* is
-    the p99 value, which puts the tail directly under the phase budget;
-    the utilization skew rides as an integer-percent counter."""
-    bench = new_bench_doc(
-        suite="shard", repeats=1, config=dict(shard_doc["config"])
-    )
-    for sc in shard_doc["scenarios"]:
-        phases = {}
+    """The serve projection (:func:`repro.serve.loadgen.bench_projection`)
+    plus the p99 tail as its own phase (``…latency.all.p99``) whose
+    *median* is the p99 value, which puts the tail directly under the
+    phase budget, and the utilization skew as an integer-percent
+    counter."""
+    bench = bench_projection(shard_doc, "shard", _BENCH_COUNTERS)
+    for res, sc in zip(bench["results"], shard_doc["scenarios"]):
         for kind, summ in sc["latency_s"].items():
-            phases[f"shard.latency.{kind}"] = {
-                "median": summ["p50"],
-                "min": summ["min"],
-                "max": summ["max"],
-                "repeats": summ["n"],
-                "p95": summ["p95"],
-                "p99": summ["p99"],
-            }
-            phases[f"shard.latency.{kind}.p99"] = {
-                "median": summ["p99"],
-                "min": summ["p99"],
-                "max": summ["p99"],
-                "repeats": summ["n"],
-            }
-        phases["shard.makespan"] = {
-            "median": sc["makespan_s"],
-            "min": sc["makespan_s"],
-            "max": sc["makespan_s"],
-            "repeats": 1,
-        }
-        counters = {
-            f"shard.{name}": sc["requests"][name] for name in _BENCH_COUNTERS
-        }
-        counters["shard.util_peak_to_mean_pct"] = int(
+            res["phases"][f"shard.latency.{kind}.p99"] = point_phase(
+                summ["p99"], summ["n"]
+            )
+        res["counters"]["shard.util_peak_to_mean_pct"] = int(
             round(100 * sc["utilization"]["peak_to_mean"])
         )
-        bench["results"].append({
-            "case": f"shard-{sc['scenario']}",
-            "method": "shard",
-            "n_parts": sc["n_parts"],
-            "n_dofs": sc["n_dofs"],
-            "phases": phases,
-            "counters": counters,
-        })
     return bench
 
 
@@ -577,9 +548,8 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed, smoke=args.smoke, verbose=not args.quiet,
         plan=args.plan,
     )
-    for path, payload in ((args.out, doc), (args.bench_out, bench)):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_report(args.out, doc)
+    write_report(args.bench_out, bench)
     if not args.quiet:
         print(f"\n[shard] wrote {args.out} and {args.bench_out}")
 

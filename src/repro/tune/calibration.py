@@ -13,13 +13,12 @@ Tuned configs are loaded by :func:`repro.serve.plan.load_tuned_config`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.obs.schema import BENCH_SCHEMA
+from repro.obs.schema import BENCH_SCHEMA, read_json, validate_report
 from repro.perfmodel.machine import FRONTERA, FronteraMachine
 
 __all__ = [
@@ -65,16 +64,6 @@ def _fit_block(points: list) -> dict:
     }
 
 
-def _load_bench(path):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return None
-    if isinstance(doc, dict) and doc.get("schema") == BENCH_SCHEMA:
-        return doc
-    return None
-
-
 def _median(row: dict, phase: str = "spmv.total"):
     ph = row.get("phases", {}).get(phase)
     return None if ph is None else float(ph["median"])
@@ -91,10 +80,17 @@ def fit_machine_constants(
     over the measured GEMM ``k_min`` crossover, and scores
     ``rank_agreement``: the fraction of cases where the calibrated model
     predicts the same assembled-vs-SELL winner the measurements show.
-    Returns ``None`` when neither report is readable.
+    A report path that is ``None`` or names no file is skipped; any
+    other unreadable or non-``repro.bench/1`` report raises
+    :class:`~repro.obs.schema.SchemaError`.  Returns ``None`` when both
+    are skipped.
     """
-    kernels = _load_bench(kernels_path) if kernels_path else None
-    sellcs = _load_bench(sellcs_path) if sellcs_path else None
+    kernels, sellcs = (
+        validate_report(read_json(path), BENCH_SCHEMA)
+        if path and Path(path).exists()
+        else None
+        for path in (kernels_path, sellcs_path)
+    )
     if kernels is None and sellcs is None:
         return None
     out: dict = {"machine": "measured"}

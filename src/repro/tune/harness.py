@@ -25,16 +25,18 @@ Artifacts:
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
 from repro.obs.schema import (
+    BENCH_SCHEMA,
     TUNE_CONFIG_SCHEMA,
-    new_bench_doc,
-    new_tune_doc,
-    validate_bench_doc,
-    validate_tune_doc,
+    TUNE_SCHEMA,
+    SchemaError,
+    new_report,
+    point_phase,
+    validate_report,
+    write_report,
 )
 from repro.tune.calibration import fit_machine_constants
 from repro.tune.evaluate import GATED_METRICS, EvalResult, Evaluator
@@ -103,36 +105,41 @@ def run_tune(
                 f"{winner.config[name]}"
             )
 
-    doc = new_tune_doc(config={
-        "seed": seed,
-        "budget_per_strategy": budget,
-        "kernels_baseline": str(kernels_baseline) if kernels_baseline else None,
-        "sellcs_baseline": str(sellcs_baseline) if sellcs_baseline else None,
-    })
-    doc["machine_profile"] = machine_profile
-    doc["space"] = space.describe()
-    doc["calibrated"] = calibrated
-    doc["trajectory"] = trajectory
-    doc["evaluations"] = evaluator.evaluations
-    doc["cache_hits"] = evaluator.cache_hits
-    doc["pareto"] = [
+    doc = new_report(
+        TUNE_SCHEMA,
         {
-            "fingerprint": r.fingerprint,
-            "config": dict(r.config),
-            "objectives": r.objectives.to_dict(),
-        }
-        for r in front
-    ]
-    doc["default"] = default.as_winner()
-    doc["winner"] = winner.as_winner()
-    return validate_tune_doc(doc)
+            "seed": seed,
+            "budget_per_strategy": budget,
+            "kernels_baseline": str(kernels_baseline) if kernels_baseline else None,
+            "sellcs_baseline": str(sellcs_baseline) if sellcs_baseline else None,
+        },
+        machine_profile=machine_profile,
+        space=space.describe(),
+        calibrated=calibrated,
+        trajectory=trajectory,
+        evaluations=evaluator.evaluations,
+        cache_hits=evaluator.cache_hits,
+        pareto=[
+            {
+                "fingerprint": r.fingerprint,
+                "config": dict(r.config),
+                "objectives": r.objectives.to_dict(),
+            }
+            for r in front
+        ],
+        default=default.as_winner(),
+        winner=winner.as_winner(),
+    )
+    return validate_report(doc, TUNE_SCHEMA)
 
 
 def _bench_doc(doc: dict) -> dict:
     """Project default-vs-winner onto the bench schema for the compare
     gate.  All phases are virtual-time/model numbers — machine-
     independent, so the checked-in baseline holds everywhere."""
-    bench = new_bench_doc(suite="tune", repeats=1, config=dict(doc["config"]))
+    bench = new_report(
+        BENCH_SCHEMA, doc["config"], suite="tune", repeats=1, results=[]
+    )
     winner_m = doc["winner"]["metrics"]
     default_m = doc["default"]["metrics"]
     regressions = sum(
@@ -142,8 +149,7 @@ def _bench_doc(doc: dict) -> dict:
                         ("tune-winner", doc["winner"])):
         m = entry["metrics"]
         phases = {
-            name: {"median": m[key], "min": m[key], "max": m[key],
-                   "repeats": 1}
+            name: point_phase(m[key])
             for name, key in (
                 ("tune.serve.time_per_req", "serve.time_per_req_s"),
                 ("tune.serve.p99", "serve.p99_s"),
@@ -164,7 +170,7 @@ def _bench_doc(doc: dict) -> dict:
             "phases": phases,
             "counters": counters,
         })
-    return validate_bench_doc(bench)
+    return validate_report(bench, BENCH_SCHEMA)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -209,27 +215,30 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     budget = args.budget if args.budget is not None else (12 if args.smoke else 20)
-    doc = run_tune(
-        seed=args.seed,
-        budget=budget,
-        kernels_baseline=args.kernels_baseline,
-        sellcs_baseline=args.sellcs_baseline,
-        machine_profile=args.machine_profile,
-        verbose=not args.quiet,
-    )
-    tuned = {
+    try:
+        doc = run_tune(
+            seed=args.seed,
+            budget=budget,
+            kernels_baseline=args.kernels_baseline,
+            sellcs_baseline=args.sellcs_baseline,
+            machine_profile=args.machine_profile,
+            verbose=not args.quiet,
+        )
+    except SchemaError as exc:
+        print(f"[tune] error: {exc}", file=sys.stderr)
+        return 2
+    tuned = validate_report({
         "schema": TUNE_CONFIG_SCHEMA,
         "config": dict(doc["winner"]["config"]),
         "source": str(args.out),
-    }
+    }, TUNE_CONFIG_SCHEMA)
     bench = _bench_doc(doc)
     for path, payload in (
         (args.out, doc),
         (args.tuned_out, tuned),
         (args.bench_out, bench),
     ):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_report(path, payload)
     if not args.quiet:
         print(
             f"[tune] wrote {args.out}, {args.tuned_out} and {args.bench_out}"

@@ -371,30 +371,11 @@ def test_forced_oracle_workload_never_runs_gemm():
 
 
 def test_serve_schema_v2_requires_modes():
-    from repro.obs.schema import SchemaError, new_serve_doc, validate_serve_doc
+    from tests.test_bench_compare import assert_rejected
 
-    sc = {
-        "scenario": "s", "workload": {}, "requests": {
-            "submitted": 0, "completed": 0, "rejected": 0,
-            "shed_deadline": 0, "cancelled": 0, "failed": 0,
-            "wrong_answers": 0,
-        },
-        "latency_s": {}, "throughput_rps": 0.0, "makespan_s": 0.0,
-        "batch_histogram": {}, "cache": {
-            "hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0,
-        },
-        "counters": {},
-    }
-    doc = new_serve_doc()
-    doc["scenarios"] = [dict(sc)]
-    with pytest.raises(SchemaError):
-        validate_serve_doc(doc)  # v2 without "modes"
-    doc["scenarios"][0]["modes"] = {"oracle": 0}
-    validate_serve_doc(doc)
-    # v1 documents are no longer read, with or without "modes"
-    doc["schema"] = "repro.serve/1"
-    with pytest.raises(SchemaError):
-        validate_serve_doc(doc)
+    # v2 without "modes" is rejected, and v1 documents are no longer read
+    for case_id in ("serve-no-modes", "serve-modes-not-object", "serve-v1"):
+        assert_rejected(case_id)
 
 
 def test_load_calibrated_k_min_roundtrip(tmp_path):

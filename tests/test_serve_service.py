@@ -12,7 +12,7 @@ import pytest
 from repro.core.scatter import SCATTER_TAG
 from repro.faults.plan import Corrupt, Delay, FaultPlan
 from repro.obs.instrumentation import Instrumentation
-from repro.obs.schema import new_serve_doc, validate_serve_doc
+from repro.obs.schema import SERVE_SCHEMA, new_report, validate_report
 from repro.serve.cache import OperatorCache, ProblemKey, SolverContext
 from repro.serve.loadgen import run_workload, suite_workloads
 from repro.serve.queue import ServeRequest
@@ -251,9 +251,9 @@ def test_run_workload_report_is_schema_valid_and_exact():
     clean, _gemm, faulted = suite_workloads(seed=99, smoke=True)
     small = dataclasses.replace(clean, n_requests=12)
     sc = run_workload(small, seed=99)
-    doc = new_serve_doc(config={"seed": 99})
+    doc = new_report(SERVE_SCHEMA, {"seed": 99}, scenarios=[])
     doc["scenarios"].append(sc)
-    validate_serve_doc(doc)
+    validate_report(doc, SERVE_SCHEMA)
     r = sc["requests"]
     assert r["submitted"] == 12
     assert r["wrong_answers"] == 0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.faults.shard import ShardFaultPlan, ShardKill
 from repro.obs.instrumentation import Instrumentation
-from repro.obs.schema import validate_bench_doc, validate_shard_doc
+from repro.obs.schema import BENCH_SCHEMA, SHARD_SCHEMA, validate_report
 from repro.serve import (
     BatchPolicy,
     DeadlineBatcher,
@@ -427,8 +427,8 @@ def test_kill_scenario_bitwise_and_failover(suite):
 
 def test_suite_docs_validate(suite):
     shard_doc, bench_doc = suite
-    validate_shard_doc(shard_doc)
-    validate_bench_doc(bench_doc)
+    validate_report(shard_doc, SHARD_SCHEMA)
+    validate_report(bench_doc, BENCH_SCHEMA)
     names = [s["scenario"] for s in shard_doc["scenarios"]]
     assert names == ["zipf-hot", "tenant-storm", "shard-kill"]
     for sc in shard_doc["scenarios"]:

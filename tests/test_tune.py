@@ -4,10 +4,13 @@ selection, and the end-to-end harness doc."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.obs.schema import validate_tune_doc
+from repro.obs.schema import TUNE_SCHEMA, SchemaError, validate_report
 from repro.serve.plan import ExecutionPlan
 from repro.tune.calibration import calibrated_machine, fit_machine_constants
 from repro.tune.evaluate import GATED_METRICS, BaseEvaluator
@@ -141,6 +144,33 @@ class TestCalibration:
         assert fit_machine_constants(None, None) is None
         assert fit_machine_constants(tmp_path / "nope.json", None) is None
 
+    def test_fit_skips_only_a_missing_report(self, tmp_path):
+        cal = fit_machine_constants(tmp_path / "nope.json", SELLCS)
+        assert cal["csr_gflops"] > 0 and "emv_gflops" not in cal
+        bad = tmp_path / "bad.json"
+        doc = json.loads(Path(KERNELS).read_text())
+        bad.write_text(json.dumps(dict(doc, results=5)))
+        with pytest.raises(SchemaError, match="results must be a list"):
+            fit_machine_constants(bad, None)
+
+    @pytest.mark.parametrize("content", [
+        pytest.param("not json {", id="garbage"),
+        pytest.param(json.dumps({"schema": TUNE_SCHEMA}), id="wrong-schema"),
+    ])
+    def test_bad_baseline_exits_2(self, tmp_path, capsys, content):
+        from repro.harness.__main__ import main
+
+        bad = tmp_path / "baseline.json"
+        bad.write_text(content)
+        out = tmp_path / "out"
+        assert main([
+            "tune", "--quiet", "--kernels-baseline", str(bad),
+            "--out", str(out / "t.json"), "--tuned-out", str(out / "c.json"),
+            "--bench-out", str(out / "b.json"),
+        ]) == 2
+        assert "[tune] error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_calibrated_machine_substitutes_rates(self):
         cal = fit_machine_constants(KERNELS, SELLCS)
         m = calibrated_machine(cal)
@@ -263,7 +293,7 @@ class TestHarness:
             seed=99, budget=4, kernels_baseline=KERNELS,
             sellcs_baseline=SELLCS, verbose=False,
         )
-        validate_tune_doc(doc)
+        validate_report(doc, TUNE_SCHEMA)
         d, w = doc["default"]["metrics"], doc["winner"]["metrics"]
         for key in GATED_METRICS:
             assert w[key] <= d[key]
