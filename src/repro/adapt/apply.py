@@ -33,7 +33,6 @@ from repro.adapt.delta import MeshDelta, OperatorDelta
 from repro.mesh.adapt import LocalRefinement, refine_local
 from repro.mesh.element import ElementType
 from repro.partition.interface import partition_from_elem_part
-from repro.util.arrays import INDEX_DTYPE
 
 __all__ = ["apply_delta_to_spec", "localize_delta", "touched_elements"]
 
@@ -42,7 +41,8 @@ def apply_delta_to_spec(spec, delta: MeshDelta):
     """Apply ``delta`` to ``spec``; returns ``(spec, refinement)``.
 
     Non-structural deltas mutate ``spec`` in place (coords, elem_scale,
-    and every rank's local coords view) and return ``refinement=None``.
+    and the incident rows of the ranks' local coords views) and return
+    ``refinement=None``.
     Structural deltas return a *new* spec on the refined, re-partitioned
     mesh plus the :class:`~repro.mesh.adapt.LocalRefinement` ancestry
     (for ``ke_cache`` carry-over).  Element ids in the delta are mesh
@@ -69,12 +69,23 @@ def apply_delta_to_spec(spec, delta: MeshDelta):
             )
         old_ids = part.old_of_new[delta.move_nodes]
         mesh.coords[old_ids] = delta.move_coords
-        # refresh every rank's per-element coordinate view (the locals
-        # were materialized from mesh.coords at partition time)
-        for r in range(part.n_parts):
-            lm = part.local(r)
-            lm.coords = mesh.coords[mesh.conn[lm.elements]]
+        # refresh the per-rank element coordinate views (materialized from
+        # mesh.coords at partition time) in just the moved nodes' rows
+        incident = part.incident_elements(old_ids)
+        for r, elems, local in _by_rank(part, incident):
+            part.local(r).coords[local] = mesh.coords[mesh.conn[elems]]
     return spec, None
+
+
+def _by_rank(part, elements: np.ndarray):
+    """``(rank, mesh element ids, local indices)`` per rank for sorted
+    unique ``elements``; local indices come out ascending because every
+    rank's element list is sorted."""
+    owner = part.elem_part[elements]
+    local = part.local_index(elements)
+    for r in range(part.n_parts):
+        mine = owner == r
+        yield r, elements[mine], local[mine]
 
 
 def _refine_spec(spec, delta: MeshDelta):
@@ -121,12 +132,11 @@ def touched_elements(spec, delta: MeshDelta) -> np.ndarray:
     plus every element incident on a moved node."""
     if delta.is_structural:
         raise ValueError("touched_elements is for non-structural deltas")
-    parts = [delta.scale_elements]
-    if delta.move_nodes.size:
-        old_ids = spec.partition.old_of_new[delta.move_nodes]
-        incident = np.isin(spec.mesh.conn, old_ids).any(axis=1)
-        parts.append(np.flatnonzero(incident).astype(INDEX_DTYPE))
-    return np.unique(np.concatenate(parts)).astype(INDEX_DTYPE)
+    if not delta.move_nodes.size:
+        return delta.scale_elements
+    part = spec.partition
+    incident = part.incident_elements(part.old_of_new[delta.move_nodes])
+    return np.union1d(delta.scale_elements, incident)
 
 
 def localize_delta(spec, delta: MeshDelta):
@@ -138,14 +148,9 @@ def localize_delta(spec, delta: MeshDelta):
     current absolute scale (idempotent to re-apply — same bits).
     """
     touched = touched_elements(spec, delta)
-    mesh, part = spec.mesh, spec.partition
+    mesh = spec.mesh
     out = []
-    for r in range(part.n_parts):
-        lm = part.local(r)
-        local_ids = np.flatnonzero(
-            np.isin(lm.elements, touched)
-        ).astype(INDEX_DTYPE)
-        gids = lm.elements[local_ids]
+    for _, gids, local_ids in _by_rank(spec.partition, touched):
         coords = (
             mesh.coords[mesh.conn[gids]] if delta.move_nodes.size else None
         )

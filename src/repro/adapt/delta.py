@@ -38,7 +38,7 @@ def _last_wins(ids: np.ndarray, vals: np.ndarray):
     ids = as_index(ids)
     vals = np.asarray(vals, dtype=np.float64)
     if ids.size == 0:
-        return ids, vals.reshape((0,) + vals.shape[1:])
+        return ids.copy(), vals.reshape((0,) + vals.shape[1:]).copy()
     # np.unique on the reversed ids returns the index of each id's first
     # occurrence there — i.e. its last occurrence in the original order
     uniq, first_rev = np.unique(ids[::-1], return_index=True)
@@ -98,16 +98,26 @@ class MeshDelta:
                 "a structural (refining) delta must be pure — compose "
                 "scales/moves as separate deltas around the refinement"
             )
-        object.__setattr__(self, "scale_elements", se)
-        object.__setattr__(self, "scale_values", sv)
-        object.__setattr__(self, "move_nodes", mn)
-        object.__setattr__(self, "move_coords", mc)
-        object.__setattr__(self, "refine_elements", re)
+        # read-only: the memoised fingerprint (and every key holding this
+        # delta) must not go stale behind an in-place write
+        for name, arr in (
+            ("scale_elements", se),
+            ("scale_values", sv),
+            ("move_nodes", mn),
+            ("move_coords", mc),
+            ("refine_elements", re),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     # -- identity -------------------------------------------------------
 
     def fingerprint(self) -> str:
-        """Stable short hash of the canonicalized payload."""
+        """Stable short hash of the canonicalized payload (computed once
+        per instance — the arrays are read-only)."""
+        fp = self.__dict__.get("_fingerprint")
+        if fp is not None:
+            return fp
         h = hashlib.sha1()
         for tag, arr in (
             (b"se", self.scale_elements),
@@ -118,7 +128,9 @@ class MeshDelta:
         ):
             h.update(tag)
             h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()[:12]
+        fp = h.hexdigest()[:12]
+        object.__setattr__(self, "_fingerprint", fp)
+        return fp
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,6 +16,7 @@ contiguous, and per-rank :class:`LocalMesh` views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,42 @@ class Partition:
         return (
             np.searchsorted(self.ranges[:, 1], as_index(new_ids), side="right")
         ).astype(INDEX_DTYPE)
+
+    @cached_property
+    def _element_index(self) -> tuple:
+        """``(node->element CSR ptr, element ids, element -> local
+        index)``, built on first use; valid for the partition's lifetime
+        because its mesh connectivity never changes (refinement makes a
+        new partition)."""
+        conn = self.mesh.conn
+        flat = conn.reshape(-1)
+        counts = np.bincount(flat, minlength=self.mesh.n_nodes)
+        ptr = np.concatenate(([0], np.cumsum(counts))).astype(INDEX_DTYPE)
+        elems = (np.argsort(flat, kind="stable") // conn.shape[1]).astype(
+            INDEX_DTYPE
+        )
+        local = np.empty(self.mesh.n_elements, dtype=INDEX_DTYPE)
+        for lm in self.locals_:
+            local[lm.elements] = np.arange(lm.elements.size, dtype=INDEX_DTYPE)
+        return ptr, elems, local
+
+    def incident_elements(self, old_ids: np.ndarray) -> np.ndarray:
+        """Sorted unique ids of the elements incident on mesh nodes
+        ``old_ids`` (original ids), read from a node->element CSR built
+        once per partition: O(incident) per call, not O(mesh)."""
+        ptr, elems, _ = self._element_index
+        ids = as_index(old_ids)
+        starts = ptr[ids]
+        counts = ptr[ids + 1] - starts
+        # flat CSR positions of every id's run, without a Python loop
+        pos = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        pos += np.arange(pos.size, dtype=INDEX_DTYPE)
+        return np.unique(elems[pos])
+
+    def local_index(self, elements: np.ndarray) -> np.ndarray:
+        """Position of each mesh element in its rank's
+        ``LocalMesh.elements`` (the rank is ``elem_part[elements]``)."""
+        return self._element_index[2][as_index(elements)]
 
     def to_mesh_order(self, values_new: np.ndarray, ndpn: int = 1) -> np.ndarray:
         """Convert a (gathered) dof vector from renumbered order back to

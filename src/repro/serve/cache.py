@@ -71,7 +71,11 @@ class ProblemKey:
 
     def fingerprint(self) -> str:
         """Stable short hash of the canonical field tuple (optional
-        fields join only when set, so default keys keep their hash)."""
+        fields join only when set, so default keys keep their hash).
+        Computed once per key: the key is frozen, and so are its deltas."""
+        fp = self.__dict__.get("_fingerprint")
+        if fp is not None:
+            return fp
         canon = (
             f"problem={self.problem};nel={self.nel};n_parts={self.n_parts};"
             f"etype={self.etype};seed={self.seed};method={self.method};"
@@ -83,7 +87,9 @@ class ProblemKey:
             )
         if self.sell is not None:
             canon += ";sell={},{}".format(*self.sell)
-        return hashlib.sha1(canon.encode()).hexdigest()[:12]
+        fp = hashlib.sha1(canon.encode()).hexdigest()[:12]
+        object.__setattr__(self, "_fingerprint", fp)
+        return fp
 
     def n_dofs_estimate(self) -> int:
         """Cheap closed-form dof-count estimate for backend routing (no
@@ -139,8 +145,9 @@ class ProblemKey:
 def _dirichlet_state(comm, A, maps, lmesh, spec) -> dict:
     """Dirichlet machinery derived from the (current) operator: mask,
     prescribed values, precomputed ``A u0`` and Jacobi preconditioner.
-    Shared by first setup and in-place delta updates so both paths hold
-    bitwise-identical state for the same operator."""
+    Shared by setup and the first solve after an in-place delta patch
+    (:func:`_refresh_dirichlet`) so both paths hold bitwise-identical state
+    for the same operator."""
     from repro.core.rhs import local_node_coords
 
     ndpn = spec.operator.ndpn
@@ -204,14 +211,24 @@ def _setup_program(comm, lmesh, spec, method, kernel, modeled_rate,
 
 def _update_program(comm, st, od, n_model, spec, ke_flops, rate):
     """Per-rank in-place delta patch: update the touched element batch,
-    advance the modeled recompute time, refresh Dirichlet machinery."""
-    A = st["A"]
-    A.update_elements(
+    advance the modeled recompute time, and mark the Dirichlet machinery
+    stale against ``spec`` (refreshed by the next solve, not here)."""
+    st["A"].update_elements(
         od.local_elems, coords=od.coords, stiffness_scale=od.scale
     )
     if rate and n_model:
         comm.advance(n_model * ke_flops / (rate * 1e9), "update.modeled")
-    st.update(_dirichlet_state(comm, A, st["maps"], st["lmesh"], spec))
+    st["stale_spec"] = spec
+
+
+def _refresh_dirichlet(comm, st) -> None:
+    """Recompute the Dirichlet machinery a patch left stale, with the
+    same :func:`_dirichlet_state` setup runs — bitwise what an eager
+    refresh would have stored.  Collective: a patch marks every rank."""
+    spec = st.pop("stale_spec", None)
+    if spec is not None:
+        st.update(_dirichlet_state(comm, st["A"], st["maps"], st["lmesh"],
+                                   spec))
 
 
 def _rebuild_advance_program(comm, st, n_model, ke_flops, rate):
@@ -254,6 +271,7 @@ def _apply_program(comm, st, Xr, mode="auto"):
 
 
 def _solve_program(comm, st, Fr, rtol, maxiter, degraded, mode="auto"):
+    _refresh_dirichlet(comm, st)
     k = Fr.shape[1]
     if degraded:
         # fault-aware degradation: per-column resilient CG (breakdown
@@ -290,6 +308,7 @@ def _solve_program(comm, st, Fr, rtol, maxiter, degraded, mode="auto"):
 
 def _residual_program(comm, st, Fr, Xr):
     """Per-column local residual/rhs square sums of the Dirichlet system."""
+    _refresh_dirichlet(comm, st)
     B_hat = Fr - st["Au0"][:, None]
     B_hat[st["mask"], :] = st["u0"][st["mask"], None]
     R = _hat_multi(st, Xr) - B_hat
@@ -455,7 +474,10 @@ class SolverContext:
         touched elements' matrices are recomputed in place
         (``update_elements``) and the touched scatter/workspace caches
         invalidated — the paper's adaptive-matrix claim as a serving
-        operation.  Structural deltas, or deltas touching more than
+        operation.  The Dirichlet machinery (``A u0``, Jacobi diagonal) is
+        only marked stale; the next solve or residual check refreshes it,
+        so a stream of patches and products never pays that O(mesh)
+        work.  Structural deltas, or deltas touching more than
         ``threshold`` of the elements, fall back to a **full_rebuild** on
         the same simulator, reusing unchanged element matrices as a
         ``ke_cache`` where the method supports it.  Either way the

@@ -148,3 +148,106 @@ def test_key_fingerprint_tracks_delta_history():
     # a different delta gives a different identity
     d2 = MeshDelta(scale_elements=[1], scale_values=[0.25])
     assert base.with_delta(d2).fingerprint() != k1.fingerprint()
+
+
+def test_mesh_delta_arrays_are_read_only():
+    """Regression: a delta is immutable once built, so a key holding it
+    (and the operator cached under that key) cannot drift apart."""
+    ids = np.array([4, 2], dtype=np.int64)
+    d = MeshDelta(scale_elements=ids, scale_values=[0.5, 0.25])
+    key = _key("hymv").with_delta(d)
+    fp = key.fingerprint()
+    for arr in (d.scale_elements, d.scale_values, d.move_nodes,
+                d.move_coords, d.refine_elements):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 1
+    assert key.fingerprint() == fp
+    assert d.scale_values.tolist() == [0.25, 0.5]
+    # the caller's own arrays stay writable
+    empty = np.empty(0, dtype=np.int64)
+    MeshDelta(scale_elements=empty, scale_values=[])
+    ids[0] = 7
+    empty[...] = 0
+
+
+def test_fingerprint_golden_values():
+    """Fingerprint values are part of the wire format: consistent-hash
+    ring placement and every checked-in baseline depend on them."""
+    base = _key("hymv")
+    d1 = MeshDelta(scale_elements=[5, 1, 9], scale_values=[0.5, 0.25, 0.125])
+    d2 = MeshDelta(move_nodes=[3, 7],
+                   move_coords=[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    d3 = MeshDelta(refine_elements=[2, 11])
+    k1 = base.with_delta(d1)
+    k3 = k1.with_delta(d2).with_delta(d3)
+    assert base.fingerprint() == "a469bded3ad5"
+    assert k1.fingerprint() == "628221c7ea59"
+    assert k3.fingerprint() == "24cf098ab69d"
+    assert [d.fingerprint() for d in (d1, d2, d3, MeshDelta())] == [
+        "87679d2dbac4", "3a24c95541ee", "83dae5248044", "18adf4988f55",
+    ]
+    assert ProblemKey().fingerprint() == "d34a86007272"
+    assert ProblemKey(method="sellcs", sell=(8, 32)).fingerprint() == (
+        "8612a9950a37"
+    )
+
+
+def _patched(kind):
+    """An elastic-bar context (nonzero prescribed displacements, so
+    ``A u0`` depends on the patched elements) right after one in-place
+    patch, and a fresh build of its post-update key.  The coarse mesh
+    needs a raised threshold for the deltas to stay patches."""
+    ctx = SolverContext(ProblemKey("elastic", 4, 2, "hex8", method="hymv"))
+    if kind == "scale":
+        delta = CrackFront().scale_delta(ctx.spec.mesh, 0, 8)
+    else:
+        delta = CrackFront().move_delta(ctx.spec, 1, 8, amplitude=2e-3)
+    info = ctx.apply_delta(delta, threshold=0.5)
+    assert info["path"] == "patch" and info["touched"] > 0
+    return ctx, SolverContext(ctx.key)
+
+
+@pytest.mark.parametrize("consumer", ("degraded", "gemm", "residuals"))
+@pytest.mark.parametrize("kind", ("scale", "move"))
+def test_first_consumer_after_patch_sees_fresh_dirichlet_state(kind,
+                                                               consumer):
+    """A patch leaves the Dirichlet machinery stale; whichever consumer
+    runs first must refresh it to exactly the fresh build's state."""
+    ctx, fresh = _patched(kind)
+    rng = np.random.default_rng(11)
+    F = rng.standard_normal((ctx.n_dofs, 2))
+    if consumer == "residuals":
+        X = rng.standard_normal((ctx.n_dofs, 2))
+        assert np.array_equal(ctx.residuals(F, X), fresh.residuals(F, X))
+        return
+    kw = {"degraded": True} if consumer == "degraded" else {"mode": "gemm"}
+    Sd, _ = ctx.solve_multi(F, rtol=1e-8, **kw)
+    Sf, _ = fresh.solve_multi(F, rtol=1e-8, **kw)
+    assert Sd["iterations"] == Sf["iterations"]
+    assert np.array_equal(Sd["x"], Sf["x"])
+
+
+def test_partition_element_index_matches_full_scan():
+    spec = _key("hymv").build_spec()
+    part, conn = spec.partition, spec.mesh.conn
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 7, 40):
+        ids = rng.choice(spec.mesh.n_nodes, n, replace=False)
+        want = np.flatnonzero(np.isin(conn, ids).any(axis=1))
+        assert np.array_equal(part.incident_elements(ids), want)
+    for lm in part.locals_:
+        assert np.array_equal(
+            part.local_index(lm.elements), np.arange(lm.elements.size)
+        )
+
+
+def test_node_move_refreshes_local_coords_views():
+    """Refreshing only the moved nodes' incident rows leaves every rank's
+    coords view equal to a full re-materialisation."""
+    spec = _key("hymv").build_spec()
+    delta = CrackFront().move_delta(spec, 3, 8, amplitude=2e-3)
+    assert delta.move_nodes.size
+    apply_delta_to_spec(spec, delta)
+    mesh = spec.mesh
+    for lm in spec.partition.locals_:
+        assert np.array_equal(lm.coords, mesh.coords[mesh.conn[lm.elements]])
