@@ -34,8 +34,8 @@ _COMMANDS = {
               "SHARD_report.json (--smoke for CI size)"),
     "adapt": ("repro.adapt.harness", "incremental-update harness -> "
               "ADAPT_report.json (--smoke for CI size)"),
-    "tune": ("repro.tune.harness", "autotuner search over system knobs -> "
-             "TUNE_report.json + tuned_config.json (--smoke for CI size)"),
+    "tune": ("repro.tune.calibration", "measured GEMM + SELL-C-sigma "
+             "crossovers -> tuned_config.json (for --tuned-from)"),
 }
 
 # (example invocation, what it does) — the single source of the usage block
@@ -55,8 +55,8 @@ _EXAMPLES = (
      "sharded tier -> SHARD_report.json"),
     ("python -m repro.harness adapt --smoke",
      "delta updates -> ADAPT_report.json"),
-    ("python -m repro.harness tune --smoke",
-     "autotuner -> TUNE_report.json + tuned_config.json"),
+    ("python -m repro.harness tune",
+     "calibration -> tuned_config.json"),
 )
 
 

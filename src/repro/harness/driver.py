@@ -232,7 +232,7 @@ def _constrain_block(B: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
 
 def _solve_program(
     comm, lmesh, tractions, kind, precond, rtol, maxiter, resilience,
-    cg_fused, options,
+    options,
 ):
     spec: ProblemSpec = OPTIONS_SPEC[0]
     operator = spec.operator
@@ -284,7 +284,7 @@ def _solve_program(
     t1 = comm.vtime
     res = cg(
         comm, apply_hat, b_hat, apply_M=M, rtol=rtol, maxiter=maxiter,
-        resilience=resilience, fused=cg_fused,
+        resilience=resilience,
     )
     solve_time = comm.vtime - t1
 
@@ -324,16 +324,13 @@ def run_solve(
     return_solution: bool = False,
     faults: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
-    cg_fused: bool = True,
     **options,
 ) -> SolveOutcome:
     """Distributed CG solve of ``spec`` with one SPMV method.
 
     ``faults`` injects a :class:`repro.faults.plan.FaultPlan` into the
     simulated network/compute; ``resilience`` enables the CG
-    breakdown-detection + restart policy (chaos testing);
-    ``cg_fused`` selects the fused-reduction CG iteration (bitwise
-    identical iterates, half the allreduce synchronizations).
+    breakdown-detection + restart policy (chaos testing).
     """
     p = spec.n_parts
     OPTIONS_SPEC[0] = spec
@@ -346,7 +343,6 @@ def run_solve(
             rtol,
             maxiter,
             resilience,
-            cg_fused,
             options,
         )
         for r in range(p)

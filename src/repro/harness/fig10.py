@@ -71,7 +71,7 @@ def run(scale: str = "small") -> list[ResultTable]:
 
     # modeled GPU SPMV per method (Algorithm 3 companion): the streamed
     # HYMV pipeline, the cuSPARSE CSR baseline and the SELL-C-sigma
-    # streamed-chunk branch the autotuner scores — one representative
+    # streamed-chunk branch — one representative
     # granularity, the paper's Fig. 8 setting
     geo = CaseGeometry.from_granularity(
         ElementType.HEX20, op, dofs_per_process=1.0e6, n_ranks=2
@@ -90,7 +90,7 @@ def run(scale: str = "small") -> list[ResultTable]:
         gpu_table.add_row(name, t * 1e3)
     gpu_table.add_note(
         "sellcs_gpu streams padded slices at warp efficiency min(1, C/32): "
-        "C=8 chunks leave 3/4 of each warp idle, the cost the (C, sigma) "
-        "autotuner knob trades against padding"
+        "C=8 chunks leave 3/4 of each warp idle, the cost a narrower "
+        "(C, sigma) layout trades against padding"
     )
     return [table, art, gpu_table]

@@ -727,7 +727,7 @@ def run_kernels_suite(
                 _run_case_kernel(case, kernel, repeats, verbose)
             )
     # multi-RHS (BLAS3) suite on the first case: GEMM-vs-oracle rows plus
-    # the measured crossover width (the autotuner's calibration input)
+    # the measured crossover width (the tuned plan's k_min)
     if cases:
         if verbose:
             print(f"[bench] {cases[0].name} multirhs ...", flush=True)

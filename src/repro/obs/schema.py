@@ -30,7 +30,6 @@ __all__ = [
     "SERVE_SCHEMA",
     "SHARD_SCHEMA",
     "TUNE_CONFIG_SCHEMA",
-    "TUNE_SCHEMA",
     "SchemaError",
     "machine_fingerprint",
     "new_report",
@@ -46,7 +45,6 @@ BENCH_SCHEMA = "repro.bench/1"
 CHAOS_SCHEMA = "repro.chaos/1"
 SERVE_SCHEMA = "repro.serve/2"
 SHARD_SCHEMA = "repro.shard/1"
-TUNE_SCHEMA = "repro.tune/1"
 TUNE_CONFIG_SCHEMA = "repro.tune-config/1"
 ADAPT_SCHEMA = "repro.adapt/1"
 
@@ -73,8 +71,6 @@ def _latency_all(doc: dict) -> None:
 #: the :func:`new_report` envelope (``created_unix`` is informational)
 _ENVELOPE = {"machine": {}, "config": {}}
 _CACHE = _keys("hits", "misses", "evictions", "hit_rate")
-_OBJECTIVES = _keys("throughput_rps", "p99_s", "mem_bytes")
-_TUNE_ENTRY = _keys("fingerprint", "config", "objectives", "metrics", "score")
 #: the scenario fields serve and shard reports share
 _SERVED = {
     **_keys("scenario", "workload", "throughput_rps", "makespan_s"),
@@ -87,7 +83,7 @@ _SERVED = {
 #: every report the program writes: schema id -> shape
 REPORTS: dict[str, dict] = {
     # BENCH_<suite>.json: `python -m repro.harness bench` and the
-    # serve/shard/adapt/tune projections; what every compare gate reads
+    # serve/shard/adapt projections; what every compare gate reads
     BENCH_SCHEMA: {
         **_ENVELOPE,
         **_keys("suite", "repeats"),
@@ -166,31 +162,9 @@ REPORTS: dict[str, dict] = {
             "counters": {},
         }],
     },
-    # TUNE_report.json: `python -m repro.harness tune`, the autotuner's
-    # full record (search space, seeded trajectory, Pareto set over
-    # throughput/p99/memory, calibrated constants, default and winner).
-    # Bit-reproducible given the seed and the calibration inputs, modulo
-    # `created_unix` and `machine`
-    TUNE_SCHEMA: {
-        **_ENVELOPE,
-        **_keys("evaluations", "cache_hits", "machine_profile"),
-        "space": ("non-empty", [_keys("name", "values", "default")]),
-        "calibrated": ("nullable", {}),
-        "trajectory": ("non-empty", [{
-            **_keys("step", "strategy", "fingerprint", "config", "score",
-                    "cached"),
-            "objectives": _OBJECTIVES,
-        }]),
-        "pareto": ("non-empty", [{
-            **_keys("fingerprint", "config"),
-            "objectives": _OBJECTIVES,
-        }]),
-        "default": _TUNE_ENTRY,
-        "winner": _TUNE_ENTRY,
-    },
-    # tuned_config.json: `python -m repro.harness tune`, the winner's flat
-    # knob -> value config; repro.serve.plan.load_tuned_config turns it
-    # into an execution plan
+    # tuned_config.json: `python -m repro.harness tune`, the measured
+    # crossovers as a flat key -> value config;
+    # repro.serve.plan.load_tuned_config turns it into an execution plan
     TUNE_CONFIG_SCHEMA: {"config": {}, "source": None},
 }
 
@@ -227,22 +201,18 @@ def new_report(
 
 
 def _walk(value: Any, spec: Any, where: str) -> None:
-    mark = None
-    if isinstance(spec, tuple):
-        mark, spec = spec
-        if mark == "nullable" and value is None:
-            return
+    non_empty = isinstance(spec, tuple)
+    if non_empty:
+        _, spec = spec
     if spec is None:
         return
     is_list = isinstance(spec, list)
     if not isinstance(value, list if is_list else dict) or (
-        mark == "non-empty" and not value
+        non_empty and not value
     ):
         what = "a list" if is_list else "an object"
-        if mark == "non-empty":
+        if non_empty:
             what = "a non-empty " + what.split()[-1]
-        elif mark == "nullable":
-            what += " or null"
         raise SchemaError(f"{where or 'report'} must be {what}")
     if is_list:
         for i, item in enumerate(value):
@@ -265,7 +235,7 @@ def validate_report(doc: Any, *schemas: str) -> dict[str, Any]:
     dict is an object carrying every key, each value checked against the
     key's spec; ``{"*": spec}`` is an object whose every value matches
     ``spec``; ``[spec]`` is a list whose every item matches ``spec``;
-    ``("non-empty", spec)`` and ``("nullable", spec)`` mark a spec.
+    ``("non-empty", spec)`` is a list or object that must not be empty.
     Extra keys are allowed everywhere.  Raises :class:`SchemaError`
     naming the path of the first violation.
     """

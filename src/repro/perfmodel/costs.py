@@ -315,7 +315,6 @@ def sellcs_gpu_spmv_time(
     machine: FronteraMachine = FRONTERA,
     gpu: GpuModel = GPU_NODE,
     n_streams: int = 8,
-    n_chunks: int | None = None,
     C: int = 32,
     occupancy: float | None = None,
     n_spmv: int = 1,
@@ -336,8 +335,8 @@ def sellcs_gpu_spmv_time(
       ``C/32`` below the warp width (wider chunks fill the warp; going
       past 32 adds nothing because chunks map to whole warps);
     * the stream pipeline of Algorithm 3 — the vectors cross PCIe in
-      ``n_chunks`` chunks over ``n_streams`` streams while the kernel
-      streams the resident slices, with per-chunk launch overhead — via
+      one chunk per stream while the kernel streams the resident
+      slices, with per-chunk launch overhead — via
       the same fill/drain approximation as :func:`gpu_spmv_time`;
     * a host-staged halo exchange per product (the layout lives on
       device; ghost values stage D2H/H2D like the cuSPARSE path).
@@ -345,7 +344,7 @@ def sellcs_gpu_spmv_time(
     ``occupancy`` defaults to the calibrated model value
     (:data:`~repro.perfmodel.counters.SELLCS_MODEL_OCCUPANCY`); pass the
     measured ``sellcs.occupancy`` gauge of the actual ``(C, sigma)``
-    layout for tuned placements.
+    layout to model that layout.
     """
     if n_streams < 1:
         raise ValueError(f"need at least one stream, got {n_streams}")
@@ -354,10 +353,6 @@ def sellcs_gpu_spmv_time(
     occ = occupancy if occupancy is not None else SELLCS_MODEL_OCCUPANCY
     if not 0.0 < occ <= 1.0:
         raise ValueError(f"occupancy must be in (0, 1], got {occ}")
-    if n_chunks is None:
-        n_chunks = n_streams
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
 
     n_dofs = geo.n_nodes * geo.ndpn
     padded = estimate_nnz(geo.etype, geo.ndpn, geo.n_nodes) / occ
@@ -372,7 +367,7 @@ def sellcs_gpu_spmv_time(
         kernel_bytes / (gpu.mem_gbps * 1e9 * warp_eff),
         flops / (gpu.fp64_gflops * 1e9 * warp_eff),
     )
-    t_kernel += n_chunks * gpu.kernel_launch_s
+    t_kernel += n_streams * gpu.kernel_launch_s
     vec_bytes = n_dofs * 8.0
     t_h2d = vec_bytes / (gpu.pcie_gbps * 1e9)
     t_d2h = vec_bytes / (gpu.pcie_gbps * 1e9)

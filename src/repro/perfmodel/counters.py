@@ -65,7 +65,7 @@ def spmv_counters(
 
     ``sellcs_occupancy`` overrides :data:`SELLCS_MODEL_OCCUPANCY` for the
     ``sellcs`` branch — pass a measured gauge (the bench's
-    ``sellcs.occupancy``) or the autotuner's calibrated value so model
+    ``sellcs.occupancy``) or the calibrated value so model
     placements track the actual ``(C, sigma)`` layout.
     """
     ndpn = operator.ndpn

@@ -16,7 +16,7 @@ and amortized over the solver iterations"; here, over *requests* too).
   to independent single-RHS execution).
 * :mod:`repro.serve.plan` — :class:`ExecutionPlan`: the frozen execution
   policy (mode, GEMM crossover, backend routing, SELL layout) and
-  :func:`load_tuned_config`, the one way an autotuner artifact gets in.
+  :func:`load_tuned_config`, the one way a tuned artifact gets in.
 * :mod:`repro.serve.service` — :class:`SolverService`: dispatch loop with
   load shedding and fault-aware degradation (never wrong answers).
 * :mod:`repro.serve.loadgen` — seeded open-/closed-loop load generator

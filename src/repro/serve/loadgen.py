@@ -79,7 +79,6 @@ class Workload:
     cache_capacity: int = 2
     faults: FaultPlan | None = None
     plan: ExecutionPlan = ExecutionPlan()
-    verify: bool = True  # post-run answer re-check (off for tuner probes)
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -100,7 +99,7 @@ class Workload:
             "k_min": self.plan.k_min,
             "backend": self.plan.backend,
             "sellcs_crossover_dofs": self.plan.sellcs_crossover_dofs,
-            "verify": self.verify,
+            "verify": True,  # every run re-checks its answers post-run
             "keys": [k.fingerprint() for k in self.keys],
             "faults": self.faults.describe() if self.faults else None,
         }
@@ -203,17 +202,9 @@ def run_workload(w: Workload, seed: int = 1234) -> dict[str, Any]:
         now = t_end
         makespan = max(makespan, now)
 
-    if w.verify:
-        wrong, ref = _verify(w, completions)
-        ctx0, _ = ref.get(w.keys[0])
-        n_parts, n_dofs = ctx0.n_parts, ctx0.n_dofs
-    else:
-        # tuner probes skip the (expensive) re-check: answer correctness
-        # is the serve suite's job, the probe only measures scheduling
-        wrong = 0
-        ctx0 = cache.peek(w.keys[0])
-        n_parts = ctx0.n_parts if ctx0 else w.keys[0].n_parts
-        n_dofs = ctx0.n_dofs if ctx0 else w.keys[0].n_dofs_estimate()
+    wrong, ref = _verify(w, completions)
+    ctx0, _ = ref.get(w.keys[0])
+    n_parts, n_dofs = ctx0.n_parts, ctx0.n_dofs
     obs.incr("serve.wrong_answers", wrong)  # materialize even when 0
 
     req_counts = {

@@ -17,9 +17,10 @@ per batch; the layout becomes part of the identity of every SELL key it
 serves (:attr:`ProblemKey.sell <repro.serve.cache.ProblemKey.sell>`), so
 two layouts never share a cached context.
 
-:func:`load_tuned_config` is the one way an autotuner artifact
-(``tuned_config.json`` or a ``TUNE_report.json``) becomes a plan; the
-serve and shard harnesses expose it as ``--tuned-from``.  A missing,
+:func:`load_tuned_config` is the one way a tuned artifact
+(``tuned_config.json``, written by ``python -m repro.harness tune`` from
+the measured crossovers) becomes a plan; the serve and shard harnesses
+expose it as ``--tuned-from``.  A missing,
 unreadable or unknown-schema file, or an out-of-range value, raises
 :class:`PlanError`.
 """
@@ -32,7 +33,7 @@ from numbers import Integral
 
 from repro.core.kernels import EMV_MODES
 from repro.core.sellcs import DEFAULT_C, DEFAULT_SIGMA_FACTOR
-from repro.obs.schema import TUNE_CONFIG_SCHEMA, TUNE_SCHEMA, SchemaError, read_json
+from repro.obs.schema import TUNE_CONFIG_SCHEMA, SchemaError, read_json
 
 __all__ = [
     "ExecutionPlan",
@@ -120,7 +121,7 @@ class ExecutionPlan:
 
     @classmethod
     def from_tuned(cls, config: dict) -> "ExecutionPlan":
-        """The plan an autotuner config (the ``repro.tune-config/1``
+        """The plan a tuned config (the ``repro.tune-config/1``
         ``config`` block) describes: ``gemm_k_min`` is the GEMM
         crossover, a positive ``sellcs_crossover_dofs`` turns on
         ``backend="auto"`` routing, and ``sell_c`` /
@@ -144,25 +145,20 @@ class ExecutionPlan:
 
 
 def load_tuned_config(path) -> ExecutionPlan:
-    """Load the plan of a ``repro.tune-config/1`` document or of a
-    ``repro.tune/1`` report's winner.  Raises :class:`PlanError` for a
-    missing, unreadable or unknown-schema file and for out-of-range
-    values."""
+    """Load the plan of a ``repro.tune-config/1`` document.  Raises
+    :class:`PlanError` for a missing, unreadable or unknown-schema file and
+    for out-of-range values."""
     try:
         doc = read_json(path)
     except SchemaError as exc:
         raise PlanError(f"tuned config: {exc}") from exc
     schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema == TUNE_CONFIG_SCHEMA:
-        config = doc.get("config")
-    elif schema == TUNE_SCHEMA:
-        winner = doc.get("winner")
-        config = winner.get("config") if isinstance(winner, dict) else None
-    else:
+    if schema != TUNE_CONFIG_SCHEMA:
         raise PlanError(
-            f"{path}: unknown schema {schema!r} (expected "
-            f"{TUNE_CONFIG_SCHEMA!r} or {TUNE_SCHEMA!r})"
+            f"{path}: unknown schema {schema!r} "
+            f"(expected {TUNE_CONFIG_SCHEMA!r})"
         )
+    config = doc.get("config")
     if not isinstance(config, dict):
         raise PlanError(f"{path}: no config block")
     return ExecutionPlan.from_tuned(config)
@@ -184,7 +180,7 @@ def add_tuned_from_argument(ap: argparse.ArgumentParser) -> None:
         type=load,
         default=ExecutionPlan(),
         metavar="TUNED_CONFIG_JSON",
-        help="execute under the plan of an autotuner artifact "
-        "(tuned_config.json or TUNE_report.json): GEMM crossover, backend "
-        "routing and SELL (C, sigma) layout",
+        help="execute under the plan of a tuned_config.json (written by "
+        "`python -m repro.harness tune`): GEMM crossover, backend routing "
+        "and SELL (C, sigma) layout",
     )

@@ -102,7 +102,10 @@ def cg(
         allreduce reduces vectors elementwise in the same rank order as
         scalars, and the in-place axpy updates round identically).
         Ignored when ``resilience`` is active — the restart path keeps
-        the classic, separately-guarded reductions.
+        the classic, separately-guarded reductions.  ``fused=False``
+        runs the classic loop; no solver path selects it, it is kept as
+        the bitwise reference the ``test_cg_fused_*`` tests in
+        ``tests/test_solvers.py`` compare the fused iteration against.
     """
 
     obs = comm.obs

@@ -1,4 +1,4 @@
-"""Perfmodel calibration from measured reports.
+"""Calibration from measured reports, and the tuned plan it implies.
 
 :func:`fit_machine_constants` is a least-squares fit of the perfmodel's
 effective machine rates (EMV sweep, CSR SPMV, SELL slice sweep) from
@@ -8,23 +8,48 @@ measurements do.  The affine fit ``t = a + f·b`` is clamped: a negative
 intercept or non-positive slope (possible on noisy two-point data) falls
 back to the through-origin estimator ``b = Σf·t / Σf²``.
 
-Tuned configs are loaded by :func:`repro.serve.plan.load_tuned_config`.
+The machine-dependent plan choices are the crossovers those reports
+measure: the GEMM multi-RHS ``k_min`` (kernels suite) and the SELL-C-
+sigma backend crossover in dofs (sellcs suite).  ``python -m
+repro.harness tune`` (:func:`main`) writes exactly those to
+``tuned_config.json`` (schema ``repro.tune-config/1``), which
+:func:`repro.serve.plan.load_tuned_config` turns into the
+:class:`~repro.serve.plan.ExecutionPlan` the serve and shard harnesses
+run under with ``--tuned-from``.
 """
 
 from __future__ import annotations
 
+import argparse
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.obs.schema import BENCH_SCHEMA, read_json, validate_report
+from repro.obs.schema import (
+    BENCH_SCHEMA,
+    TUNE_CONFIG_SCHEMA,
+    SchemaError,
+    read_json,
+    validate_report,
+    write_report,
+)
 from repro.perfmodel.machine import FRONTERA, FronteraMachine
 
 __all__ = [
     "calibrated_machine",
     "fit_machine_constants",
+    "main",
 ]
+
+_DEFAULT_KERNELS = Path("benchmarks/baseline/BENCH_kernels.json")
+_DEFAULT_SELLCS = Path("benchmarks/baseline/BENCH_sellcs.json")
+
+#: the calibration outputs that are plan choices, in the
+#: ``repro.tune-config/1`` spelling :meth:`ExecutionPlan.from_tuned
+#: <repro.serve.plan.ExecutionPlan.from_tuned>` reads
+_PLAN_KEYS = ("gemm_k_min", "sellcs_crossover_dofs")
 
 #: analytic per-SPMV HYMV flop counts for the kernel-suite cases
 #: (2 · n_elements · (nodes_per_elem · dofs_per_node)², the batched
@@ -201,3 +226,64 @@ def calibrated_machine(
     if not fields:
         return base
     return replace(base, rates=replace(base.rates, **fields))
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(
+        prog="python -m repro.harness tune",
+        description="Calibrate from the measured kernels/sellcs reports and "
+        "write their GEMM and SELL-C-sigma crossovers as tuned_config.json, "
+        "the plan serve/shard --tuned-from run under",
+    )
+    ap.add_argument(
+        "--kernels-baseline", type=Path, default=_DEFAULT_KERNELS,
+        help="measured kernels report: the GEMM k_min crossover "
+        "(missing: skip)",
+    )
+    ap.add_argument(
+        "--sellcs-baseline", type=Path, default=_DEFAULT_SELLCS,
+        help="measured sellcs report: the SELL-C-sigma backend crossover "
+        "(missing: skip)",
+    )
+    ap.add_argument(
+        "--tuned-out", type=Path, default=Path("tuned_config.json"),
+        help="plan artifact for --tuned-from",
+    )
+    ap.add_argument("--quiet", action="store_true")
+    args = ap.parse_args(argv)
+
+    inputs = (args.kernels_baseline, args.sellcs_baseline)
+    try:
+        calibrated = fit_machine_constants(*inputs)
+    except SchemaError as exc:
+        print(f"[tune] error: {exc}", file=sys.stderr)
+        return 2
+    if calibrated is None:
+        print(
+            f"[tune] error: no calibration input: neither "
+            f"{args.kernels_baseline} nor {args.sellcs_baseline} exists",
+            file=sys.stderr,
+        )
+        return 2
+    config = {k: calibrated[k] for k in _PLAN_KEYS if k in calibrated}
+    tuned = validate_report({
+        "schema": TUNE_CONFIG_SCHEMA,
+        "config": config,
+        "source": [str(p) for p in inputs if p.exists()],
+    }, TUNE_CONFIG_SCHEMA)
+    write_report(args.tuned_out, tuned)
+    if not args.quiet:
+        print(
+            f"[tune] calibrated emv={calibrated.get('emv_gflops', 0):.3g} "
+            f"csr={calibrated.get('csr_gflops', 0):.3g} "
+            f"sellcs={calibrated.get('sellcs_gflops', 0):.3g} GF/s, "
+            f"rank agreement "
+            f"{calibrated.get('rank_agreement', 0):.0%} over "
+            f"{calibrated.get('rank_cases', 0)} case(s)"
+        )
+        print(f"[tune] wrote {args.tuned_out}: {config}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,6 @@ from repro.obs.schema import (
     CHAOS_SCHEMA,
     SERVE_SCHEMA,
     SHARD_SCHEMA,
-    TUNE_SCHEMA,
     SchemaError,
     new_report,
     read_json,
@@ -71,11 +70,6 @@ _CACHE = {"hits": 1, "misses": 1, "evictions": 0, "hit_rate": 0.5}
 _LATENCY = {
     "p50": 1.0, "p95": 1.0, "p99": 1.0, "mean": 1.0, "min": 1.0, "max": 1.0,
     "n": 1,
-}
-_OBJECTIVES = {"throughput_rps": 1.0, "p99_s": 1.0, "mem_bytes": 1}
-_WINNER = {
-    "fingerprint": "f", "config": {}, "objectives": _OBJECTIVES,
-    "metrics": {}, "score": 1.0,
 }
 _ENVELOPE = {"created_unix": 0.0, "machine": {}, "config": {}}
 MINIMAL = {
@@ -144,20 +138,6 @@ MINIMAL = {
                       "speedup_vs_rebuild": 2.0},
             "cache": _CACHE, "steps_detail": [], "counters": {},
         }],
-    },
-    TUNE_SCHEMA: {
-        **_ENVELOPE,
-        "space": [{"name": "k", "values": [1], "default": 1}],
-        "calibrated": None,
-        "trajectory": [{
-            "step": 0, "strategy": "random", "fingerprint": "f",
-            "config": {}, "objectives": _OBJECTIVES, "score": 1.0,
-            "cached": False,
-        }],
-        "evaluations": 1, "cache_hits": 0,
-        "pareto": [{"fingerprint": "f", "config": {},
-                    "objectives": _OBJECTIVES}],
-        "default": _WINNER, "winner": _WINNER, "machine_profile": "p",
     },
 }
 for _schema, _doc in MINIMAL.items():
@@ -315,38 +295,6 @@ REJECTION_CORPUS = [
     ("adapt-counters-not-object", ADAPT_SCHEMA,
      ("scenarios", 0, "counters"), [],
      "scenarios[0].counters must be an object"),
-    # tune
-    ("tune-no-machine-profile", TUNE_SCHEMA, ("machine_profile",), _DEL,
-     "report missing key 'machine_profile'"),
-    ("tune-space-empty", TUNE_SCHEMA, ("space",), [],
-     "space must be a non-empty list"),
-    ("tune-space-not-list", TUNE_SCHEMA, ("space",), {"k": 1},
-     "space must be a non-empty list"),
-    ("tune-space-int-item", TUNE_SCHEMA, ("space",), [3],
-     "space[0] must be an object"),
-    ("tune-knob-no-values", TUNE_SCHEMA, ("space", 0, "values"), _DEL,
-     "space[0] missing key 'values'"),
-    ("tune-trajectory-empty", TUNE_SCHEMA, ("trajectory",), [],
-     "trajectory must be a non-empty list"),
-    ("tune-trial-no-cached", TUNE_SCHEMA, ("trajectory", 0, "cached"), _DEL,
-     "trajectory[0] missing key 'cached'"),
-    ("tune-trial-objectives-no-p99", TUNE_SCHEMA,
-     ("trajectory", 0, "objectives", "p99_s"), _DEL,
-     "trajectory[0].objectives missing key 'p99_s'"),
-    ("tune-pareto-empty", TUNE_SCHEMA, ("pareto",), [],
-     "pareto must be a non-empty list"),
-    ("tune-pareto-no-fingerprint", TUNE_SCHEMA,
-     ("pareto", 0, "fingerprint"), _DEL,
-     "pareto[0] missing key 'fingerprint'"),
-    ("tune-pareto-objectives-no-mem", TUNE_SCHEMA,
-     ("pareto", 0, "objectives", "mem_bytes"), _DEL,
-     "pareto[0].objectives missing key 'mem_bytes'"),
-    ("tune-default-none", TUNE_SCHEMA, ("default",), None,
-     "default must be an object"),
-    ("tune-winner-no-metrics", TUNE_SCHEMA, ("winner", "metrics"), _DEL,
-     "winner missing key 'metrics'"),
-    ("tune-calibrated-int", TUNE_SCHEMA, ("calibrated",), 5,
-     "calibrated must be an object or null"),
 ]
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.obs.instrumentation import Instrumentation
-from repro.obs.schema import TUNE_CONFIG_SCHEMA, TUNE_SCHEMA
+from repro.obs.schema import TUNE_CONFIG_SCHEMA
 from repro.serve.cache import OperatorCache, ProblemKey
 from repro.serve.plan import ExecutionPlan, PlanError, load_tuned_config
 from repro.serve.queue import ServeRequest
@@ -63,9 +63,10 @@ _WINNER_PLAN = ExecutionPlan(
         {"schema": TUNE_CONFIG_SCHEMA, "config": _WINNER},
         _WINNER_PLAN, id="tune-config",
     ),
+    # a search report is no plan: only the measured crossovers are
     pytest.param(
-        {"schema": TUNE_SCHEMA, "winner": {"config": _WINNER}},
-        _WINNER_PLAN, id="tune-report",
+        {"schema": "repro.tune/1", "winner": {"config": _WINNER}},
+        PlanError, id="tune-report",
     ),
     pytest.param(
         {"schema": TUNE_CONFIG_SCHEMA, "config": {"sellcs_crossover_dofs": 0}},
@@ -118,8 +119,8 @@ def test_tuned_from_bad_file_exits_nonzero(tmp_path, harness, capsys):
 # ----------------------------------------------------------------------
 
 #: fingerprints recorded before keys could carry a layout: every key of
-#: the serve, shard, adapt and tune-probe suites (smoke and full), plus a
-#: default-layout sellcs key.  Shard placement and every checked-in
+#: the serve, shard and adapt suites (smoke and full), two small poisson
+#: tet4 keys, plus a default-layout sellcs key.  Shard placement and every checked-in
 #: baseline depend on these staying put.
 PINNED_FINGERPRINTS = {
     ("poisson", 4, 4, "tet4", 1, "hymv"): "9921bb18aa8f",
