@@ -31,8 +31,8 @@ ways, selected by ``mode``:
   result agrees with the oracle only to a derived rounding bound
   (:func:`gemm_equivalence_rtol`), never bitwise.
 * ``"auto"`` — ``gemm`` when ``k >= k_min`` (default
-  :data:`DEFAULT_K_MIN`; calibrate with the kernels microbench), else
-  ``oracle``.  Resolved by :func:`resolve_mode`.
+  :data:`DEFAULT_K_MIN`; ``python -m repro.harness tune`` measures
+  it), else ``oracle``.  Resolved by :func:`resolve_mode`.
 """
 
 from __future__ import annotations
@@ -58,11 +58,8 @@ __all__ = [
 EMV_MODES = ("oracle", "gemm", "auto")
 
 #: conservative default crossover for ``mode="auto"``: GEMM is selected
-#: for k >= DEFAULT_K_MIN columns.  The kernels microbench
-#: (``python -m repro.harness bench --suite kernels``) measures the real
-#: crossover on the current machine and writes it into
-#: ``BENCH_kernels.json`` as ``config.gemm_k_min_crossover``;
-#: ``python -m repro.harness tune`` carries that measured threshold to
+#: for k >= DEFAULT_K_MIN columns.  ``python -m repro.harness tune``
+#: measures the real crossover on the current machine and carries it to
 #: the serve tier as :attr:`repro.serve.plan.ExecutionPlan.k_min`.
 DEFAULT_K_MIN = 8
 

@@ -1,4 +1,4 @@
-"""Entry point: figures/tables, bench suites, chaos matrix, serve harness.
+"""Entry point: figures/tables, smoke bench, chaos matrix, serve harness.
 
 The usage examples below are generated from ``_EXAMPLES`` (one source of
 truth — the module docstring, ``--help`` epilog and README stay in sync
@@ -11,7 +11,6 @@ Usage::
     python -m repro.harness --scale paper     # paper-scale modeled series
     python -m repro.harness --out results/    # also write one .txt per exp
     python -m repro.harness bench             # smoke bench -> BENCH_smoke.json
-    python -m repro.harness bench --suite kernels  # SPMV hot-path microbench
     python -m repro.harness chaos --smoke     # fault matrix -> CHAOS_report.json
     python -m repro.harness serve --smoke     # load harness -> SERVE_report.json
 """
@@ -24,8 +23,7 @@ import sys
 
 # subcommand name -> (module with main(), one-line description)
 _COMMANDS = {
-    "bench": ("repro.obs.bench", "bench suites -> BENCH_<suite>.json "
-              "(--suite smoke|kernels)"),
+    "bench": ("repro.obs.bench", "modeled smoke bench -> BENCH_smoke.json"),
     "chaos": ("repro.faults.chaos", "fault-injection matrix -> "
               "CHAOS_report.json (--smoke for CI size)"),
     "serve": ("repro.serve.loadgen", "batched-solver load harness -> "
@@ -34,8 +32,8 @@ _COMMANDS = {
               "SHARD_report.json (--smoke for CI size)"),
     "adapt": ("repro.adapt.harness", "incremental-update harness -> "
               "ADAPT_report.json (--smoke for CI size)"),
-    "tune": ("repro.tune.calibration", "measured GEMM + SELL-C-sigma "
-             "crossovers -> tuned_config.json (for --tuned-from)"),
+    "tune": ("repro.tune.calibration", "GEMM + SELL-C-sigma crossovers, "
+             "measured here -> tuned_config.json (for --tuned-from)"),
 }
 
 # (example invocation, what it does) — the single source of the usage block
@@ -45,8 +43,6 @@ _EXAMPLES = (
     ("python -m repro.harness --scale paper", "paper-scale modeled series"),
     ("python -m repro.harness --out results/", "also write one .txt per exp"),
     ("python -m repro.harness bench", "smoke bench -> BENCH_smoke.json"),
-    ("python -m repro.harness bench --suite kernels",
-     "SPMV hot-path microbench"),
     ("python -m repro.harness chaos --smoke",
      "fault matrix -> CHAOS_report.json"),
     ("python -m repro.harness serve --smoke",
@@ -56,7 +52,7 @@ _EXAMPLES = (
     ("python -m repro.harness adapt --smoke",
      "delta updates -> ADAPT_report.json"),
     ("python -m repro.harness tune",
-     "calibration -> tuned_config.json"),
+     "measured crossovers -> tuned_config.json"),
 )
 
 

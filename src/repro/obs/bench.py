@@ -181,61 +181,37 @@ def _summary_table(doc: dict[str, Any]) -> str:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.harness bench",
-        description="Run a bench suite and emit BENCH_<suite>.json",
+        description="Run the smoke bench and emit BENCH_smoke.json",
     )
     ap.add_argument(
-        "--suite",
-        choices=["smoke", "kernels", "sellcs"],
-        default="smoke",
-        help="smoke: modeled multi-rank matrix (machine-independent); "
-        "kernels: measured single-rank SPMV hot-path microbench; "
-        "sellcs: measured SELL-C-sigma (C, sigma) sweep and backend "
-        "crossover vs the assembled/HYMV paths",
-    )
-    ap.add_argument(
-        "--repeats", type=int, default=None, help="repeats per (case, method)"
+        "--repeats", type=int, default=3, help="repeats per (case, method)"
     )
     ap.add_argument(
         "--out",
         type=pathlib.Path,
-        default=None,
-        help="output JSON path (default: ./BENCH_<suite>.json)",
+        default=pathlib.Path("BENCH_smoke.json"),
+        help="output JSON path (default: ./BENCH_smoke.json)",
     )
     ap.add_argument(
         "--measured",
         action="store_true",
-        help="smoke suite only: measure real compute instead of the "
-        "deterministic model (machine-dependent output; not comparable "
-        "across hosts)",
+        help="measure real compute instead of the deterministic model "
+        "(machine-dependent output; not comparable across hosts)",
     )
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
-    if args.repeats is None:
-        args.repeats = 3 if args.suite == "smoke" else 5
     if args.repeats < 1:
         ap.error(f"--repeats must be >= 1 (got {args.repeats})")
-    if args.out is None:
-        args.out = pathlib.Path(f"BENCH_{args.suite}.json")
 
-    if args.suite == "kernels":
-        from repro.obs.kernelbench import run_kernels_suite
-
-        doc = run_kernels_suite(repeats=args.repeats, verbose=not args.quiet)
-    elif args.suite == "sellcs":
-        from repro.obs.kernelbench import run_sellcs_suite
-
-        doc = run_sellcs_suite(repeats=args.repeats, verbose=not args.quiet)
-    else:
-        doc = run_smoke_suite(
-            repeats=args.repeats,
-            modeled=not args.measured,
-            verbose=not args.quiet,
-        )
+    doc = run_smoke_suite(
+        repeats=args.repeats,
+        modeled=not args.measured,
+        verbose=not args.quiet,
+    )
     write_report(args.out, doc)
     if not args.quiet:
-        if args.suite == "smoke":
-            print()
-            print(_summary_table(doc))
+        print()
+        print(_summary_table(doc))
         print(f"\n[bench] wrote {args.out}")
     return 0
 

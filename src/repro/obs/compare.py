@@ -8,19 +8,11 @@ flaking).  Counter *increases* beyond their own budget also fail — more
 bytes on the wire or more elements swept for the same problem is a
 regression even if the modeled clock hides it.
 
-Two absolute gates exist for *measured* suites, where raw wall-clock
-medians are machine-dependent and must never be compared across hosts:
-
-* ``--require-zero NAME@SUBSTR`` — counter ``NAME`` must be exactly 0 in
-  every candidate result whose key contains ``SUBSTR`` (e.g. the
-  ``spmv.bytes_alloc`` tracemalloc counter on workspace rows);
-* ``--min-speedup VALUE@SUBSTR`` — every matching candidate result must
-  carry ``speedup_vs_reference >= VALUE``.  The ratio is taken between
-  two runs on the *same* machine inside one bench invocation, so it is
-  portable even though the medians it is built from are not.
-
-Both flags are repeatable, match on the candidate only, and fail when no
-result matches (a gate that silently matches nothing is misconfigured).
+``--require-zero NAME@SUBSTR`` is the absolute gate: counter ``NAME``
+must be exactly 0 in every candidate result whose key contains
+``SUBSTR`` (e.g. ``serve.wrong_answers`` on the serve rows).  The flag
+is repeatable, matches on the candidate only, and fails when no result
+matches (a gate that silently matches nothing is misconfigured).
 
 Exit codes: ``0`` pass, ``1`` regression, ``2`` bad input/schema.
 """
@@ -168,31 +160,24 @@ def _compare_counters(
             )
 
 
-def _matching(
-    cand_doc: dict[str, Any], substr: str, gate: str, findings: list[Finding]
-) -> list[tuple[str, dict[str, Any]]]:
-    """``(key, result)`` of every candidate result whose key contains
-    ``substr``; a gate that matches nothing is misconfigured and fails."""
-    rows = [
-        (result_key(r), r) for r in cand_doc["results"]
-        if substr in result_key(r)
-    ]
-    if not rows:
-        findings.append(
-            Finding("fail", gate, "no candidate result matches the key substring")
-        )
-    return rows
-
-
 def _check_zero_counters(
     cand_doc: dict[str, Any],
     require_zero: list[tuple[str, str]],
     findings: list[Finding],
 ) -> None:
-    """Absolute gate: counter must be exactly 0 in matching results."""
+    """Absolute gate: counter must be exactly 0 in matching results; a
+    gate that matches no result is misconfigured and fails."""
     for name, substr in require_zero:
-        gate = f"--require-zero {name}@{substr}"
-        for key, res in _matching(cand_doc, substr, gate, findings):
+        rows = [
+            (result_key(r), r) for r in cand_doc["results"]
+            if substr in result_key(r)
+        ]
+        if not rows:
+            findings.append(Finding(
+                "fail", f"--require-zero {name}@{substr}",
+                "no candidate result matches the key substring",
+            ))
+        for key, res in rows:
             value = res["counters"].get(name)
             if value is None:
                 findings.append(
@@ -208,56 +193,19 @@ def _check_zero_counters(
                 )
 
 
-def _check_min_speedups(
-    cand_doc: dict[str, Any],
-    min_speedup: list[tuple[float, str]],
-    findings: list[Finding],
-) -> None:
-    """Absolute gate: ``speedup_vs_reference`` floor on matching results."""
-    for floor, substr in min_speedup:
-        gate = f"--min-speedup {floor}@{substr}"
-        for key, res in _matching(cand_doc, substr, gate, findings):
-            ratio = res.get("speedup_vs_reference")
-            if ratio is None:
-                findings.append(
-                    Finding(
-                        "fail",
-                        f"{key} speedup_vs_reference",
-                        "result carries no speedup ratio",
-                    )
-                )
-            elif ratio < floor:
-                findings.append(
-                    Finding(
-                        "fail",
-                        f"{key} speedup_vs_reference",
-                        f"{ratio:.2f}x < required {floor:.2f}x",
-                    )
-                )
-            else:
-                findings.append(
-                    Finding(
-                        "info",
-                        f"{key} speedup_vs_reference",
-                        f"{ratio:.2f}x >= required {floor:.2f}x",
-                    )
-                )
-
-
 def compare_docs(
     base_doc: dict[str, Any],
     cand_doc: dict[str, Any],
     budget: float = 0.25,
     counter_budget: float = 0.01,
     require_zero: list[tuple[str, str]] | None = None,
-    min_speedup: list[tuple[float, str]] | None = None,
 ) -> tuple[bool, list[Finding]]:
     """Compare candidate against baseline; returns ``(ok, findings)``.
 
     ``budget`` is the allowed relative increase of any phase median;
     ``counter_budget`` the allowed relative increase of any counter.
-    ``require_zero`` and ``min_speedup`` are the absolute candidate-side
-    gates described in the module docstring.
+    ``require_zero`` is the absolute candidate-side gate described in
+    the module docstring.
     """
     validate_report(base_doc, BENCH_SCHEMA)
     validate_report(cand_doc, BENCH_SCHEMA)
@@ -286,8 +234,6 @@ def compare_docs(
         _compare_counters(key, base, cand, counter_budget, findings)
     if require_zero:
         _check_zero_counters(cand_doc, require_zero, findings)
-    if min_speedup:
-        _check_min_speedups(cand_doc, min_speedup, findings)
     ok = not any(f.severity == "fail" for f in findings)
     return ok, findings
 
@@ -329,27 +275,6 @@ def markdown_summary(
                 f"| {key} | {label} | {b * 1e3:.4f} ms "
                 f"| {c * 1e3:.4f} ms | {delta} |"
             )
-    # SELL-C-sigma layout digest: padding cost of every candidate row that
-    # carries the sellcs gauges, so the format overhead is visible on the
-    # run summary next to the timings it buys
-    sell_rows = [
-        (result_key(r), r["counters"])
-        for r in cand_doc["results"]
-        if "sellcs.padded_nnz" in r.get("counters", {})
-    ]
-    if sell_rows:
-        lines += [
-            "",
-            "#### SELL-C-sigma layout",
-            "",
-            "| result | padded_nnz | occupancy |",
-            "|---|---:|---:|",
-        ]
-        lines += [
-            f"| {key} | {counters['sellcs.padded_nnz']:.0f} "
-            f"| {counters.get('sellcs.occupancy', float('nan')):.3f} |"
-            for key, counters in sell_rows
-        ]
     flagged = [f for f in findings if f.severity != "info"]
     if flagged:
         lines += ["", "#### Findings", ""]
@@ -375,7 +300,7 @@ def _write_step_summary(text: str) -> None:
 
 
 def _split_gate(spec: str) -> tuple[str, str]:
-    """Split a ``NAME@SUBSTR`` / ``VALUE@SUBSTR`` gate spec."""
+    """Split a ``NAME@SUBSTR`` gate spec."""
     left, sep, right = spec.partition("@")
     if not sep or not left or not right:
         raise SchemaError(f"bad gate spec {spec!r} (expected NAME@SUBSTR)")
@@ -409,28 +334,10 @@ def main(argv: list[str] | None = None) -> int:
         help="counter NAME must be 0 in every candidate result whose key "
         "contains SUBSTR (repeatable; fails if nothing matches)",
     )
-    ap.add_argument(
-        "--min-speedup",
-        action="append",
-        default=[],
-        metavar="VALUE@SUBSTR",
-        help="speedup_vs_reference must be >= VALUE in every candidate "
-        "result whose key contains SUBSTR (repeatable; fails if nothing "
-        "matches)",
-    )
     args = ap.parse_args(argv)
 
     try:
         require_zero = [_split_gate(s) for s in args.require_zero]
-        min_speedup = []
-        for s in args.min_speedup:
-            value, sub = _split_gate(s)
-            try:
-                min_speedup.append((float(value), sub))
-            except ValueError:
-                raise SchemaError(
-                    f"bad --min-speedup value {value!r} in {s!r}"
-                ) from None
         base = read_json(args.baseline)
         cand = read_json(args.candidate)
         ok, findings = compare_docs(
@@ -439,7 +346,6 @@ def main(argv: list[str] | None = None) -> int:
             budget=args.budget,
             counter_budget=args.counter_budget,
             require_zero=require_zero,
-            min_speedup=min_speedup,
         )
     except SchemaError as exc:
         print(f"[compare] error: {exc}", file=sys.stderr)

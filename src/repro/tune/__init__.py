@@ -1,9 +1,8 @@
-"""repro.tune — calibration from measured reports.
+"""repro.tune — the measured plan.
 
-:func:`fit_machine_constants` fits the perfmodel's effective rates and
-extracts the measured GEMM and SELL-C-sigma crossovers from the kernels
-and sellcs bench reports; :func:`calibrated_machine` substitutes the
-fitted rates into a machine model.
+:func:`measure` times the GEMM multi-RHS and SELL-C-sigma backend
+crossovers on the live host; :func:`crossovers` selects the plan keys
+those timings imply.
 
 Entry point: ``python -m repro.harness tune``, which writes the measured
 crossovers as ``tuned_config.json``;
@@ -11,9 +10,6 @@ crossovers as ``tuned_config.json``;
 :class:`~repro.serve.plan.ExecutionPlan`.
 """
 
-from repro.tune.calibration import calibrated_machine, fit_machine_constants
+from repro.tune.calibration import crossovers, measure
 
-__all__ = [
-    "calibrated_machine",
-    "fit_machine_constants",
-]
+__all__ = ["crossovers", "measure"]

@@ -1,18 +1,16 @@
-"""Calibration from measured reports, and the tuned plan it implies.
+"""The tuned plan: the two machine-dependent crossovers, measured here.
 
-:func:`fit_machine_constants` is a least-squares fit of the perfmodel's
-effective machine rates (EMV sweep, CSR SPMV, SELL slice sweep) from
-measured ``BENCH_kernels``/``BENCH_sellcs`` reports, with a rank-
-agreement check that the calibrated model orders backends the way the
-measurements do.  The affine fit ``t = a + f·b`` is clamped: a negative
-intercept or non-positive slope (possible on noisy two-point data) falls
-back to the through-origin estimator ``b = Σf·t / Σf²``.
+The plan choices that depend on the machine are the GEMM multi-RHS
+width ``k_min`` and the SELL-C-sigma backend crossover in dofs.
+:func:`measure` times both on the live host and returns the raw
+per-shape timings; :func:`crossovers` is the pure selection rule that
+turns timings into ``repro.tune-config/1`` keys, so tests can hand it
+synthetic timings.  Each side's time is its fastest sample (min of
+:data:`REPEATS` samples): noisy neighbours only ever inflate a sample,
+so the minimum is the least contaminated estimate.
 
-The machine-dependent plan choices are the crossovers those reports
-measure: the GEMM multi-RHS ``k_min`` (kernels suite) and the SELL-C-
-sigma backend crossover in dofs (sellcs suite).  ``python -m
-repro.harness tune`` (:func:`main`) writes exactly those to
-``tuned_config.json`` (schema ``repro.tune-config/1``), which
+``python -m repro.harness tune`` (:func:`main`) writes the selected
+crossovers to ``tuned_config.json``, which
 :func:`repro.serve.plan.load_tuned_config` turns into the
 :class:`~repro.serve.plan.ExecutionPlan` the serve and shard harnesses
 run under with ``--tuned-from``.
@@ -22,228 +20,198 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from repro.obs.instrumentation import Instrumentation
 from repro.obs.schema import (
-    BENCH_SCHEMA,
     TUNE_CONFIG_SCHEMA,
-    SchemaError,
-    read_json,
+    new_report,
     validate_report,
     write_report,
 )
-from repro.perfmodel.machine import FRONTERA, FronteraMachine
 
-__all__ = [
-    "calibrated_machine",
-    "fit_machine_constants",
-    "main",
-]
+__all__ = ["GEMM_KS", "SELLCS_K", "SHAPES", "crossovers", "main", "measure"]
 
-_DEFAULT_KERNELS = Path("benchmarks/baseline/BENCH_kernels.json")
-_DEFAULT_SELLCS = Path("benchmarks/baseline/BENCH_sellcs.json")
+#: batch widths the GEMM-vs-oracle crossover is searched over
+GEMM_KS = (1, 2, 8, 32)
 
-#: the calibration outputs that are plan choices, in the
-#: ``repro.tune-config/1`` spelling :meth:`ExecutionPlan.from_tuned
-#: <repro.serve.plan.ExecutionPlan.from_tuned>` reads
-_PLAN_KEYS = ("gemm_k_min", "sellcs_crossover_dofs")
+#: batch width the SELL-C-sigma and HYMV GEMM paths are compared at
+SELLCS_K = 32
 
-#: analytic per-SPMV HYMV flop counts for the kernel-suite cases
-#: (2 · n_elements · (nodes_per_elem · dofs_per_node)², the batched
-#: dense EMV sweep) — paired with the measured per-call medians to fit
-#: the EMV rate
-_KERNEL_CASE_FLOPS = {
-    "poisson-hex8-medium": 2.0 * 8000 * (8 * 1) ** 2,
-    "elastic-bar-hex8-medium": 2.0 * 1024 * (8 * 3) ** 2,
+#: samples per side, and calls per sample at k = 1 (``max(2, N_CALLS // k)``
+#: at width k)
+REPEATS = 5
+N_CALLS = 10
+
+
+def _poisson_medium():
+    from repro.problems import poisson_problem
+
+    # 8000 HEX8 elements, 9261 dofs: the sweep dominates Python overhead
+    return poisson_problem(20, n_parts=1)
+
+
+def _poisson_tiny():
+    from repro.problems import poisson_problem
+
+    return poisson_problem(6, n_parts=1)  # 343 dofs
+
+
+def _graphlap(nel):
+    from repro.problems import graph_laplacian_problem
+
+    # jittered tets: irregular row lengths (729 / 4913 dofs)
+    return lambda: graph_laplacian_problem(nel, n_parts=1, seed=3)
+
+
+#: the backend-crossover shapes, smallest first: name -> spec factory.
+#: ``poisson-hex8-medium`` is also the GEMM ``k_min`` shape.
+SHAPES = {
+    "poisson-hex8-tiny": _poisson_tiny,
+    "graphlap-tet4-small": _graphlap(8),
+    "graphlap-tet4-medium": _graphlap(16),
+    "poisson-hex8-medium": _poisson_medium,
 }
 
 
-def _affine_fit(points: list) -> tuple[float, float]:
-    """Fit ``t = a + f·b`` over ``points = [(flops, seconds), ...]``.
+class _NullComm:
+    """Single-rank stand-in for :class:`repro.simmpi.Communicator`.
 
-    Returns ``(a, b)`` with ``a >= 0`` and ``b > 0``: an inadmissible
-    least-squares solution (negative overhead or non-positive rate,
-    which two noisy points can produce) falls back to the through-origin
-    fit ``b = Σf·t / Σf²``.
+    Lets the operator stack run in-process without simulator threads, so
+    ``time.perf_counter`` around a product measures the genuine hot
+    path.  Collectives degenerate to identities; point-to-point must
+    never happen on one rank and raises.
     """
-    f = np.asarray([p[0] for p in points], dtype=float)
-    t = np.asarray([p[1] for p in points], dtype=float)
-    a, b = 0.0, 0.0
-    if len(points) >= 2:
-        design = np.stack([np.ones_like(f), f], axis=1)
-        (a, b), *_ = np.linalg.lstsq(design, t, rcond=None)
-    if len(points) < 2 or a < 0.0 or b <= 0.0:
-        a, b = 0.0, float(np.sum(f * t) / np.sum(f * f))
-    return float(a), float(b)
+
+    rank = 0
+    size = 1
+    vtime = 0.0
+
+    def __init__(self) -> None:
+        self.obs = Instrumentation(rank=0, clock=lambda: 0.0, trace=False)
+
+    @contextmanager
+    def compute(self, label: str = "compute"):
+        w0 = time.perf_counter()
+        try:
+            yield self
+        finally:
+            self.obs.record(label, vtime=0.0, wall=time.perf_counter() - w0)
+
+    def advance(self, seconds: float, label: str = "modeled") -> None:
+        self.obs.record(label, vtime=seconds)
+
+    def allreduce(self, value, op="sum"):
+        return value
+
+    def allgather(self, value):
+        return [value]
+
+    def alltoall(self, per_dest):
+        if len(per_dest) != 1:
+            raise ValueError("single-rank alltoall needs exactly one entry")
+        return list(per_dest)
+
+    def isend(self, *a, **k):
+        raise RuntimeError("no point-to-point on a single rank")
+
+    irecv = isend
+    wait = isend
 
 
-def _fit_block(points: list) -> dict:
-    a, b = _affine_fit(points)
-    return {
-        "gflops": 1.0 / (b * 1e9),
-        "overhead_s": a,
-        "n_points": len(points),
-    }
+def _single_rank(cls, spec, **options):
+    """Operator ``cls`` of ``spec`` (one part) on an in-process comm."""
+    return cls(_NullComm(), spec.partition.local(0), spec.operator, **options)
 
 
-def _median(row: dict, phase: str = "spmv.total"):
-    ph = row.get("phases", {}).get(phase)
-    return None if ph is None else float(ph["median"])
+def _fastest(fn, k: int) -> float:
+    """Per-call seconds of ``fn`` at batch width ``k``: the fastest of
+    :data:`REPEATS` samples, after two warm-up calls reach steady state."""
+    fn()
+    fn()
+    n = max(2, N_CALLS // k)
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(n):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / n)
+    return best
 
 
-def fit_machine_constants(
-    kernels_path=None, sellcs_path=None
-) -> dict | None:
-    """Calibrate effective rates from measured bench reports.
+def measure() -> dict:
+    """Time both crossovers on this host; returns the raw timings.
 
-    Fits three rate/overhead pairs (EMV from the kernels suite, CSR and
-    SELL slice-sweep from the sellcs suite), extracts the measured SELL
-    occupancy at the default ``(C, sigma) = (32, 256)`` layout, carries
-    over the measured GEMM ``k_min`` crossover, and scores
-    ``rank_agreement``: the fraction of cases where the calibrated model
-    predicts the same assembled-vs-SELL winner the measurements show.
-    A report path that is ``None`` or names no file is skipped; any
-    other unreadable or non-``repro.bench/1`` report raises
-    :class:`~repro.obs.schema.SchemaError`.  Returns ``None`` when both
-    are skipped.
+    ``{"gemm": {k: {"oracle": s, "gemm": s}}, "sellcs": {shape:
+    {"n_dofs": n, "sellcs": s, "hymv": s}}}`` in seconds per call: the
+    HYMV ``spmv_multi`` per-column oracle vs GEMM on the medium Poisson
+    mesh for every ``k`` in :data:`GEMM_KS`, and the SELL-C-sigma vs
+    HYMV GEMM products at ``k =`` :data:`SELLCS_K` on every
+    :data:`SHAPES` entry.
     """
-    kernels, sellcs = (
-        validate_report(read_json(path), BENCH_SCHEMA)
-        if path and Path(path).exists()
-        else None
-        for path in (kernels_path, sellcs_path)
-    )
-    if kernels is None and sellcs is None:
-        return None
-    out: dict = {"machine": "measured"}
+    from repro.baselines.sellcs import SellCSOperator
+    from repro.core.hymv import HymvOperator
 
-    if kernels is not None:
-        pts = []
-        for row in kernels.get("results", ()):
-            flops = _KERNEL_CASE_FLOPS.get(row.get("case"))
-            med = _median(row)
-            if (
-                flops is not None
-                and med is not None
-                and row.get("method") == "hymv-einsum-workspace"
-            ):
-                pts.append((flops, med))
-        if pts:
-            fit = _fit_block(pts)
-            out["emv_gflops"] = fit["gflops"]
-            out["emv_overhead_s"] = fit["overhead_s"]
-            out["emv_points"] = fit["n_points"]
-        kcfg = kernels.get("config", {})
-        if kcfg.get("gemm_k_min_crossover") is not None:
-            out["gemm_k_min"] = int(kcfg["gemm_k_min_crossover"])
+    specs = {name: make() for name, make in SHAPES.items()}
+    rng = np.random.default_rng(1234)
+    H = _single_rank(HymvOperator, specs["poisson-hex8-medium"], kernel="einsum")
+    gemm = {}
+    for k in GEMM_KS:
+        U, V = H.new_multivector(k), H.new_multivector(k)
+        U.set_owned(rng.standard_normal((H.n_dofs_owned, k)))
+        gemm[k] = {
+            mode: _fastest(lambda mode=mode: H.spmv_multi(U, V, mode=mode), k)
+            for mode in ("oracle", "gemm")
+        }
 
-    if sellcs is not None:
-        csr_pts, sell_pts, occs = [], [], []
-        cases: dict = {}
-        for row in sellcs.get("results", ()):
-            med = _median(row)
-            if med is None:
-                continue
-            case = row.get("case")
-            method = row.get("method")
-            counters = row.get("counters", {})
-            if method == "assembled-spmv":
-                cases.setdefault(case, {})["assembled"] = med
-            elif method == "sellcs-C32-s256-spmv":
-                padded = counters.get("sellcs.padded_nnz")
-                occ = counters.get("sellcs.occupancy")
-                if padded and occ:
-                    # true nnz = padded · occupancy (the gauges are exact)
-                    csr_flops = 2.0 * padded * occ
-                    cases.setdefault(case, {}).update(
-                        sellcs=med, nnz_flops=csr_flops,
-                        padded_flops=2.0 * padded,
-                    )
-                    sell_pts.append((2.0 * padded, med))
-                    occs.append(float(occ))
-        for c in cases.values():
-            if "assembled" in c and "nnz_flops" in c:
-                csr_pts.append((c["nnz_flops"], c["assembled"]))
-        if csr_pts:
-            fit = _fit_block(csr_pts)
-            out["csr_gflops"] = fit["gflops"]
-            out["csr_overhead_s"] = fit["overhead_s"]
-            out["csr_points"] = fit["n_points"]
-        if sell_pts:
-            fit = _fit_block(sell_pts)
-            out["sellcs_gflops"] = fit["gflops"]
-            out["sellcs_overhead_s"] = fit["overhead_s"]
-            out["sellcs_points"] = fit["n_points"]
-        if occs:
-            out["sellcs_occupancy"] = float(np.mean(occs))
-        scfg = sellcs.get("config", {})
-        if scfg.get("sellcs_crossover_dofs") is not None:
-            out["sellcs_crossover_dofs"] = int(scfg["sellcs_crossover_dofs"])
-
-        # rank agreement: does the calibrated model order the two
-        # assembled-format backends the way the measurements do?
-        if csr_pts and sell_pts and "csr_gflops" in out:
-            agree = total = 0
-            for c in cases.values():
-                if not {"assembled", "sellcs", "nnz_flops"} <= c.keys():
-                    continue
-                pred_a = out["csr_overhead_s"] + c["nnz_flops"] / (
-                    out["csr_gflops"] * 1e9
-                )
-                pred_s = out["sellcs_overhead_s"] + c["padded_flops"] / (
-                    out["sellcs_gflops"] * 1e9
-                )
-                total += 1
-                if (pred_a <= pred_s) == (c["assembled"] <= c["sellcs"]):
-                    agree += 1
-            out["rank_agreement"] = agree / total if total else 0.0
-            out["rank_cases"] = total
-
-    out["n_points"] = sum(
-        out.get(k, 0) for k in ("emv_points", "csr_points", "sellcs_points")
-    )
-    return out
+    sellcs = {}
+    for name, spec in specs.items():
+        ops = {
+            "sellcs": _single_rank(SellCSOperator, spec),
+            "hymv": _single_rank(HymvOperator, spec, kernel="einsum"),
+        }
+        X = rng.standard_normal((spec.n_dofs, SELLCS_K))
+        sellcs[name] = {"n_dofs": spec.n_dofs} | {
+            tag: _fastest(
+                lambda A=A: A.apply_owned_multi(X, copy=False, mode="gemm"),
+                SELLCS_K,
+            )
+            for tag, A in ops.items()
+        }
+    return {"gemm": gemm, "sellcs": sellcs}
 
 
-def calibrated_machine(
-    calibrated: dict | None, base: FronteraMachine = FRONTERA
-) -> FronteraMachine:
-    """A machine model with measured effective rates substituted in.
+def crossovers(timings: dict) -> dict:
+    """The plan keys the timings imply, in ``repro.tune-config/1`` form.
 
-    Only the rates the calibration actually produced are replaced; the
-    paper-calibrated constants remain for everything else.
+    ``gemm_k_min`` is the smallest ``k`` at which GEMM beats the
+    per-column oracle; ``sellcs_crossover_dofs`` the largest shape at
+    which the SELL-C-sigma GEMM beats the HYMV GEMM.  A key is absent
+    when its fast path never wins.
     """
-    if not calibrated:
-        return base
-    fields = {}
-    if calibrated.get("emv_gflops"):
-        fields["emv_gflops"] = float(calibrated["emv_gflops"])
-    if calibrated.get("csr_gflops"):
-        fields["csr_gflops"] = float(calibrated["csr_gflops"])
-    if not fields:
-        return base
-    return replace(base, rates=replace(base.rates, **fields))
+    config = {}
+    wins = [k for k, t in timings["gemm"].items() if t["gemm"] < t["oracle"]]
+    if wins:
+        config["gemm_k_min"] = min(wins)
+    dofs = [
+        t["n_dofs"] for t in timings["sellcs"].values()
+        if t["sellcs"] < t["hymv"]
+    ]
+    if dofs:
+        config["sellcs_crossover_dofs"] = max(dofs)
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.harness tune",
-        description="Calibrate from the measured kernels/sellcs reports and "
-        "write their GEMM and SELL-C-sigma crossovers as tuned_config.json, "
-        "the plan serve/shard --tuned-from run under",
-    )
-    ap.add_argument(
-        "--kernels-baseline", type=Path, default=_DEFAULT_KERNELS,
-        help="measured kernels report: the GEMM k_min crossover "
-        "(missing: skip)",
-    )
-    ap.add_argument(
-        "--sellcs-baseline", type=Path, default=_DEFAULT_SELLCS,
-        help="measured sellcs report: the SELL-C-sigma backend crossover "
-        "(missing: skip)",
+        description="Measure the GEMM k_min and SELL-C-sigma backend "
+        "crossovers on this host and write them as tuned_config.json, the "
+        "plan serve/shard --tuned-from run under",
     )
     ap.add_argument(
         "--tuned-out", type=Path, default=Path("tuned_config.json"),
@@ -252,35 +220,25 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
 
-    inputs = (args.kernels_baseline, args.sellcs_baseline)
-    try:
-        calibrated = fit_machine_constants(*inputs)
-    except SchemaError as exc:
-        print(f"[tune] error: {exc}", file=sys.stderr)
-        return 2
-    if calibrated is None:
-        print(
-            f"[tune] error: no calibration input: neither "
-            f"{args.kernels_baseline} nor {args.sellcs_baseline} exists",
-            file=sys.stderr,
-        )
-        return 2
-    config = {k: calibrated[k] for k in _PLAN_KEYS if k in calibrated}
-    tuned = validate_report({
-        "schema": TUNE_CONFIG_SCHEMA,
-        "config": config,
-        "source": [str(p) for p in inputs if p.exists()],
-    }, TUNE_CONFIG_SCHEMA)
-    write_report(args.tuned_out, tuned)
+    timings = measure()
+    config = crossovers(timings)
+    write_report(args.tuned_out, validate_report(
+        new_report(TUNE_CONFIG_SCHEMA, config, source="measured"),
+        TUNE_CONFIG_SCHEMA,
+    ))
     if not args.quiet:
-        print(
-            f"[tune] calibrated emv={calibrated.get('emv_gflops', 0):.3g} "
-            f"csr={calibrated.get('csr_gflops', 0):.3g} "
-            f"sellcs={calibrated.get('sellcs_gflops', 0):.3g} GF/s, "
-            f"rank agreement "
-            f"{calibrated.get('rank_agreement', 0):.0%} over "
-            f"{calibrated.get('rank_cases', 0)} case(s)"
-        )
+        for k, t in timings["gemm"].items():
+            print(
+                f"[tune] poisson-hex8-medium k={k:>2}: gemm/oracle "
+                f"{t['gemm'] * 1e3:.3f}/{t['oracle'] * 1e3:.3f} ms "
+                f"= {t['gemm'] / t['oracle']:.2f}"
+            )
+        for name, t in timings["sellcs"].items():
+            print(
+                f"[tune] {name} ({t['n_dofs']} dofs) k={SELLCS_K}: "
+                f"sellcs/hymv {t['sellcs'] * 1e3:.3f}/{t['hymv'] * 1e3:.3f} "
+                f"ms = {t['sellcs'] / t['hymv']:.2f}"
+            )
         print(f"[tune] wrote {args.tuned_out}: {config}")
     return 0
 

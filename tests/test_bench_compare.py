@@ -474,22 +474,6 @@ def test_compare_tolerates_subfloor_phase_disappearing(tiny_doc):
     )
 
 
-def test_markdown_summary_carries_sellcs_occupancy(tiny_doc):
-    """Candidate rows carrying the sellcs gauges get a layout digest in
-    the CI step summary."""
-    from repro.obs.compare import markdown_summary
-
-    cand = copy.deepcopy(tiny_doc)
-    cand["results"][0]["counters"]["sellcs.padded_nnz"] = 7284.0
-    cand["results"][0]["counters"]["sellcs.occupancy"] = 0.9417
-    md = markdown_summary(tiny_doc, cand, [], True, 0.25)
-    assert "SELL-C-sigma layout" in md
-    assert "| poisson-tiny/hymv | 7284 | 0.942 |" in md
-    # and rows without the gauges render no digest at all
-    md = markdown_summary(tiny_doc, tiny_doc, [], True, 0.25)
-    assert "SELL-C-sigma layout" not in md
-
-
 def test_compare_cli_exit_codes(tiny_doc, tmp_path):
     base = tmp_path / "base.json"
     base.write_text(json.dumps(tiny_doc))

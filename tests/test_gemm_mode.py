@@ -33,6 +33,8 @@ from repro.core.kernels import (
 )
 from repro.core.segment import SegmentScatter
 
+from .kernel_cases import spec
+
 # ----------------------------------------------------------------------------
 # resolve_mode
 # ----------------------------------------------------------------------------
@@ -183,20 +185,30 @@ def test_add_into_multi_empty_structure():
 # operator-level equivalence, all five kinds
 # ----------------------------------------------------------------------------
 
-N_PARTS = 4
 K_OP = 8  # >= DEFAULT_K_MIN: "auto" resolves to gemm
 
 
-def _operator_modes(kind: str, k: int):
-    """Owned products of the oracle/gemm/auto modes plus the |K||u|
-    magnitude scale, each rank's block stacked in rank order."""
+def _jittered_elastic():
+    from repro.fem import ElasticityOperator
+    from repro.mesh import ElementType, jittered_hex_mesh
+    from repro.partition import build_partition
+
+    mesh = jittered_hex_mesh(3, 3, 3, ElementType.HEX8, jitter=0.25, seed=11)
+    return mesh, ElasticityOperator(), build_partition(mesh, 4, method="graph")
+
+
+def _bench_shape(case):
+    return lambda: (spec(case).mesh, spec(case).operator, spec(case).partition)
+
+
+def _operator_modes(kind: str, k: int, make):
+    """Owned products of the oracle/gemm/auto modes plus, for operators
+    that hold element matrices, the |K||u| magnitude scale (the oracle
+    product of |Ke| and |u|), each rank's block stacked in rank order."""
     from repro.baselines import AssembledOperator, MatrixFreeOperator
     from repro.baselines.partial import PartialAssemblyOperator
     from repro.core import HymvOperator
-    from repro.fem import ElasticityOperator
     from repro.gpu import HymvGpuOperator
-    from repro.mesh import ElementType, jittered_hex_mesh
-    from repro.partition import build_partition
     from repro.simmpi import run_spmd
 
     factories = {
@@ -206,42 +218,53 @@ def _operator_modes(kind: str, k: int):
         "assembled": AssembledOperator,
         "hymv_gpu": HymvGpuOperator,
     }
-    mesh = jittered_hex_mesh(3, 3, 3, ElementType.HEX8, jitter=0.25, seed=11)
-    op = ElasticityOperator()
-    part = build_partition(mesh, N_PARTS, method="graph")
+    mesh, op, part = make()
     n = mesh.n_nodes * op.ndpn
     X = np.random.default_rng(31).standard_normal((n, k))
 
     def prog(comm, lmesh, Xr):
         A = factories[kind](comm, lmesh, op)
-        return {
+        out = {
             m: A.apply_owned_multi(Xr, mode=m)
             for m in ("oracle", "gemm", "auto")
         }
+        if hasattr(A, "ke"):
+            A_abs = factories[kind](comm, lmesh, op)
+            A_abs.ke[:] = np.abs(A_abs.ke)
+            out["scale"] = A_abs.apply_owned_multi(np.abs(Xr), mode="oracle")
+        return out
 
     rank_args = []
-    for r in range(N_PARTS):
+    for r in range(part.n_parts):
         lm = part.local(r)
         rank_args.append((lm, X[lm.n_begin * op.ndpn: lm.n_end * op.ndpn]))
-    results, _ = run_spmd(N_PARTS, prog, rank_args=rank_args)
-    out = {m: np.vstack([res[m] for res in results])
-           for m in ("oracle", "gemm", "auto")}
+    results, _ = run_spmd(part.n_parts, prog, rank_args=rank_args)
+    out = {m: np.vstack([res[m] for res in results]) for m in results[0]}
     return out, op.element_dofs(mesh.etype)
 
 
-@pytest.mark.parametrize(
-    "kind", ["hymv", "matfree", "partial", "assembled", "hymv_gpu"]
-)
-def test_operator_gemm_within_derived_bound(kind):
-    out, ndpe = _operator_modes(kind, K_OP)
-    # norm-scale form of the derived bound: columnwise drift relative to
-    # the oracle column magnitude (the entrywise |K||u| scale is >= this)
-    rtol = gemm_equivalence_rtol(ndpe, k=K_OP)
-    scale = np.max(np.abs(out["oracle"]), axis=0)
-    err = np.max(np.abs(out["gemm"] - out["oracle"]), axis=0)
-    assert np.all(err <= rtol * scale)
-    # auto at k >= DEFAULT_K_MIN IS the gemm path, bit for bit
-    assert np.array_equal(out["auto"], out["gemm"])
+OPERATOR_CASES = [
+    pytest.param(kind, K_OP, _jittered_elastic, id=kind)
+    for kind in ("hymv", "matfree", "partial", "assembled", "hymv_gpu")
+] + [
+    pytest.param("hymv", k, _bench_shape("poisson-hex8-medium"),
+                 id=f"poisson-hex8-medium/hymv-einsum-multirhs-k{k}-gemm")
+    for k in (1, 2, 8, 32)
+]
+
+
+@pytest.mark.parametrize("kind,k,make", OPERATOR_CASES)
+def test_operator_gemm_within_derived_bound(kind, k, make):
+    out, ndpe = _operator_modes(kind, k, make)
+    rtol = gemm_equivalence_rtol(ndpe, k=k)
+    # the entrywise |K||u| scale bounds every intermediate of both
+    # accumulation orders; operators without element matrices use the
+    # norm-scale form, the oracle column magnitude
+    scale = out.get("scale", np.max(np.abs(out["oracle"]), axis=0))
+    err = np.abs(out["gemm"] - out["oracle"])
+    assert np.all(err <= rtol * np.maximum(scale, np.finfo(np.float64).tiny))
+    # "auto" IS the path resolve_mode picks at this k, bit for bit
+    assert np.array_equal(out["auto"], out[resolve_mode("auto", k)])
 
 
 # ----------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import AssembledOperator, SellCSOperator
+from repro.core.kernels import gemm_equivalence_rtol
 from repro.obs.instrumentation import Instrumentation
 from repro.problems import graph_laplacian_problem, poisson_problem
 from repro.serve.cache import OperatorCache, ProblemKey
@@ -18,64 +19,107 @@ from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
 from repro.simmpi import run_spmd
 
+from .kernel_cases import SELL_LAYOUTS, SHAPES, spec
+
+
+def _case(name, make, p, C=32, sigma=256, k=4, id=None):
+    """One bitwise case; the default id is pytest's own for the
+    ``(name, make, p)`` triple."""
+    return pytest.param(
+        name, make, p, C, sigma, k, id=id or f"{name}-{make.__name__}-{p}"
+    )
+
+
+def _bench_shape(case):
+    return lambda p: spec(case)
+
 
 CASES = [
-    ("poisson", lambda p: poisson_problem(5, n_parts=p), 3),
-    ("graphlap", lambda p: graph_laplacian_problem(6, n_parts=p, seed=2), 4),
+    _case("poisson", lambda p: poisson_problem(5, n_parts=p), 3),
+    _case("graphlap", lambda p: graph_laplacian_problem(6, n_parts=p, seed=2), 4),
+] + [
+    _case(case, _bench_shape(case), 1, C=C, sigma=sigma,
+          id=f"{case}/sellcs-C{C}-s{sigma}-spmv")
+    for case, C, sigma in SELL_LAYOUTS
+] + [
+    _case(case, _bench_shape(case), 1, k=k,
+          id=f"{case}/sellcs-multirhs-k{k}-oracle")
+    for case in SHAPES for k in (8, 32)
 ]
 
 
-@pytest.mark.parametrize("name,make,p", CASES)
-def test_sellcs_bitwise_identical_to_assembled(name, make, p):
+def _run_ranks(problem, p, prog, seed=11):
+    """``prog(comm, lmesh, x_owned)`` on every rank of ``problem``."""
+    nd = problem.operator.ndpn
+    x = np.random.default_rng(seed).standard_normal(problem.n_dofs)
+    args = [
+        (
+            problem.partition.local(r),
+            x[problem.partition.ranges[r, 0] * nd:
+              problem.partition.ranges[r, 1] * nd],
+        )
+        for r in range(p)
+    ]
+    return run_spmd(p, prog, rank_args=args)[0]
+
+
+@pytest.mark.parametrize("name,make,p,C,sigma,k", CASES)
+def test_sellcs_bitwise_identical_to_assembled(name, make, p, C, sigma, k):
     """Single- and oracle multi-RHS products equal bit for bit on every
-    rank, FEM and graph-Laplacian sparsity alike."""
+    rank, FEM and graph-Laplacian sparsity alike, at any (C, sigma)."""
     spec = make(p)
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(spec.n_dofs)
 
     def prog(comm, lmesh, xo):
         A = AssembledOperator(comm, lmesh, spec.operator)
-        S = SellCSOperator(comm, lmesh, spec.operator)
+        S = SellCSOperator(comm, lmesh, spec.operator, C=C, sigma=sigma)
         rng = np.random.default_rng(7 + comm.rank)
-        X = rng.standard_normal((A.n_dofs_owned, 4))
+        X = rng.standard_normal((A.n_dofs_owned, k))
         return (
             A.apply_owned(xo), S.apply_owned(xo),
             A.apply_owned_multi(X, mode="oracle"),
             S.apply_owned_multi(X, mode="oracle"),
         )
 
-    nd = spec.operator.ndpn
-    args = [
-        (
-            spec.partition.local(r),
-            x[spec.partition.ranges[r, 0] * nd:
-              spec.partition.ranges[r, 1] * nd],
-        )
-        for r in range(p)
-    ]
-    res, _ = run_spmd(p, prog, rank_args=args)
-    for ya, ys, Ya, Ys in res:
+    for ya, ys, Ya, Ys in _run_ranks(spec, p, prog):
         assert np.array_equal(ya, ys)
         assert np.array_equal(Ya, Ys)
 
 
-def test_sellcs_gemm_within_derived_bound():
+@pytest.mark.parametrize("make,p,k", [
+    pytest.param(lambda p: graph_laplacian_problem(6, n_parts=p, seed=2), 2, 16,
+                 id="graphlap-p2-k16"),
+] + [
+    pytest.param(_bench_shape(case), 1, k,
+                 id=f"{case}/sellcs-multirhs-k{k}-gemm")
+    for case in SHAPES for k in (8, 32)
+])
+def test_sellcs_gemm_within_derived_bound(make, p, k):
     """The chunk-matmul GEMM path agrees with the oracle within the
-    shared accumulation-order bound."""
-    spec = graph_laplacian_problem(6, n_parts=2, seed=2)
+    derived accumulation-order bound: ``gemm_equivalence_rtol`` of the
+    widest SELL chunk, relative to the ``|A| |X|`` magnitude scale (the
+    oracle product of the absolute-valued matrix and ``|X|``)."""
+    problem = make(p)
 
-    def prog(comm, lmesh):
-        S = SellCSOperator(comm, lmesh, spec.operator)
-        rng = np.random.default_rng(7 + comm.rank)
-        X = rng.standard_normal((S.n_dofs_owned, 16))
-        Yo = S.apply_owned_multi(X, mode="oracle")
-        Yg = S.apply_owned_multi(X, mode="gemm")
-        return np.max(np.abs(Yo - Yg)), np.max(np.abs(Yo))
+    def prog(comm, lmesh, xo):
+        S = SellCSOperator(comm, lmesh, problem.operator)
+        A_abs = AssembledOperator(comm, lmesh, problem.operator)
+        for B in (A_abs.A_diag, A_abs.A_pre, A_abs.A_post):
+            B.data[:] = np.abs(B.data)
+        X = np.random.default_rng(7 + comm.rank).standard_normal(
+            (S.n_dofs_owned, k)
+        )
+        width = max(int(b.widths[0]) for b in (S.S_diag, S.S_pre, S.S_post)
+                    if b is not None and len(b.widths))
+        return (
+            S.apply_owned_multi(X, mode="oracle"),
+            S.apply_owned_multi(X, mode="gemm"),
+            A_abs.apply_owned_multi(np.abs(X), mode="oracle"),
+            gemm_equivalence_rtol(width, k=k),
+        )
 
-    args = [(spec.partition.local(r),) for r in range(2)]
-    res, _ = run_spmd(2, prog, rank_args=args)
-    for err, scale in res:
-        assert err <= 1e-11 * max(scale, 1.0)
+    for Yo, Yg, scale, rtol in _run_ranks(problem, p, prog):
+        bound = rtol * np.maximum(scale, np.finfo(np.float64).tiny)
+        assert np.all(np.abs(Yg - Yo) <= bound)
 
 
 def test_sellcs_cg_solution_matches_assembled():

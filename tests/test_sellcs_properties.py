@@ -125,7 +125,7 @@ def test_steady_state_allocates_nothing():
     """After one warm call, repeated single- and multi-RHS kernels touch
     only workspace buffers (interpreter-level churn excluded by the same
     floor the bench gates on)."""
-    from repro.obs.kernelbench import ALLOC_FLOOR_BYTES
+    from .test_zero_alloc import ALLOC_FLOOR_BYTES
 
     A = _random_csr(400, 400, 0.1, seed=9)
     layout = build_sellcs(A, C=32, sigma=256)

@@ -19,6 +19,8 @@ from repro.mesh import ElementType, box_hex_mesh, box_tet_mesh, jittered_hex_mes
 from repro.partition import build_partition
 from repro.simmpi import run_spmd
 
+from .kernel_cases import HYMV_CASES, spec
+
 FACTORIES = {
     "hymv": HymvOperator,
     "matfree": MatrixFreeOperator,
@@ -166,30 +168,41 @@ def test_single_rank_needs_no_communication():
     np.testing.assert_allclose(y, _reference_product(mesh, op, part, x), atol=1e-12)
 
 
+def _jittered_elastic(p):
+    mesh = jittered_hex_mesh(3, 3, 4, ElementType.HEX8, jitter=0.1)
+    part = build_partition(mesh, p, method="graph" if p > 1 else "slab")
+    return ElasticityOperator(), part
+
+
+def _bench_shape(case):
+    return lambda p: (spec(case).operator, spec(case).partition)
+
+
 REFERENCE_CASES = [
-    (kind, kernel)
+    pytest.param(p, kind, kernel, _jittered_elastic, id=f"{p}-{kernel}-{kind}")
+    for p in (1, 4)
     for kind in ("hymv", "matfree", "partial", "hymv_gpu")
     for kernel in ("einsum", "columns")
     if not (kind == "partial" and kernel == "columns")
+] + [
+    pytest.param(1, "hymv", kernel, _bench_shape(case),
+                 id=f"{case}/hymv-{kernel}-workspace")
+    for case in HYMV_CASES
+    for kernel in ("einsum", "columns")
 ]
 
 
-@pytest.mark.parametrize(
-    "kind,kernel", REFERENCE_CASES,
-    ids=[f"{kernel}-{kind}" for kind, kernel in REFERENCE_CASES],
-)
-@pytest.mark.parametrize("p", [1, 4])
-def test_workspace_path_bitwise_identical_to_legacy(kind, kernel, p):
+@pytest.mark.parametrize("p,kind,kernel,make", REFERENCE_CASES)
+def test_workspace_path_bitwise_identical_to_legacy(p, kind, kernel, make):
     """The Algorithm-2 driver (workspaces, segment scatter, packed halo
     buffers, column-major matrix layout, overlap) must not change a
     single bit of any SPMV product relative to the allocating
     ``reference_spmv``, in steady state."""
     factories = dict(FACTORIES, partial=PartialAssemblyOperator)
-    mesh = jittered_hex_mesh(3, 3, 4, ElementType.HEX8, jitter=0.1)
-    op = ElasticityOperator()
-    part = build_partition(mesh, p, method="graph" if p > 1 else "slab")
+    op, part = make(p)
+    nd = op.ndpn
     rng = np.random.default_rng(23)
-    x = rng.standard_normal(mesh.n_nodes * 3)
+    x = rng.standard_normal(part.ranges[-1, 1] * nd)
 
     def prog(comm, lmesh, xo):
         A = factories[kind](comm, lmesh, op, kernel=kernel)
@@ -201,7 +214,7 @@ def test_workspace_path_bitwise_identical_to_legacy(kind, kernel, p):
         return np.array_equal(v.owned_flat, v_ref.owned_flat)
 
     args = [
-        (part.local(r), x[part.ranges[r, 0] * 3: part.ranges[r, 1] * 3])
+        (part.local(r), x[part.ranges[r, 0] * nd: part.ranges[r, 1] * nd])
         for r in range(p)
     ]
     res, _ = run_spmd(p, prog, rank_args=args)

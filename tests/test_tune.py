@@ -1,87 +1,54 @@
-"""repro.tune unit tests: calibration fitting, tuned configs as
-execution plans, and the ``tune`` harness writing the measured crossovers
-as ``tuned_config.json``."""
+"""repro.tune unit tests: the crossover selection rule on synthetic
+timings, tuned configs as execution plans, and the ``tune`` harness
+measuring the crossovers and writing them as ``tuned_config.json``."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-import pytest
-
-from repro.obs.schema import SERVE_SCHEMA, SchemaError, read_json
+from repro.obs.schema import read_json
 from repro.serve.plan import ExecutionPlan, load_tuned_config
-from repro.tune.calibration import calibrated_machine, fit_machine_constants
+from repro.tune.calibration import GEMM_KS, SHAPES, crossovers
 
-KERNELS = "benchmarks/baseline/BENCH_kernels.json"
-SELLCS = "benchmarks/baseline/BENCH_sellcs.json"
+
+def _timings(gemm_wins=(), sellcs_wins=()):
+    """Synthetic timings: GEMM beats the oracle at the ``k`` in
+    ``gemm_wins``, SELL beats HYMV on the shapes in ``sellcs_wins``."""
+    return {
+        "gemm": {
+            k: {"oracle": 1.0, "gemm": 0.5 if k in gemm_wins else 2.0}
+            for k in GEMM_KS
+        },
+        "sellcs": {
+            name: {"n_dofs": 100 * (i + 1), "hymv": 1.0,
+                   "sellcs": 0.5 if name in sellcs_wins else 1.5}
+            for i, name in enumerate(SHAPES)
+        },
+    }
 
 
 # ----------------------------------------------------------------------
-# calibration
+# the selection rule
 # ----------------------------------------------------------------------
 
-class TestCalibration:
-    def test_fit_from_checked_in_baselines(self):
-        cal = fit_machine_constants(KERNELS, SELLCS)
-        # every fitted rate is admissible (positive, finite, sane)
-        for key in ("emv_gflops", "csr_gflops", "sellcs_gflops"):
-            assert 0.01 < cal[key] < 1000.0
-        for key in ("emv_overhead_s", "csr_overhead_s", "sellcs_overhead_s"):
-            assert cal[key] >= 0.0
-        assert 0.5 < cal["sellcs_occupancy"] <= 1.0
-        assert cal["gemm_k_min"] == 2
-        assert cal["sellcs_crossover_dofs"] == 4913
-        # the calibrated model must order assembled-vs-sellcs the way
-        # the measurements do on every case (the ISSUE's agreement gate)
-        assert cal["rank_agreement"] == 1.0
-        assert cal["n_points"] >= 6
+class TestCrossovers:
+    def test_gemm_never_wins_gives_no_k_min(self):
+        assert "gemm_k_min" not in crossovers(_timings())
 
-    def test_fit_missing_reports_returns_none(self, tmp_path):
-        assert fit_machine_constants(None, None) is None
-        assert fit_machine_constants(tmp_path / "nope.json", None) is None
+    def test_hymv_wins_every_shape_gives_no_crossover(self):
+        config = crossovers(_timings(gemm_wins=(8, 32)))
+        assert config == {"gemm_k_min": 8}
 
-    def test_fit_skips_only_a_missing_report(self, tmp_path):
-        cal = fit_machine_constants(tmp_path / "nope.json", SELLCS)
-        assert cal["csr_gflops"] > 0 and "emv_gflops" not in cal
-        bad = tmp_path / "bad.json"
-        doc = json.loads(Path(KERNELS).read_text())
-        bad.write_text(json.dumps(dict(doc, results=5)))
-        with pytest.raises(SchemaError, match="results must be a list"):
-            fit_machine_constants(bad, None)
+    def test_k1_win_gives_k_min_1(self):
+        assert crossovers(_timings(gemm_wins=(1, 8, 32)))["gemm_k_min"] == 1
 
-    @pytest.mark.parametrize("content", [
-        pytest.param("not json {", id="garbage"),
-        pytest.param(json.dumps({"schema": SERVE_SCHEMA}), id="wrong-schema"),
-    ])
-    def test_bad_baseline_exits_2(self, tmp_path, capsys, content):
-        from repro.harness.__main__ import main
+    def test_crossover_is_the_largest_winning_shape(self):
+        names = list(SHAPES)
+        config = crossovers(_timings(sellcs_wins=(names[0], names[2])))
+        assert config == {"sellcs_crossover_dofs": 300}
 
-        bad = tmp_path / "baseline.json"
-        bad.write_text(content)
-        out = tmp_path / "out"
-        assert main([
-            "tune", "--quiet", "--kernels-baseline", str(bad),
-            "--tuned-out", str(out / "c.json"),
-        ]) == 2
-        assert "[tune] error: " in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_calibrated_machine_substitutes_rates(self):
-        cal = fit_machine_constants(KERNELS, SELLCS)
-        m = calibrated_machine(cal)
-        assert m.rates.emv_gflops == pytest.approx(cal["emv_gflops"])
-        assert m.rates.csr_gflops == pytest.approx(cal["csr_gflops"])
-        # untouched constants survive
-        assert m.dram_gbps == calibrated_machine(None).dram_gbps
-
-    def test_affine_fit_clamps_negative_slope(self):
-        from repro.tune.calibration import _affine_fit
-
-        # fewer flops but MORE time: lstsq slope is negative, the
-        # through-origin fallback must kick in
-        a, b = _affine_fit([(2e6, 0.0008), (3e6, 0.0004)])
-        assert a == 0.0 and b > 0.0
+    def test_a_tie_is_no_win(self):
+        timings = _timings()
+        timings["gemm"][2]["gemm"] = timings["gemm"][2]["oracle"]
+        assert crossovers(timings) == {}
 
 
 # ----------------------------------------------------------------------
@@ -129,43 +96,41 @@ class TestServiceRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# harness: calibration -> tuned_config.json
+# harness: measurement -> tuned_config.json
 # ----------------------------------------------------------------------
 
-def _tune(tmp_path, *args) -> int:
+def _tune(tmp_path) -> int:
     from repro.harness.__main__ import main
 
-    return main([
-        "tune", "--quiet", "--tuned-out", str(tmp_path / "tuned.json"), *args,
-    ])
+    return main(["tune", "--quiet", "--tuned-out", str(tmp_path / "tuned.json")])
 
 
 class TestHarness:
     def test_tuned_config_carries_measured_crossovers(self, tmp_path):
+        """One live run: every written value is a measured ladder rung
+        or shape size, and the artifact loads as the plan it names."""
         assert _tune(tmp_path) == 0
-        k_min = read_json(KERNELS)["config"]["gemm_k_min_crossover"]
-        crossover = read_json(SELLCS)["config"]["sellcs_crossover_dofs"]
-        assert load_tuned_config(tmp_path / "tuned.json") == ExecutionPlan(
-            k_min=k_min, backend="auto", sellcs_crossover_dofs=crossover,
+        config = read_json(tmp_path / "tuned.json")["config"]
+        assert set(config) <= {"gemm_k_min", "sellcs_crossover_dofs"}
+        assert config.get("gemm_k_min", GEMM_KS[0]) in GEMM_KS
+        shape_dofs = {343, 729, 4913, 9261}  # SHAPES, smallest first
+        crossover = config.get("sellcs_crossover_dofs")
+        assert crossover is None or crossover in shape_dofs
+        assert load_tuned_config(tmp_path / "tuned.json") == (
+            ExecutionPlan.from_tuned(config)
         )
 
-    def test_kernels_only_sets_only_k_min(self, tmp_path):
-        assert _tune(
-            tmp_path, "--sellcs-baseline", str(tmp_path / "nope.json")
-        ) == 0
-        k_min = read_json(KERNELS)["config"]["gemm_k_min_crossover"]
+    def test_kernels_only_sets_only_k_min(self, tmp_path, monkeypatch):
+        """HYMV fastest at every shape: the artifact holds only
+        ``gemm_k_min`` and the plan routes no backend."""
+        import repro.tune.calibration as calibration
+
+        monkeypatch.setattr(
+            calibration, "measure", lambda: _timings(gemm_wins=(2, 8, 32))
+        )
+        assert _tune(tmp_path) == 0
         doc = read_json(tmp_path / "tuned.json")
-        assert doc["config"] == {"gemm_k_min": k_min}
+        assert doc["config"] == {"gemm_k_min": 2}
         assert load_tuned_config(tmp_path / "tuned.json") == ExecutionPlan(
-            k_min=k_min
+            k_min=2
         )
-
-    def test_no_calibration_input_exits_2(self, tmp_path, capsys):
-        kernels, sellcs = tmp_path / "k.json", tmp_path / "s.json"
-        assert _tune(
-            tmp_path, "--kernels-baseline", str(kernels),
-            "--sellcs-baseline", str(sellcs),
-        ) == 2
-        err = capsys.readouterr().err
-        assert str(kernels) in err and str(sellcs) in err
-        assert not (tmp_path / "tuned.json").exists()
