@@ -66,31 +66,41 @@ class Mesh:
         conn = self.conn if elements is None else self.conn[as_index(elements)]
         return self.coords[conn]
 
+    def _sorted_face_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, dup)`` over the face-major corner keys (row
+        ``f * n_elements + e`` is face ``f`` of element ``e``, its corner
+        ids sorted): ``order`` is the stable lexicographic order of the
+        keys, and ``dup[i]`` says sorted key ``i + 1`` equals key ``i``."""
+        if "face_keys" in self._cache:
+            return self._cache["face_keys"]
+        faces = np.asarray(corner_faces(self.etype))
+        keys = np.sort(self.conn[:, faces], axis=2)  # (E, F, c)
+        keys = keys.transpose(1, 0, 2).reshape(-1, faces.shape[1])
+        order = np.lexsort(keys.T[::-1])
+        sk = keys[order]
+        dup = (sk[1:] == sk[:-1]).all(axis=1)
+        self._cache["face_keys"] = (order, dup)
+        return order, dup
+
     def boundary_faces(self) -> np.ndarray:
-        """``(F, 2)`` array of (element, local_face) pairs on the boundary.
+        """``(F, 2)`` array of (element, local_face) pairs on the boundary,
+        face-major (all boundary faces ``0`` first, elements ascending).
 
         A face is on the boundary iff its corner-node set occurs in exactly
         one element.
         """
         if "boundary_faces" in self._cache:
             return self._cache["boundary_faces"]
-        faces = corner_faces(self.etype)
-        keys = []
-        owners = []
-        for fi, face in enumerate(faces):
-            k = np.sort(self.conn[:, list(face)], axis=1)
-            keys.append(k)
-            owner = np.empty((self.n_elements, 2), dtype=INDEX_DTYPE)
-            owner[:, 0] = np.arange(self.n_elements)
-            owner[:, 1] = fi
-            owners.append(owner)
-        allkeys = np.vstack(keys)
-        allowners = np.vstack(owners)
-        view = np.ascontiguousarray(allkeys).view(
-            [("", allkeys.dtype)] * allkeys.shape[1]
-        ).reshape(-1)
-        _, inverse, counts = np.unique(view, return_inverse=True, return_counts=True)
-        boundary = allowners[counts[inverse] == 1]
+        order, dup = self._sorted_face_keys()
+        shared = np.zeros(order.size, dtype=bool)
+        shared[1:] = dup
+        shared[:-1] |= dup
+        once = np.zeros(order.size, dtype=bool)
+        once[order] = ~shared
+        face, elem = np.divmod(
+            np.flatnonzero(once).astype(INDEX_DTYPE), self.n_elements
+        )
+        boundary = np.stack([elem, face], axis=1)
         self._cache["boundary_faces"] = boundary
         return boundary
 
@@ -99,15 +109,9 @@ class Mesh:
         (corner and higher-order nodes alike)."""
         if "boundary_nodes" in self._cache:
             return self._cache["boundary_nodes"]
-        fnodes = face_nodes(self.etype)
-        ids = [
-            self.conn[e, list(fnodes[f])] for e, f in self.boundary_faces()
-        ]
-        out = (
-            np.unique(np.concatenate(ids))
-            if ids
-            else np.empty(0, dtype=INDEX_DTYPE)
-        )
+        bf = self.boundary_faces()
+        fnodes = np.asarray(face_nodes(self.etype))
+        out = np.unique(self.conn[bf[:, :1], fnodes[bf[:, 1]]])
         self._cache["boundary_nodes"] = out
         return out
 
@@ -135,19 +139,9 @@ class Mesh:
         """
         if "dual_edges" in self._cache:
             return self._cache["dual_edges"]
-        faces = corner_faces(self.etype)
-        keys = np.vstack(
-            [np.sort(self.conn[:, list(face)], axis=1) for face in faces]
-        )
-        elems = np.tile(np.arange(self.n_elements, dtype=INDEX_DTYPE), len(faces))
-        view = np.ascontiguousarray(keys).view(
-            [("", keys.dtype)] * keys.shape[1]
-        ).reshape(-1)
-        order = np.argsort(view, kind="stable")
-        sv = view[order]
-        se = elems[order]
-        same = sv[1:] == sv[:-1]
-        pairs = np.stack([se[:-1][same], se[1:][same]], axis=1)
+        order, dup = self._sorted_face_keys()
+        se = order % self.n_elements
+        pairs = np.stack([se[:-1][dup], se[1:][dup]], axis=1)
         self._cache["dual_edges"] = pairs
         return pairs
 

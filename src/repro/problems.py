@@ -229,13 +229,10 @@ def elastic_bar_problem(
 
     # top-face traction (elements owning a boundary face at z = Lz)
     bfaces = mesh.boundary_faces()
-    cf = corner_faces(etype)
-    top_pairs = []
-    for e, f in bfaces:
-        nodes = mesh.conn[e, list(cf[f])]
-        if np.allclose(mesh.coords[nodes][:, 2], Lz, atol=1e-9):
-            top_pairs.append((e, f))
-    top_pairs = np.asarray(top_pairs, dtype=INDEX_DTYPE).reshape(-1, 2)
+    cf = np.asarray(corner_faces(etype))
+    corners = mesh.conn[bfaces[:, :1], cf[bfaces[:, 1]]]  # (F, c) node ids
+    on_top = np.isclose(mesh.coords[corners, 2], Lz, atol=1e-9).all(axis=1)
+    top_pairs = bfaces[on_top]
 
     # pin rigid modes with exact displacement values
     coords_new = part.coords_by_new_id()

@@ -69,6 +69,26 @@ class ProblemKey:
     #: ``None`` is the hand-picked default layout
     sell: tuple[int, int] | None = None
 
+    def _prefix(self):
+        """sha1 state of the canonical prefix: the problem fields, then
+        ``;deltas=`` and the comma-joined delta fingerprints.  Built once
+        per key; :meth:`with_delta` hands the child a copy extended by
+        one fingerprint, so re-keying never rehashes the history."""
+        h = self.__dict__.get("_prefix_sha")
+        if h is None:
+            canon = (
+                f"problem={self.problem};nel={self.nel};"
+                f"n_parts={self.n_parts};etype={self.etype};"
+                f"seed={self.seed};method={self.method};kernel={self.kernel}"
+            )
+            if self.deltas:
+                canon += ";deltas=" + ",".join(
+                    d.fingerprint() for d in self.deltas
+                )
+            h = hashlib.sha1(canon.encode())
+            object.__setattr__(self, "_prefix_sha", h)
+        return h
+
     def fingerprint(self) -> str:
         """Stable short hash of the canonical field tuple (optional
         fields join only when set, so default keys keep their hash).
@@ -76,18 +96,11 @@ class ProblemKey:
         fp = self.__dict__.get("_fingerprint")
         if fp is not None:
             return fp
-        canon = (
-            f"problem={self.problem};nel={self.nel};n_parts={self.n_parts};"
-            f"etype={self.etype};seed={self.seed};method={self.method};"
-            f"kernel={self.kernel}"
-        )
-        if self.deltas:
-            canon += ";deltas=" + ",".join(
-                d.fingerprint() for d in self.deltas
-            )
+        h = self._prefix()
         if self.sell is not None:
-            canon += ";sell={},{}".format(*self.sell)
-        fp = hashlib.sha1(canon.encode()).hexdigest()[:12]
+            h = h.copy()
+            h.update(";sell={},{}".format(*self.sell).encode())
+        fp = h.hexdigest()[:12]
         object.__setattr__(self, "_fingerprint", fp)
         return fp
 
@@ -105,7 +118,12 @@ class ProblemKey:
         """The key of this operator after one more applied delta."""
         from dataclasses import replace
 
-        return replace(self, deltas=self.deltas + (delta,))
+        child = replace(self, deltas=self.deltas + (delta,))
+        h = self._prefix().copy()
+        sep = "," if self.deltas else ";deltas="
+        h.update((sep + delta.fingerprint()).encode())
+        object.__setattr__(child, "_prefix_sha", h)
+        return child
 
     def build_spec(self):
         """Materialize the :class:`~repro.problems.ProblemSpec`, replaying

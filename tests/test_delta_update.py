@@ -5,11 +5,13 @@ serving path (single-RHS, multi-RHS oracle, batched CG solve)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.adapt import CrackFront, MeshDelta, apply_delta_to_spec
-from repro.serve.cache import ProblemKey, SolverContext
+from repro.serve.cache import OperatorCache, ProblemKey, SolverContext
 
 METHODS = ("hymv", "assembled", "matfree", "partial", "hymv_gpu")
 KINDS = ("scale", "coords", "refine")
@@ -148,6 +150,12 @@ def test_key_fingerprint_tracks_delta_history():
     # a different delta gives a different identity
     d2 = MeshDelta(scale_elements=[1], scale_values=[0.25])
     assert base.with_delta(d2).fingerprint() != k1.fingerprint()
+    # a key derived delta by delta hashes like one built with the whole
+    # history, with and without the optional layout suffix
+    for key in (base, replace(base, method="sellcs", sell=(8, 32))):
+        chained = key.with_delta(d).with_delta(d2).with_delta(d)
+        direct = replace(key, deltas=(d, d2, d))
+        assert chained.fingerprint() == direct.fingerprint()
 
 
 def test_mesh_delta_arrays_are_read_only():
@@ -251,3 +259,30 @@ def test_node_move_refreshes_local_coords_views():
     mesh = spec.mesh
     for lm in spec.partition.locals_:
         assert np.array_equal(lm.coords, mesh.coords[mesh.conn[lm.elements]])
+
+
+@pytest.mark.parametrize("method", ("hymv", "assembled"))
+@pytest.mark.parametrize(
+    "etype", ("hex8", "hex20", "hex27", "tet4", "tet10")
+)
+def test_patched_element_matrices_bitwise_fresh_for_every_element_type(
+    etype, method
+):
+    """Regression: a patch recomputes only the touched elements' Ke, a
+    fresh build computes all of them in one batch.  Before the element
+    kernels were batch invariant, HEX20/HEX27 rows depended on the batch
+    they were computed in and the two operators differed in the last
+    bit."""
+    key = ProblemKey("poisson", 6, 1, etype, 0, method)
+    cache = OperatorCache()
+    ctx, _ = cache.get(key)
+    cf = CrackFront()
+    touched = 0
+    for step in range(3):
+        key, info = cache.update(
+            key, cf.scale_delta(ctx.spec.mesh, step, 8), threshold=1.0
+        )
+        assert info["path"] == "patch"
+        touched += info["touched"]
+    assert touched > 0
+    _assert_bitwise(cache.peek(key), SolverContext(key))

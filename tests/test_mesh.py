@@ -160,3 +160,57 @@ def test_node_elements_adjacency():
     assert set(elems[offsets[center]: offsets[center + 1]].tolist()) == set(
         range(8)
     )
+
+
+# -- boundary detection vs the per-face reference ------------------------
+
+def _ref_boundary_faces(m):
+    """Face-major (element, face) pairs whose corner set occurs once:
+    one structured-void ``np.unique`` over every face key."""
+    faces = corner_faces(m.etype)
+    keys = np.vstack([np.sort(m.conn[:, list(f)], axis=1) for f in faces])
+    owners = np.vstack([
+        np.stack([np.arange(m.n_elements), np.full(m.n_elements, fi)], axis=1)
+        for fi in range(len(faces))
+    ])
+    view = np.ascontiguousarray(keys).view(
+        [("", keys.dtype)] * keys.shape[1]
+    ).reshape(-1)
+    _, inverse, counts = np.unique(view, return_inverse=True, return_counts=True)
+    return owners[counts[inverse] == 1]
+
+
+def _ref_boundary_nodes(m):
+    fnodes = face_nodes(m.etype)
+    ids = [m.conn[e, list(fnodes[f])] for e, f in _ref_boundary_faces(m)]
+    return np.unique(np.concatenate(ids))
+
+
+def _ref_dual_edges(m):
+    faces = corner_faces(m.etype)
+    keys = np.vstack([np.sort(m.conn[:, list(f)], axis=1) for f in faces])
+    elems = np.tile(np.arange(m.n_elements), len(faces))
+    view = np.ascontiguousarray(keys).view(
+        [("", keys.dtype)] * keys.shape[1]
+    ).reshape(-1)
+    order = np.argsort(view, kind="stable")
+    sv, se = view[order], elems[order]
+    same = sv[1:] == sv[:-1]
+    return np.stack([se[:-1][same], se[1:][same]], axis=1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: box_hex_mesh(3, 2, 4),
+    lambda: jittered_hex_mesh(2, 3, 2, ElementType.HEX20, jitter=0.2, seed=1),
+    lambda: box_tet_mesh(3, 3, 2, jitter=0.25, seed=4),
+    lambda: box_tet_mesh(2, 2, 3, ElementType.TET10, jitter=0.0),
+], ids=["hex8", "hex20-jittered", "tet4-jittered", "tet10"])
+def test_boundary_detection_matches_per_face_reference(build):
+    m = build()
+    for got, want in (
+        (m.boundary_faces(), _ref_boundary_faces(m)),
+        (m.boundary_nodes(), _ref_boundary_nodes(m)),
+        (m.dual_graph_edges(), _ref_dual_edges(m)),
+    ):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)

@@ -45,6 +45,31 @@ def test_elastic_bar_spec_tractions_partitioned():
     assert ndofs == 6
 
 
+@pytest.mark.parametrize("etype,unstructured", [
+    (ElementType.HEX8, False), (ElementType.HEX20, True),
+    (ElementType.HEX27, False), (ElementType.TET4, False),
+    (ElementType.TET10, False),
+])
+def test_elastic_bar_top_pairs_match_per_face_reference(etype, unstructured):
+    """The vectorised top-face selection keeps the per-face loop's pairs,
+    order and dtype."""
+    from repro.mesh.element import corner_faces
+
+    spec = elastic_bar_problem((2, 2, 3), 1, etype, unstructured=unstructured)
+    mesh, Lz = spec.mesh, 2.0
+    cf = corner_faces(etype)
+    want = []
+    for e, f in mesh.boundary_faces():
+        nodes = mesh.conn[e, list(cf[f])]
+        if np.allclose(mesh.coords[nodes][:, 2], Lz, atol=1e-9):
+            want.append((e, f))
+    want = np.asarray(want, dtype=np.int64).reshape(-1, 2)
+    elems, faces, _ = spec.tractions[0]
+    got = np.stack([elems, faces], axis=1)
+    assert got.dtype == want.dtype and len(want) > 0
+    assert np.array_equal(got, want)
+
+
 def test_elastic_bar_pin_validation():
     with pytest.raises(ValueError):
         elastic_bar_problem(2, 1, pin="nothing")
