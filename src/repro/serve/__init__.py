@@ -17,11 +17,13 @@ and amortized over the solver iterations"; here, over *requests* too).
 * :mod:`repro.serve.plan` — :class:`ExecutionPlan`: the frozen execution
   policy (mode, GEMM crossover, backend routing, SELL layout) and
   :func:`load_tuned_config`, the one way a tuned artifact gets in.
-* :mod:`repro.serve.service` — :class:`SolverService`: dispatch loop with
-  load shedding and fault-aware degradation (never wrong answers).
+* :mod:`repro.serve.service` — :class:`SolverService`: one server with
+  its own virtual timeline, load shedding and fault-aware degradation
+  (never wrong answers).
 * :mod:`repro.serve.loadgen` — seeded open-/closed-loop load generator
   behind ``python -m repro.harness serve``; writes the schema-versioned
-  ``SERVE_report.json``.
+  ``SERVE_report.json``.  Holds the event loop (``drive``) and the answer
+  oracle (``Oracle``) both harnesses run on.
 * :mod:`repro.serve.shard` — the multi-node tier: consistent-hash
   :class:`ShardRouter` with hot-key replication and coherent
   invalidation, and the SLO-aware :class:`ShardCluster` balancer

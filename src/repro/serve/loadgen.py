@@ -5,28 +5,28 @@ open-loop (Poisson arrivals) or closed-loop (fixed client population with
 think time) workload, entirely in *virtual* time: request latencies are
 modeled simulator seconds, so the emitted ``SERVE_report.json`` is a
 deterministic function of the seed and the code path — comparable across
-machines, like the smoke bench.
+machines, like the smoke bench.  A ``BENCH_serve.json`` projection feeds
+the ``repro.obs.compare`` gate.
 
-Every completed answer is re-checked after the run against a fresh,
-fault-free reference cache (SPMV results must match the reference to
-~machine precision; solves must satisfy the constrained-system residual
-tolerance), and any miss counts as a ``wrong_answer`` — the number the CI
-gate requires to be exactly zero, fault plan or not.
-
-Alongside the serve report, the harness writes a ``BENCH_serve.json`` in
-the standard bench schema so the existing ``repro.obs.compare`` gate can
-diff latency percentiles and request counters against a checked-in
-baseline.
+The serve and shard (:mod:`repro.serve.shardload`) harnesses share one
+event loop, :func:`drive`, over anything with ``pending``, ``step(now)``
+and ``next_wakeup(now)`` (a service or a
+:class:`~repro.serve.shard.ShardCluster`), and one :class:`Oracle` that
+re-checks every delivered answer against a fresh, fault-free single-node
+reference cache.  Any miss counts as a ``wrong_answer`` — the number the
+CI gates require to be exactly zero, fault plan or not.
 """
 
 from __future__ import annotations
 
 import argparse
 import heapq
+import itertools
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -44,10 +44,12 @@ from repro.obs.schema import (
 from repro.serve.cache import OperatorCache, ProblemKey
 from repro.serve.plan import ExecutionPlan, add_tuned_from_argument
 from repro.serve.queue import ServeRequest
-from repro.serve.service import SolverService
+from repro.serve.service import Completion, DispatchOutcome, SolverService
 
 __all__ = [
+    "Oracle",
     "Workload",
+    "drive",
     "run_workload",
     "run_serve_suite",
     "main",
@@ -57,6 +59,111 @@ __all__ = [
 #: batched path is bitwise-identical per column, so anything above noise
 #: means corruption leaked through)
 SPMV_REL_TOL = 1e-9
+
+
+def drive(target, events: list, on_dispatch: Callable) -> float:
+    """Run ``target`` and the ``events`` heap of ``(t, order, fn)`` to
+    quiescence in virtual time; returns the makespan.  Each round calls
+    ``fn(t)`` for every event due, lets ``target.step(now)`` dispatch,
+    hands each outcome to ``on_dispatch`` (which may push events), then
+    jumps to the next event or the target's next wakeup."""
+    now = 0.0
+    makespan = 0.0
+    while events or target.pending:
+        while events and events[0][0] <= now:
+            t, _, fn = heapq.heappop(events)
+            fn(t)
+        for out in target.step(now):
+            on_dispatch(out)
+            makespan = max(makespan, out.end)
+        wake = min(
+            target.next_wakeup(now), events[0][0] if events else float("inf")
+        )
+        if wake == float("inf"):
+            if target.pending:
+                continue  # an idle server can still drain work at `now`
+            break
+        now = max(now, wake)
+    return makespan
+
+
+class Oracle:
+    """Fault-free single-node reference cache of the operators ``plan``
+    binds requests to."""
+
+    def __init__(self, plan: ExecutionPlan, n_keys: int):
+        self.plan = plan
+        self.ref = OperatorCache(
+            capacity=max(n_keys, 1), obs=Instrumentation(rank=-1)
+        )
+
+    def context(self, key: ProblemKey):
+        """The reference context a request for ``key`` is served by."""
+        ctx, _ = self.ref.get(self.plan.bind(key))
+        return ctx
+
+    def check(self, c: Completion, exact: bool) -> bool:
+        """Whether ``c`` is right: bitwise equal to the reference SPMV or
+        solve when ``exact`` (oracle-mode answers are bitwise per column
+        however they were batched or routed), else SPMV within
+        ``SPMV_REL_TOL`` and a solve residual within ``max(10 rtol,
+        1e-8)``."""
+        ctx = self.context(c.request.key)
+        x = SolverService.input_vector(ctx, c.request.seed)
+        if c.request.kind == "spmv":
+            y_ref, _ = ctx.apply_multi(x[:, None])
+            y_ref = y_ref[:, 0]
+            if exact:
+                return bool(np.array_equal(c.value, y_ref))
+            scale = float(np.linalg.norm(y_ref)) or 1.0
+            err = float(np.linalg.norm(c.value - y_ref))
+            return bool(np.isfinite(err) and err <= SPMV_REL_TOL * scale)
+        if exact:
+            out, _ = ctx.solve_multi(x[:, None], rtol=c.request.rtol)
+            return bool(np.array_equal(c.value, out["x"][:, 0]))
+        rel = float(ctx.residuals(x[:, None], c.value[:, None])[0])
+        return bool(np.isfinite(rel) and rel <= max(10 * c.request.rtol, 1e-8))
+
+
+def make_request(
+    w, rng: np.random.Generator, rid: int, t: float, seed: int, key, **extra
+) -> ServeRequest:
+    """Request ``rid`` of workload ``w`` for ``key`` arriving at ``t``;
+    draws its kind from ``rng``."""
+    kind = "solve" if rng.random() < w.solve_frac else "spmv"
+    return ServeRequest(
+        rid=rid,
+        key=key,
+        kind=kind,
+        seed=int(seed * 100003 + rid),
+        arrival=t,
+        deadline=(t + w.deadline_s) if w.deadline_s is not None else None,
+        rtol=w.rtol,
+        **extra,
+    )
+
+
+def collect(out: DispatchOutcome, done: list) -> list[Completion]:
+    """Append ``out``'s ok completions to ``done`` as ``(latency, c)``;
+    returns them."""
+    ok = [c for c in out.completions if c.status == "ok"]
+    done.extend((out.end - c.request.arrival, c) for c in ok)
+    return ok
+
+
+def timing_fields(done: list, completed: int, makespan: float) -> dict:
+    """A scenario report's latency, throughput and makespan fields."""
+    latency: dict[str, list[float]] = {"all": [], "spmv": [], "solve": []}
+    for lat, c in done:
+        latency["all"].append(lat)
+        latency[c.request.kind].append(lat)
+    return {
+        "latency_s": {
+            k: percentile_summary(v) for k, v in latency.items() if v
+        },
+        "throughput_rps": completed / makespan if makespan > 0 else 0.0,
+        "makespan_s": makespan,
+    }
 
 
 @dataclass(frozen=True)
@@ -114,107 +221,66 @@ def run_workload(w: Workload, seed: int = 1234) -> dict[str, Any]:
         plan=w.plan,
     )
     rng = np.random.default_rng(seed)
+    events: list = []
+    order = itertools.count()
 
-    # discrete events: (time, tiebreak, kind, payload)
-    events: list[tuple[float, int, str, Any]] = []
-    order = 0
-
-    def push(t: float, kind: str, payload: Any) -> None:
-        nonlocal order
-        heapq.heappush(events, (t, order, kind, payload))
-        order += 1
+    def push(t: float, fn: Callable[[float], Any]) -> None:
+        heapq.heappush(events, (t, next(order), fn))
 
     issued = 0
 
-    def make_request(t: float, client: int | None = None) -> ServeRequest:
+    def request(t: float, **extra) -> ServeRequest:
         nonlocal issued
-        rid = issued
         issued += 1
         key = w.keys[int(rng.integers(len(w.keys)))]
-        kind = "solve" if rng.random() < w.solve_frac else "spmv"
-        return ServeRequest(
-            rid=rid,
-            key=key,
-            kind=kind,
-            seed=int(seed * 100003 + rid),
-            arrival=t,
-            deadline=(t + w.deadline_s) if w.deadline_s is not None else None,
-            rtol=w.rtol,
-            meta={} if client is None else {"client": client},
-        )
+        return make_request(w, rng, issued - 1, t, seed, key, **extra)
+
+    def arrive(t: float) -> None:
+        req = request(t)
+        if service.submit(req) and w.cancel_frac and (
+            rng.random() < w.cancel_frac
+        ):
+            push(t + float(rng.exponential(0.2 / w.rate_rps)),
+                 lambda _t: service.cancel(req.rid))
+
+    def client(c: int, t: float) -> None:
+        if issued >= w.n_requests:
+            return
+        if not service.submit(request(t, meta={"client": c})):
+            push(t + w.think_s, partial(client, c))  # shed: back off, retry
 
     if w.arrival == "open":
         # pre-drawn Poisson arrival process (+ optional cancellations)
         t = 0.0
         for _ in range(w.n_requests):
             t += float(rng.exponential(1.0 / w.rate_rps))
-            push(t, "submit", None)
+            push(t, arrive)
     elif w.arrival == "closed":
         for c in range(w.n_clients):
-            push(float(rng.exponential(w.think_s)), "client", c)
+            push(float(rng.exponential(w.think_s)), partial(client, c))
     else:
         raise ValueError(f"unknown arrival process {w.arrival!r}")
 
-    completions: list = []
-    latency: dict[str, list[float]] = {"all": [], "spmv": [], "solve": []}
-    now = 0.0
-    makespan = 0.0
+    done: list = []
 
-    def deliver(ev: tuple) -> None:
-        t, _, kind, payload = ev
-        if kind == "submit":
-            req = make_request(t)
-            if service.submit(req) and w.cancel_frac and (
-                rng.random() < w.cancel_frac
-            ):
-                push(t + float(rng.exponential(0.2 / w.rate_rps)),
-                     "cancel", req.rid)
-        elif kind == "cancel":
-            service.cancel(payload)
-        elif kind == "client":
-            if issued >= w.n_requests:
-                return
-            req = make_request(t, client=payload)
-            if not service.submit(req):  # shed: client backs off and retries
-                push(t + w.think_s, "client", payload)
-
-    while events or service.pending:
-        while events and events[0][0] <= now:
-            deliver(heapq.heappop(events))
-        if not service.pending:
-            if not events:
-                break
-            now = events[0][0]
-            continue
-        out = service.dispatch(now)
-        t_end = now + out.duration
-        for r in out.expired:
+    def on_dispatch(out: DispatchOutcome) -> None:
+        collect(out, done)
+        # a closed-loop client thinks, then issues its next request
+        for r in [*out.expired, *(c.request for c in out.completions)]:
             if "client" in r.meta:
-                push(t_end + w.think_s, "client", r.meta["client"])
-        for c in out.completions:
-            if c.status == "ok":
-                lat = t_end - c.request.arrival
-                latency["all"].append(lat)
-                latency[c.request.kind].append(lat)
-                completions.append(c)
-            if "client" in c.request.meta:
-                push(t_end + w.think_s, "client", c.request.meta["client"])
-        now = t_end
-        makespan = max(makespan, now)
+                push(out.end + w.think_s, partial(client, r.meta["client"]))
 
-    wrong, ref = _verify(w, completions)
-    ctx0, _ = ref.get(w.keys[0])
-    n_parts, n_dofs = ctx0.n_parts, ctx0.n_dofs
+    makespan = drive(service, events, on_dispatch)
+
+    oracle = Oracle(w.plan, len(w.keys))
+    wrong = sum(not oracle.check(c, exact=False) for _, c in done)
+    ctx0 = oracle.context(w.keys[0])
     obs.incr("serve.wrong_answers", wrong)  # materialize even when 0
 
     req_counts = {
-        "submitted": int(obs.counter("serve.submitted")),
-        "completed": int(obs.counter("serve.completed")),
-        "rejected": int(obs.counter("serve.rejected")),
-        "shed_deadline": int(obs.counter("serve.shed_deadline")),
-        "cancelled": int(obs.counter("serve.cancelled")),
-        "failed": int(obs.counter("serve.failed")),
-        "wrong_answers": int(wrong),
+        name: int(obs.counter(f"serve.{name}"))
+        for name in ("submitted", "completed", "rejected", "shed_deadline",
+                     "cancelled", "failed", "wrong_answers")
     }
     counters = dict(sorted(obs.counters.items()))
     for name, val in sorted(cache.counters().items()):
@@ -222,16 +288,10 @@ def run_workload(w: Workload, seed: int = 1234) -> dict[str, Any]:
     return {
         "scenario": w.name,
         "workload": w.describe(),
-        "n_parts": n_parts,
-        "n_dofs": n_dofs,
+        "n_parts": ctx0.n_parts,
+        "n_dofs": ctx0.n_dofs,
         "requests": req_counts,
-        "latency_s": {
-            k: percentile_summary(v) for k, v in latency.items() if v
-        },
-        "throughput_rps": (
-            req_counts["completed"] / makespan if makespan > 0 else 0.0
-        ),
-        "makespan_s": makespan,
+        **timing_fields(done, req_counts["completed"], makespan),
         "batch_histogram": {
             str(k): v for k, v in sorted(service.batch_histogram.items())
         },
@@ -241,30 +301,6 @@ def run_workload(w: Workload, seed: int = 1234) -> dict[str, Any]:
         "cache": cache.stats(),
         "counters": counters,
     }
-
-
-def _verify(w: Workload, completions: list) -> tuple[int, OperatorCache]:
-    """Re-check every delivered answer on a fault-free reference cache
-    holding the operators the plan binds the requests to."""
-    ref = OperatorCache(
-        capacity=max(len(w.keys), 1), obs=Instrumentation(rank=-1)
-    )
-    wrong = 0
-    for c in completions:
-        ctx, _ = ref.get(w.plan.bind(c.request.key))
-        x = SolverService.input_vector(ctx, c.request.seed)
-        if c.request.kind == "spmv":
-            y_ref, _ = ctx.apply_multi(x[:, None])
-            y_ref = y_ref[:, 0]
-            scale = float(np.linalg.norm(y_ref)) or 1.0
-            err = float(np.linalg.norm(c.value - y_ref))
-            if not np.isfinite(err) or err > SPMV_REL_TOL * scale:
-                wrong += 1
-        else:
-            rel = float(ctx.residuals(x[:, None], c.value[:, None])[0])
-            if not np.isfinite(rel) or rel > max(10 * c.request.rtol, 1e-8):
-                wrong += 1
-    return wrong, ref
 
 
 # ----------------------------------------------------------------------------

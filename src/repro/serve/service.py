@@ -1,9 +1,11 @@
 """The solver service: admission, batching, execution, fault handling.
 
-:class:`SolverService` is the single-server dispatch loop the load
-harness drives in virtual time: admit (or shed) requests into the bounded
-queue, expire deadlines, form a micro-batch of compatible requests, and
-execute it as one multi-RHS operation against the cached operator.
+:class:`SolverService` is the single server the load harnesses drive in
+virtual time: admit (or shed) requests into the bounded queue, expire
+deadlines, form a micro-batch of compatible requests, and execute it as
+one multi-RHS operation against the cached operator.  :meth:`step` runs
+one batch at a time on the server's own timeline (``free_at``), which is
+the protocol :func:`repro.serve.loadgen.drive` advances.
 
 Fault policy — the service may be slow or reject work, but it never
 returns a wrong answer:
@@ -25,13 +27,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.kernels import resolve_mode
-from repro.obs.instrumentation import Instrumentation
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.cache import OperatorCache
 from repro.serve.plan import ExecutionPlan
 from repro.serve.queue import RequestQueue, ServeRequest
 
 __all__ = ["Completion", "DispatchOutcome", "SolverService"]
+
+#: attempts after the first before a corrupt or aborted batch fails
+RETRY_LIMIT = 2
+#: CG iteration cap of every solve batch
+MAXITER = 2000
 
 
 class _CorruptBatch(Exception):
@@ -56,6 +62,7 @@ class DispatchOutcome:
     duration: float  # virtual seconds consumed by this dispatch
     expired: list[ServeRequest]
     batch_size: int
+    end: float  # virtual time the dispatch finishes: now + duration
 
 
 class SolverService:
@@ -66,9 +73,6 @@ class SolverService:
         cache: OperatorCache,
         max_batch: int = 8,
         queue_capacity: int = 64,
-        retry_limit: int = 2,
-        maxiter: int = 2000,
-        obs: Instrumentation | None = None,
         batcher: MicroBatcher | None = None,
         plan: ExecutionPlan = ExecutionPlan(),
     ):
@@ -85,14 +89,16 @@ class SolverService:
         ignored.
         """
         self.cache = cache
-        self.obs = obs if obs is not None else cache.obs
+        self.obs = cache.obs
         self.queue = RequestQueue(queue_capacity)
         self.batcher = (
             batcher if batcher is not None else MicroBatcher(BatchPolicy(max_batch))
         )
-        self.retry_limit = retry_limit
-        self.maxiter = maxiter
         self.plan = plan
+        # the single-server timeline: busy until `free_at`
+        self.free_at = 0.0
+        self.busy_s = 0.0
+        self.dispatches = 0
         # backend the routing policy actually dispatched to -> batch count
         self.backend_histogram: dict[str, int] = {}
         self.batch_histogram: dict[int, int] = {}
@@ -128,6 +134,24 @@ class SolverService:
     # dispatch
     # ------------------------------------------------------------------
 
+    def step(self, now: float) -> list[DispatchOutcome]:
+        """Dispatch once if the server is idle at ``now`` and has queued
+        work; a batch keeps it busy until the outcome's ``end``."""
+        if self.free_at > now or not self.pending:
+            return []
+        out = self.dispatch(now)
+        if out.batch_size:
+            self.free_at = out.end
+            self.busy_s += out.duration
+            self.dispatches += 1
+        return [out]
+
+    def next_wakeup(self, now: float) -> float:
+        """When a busy server with queued work frees up; ``inf`` when
+        nothing is due after ``now``."""
+        due = self.pending and self.free_at > now
+        return self.free_at if due else float("inf")
+
     def dispatch(self, now: float) -> DispatchOutcome:
         """Shed expired requests, then execute the next micro-batch."""
         expired = self.queue.expire(now)
@@ -135,7 +159,7 @@ class SolverService:
             self.obs.incr("serve.shed_deadline", len(expired))
         batch = self.batcher.next_batch(self.queue)
         if not batch:
-            return DispatchOutcome([], 0.0, expired, 0)
+            return DispatchOutcome([], 0.0, expired, 0, now)
         k = len(batch)
         self.batch_histogram[k] = self.batch_histogram.get(k, 0) + 1
         self.obs.incr("serve.batches")
@@ -143,7 +167,7 @@ class SolverService:
         completions, duration = self._execute(batch)
         for c in completions:
             self.obs.incr(f"serve.{'completed' if c.status == 'ok' else 'failed'}")
-        return DispatchOutcome(completions, duration, expired, k)
+        return DispatchOutcome(completions, duration, expired, k, now + duration)
 
     def _route_key(self, key):
         """Apply the plan to a request's key (:meth:`ExecutionPlan.bind`
@@ -189,10 +213,10 @@ class SolverService:
                 # context from scratch on the next attempt
                 self.cache.invalidate(key)
                 self.obs.incr("serve.rebuilds")
-                if attempts >= self.retry_limit:
+                if attempts >= RETRY_LIMIT:
                     return self._fail(batch, f"execution failed: {exc}"), duration
             attempts += 1
-            if attempts > self.retry_limit:
+            if attempts > RETRY_LIMIT:
                 return self._fail(batch, "corruption persisted"), duration
             self.obs.incr("serve.retries")
 
@@ -213,7 +237,7 @@ class SolverService:
             self.obs.incr("serve.degraded", len(batch))
         self._record_mode("degraded" if degraded else mode)
         out, dt = ctx.solve_multi(
-            X, rtol=batch[0].rtol, maxiter=self.maxiter, degraded=degraded,
+            X, rtol=batch[0].rtol, maxiter=MAXITER, degraded=degraded,
             mode=mode,
         )
         comps = []

@@ -30,10 +30,12 @@ services and amortizes it across a fleet:
   answers policy is untouched — a failover changes *where* a request
   runs, never *what* it computes.
 
-Shards execute one batch at a time on their own virtual timeline
-(``free_at``); the load harness (:mod:`repro.serve.shardload`) advances
-the cluster event by event, so every latency is deterministic modeled
-time, comparable across machines like the rest of the serve stack.
+Each shard's service executes one batch at a time on its own virtual
+timeline (``SolverService.free_at``); the cluster offers the same
+``pending`` / ``step`` / ``next_wakeup`` protocol as a single service, so
+the one event loop (:func:`repro.serve.loadgen.drive`) advances it event
+by event and every latency is deterministic modeled time, comparable
+across machines like the rest of the serve stack.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.obs.instrumentation import Instrumentation
 from repro.serve.queue import ServeRequest
 from repro.serve.service import DispatchOutcome, SolverService
 
-__all__ = ["HashRing", "ShardRouter", "ShardCluster", "ShardDispatch"]
+__all__ = ["HashRing", "ShardRouter", "ShardCluster"]
 
 
 def _hash_point(s: str) -> int:
@@ -212,18 +214,6 @@ class _Shard:
 
     service: SolverService
     alive: bool = True
-    free_at: float = 0.0  # virtual time this shard's last batch ends
-    busy_s: float = 0.0  # accumulated dispatch durations
-    dispatches: int = 0
-
-
-@dataclass
-class ShardDispatch:
-    """One shard's dispatch in a :meth:`ShardCluster.step` round."""
-
-    shard: str
-    outcome: DispatchOutcome
-    end: float  # virtual completion time of the batch
 
 
 class ShardCluster:
@@ -328,7 +318,7 @@ class ShardCluster:
             targets,
             key=lambda s: (
                 self._shards[s].service.pending,
-                self._shards[s].free_at,
+                self._shards[s].service.free_at,
                 s,
             ),
         )
@@ -348,29 +338,23 @@ class ShardCluster:
     # dispatch
     # ------------------------------------------------------------------
 
-    def step(self, now: float) -> list[ShardDispatch]:
+    def step(self, now: float) -> list[DispatchOutcome]:
         """One balancer round: every idle live shard with queued work
         dispatches its next deadline-ordered batch.  Dispatch is atomic
         on a shard's timeline — the shard is busy until ``end`` and a
         kill landing mid-batch takes effect at the next round."""
         self.advance(now)
-        out: list[ShardDispatch] = []
+        out: list[DispatchOutcome] = []
         for sid in sorted(self._shards):
             sh = self._shards[sid]
-            if not sh.alive or sh.free_at > now or sh.service.pending == 0:
+            if not sh.alive:
                 continue
-            outcome = sh.service.dispatch(now)
-            for r in outcome.expired:
-                self._release(r)
-            for c in outcome.completions:
-                self._release(c.request)
-            end = now
-            if outcome.batch_size:
-                end = now + outcome.duration
-                sh.free_at = end
-                sh.busy_s += outcome.duration
-                sh.dispatches += 1
-            out.append(ShardDispatch(sid, outcome, end))
+            for outcome in sh.service.step(now):
+                for r in outcome.expired:
+                    self._release(r)
+                for c in outcome.completions:
+                    self._release(c.request)
+                out.append(outcome)
         return out
 
     def next_wakeup(self, now: float) -> float:
@@ -378,13 +362,13 @@ class ShardCluster:
         progress (a busy shard frees up, or a fault event fires);
         ``inf`` when nothing is due."""
         times = [
-            sh.free_at
+            sh.service.next_wakeup(now)
             for sh in self._shards.values()
-            if sh.alive and sh.service.pending > 0 and sh.free_at > now
+            if sh.alive
         ]
         if self._faults is not None:
             times.append(self._faults.next_event())
-        return min(times) if times else float("inf")
+        return min(times, default=float("inf"))
 
     # ------------------------------------------------------------------
     # shard failures
@@ -424,7 +408,7 @@ class ShardCluster:
         if sh is None or sh.alive:
             return
         sh.alive = True
-        sh.free_at = max(sh.free_at, now)
+        sh.service.free_at = max(sh.service.free_at, now)
         self.router.add_shard(sid)
         self.obs.incr("shard.revives")
 
@@ -437,7 +421,8 @@ class ShardCluster:
         if makespan <= 0:
             return {sid: 0.0 for sid in self._shards}
         return {
-            sid: sh.busy_s / makespan for sid, sh in sorted(self._shards.items())
+            sid: sh.service.busy_s / makespan
+            for sid, sh in sorted(self._shards.items())
         }
 
     def utilization_summary(self, makespan: float) -> dict[str, float]:

@@ -8,14 +8,14 @@ virtual time, so "millions of users" compress into a deterministic
 discrete-event simulation: latencies, utilization and failover counts are
 pure functions of the seed and the code path, comparable across machines.
 
-Every delivered answer is re-checked after the run against a fresh,
-fault-free **single-node** reference cache — the same solver stack with
-no sharding, no replication, no failover.  Scenarios that run the bitwise
-per-column oracle mode check spmv *and* solve results with
-``np.array_equal`` (sharding must be invisible down to the last bit, even
-across a shard kill); auto-mode scenarios use the same tolerance contract
-as the serve harness (GEMM batches answer at rounding-level agreement).
-Any miss counts as a ``wrong_answer`` — gated to exactly zero in CI.
+The run uses the serve harness's event loop
+(:func:`~repro.serve.loadgen.drive`) and answer oracle
+(:class:`~repro.serve.loadgen.Oracle`): every delivered answer is
+re-checked against a fresh, fault-free **single-node** reference cache.
+``verify="bitwise"`` scenarios (oracle mode) check spmv *and* solve
+results exactly — sharding must be invisible down to the last bit, even
+across a shard kill; the others use the serve tolerance contract.  Any
+miss counts as a ``wrong_answer`` — gated to exactly zero in CI.
 
 Alongside ``SHARD_report.json`` (schema ``repro.shard/1``) the harness
 writes a ``BENCH_shard.json`` projection for the ``repro.obs.compare``
@@ -26,16 +26,16 @@ and the per-shard utilization peak-to-mean skew.
 from __future__ import annotations
 
 import argparse
-import heapq
 import pathlib
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any
 
 import numpy as np
 
 from repro.faults.shard import ShardFaultPlan, ShardKill
-from repro.obs.instrumentation import Instrumentation, percentile_summary
+from repro.obs.instrumentation import Instrumentation
 from repro.obs.schema import (
     SHARD_SCHEMA,
     new_report,
@@ -45,7 +45,14 @@ from repro.obs.schema import (
 )
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher
 from repro.serve.cache import OperatorCache, ProblemKey
-from repro.serve.loadgen import SPMV_REL_TOL, bench_projection
+from repro.serve.loadgen import (
+    Oracle,
+    bench_projection,
+    collect,
+    drive,
+    make_request,
+    timing_fields,
+)
 from repro.serve.plan import ExecutionPlan, add_tuned_from_argument
 from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
@@ -95,6 +102,12 @@ class ShardWorkload:
     plan: ExecutionPlan = ExecutionPlan()
     shard_faults: ShardFaultPlan | None = None
     verify: str = "tolerance"  # "tolerance" | "bitwise"
+
+    def __post_init__(self) -> None:
+        if self.verify not in ("tolerance", "bitwise"):
+            raise ValueError(
+                f"verify must be 'tolerance' or 'bitwise', got {self.verify!r}"
+            )
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -172,37 +185,7 @@ def run_shard_workload(w: ShardWorkload, seed: int = 1234) -> dict[str, Any]:
     rng = np.random.default_rng(seed)
     key_p = zipf_weights(len(w.keys), w.zipf_s)
     tenant_p = zipf_weights(w.n_tenants, w.tenant_zipf_s)
-
-    # pre-drawn Poisson arrival process with Zipf key/tenant marks
-    arrivals: list[tuple[float, ServeRequest]] = []
-    t = 0.0
-    for rid in range(w.n_requests):
-        t += float(rng.exponential(1.0 / w.rate_rps))
-        key = w.keys[int(rng.choice(len(w.keys), p=key_p))]
-        tenant = f"t{int(rng.choice(w.n_tenants, p=tenant_p))}"
-        kind = "solve" if rng.random() < w.solve_frac else "spmv"
-        arrivals.append((
-            t,
-            ServeRequest(
-                rid=rid,
-                key=key,
-                kind=kind,
-                seed=int(seed * 100003 + rid),
-                arrival=t,
-                deadline=(
-                    t + w.deadline_s if w.deadline_s is not None else None
-                ),
-                rtol=w.rtol,
-                tenant=tenant,
-            ),
-        ))
-    heapq.heapify(arrivals)
-
-    completions: list = []
-    latency: dict[str, list[float]] = {"all": [], "spmv": [], "solve": []}
     tenant_counts: dict[str, dict[str, int]] = {}
-    now = 0.0
-    makespan = 0.0
 
     def tcount(tenant: str, field: str) -> None:
         rec = tenant_counts.setdefault(
@@ -210,35 +193,34 @@ def run_shard_workload(w: ShardWorkload, seed: int = 1234) -> dict[str, Any]:
         )
         rec[field] += 1
 
-    while arrivals or cluster.pending:
-        while arrivals and arrivals[0][0] <= now:
-            _, req = heapq.heappop(arrivals)
-            tcount(req.tenant, "submitted")
-            cluster.submit(req, now)
-        for disp in cluster.step(now):
-            for c in disp.outcome.completions:
-                if c.status == "ok":
-                    lat = disp.end - c.request.arrival
-                    latency["all"].append(lat)
-                    latency[c.request.kind].append(lat)
-                    tcount(c.request.tenant, "completed")
-                    completions.append(c)
-            makespan = max(makespan, disp.end)
-        candidates = []
-        if arrivals:
-            candidates.append(arrivals[0][0])
-        wake = cluster.next_wakeup(now)
-        if wake > now and wake != float("inf"):
-            candidates.append(wake)
-        future = [c for c in candidates if c > now]
-        if not future:
-            if cluster.pending:
-                continue  # an idle shard can still drain work at `now`
-            break
-        now = min(future)
+    def arrive(req: ServeRequest, t: float) -> None:
+        tcount(req.tenant, "submitted")
+        cluster.submit(req, t)
+
+    # pre-drawn Poisson arrival process with Zipf key/tenant marks
+    events = []
+    t = 0.0
+    for rid in range(w.n_requests):
+        t += float(rng.exponential(1.0 / w.rate_rps))
+        key = w.keys[int(rng.choice(len(w.keys), p=key_p))]
+        tenant = f"t{int(rng.choice(w.n_tenants, p=tenant_p))}"
+        req = make_request(w, rng, rid, t, seed, key, tenant=tenant)
+        events.append((t, rid, partial(arrive, req)))
+    # drawn in time order, so the list is already a heap
+
+    done: list = []
+
+    def on_dispatch(out) -> None:
+        for c in collect(out, done):
+            tcount(c.request.tenant, "completed")
+
+    makespan = drive(cluster, events, on_dispatch)
     cluster.advance(makespan)  # late-scheduled fault events still apply
 
-    wrong = _verify(w, completions)
+    oracle = Oracle(w.plan, len(w.keys))
+    exact = w.verify == "bitwise"
+    wrong = sum(not oracle.check(c, exact) for _, c in done)
+    ctx0 = oracle.context(w.keys[0])
     obs.incr("shard.wrong_answers", wrong)  # materialize even when 0
 
     counters = cluster.request_counters()
@@ -264,25 +246,18 @@ def run_shard_workload(w: ShardWorkload, seed: int = 1234) -> dict[str, Any]:
         sh = cluster.shard_state(sid)
         shards[sid] = {
             "utilization": util[sid],
-            "busy_s": sh.busy_s,
+            "busy_s": sh.service.busy_s,
             "sim_busy_s": vcluster.busy_vtime(sid),
-            "dispatches": sh.dispatches,
+            "dispatches": sh.service.dispatches,
             "alive": sh.alive,
             "cache": sh.service.cache.stats(),
         }
     batches, modes = cluster.merged_histograms()
-    tenants = {
-        t: {
-            **tenant_counts.get(t, {"submitted": 0, "completed": 0}),
-            **{
-                k: v
-                for k, v in cluster.tenant_cache_stats().get(t, {}).items()
-                if k == "hit_rate"
-            },
-        }
-        for t in sorted(tenant_counts)
-    }
-    ctx0 = w.keys[0].build_spec()
+    hits = cluster.tenant_cache_stats()
+    tenants = {t: dict(tenant_counts[t]) for t in sorted(tenant_counts)}
+    for t, rec in tenants.items():
+        if t in hits:
+            rec["hit_rate"] = hits[t]["hit_rate"]
     return {
         "scenario": w.name,
         "workload": w.describe(),
@@ -290,13 +265,7 @@ def run_shard_workload(w: ShardWorkload, seed: int = 1234) -> dict[str, Any]:
         "n_parts": ctx0.n_parts,
         "n_dofs": ctx0.n_dofs,
         "requests": req_counts,
-        "latency_s": {
-            k: percentile_summary(v) for k, v in latency.items() if v
-        },
-        "throughput_rps": (
-            req_counts["completed"] / makespan if makespan > 0 else 0.0
-        ),
-        "makespan_s": makespan,
+        **timing_fields(done, req_counts["completed"], makespan),
         "shards": shards,
         "utilization": cluster.utilization_summary(makespan),
         "replication": cluster.router.replication_report(),
@@ -305,42 +274,6 @@ def run_shard_workload(w: ShardWorkload, seed: int = 1234) -> dict[str, Any]:
         "modes": dict(sorted(modes.items())),
         "counters": counters,
     }
-
-
-def _verify(w: ShardWorkload, completions: list) -> int:
-    """Re-check every delivered answer on a fault-free single-node
-    reference cache holding the operators the plan binds the requests
-    to; returns the wrong-answer count."""
-    ref = OperatorCache(
-        capacity=max(len(w.keys), 1), obs=Instrumentation(rank=-1)
-    )
-    wrong = 0
-    for c in completions:
-        ctx, _ = ref.get(w.plan.bind(c.request.key))
-        x = SolverService.input_vector(ctx, c.request.seed)
-        if c.request.kind == "spmv":
-            y_ref, _ = ctx.apply_multi(x[:, None])
-            y_ref = y_ref[:, 0]
-            if w.verify == "bitwise":
-                if not np.array_equal(c.value, y_ref):
-                    wrong += 1
-                continue
-            scale = float(np.linalg.norm(y_ref)) or 1.0
-            err = float(np.linalg.norm(c.value - y_ref))
-            if not np.isfinite(err) or err > SPMV_REL_TOL * scale:
-                wrong += 1
-        elif w.verify == "bitwise":
-            # oracle-mode solves are bitwise per column regardless of the
-            # batch they rode in, so the sharded answer must equal the
-            # single-node solve exactly — kill or no kill
-            out, _ = ctx.solve_multi(x[:, None], rtol=c.request.rtol)
-            if not np.array_equal(c.value, out["x"][:, 0]):
-                wrong += 1
-        else:
-            rel = float(ctx.residuals(x[:, None], c.value[:, None])[0])
-            if not np.isfinite(rel) or rel > max(10 * c.request.rtol, 1e-8):
-                wrong += 1
-    return wrong
 
 
 # ----------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_sellcs_serve_context_bitwise_vs_assembled():
 def _mini_service(**plan):
     obs = Instrumentation(rank=-1)
     cache = OperatorCache(capacity=4, obs=obs)
-    return SolverService(cache, obs=obs, plan=ExecutionPlan(**plan)), obs
+    return SolverService(cache, plan=ExecutionPlan(**plan)), obs
 
 
 def test_backend_none_preserves_key():
@@ -266,8 +266,7 @@ def test_crossover_loader_round_trip(tmp_path):
     ))
     obs = Instrumentation(rank=-1)
     svc = SolverService(
-        OperatorCache(capacity=4, obs=obs), obs=obs,
-        plan=load_tuned_config(path),
+        OperatorCache(capacity=4, obs=obs), plan=load_tuned_config(path),
     )
     small = ProblemKey(problem="poisson", nel=3, n_parts=2, etype="hex8")
     assert svc._route_key(small).method == "sellcs"

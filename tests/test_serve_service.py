@@ -14,7 +14,8 @@ from repro.faults.plan import Corrupt, Delay, FaultPlan
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.schema import SERVE_SCHEMA, new_report, validate_report
 from repro.serve.cache import OperatorCache, ProblemKey, SolverContext
-from repro.serve.loadgen import run_workload, suite_workloads
+from repro.serve.loadgen import Oracle, run_workload, suite_workloads
+from repro.serve.plan import ExecutionPlan
 from repro.serve.queue import ServeRequest
 from repro.serve.service import Completion, SolverService
 
@@ -126,6 +127,117 @@ def test_cancel_only_while_queued():
 
 
 # ----------------------------------------------------------------------------
+# the single-server timeline the event loop drives
+# ----------------------------------------------------------------------------
+
+def test_step_waits_for_busy_server():
+    service = SolverService(OperatorCache(capacity=1))
+    service.submit(_request(0))
+    [out] = service.step(0.0)
+    assert out.batch_size == 1 and out.end == out.duration > 0
+    assert service.free_at == out.end and service.dispatches == 1
+    service.submit(_request(1))
+    assert service.step(out.end / 2) == []  # busy: no dispatch before free_at
+    assert service.next_wakeup(out.end / 2) == out.end
+    assert service.pending == 1
+    [nxt] = service.step(out.end)
+    assert nxt.batch_size == 1 and nxt.end == out.end + nxt.duration
+    assert service.busy_s == out.duration + nxt.duration
+
+
+def test_next_wakeup_inf_when_queue_empty():
+    service = SolverService(OperatorCache(capacity=1))
+    assert service.next_wakeup(0.0) == float("inf")
+    assert service.step(0.0) == []
+    service.submit(_request(0))
+    service.step(0.0)  # busy until free_at, but nothing left queued
+    assert service.free_at > 0
+    assert service.next_wakeup(0.0) == float("inf")
+
+
+def test_all_expired_dispatch_ends_now():
+    service = SolverService(OperatorCache(capacity=1))
+    service.submit(_request(0, deadline=1.0))
+    [out] = service.step(2.0)
+    assert [r.rid for r in out.expired] == [0]
+    assert out.batch_size == 0 and out.end == 2.0
+    assert service.free_at == 0.0 and service.dispatches == 0
+
+
+# ----------------------------------------------------------------------------
+# the answer oracle must reject wrong answers, not only accept right ones
+# ----------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def oracle():
+    return Oracle(ExecutionPlan(), 1)
+
+
+def _answer(oracle, kind, perturb):
+    """A completion for a ``kind`` request on KEY_A whose value is the
+    reference answer passed through ``perturb``."""
+    req = _request(0, kind=kind)
+    ctx = oracle.context(KEY_A)
+    x = SolverService.input_vector(ctx, req.seed)
+    if kind == "spmv":
+        value = ctx.apply_multi(x[:, None])[0][:, 0]
+    else:
+        value = ctx.solve_multi(x[:, None], rtol=req.rtol)[0]["x"][:, 0]
+    return Completion(req, "ok", perturb(value.copy()))
+
+
+def _one_ulp(v):
+    i = int(np.argmax(np.abs(v)))
+    v[i] = np.nextafter(v[i], np.inf)
+    return v
+
+
+def _rel_1e8(v):
+    e = np.zeros_like(v)
+    e[0] = 1e-8 * np.linalg.norm(v)
+    return v + e
+
+
+def _nan(v):
+    v[0] = np.nan
+    return v
+
+
+def _scaled(v):
+    # residual of 1.001 x is ~1e-3 relative: far past max(10 rtol, 1e-8)
+    return v * 1.001
+
+
+@pytest.mark.parametrize(
+    "kind,perturb,exact,ok",
+    [
+        ("spmv", lambda v: v, True, True),
+        ("spmv", lambda v: v, False, True),
+        ("solve", lambda v: v, True, True),
+        ("solve", lambda v: v, False, True),
+        ("spmv", _one_ulp, True, False),
+        ("spmv", _one_ulp, False, True),  # within SPMV_REL_TOL
+        ("spmv", _rel_1e8, False, False),
+        ("spmv", _nan, True, False),
+        ("spmv", _nan, False, False),
+        ("solve", _nan, True, False),
+        ("solve", _nan, False, False),
+        ("solve", _scaled, True, False),
+        ("solve", _scaled, False, False),
+    ],
+    ids=[
+        "spmv-true-exact", "spmv-true-tol", "solve-true-exact",
+        "solve-true-tol", "spmv-1ulp-exact", "spmv-1ulp-tol",
+        "spmv-rel1e-8-tol", "spmv-nan-exact", "spmv-nan-tol",
+        "solve-nan-exact", "solve-nan-tol", "solve-residual-exact",
+        "solve-residual-tol",
+    ],
+)
+def test_oracle_verdicts(oracle, kind, perturb, exact, ok):
+    assert oracle.check(_answer(oracle, kind, perturb), exact) is ok
+
+
+# ----------------------------------------------------------------------------
 # fault policy (deterministic, via a scripted context/cache)
 # ----------------------------------------------------------------------------
 
@@ -164,7 +276,7 @@ class _ScriptedCache:
 
 def test_corrupt_batch_retried_then_clean():
     ctx = _ScriptedCtx(signals=[1.0, 0.0])  # first attempt corrupt
-    service = SolverService(_ScriptedCache(ctx), retry_limit=2)
+    service = SolverService(_ScriptedCache(ctx))
     service.submit(_request(0))
     out = service.dispatch(now=0.0)
     assert ctx.calls == 2
@@ -176,7 +288,7 @@ def test_corrupt_batch_retried_then_clean():
 
 def test_persistent_corruption_fails_cleanly():
     ctx = _ScriptedCtx(signals=[1.0, 1.0, 1.0, 1.0])
-    service = SolverService(_ScriptedCache(ctx), retry_limit=2)
+    service = SolverService(_ScriptedCache(ctx))
     service.submit(_request(0))
     out = service.dispatch(now=0.0)
     assert [c.status for c in out.completions] == ["failed"]
@@ -199,7 +311,7 @@ class _ExplodingCtx(_ScriptedCtx):
 def test_poisoned_context_rebuilt_then_recovers():
     ctx = _ExplodingCtx(failures=1)
     cache = _ScriptedCache(ctx)
-    service = SolverService(cache, retry_limit=2)
+    service = SolverService(cache)
     service.submit(_request(0))
     out = service.dispatch(now=0.0)
     assert [c.status for c in out.completions] == ["ok"]
@@ -221,7 +333,7 @@ def test_faulted_service_never_wrong():
         checksums=True,
     )
     cache = OperatorCache(capacity=1, faults=plan)
-    service = SolverService(cache, max_batch=4, retry_limit=3)
+    service = SolverService(cache, max_batch=4)
     ref = OperatorCache(capacity=1)
     n_ok = 0
     for rid in range(8):

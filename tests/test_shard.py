@@ -220,7 +220,7 @@ def test_tenant_quota_sheds_over_limit():
     assert obs.counters["shard.shed_tenant"] == 1
     # completing the work releases the quota
     disp = cluster.step(0.0)
-    assert sum(d.outcome.batch_size for d in disp) > 0
+    assert sum(d.batch_size for d in disp) > 0
     assert cluster.submit(_req(4, tenant="t0"), now=0.0)
 
 
@@ -407,6 +407,11 @@ def suite():
     return run_shard_suite(seed=1234, smoke=True, verbose=False)
 
 
+def test_workload_rejects_unknown_verify():
+    with pytest.raises(ValueError, match="verify"):
+        ShardWorkload(name="typo", keys=(KEY_A,), verify="bitwse")
+
+
 def test_kill_scenario_bitwise_and_failover(suite):
     """The acceptance scenario: a mid-run shard kill fails queued work
     over and every delivered answer stays bitwise-equal to the fault-free
@@ -547,5 +552,5 @@ def test_delta_update_invalidates_replicas_then_routes_fresh():
     # routed serving continues on the new key with no failures
     assert cluster.submit(_req(0, key=new_key), now=0.0)
     disp = cluster.step(0.0)
-    done = [c for d in disp for c in d.outcome.completions]
+    done = [c for d in disp for c in d.completions]
     assert [c.status for c in done] == ["ok"]

@@ -91,6 +91,8 @@ class _StubCache:
 class _StubService:
     """Queue-only service: requests park until the test drains them."""
 
+    free_at = 0.0  # never dispatches, so never busy
+
     def __init__(self, capacity=64):
         self.queue = RequestQueue(capacity)
         self.batcher = DeadlineBatcher(BatchPolicy(8))
