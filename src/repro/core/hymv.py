@@ -214,9 +214,14 @@ class EbeOperatorBase:
             )
         return self.kernel(ke, ue, out=ve)
 
-    def _gather_emv_add(self, uf: np.ndarray, vf: np.ndarray, sl: slice) -> int:
+    def _gather_emv_add(
+        self, uf: np.ndarray, vf: np.ndarray, sl: slice, zeroed: bool
+    ) -> int:
         """Gather → local kernel → segment-add over slice ``sl``, through
-        the workspace; returns the number of elements swept.
+        the workspace; returns the number of elements swept.  ``zeroed``
+        says ``vf`` is all ``+0.0`` (Algorithm 2's first sweep), so the
+        segment scatter sums straight into it — same bits, no scratch
+        round trip (:class:`~repro.core.segment.SegmentScatter`).
 
         ``uf``/``vf`` are flat local dof vectors — 1-D (possibly strided
         multivector columns: the gathered and accumulated values are
@@ -236,9 +241,9 @@ class EbeOperatorBase:
         ve = self._local_emv(sl, ue, ve)
         seg = self._segment_for(sl)
         if uf.ndim == 1:
-            seg.add_into(vf, ve)
+            seg.add_into(vf, ve, zeroed=zeroed)
         else:
-            seg.add_into_multi(vf, ve)
+            seg.add_into_multi(vf, ve, zeroed=zeroed)
         return n
 
     def _account_sweep(self, n: int, k: int) -> None:
@@ -253,9 +258,11 @@ class EbeOperatorBase:
                 flops / (self.modeled_rate_gflops * 1e9), "spmv.emv.modeled"
             )
 
-    def _emv_sweep(self, uf: np.ndarray, vf: np.ndarray, sl: slice) -> None:
+    def _emv_sweep(
+        self, uf: np.ndarray, vf: np.ndarray, sl: slice, zeroed: bool
+    ) -> None:
         """One accounted elemental sweep (see :meth:`_gather_emv_add`)."""
-        n = self._gather_emv_add(uf, vf, sl)
+        n = self._gather_emv_add(uf, vf, sl, zeroed)
         if n:
             self._account_sweep(n, 1 if uf.ndim == 1 else uf.shape[1])
 
@@ -291,23 +298,24 @@ class EbeOperatorBase:
         vf: np.ndarray,
         k: int,
         overlap: bool,
-        run: Callable[[str, slice, np.ndarray, np.ndarray], None],
+        run: Callable[[str, slice, np.ndarray, np.ndarray, bool], None],
     ) -> None:
         """The Algorithm-2 schedule on ``(n_total, ndpn*k)`` node rows:
         post the ghost scatter of ``un``, run the independent elements,
         finish the scatter, run the dependent elements, gather ``vn``.
         ``overlap=False`` completes the scatter first and runs all
-        elements in one sweep.  ``run(part, sl, uf, vf)`` does (and
-        times) the local work of slice ``sl`` on the dof views ``uf`` /
-        ``vf`` of ``un`` / ``vn``; ``part`` names the slice
-        ``"independent"``, ``"dependent"`` or ``"all"``."""
+        elements in one sweep.  ``run(part, sl, uf, vf, zeroed)`` does
+        (and times) the local work of slice ``sl`` on the dof views
+        ``uf`` / ``vf`` of ``un`` / ``vn``; ``part`` names the slice
+        ``"independent"``, ``"dependent"`` or ``"all"``, and ``zeroed``
+        is true for the first sweep after ``vn`` is zeroed."""
         comm = self.comm
         halo = self._halo_for(k)
         t0 = comm.vtime
         vn[:] = 0.0
         if overlap:
             reqs = halo.start_scatter(comm, un)
-            run("independent", self._sl_indep, uf, vf)
+            run("independent", self._sl_indep, uf, vf, True)
             tw = comm.vtime
             halo.finish_scatter(comm, un, reqs)
         else:
@@ -317,9 +325,9 @@ class EbeOperatorBase:
         if self._check_ghosts:
             self._verify_ghosts(un)
         if overlap:
-            run("dependent", self._sl_dep, uf, vf)
+            run("dependent", self._sl_dep, uf, vf, False)
         else:
-            run("all", self._sl_all, uf, vf)
+            run("all", self._sl_all, uf, vf, True)
         tg = comm.vtime
         halo.gather(comm, vn)
         comm.obs.add("spmv.gather", comm.vtime - tg)
@@ -327,20 +335,23 @@ class EbeOperatorBase:
         self.spmv_count += k
 
     def _host_run(
-        self, part: str, sl: slice, uf: np.ndarray, vf: np.ndarray
+        self, part: str, sl: slice, uf: np.ndarray, vf: np.ndarray,
+        zeroed: bool,
     ) -> None:
         """``run`` of :meth:`_algorithm2`: one measured host sweep."""
         with self.comm.compute(_EMV_PHASES[part]):
-            self._emv_sweep(uf, vf, sl)
+            self._emv_sweep(uf, vf, sl, zeroed)
 
     def _host_run_columns(
-        self, part: str, sl: slice, uf: np.ndarray, vf: np.ndarray
+        self, part: str, sl: slice, uf: np.ndarray, vf: np.ndarray,
+        zeroed: bool,
     ) -> None:
         """``run`` of :meth:`_algorithm2` for the oracle multi-RHS mode:
-        the single-RHS sweep per column."""
+        the single-RHS sweep per column (a strided column at ``k > 1``
+        takes the grouped scatter; the bits are the same)."""
         with self.comm.compute(_EMV_PHASES[part]):
             for j in range(uf.shape[1]):
-                self._emv_sweep(uf[:, j], vf[:, j], sl)
+                self._emv_sweep(uf[:, j], vf[:, j], sl, zeroed)
 
     def spmv(
         self,
@@ -428,6 +439,22 @@ class EbeOperatorBase:
         )
         return v
 
+    def work_multivectors(
+        self, k: int
+    ) -> tuple[DistributedMultiVector, DistributedMultiVector]:
+        """The operator-owned ``(U, V)`` work pair of width ``k`` behind
+        :meth:`apply_owned_multi`, built on first use.  Callers that fill
+        ``U`` themselves and run :meth:`spmv_multi` (the Dirichlet block
+        operator of :mod:`repro.serve.cache`) skip the input and output
+        copies; both are overwritten by the next same-``k`` product."""
+        pair = self._work_multi.get(k)
+        if pair is None:
+            pair = self._work_multi[k] = (
+                self.new_multivector(k),
+                self.new_multivector(k),
+            )
+        return pair
+
     def apply_owned_multi(
         self, X: np.ndarray, copy: bool = True, mode: str = "auto"
     ) -> np.ndarray:
@@ -446,14 +473,7 @@ class EbeOperatorBase:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"expected (n, k) multivector, got shape {X.shape}")
-        k = X.shape[1]
-        pair = self._work_multi.get(k)
-        if pair is None:
-            pair = self._work_multi[k] = (
-                self.new_multivector(k),
-                self.new_multivector(k),
-            )
-        U, V = pair
+        U, V = self.work_multivectors(X.shape[1])
         U.set_owned(X)
         self.spmv_multi(U, V, mode=mode)
         owned = V.owned_matrix

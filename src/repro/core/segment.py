@@ -26,6 +26,24 @@ rounding — exactly the grouping ``out += np.bincount(...)`` produces.
 ``np.add.reduceat`` is deliberately *not* used: its inner reduction
 order differs from sequential summation in the last ulp.
 
+Zeroed destinations
+-------------------
+Algorithm 2 zeroes ``vn`` and then runs its first sweep into it.  For
+that sweep ``add_into``/``add_into_multi`` take ``zeroed=True``: the
+caller promises every touched entry of ``out`` is ``+0.0``, and one CSR
+kernel call over a *full-height* row pointer (rows ``0..touched[-1]``,
+empty rows for untouched dofs, built at construction) sums each dof's
+segment straight into ``out`` — no scratch, no gather/add/scatter.  The
+bits are the grouped path's: the kernel starts each row's sequential sum
+from ``out[t] = +0.0`` exactly as the grouped path starts it from its
+zeroed scratch, and the grouped path's extra ``0.0 + s`` is ``s`` for
+every ``s`` it can produce: a segment summed sequentially from ``+0.0``
+is never ``-0.0`` (in round-to-nearest ``+0.0 + -0.0`` and ``x + -x``
+are both ``+0.0``), and a NaN passes through the addition with its
+payload.  Untouched rows below ``touched[-1]`` are read and written back
+unchanged.  A non-C-contiguous destination and the NumPy fallback take
+the grouped path, with the same bits.
+
 The fast path drives SciPy's CSR matvec kernel (a tight C loop summing
 each row sequentially; the stored unit coefficients contribute each
 value exactly, since ``1.0 * x`` is exact in IEEE-754).  When the
@@ -77,6 +95,7 @@ class SegmentScatter:
         "touched",
         "indptr",
         "indices",
+        "_full_indptr",
         "_data",
         "_seg",
         "_acc",
@@ -123,6 +142,11 @@ class SegmentScatter:
         self._seg = np.empty(k)
         self._acc = np.empty(k)
         if self._use_csr:
+            # rows 0..touched[-1] of the same incidence, untouched dofs as
+            # empty rows: the zeroed-destination path's row pointer
+            self._full_indptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(flat))]
+            ).astype(np.int32)
             self._segids = np.empty(0, dtype=INDEX_DTYPE)
             self._sorted = np.empty(0)
         else:
@@ -137,14 +161,22 @@ class SegmentScatter:
     def n_touched(self) -> int:
         return int(self.touched.size)
 
-    def add_into(self, out: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    def _direct(self, out: np.ndarray, zeroed: bool) -> bool:
+        """Whether a ``zeroed`` destination takes the one-call path."""
+        return zeroed and self._use_csr and out.flags.c_contiguous
+
+    def add_into(
+        self, out: np.ndarray, vals: np.ndarray, zeroed: bool = False
+    ) -> np.ndarray:
         """Accumulate ``vals`` (flattened) into ``out`` at the frozen
         index structure; returns ``out``.
 
         Allocation-free after construction.  Untouched entries of ``out``
         are not read or written (matching ``np.add.at``; the legacy
         bincount path also adds ``+0.0`` to untouched entries, which is
-        only observable on ``-0.0``).
+        only observable on ``-0.0``).  ``zeroed=True`` promises every
+        touched entry of ``out`` is ``+0.0`` and sums straight into it
+        (same bits; see the module docstring).
         """
         if self.m == 0:
             return out
@@ -161,6 +193,17 @@ class SegmentScatter:
                 f"SegmentScatter: destination too small (max touched dof "
                 f"{int(self.touched[-1])}, out has {out.shape[0]} entries)"
             )
+        if self._direct(out, zeroed):
+            _csr_matvec(
+                self._full_indptr.size - 1,
+                self.m,
+                self._full_indptr,
+                self.indices,
+                self._data,
+                flat_vals,
+                out,
+            )
+            return out
         self._seg.fill(0.0)
         if self._use_csr:
             _csr_matvec(
@@ -183,7 +226,9 @@ class SegmentScatter:
         out[self.touched] = self._acc
         return out
 
-    def add_into_multi(self, out: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    def add_into_multi(
+        self, out: np.ndarray, vals: np.ndarray, zeroed: bool = False
+    ) -> np.ndarray:
         """Accumulate a k-column value batch into a ``(n_dofs, k)``
         destination at the frozen index structure; returns ``out``.
 
@@ -197,7 +242,9 @@ class SegmentScatter:
         bitwise identical per column to the 1-D path.
 
         Allocation-free once the per-``k`` scratch exists (first call
-        for a given ``k`` allocates it).
+        for a given ``k`` allocates it).  ``zeroed=True`` on a C-contiguous
+        destination sums straight into it with the same bits, as in
+        :meth:`add_into`, and needs no scratch.
         """
         k = int(vals.shape[-1])
         if out.ndim != 2 or out.shape[1] != k:
@@ -215,6 +262,18 @@ class SegmentScatter:
                 f"SegmentScatter: destination too small (max touched dof "
                 f"{int(self.touched[-1])}, out has {out.shape[0]} entries)"
             )
+        if self._direct(out, zeroed):
+            _csr_matvecs(
+                self._full_indptr.size - 1,
+                self.m,
+                k,
+                self._full_indptr,
+                self.indices,
+                self._data,
+                flat_vals,
+                out,
+            )
+            return out
         seg, acc, srt = self._multi_scratch(k)
         seg.fill(0.0)
         if self._use_csr:

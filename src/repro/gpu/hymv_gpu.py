@@ -85,14 +85,16 @@ class HymvGpuOperator(HymvOperator):
         eff = self.threads * r.omp_efficiency if self.threads > 1 else 1.0
         return r.rhs_gather_gbps * 1e9 * eff
 
-    def _device_sweep(self, uf: np.ndarray, vf: np.ndarray, sl: slice) -> float:
+    def _device_sweep(
+        self, uf: np.ndarray, vf: np.ndarray, sl: slice, zeroed: bool
+    ) -> float:
         """Run one batched EMV on the device; returns modeled duration.
 
         The numerics are the shared host sweep (device-equivalent): host
         ``bue`` gather (Alg. 3 line 3), kernel, host ``bve`` accumulation
         (line 8); the modeled time is the chunked stream pipeline plus
         the host staging of both vector batches."""
-        E = self._gather_emv_add(uf, vf, sl)
+        E = self._gather_emv_add(uf, vf, sl, zeroed)
         if E == 0:
             return 0.0
         nd = self.e2l_dofs.shape[1]
@@ -132,14 +134,20 @@ class HymvGpuOperator(HymvOperator):
             scheme = "gpu_gpu_overlap"
         comm = self.comm
 
-        def run(part: str, sl: slice, uf: np.ndarray, vf: np.ndarray) -> None:
+        def run(
+            part: str, sl: slice, uf: np.ndarray, vf: np.ndarray, zeroed: bool
+        ) -> None:
             if part == "all":
-                comm.advance(self._device_sweep(uf, vf, sl), "spmv.gpu")
+                comm.advance(self._device_sweep(uf, vf, sl, zeroed), "spmv.gpu")
             elif part == "dependent" and scheme == "gpu_cpu_overlap":
                 # dependent elements on the host CPU
-                comm.advance(self._cpu_sweep(uf, vf, sl), "spmv.cpu.dependent")
+                comm.advance(
+                    self._cpu_sweep(uf, vf, sl, zeroed), "spmv.cpu.dependent"
+                )
             else:
-                comm.advance(self._device_sweep(uf, vf, sl), "spmv.gpu." + part)
+                comm.advance(
+                    self._device_sweep(uf, vf, sl, zeroed), "spmv.gpu." + part
+                )
 
         self._algorithm2(
             u.data, v.data, u.data.reshape(-1), v.data.reshape(-1), 1,
@@ -186,9 +194,11 @@ class HymvGpuOperator(HymvOperator):
             comm.advance(t_host + t_pipe, "spmv.gpu.multivector")
         return v
 
-    def _cpu_sweep(self, uf: np.ndarray, vf: np.ndarray, sl: slice) -> float:
+    def _cpu_sweep(
+        self, uf: np.ndarray, vf: np.ndarray, sl: slice, zeroed: bool
+    ) -> float:
         """Host EMV of a subset; returns modeled CPU duration."""
-        E = self._gather_emv_add(uf, vf, sl)
+        E = self._gather_emv_add(uf, vf, sl, zeroed)
         if E == 0:
             return 0.0
         r = self.machine.rates

@@ -3,10 +3,10 @@
 A :class:`SolverContext` is the expensive thing the service amortizes: a
 persistent :class:`~repro.simmpi.engine.Simulator` whose ranks hold a
 fully set-up operator (element matrices computed and stored — the paper's
-one-time setup cost), the Dirichlet machinery (mask, prescribed values,
-precomputed ``A u0``) and a Jacobi preconditioner.  Requests then execute
-as multi-RHS products/solves against the warm context; only a cache miss
-pays setup again.
+one-time setup cost), the Dirichlet machinery (constrained rows,
+prescribed values, precomputed ``A u0``) and a Jacobi preconditioner.
+Requests then execute as multi-RHS products/solves against the warm
+context; only a cache miss pays setup again.
 
 :class:`OperatorCache` is a bounded LRU over contexts, with hit/miss/
 eviction counters reported through :mod:`repro.obs`.
@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.hymv import EbeOperatorBase
 from repro.faults.plan import FaultPlan
 from repro.obs.instrumentation import Instrumentation
 from repro.simmpi.engine import Simulator
@@ -161,11 +162,12 @@ class ProblemKey:
 
 
 def _dirichlet_state(comm, A, maps, lmesh, spec) -> dict:
-    """Dirichlet machinery derived from the (current) operator: mask,
-    prescribed values, precomputed ``A u0`` and Jacobi preconditioner.
-    Shared by setup and the first solve after an in-place delta patch
-    (:func:`_refresh_dirichlet`) so both paths hold bitwise-identical state
-    for the same operator."""
+    """Dirichlet machinery derived from the (current) operator: the
+    constrained owned dof rows (one sorted int index array every
+    projection reads), prescribed values, precomputed ``A u0`` and Jacobi
+    preconditioner.  Shared by setup and the first solve after an
+    in-place delta patch (:func:`_refresh_dirichlet`) so both paths hold
+    bitwise-identical state for the same operator."""
     from repro.core.rhs import local_node_coords
 
     ndpn = spec.operator.ndpn
@@ -179,11 +181,14 @@ def _dirichlet_state(comm, A, maps, lmesh, spec) -> dict:
         u0[m] = vals[m]
         mask |= m
 
+    rows = np.flatnonzero(mask)
     Au0 = A.apply_owned(u0)
     d = A.diagonal_owned()
-    d[mask] = 1.0
+    d[rows] = 1.0
     return {
-        "mask": mask,
+        "rows": rows,
+        # per-k (n_rows, k) scratch holding the constrained rows of a block
+        "row_vals": {},
         "u0": u0,
         "Au0": Au0,
         "M": JacobiPreconditioner(d),
@@ -260,25 +265,46 @@ def _rebuild_advance_program(comm, st, n_model, ke_flops, rate):
 def _hat_multi(st, X, mode="auto"):
     """Dirichlet-projected multi-RHS operator; under the resolved oracle
     mode column-bitwise identical to
-    :func:`repro.solvers.constrained.dirichlet_system`'s ``apply_hat``."""
+    :func:`repro.solvers.constrained.dirichlet_system`'s ``apply_hat``.
+
+    An element-by-element operator gets ``X`` written straight into its
+    work multivector, the constrained rows zeroed there, and returns a
+    view of its work product with those rows overwritten by ``X``'s — no
+    block copy, and the result is overwritten by the next same-``k``
+    product.  Other kinds project a copy through ``apply_owned_multi``."""
+    A, rows = st["A"], st["rows"]
+    k = X.shape[1]
+    if isinstance(A, EbeOperatorBase):
+        held = st["row_vals"].get(k)
+        if held is None:
+            held = st["row_vals"][k] = np.empty((rows.size, k))
+        U, V = A.work_multivectors(k)
+        U.set_owned(X)
+        Xc = U.owned_matrix  # C-contiguous, so take() gathers unbuffered
+        np.take(Xc, rows, axis=0, out=held, mode="clip")
+        Xc[rows] = 0.0
+        A.spmv_multi(U, V, mode=mode)
+        Y = V.owned_matrix
+        Y[rows] = held
+        return Y
     Xp = X.copy()
-    Xp[st["mask"], :] = 0.0
-    Y = st["A"].apply_owned_multi(Xp, mode=mode)
-    Y[st["mask"], :] = X[st["mask"], :]
+    Xp[rows] = 0.0
+    Y = A.apply_owned_multi(Xp, mode=mode)
+    Y[rows] = X[rows]
     return Y
 
 
 def _hat_single(st, f):
     """Single-column Dirichlet system matching :func:`_hat_multi` bitwise."""
-    mask, u0, A = st["mask"], st["u0"], st["A"]
+    rows, u0, A = st["rows"], st["u0"], st["A"]
     b_hat = np.ascontiguousarray(f) - st["Au0"]
-    b_hat[mask] = u0[mask]
+    b_hat[rows] = u0[rows]
 
     def apply_hat(x):
         xp = x.copy()
-        xp[mask] = 0.0
+        xp[rows] = 0.0
         y = A.apply_owned(xp)
-        y[mask] = x[mask]
+        y[rows] = x[rows]
         return y
 
     return apply_hat, b_hat
@@ -310,7 +336,7 @@ def _solve_program(comm, st, Fr, rtol, maxiter, degraded, mode="auto"):
                 "restarts": restarts}
 
     B_hat = Fr - st["Au0"][:, None]
-    B_hat[st["mask"], :] = st["u0"][st["mask"], None]
+    B_hat[st["rows"]] = st["u0"][st["rows"], None]
     res = cg_multi(
         comm, lambda X, mode=mode: _hat_multi(st, X, mode=mode), B_hat,
         apply_M=st["M"], rtol=rtol, maxiter=maxiter, mode=mode,
@@ -328,7 +354,7 @@ def _residual_program(comm, st, Fr, Xr):
     """Per-column local residual/rhs square sums of the Dirichlet system."""
     _refresh_dirichlet(comm, st)
     B_hat = Fr - st["Au0"][:, None]
-    B_hat[st["mask"], :] = st["u0"][st["mask"], None]
+    B_hat[st["rows"]] = st["u0"][st["rows"], None]
     R = _hat_multi(st, Xr) - B_hat
     return (
         np.einsum("ij,ij->j", R, R),

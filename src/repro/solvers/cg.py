@@ -323,12 +323,15 @@ def cg_multi(
     ``k`` sequential solves would ship ``2 k`` — the elementwise vector
     reduction reduces every slot in the same rank order as a scalar.
 
-    The operator still sees ``(n, k)``: each matvec transposes ``P`` into
-    a preallocated ``(n, k)`` buffer and copies the product back into the
-    block.  ``mode`` (``"oracle"`` | ``"gemm"`` | ``"auto"``) is forwarded
-    to ``apply_A`` as a keyword, selecting the multi-RHS execution mode
-    of operators that support it; ``None`` (the default) calls
-    ``apply_A(P)`` unchanged, so plain closures keep working.  The vector
+    The operator still sees ``(n, k)``: each matvec hands it ``P.T`` — a
+    transposed *view* of the search-direction block, not a copy, so
+    ``apply_A`` must neither write to it nor assume a C-contiguous input
+    — and copies the product back into the block: one transpose each way
+    per iteration, no ``(n, k)`` staging buffer.  ``mode`` (``"oracle"``
+    | ``"gemm"`` | ``"auto"``) is forwarded to ``apply_A`` as a keyword,
+    selecting the multi-RHS execution mode of operators that support it;
+    ``None`` (the default) calls ``apply_A(P.T)`` alone, so plain
+    closures keep working.  The vector
     stage is the same in every mode, so with an oracle-mode operator
     column ``j`` is **bitwise identical** to ``cg(comm, ..., B[:, j],
     fused=True)``; under a resolved ``"gemm"`` only the operator's
@@ -345,13 +348,11 @@ def cg_multi(
     if k == 0:
         raise ValueError("need at least one column, got k=0")
     t_solve = comm.vtime
-    P_op = np.empty((n, k))  # the operator's (n, k) image of a block
     AP = np.empty((k, n))
 
     def matvec(V: np.ndarray) -> np.ndarray:
-        np.copyto(P_op, V.T)
         t = comm.vtime
-        Y = apply_A(P_op) if mode is None else apply_A(P_op, mode=mode)
+        Y = apply_A(V.T) if mode is None else apply_A(V.T, mode=mode)
         obs.record("solve.spmv", vtime=comm.vtime - t)
         np.copyto(AP, Y.T)
         return AP

@@ -280,6 +280,45 @@ def test_solve_multi_rejects_empty_block():
         ctx.solve_multi(np.zeros((ctx.n_dofs, 0)), rtol=1e-6)
 
 
+@pytest.mark.parametrize("method", ["hymv", "assembled"])
+@pytest.mark.parametrize("k,mode", [(3, "oracle"), (8, "gemm")])
+def test_dirichlet_block_operator_matches_projected_copy(method, k, mode):
+    """The served Dirichlet block operator (copy-free on HYMV) equals the
+    projection of a copy — zero the constrained rows, apply, restore
+    them — bit for bit, on a block whose constrained rows are nonzero,
+    fed the transposed view ``cg_multi`` hands it; in oracle mode each
+    column also equals the single-column ``apply_hat``."""
+    from repro.serve import ProblemKey, SolverContext
+    from repro.serve.cache import _hat_multi, _hat_single
+
+    ctx = SolverContext(ProblemKey("poisson", 4, 2, "hex8", 0, method))
+
+    def prog(comm, st):
+        rows = st["rows"]
+        X = np.random.default_rng(comm.rank).standard_normal(
+            (k, st["n_owned"])
+        ).T
+        Xp = X.copy()
+        Xp[rows] = 0.0
+        ref = st["A"].apply_owned_multi(Xp, mode=mode)
+        ref[rows] = X[rows]
+        got = _hat_multi(st, X, mode=mode).copy()
+        apply_hat, _ = _hat_single(st, np.zeros(st["n_owned"]))
+        cols = np.column_stack(
+            [apply_hat(np.ascontiguousarray(X[:, j])) for j in range(k)]
+        )
+        return rows.size, ref, got, cols
+
+    results = ctx.sim.run(prog, rank_args=[(st,) for st in ctx.ranks])
+    assert all(n_rows for n_rows, *_ in results)
+    for _, ref, got, cols in results:
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        if mode == "oracle":
+            np.testing.assert_array_equal(
+                got.view(np.int64), cols.view(np.int64)
+            )
+
+
 def test_cg_multi_k1_matches_fused_cg():
     spec = poisson_problem(4, n_parts=2)
     F = np.random.default_rng(3).standard_normal((spec.n_dofs, 1))

@@ -2,8 +2,9 @@
 
 ``tracemalloc`` bounds the peak heap growth over post-warmup calls of
 every hot path the serving tier times: the HYMV workspace SPMV (both
-EMV kernels), the HYMV GEMM multi-RHS product, and the SELL-C-sigma
-slice SPMV and chunk-matmul GEMM.  The per-column oracle paths at
+EMV kernels), the copy-free ``apply_owned(copy=False)``, the HYMV GEMM
+multi-RHS product and the Dirichlet-projected block matvec built on it,
+and the SELL-C-sigma slice SPMV and chunk-matmul GEMM.  The per-column oracle paths at
 ``k > 1`` are exempt: numpy buffers the strided column gather, which is
 what the GEMM path exists to avoid.
 """
@@ -18,7 +19,7 @@ import pytest
 from repro.baselines.sellcs import SellCSOperator
 from repro.core.hymv import HymvOperator
 
-from .kernel_cases import HYMV_CASES, SELL_LAYOUTS, SHAPES, single_rank
+from .kernel_cases import HYMV_CASES, SELL_LAYOUTS, SHAPES, single_rank, spec
 
 #: peak-heap growth (bytes) attributable to interpreter-level object
 #: churn (boxed floats and dict entries from the instrumentation layer),
@@ -33,6 +34,26 @@ def _hymv_workspace(case, kernel):
     u, v = A.new_array(), A.new_array()
     u.set_owned(np.random.default_rng(1234).standard_normal(A.n_dofs_owned))
     return lambda: A.spmv(u, v)
+
+
+def _hymv_owned(case):
+    A = single_rank(HymvOperator, case)
+    x = np.random.default_rng(1234).standard_normal(A.n_dofs_owned)
+    return lambda: A.apply_owned(x, copy=False)
+
+
+def _hat_gemm(k):
+    """The projected block matvec ``cg_multi`` drives on a served HYMV
+    operator, fed the transposed view ``cg_multi`` hands it."""
+    from repro.serve.cache import _dirichlet_state, _hat_multi
+
+    case = "poisson-hex8-medium"
+    A = single_rank(HymvOperator, case, kernel="einsum")
+    s = spec(case)
+    st = {"A": A, **_dirichlet_state(A.comm, A, A.maps, s.partition.local(0), s)}
+    assert st["rows"].size
+    X = np.random.default_rng(1234).standard_normal((k, A.n_dofs_owned)).T
+    return lambda: _hat_multi(st, X, mode="gemm")
 
 
 def _hymv_gemm(k):
@@ -61,9 +82,15 @@ CASES = [
                  id=f"{case}/hymv-{kernel}-workspace")
     for case in HYMV_CASES for kernel in ("einsum", "columns")
 ] + [
+    pytest.param(_hymv_owned, (case,), id=f"{case}/hymv-apply-owned-view")
+    for case in HYMV_CASES
+] + [
     pytest.param(_hymv_gemm, (k,),
                  id=f"poisson-hex8-medium/hymv-einsum-multirhs-k{k}-gemm")
     for k in (1, 2, 8, 32)
+] + [
+    pytest.param(_hat_gemm, (8,),
+                 id="poisson-hex8-medium/hymv-dirichlet-hat-k8-gemm")
 ] + [
     pytest.param(_sell_spmv, (case, C, sigma),
                  id=f"{case}/sellcs-C{C}-s{sigma}-spmv")
