@@ -27,7 +27,7 @@ from repro.baselines.partial import PartialAssemblyOperator
 from repro.baselines.sellcs import SellCSOperator
 from repro.core.hymv import HymvOperator
 from repro.core.maps import build_node_maps
-from repro.core.rhs import assemble_rhs, local_node_coords
+from repro.core.rhs import assemble_rhs
 from repro.core.scatter import build_comm_maps
 from repro.faults.plan import FaultPlan
 from repro.obs.instrumentation import merge_snapshots
@@ -35,7 +35,7 @@ from repro.problems import ProblemSpec
 from repro.simmpi.engine import run_spmd
 from repro.simmpi.network import NetworkModel
 from repro.solvers.cg import ResilienceConfig, cg
-from repro.solvers.constrained import dirichlet_system
+from repro.solvers.constrained import dirichlet_system, owned_dirichlet
 from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
     JacobiPreconditioner,
@@ -257,16 +257,7 @@ def _solve_program(
         body_force=spec.body_force, tractions=tractions,
     )
 
-    owned_ids = np.arange(lmesh.n_begin, lmesh.n_end, dtype=INDEX_DTYPE)
-    coords = local_node_coords(maps, lmesh)[maps.owned_slice]
-    mask = np.zeros(owned_ids.size * ndpn, dtype=bool)
-    u0 = np.zeros(owned_ids.size * ndpn)
-    for bc in spec.bcs:
-        m = bc.mask_slice(lmesh.n_begin, lmesh.n_end)
-        vals = bc.values_for(owned_ids, coords).reshape(-1)
-        u0[m] = vals[m]
-        mask |= m
-
+    mask, u0 = owned_dirichlet(spec, lmesh, maps)
     apply_hat, b_hat = dirichlet_system(A.apply_owned, f, u0, mask)
 
     if precond == "none":

@@ -33,6 +33,7 @@ from repro.obs.instrumentation import Instrumentation
 from repro.simmpi.engine import Simulator
 from repro.simmpi.network import NetworkModel
 from repro.solvers.cg import ResilienceConfig, cg, cg_multi
+from repro.solvers.constrained import owned_dirichlet
 from repro.solvers.preconditioners import JacobiPreconditioner
 from repro.util.arrays import INDEX_DTYPE
 
@@ -168,19 +169,7 @@ def _dirichlet_state(comm, A, maps, lmesh, spec) -> dict:
     preconditioner.  Shared by setup and the first solve after an
     in-place delta patch (:func:`_refresh_dirichlet`) so both paths hold
     bitwise-identical state for the same operator."""
-    from repro.core.rhs import local_node_coords
-
-    ndpn = spec.operator.ndpn
-    owned_ids = np.arange(lmesh.n_begin, lmesh.n_end, dtype=INDEX_DTYPE)
-    coords = local_node_coords(maps, lmesh)[maps.owned_slice]
-    mask = np.zeros(owned_ids.size * ndpn, dtype=bool)
-    u0 = np.zeros(owned_ids.size * ndpn)
-    for bc in spec.bcs:
-        m = bc.mask_slice(lmesh.n_begin, lmesh.n_end)
-        vals = bc.values_for(owned_ids, coords).reshape(-1)
-        u0[m] = vals[m]
-        mask |= m
-
+    mask, u0 = owned_dirichlet(spec, lmesh, maps)
     rows = np.flatnonzero(mask)
     Au0 = A.apply_owned(u0)
     d = A.diagonal_owned()
@@ -192,7 +181,7 @@ def _dirichlet_state(comm, A, maps, lmesh, spec) -> dict:
         "u0": u0,
         "Au0": Au0,
         "M": JacobiPreconditioner(d),
-        "n_owned": owned_ids.size * ndpn,
+        "n_owned": u0.size,
     }
 
 
@@ -294,67 +283,48 @@ def _hat_multi(st, X, mode="auto"):
     return Y
 
 
-def _hat_single(st, f):
-    """Single-column Dirichlet system matching :func:`_hat_multi` bitwise."""
-    rows, u0, A = st["rows"], st["u0"], st["A"]
-    b_hat = np.ascontiguousarray(f) - st["Au0"]
-    b_hat[rows] = u0[rows]
-
-    def apply_hat(x):
-        xp = x.copy()
-        xp[rows] = 0.0
-        y = A.apply_owned(xp)
-        y[rows] = x[rows]
-        return y
-
-    return apply_hat, b_hat
-
-
 def _apply_program(comm, st, Xr, mode="auto"):
     return st["A"].apply_owned_multi(Xr, mode=mode)
 
 
-def _solve_program(comm, st, Fr, rtol, maxiter, degraded, mode="auto"):
-    _refresh_dirichlet(comm, st)
-    k = Fr.shape[1]
-    if degraded:
-        # fault-aware degradation: per-column resilient CG (breakdown
-        # detection + restart) instead of the lock-step fused batch
-        xs, iters, conv, restarts = [], [], [], []
-        for j in range(k):
-            apply_hat, b_hat = _hat_single(st, Fr[:, j])
-            r = cg(
-                comm, apply_hat, b_hat, apply_M=st["M"], rtol=rtol,
-                maxiter=maxiter, resilience=ResilienceConfig(),
-            )
-            xs.append(r.x)
-            iters.append(r.iterations)
-            conv.append(r.converged)
-            restarts.append(r.restarts)
-        X = np.column_stack(xs)
-        return {"x": X, "iterations": iters, "converged": conv,
-                "restarts": restarts}
-
+def _rhs_hat(st, Fr):
+    """The Dirichlet system's right-hand sides ``b_hat`` of a block."""
     B_hat = Fr - st["Au0"][:, None]
     B_hat[st["rows"]] = st["u0"][st["rows"], None]
-    res = cg_multi(
-        comm, lambda X, mode=mode: _hat_multi(st, X, mode=mode), B_hat,
-        apply_M=st["M"], rtol=rtol, maxiter=maxiter, mode=mode,
-    )
-    X = np.column_stack([r.x for r in res])
+    return B_hat
+
+
+def _solve_program(comm, st, Fr, rtol, maxiter, degraded, mode="auto"):
+    _refresh_dirichlet(comm, st)
+    B_hat = _rhs_hat(st, Fr)
+    if degraded:
+        # fault-aware degradation: per-column resilient CG (breakdown
+        # detection + restart) instead of the lock-step batch
+        def apply_hat(x):
+            return _hat_multi(st, x[:, None], mode="oracle")[:, 0]
+
+        res = [
+            cg(comm, apply_hat, b_hat, apply_M=st["M"], rtol=rtol,
+               maxiter=maxiter, resilience=ResilienceConfig())
+            for b_hat in B_hat.T
+        ]
+    else:
+        res = cg_multi(
+            comm, lambda X: _hat_multi(st, X, mode=mode), B_hat,
+            apply_M=st["M"], rtol=rtol, maxiter=maxiter,
+        )
     return {
-        "x": X,
+        "x": np.column_stack([r.x for r in res]),
         "iterations": [r.iterations for r in res],
         "converged": [r.converged for r in res],
-        "restarts": [0] * k,
+        "restarts": [r.restarts for r in res],
     }
 
 
 def _residual_program(comm, st, Fr, Xr):
     """Per-column local residual/rhs square sums of the Dirichlet system."""
     _refresh_dirichlet(comm, st)
-    B_hat = Fr - st["Au0"][:, None]
-    B_hat[st["rows"]] = st["u0"][st["rows"], None]
+    B_hat = _rhs_hat(st, Fr)
     R = _hat_multi(st, Xr) - B_hat
     return (
         np.einsum("ij,ij->j", R, R),
@@ -482,8 +452,11 @@ class SolverContext:
         """Batched Dirichlet-constrained CG solve; returns ``(out, vtime)``.
 
         ``out["x"]`` stacks the per-column solutions; ``degraded=True``
-        switches to sequential single-RHS resilient CG (the fault-aware
-        path — slower, never wrong; ``mode`` is then irrelevant).
+        switches to sequential single-RHS resilient CG over the
+        oracle-mode operator (the fault-aware path — slower, never wrong;
+        ``mode`` is then irrelevant): on a fault-free context its
+        solutions and iteration counts are bitwise those of
+        ``mode="oracle"``.
         """
         res, dt = self._run(
             _solve_program, self._split(F),

@@ -16,7 +16,7 @@ returns a wrong answer:
 * an exception escaping the simulated run (a poisoned simulator) drops
   the cached context entirely — the next attempt rebuilds it;
 * solve batches under an active fault plan degrade from the lock-step
-  fused multi-RHS CG to sequential single-RHS *resilient* CG (breakdown
+  multi-RHS CG to sequential single-RHS *resilient* CG (breakdown
   detection + restart), trading throughput for safety.
 """
 

@@ -8,10 +8,9 @@ block Jacobi (owned diagonal block factorized with SuperLU).
 """
 
 from repro.solvers.cg import CGResult, ResilienceConfig, cg
-from repro.solvers.constrained import dirichlet_system
+from repro.solvers.constrained import dirichlet_system, owned_dirichlet
 from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
-    IdentityPreconditioner,
     JacobiPreconditioner,
 )
 
@@ -19,8 +18,8 @@ __all__ = [
     "cg",
     "CGResult",
     "ResilienceConfig",
-    "IdentityPreconditioner",
     "JacobiPreconditioner",
     "BlockJacobiPreconditioner",
     "dirichlet_system",
+    "owned_dirichlet",
 ]

@@ -46,12 +46,6 @@ class CGResult:
     residual_norms: list[float] = field(default_factory=list)
     restarts: int = 0
 
-    @property
-    def final_relative_residual(self) -> float:
-        if not self.residual_norms or self.residual_norms[0] == 0.0:
-            return 0.0
-        return self.residual_norms[-1] / self.residual_norms[0]
-
 
 def _fault_signals(obs) -> float:
     """Locally observed corruption indicators (monotonic counters)."""
@@ -70,7 +64,6 @@ def cg(
     atol: float = 0.0,
     maxiter: int = 10000,
     resilience: ResilienceConfig | None = None,
-    fused: bool = True,
 ) -> CGResult:
     """Preconditioned CG on the distributed system ``A x = b``.
 
@@ -92,24 +85,22 @@ def cg(
     resilience:
         Optional :class:`ResilienceConfig` enabling breakdown detection
         and restart-from-last-good-iterate (chaos/fault-injection runs).
-        ``None`` keeps the classic fail-fast behaviour bit-for-bit.
-    fused:
-        Use the fused-reduction iteration: the residual norm and the
-        ``r·z`` dot product are shipped as a *single* allreduce of a
-        2-vector per iteration (half the global synchronizations), with
-        all solver vectors preallocated and updated in place.  Iterates
-        are bitwise identical to the classic loop (the simulated
-        allreduce reduces vectors elementwise in the same rank order as
-        scalars, and the in-place axpy updates round identically).
-        Ignored when ``resilience`` is active — the restart path keeps
-        the classic, separately-guarded reductions.  ``fused=False``
-        runs the classic loop; no solver path selects it, it is kept as
-        the bitwise reference the ``test_cg_fused_*`` tests in
-        ``tests/test_solvers.py`` compare the fused iteration against.
+
+    Without ``resilience`` this is :func:`cg_multi` on the one column
+    ``b`` (two allreduces per iteration, a non-SPD or non-finite
+    ``p·Ap`` raises).  With it, the classic loop runs with its
+    separately-guarded reductions and a per-iteration fault flag; on a
+    fault-free run its iterates are bitwise those of the fail-fast
+    solve, which makes it the independent reference for :func:`cg`.
     """
+    if resilience is None:
+        return cg_multi(
+            comm, lambda X: apply_A(X[:, 0])[:, None],
+            np.asarray(b, dtype=np.float64)[:, None], x0=x0,
+            apply_M=apply_M, rtol=rtol, atol=atol, maxiter=maxiter,
+        )[0]
 
     obs = comm.obs
-    detect = resilience is not None
 
     def dot(u: np.ndarray, v: np.ndarray) -> float:
         t = comm.vtime
@@ -131,12 +122,6 @@ def cg(
         obs.record("solve.precond", vtime=comm.vtime - t)
         return z
 
-    if fused and not detect:
-        return _cg_fused(
-            comm, apply_A, b, x0, apply_M, rtol, atol, maxiter,
-            dot=dot, matvec=matvec,
-        )
-
     t_solve = comm.vtime
     x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
     r = b - matvec(x) if x0 is not None else b.copy()
@@ -148,55 +133,45 @@ def cg(
     if r0 == 0.0:
         return CGResult(x, 0, True, norms)
 
-    x_good = x.copy() if detect else None
-    seen_faults = _fault_signals(obs) if detect else 0.0
+    x_good = x.copy()
+    seen_faults = _fault_signals(obs)
     restarts = 0
     converged = False
     it = 0
     for it in range(1, maxiter + 1):
         Ap = matvec(p)
         pAp = dot(p, Ap)
-        if detect:
-            broken = (not np.isfinite(pAp)) or pAp <= 0.0
-            if not broken:
-                alpha = rz / pAp
-                x += alpha * p
-                r -= alpha * Ap
-                rn = np.sqrt(dot(r, r))
-                broken = not np.isfinite(rn)
-            faulted = _fault_signals(obs) > seen_faults
-            flag = comm.allreduce(1.0 if (broken or faulted) else 0.0, op="max")
-            if flag > 0.0:
-                # collective rollback: every rank restores the last iterate
-                # that completed without breakdowns or detected corruption,
-                # then rebuilds the Krylov state from a fresh residual
-                seen_faults = _fault_signals(obs)
-                restarts += 1
-                obs.incr("solve.breakdowns")
-                if restarts > resilience.max_restarts:
-                    raise RuntimeError(
-                        "CG: breakdown/corruption persisted beyond "
-                        f"max_restarts={resilience.max_restarts}"
-                    )
-                obs.incr("solve.restarts")
-                t_r = comm.vtime
-                x = x_good.copy()
-                r = b - matvec(x)
-                z = precond(r)
-                p = z.copy()
-                rz = dot(r, z)
-                obs.record("solve.restart", vtime=comm.vtime - t_r)
-                continue
-            x_good = x.copy()
-        else:
-            if pAp <= 0.0:
-                raise RuntimeError(
-                    f"CG breakdown: p^T A p = {pAp:.3e} (operator not SPD?)"
-                )
+        broken = (not np.isfinite(pAp)) or pAp <= 0.0
+        if not broken:
             alpha = rz / pAp
             x += alpha * p
             r -= alpha * Ap
             rn = np.sqrt(dot(r, r))
+            broken = not np.isfinite(rn)
+        faulted = _fault_signals(obs) > seen_faults
+        flag = comm.allreduce(1.0 if (broken or faulted) else 0.0, op="max")
+        if flag > 0.0:
+            # collective rollback: every rank restores the last iterate
+            # that completed without breakdowns or detected corruption,
+            # then rebuilds the Krylov state from a fresh residual
+            seen_faults = _fault_signals(obs)
+            restarts += 1
+            obs.incr("solve.breakdowns")
+            if restarts > resilience.max_restarts:
+                raise RuntimeError(
+                    "CG: breakdown/corruption persisted beyond "
+                    f"max_restarts={resilience.max_restarts}"
+                )
+            obs.incr("solve.restarts")
+            t_r = comm.vtime
+            x = x_good.copy()
+            r = b - matvec(x)
+            z = precond(r)
+            p = z.copy()
+            rz = dot(r, z)
+            obs.record("solve.restart", vtime=comm.vtime - t_r)
+            continue
+        x_good = x.copy()
         norms.append(rn)
         if rn <= max(rtol * r0, atol):
             converged = True
@@ -211,87 +186,6 @@ def cg(
     return CGResult(x, it, converged, norms, restarts=restarts)
 
 
-def _cg_fused(
-    comm: Communicator,
-    apply_A: ApplyFn,
-    b: np.ndarray,
-    x0: np.ndarray | None,
-    apply_M: ApplyFn | None,
-    rtol: float,
-    atol: float,
-    maxiter: int,
-    dot: Callable[[np.ndarray, np.ndarray], float],
-    matvec: ApplyFn,
-) -> CGResult:
-    """Fused-reduction CG iteration (no resilience).
-
-    One allreduce of ``[r·r, r·z]`` per iteration instead of two scalar
-    reductions, preallocated axpy scratch, in-place direction update.
-    Bitwise identical iterates to the classic loop; the preconditioner
-    is applied *before* the convergence check (its value is discarded on
-    the final iteration), which does not change any iterate.
-    """
-    obs = comm.obs
-    t_solve = comm.vtime
-    x = np.zeros_like(b) if x0 is None else x0.astype(np.float64).copy()
-    r = b - matvec(x) if x0 is not None else b.copy()
-
-    zbuf = np.empty_like(b) if apply_M is not None else None
-
-    def precond(r: np.ndarray) -> np.ndarray:
-        if apply_M is None:
-            return r
-        t = comm.vtime
-        z = apply_M(r, out=zbuf)
-        obs.record("solve.precond", vtime=comm.vtime - t)
-        return z
-
-    z = precond(r)
-    p = z.copy()
-    rz = dot(r, z)
-    r0 = np.sqrt(dot(r, r))
-    norms = [r0]
-    if r0 == 0.0:
-        return CGResult(x, 0, True, norms)
-
-    w = np.empty_like(b)  # axpy scratch (alpha*p, then alpha*Ap)
-    pair = np.empty(2)  # fused-reduction payload [r.r, r.z]
-    converged = False
-    it = 0
-    for it in range(1, maxiter + 1):
-        Ap = matvec(p)
-        pAp = dot(p, Ap)
-        if pAp <= 0.0:
-            raise RuntimeError(
-                f"CG breakdown: p^T A p = {pAp:.3e} (operator not SPD?)"
-            )
-        alpha = rz / pAp
-        np.multiply(p, alpha, out=w)
-        x += w
-        np.multiply(Ap, alpha, out=w)
-        r -= w
-        z = precond(r)
-        pair[0] = r @ r
-        pair[1] = r @ z
-        t = comm.vtime
-        red = comm.allreduce(pair)
-        obs.record("solve.reduce", vtime=comm.vtime - t)
-        rn = float(np.sqrt(red[0]))
-        norms.append(rn)
-        if rn <= max(rtol * r0, atol):
-            converged = True
-            break
-        rz_new = float(red[1])
-        beta = rz_new / rz
-        rz = rz_new
-        # p = z + beta*p in place (IEEE addition commutes bitwise)
-        p *= beta
-        p += z
-    obs.incr("solve.iterations", it)
-    obs.record("solve.cg", vtime=comm.vtime - t_solve)
-    return CGResult(x, it, converged, norms)
-
-
 def cg_multi(
     comm: Communicator,
     apply_A: Callable[[np.ndarray], np.ndarray],
@@ -301,7 +195,6 @@ def cg_multi(
     rtol: float = 1e-3,
     atol: float = 0.0,
     maxiter: int = 10000,
-    mode: str | None = None,
 ) -> list[CGResult]:
     """Blocked multi-RHS CG: solve ``A X = B`` for all ``k`` columns of
     ``B`` at once, advancing the ``k`` independent Krylov iterations in
@@ -313,30 +206,28 @@ def cg_multi(
     one has converged, one ``apply_M(R, out=Z)`` over the block (see
     :mod:`repro.solvers.preconditioners`), and BLAS ddot on each
     contiguous row.  Elementwise IEEE operations round each element on
-    its own and a contiguous row is the operand the single-RHS loop dots,
-    so column ``j`` carries exactly the bits of the fused single-RHS
-    sequence; the columns never mix numerically, and a converged row is
-    frozen — never written again — just as its single-RHS solve would
-    have stopped.  What *is* batched is the
-    synchronization: each iteration ships ONE allreduce of a ``k``-vector
-    of ``p·Ap`` values and one of the fused ``[r·r, r·z]`` pairs, where
-    ``k`` sequential solves would ship ``2 k`` — the elementwise vector
-    reduction reduces every slot in the same rank order as a scalar.
+    its own and a contiguous row is the operand a single-RHS loop dots,
+    so column ``j`` carries exactly the bits of its own single-RHS
+    sequence (:func:`cg` is this function at ``k = 1``); the columns
+    never mix numerically, and a converged row is frozen — never written
+    again — just as its single-RHS solve would have stopped.  What *is*
+    batched is the synchronization: each iteration ships ONE allreduce
+    of a ``k``-vector of ``p·Ap`` values and one of the ``[r·r, r·z]``
+    pairs, where ``k`` sequential solves would ship ``2 k`` — the
+    elementwise vector reduction reduces every slot in the same rank
+    order as a scalar.  A non-positive or non-finite ``p·Ap`` on an
+    active column raises ``RuntimeError`` (CG breakdown).
 
     The operator still sees ``(n, k)``: each matvec hands it ``P.T`` — a
     transposed *view* of the search-direction block, not a copy, so
     ``apply_A`` must neither write to it nor assume a C-contiguous input
     — and copies the product back into the block: one transpose each way
-    per iteration, no ``(n, k)`` staging buffer.  ``mode`` (``"oracle"``
-    | ``"gemm"`` | ``"auto"``) is forwarded to ``apply_A`` as a keyword,
-    selecting the multi-RHS execution mode of operators that support it;
-    ``None`` (the default) calls ``apply_A(P.T)`` alone, so plain
-    closures keep working.  The vector
-    stage is the same in every mode, so with an oracle-mode operator
-    column ``j`` is **bitwise identical** to ``cg(comm, ..., B[:, j],
-    fused=True)``; under a resolved ``"gemm"`` only the operator's
-    elemental accumulation differs (rounding level, see
-    :func:`repro.core.kernels.gemm_equivalence_rtol`).
+    per iteration, no ``(n, k)`` staging buffer.  The vector stage has no
+    mode of its own: with an operator that is column-bitwise (e.g. the
+    oracle multi-RHS mode, bound in the caller's closure) column ``j`` is
+    **bitwise identical** to ``cg(comm, ..., B[:, j])``; under a GEMM
+    operator only its elemental accumulation differs (rounding level,
+    see :func:`repro.core.kernels.gemm_equivalence_rtol`).
 
     Returns one :class:`CGResult` per column.
     """
@@ -352,7 +243,7 @@ def cg_multi(
 
     def matvec(V: np.ndarray) -> np.ndarray:
         t = comm.vtime
-        Y = apply_A(V.T) if mode is None else apply_A(V.T, mode=mode)
+        Y = apply_A(V.T)
         obs.record("solve.spmv", vtime=comm.vtime - t)
         np.copyto(AP, Y.T)
         return AP
@@ -415,7 +306,7 @@ def cg_multi(
     while n_active and len(history) <= maxiter:
         matvec(P)
         pAp = reduce_dots((P, AP))
-        bad = active & (pAp[:, 0] <= 0.0)
+        bad = active & ~(pAp[:, 0] > 0.0)  # NaN breaks down too
         if np.count_nonzero(bad):
             raise RuntimeError(
                 f"CG breakdown: p^T A p = {pAp[bad.argmax(), 0]:.3e} "

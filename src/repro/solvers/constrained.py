@@ -6,7 +6,9 @@ Builds the projected SPD system
 
 whose solution equals the eliminated system's with the prescribed values
 in place.  Works with any ``apply_owned`` operator, keeping the three SPMV
-methods directly comparable under identical boundary conditions.
+methods directly comparable under identical boundary conditions;
+:func:`owned_dirichlet` derives the rank's mask and ``u0`` from a
+problem's boundary conditions.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["dirichlet_system"]
+from repro.core.rhs import local_node_coords
+from repro.util.arrays import INDEX_DTYPE
+
+__all__ = ["dirichlet_system", "owned_dirichlet"]
 
 ApplyFn = Callable[[np.ndarray], np.ndarray]
 
@@ -60,3 +65,22 @@ def dirichlet_system(
         return y
 
     return apply_hat, b_hat
+
+
+def owned_dirichlet(spec, lmesh, maps) -> tuple[np.ndarray, np.ndarray]:
+    """``(constrained_mask, u0)`` of ``spec.bcs`` over this rank's owned
+    dofs: the Dirichlet entries and their prescribed values (zero on free
+    dofs), as :func:`dirichlet_system` takes them.  ``maps`` are the
+    element-level node maps of ``lmesh``, which locate the node
+    coordinates a position-dependent boundary value reads."""
+    ndpn = spec.operator.ndpn
+    owned_ids = np.arange(lmesh.n_begin, lmesh.n_end, dtype=INDEX_DTYPE)
+    coords = local_node_coords(maps, lmesh)[maps.owned_slice]
+    mask = np.zeros(owned_ids.size * ndpn, dtype=bool)
+    u0 = np.zeros(owned_ids.size * ndpn)
+    for bc in spec.bcs:
+        m = bc.mask_slice(lmesh.n_begin, lmesh.n_end)
+        vals = bc.values_for(owned_ids, coords).reshape(-1)
+        u0[m] = vals[m]
+        mask |= m
+    return mask, u0

@@ -13,7 +13,8 @@ Protocol: ``M(r, out=None)`` applies ``M ≈ A^-1`` to an ``(n,)`` vector
 or to a ``(k, n)`` block of ``k`` row vectors (the layout of
 :func:`repro.solvers.cg.cg_multi`), writing into ``out`` when given and
 returning the result.  Row ``j`` of a block apply is bitwise equal to
-applying ``M`` to row ``j`` alone.
+applying ``M`` to row ``j`` alone.  No preconditioning is ``apply_M=None``
+in the solvers.
 """
 
 from __future__ import annotations
@@ -22,24 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = [
-    "IdentityPreconditioner",
-    "JacobiPreconditioner",
-    "BlockJacobiPreconditioner",
-]
-
-
-class IdentityPreconditioner:
-    """No preconditioning."""
-
-    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            return r.copy()
-        np.copyto(out, r)
-        return out
-
-    setup_flops = 0.0
-    apply_flops = 0.0
+__all__ = ["JacobiPreconditioner", "BlockJacobiPreconditioner"]
 
 
 class JacobiPreconditioner:
@@ -52,8 +36,6 @@ class JacobiPreconditioner:
                 "Jacobi preconditioner requires a positive diagonal"
             )
         self._inv = 1.0 / diagonal
-        self.setup_flops = float(diagonal.size)
-        self.apply_flops = float(diagonal.size)
 
     def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -71,8 +53,6 @@ class BlockJacobiPreconditioner:
             raise ValueError("block must be square")
         self._lu = spla.splu(block)
         self.n = block.shape[0]
-        self.setup_flops = 2.0 * block.nnz * 10.0  # rough LU estimate
-        self.apply_flops = 4.0 * block.nnz
 
     def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # one solve per row: SuperLU's multi-RHS triangular solves take a

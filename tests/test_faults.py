@@ -253,9 +253,11 @@ def test_cg_without_resilience_fails_on_nan_corruption():
 
     spec = _spec8()
     plan = FaultPlan(rules=(Corrupt("nan", tag=101, times=1, skip=1),))
-    out = run_solve(spec, "hymv", precond="jacobi", rtol=1e-10, maxiter=60,
-                    faults=plan)
-    assert not out.converged  # NaN poisons the Krylov space for good
+    # NaN poisons the Krylov space for good: the non-finite p·Ap is a
+    # typed breakdown, not a silent run to maxiter
+    with pytest.raises(RuntimeError, match="CG breakdown"):
+        run_solve(spec, "hymv", precond="jacobi", rtol=1e-10, maxiter=60,
+                  faults=plan)
 
 
 def test_cg_restart_budget_is_bounded():

@@ -292,7 +292,9 @@ def _hymv_cg_multi_by_mode(k=8, rtol=1e-9):
             return A.apply_owned_multi(X, mode=mode) + X
 
         return {
-            m: cg_multi(comm, apply_shifted, Fr, rtol=rtol, mode=m)
+            m: cg_multi(
+                comm, lambda X, m=m: apply_shifted(X, mode=m), Fr, rtol=rtol
+            )
             for m in ("oracle", "gemm")
         }
 
@@ -345,8 +347,9 @@ def test_cg_multi_vector_stage_is_mode_independent():
 
     def prog(comm):
         return {
-            m: cg_multi(comm, apply_diag, B, apply_M=JacobiPreconditioner(
-                np.sqrt(d)), rtol=1e-10, atol=1e-8, mode=m)
+            m: cg_multi(comm, lambda P, m=m: apply_diag(P, mode=m), B,
+                        apply_M=JacobiPreconditioner(np.sqrt(d)),
+                        rtol=1e-10, atol=1e-8)
             for m in ("oracle", "gemm")
         }
 

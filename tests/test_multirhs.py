@@ -27,8 +27,8 @@ from repro.mesh import ElementType, jittered_hex_mesh
 from repro.partition import build_partition
 from repro.problems import poisson_problem
 from repro.simmpi import run_spmd
-from repro.solvers.cg import cg, cg_multi
-from repro.solvers.constrained import dirichlet_system
+from repro.solvers.cg import ResilienceConfig, cg, cg_multi
+from repro.solvers.constrained import dirichlet_system, owned_dirichlet
 from repro.solvers.preconditioners import JacobiPreconditioner
 from repro.util.arrays import INDEX_DTYPE
 
@@ -143,32 +143,22 @@ def test_multivector_shape_validation():
 
 
 # ----------------------------------------------------------------------------
-# cg_multi vs the production single-RHS fused CG
+# cg_multi vs k single-RHS solves of the classic CG loop
 # ----------------------------------------------------------------------------
 
 def _cg_program(comm, lmesh, Fr, spec, k, rtol, X0r=None, atol=0.0):
-    ndpn = spec.operator.ndpn
     ranges = np.asarray(
         comm.allgather((lmesh.n_begin, lmesh.n_end)), dtype=INDEX_DTYPE
     )
     A = HymvOperator(comm, lmesh, spec.operator, ranges=ranges)
-
-    from repro.core.rhs import local_node_coords
-
-    owned_ids = np.arange(lmesh.n_begin, lmesh.n_end, dtype=INDEX_DTYPE)
-    coords = local_node_coords(A.maps, lmesh)[A.maps.owned_slice]
-    mask = np.zeros(owned_ids.size * ndpn, dtype=bool)
-    u0 = np.zeros(owned_ids.size * ndpn)
-    for bc in spec.bcs:
-        m = bc.mask_slice(lmesh.n_begin, lmesh.n_end)
-        vals = bc.values_for(owned_ids, coords).reshape(-1)
-        u0[m] = vals[m]
-        mask |= m
+    mask, u0 = owned_dirichlet(spec, lmesh, A.maps)
     d = A.diagonal_owned()
     d[mask] = 1.0
     M = JacobiPreconditioner(d)
 
-    # production path: k independent fused single-RHS solves
+    # reference: k independent single-RHS solves of the classic loop
+    # (the resilient path, fault-free here), which shares no code with
+    # cg_multi's block vector stage
     singles = []
     for j in range(k):
         apply_hat, b_hat = dirichlet_system(
@@ -177,7 +167,7 @@ def _cg_program(comm, lmesh, Fr, spec, k, rtol, X0r=None, atol=0.0):
         x0 = None if X0r is None else np.ascontiguousarray(X0r[:, j])
         singles.append(
             cg(comm, apply_hat, b_hat, x0=x0, apply_M=M, rtol=rtol,
-               atol=atol, fused=True)
+               atol=atol, resilience=ResilienceConfig())
         )
 
     # batched path
@@ -223,10 +213,10 @@ def _cg_case(spec, F, X0=None, rtol=1e-8, atol=0.0):
 
 
 def test_cg_multi_bitwise_matches_fused_cg():
-    """Column j of the (k, n)-block solve is bitwise the fused single-RHS
-    solve of column j: at every batch width, with columns converging at
-    different iterations (frozen rows), a zero column (r0 = 0, frozen
-    from the start) and a nonzero initial guess."""
+    """Column j of the (k, n)-block solve is bitwise the single-RHS
+    solve of column j by the classic loop: at every batch width, with
+    columns converging at different iterations (frozen rows), a zero
+    column (r0 = 0, frozen from the start) and a nonzero initial guess."""
     spec = poisson_problem(5, n_parts=N_PARTS)
     n = spec.n_dofs
     rng = np.random.default_rng(42)
@@ -287,9 +277,10 @@ def test_dirichlet_block_operator_matches_projected_copy(method, k, mode):
     projection of a copy — zero the constrained rows, apply, restore
     them — bit for bit, on a block whose constrained rows are nonzero,
     fed the transposed view ``cg_multi`` hands it; in oracle mode each
-    column also equals the single-column ``apply_hat``."""
+    column also equals the single-column ``apply_hat`` of
+    :func:`dirichlet_system` over ``apply_owned``."""
     from repro.serve import ProblemKey, SolverContext
-    from repro.serve.cache import _hat_multi, _hat_single
+    from repro.serve.cache import _hat_multi
 
     ctx = SolverContext(ProblemKey("poisson", 4, 2, "hex8", 0, method))
 
@@ -303,7 +294,11 @@ def test_dirichlet_block_operator_matches_projected_copy(method, k, mode):
         ref = st["A"].apply_owned_multi(Xp, mode=mode)
         ref[rows] = X[rows]
         got = _hat_multi(st, X, mode=mode).copy()
-        apply_hat, _ = _hat_single(st, np.zeros(st["n_owned"]))
+        mask = np.zeros(st["n_owned"], dtype=bool)
+        mask[rows] = True
+        apply_hat, _ = dirichlet_system(
+            st["A"].apply_owned, np.zeros(mask.size), st["u0"], mask
+        )
         cols = np.column_stack(
             [apply_hat(np.ascontiguousarray(X[:, j])) for j in range(k)]
         )
@@ -317,6 +312,25 @@ def test_dirichlet_block_operator_matches_projected_copy(method, k, mode):
             np.testing.assert_array_equal(
                 got.view(np.int64), cols.view(np.int64)
             )
+
+
+@pytest.mark.parametrize("method", ["hymv", "assembled", "sellcs"])
+def test_degraded_solve_matches_oracle_batch(method):
+    """The two served solve paths agree on a fault-free context: per-column
+    resilient CG (``degraded=True``) returns the bits and iteration counts
+    of the lock-step oracle-mode batch."""
+    from repro.serve import ProblemKey, SolverContext
+
+    ctx = SolverContext(ProblemKey("poisson", 4, 2, "hex8", 0, method))
+    F = np.random.default_rng(5).standard_normal((ctx.n_dofs, 3))
+    F[:, 2] *= 1e3  # columns converging at different iterations
+    degraded, _ = ctx.solve_multi(F, rtol=1e-8, degraded=True)
+    oracle, _ = ctx.solve_multi(F, rtol=1e-8, mode="oracle")
+    assert all(oracle["converged"]) and degraded["restarts"] == [0, 0, 0]
+    assert degraded["iterations"] == oracle["iterations"]
+    np.testing.assert_array_equal(
+        degraded["x"].view(np.int64), oracle["x"].view(np.int64)
+    )
 
 
 def test_cg_multi_k1_matches_fused_cg():

@@ -9,11 +9,12 @@ import scipy.sparse as sp
 from repro.simmpi import run_spmd
 from repro.solvers import (
     BlockJacobiPreconditioner,
-    IdentityPreconditioner,
     JacobiPreconditioner,
+    ResilienceConfig,
     cg,
     dirichlet_system,
 )
+from repro.solvers.cg import cg_multi
 
 
 def _spd_matrix(n, seed=0, cond=50.0):
@@ -90,60 +91,53 @@ def test_cg_maxiter_not_converged():
     assert res[0].iterations == 3
 
 
-@pytest.mark.parametrize("precond", [None, "jacobi"])
-def test_cg_fused_matches_classic(precond):
-    """The fused-reduction loop performs the same arithmetic as the
-    classic loop (its single pair-allreduce is elementwise, in the same
-    rank order), so solutions and residual histories agree to 1e-12 —
-    the iterates are in fact bitwise identical."""
-    rng = np.random.default_rng(21)
-    d = rng.uniform(1.0, 100.0, 50)
-    A = np.diag(d) + 0.5 * _spd_matrix(50, seed=22, cond=5.0)
-    b = rng.standard_normal(50)
-    M = JacobiPreconditioner(np.diag(A).copy()) if precond else None
-
-    def prog(comm):
-        kw = dict(apply_M=M, rtol=1e-11, maxiter=500)
-        classic = cg(comm, lambda x: A @ x, b, fused=False, **kw)
-        fused = cg(comm, lambda x: A @ x, b, fused=True, **kw)
-        return classic, fused
-
-    res, _ = run_spmd(1, prog)
-    classic, fused = res[0]
-    assert classic.converged and fused.converged
-    assert fused.iterations == classic.iterations
-    scale = np.abs(classic.x).max()
-    np.testing.assert_allclose(fused.x, classic.x, atol=1e-12 * max(scale, 1.0))
-    np.testing.assert_allclose(
-        fused.residual_norms, classic.residual_norms, rtol=1e-12
+def _preconditioner(kind, A):
+    if kind == "none":
+        return None
+    if kind == "jacobi":
+        return JacobiPreconditioner(np.diag(A).copy())
+    # two principal diagonal blocks of an SPD matrix: SPD, not A^-1
+    h = A.shape[0] // 2
+    return BlockJacobiPreconditioner(
+        sp.block_diag([A[:h, :h], A[h:, h:]], format="csr")
     )
 
 
-def test_cg_fused_distributed_matches_classic():
-    p = 3
-    blocks = [_spd_matrix(12, seed=s) for s in range(p)]
-    rhs = [np.random.default_rng(30 + s).standard_normal(12) for s in range(p)]
+@pytest.mark.parametrize("n_ranks", [1, 3])
+@pytest.mark.parametrize("with_x0", [False, True], ids=["x0=None", "x0"])
+@pytest.mark.parametrize("precond", ["none", "jacobi", "bjacobi"])
+def test_cg_bitwise_matches_resilient_loop(precond, with_x0, n_ranks):
+    """Fault-free, ``cg`` (``cg_multi`` on one column) and the classic
+    loop behind ``resilience`` do the same arithmetic — their reductions
+    are elementwise in the same rank order — so solutions, residual
+    histories and iteration counts agree bit for bit."""
 
     def prog(comm):
-        A = blocks[comm.rank]
-        b = rhs[comm.rank]
-        classic = cg(comm, lambda x: A @ x, b, fused=False, rtol=1e-12, maxiter=400)
-        fused = cg(comm, lambda x: A @ x, b, fused=True, rtol=1e-12, maxiter=400)
+        rng = np.random.default_rng(21 + comm.rank)
+        A = np.diag(rng.uniform(1.0, 100.0, 30)) + 0.5 * _spd_matrix(
+            30, seed=22 + comm.rank, cond=5.0
+        )
+        b = rng.standard_normal(30)
+        kw = dict(
+            x0=rng.standard_normal(30) if with_x0 else None,
+            apply_M=_preconditioner(precond, A), rtol=1e-11, maxiter=500,
+        )
         return (
-            fused.iterations == classic.iterations,
-            np.abs(fused.x - classic.x).max(),
+            cg(comm, lambda x: A @ x, b, **kw),
+            cg(comm, lambda x: A @ x, b, resilience=ResilienceConfig(), **kw),
         )
 
-    res, _ = run_spmd(p, prog)
-    same_iters, errs = zip(*res)
-    assert all(same_iters)
-    assert max(errs) < 1e-12
+    res, _ = run_spmd(n_ranks, prog)
+    for fast, classic in res:
+        assert fast.converged and classic.restarts == 0
+        assert fast.iterations == classic.iterations > 1
+        assert np.array_equal(fast.x, classic.x)
+        assert np.array_equal(fast.residual_norms, classic.residual_norms)
 
 
-def test_cg_fused_cuts_per_iteration_reductions():
-    """The pair-allreduce replaces the separate ``r·r`` / ``r·z``
-    reductions: classic spends 3 per advancing iteration (pAp, norm,
-    rz), fused spends 2 (pAp, pair)."""
+def test_cg_reductions_per_iteration():
+    """``cg`` ships two allreduces per iteration — the ``p·Ap`` dot and
+    the ``[r·r, r·z]`` pair — after two at setup."""
     A = _spd_matrix(40)
     b = np.random.default_rng(2).standard_normal(40)
 
@@ -152,28 +146,42 @@ def test_cg_fused_cuts_per_iteration_reductions():
             phases = comm.obs.snapshot()["phases"]
             return phases.get("solve.reduce", {}).get("count", 0)
 
-        out = {}
-        for fused in (False, True):
-            before = n_reduce()
-            res = cg(comm, lambda x: A @ x, b, fused=fused, rtol=1e-10,
-                     maxiter=500)
-            out[fused] = (res.iterations, n_reduce() - before)
-        return out
+        before = n_reduce()
+        res = cg(comm, lambda x: A @ x, b, rtol=1e-10, maxiter=500)
+        return res.iterations, n_reduce() - before
 
     res, _ = run_spmd(1, prog)
-    it_classic, red_classic = res[0][False]
-    it_fused, red_fused = res[0][True]
-    assert it_fused == it_classic
-    # classic: 2 setup + 2/iter + 1 beta-dot on all but the last iter;
-    # fused: 2 setup + 2/iter.  The saving is exactly it-1 reductions.
-    assert red_classic == 3 * it_classic - 1 + 2
-    assert red_fused == 2 * it_fused + 2
+    iterations, reductions = res[0]
+    assert iterations > 1
+    assert reductions == 2 + 2 * iterations
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_cg_nan_operator_breaks_down(k):
+    """A non-finite ``p·Ap`` is a breakdown like a non-positive one: a
+    NaN operator raises at once instead of iterating to ``maxiter``."""
+    calls = []
+
+    def apply_nan(x):
+        calls.append(None)
+        return np.full_like(x, np.nan)
+
+    def prog(comm):
+        with pytest.raises(RuntimeError, match="CG breakdown"):
+            if k == 1:
+                cg(comm, apply_nan, np.ones(20))
+            else:
+                cg_multi(comm, apply_nan, np.ones((20, k)))
+        return len(calls)
+
+    res, _ = run_spmd(1, prog)
+    assert res[0] <= 2
 
 
 def test_cg_fused_breakdown_detected():
     def prog(comm):
         with pytest.raises(RuntimeError, match="breakdown"):
-            cg(comm, lambda x: -x, np.ones(5), fused=True)
+            cg(comm, lambda x: -x, np.ones(5))
         return True
 
     res, _ = run_spmd(1, prog)
@@ -224,7 +232,7 @@ def _laplacian_3d(m):
     ).tocsr()
 
 
-@pytest.mark.parametrize("kind", ["identity", "jacobi", "bjacobi"])
+@pytest.mark.parametrize("kind", ["jacobi", "bjacobi"])
 def test_preconditioner_block_apply_matches_rows(kind):
     """``M(R, out=Z)`` on a (k, n) block is bitwise the per-row apply
     (the protocol cg_multi's block vector stage relies on).  The 3-D
@@ -232,7 +240,6 @@ def test_preconditioner_block_apply_matches_rows(kind):
     round differently from single solves."""
     A = _laplacian_3d(13)
     M = {
-        "identity": IdentityPreconditioner(),
         "jacobi": JacobiPreconditioner(A.diagonal()),
         "bjacobi": BlockJacobiPreconditioner(A),
     }[kind]
