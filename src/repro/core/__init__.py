@@ -11,7 +11,8 @@
   element updates (the XFEM use-case), diagonal and owned-block extraction
   for preconditioners.
 * :mod:`repro.core.kernels` — batched dense EMV kernels (einsum and the
-  paper's eq. 4 column-major sum-of-columns variant).
+  paper's eq. 4 column-major sum-of-columns variant) and the CSR view
+  of a stored element-matrix batch that linear elements sweep through.
 * :mod:`repro.core.flops` — flop/byte counters feeding Table I and Fig. 10.
 """
 

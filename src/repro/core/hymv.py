@@ -11,7 +11,13 @@ the comparison the paper makes.
 Storage layout: local elements are permuted so the independent set is a
 contiguous prefix and the dependent set a contiguous suffix.  The two
 Algorithm-2 sweeps then operate on *views* of the stored element-matrix
-batch — no per-SPMV copies.
+batch — no per-SPMV copies.  For linear elements
+(``nd <= CSR_VIEW_MAX_ND``) HYMV's default kernel reads that batch
+through a :class:`~repro.core.kernels.KeCsrView`: each k = 1 or oracle
+sweep is one SciPy CSR matvec that gathers and multiplies in C, with
+the bits of paper eq. (4) (:func:`~repro.core.kernels.emv_columns` on
+the gathered element vectors).  The GEMM multi-RHS mode and larger
+elements keep the batched matmul.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ import numpy as np
 
 from repro.core.da import DistributedArray, DistributedMultiVector
 from repro.core.kernels import (
+    CSR_VIEW_MAX_ND,
     EMV_KERNELS,
     EmvWorkspace,
+    KeCsrView,
     accumulate_element_vectors,
     emv_columns,
     gather_element_vectors,
@@ -37,7 +45,7 @@ from repro.core.scatter import (
     gather,
     scatter,
 )
-from repro.core.segment import SegmentScatter
+from repro.core.segment import SegmentScatter, _csr_matvec
 from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
@@ -214,6 +222,15 @@ class EbeOperatorBase:
             )
         return self.kernel(ke, ue, out=ve)
 
+    def _gather_emv(
+        self, sl: slice, uf: np.ndarray, ue: np.ndarray, ve: np.ndarray
+    ) -> np.ndarray:
+        """Element products of slice ``sl`` for the flat input ``uf``:
+        gather into the workspace ``ue``, then the local kernel into
+        ``ve``; returns the products."""
+        gather_element_vectors(uf, self.e2l_dofs[sl], out=ue)
+        return self._local_emv(sl, ue, ve)
+
     def _gather_emv_add(
         self, uf: np.ndarray, vf: np.ndarray, sl: slice, zeroed: bool
     ) -> int:
@@ -223,22 +240,19 @@ class EbeOperatorBase:
         segment scatter sums straight into it — same bits, no scratch
         round trip (:class:`~repro.core.segment.SegmentScatter`).
 
-        ``uf``/``vf`` are flat local dof vectors — 1-D (possibly strided
-        multivector columns: the gathered and accumulated values are
-        identical either way, so the oracle multivector path inherits the
-        single-RHS bits column by column) or ``(n_dofs, k)`` blocks for
-        the BLAS3 GEMM mode, where the element matrices are produced once
-        for all k columns."""
-        idx = self.e2l_dofs[sl]
-        n = idx.shape[0]
+        ``uf``/``vf`` are flat local dof vectors — 1-D (k = 1, or an
+        oracle column copied contiguous, so the oracle multivector path
+        inherits the single-RHS bits column by column) or
+        ``(n_dofs, k)`` blocks for the BLAS3 GEMM mode, where the element
+        matrices are produced once for all k columns."""
+        n = self.e2l_dofs[sl].shape[0]
         if n == 0:
             return 0
         if uf.ndim == 1:
             ue, ve = self._ws.views(n)
         else:
             ue, ve = self._ws.multi_views(n, uf.shape[1])
-        gather_element_vectors(uf, idx, out=ue)
-        ve = self._local_emv(sl, ue, ve)
+        ve = self._gather_emv(sl, uf, ue, ve)
         seg = self._segment_for(sl)
         if uf.ndim == 1:
             seg.add_into(vf, ve, zeroed=zeroed)
@@ -347,11 +361,27 @@ class EbeOperatorBase:
         zeroed: bool,
     ) -> None:
         """``run`` of :meth:`_algorithm2` for the oracle multi-RHS mode:
-        the single-RHS sweep per column (a strided column at ``k > 1``
-        takes the grouped scatter; the bits are the same)."""
+        the single-RHS sweep per column.  At ``k > 1`` the sweeps run
+        on rows of transposed workspace copies of ``uf`` and ``vf``, so
+        each sees contiguous single-RHS operands and allocates nothing
+        (copies move bits unchanged; a zeroed ``vf`` is zeroed, not
+        read)."""
         with self.comm.compute(_EMV_PHASES[part]):
-            for j in range(uf.shape[1]):
-                self._emv_sweep(uf[:, j], vf[:, j], sl, zeroed)
+            k = uf.shape[1]
+            if k == 1:
+                self._emv_sweep(uf[:, 0], vf[:, 0], sl, zeroed)
+                return
+            if self.e2l_dofs[sl].shape[0] == 0:
+                return
+            ut, vt = self._ws.column_views(uf.shape[0], k)
+            np.copyto(ut, uf.T)
+            if zeroed:
+                vt.fill(0.0)
+            else:
+                np.copyto(vt, vf.T)
+            for j in range(k):
+                self._emv_sweep(ut[j], vt[j], sl, zeroed)
+            np.copyto(vf.T, vt)
 
     def spmv(
         self,
@@ -702,6 +732,16 @@ class HymvOperator(EbeOperatorBase):
         if self.kernel_name == "columns":
             with comm.compute("setup.column_layout"):
                 self._kcol = np.ascontiguousarray(self.ke.transpose(2, 0, 1))
+        # linear elements: the default kernel's single-RHS sweeps run as
+        # one CSR matvec over a view of ``ke`` (gather + EMV in C), with
+        # eq. (4)'s bits; the GEMM mode keeps the batched matmul
+        self._eq4 = self.kernel_name == "einsum" and nd <= CSR_VIEW_MAX_ND
+        self._csr: KeCsrView | None = None
+        if self._eq4 and _csr_matvec is not None:
+            with comm.compute("setup.csr_view"):
+                self._csr = KeCsrView(
+                    self.ke, self.e2l_dofs, self.maps.n_total * self.ndpn
+                )
 
     def export_ke_cache(self) -> dict:
         """Element matrices keyed by global element id (for reuse across
@@ -714,6 +754,26 @@ class HymvOperator(EbeOperatorBase):
 
     def _columns_batch(self, sl: slice) -> np.ndarray | None:
         return None if self._kcol is None else self._kcol[:, sl]
+
+    def _local_emv(
+        self, sl: slice, ue: np.ndarray, ve: np.ndarray | None = None
+    ) -> np.ndarray:
+        """A CSR-view operator's single-RHS products are
+        :func:`~repro.core.kernels.emv_columns` on the gathered ``ue``
+        — the view's bits, for :func:`reference_spmv` and for the
+        fallback when SciPy's kernel is unavailable."""
+        if not self._eq4 or ue.ndim == 3:
+            return super()._local_emv(sl, ue, ve)
+        tmp = None if ve is None else self._ws.tmp[: ue.shape[0]]
+        return emv_columns(self.ke[sl], ue, out=ve, tmp=tmp)
+
+    def _gather_emv(
+        self, sl: slice, uf: np.ndarray, ue: np.ndarray, ve: np.ndarray
+    ) -> np.ndarray:
+        if self._csr is None or uf.ndim != 1:
+            return super()._gather_emv(sl, uf, ue, ve)
+        start, stop, _ = sl.indices(self.n_local_elements)
+        return self._csr.matvec(start, stop, uf, ve)
 
     # -- adaptivity (the XFEM / AMR use-case, paper §I & §III) ------------
 
@@ -739,8 +799,17 @@ class HymvOperator(EbeOperatorBase):
         )
 
     def stored_bytes(self) -> int:
-        """Memory footprint of the stored element matrices."""
-        return self.ke.nbytes
+        """Memory footprint of the element-matrix storage the SPMV
+        streams: ``ke``, plus the ``columns`` kernel's column-major copy
+        or the CSR view's index arrays.  The element maps every EBE
+        operator shares (matrix-free stores only those) are not
+        counted."""
+        total = self.ke.nbytes
+        if self._kcol is not None:
+            total += self._kcol.nbytes
+        if self._csr is not None:
+            total += self._csr.nbytes
+        return total
 
 
 def reference_spmv(

@@ -14,6 +14,20 @@ Both kernels accept ``out=`` (and ``columns`` a preallocated ``tmp=``
 and an optional column-major matrix batch ``columns=``) so the operator
 hot path can run allocation-free against an :class:`EmvWorkspace`.
 
+CSR view of the stored batch
+----------------------------
+For linear elements (``nd <= CSR_VIEW_MAX_ND``) the batched
+``(nd, nd) @ (nd, 1)`` matmul is slower than the data it reads: each
+tiny gemv pays per-element dispatch.  :class:`KeCsrView` instead reads
+the stored ``(E, nd, nd)`` batch as the ``data`` array of an
+``(E*nd) x n_dofs`` CSR matrix whose column indices are the element's
+dofs, so ONE SciPy ``csr_matvec`` call does the gather and the EMV of a
+whole sweep in C.  The kernel sums each row sequentially from ``+0.0``
+with a separate multiply and add — exactly :func:`emv_columns`' order
+(paper eq. 4), so its products equal ``emv_columns`` on the gathered
+``ue`` bit for bit (up to the sign of an all-``-0.0`` row, which the
+segment sum that follows absorbs).
+
 Multi-RHS execution modes
 -------------------------
 A multivector batch ``ue`` of shape ``(E, nd, k)`` can be processed two
@@ -39,6 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.segment import _csr_matvec
 from repro.util.arrays import scatter_add
 
 __all__ = [
@@ -48,6 +63,8 @@ __all__ = [
     "EMV_MODES",
     "DEFAULT_K_MIN",
     "EmvWorkspace",
+    "CSR_VIEW_MAX_ND",
+    "KeCsrView",
     "gather_element_vectors",
     "accumulate_element_vectors",
     "gemm_equivalence_rtol",
@@ -232,10 +249,13 @@ class EmvWorkspace:
 
     The GEMM multi-RHS path widens the scratch to ``(n_elements, nd, k)``
     pairs, cached per ``k`` on first use (:meth:`multi_views`) so a
-    steady-state sweep over a repeating batch width allocates nothing.
+    steady-state sweep over a repeating batch width allocates nothing;
+    the oracle path at ``k > 1`` sweeps a transposed, row-contiguous
+    copy of the multivector (:meth:`column_views`), sized for the
+    widest batch seen.
     """
 
-    __slots__ = ("n_elements", "nd", "ue", "ve", "_tmp", "_multi")
+    __slots__ = ("n_elements", "nd", "ue", "ve", "_tmp", "_multi", "_cols")
 
     def __init__(self, n_elements: int, nd: int):
         self.n_elements = int(n_elements)
@@ -244,6 +264,7 @@ class EmvWorkspace:
         self.ve = np.empty((self.n_elements, self.nd))
         self._tmp: np.ndarray | None = None  # columns kernel only
         self._multi: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._cols: np.ndarray | None = None  # oracle k > 1 only
 
     @property
     def tmp(self) -> np.ndarray:
@@ -273,11 +294,95 @@ class EmvWorkspace:
         ue, ve = self._multi[k]
         return ue[:n], ve[:n]
 
+    def column_views(self, n_dofs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(k, n_dofs)`` scratch pair ``(U^T, V^T)`` whose rows are
+        contiguous copies of a multivector's strided dof columns (NumPy's
+        ``take`` and SciPy's kernels would otherwise copy each strided
+        column on every sweep).  One buffer serves every ``k`` up to the
+        widest seen; it is reallocated only when a wider batch arrives."""
+        cols = self._cols
+        if cols is None or cols.shape[1] < k or cols.shape[2] != n_dofs:
+            cols = self._cols = np.empty((2, k, n_dofs))
+        return cols[0, :k], cols[1, :k]
+
     def clear_multi(self) -> None:
         """Drop the per-``k`` multivector scratch (after an in-place
         operator update, so no stale view outlives the element batch it
         was sized against)."""
         self._multi.clear()
+
+
+#: largest element-dof count whose single-RHS (k = 1 and oracle) sweeps
+#: run through :class:`KeCsrView` instead of gather + batched matmul.
+#: Measured as gather+matmul time over CSR-view time on synthetic
+#: ~2 MB Ke batches with banded element maps (2-vCPU x86-64 host, SciPy
+#: 1.17, median of 3 runs of 21 interleaved samples):
+#:
+#:     nd       4     8    10    12    20    24    27    60
+#:     speedup  4.36  1.61  1.38  1.10  0.73  0.62  0.63  0.42
+#:
+#: HEX8/TET4 and TET10 scalar problems take the view; HEX8 elasticity
+#: (24), HEX20 and HEX27 keep the matmul.  At nd=12 (TET4 elasticity)
+#: the gain is inside the host's run-to-run spread, too small to pay
+#: for the view's int32 indices (+50% of Ke bytes).
+CSR_VIEW_MAX_ND = 10
+
+
+class KeCsrView:
+    """A stored ``(E, nd, nd)`` element-matrix batch read as the data
+    array of an ``(E*nd) x n_dofs`` CSR matrix.
+
+    Row ``e*nd + i`` holds ``ke[e, i, :]`` at columns ``e2l_dofs[e, :]``,
+    so ``csr_matvec`` over rows ``[start*nd, stop*nd)`` forms the element
+    products ``ke[e] @ uf[e2l_dofs[e]]`` of elements ``start..stop-1``
+    — gather and EMV in one C row loop.  ``data`` is a *view* of ``ke``
+    (in-place element updates need no refresh); ``indptr`` and
+    ``indices`` are built once.  Bits: each row is summed sequentially
+    from the zeroed output, multiply then add, which is
+    :func:`emv_columns`' order (see the module docstring).
+    """
+
+    __slots__ = ("nd", "n_cols", "indptr", "indices", "data")
+
+    def __init__(self, ke: np.ndarray, e2l_dofs: np.ndarray, n_cols: int):
+        if not ke.flags.c_contiguous:
+            raise ValueError("KeCsrView needs a C-contiguous Ke batch")
+        E, nd = e2l_dofs.shape
+        self.nd = int(nd)
+        self.n_cols = int(n_cols)
+        # SciPy's kernel takes one index type for indptr and indices;
+        # int32 unless the batch outgrows it
+        itype = np.int32 if max(ke.size, self.n_cols) < 2**31 else np.int64
+        self.indptr = np.arange(0, ke.size + 1, nd, dtype=itype)
+        self.indices = np.empty((E, nd, nd), dtype=itype)
+        self.indices[:] = e2l_dofs[:, None, :]
+        self.data = ke.reshape(-1)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the index arrays the view adds to the Ke batch."""
+        return self.indptr.nbytes + self.indices.nbytes
+
+    def matvec(
+        self, start: int, stop: int, uf: np.ndarray, ve: np.ndarray
+    ) -> np.ndarray:
+        """``ve[e - start] = ke[e] @ uf[e2l_dofs[e]]`` for elements
+        ``start..stop-1`` into the C-contiguous ``(stop - start, nd)``
+        buffer ``ve``; returns ``ve``.  Allocation-free for a contiguous
+        ``uf`` (SciPy would copy a strided one)."""
+        flat = ve.reshape(-1)
+        flat.fill(0.0)
+        nd = self.nd
+        _csr_matvec(
+            (stop - start) * nd,
+            self.n_cols,
+            self.indptr[start * nd: stop * nd + 1],
+            self.indices,
+            self.data,
+            uf,
+            flat,
+        )
+        return ve
 
 
 def gather_element_vectors(

@@ -17,6 +17,7 @@ from repro.fem import ElasticityOperator, PoissonOperator
 from repro.gpu import AssembledGpuOperator, HymvGpuOperator
 from repro.mesh import ElementType, box_hex_mesh, box_tet_mesh, jittered_hex_mesh
 from repro.partition import build_partition
+from repro.problems import poisson_problem
 from repro.simmpi import run_spmd
 
 from .kernel_cases import HYMV_CASES, spec
@@ -178,6 +179,10 @@ def _bench_shape(case):
     return lambda p: (spec(case).operator, spec(case).partition)
 
 
+def _tet4_poisson(p):
+    return PoissonOperator(), poisson_problem(3, p, ElementType.TET4).partition
+
+
 REFERENCE_CASES = [
     pytest.param(p, kind, kernel, _jittered_elastic, id=f"{p}-{kernel}-{kind}")
     for p in (1, 4)
@@ -189,6 +194,9 @@ REFERENCE_CASES = [
                  id=f"{case}/hymv-{kernel}-workspace")
     for case in HYMV_CASES
     for kernel in ("einsum", "columns")
+] + [
+    pytest.param(3, "hymv", "einsum", _tet4_poisson,
+                 id="poisson-tet4-3ranks/hymv-einsum-workspace")
 ]
 
 

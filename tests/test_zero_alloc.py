@@ -2,11 +2,10 @@
 
 ``tracemalloc`` bounds the peak heap growth over post-warmup calls of
 every hot path the serving tier times: the HYMV workspace SPMV (both
-EMV kernels), the copy-free ``apply_owned(copy=False)``, the HYMV GEMM
-multi-RHS product and the Dirichlet-projected block matvec built on it,
-and the SELL-C-sigma slice SPMV and chunk-matmul GEMM.  The per-column oracle paths at
-``k > 1`` are exempt: numpy buffers the strided column gather, which is
-what the GEMM path exists to avoid.
+EMV kernels), the copy-free ``apply_owned(copy=False)``, the HYMV
+per-column oracle and GEMM multi-RHS products and the
+Dirichlet-projected block matvec built on the GEMM one, and the
+SELL-C-sigma slice SPMV and chunk-matmul GEMM.
 """
 
 from __future__ import annotations
@@ -56,13 +55,16 @@ def _hat_gemm(k):
     return lambda: _hat_multi(st, X, mode="gemm")
 
 
-def _hymv_gemm(k):
+def _hymv_multi(k, mode):
+    """HYMV multi-RHS product on HEX8 Poisson: the oracle sweeps the
+    rows of a transposed copy of its k > 1 columns through the CSR view
+    of the stored batch."""
     A = single_rank(HymvOperator, "poisson-hex8-medium", kernel="einsum")
     U, V = A.new_multivector(k), A.new_multivector(k)
     U.set_owned(
         np.random.default_rng(1234).standard_normal((A.n_dofs_owned, k))
     )
-    return lambda: A.spmv_multi(U, V, mode="gemm")
+    return lambda: A.spmv_multi(U, V, mode=mode)
 
 
 def _sell_spmv(case, C, sigma):
@@ -85,9 +87,12 @@ CASES = [
     pytest.param(_hymv_owned, (case,), id=f"{case}/hymv-apply-owned-view")
     for case in HYMV_CASES
 ] + [
-    pytest.param(_hymv_gemm, (k,),
+    pytest.param(_hymv_multi, (k, "gemm"),
                  id=f"poisson-hex8-medium/hymv-einsum-multirhs-k{k}-gemm")
     for k in (1, 2, 8, 32)
+] + [
+    pytest.param(_hymv_multi, (4, "oracle"),
+                 id="poisson-hex8-medium/hymv-einsum-multirhs-k4-oracle")
 ] + [
     pytest.param(_hat_gemm, (8,),
                  id="poisson-hex8-medium/hymv-dirichlet-hat-k8-gemm")
