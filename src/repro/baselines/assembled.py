@@ -77,7 +77,7 @@ class AssembledOperator:
         with comm.compute(f"{prefix}.emat_compute"):
             ke = self.operator.element_matrices(self._coords, lmesh.etype)
             if self._elem_scale is not None:
-                ke = ke * self._elem_scale[:, None, None]
+                ke *= self._elem_scale[:, None, None]
 
         with comm.compute(f"{prefix}.assembly_local"):
             n = self.etype.n_nodes

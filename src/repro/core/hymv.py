@@ -707,21 +707,28 @@ class HymvOperator(EbeOperatorBase):
         else:
             hit = np.zeros(gids.size, dtype=bool)
         nd = operator.element_dofs(lmesh.etype)
-        ke = np.empty((gids.size, nd, nd))
+        self.ke = np.empty((gids.size, nd, nd))
         with comm.compute("setup.emat_compute"):
-            if not hit.all():
+            # without cache hits the blocked driver writes straight into
+            # the store; the scale multiplies in place, same bits
+            if not hit.any():
+                operator.element_matrices(
+                    self._coords_perm, lmesh.etype, out=self.ke
+                )
+                if self._scale_perm is not None:
+                    self.ke *= self._scale_perm[:, None, None]
+            elif not hit.all():
                 kx = operator.element_matrices(
                     self._coords_perm[~hit], lmesh.etype
                 )
                 if self._scale_perm is not None:
-                    kx = kx * self._scale_perm[~hit][:, None, None]
-                ke[~hit] = kx
+                    kx *= self._scale_perm[~hit][:, None, None]
+                self.ke[~hit] = kx
         with comm.compute("setup.local_copy"):
             if hit.any():
-                ke[hit] = np.stack(
+                self.ke[hit] = np.stack(
                     [ke_cache[int(g)] for g in gids[hit]], axis=0
                 )
-            self.ke = np.ascontiguousarray(ke)
         self.cache_hits = int(hit.sum())
         # column-major matrix layout for the ``columns`` kernel: the
         # strided ``ke[:, :, j]`` reads fetch a full cache line per

@@ -29,6 +29,7 @@ from repro.mesh.shape_functions import shape_functions_for
 from repro.util.arrays import as_f64
 
 __all__ = [
+    "InvertedElementError",
     "jacobians",
     "physical_gradients",
     "reference_gradients",
@@ -36,6 +37,18 @@ __all__ = [
     "elasticity_ke_batch",
     "mass_ke_batch",
 ]
+
+
+class InvertedElementError(ValueError):
+    """A batch has ``n_bad`` quadrature points with a non-positive
+    Jacobian; the count lets a blocked caller report the whole batch's."""
+
+    def __init__(self, n_bad: int):
+        super().__init__(
+            f"{n_bad} quadrature points with non-positive Jacobian "
+            "(inverted or degenerate elements)"
+        )
+        self.n_bad = n_bad
 
 
 class _Basis(NamedTuple):
@@ -102,11 +115,7 @@ def _geometry(dNt: np.ndarray, coords: np.ndarray):
         + J[..., 0, 2] * invJt[..., 0, 2]
     )
     if (detJ <= 0).any():
-        bad = int((detJ <= 0).sum())
-        raise ValueError(
-            f"{bad} quadrature points with non-positive Jacobian "
-            "(inverted or degenerate elements)"
-        )
+        raise InvertedElementError(int((detJ <= 0).sum()))
     invJt /= detJ[..., None, None]
     return J, detJ, invJt
 
@@ -127,8 +136,8 @@ def jacobians(
     -------
     ``(J, detJ, invJ)`` with shapes ``(E, q, 3, 3)``, ``(E, q)``,
     ``(E, q, 3, 3)``.  ``J[d, k] = d x_k / d xi_d``.  Raises
-    ``ValueError`` naming the number of quadrature points with a
-    non-positive Jacobian.
+    :class:`InvertedElementError` (a ``ValueError``) naming the number
+    of quadrature points with a non-positive Jacobian.
     """
     dNt = np.ascontiguousarray(np.swapaxes(dN, 1, 2))
     J, detJ, invJt = _geometry(dNt, as_f64(coords))
@@ -204,7 +213,8 @@ def elasticity_ke_batch(
     G = g.reshape(E, q, 3 * n)
     P = np.matmul(np.swapaxes(G * wd[:, :, None], 1, 2), G)
     P = P.reshape(E, n, 3, n, 3)
-    ke = lam * P + mu * P.transpose(0, 1, 4, 3, 2)
+    ke = lam * P
+    ke += mu * P.transpose(0, 1, 4, 3, 2)
     gdot = mu * (P[:, :, 0, :, 0] + P[:, :, 1, :, 1] + P[:, :, 2, :, 2])
     for i in range(3):
         ke[:, :, i, :, i] += gdot

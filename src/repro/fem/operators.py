@@ -12,26 +12,109 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fem.elemmat import elasticity_ke_batch, poisson_ke_batch
+from repro.fem.elemmat import (
+    InvertedElementError,
+    elasticity_ke_batch,
+    poisson_ke_batch,
+)
 from repro.fem.material import IsotropicElasticity
 from repro.mesh.element import ElementType
 from repro.mesh.quadrature import QuadratureRule, quadrature_for
+
+#: Byte budget of one element block in :meth:`Operator.element_matrices`.
+#: The batch kernel runs on as many consecutive elements as keep its
+#: temporaries, result included (:meth:`Operator._ke_words`, a measured
+#: upper bound), within this many bytes: half of one core's 2 MiB L2 on
+#: the reference host (2-vCPU Xeon).  One call on a whole batch instead
+#: allocates and first-touches several MB of ``(E, q, 3, n)``
+#: temporaries on every cold build.  Cold single-rank ``OperatorCache``
+#: builds by budget, median ms of 16 interleaved runs ("none" is one
+#: block; elements per block at 1 MiB in brackets):
+#:
+#: ==============================  ====  ====  ====  ====  ====  ====
+#: key                             none  256K  512K    1M    2M    4M
+#: ==============================  ====  ====  ====  ====  ====  ====
+#: Poisson HEX8 nel=16 (227)       25.4  20.0  18.0  17.8  17.1  16.3
+#: Poisson TET4 nel=10 (390)       28.3  22.6  20.5  18.9  20.6  21.0
+#: Poisson HEX8 nel=32 (227)        246   226   195   172   179   171
+#: Poisson HEX8 nel=16, assembled  57.6  53.8  52.7  52.4  48.1  47.9
+#: elastic HEX8 nel=8 (58)         21.0  19.7  16.0  14.7  13.6  14.1
+#: ==============================  ====  ====  ====  ====  ====  ====
+#:
+#: 1-4 MiB are within the runs' noise of each other; every column beats
+#: one block, so the budget is a constant, not a tuning knob.
+KE_BLOCK_BYTES = 1 << 20
+
+
+def _n_points(etype: ElementType, quad: QuadratureRule | None) -> int:
+    return (quad or quadrature_for(etype)).n_points
 
 
 @dataclass(frozen=True)
 class Operator:
     """Base operator interface.
 
-    Subclasses implement :meth:`element_matrices`; ``ndpn`` is the number
-    of degrees of freedom per mesh node.
+    Subclasses implement the batch kernel :meth:`_ke_batch` and bound its
+    temporaries in :meth:`_ke_words`; ``ndpn`` is the number of degrees
+    of freedom per mesh node.
     """
 
     ndpn: int = 1
 
     def element_matrices(
-        self, coords: np.ndarray, etype: ElementType
+        self,
+        coords: np.ndarray,
+        etype: ElementType,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Batched element matrices ``(E, ndpn*n, ndpn*n)``."""
+        """Batched element matrices ``(E, ndpn*n, ndpn*n)`` of the
+        element coordinates ``coords`` ``(E, n, 3)``, written into
+        ``out`` (C-contiguous float64 of that shape; allocated when
+        None), which is returned.
+
+        The kernel runs on consecutive blocks of :meth:`ke_block`
+        elements.  Every kernel is batch invariant — an element's matrix
+        depends only on its own coordinates, bit for bit — so the result
+        equals one call on the whole batch exactly.  Inverted elements
+        raise :class:`~repro.fem.elemmat.InvertedElementError` counting
+        the bad quadrature points of the whole batch."""
+        nd = self.element_dofs(etype)
+        shape = (coords.shape[0], nd, nd)
+        if out is None:
+            out = np.empty(shape)
+        elif (
+            out.shape != shape
+            or out.dtype != np.float64
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be C-contiguous float64 {shape}, got "
+                f"{out.dtype} {out.shape}"
+            )
+        step = self.ke_block(etype)
+        n_bad = 0
+        for s in range(0, shape[0], step):
+            try:
+                out[s: s + step] = self._ke_batch(coords[s: s + step], etype)
+            except InvertedElementError as exc:
+                n_bad += exc.n_bad
+        if n_bad:
+            raise InvertedElementError(n_bad)
+        return out
+
+    def ke_block(self, etype: ElementType) -> int:
+        """Elements per block of :meth:`element_matrices`: as many as
+        keep the kernel's temporaries within :data:`KE_BLOCK_BYTES`."""
+        return max(1, KE_BLOCK_BYTES // (8 * self._ke_words(etype)))
+
+    def _ke_batch(self, coords: np.ndarray, etype: ElementType) -> np.ndarray:
+        """The batch kernel: element matrices of one block."""
+        raise NotImplementedError
+
+    def _ke_words(self, etype: ElementType) -> int:
+        """Upper bound on the float64 words per element the batch kernel
+        allocates at its peak, result included (fitted to ``tracemalloc``
+        peaks of every element type)."""
         raise NotImplementedError
 
     def element_dofs(self, etype: ElementType) -> int:
@@ -76,15 +159,22 @@ class PoissonOperator(Operator):
 
     ``coefficient`` is an optional callable on physical points giving the
     (scalar) diffusivity ``kappa(x)``; None means the Laplace operator of
-    the paper's verification problem.
+    the paper's verification problem.  It must be pointwise — each
+    value a function of its own point only — because it is evaluated on
+    one element block at a time.
     """
 
     ndpn: int = 1
     quad: QuadratureRule | None = None
     coefficient: object = None
 
-    def element_matrices(self, coords, etype):
+    def _ke_batch(self, coords, etype):
         return poisson_ke_batch(coords, etype, self.quad, self.coefficient)
+
+    def _ke_words(self, etype):
+        # geometry ~16 q, two (q, 3, n) gradient stacks, the (n, n) result
+        q, n = _n_points(etype, self.quad), etype.n_nodes
+        return 16 * q + 6 * q * n + n * n
 
 
 @dataclass(frozen=True)
@@ -110,7 +200,7 @@ class GraphLaplacianOperator(Operator):
     drop: float = 0.35
     shift: float = 0.05
 
-    def element_matrices(self, coords, etype):
+    def _ke_batch(self, coords, etype):
         # symmetric edge-midpoint hash -> uniform(0, 1) per node pair
         mid = 0.5 * (coords[:, :, None, :] + coords[:, None, :, :])
         phase = (
@@ -137,6 +227,11 @@ class GraphLaplacianOperator(Operator):
         n = etype.n_nodes
         return 30.0 * n * n
 
+    def _ke_words(self, etype):
+        # about eight (n, n) hash/weight arrays alive at once
+        n = etype.n_nodes
+        return 8 * n * (n + 2)
+
 
 @dataclass(frozen=True)
 class ElasticityOperator(Operator):
@@ -146,7 +241,12 @@ class ElasticityOperator(Operator):
     material: IsotropicElasticity = field(default_factory=IsotropicElasticity)
     quad: QuadratureRule | None = None
 
-    def element_matrices(self, coords, etype):
+    def _ke_batch(self, coords, etype):
         return elasticity_ke_batch(
             coords, etype, self.material.lam, self.material.mu, self.quad
         )
+
+    def _ke_words(self, etype):
+        # as Poisson, but P, lam P, mu P^T alive at once: three (nd, nd)
+        q, n = _n_points(etype, self.quad), etype.n_nodes
+        return 16 * q + 6 * q * n + 3 * (3 * n) ** 2

@@ -12,13 +12,21 @@ Two properties follow and are pinned here:
   call.  An adaptive patch recomputes a subset of elements and must land
   on exactly the rows a fresh full build computes, so this is the
   contract behind "patch == fresh build, bitwise".
+
+Batch invariance is also what makes :meth:`Operator.element_matrices`,
+which runs an operator's kernel over cache-sized element blocks, equal
+one call on the whole batch; its bits, ``out=`` contract, whole-batch
+error count and peak allocation are pinned at the end.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.hymv import HymvOperator
 from repro.fem.elemmat import (
     elasticity_ke_batch,
     jacobians,
@@ -27,9 +35,18 @@ from repro.fem.elemmat import (
     poisson_ke_batch,
     reference_gradients,
 )
+from repro.fem.material import IsotropicElasticity
+from repro.fem.operators import (
+    KE_BLOCK_BYTES,
+    ElasticityOperator,
+    GraphLaplacianOperator,
+    PoissonOperator,
+)
 from repro.mesh import ElementType, box_hex_mesh, box_tet_mesh, jittered_hex_mesh
 from repro.mesh.quadrature import quadrature_for
 from repro.mesh.shape_functions import shape_functions_for
+from repro.problems import poisson_problem
+from repro.tune.calibration import _NullComm
 
 LAM, MU = 1.7, 0.6
 
@@ -101,6 +118,28 @@ KERNELS = {
 
 ETYPES = list(ElementType)
 
+_MATERIAL = IsotropicElasticity(E=2.0, nu=0.3)
+
+OPERATORS = {
+    "poisson": PoissonOperator(),
+    "poisson-kappa": PoissonOperator(coefficient=_kappa),
+    "elasticity": ElasticityOperator(material=_MATERIAL),
+    "graph-laplacian": GraphLaplacianOperator(seed=3),
+}
+
+
+def _batch(etype, n_el):
+    """``n_el`` distinct elements: the jittered mesh's, repeated, each
+    node moved by its own small random offset."""
+    X = _jittered(etype)
+    X = np.resize(X, (n_el, *X.shape[1:]))
+    rng = np.random.default_rng(n_el)
+    return X + rng.uniform(-0.01, 0.01, X.shape)
+
+
+def _bits(a):
+    return a.view(np.int64)
+
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("etype", ETYPES, ids=lambda e: e.value)
@@ -131,6 +170,8 @@ def test_element_matrix_is_batch_invariant(etype, kernel):
 
 @pytest.mark.parametrize("etype", ETYPES, ids=lambda e: e.value)
 def test_inverted_element_raises_with_bad_point_count(etype):
+    """The count is the whole batch's: one inverted element below a
+    block, and two in different blocks of a batch of over three."""
     mesh = (box_hex_mesh(2, 2, 2, etype) if etype.is_hex
             else box_tet_mesh(2, 2, 2, etype, jitter=0.0))
     X = mesh.coords[mesh.conn].copy()
@@ -144,6 +185,14 @@ def test_inverted_element_raises_with_bad_point_count(etype):
     ):
         with pytest.raises(ValueError, match=msg):
             call()
+    for op in (OPERATORS["poisson"], OPERATORS["elasticity"]):
+        B = op.ke_block(etype)
+        Xb = _batch(etype, 3 * B + 7)
+        Xb[[1, 2 * B + 3], :, 2] *= -1.0  # blocks 0 and 2
+        nd = op.element_dofs(etype)
+        out = np.empty((Xb.shape[0], nd, nd))
+        with pytest.raises(ValueError, match=f"^{2 * q} quadrature points"):
+            op.element_matrices(Xb, etype, out=out)
 
 
 @pytest.mark.parametrize("etype", ETYPES, ids=lambda e: e.value)
@@ -171,3 +220,100 @@ def test_jacobians_and_gradients_keep_their_contract(etype):
     g = physical_gradients(dN, invJ)
     g_ref = np.einsum("qnd,eqkd->eqnk", dN, np.linalg.inv(J))
     np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=1e-12)
+
+
+# -- the blocked driver: Operator.element_matrices ----------------------
+
+@pytest.mark.parametrize("kind", OPERATORS)
+@pytest.mark.parametrize("etype", ETYPES, ids=lambda e: e.value)
+def test_blocked_element_matrices_equal_one_kernel_call(etype, kind):
+    """Blocked == one unblocked kernel call, bit for bit, at batch sizes
+    around the block size."""
+    op = OPERATORS[kind]
+    B = op.ke_block(etype)
+    X = _batch(etype, 3 * B + 7)
+    for n_el in (0, 1, B - 1, B, B + 1, 3 * B + 7):
+        blocked = op.element_matrices(X[:n_el], etype)
+        single = op._ke_batch(X[:n_el], etype)
+        assert blocked.shape == single.shape
+        assert np.array_equal(_bits(blocked), _bits(single)), n_el
+
+
+def test_element_matrices_out_contract():
+    op, etype = PoissonOperator(), ElementType.HEX8
+    X = _batch(etype, 2 * op.ke_block(etype) + 1)
+    out = np.empty((X.shape[0], 8, 8))
+    assert op.element_matrices(X, etype, out=out) is out
+    assert np.array_equal(_bits(out), _bits(op._ke_batch(X, etype)))
+    for bad in (
+        np.empty((X.shape[0] - 1, 8, 8)),  # shape
+        np.empty((X.shape[0], 8, 8), dtype=np.float32),  # dtype
+        np.empty((8, 8, X.shape[0])).transpose(2, 0, 1),  # layout
+    ):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            op.element_matrices(X, etype, out=bad)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+def test_hymv_store_bitwise_with_and_without_cache_hits(scaled):
+    """A HYMV store computed in place over several blocks equals one
+    kernel call followed by the scale, and a rebuild taking every other
+    element from the ``ke_cache`` equals both."""
+    spec = poisson_problem(8, 1)  # 512 HEX8 elements: three blocks
+    lmesh = spec.partition.local(0)
+    assert lmesh.n_local_elements > 2 * spec.operator.ke_block(lmesh.etype)
+    scale = (np.random.default_rng(4).uniform(0.5, 2.0, lmesh.n_local_elements)
+             if scaled else None)
+    fresh = HymvOperator(_NullComm(), lmesh, spec.operator, elem_scale=scale)
+    want = spec.operator._ke_batch(fresh._coords_perm, lmesh.etype)
+    if scaled:
+        want = want * fresh._scale_perm[:, None, None]
+    assert np.array_equal(_bits(fresh.ke), _bits(want))
+    half = dict(list(fresh.export_ke_cache().items())[::2])
+    warm = HymvOperator(_NullComm(), lmesh, spec.operator,
+                        ke_cache=half, elem_scale=scale)
+    assert warm.cache_hits == len(half)
+    assert np.array_equal(_bits(warm.ke), _bits(fresh.ke))
+
+
+#: peak bytes allowed beyond the block budget, for allocator and NumPy
+#: version differences: every case below measured at most 0.96 of the
+#: budget itself
+ALLOC_SLACK_BYTES = 64 << 10
+
+
+def _peak_bytes(call) -> int:
+    call()  # warm caches (reference basis, tracemalloc's own structures)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_element_matrices_into_out_peak_within_block_budget():
+    """4,096 HEX8 Poisson elements into a preallocated ``out`` (2 MiB)
+    peak at one block's temporaries; one kernel call on the whole batch
+    peaks at several times the output."""
+    op, etype = PoissonOperator(), ElementType.HEX8
+    X = _batch(etype, 4096)
+    out = np.empty((4096, 8, 8))
+    peak = _peak_bytes(lambda: op.element_matrices(X, etype, out=out))
+    assert peak <= KE_BLOCK_BYTES + ALLOC_SLACK_BYTES
+    assert _peak_bytes(lambda: op._ke_batch(X, etype)) > 3 * out.nbytes
+
+
+@pytest.mark.parametrize("kind", OPERATORS)
+@pytest.mark.parametrize("etype", ETYPES, ids=lambda e: e.value)
+def test_ke_words_bound_every_kernel(etype, kind):
+    """``_ke_words`` is an upper bound for every kernel, so each block
+    stays within the budget."""
+    op = OPERATORS[kind]
+    X = _batch(etype, 3 * op.ke_block(etype) + 7)
+    nd = op.element_dofs(etype)
+    out = np.empty((X.shape[0], nd, nd))
+    peak = _peak_bytes(lambda: op.element_matrices(X, etype, out=out))
+    assert peak <= KE_BLOCK_BYTES + ALLOC_SLACK_BYTES
