@@ -93,10 +93,10 @@ class PartialAssemblyOperator(EbeOperatorBase):
             return G, None
         return invJ, wd
 
-    def _refresh_elements(self, pos) -> None:
+    def _refresh_elements(self, pos, moved, old_scale) -> None:
         """Recompute the stored geometric factors of the updated rows
         only — the partial-assembly analogue of HYMV's subset ``Ke``
-        recomputation."""
+        recomputation (always, whether or not the geometry ``moved``)."""
         with self.comm.compute("update.geom_factors"):
             scale = (
                 None if self._scale_perm is None else self._scale_perm[pos]

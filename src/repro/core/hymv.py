@@ -599,10 +599,15 @@ class EbeOperatorBase:
         Both updates are persisted (permuted coords / scale arrays), so
         the post-update operator state is indistinguishable from a fresh
         build on the updated inputs; subclasses refresh their stored
-        products via :meth:`_refresh_elements`.  Raises ``IndexError``
-        on any out-of-range (or negative) index rather than letting
-        fancy indexing wrap or clip it into silently-wrong numerics —
-        same hardening as the e2l map check at setup.
+        products via :meth:`_refresh_elements`, which is told whether the
+        subset's geometry changed and its pre-update scales (a
+        scale-only update leaves ``Ke(coords)`` unchanged, so HYMV
+        rescales instead of re-integrating).  Workspaces, segment
+        scratch and work multivectors are kept: an in-place update
+        changes none of their shapes.  Raises ``IndexError`` on any
+        out-of-range (or negative) index rather than letting fancy
+        indexing wrap or clip it into silently-wrong numerics — same
+        hardening as the e2l map check at setup.
         """
         local_elems = as_index(local_elems)
         if local_elems.size == 0:
@@ -624,6 +629,7 @@ class EbeOperatorBase:
                     f"{pos.size} updated elements"
                 )
             self._coords_perm[pos] = coords
+        old_scale = None if self._scale_perm is None else self._scale_perm[pos]
         if stiffness_scale is not None:
             scale = np.broadcast_to(
                 np.asarray(stiffness_scale, dtype=np.float64), (pos.size,)
@@ -631,26 +637,18 @@ class EbeOperatorBase:
             if self._scale_perm is None:
                 self._scale_perm = np.ones(self.lmesh.n_local_elements)
             self._scale_perm[pos] = scale
-        self._refresh_elements(pos)
-        self._invalidate_multi_caches()
+        self._refresh_elements(pos, coords is not None, old_scale)
         self.comm.obs.incr("update.elements", pos.size)
 
-    def _refresh_elements(self, pos: np.ndarray) -> None:
+    def _refresh_elements(
+        self, pos: np.ndarray, moved: bool, old_scale: np.ndarray | None
+    ) -> None:
         """Refresh stored per-element products for permuted positions
-        ``pos`` after a coords/scale change.  The base class stores
-        nothing derived (matrix-free recomputes per product), so the
-        default is a no-op."""
-
-    def _invalidate_multi_caches(self) -> None:
-        """Drop per-``k`` GEMM workspace views and work multivectors
-        after an in-place update, so no cached scratch view outlives the
-        element state it was sized against (halo exchanges depend only
-        on the comm maps, which an in-place update never changes)."""
-        self._ws.clear_multi()
-        for seg in (self._seg_indep, self._seg_dep, self._seg_all):
-            if seg is not None:
-                seg._multi.clear()
-        self._work_multi.clear()
+        ``pos`` after a coords/scale change.  ``moved`` says the subset's
+        coordinates were replaced; ``old_scale`` holds its pre-update
+        scales (``None`` when the operator had no scale array).  The
+        base class stores nothing derived (matrix-free recomputes per
+        product), so the default is a no-op."""
 
     # -- cost accounting --------------------------------------------------
 
@@ -736,6 +734,10 @@ class HymvOperator(EbeOperatorBase):
         # (paper eq. 4's SIMD layout).  Same operands, same add order —
         # bitwise identical products.
         self._kcol: np.ndarray | None = None
+        # remembered unit-scale matrices ``Ke(coords)`` of patched rows,
+        # allocated on the first patch (untouched rows stay unfaulted)
+        self._unit: np.ndarray | None = None
+        self._unit_known: np.ndarray | None = None
         if self.kernel_name == "columns":
             with comm.compute("setup.column_layout"):
                 self._kcol = np.ascontiguousarray(self.ke.transpose(2, 0, 1))
@@ -784,25 +786,53 @@ class HymvOperator(EbeOperatorBase):
 
     # -- adaptivity (the XFEM / AMR use-case, paper §I & §III) ------------
 
-    def _refresh_elements(self, pos: np.ndarray) -> None:
-        """Recompute and store the element matrices at permuted positions
-        ``pos`` from the (already updated) persisted coords and scale —
-        the cost of an adaptive update is exactly these ``pos.size``
-        elemental computations, nothing global."""
-        with self.comm.compute("update.emat_compute"):
-            ke = self.operator.element_matrices(
-                self._coords_perm[pos], self.etype
-            )
-            if self._scale_perm is not None:
-                ke = ke * self._scale_perm[pos][:, None, None]
+    def _refresh_elements(
+        self, pos: np.ndarray, moved: bool, old_scale: np.ndarray | None
+    ) -> None:
+        """Store ``U_e * s_e`` at permuted positions ``pos``: the
+        unit-scale matrix ``U_e = Ke(coords)`` times the (already
+        updated) persisted scale — the multiply a fresh build does, so
+        the patched rows are bitwise fresh-build rows.  ``U_e`` is the
+        remembered one; else, when the geometry did not move and the
+        pre-update scale is exactly ``1.0`` (or there was no scale
+        array), the stored row itself (``Ke * 1.0 == Ke`` bit for bit);
+        else one integration, remembered afterwards.  A coordinate
+        update forgets ``U_e``.  The cost of an adaptive update is
+        therefore at most these ``pos.size`` elemental computations,
+        nothing global, and none for a scale-only update of rows already
+        seen."""
+        if self._unit is None:
+            self._unit = np.empty_like(self.ke)
+            self._unit_known = np.zeros(self.n_local_elements, dtype=bool)
+        unit, known = self._unit, self._unit_known
+        if moved:
+            known[pos] = False
+        else:
+            stored = ~known[pos]
+            if old_scale is not None:
+                stored &= old_scale == 1.0
+            take = pos[stored]
+            unit[take] = self.ke[take]
+            known[take] = True
+        todo = pos[~known[pos]]
+        if todo.size:
+            with self.comm.compute("update.emat_compute"):
+                unit[todo] = self.operator.element_matrices(
+                    self._coords_perm[todo], self.etype
+                )
+            known[todo] = True
         with self.comm.compute("update.local_copy"):
+            ke = unit[pos]
+            if self._scale_perm is not None:
+                ke *= self._scale_perm[pos][:, None, None]
             self.ke[pos] = ke
             if self._kcol is not None:
                 self._kcol[:, pos] = ke.transpose(2, 0, 1)
-        self.comm.obs.incr("update.ke_recomputed", pos.size)
+        self.comm.obs.incr("update.ke_recomputed", todo.size)
+        self.comm.obs.incr("update.ke_rescaled", pos.size - todo.size)
         self.comm.obs.incr(
             "update.ke_flops",
-            pos.size * self.operator.ke_flops(self.etype),
+            todo.size * self.operator.ke_flops(self.etype),
         )
 
     def stored_bytes(self) -> int:

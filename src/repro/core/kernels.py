@@ -305,12 +305,6 @@ class EmvWorkspace:
             cols = self._cols = np.empty((2, k, n_dofs))
         return cols[0, :k], cols[1, :k]
 
-    def clear_multi(self) -> None:
-        """Drop the per-``k`` multivector scratch (after an in-place
-        operator update, so no stale view outlives the element batch it
-        was sized against)."""
-        self._multi.clear()
-
 
 #: largest element-dof count whose single-RHS (k = 1 and oracle) sweeps
 #: run through :class:`KeCsrView` instead of gather + batched matmul.

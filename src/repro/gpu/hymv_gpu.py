@@ -67,11 +67,11 @@ class HymvGpuOperator(HymvOperator):
         t_h2d = self.ke.nbytes / (gpu.setup_h2d_gbps * 1e9)
         comm.advance(t_h2d, "setup.ke_h2d")
 
-    def _refresh_elements(self, pos) -> None:
-        """Host recompute plus the H2D transfer of only the touched
+    def _refresh_elements(self, pos, moved, old_scale) -> None:
+        """Host refresh plus the H2D transfer of only the touched
         element matrices — the device-side adaptive update stays
         proportional to the touched subset, like the host one."""
-        super()._refresh_elements(pos)
+        super()._refresh_elements(pos, moved, old_scale)
         nd = self.e2l_dofs.shape[1]
         touched_bytes = pos.size * nd * nd * 8.0
         self.comm.advance(

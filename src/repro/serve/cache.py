@@ -488,16 +488,18 @@ class SolverContext:
         ``fraction``, ``vtime``, ...).
 
         Small non-structural deltas take the **patch** path: only the
-        touched elements' matrices are recomputed in place
-        (``update_elements``) and the touched scatter/workspace caches
-        invalidated — the paper's adaptive-matrix claim as a serving
-        operation.  The Dirichlet machinery (``A u0``, Jacobi diagonal) is
-        only marked stale; the next solve or residual check refreshes it,
-        so a stream of patches and products never pays that O(mesh)
-        work.  Structural deltas, or deltas touching more than
-        ``threshold`` of the elements, fall back to a **full_rebuild** on
-        the same simulator, reusing unchanged element matrices as a
-        ``ke_cache`` where the method supports it.  Either way the
+        touched elements' matrices are refreshed in place
+        (``update_elements``: a scale-only delta rescales a remembered
+        unit-scale matrix, moved elements re-integrate; scatter
+        structure and workspaces are kept) — the paper's
+        adaptive-matrix claim as a serving operation.  The Dirichlet
+        machinery (``A u0``, Jacobi diagonal) is only marked stale; the
+        next solve or residual check refreshes it, so a stream of
+        patches and products never pays that O(mesh) work.  Structural
+        deltas, or deltas touching more than ``threshold`` of the
+        elements, fall back to a **full_rebuild** on the same simulator,
+        reusing unchanged element matrices as a ``ke_cache`` where the
+        method supports it.  Either way the
         resulting operator is bitwise identical to one freshly built from
         ``key.with_delta(delta)``.
         """
@@ -556,7 +558,9 @@ class SolverContext:
         rank: the touched batch for element-wise methods, everything for
         the assembled baselines (reassembly is all-or-nothing — the
         SELL-C-sigma operator reassembles and reconverts the same way),
-        nothing for matrix-free (state is coords/scale only)."""
+        nothing for matrix-free (state is coords/scale only).  HYMV
+        rescales instead on a scale-only patch; the model still charges
+        the touched batch, so virtual-time baselines stay put."""
         method = self.key.method
         if method == "matfree":
             return 0

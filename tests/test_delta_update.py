@@ -261,27 +261,31 @@ def test_node_move_refreshes_local_coords_views():
         assert np.array_equal(lm.coords, mesh.coords[mesh.conn[lm.elements]])
 
 
+@pytest.mark.parametrize("kind", ("scale", "move"))
 @pytest.mark.parametrize("method", ("hymv", "assembled"))
 @pytest.mark.parametrize(
     "etype", ("hex8", "hex20", "hex27", "tet4", "tet10")
 )
 def test_patched_element_matrices_bitwise_fresh_for_every_element_type(
-    etype, method
+    etype, method, kind
 ):
     """Regression: a patch recomputes only the touched elements' Ke, a
     fresh build computes all of them in one batch.  Before the element
     kernels were batch invariant, HEX20/HEX27 rows depended on the batch
     they were computed in and the two operators differed in the last
-    bit."""
+    bit.  HYMV rescales a remembered matrix on a scale-only patch, so
+    the move deltas are what pin the batch-invariant re-integration."""
     key = ProblemKey("poisson", 6, 1, etype, 0, method)
     cache = OperatorCache()
     ctx, _ = cache.get(key)
     cf = CrackFront()
     touched = 0
     for step in range(3):
-        key, info = cache.update(
-            key, cf.scale_delta(ctx.spec.mesh, step, 8), threshold=1.0
-        )
+        if kind == "scale":
+            delta = cf.scale_delta(ctx.spec.mesh, step, 8)
+        else:
+            delta = cf.move_delta(ctx.spec, step + 1, 8, amplitude=2e-3)
+        key, info = cache.update(key, delta, threshold=1.0)
         assert info["path"] == "patch"
         touched += info["touched"]
     assert touched > 0
