@@ -30,12 +30,14 @@ class DistributedArray:
     Attributes
     ----------
     data:
-        ``(n_total, ndpn)`` local storage (ghosts + owned).
+        ``(n_total, ndpn)`` C-contiguous local storage (ghosts + owned),
+        never rebound: its views ``owned`` ``(n_owned, ndpn)`` and the
+        flat ``owned_flat`` are bound once at construction.
     maps:
         The rank's :class:`~repro.core.maps.NodeMaps`.
     """
 
-    __slots__ = ("data", "maps", "ndpn")
+    __slots__ = ("data", "maps", "ndpn", "owned", "owned_flat")
 
     def __init__(self, maps: NodeMaps, ndpn: int = 1, data: np.ndarray | None = None):
         self.maps = maps
@@ -43,22 +45,12 @@ class DistributedArray:
         if data is None:
             data = np.zeros((maps.n_total, ndpn))
         else:
-            data = np.asarray(data, dtype=np.float64).reshape(maps.n_total, ndpn)
+            data = np.ascontiguousarray(data, dtype=np.float64).reshape(
+                maps.n_total, ndpn
+            )
         self.data = data
-
-    # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-
-    @property
-    def owned(self) -> np.ndarray:
-        """``(n_owned, ndpn)`` view of the owned block."""
-        return self.data[self.maps.owned_slice]
-
-    @property
-    def owned_flat(self) -> np.ndarray:
-        """Flat dof view of the owned block (shares memory)."""
-        return self.owned.reshape(-1)
+        self.owned = data[maps.owned_slice]
+        self.owned_flat = self.owned.reshape(-1)
 
     def copy(self) -> "DistributedArray":
         return DistributedArray(self.maps, self.ndpn, self.data.copy())
@@ -117,9 +109,17 @@ class DistributedMultiVector:
     per-message latency across all ``k`` right-hand sides, while
     ``dof_view[:, j]`` recovers column ``j`` as a strided flat dof vector
     with exactly the values a :class:`DistributedArray` would hold.
+
+    ``data`` is never rebound; its views are bound once at construction:
+    ``node_view`` ``(n_total, ndpn * k)`` (the packed node rows),
+    ``dof_view`` ``(n_total * ndpn, k)``, ``owned`` ``(n_owned, ndpn, k)``
+    and ``owned_matrix`` ``(n_owned * ndpn, k)``.
     """
 
-    __slots__ = ("data", "maps", "ndpn", "k")
+    __slots__ = (
+        "data", "maps", "ndpn", "k",
+        "node_view", "dof_view", "owned", "owned_matrix",
+    )
 
     def __init__(
         self,
@@ -140,33 +140,10 @@ class DistributedMultiVector:
                 maps.n_total, ndpn, k
             )
         self.data = data
-
-    # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-
-    @property
-    def node_view(self) -> np.ndarray:
-        """``(n_total, ndpn * k)`` view: packed node rows for one halo
-        exchange covering all columns (shares memory)."""
-        return self.data.reshape(self.maps.n_total, self.ndpn * self.k)
-
-    @property
-    def dof_view(self) -> np.ndarray:
-        """``(n_total * ndpn, k)`` view: flat local dofs by column; column
-        ``j`` is a strided 1-D view bit-compatible with the flat data of a
-        single :class:`DistributedArray` (shares memory)."""
-        return self.data.reshape(self.maps.n_total * self.ndpn, self.k)
-
-    @property
-    def owned(self) -> np.ndarray:
-        """``(n_owned, ndpn, k)`` view of the owned block."""
-        return self.data[self.maps.owned_slice]
-
-    @property
-    def owned_matrix(self) -> np.ndarray:
-        """``(n_owned * ndpn, k)`` view of the owned dofs by column."""
-        return self.owned.reshape(self.maps.n_owned * self.ndpn, self.k)
+        self.node_view = data.reshape(maps.n_total, self.ndpn * self.k)
+        self.dof_view = data.reshape(maps.n_total * self.ndpn, self.k)
+        self.owned = data[maps.owned_slice]
+        self.owned_matrix = self.owned.reshape(maps.n_owned * self.ndpn, self.k)
 
     def zero(self) -> "DistributedMultiVector":
         self.data[:] = 0.0

@@ -138,9 +138,12 @@ class EbeOperatorBase:
         self.cmaps: CommMaps = build_comm_maps(comm, self.maps, ranges=ranges)
         comm.obs.add("setup.comm_maps", comm.vtime - t0)
 
+        # Algorithm-2 slices with explicit bounds (a sweep's element
+        # count is ``sl.stop - sl.start``) and fixed per-element flops
         self._sl_indep = slice(0, self._n_indep)
         self._sl_dep = slice(self._n_indep, lmesh.n_local_elements)
-        self._sl_all = slice(None)
+        self._sl_all = slice(0, lmesh.n_local_elements)
+        self._emv_flops = operator.emv_flops(self.etype)
         self.n_dofs_owned = self.maps.n_owned * self.ndpn
         self.spmv_count = 0
         # under fault injection, sanity-check received ghost values so
@@ -234,20 +237,19 @@ class EbeOperatorBase:
     def _gather_emv_add(
         self, uf: np.ndarray, vf: np.ndarray, sl: slice, zeroed: bool
     ) -> int:
-        """Gather → local kernel → segment-add over slice ``sl``, through
-        the workspace; returns the number of elements swept.  ``zeroed``
-        says ``vf`` is all ``+0.0`` (Algorithm 2's first sweep), so the
-        segment scatter sums straight into it — same bits, no scratch
-        round trip (:class:`~repro.core.segment.SegmentScatter`).
+        """Gather → local kernel → segment-add over the non-empty slice
+        ``sl``, through the workspace; returns the number of elements
+        swept.  ``zeroed`` says ``vf`` is all ``+0.0`` (Algorithm 2's
+        first sweep), so the segment scatter sums straight into it —
+        same bits, no scratch round trip
+        (:class:`~repro.core.segment.SegmentScatter`).
 
         ``uf``/``vf`` are flat local dof vectors — 1-D (k = 1, or an
         oracle column copied contiguous, so the oracle multivector path
         inherits the single-RHS bits column by column) or
         ``(n_dofs, k)`` blocks for the BLAS3 GEMM mode, where the element
         matrices are produced once for all k columns."""
-        n = self.e2l_dofs[sl].shape[0]
-        if n == 0:
-            return 0
+        n = sl.stop - sl.start
         if uf.ndim == 1:
             ue, ve = self._ws.views(n)
         else:
@@ -264,7 +266,7 @@ class EbeOperatorBase:
         """Counters and modeled compute of an ``n``-element sweep over
         ``k`` columns (k-scaled totals, so virtual-time studies stay
         independent of the multi-RHS mode)."""
-        flops = n * self.operator.emv_flops(self.etype) * k
+        flops = n * self._emv_flops * k
         self.comm.obs.incr("spmv.elements", n * k)
         self.comm.obs.incr("spmv.flops", flops)
         if self.modeled_rate_gflops:
@@ -277,8 +279,7 @@ class EbeOperatorBase:
     ) -> None:
         """One accounted elemental sweep (see :meth:`_gather_emv_add`)."""
         n = self._gather_emv_add(uf, vf, sl, zeroed)
-        if n:
-            self._account_sweep(n, 1 if uf.ndim == 1 else uf.shape[1])
+        self._account_sweep(n, 1 if uf.ndim == 1 else uf.shape[1])
 
     def _verify_ghosts(self, un: np.ndarray) -> None:
         """Flag non-finite received ghost values (fault-injection runs
@@ -322,30 +323,36 @@ class EbeOperatorBase:
         (and times) the local work of slice ``sl`` on the dof views
         ``uf`` / ``vf`` of ``un`` / ``vn``; ``part`` names the slice
         ``"independent"``, ``"dependent"`` or ``"all"``, and ``zeroed``
-        is true for the first sweep after ``vn`` is zeroed."""
+        is true for the first sweep after ``vn`` is zeroed.
+
+        A slice without elements runs no sweep and no timer (on one
+        rank the dependent slice is always empty): it would add ``+0.0``
+        seconds and no flops, so clocks, counters and bits are kept."""
         comm = self.comm
+        obs = comm.obs
         halo = self._halo_for(k)
         t0 = comm.vtime
         vn[:] = 0.0
         if overlap:
             reqs = halo.start_scatter(comm, un)
-            run("independent", self._sl_indep, uf, vf, True)
+            sl = self._sl_indep
+            if sl.stop > sl.start:
+                run("independent", sl, uf, vf, True)
             tw = comm.vtime
             halo.finish_scatter(comm, un, reqs)
         else:
             tw = comm.vtime
             halo.scatter(comm, un)
-        comm.obs.add("spmv.scatter.wait", comm.vtime - tw)
+        obs.record("spmv.scatter.wait", vtime=comm.vtime - tw)
         if self._check_ghosts:
             self._verify_ghosts(un)
-        if overlap:
-            run("dependent", self._sl_dep, uf, vf, False)
-        else:
-            run("all", self._sl_all, uf, vf, True)
+        sl = self._sl_dep if overlap else self._sl_all
+        if sl.stop > sl.start:
+            run("dependent" if overlap else "all", sl, uf, vf, not overlap)
         tg = comm.vtime
         halo.gather(comm, vn)
-        comm.obs.add("spmv.gather", comm.vtime - tg)
-        comm.obs.add("spmv.total", comm.vtime - t0)
+        obs.record("spmv.gather", vtime=comm.vtime - tg)
+        obs.record("spmv.total", vtime=comm.vtime - t0)
         self.spmv_count += k
 
     def _host_run(
@@ -370,8 +377,6 @@ class EbeOperatorBase:
             k = uf.shape[1]
             if k == 1:
                 self._emv_sweep(uf[:, 0], vf[:, 0], sl, zeroed)
-                return
-            if self.e2l_dofs[sl].shape[0] == 0:
                 return
             ut, vt = self._ws.column_views(uf.shape[0], k)
             np.copyto(ut, uf.T)
@@ -666,7 +671,7 @@ class EbeOperatorBase:
 
     def flops_per_spmv(self) -> float:
         """Local flops of one SPMV sweep (EMV only, paper's counting)."""
-        return self.n_local_elements * self.operator.emv_flops(self.etype)
+        return self.n_local_elements * self._emv_flops
 
 
 class HymvOperator(EbeOperatorBase):
@@ -781,8 +786,7 @@ class HymvOperator(EbeOperatorBase):
     ) -> np.ndarray:
         if self._csr is None or uf.ndim != 1:
             return super()._gather_emv(sl, uf, ue, ve)
-        start, stop, _ = sl.indices(self.n_local_elements)
-        return self._csr.matvec(start, stop, uf, ve)
+        return self._csr.matvec(sl.start, sl.stop, uf, ve)
 
     # -- adaptivity (the XFEM / AMR use-case, paper §I & §III) ------------
 
@@ -872,7 +876,7 @@ def reference_spmv(
     gather(comm, v.data, A.cmaps)
     n = A.n_local_elements
     comm.obs.incr("spmv.elements", n)
-    comm.obs.incr("spmv.flops", n * A.operator.emv_flops(A.etype))
+    comm.obs.incr("spmv.flops", n * A._emv_flops)
     return v
 
 

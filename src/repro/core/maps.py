@@ -26,6 +26,9 @@ class NodeMaps:
 
     Local slot layout: ``[0, n_pre)`` pre-ghosts, ``[n_pre,
     n_pre + n_owned)`` owned nodes (in global order), then post-ghosts.
+    Nothing mutates a ``NodeMaps`` after construction, so ``n_owned``,
+    ``n_pre``, ``n_post``, ``n_total`` and ``owned_slice`` are attributes
+    bound once, not properties the SPMV hot path re-derives per read.
     """
 
     n_begin: int
@@ -36,25 +39,12 @@ class NodeMaps:
     independent: np.ndarray  # local element indices, all-owned nodes
     dependent: np.ndarray  # local element indices touching ghosts
 
-    @property
-    def n_owned(self) -> int:
-        return self.n_end - self.n_begin
-
-    @property
-    def n_pre(self) -> int:
-        return int(self.ghost_pre.size)
-
-    @property
-    def n_post(self) -> int:
-        return int(self.ghost_post.size)
-
-    @property
-    def n_total(self) -> int:
-        return self.n_pre + self.n_owned + self.n_post
-
-    @property
-    def owned_slice(self) -> slice:
-        return slice(self.n_pre, self.n_pre + self.n_owned)
+    def __post_init__(self) -> None:
+        self.n_owned = self.n_end - self.n_begin
+        self.n_pre = int(self.ghost_pre.size)
+        self.n_post = int(self.ghost_post.size)
+        self.n_total = self.n_pre + self.n_owned + self.n_post
+        self.owned_slice = slice(self.n_pre, self.n_pre + self.n_owned)
 
     def local_to_global(self) -> np.ndarray:
         """Global id of every local slot."""

@@ -132,6 +132,9 @@ class HaloExchange:
     One instance per (operator, ndpn); not thread-safe, and at most one
     exchange per direction may be in flight at a time (the pack buffers
     are reused — fine under simmpi, whose ``isend`` copies payloads).
+
+    An exchange with no neighbour ranks (every one-rank run) is idle:
+    its scatter and gather return at once, as the full path would.
     """
 
     __slots__ = (
@@ -142,6 +145,7 @@ class HaloExchange:
         "recv_all",
         "recv_offsets",
         "_max_slot",
+        "_idle",
         "_sbuf",
         "_gbuf",
         "_acc",
@@ -173,6 +177,7 @@ class HaloExchange:
             int(self.send_all.max()) if self.send_all.size else -1,
             int(self.recv_all.max()) if self.recv_all.size else -1,
         )
+        self._idle = not (cmaps.send_ranks or cmaps.recv_ranks)
         self._sbuf = np.empty((self.send_all.size, self.ndpn))
         self._gbuf = np.empty((self.recv_all.size, self.ndpn))
         self._acc = np.empty((self.send_all.size, self.ndpn))
@@ -188,6 +193,8 @@ class HaloExchange:
 
     def start_scatter(self, comm: Communicator, data: np.ndarray) -> list[Request]:
         """Pack all owned send values and post the ghost-fill exchange."""
+        if self._idle:
+            return []
         self._check_len(data)
         if self.send_all.size:
             np.take(data, self.send_all, axis=0, out=self._sbuf, mode="clip")
@@ -211,6 +218,8 @@ class HaloExchange:
     def gather(self, comm: Communicator, data: np.ndarray) -> None:
         """Ship all ghost partial sums to their owners and accumulate the
         received contributions into my owned slots."""
+        if self._idle:
+            return
         self._check_len(data)
         if self.recv_all.size:
             np.take(data, self.recv_all, axis=0, out=self._gbuf, mode="clip")

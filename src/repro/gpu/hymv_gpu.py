@@ -95,8 +95,6 @@ class HymvGpuOperator(HymvOperator):
         (line 8); the modeled time is the chunked stream pipeline plus
         the host staging of both vector batches."""
         E = self._gather_emv_add(uf, vf, sl, zeroed)
-        if E == 0:
-            return 0.0
         nd = self.e2l_dofs.shape[1]
         vec_bytes = E * nd * 8
         t_host = vec_bytes / self._host_rate()
@@ -199,8 +197,6 @@ class HymvGpuOperator(HymvOperator):
     ) -> float:
         """Host EMV of a subset; returns modeled CPU duration."""
         E = self._gather_emv_add(uf, vf, sl, zeroed)
-        if E == 0:
-            return 0.0
         r = self.machine.rates
         eff = self.threads * r.omp_efficiency if self.threads > 1 else 1.0
         flops = 2.0 * E * self.e2l_dofs.shape[1] ** 2

@@ -86,11 +86,6 @@ class PhaseStats:
     wall: float = 0.0  # measured wall seconds
     count: int = 0
 
-    def add(self, vtime: float = 0.0, wall: float = 0.0, count: int = 1) -> None:
-        self.vtime += float(vtime)
-        self.wall += float(wall)
-        self.count += int(count)
-
     def as_dict(self) -> dict[str, float]:
         return {"vtime": self.vtime, "wall": self.wall, "count": self.count}
 
@@ -153,11 +148,14 @@ class Instrumentation:
     def record(
         self, label: str, vtime: float = 0.0, wall: float = 0.0, count: int = 1
     ) -> None:
-        """Accumulate one phase sample under a dotted ``label``."""
+        """Accumulate one phase sample under a dotted ``label`` (in place:
+        this runs several times per SPMV)."""
         stats = self.phases.get(label)
         if stats is None:
             stats = self.phases[label] = PhaseStats()
-        stats.add(vtime=vtime, wall=wall, count=count)
+        stats.vtime += float(vtime)
+        stats.wall += float(wall)
+        stats.count += int(count)
 
     @contextmanager
     def phase(self, name: str) -> Iterator["Instrumentation"]:

@@ -176,8 +176,9 @@ def _dirichlet_state(comm, A, maps, lmesh, spec) -> dict:
     d[rows] = 1.0
     return {
         "rows": rows,
-        # per-k (n_rows, k) scratch holding the constrained rows of a block
-        "row_vals": {},
+        # per-k work of :func:`_hat_multi`: (n_rows, k) scratch for the
+        # constrained rows, the work multivectors and their owned views
+        "hat_work": {},
         "u0": u0,
         "Au0": Au0,
         "M": JacobiPreconditioner(d),
@@ -264,16 +265,17 @@ def _hat_multi(st, X, mode="auto"):
     A, rows = st["A"], st["rows"]
     k = X.shape[1]
     if isinstance(A, EbeOperatorBase):
-        held = st["row_vals"].get(k)
-        if held is None:
-            held = st["row_vals"][k] = np.empty((rows.size, k))
-        U, V = A.work_multivectors(k)
-        U.set_owned(X)
-        Xc = U.owned_matrix  # C-contiguous, so take() gathers unbuffered
+        work = st["hat_work"].get(k)
+        if work is None:
+            U, V = A.work_multivectors(k)
+            work = st["hat_work"][k] = (
+                np.empty((rows.size, k)), U, V, U.owned_matrix, V.owned_matrix
+            )
+        held, U, V, Xc, Y = work
+        Xc[...] = X  # C-contiguous, so take() gathers unbuffered
         np.take(Xc, rows, axis=0, out=held, mode="clip")
         Xc[rows] = 0.0
         A.spmv_multi(U, V, mode=mode)
-        Y = V.owned_matrix
         Y[rows] = held
         return Y
     Xp = X.copy()
@@ -284,7 +286,8 @@ def _hat_multi(st, X, mode="auto"):
 
 
 def _apply_program(comm, st, Xr, mode="auto"):
-    return st["A"].apply_owned_multi(Xr, mode=mode)
+    # a work-block view: the caller's cross-rank stack is the one copy
+    return st["A"].apply_owned_multi(Xr, copy=False, mode=mode)
 
 
 def _rhs_hat(st, Fr):
@@ -314,7 +317,7 @@ def _solve_program(comm, st, Fr, rtol, maxiter, degraded, mode="auto"):
             apply_M=st["M"], rtol=rtol, maxiter=maxiter,
         )
     return {
-        "x": np.column_stack([r.x for r in res]),
+        "x": [r.x for r in res],  # columns; the caller stacks them once
         "iterations": [r.iterations for r in res],
         "converged": [r.converged for r in res],
         "restarts": [r.restarts for r in res],
@@ -419,10 +422,7 @@ class SolverContext:
         t0 = self.sim.max_vtime
         res = self.sim.run(
             program,
-            rank_args=[
-                (self.ranks[r], parts[r], *[e[r] for e in extra])
-                for r in range(self.n_parts)
-            ],
+            rank_args=list(zip(self.ranks, parts, *extra)),
             **kw,
         )
         return res, self.sim.max_vtime - t0
@@ -439,7 +439,7 @@ class SolverContext:
         batches on the bitwise per-column oracle.
         """
         res, dt = self._run(_apply_program, self._split(X), mode=mode)
-        return np.vstack(res), dt
+        return np.concatenate(res), dt
 
     def solve_multi(
         self,
@@ -462,8 +462,12 @@ class SolverContext:
             _solve_program, self._split(F),
             rtol=rtol, maxiter=maxiter, degraded=degraded, mode=mode,
         )
+        x = np.empty((self.n_dofs, F.shape[1]))
+        b = self._bounds
+        for r, part in enumerate(res):
+            np.stack(part["x"], axis=1, out=x[b[r]: b[r + 1]])
         return {
-            "x": np.vstack([r["x"] for r in res]),
+            "x": x,
             "iterations": res[0]["iterations"],
             "converged": res[0]["converged"],
             "restarts": res[0]["restarts"],

@@ -17,9 +17,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -115,7 +114,7 @@ class _Mailbox:
 
     def empty(self) -> bool:
         with self._cond:
-            return all(not q for q in self._queues.values())
+            return not any(self._queues.values())
 
 
 class Communicator:
@@ -158,11 +157,6 @@ class Communicator:
         """Traced ``(label, start, end)`` virtual-time intervals (legacy
         view over ``obs.events``)."""
         return [(e.label, e.t0, e.t1) for e in self.obs.events]
-
-    def _trace(
-        self, label: str, t0: float, t1: float, kind: str = "compute", **meta
-    ) -> None:
-        self.obs.event(label, t0, t1, kind=kind, **meta)
 
     # ------------------------------------------------------------------
     # point-to-point
@@ -256,7 +250,7 @@ class Communicator:
         if msg.checksum is not None and isinstance(req.payload, np.ndarray):
             if payload_checksum(req.payload) != msg.checksum:
                 self.obs.incr("faults.checksum_fail")
-                self._trace(
+                self.obs.event(
                     f"fault.checksum<-{req.peer}",
                     t0,
                     complete,
@@ -269,9 +263,10 @@ class Communicator:
         self.obs.incr("comm.bytes_recv", nbytes)
         self.obs.incr("comm.msgs_recv")
         self.obs.record("comm.wait", vtime=self.vtime - t0)
-        self._trace(
-            f"wait<-{req.peer}", t0, self.vtime, kind="wait", bytes=nbytes
-        )
+        if self.obs.trace_enabled:
+            self.obs.event(
+                f"wait<-{req.peer}", t0, self.vtime, kind="wait", bytes=nbytes
+            )
         return req.payload
 
     def _recover_dropped(
@@ -294,7 +289,7 @@ class Communicator:
             fi.retry_timeout + self.network.msg_time(req.peer, self.rank, nbytes)
         )
         self.obs.incr("faults.retries", msg.drops)
-        self._trace(
+        self.obs.event(
             f"fault.retry<-{req.peer}",
             complete,
             complete + retry_cost,
@@ -329,10 +324,9 @@ class Communicator:
     def allreduce(self, value: Any, op: str = "sum") -> Any:
         """Allreduce of a scalar or ndarray, reduced in rank order."""
         entries = self._sim.exchange(self.rank, (self.vtime, value))
-        tmax = max(t for t, _ in entries)
-        vals = [v for _, v in entries]
+        times, vals = zip(*entries)
         result = _reduce(vals, op)
-        self.vtime = tmax + self.network.allreduce_time(
+        self.vtime = max(times) + self.network.allreduce_time(
             self.size, _nbytes(vals[0])
         )
         return result
@@ -369,8 +363,7 @@ class Communicator:
     # compute accounting
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def compute(self, label: str = "compute"):
+    def compute(self, label: str = "compute") -> "_Compute":
         """Measure the enclosed local compute and advance the clock.
 
         Durations are measured with per-thread CPU time
@@ -378,25 +371,7 @@ class Communicator:
         pollute each other's measurements.  The measured time is scaled by
         the simulator's ``compute_scale`` before advancing virtual time.
         """
-        t0 = time.thread_time()
-        w0 = time.perf_counter()
-        v0 = self.vtime
-        try:
-            yield self
-        finally:
-            dt = (time.thread_time() - t0) * self._sim.compute_scale
-            if self._compute_factor != 1.0:
-                self.obs.incr(
-                    "faults.straggler_s", dt * (self._compute_factor - 1.0)
-                )
-                dt *= self._compute_factor
-            self.vtime += dt
-            # the virtual-time delta includes nested modeled advances, so
-            # hierarchical phases stay meaningful under compute_scale=0
-            self.obs.record(
-                label, vtime=self.vtime - v0, wall=time.perf_counter() - w0
-            )
-            self._trace(label, v0, self.vtime)
+        return _Compute(self, label)
 
     def advance(self, seconds: float, label: str = "modeled") -> None:
         """Advance virtual time by a modeled (not measured) duration.
@@ -414,10 +389,45 @@ class Communicator:
         v0 = self.vtime
         self.vtime += seconds
         self.obs.record(label, vtime=seconds)
-        self._trace(label, v0, self.vtime, kind="modeled")
+        if self.obs.trace_enabled:
+            self.obs.event(label, v0, self.vtime, kind="modeled")
 
 
-def _reduce(vals: list[Any], op: str) -> Any:
+class _Compute:
+    """:meth:`Communicator.compute`'s context manager (every sweep)."""
+
+    __slots__ = ("comm", "label", "t0", "w0", "v0")
+
+    def __init__(self, comm: Communicator, label: str):
+        self.comm = comm
+        self.label = label
+
+    def __enter__(self) -> Communicator:
+        self.t0 = time.thread_time()
+        self.w0 = time.perf_counter()
+        self.v0 = self.comm.vtime
+        return self.comm
+
+    def __exit__(self, *exc) -> None:
+        comm = self.comm
+        dt = (time.thread_time() - self.t0) * comm._sim.compute_scale
+        if comm._compute_factor != 1.0:
+            comm.obs.incr(
+                "faults.straggler_s", dt * (comm._compute_factor - 1.0)
+            )
+            dt *= comm._compute_factor
+        comm.vtime += dt
+        # the virtual-time delta includes nested modeled advances, so
+        # hierarchical phases stay meaningful under compute_scale=0
+        comm.obs.record(
+            self.label, vtime=comm.vtime - self.v0,
+            wall=time.perf_counter() - self.w0,
+        )
+        if comm.obs.trace_enabled:
+            comm.obs.event(self.label, self.v0, comm.vtime)
+
+
+def _reduce(vals: Sequence[Any], op: str) -> Any:
     if op == "sum":
         out = vals[0]
         if isinstance(out, np.ndarray):

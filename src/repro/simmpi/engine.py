@@ -27,6 +27,8 @@ class _Rendezvous:
         self._result: list[Any] = []
 
     def exchange(self, rank: int, value: Any) -> list[Any]:
+        if self._n == 1:  # nobody else takes part or waits: no lock
+            return [value]
         with self._cond:
             gen = self._gen
             self._slots[rank] = value
@@ -91,13 +93,12 @@ class Simulator:
         self.abort_event = threading.Event()
         self._mailboxes = [_Mailbox(self.abort_event) for _ in range(n_ranks)]
         self._rendezvous = _Rendezvous(n_ranks, self.abort_event)
+        #: ``exchange(rank, value)``: the collective substrate
+        self.exchange = self._rendezvous.exchange
         self.comms = [Communicator(self, r) for r in range(n_ranks)]
 
     def mailbox(self, rank: int) -> _Mailbox:
         return self._mailboxes[rank]
-
-    def exchange(self, rank: int, value: Any) -> list[Any]:
-        return self._rendezvous.exchange(rank, value)
 
     @property
     def vtimes(self) -> list[float]:

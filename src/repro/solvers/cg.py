@@ -248,20 +248,23 @@ def cg_multi(
         np.copyto(AP, Y.T)
         return AP
 
-    def reduce_dots(*pairs) -> np.ndarray:
-        """Allreduce of the row dots ``U[j]·V[j]`` of each pair.  A
+    def reduce_dots(U: np.ndarray, V: np.ndarray, V2=None) -> np.ndarray:
+        """Allreduce of the row dots ``U[j]·V[j]`` (and of ``U[j]·V2[j]``
+        as a second column, when ``V2`` is given).  A
         batched ``(1, n) @ (n, 1)`` matmul runs BLAS ddot on every
         contiguous row: the single-RHS operand, so the same bits.  The
         reduction is elementwise, so the (unread) slots of frozen rows
         touch no other slot.  The payload is fresh, so no rank reuses a
         buffer a sibling is still reducing."""
-        payload = np.concatenate(
-            [np.matmul(U[:, None], V[..., None]) for U, V in pairs], axis=1
-        )
+        payload = np.matmul(U[:, None], V[..., None])
+        if V2 is not None:
+            payload = np.concatenate(
+                (payload, np.matmul(U[:, None], V2[..., None])), axis=1
+            )
         t = comm.vtime
         out = comm.allreduce(payload.reshape(-1))
         obs.record("solve.reduce", vtime=comm.vtime - t)
-        return np.asarray(out).reshape(k, len(pairs))
+        return np.asarray(out).reshape(k, -1)
 
     X = np.zeros((k, n)) if x0 is None else np.asarray(
         x0, dtype=np.float64
@@ -280,8 +283,8 @@ def cg_multi(
     precond()
     P = Z.copy()
     # rz, pAp and coef are (k, 1) columns that broadcast along the rows
-    rz = reduce_dots((R, Z))
-    r0 = np.sqrt(reduce_dots((R, R))[:, 0])
+    rz = reduce_dots(R, Z)
+    r0 = np.sqrt(reduce_dots(R, R)[:, 0])
     tol = np.maximum(rtol * r0, atol)
     history = [r0]  # residual norms per iteration; row j reads to iters[j]
     iters = np.zeros(k, dtype=int)
@@ -305,7 +308,7 @@ def cg_multi(
     freeze(r0 == 0.0)
     while n_active and len(history) <= maxiter:
         matvec(P)
-        pAp = reduce_dots((P, AP))
+        pAp = reduce_dots(P, AP)
         bad = active & ~(pAp[:, 0] > 0.0)  # NaN breaks down too
         if np.count_nonzero(bad):
             raise RuntimeError(
@@ -318,7 +321,7 @@ def cg_multi(
         np.multiply(AP, coef, out=W, where=live)
         np.subtract(R, W, out=R, where=live)
         precond()
-        red = reduce_dots((R, R), (R, Z))
+        red = reduce_dots(R, R, Z)
         rn = np.sqrt(red[:, 0])
         history.append(rn)
         freeze(rn <= tol)

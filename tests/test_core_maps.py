@@ -166,3 +166,94 @@ def test_comm_maps_symmetry():
     for a in range(p):
         for b, ids in res[a][0].items():
             assert res[b][1][a] == ids  # same global ids, same order
+
+
+def test_bound_sizes_equal_array_derived_on_every_rank():
+    """``NodeMaps`` binds its sizes and owned slice once at construction;
+    on every rank of a 4-part partition whose elements straddle the node
+    ranges on both sides (pre- *and* post-ghosts) they equal the sizes of
+    the arrays they describe."""
+    mesh = box_hex_mesh(4, 4, 4)
+    p = 4
+    bounds = np.linspace(0, mesh.n_nodes, p + 1).astype(int)
+    # elements split along x while nodes are numbered z-fastest, so a
+    # rank's elements touch node ids below and above its owned range
+    order = np.argsort(mesh.coords[mesh.conn].mean(axis=1)[:, 0], kind="stable")
+    ghosts = []
+    for r, elems in enumerate(np.array_split(order, p)):
+        maps = build_node_maps(mesh.conn[elems], bounds[r], bounds[r + 1])
+        assert maps.n_owned == bounds[r + 1] - bounds[r]
+        assert maps.n_pre == maps.ghost_pre.size
+        assert maps.n_post == maps.ghost_post.size
+        assert maps.n_total == maps.local_to_global().size
+        assert maps.n_total == maps.n_pre + maps.n_owned + maps.n_post
+        assert maps.owned_slice == slice(maps.n_pre, maps.n_pre + maps.n_owned)
+        assert int(maps.e2l.max()) < maps.n_total
+        ghosts.append((maps.n_pre, maps.n_post))
+    assert sum(bool(pre and post) for pre, post in ghosts) >= 2, ghosts
+
+
+#: virtual clocks after one overlapped plus one blocking SPMV per rank
+#: under ``compute_scale=0`` and a 1 GFLOP/s modeled EMV rate, pinned as
+#: the driver produced them when it still entered a timer for an empty
+#: slice.  Rank 0 of the slab partition has no dependent elements,
+#: ranks 1-3 no independent ones.
+_EMPTY_SLICE_CLOCKS = {
+    "poisson": (
+        1.3569333333333332e-05,
+        1.3766333333333332e-05,
+        1.3960333333333333e-05,
+        1.3351333333333332e-05,
+    ),
+    "elasticity": (
+        2.8001333333333336e-05,
+        2.8192333333333338e-05,
+        2.837433333333334e-05,
+        2.774733333333334e-05,
+    ),
+}
+
+
+@pytest.mark.parametrize("physics", sorted(_EMPTY_SLICE_CLOCKS))
+@pytest.mark.parametrize("p", [1, 4])
+def test_empty_slice_sweeps_keep_bits_and_clocks(physics, p):
+    """A rank with an empty independent or dependent slice runs no sweep
+    for it: its product still has ``reference_spmv``'s bits, and its
+    virtual clock ends where running the empty sweep left it."""
+    from repro.core.hymv import HymvOperator, reference_spmv
+    from repro.fem import ElasticityOperator, PoissonOperator
+    from repro.mesh import jittered_hex_mesh
+
+    op = PoissonOperator() if physics == "poisson" else ElasticityOperator()
+    mesh = jittered_hex_mesh(3, 3, 3, ElementType.HEX8, jitter=0.25, seed=11)
+    part = build_partition(mesh, p, method="slab")
+
+    def prog(comm, lmesh):
+        A = HymvOperator(comm, lmesh, op, modeled_rate_gflops=1.0)
+        u, v = A.new_array(), A.new_array()
+        u.set_owned(
+            np.random.default_rng(comm.rank).standard_normal(A.n_dofs_owned)
+        )
+        products = []
+        for overlap in (True, False):
+            A.spmv(u, v, overlap=overlap)
+            products.append(v.owned_flat.copy())
+        clock = comm.vtime
+        ref = reference_spmv(A, u.copy(), A.new_array()).owned_flat
+        return A.n_independent, A.n_dependent, products, ref, clock
+
+    res, _ = run_spmd(
+        p, prog, rank_args=[(part.local(r),) for r in range(p)],
+        compute_scale=0.0,
+    )
+    for _, _, products, ref, _ in res:
+        for y in products:
+            np.testing.assert_array_equal(y.view(np.int64), ref.view(np.int64))
+    if p == 1:
+        (n_indep, n_dep, _, _, clock), = res
+        assert n_dep == 0
+        flops = n_indep * op.emv_flops(ElementType.HEX8)
+        assert clock == 2 * flops / 1e9
+    else:
+        assert res[0][1] == 0 and all(r[0] == 0 for r in res[1:])
+        assert tuple(r[4] for r in res) == _EMPTY_SLICE_CLOCKS[physics]

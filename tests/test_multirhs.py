@@ -362,3 +362,104 @@ def test_elasticity_multivector_elementtype(etype):
     # ndpn=3 stresses the packed (ndpn*k)-wide halo path
     results = _multi_vs_single("hymv", 2)
     assert all(ok for ok, _ in results)
+
+
+def _straddling_maps():
+    """Node maps of a rank with pre-ghosts, owned nodes and post-ghosts."""
+    from repro.core.maps import build_node_maps
+
+    return build_node_maps(np.array([[0, 3, 5, 6], [4, 5, 9, 8]]), 3, 7)
+
+
+def test_distributed_array_bound_views_share_data():
+    """``owned`` / ``owned_flat`` are bound once; a write through ``data``
+    shows in both, and a write through either shows in ``data``."""
+    from repro.core.da import DistributedArray
+
+    maps = _straddling_maps()
+    assert maps.n_pre and maps.n_post
+    for ndpn in (1, 3):
+        a = DistributedArray(maps, ndpn)
+        sl = maps.owned_slice
+        a.data[:] = np.arange(a.data.size).reshape(a.data.shape)
+        np.testing.assert_array_equal(a.owned, a.data[sl])
+        np.testing.assert_array_equal(a.owned_flat, a.data[sl].reshape(-1))
+        a.owned_flat[0] = -1.0
+        a.owned[-1, -1] = -2.0
+        assert a.data[sl][0, 0] == -1.0 and a.data[sl][-1, -1] == -2.0
+        a.set_owned(np.full(maps.n_owned * ndpn, 7.0))
+        assert (a.data[sl] == 7.0).all() and (a.owned_flat == 7.0).all()
+        a.zero()
+        assert not a.owned_flat.any()
+        b = a.copy()
+        b.data[:] = 5.0
+        assert (b.owned_flat == 5.0).all() and not a.owned_flat.any()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_multivector_bound_views_share_data(k):
+    """The four bound views of a ``DistributedMultiVector`` alias its
+    ``data`` in both directions."""
+    from repro.core.da import DistributedMultiVector
+
+    maps = _straddling_maps()
+    ndpn = 2
+    m = DistributedMultiVector(maps, ndpn, k)
+    sl = maps.owned_slice
+    m.data[:] = np.arange(m.data.size).reshape(m.data.shape)
+    np.testing.assert_array_equal(
+        m.node_view, m.data.reshape(maps.n_total, ndpn * k)
+    )
+    np.testing.assert_array_equal(
+        m.dof_view, m.data.reshape(maps.n_total * ndpn, k)
+    )
+    np.testing.assert_array_equal(m.owned, m.data[sl])
+    np.testing.assert_array_equal(
+        m.owned_matrix, m.data[sl].reshape(maps.n_owned * ndpn, k)
+    )
+    for view, index in (
+        (m.node_view, (0, 0)),
+        (m.dof_view, (-1, k - 1)),
+        (m.owned, (0, 1, 0)),
+        (m.owned_matrix, (1, 0)),
+    ):
+        view[index] = -3.0
+        assert np.count_nonzero(m.data == -3.0) == 1
+        m.data[m.data == -3.0] = 0.0
+    X = np.random.default_rng(k).standard_normal((maps.n_owned * ndpn, k))
+    m.set_owned(X)
+    np.testing.assert_array_equal(m.data[sl].reshape(-1, k), X)
+    np.testing.assert_array_equal(m.owned_matrix, X)
+    m.zero()
+    assert not m.node_view.any() and not m.owned_matrix.any()
+
+
+@pytest.mark.parametrize("method", ["hymv", "assembled"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_served_answers_are_caller_owned(method, k):
+    """``apply_multi`` / ``solve_multi`` answers are the one cross-rank
+    copy: mutating a returned ``Y`` or ``x`` changes neither the next
+    answer nor operator state, and a later product or solve leaves an
+    answer already returned untouched."""
+    from repro.serve import ProblemKey, SolverContext
+
+    ctx = SolverContext(ProblemKey("poisson", 4, 2, "hex8", 0, method))
+    rng = np.random.default_rng(k)
+    X, X2 = rng.standard_normal((2, ctx.n_dofs, k))
+
+    Y, _ = ctx.apply_multi(X)
+    ref = Y.copy()
+    Y[:] = np.nan
+    Y2, _ = ctx.apply_multi(X)
+    np.testing.assert_array_equal(Y2.view(np.int64), ref.view(np.int64))
+    ctx.apply_multi(X2)
+    np.testing.assert_array_equal(Y2.view(np.int64), ref.view(np.int64))
+
+    out, _ = ctx.solve_multi(X, rtol=1e-8)
+    xref = out["x"].copy()
+    out["x"][:] = np.nan
+    again, _ = ctx.solve_multi(X, rtol=1e-8)
+    np.testing.assert_array_equal(again["x"].view(np.int64), xref.view(np.int64))
+    ctx.solve_multi(X2, rtol=1e-8)
+    np.testing.assert_array_equal(again["x"].view(np.int64), xref.view(np.int64))
+    assert again["x"].flags.c_contiguous and again["x"].shape == (ctx.n_dofs, k)

@@ -66,6 +66,38 @@ def test_collectives_values_and_determinism():
             assert b == "hello"
 
 
+def test_one_rank_collectives_values_and_virtual_time():
+    """With one participant the rendezvous hands a rank its own value
+    back without a lock; every collective returns what it returned
+    through the lock, and costs no virtual time (a one-rank collective's
+    network time is 0)."""
+
+    def prog(comm):
+        comm.advance(1.5e-3)
+        arr = np.arange(3.0)
+        out = {
+            "sum": comm.allreduce(2.5),
+            "max": comm.allreduce(-1.0, op="max"),
+            "min": comm.allreduce(4.0, op="min"),
+            "arr": comm.allreduce(arr),
+            "gather": comm.allgather((7, 8)),
+            "bcast": comm.bcast("root"),
+            "alltoall": comm.alltoall([arr]),
+            "barrier": comm.barrier(),
+        }
+        return out, arr, comm.vtime
+
+    (out, arr, vtime), = run_spmd(1, prog)[0]
+    assert (out["sum"], out["max"], out["min"]) == (2.5, -1.0, 4.0)
+    np.testing.assert_array_equal(out["arr"], arr)
+    assert out["arr"] is not arr  # a reduction result is a fresh array
+    assert out["gather"] == [(7, 8)]
+    assert out["bcast"] == "root"
+    assert len(out["alltoall"]) == 1 and out["alltoall"][0] is arr
+    assert out["barrier"] is None
+    assert vtime == 1.5e-3
+
+
 def test_allreduce_array():
     def prog(comm):
         return comm.allreduce(np.full(3, float(comm.rank)))
