@@ -190,10 +190,6 @@ class OperatorDelta:
     coords: np.ndarray | None  # (k, n_nodes, 3) post-update rows
     scale: np.ndarray | None  # (k,) absolute scales
 
-    @property
-    def n_touched(self) -> int:
-        return int(self.local_elems.size)
-
 
 class CrackFront:
     """A planar crack front advancing through the unit cube along +x.

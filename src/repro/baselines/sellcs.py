@@ -103,6 +103,12 @@ class SellCSOperator(AssembledOperator):
         self.padded_nnz = padded
         self.occupancy = occ
 
+    def update_elements(self, local_elems, coords=None, stiffness_scale=None):
+        """Persist the inputs, then reassemble and reconvert (collective):
+        the SELL layout is a function of the whole CSR."""
+        self._set_inputs(local_elems, coords, stiffness_scale)
+        self.reassemble()
+
     def _workspaces(self, k: int) -> tuple:
         ws = self._sell_ws.get(k)
         if ws is None:

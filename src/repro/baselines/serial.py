@@ -1,7 +1,9 @@
 """Serial reference: global CSR assembly on the unpartitioned mesh.
 
 Used by the test suite as ground truth for every distributed SPMV and
-solve, and by the examples for small-problem verification.
+solve, and by the examples for small-problem verification.  It keeps
+SciPy's COO→CSR on purpose: an assembly independent of the sort-based
+routine in :mod:`repro.baselines.assembled` that it checks.
 """
 
 from __future__ import annotations

@@ -59,6 +59,34 @@ _EMV_PHASES = {
 }
 
 
+def check_update(local_elems, n_local, n_nodes, coords, stiffness_scale):
+    """Validated ``(local_elems, coords, scale)`` of an element update:
+    ids must lie in ``[0, n_local)`` (fancy indexing would wrap or clip
+    them into silently wrong numerics), coords be ``(n, n_nodes, 3)``;
+    a scalar scale is broadcast over the ``n`` elements."""
+    local_elems = as_index(local_elems)
+    n = local_elems.size
+    if n:
+        lo, hi = int(local_elems.min()), int(local_elems.max())
+        if lo < 0 or hi >= n_local:
+            raise IndexError(
+                f"update_elements: local element ids out of range "
+                f"[{lo}, {hi}] vs {n_local} local elements"
+            )
+        if coords is not None:
+            coords = np.asarray(coords, dtype=np.float64)
+            if coords.shape != (n, n_nodes, 3):
+                raise ValueError(
+                    f"coords shape {coords.shape} != {(n, n_nodes, 3)} for "
+                    f"{n} updated elements"
+                )
+        if stiffness_scale is not None:
+            stiffness_scale = np.broadcast_to(
+                np.asarray(stiffness_scale, dtype=np.float64), (n,)
+            )
+    return local_elems, coords, stiffness_scale
+
+
 class EbeOperatorBase:
     """Element-by-element machinery shared by HYMV and matrix-free."""
 
@@ -110,7 +138,6 @@ class EbeOperatorBase:
                         f"E2L dof map out of range: [{lo}, {hi}] vs "
                         f"{n_total_dofs} local dofs"
                     )
-            self._e2g_perm = lmesh.e2g[self._order]
             self._coords_perm = lmesh.coords[self._order]
             # optional per-element stiffness scale (local mesh order),
             # stored in permuted order like coords.  Absolute semantics:
@@ -537,48 +564,20 @@ class EbeOperatorBase:
         ("for block Jacobi preconditioner, HYMV needs to assemble the
         diagonal block matrix"): each rank contributes the (i, j) entries
         of its element matrices for which ``owner(i) == owner(j)``, and
-        ships off-rank contributions to that owner.  The result matches
-        the assembled baseline's diagonal block exactly.
+        ships off-rank contributions to that owner.  Fed in local-mesh
+        element order through the assembled baseline's
+        :func:`~repro.baselines.assembled.assemble_csr`, the result is its
+        ``A_diag`` bit for bit.
         """
-        import scipy.sparse as sp
+        from repro.baselines.assembled import assemble_csr  # import cycle
 
-        comm = self.comm
-        ndpn = self.ndpn
-        ke = self._element_matrices(self._sl_all)
-        with comm.compute("precond.block_local"):
-            nd = self.e2l_dofs.shape[1]
-            gdofs = (
-                self._e2g_perm[:, :, None] * ndpn
-                + np.arange(ndpn, dtype=INDEX_DTYPE)
-            ).reshape(self._e2g_perm.shape[0], nd)
-            rows = np.repeat(gdofs, nd, axis=1).reshape(-1)
-            cols = np.tile(gdofs, (1, nd)).reshape(-1)
-            vals = ke.reshape(-1)
-            ends = self._ranges[:, 1]
-            row_owner = np.searchsorted(ends, rows // ndpn, side="right")
-            col_owner = np.searchsorted(ends, cols // ndpn, side="right")
-            keep = row_owner == col_owner
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-            row_owner = row_owner[keep]
-            mine = row_owner == comm.rank
-            per_dest: list = [None] * comm.size
-            for r in np.unique(row_owner):
-                if r == comm.rank:
-                    continue
-                sel = row_owner == r
-                per_dest[int(r)] = (rows[sel], cols[sel], vals[sel])
-        t0 = comm.vtime
-        received = comm.alltoall(per_dest)
-        comm.obs.add("precond.block_comm", comm.vtime - t0)
-        with comm.compute("precond.block_assemble"):
-            parts = [(rows[mine], cols[mine], vals[mine])] + [
-                t for t in received if t is not None
-            ]
-            r = np.concatenate([t[0] for t in parts]) - self.maps.n_begin * ndpn
-            c = np.concatenate([t[1] for t in parts]) - self.maps.n_begin * ndpn
-            v = np.concatenate([t[2] for t in parts])
-            n = self.n_dofs_owned
-            block = sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
+        ke = self._element_matrices(self._sl_all)[self._inv_order]
+        _, _, (block, _, _) = assemble_csr(
+            self.comm, ke, self.lmesh.e2g, self.ndpn, self._ranges,
+            ("precond.block_local", "precond.block_comm",
+             "precond.block_assemble"),
+            diag_only=True,
+        )
         return block
 
     # -- adaptivity (the XFEM / AMR use-case, paper §I & §III) ------------
@@ -614,31 +613,17 @@ class EbeOperatorBase:
         indexing wrap or clip it into silently-wrong numerics — same
         hardening as the e2l map check at setup.
         """
-        local_elems = as_index(local_elems)
+        local_elems, coords, scale = check_update(
+            local_elems, self.n_local_elements, self.etype.n_nodes, coords,
+            stiffness_scale,
+        )
         if local_elems.size == 0:
             return
-        lo = int(local_elems.min())
-        hi = int(local_elems.max())
-        if lo < 0 or hi >= self.n_local_elements:
-            raise IndexError(
-                f"update_elements: local element ids out of range "
-                f"[{lo}, {hi}] vs {self.n_local_elements} local elements"
-            )
         pos = self._inv_order[local_elems]
         if coords is not None:
-            coords = np.asarray(coords, dtype=np.float64)
-            want = (pos.size, self.etype.n_nodes, 3)
-            if coords.shape != want:
-                raise ValueError(
-                    f"coords shape {coords.shape} != {want} for "
-                    f"{pos.size} updated elements"
-                )
             self._coords_perm[pos] = coords
         old_scale = None if self._scale_perm is None else self._scale_perm[pos]
-        if stiffness_scale is not None:
-            scale = np.broadcast_to(
-                np.asarray(stiffness_scale, dtype=np.float64), (pos.size,)
-            )
+        if scale is not None:
             if self._scale_perm is None:
                 self._scale_perm = np.ones(self.lmesh.n_local_elements)
             self._scale_perm[pos] = scale

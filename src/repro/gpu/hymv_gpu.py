@@ -231,8 +231,8 @@ class AssembledGpuOperator(AssembledOperator):
         )
 
     def update_elements(self, local_elems, coords=None, stiffness_scale=None):
-        """Full reassembly plus re-upload of the whole CSR — values and
-        structure both changed, so the device copy is rebuilt outright."""
+        """The host's fixed-pattern patch plus a re-upload of the whole
+        CSR: the device copy is rebuilt outright."""
         super().update_elements(
             local_elems, coords=coords, stiffness_scale=stiffness_scale
         )

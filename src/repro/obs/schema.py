@@ -144,7 +144,8 @@ REPORTS: dict[str, dict] = {
     # ADAPT_report.json: `python -m repro.harness adapt`.  Per scenario:
     # delta accounting (patches vs rebuilds), differential verification
     # tallies (delta-updated vs freshly built, bitwise) and the modeled
-    # costs of delta / full rebuild / CSR reassembly
+    # costs of delta / full rebuild / assembled patch / CSR reassembly
+    # (wall seconds of the three update paths under ``wall_s``)
     ADAPT_SCHEMA: {
         **_ENVELOPE,
         "scenarios": [{
@@ -154,9 +155,12 @@ REPORTS: dict[str, dict] = {
                 "max_fraction",
             ),
             "verify": _keys("checks", "bitwise", "wrong_answers"),
-            "costs": _keys(
-                "delta_s", "rebuild_s", "reassembly_s", "speedup_vs_rebuild"
-            ),
+            "costs": {
+                **_keys("delta_s", "rebuild_s", "assembled_patch_s",
+                        "reassembly_s", "speedup_vs_rebuild",
+                        "speedup_vs_assembled_patch"),
+                "wall_s": _keys("delta", "assembled_patch", "reassembly"),
+            },
             "cache": _CACHE,
             "steps_detail": [None],
             "counters": {},

@@ -222,13 +222,19 @@ def _setup_program(comm, lmesh, spec, method, kernel, modeled_rate,
     return st
 
 
-def _update_program(comm, st, od, n_model, spec, ke_flops, rate):
+def _update_program(comm, st, od, model, spec, ke_flops, rate):
     """Per-rank in-place delta patch: update the touched element batch,
-    advance the modeled recompute time, and mark the Dirichlet machinery
-    stale against ``spec`` (refreshed by the next solve, not here)."""
+    advance the modeled time of the element work it ran (``model`` of
+    the integrations and rescales the operator counted), and mark the
+    Dirichlet machinery stale against ``spec`` (refreshed by the next
+    solve, not here)."""
+    obs = comm.obs
+    ran = obs.counter("update.ke_recomputed"), obs.counter("update.ke_rescaled")
     st["A"].update_elements(
         od.local_elems, coords=od.coords, stiffness_scale=od.scale
     )
+    n_model = model(obs.counter("update.ke_recomputed") - ran[0],
+                    obs.counter("update.ke_rescaled") - ran[1])
     if rate and n_model:
         comm.advance(n_model * ke_flops / (rate * 1e9), "update.modeled")
     st["stale_spec"] = spec
@@ -532,19 +538,13 @@ class SolverContext:
             if fraction > threshold:
                 info = self._rebuild(spec, exclude=touched)
             else:
-                part = spec.partition
-                n_model = [
-                    self._model_count(ods[r].n_touched,
-                                      part.local(r).elements.size)
-                    for r in range(self.n_parts)
-                ]
                 kf = spec.operator.ke_flops(spec.mesh.etype)
                 self.sim.run(
                     _update_program,
                     rank_args=[
-                        (self.ranks[r], ods[r], n_model[r])
-                        for r in range(self.n_parts)
+                        (self.ranks[r], ods[r]) for r in range(self.n_parts)
                     ],
+                    model=self._model_count,
                     spec=spec,
                     ke_flops=kf,
                     rate=self.modeled_rate,
@@ -557,20 +557,20 @@ class SolverContext:
         self.delta_version += 1
         return info
 
-    def _model_count(self, touched_local: int, n_local: int) -> int:
-        """Elements whose matrices an in-place patch recomputes on one
-        rank: the touched batch for element-wise methods, everything for
-        the assembled baselines (reassembly is all-or-nothing — the
-        SELL-C-sigma operator reassembles and reconverts the same way),
-        nothing for matrix-free (state is coords/scale only).  HYMV
-        rescales instead on a scale-only patch; the model still charges
-        the touched batch, so virtual-time baselines stay put."""
-        method = self.key.method
-        if method == "matfree":
+    def _model_count(self, integrated: int, rescaled: int = 0) -> float:
+        """Element integrations one rank is charged for, in units of one
+        integration (``ke_flops``): a patch charges what the operator
+        ran — HYMV rescales a remembered matrix on a scale-only patch
+        (one multiply per stored entry, ``nd² / ke_flops`` of an
+        integration), the assembled baseline re-integrates the elements
+        around the touched nodes, SELL-C-sigma every element — and a
+        rebuild every element not carried over in a ``ke_cache``.
+        Matrix-free stores nothing and is charged nothing."""
+        if self.key.method == "matfree":
             return 0
-        if method.startswith("assembled") or method == "sellcs":
-            return n_local
-        return touched_local
+        op, etype = self.spec.operator, self.spec.mesh.etype
+        nd = etype.n_nodes * op.ndpn
+        return integrated + rescaled * nd * nd / op.ke_flops(etype)
 
     def _rebuild(self, spec_new, ref=None, exclude=None) -> dict:
         """Full re-setup on the same simulator, carrying unchanged
@@ -619,10 +619,7 @@ class SolverContext:
             rank_args=[
                 (
                     self.ranks[r],
-                    self._model_count(
-                        part.local(r).elements.size - hits[r],
-                        part.local(r).elements.size,
-                    ),
+                    self._model_count(part.local(r).elements.size - hits[r]),
                 )
                 for r in range(self.n_parts)
             ],

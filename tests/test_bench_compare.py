@@ -134,8 +134,12 @@ MINIMAL = {
             "deltas": {"applied": 1, "patches": 1, "rebuilds": 0,
                        "touched_total": 1, "max_fraction": 0.1},
             "verify": {"checks": 1, "bitwise": 1, "wrong_answers": 0},
-            "costs": {"delta_s": 1.0, "rebuild_s": 2.0, "reassembly_s": 3.0,
-                      "speedup_vs_rebuild": 2.0},
+            "costs": {"delta_s": 1.0, "rebuild_s": 2.0,
+                      "assembled_patch_s": 1.5, "reassembly_s": 3.0,
+                      "speedup_vs_rebuild": 2.0,
+                      "speedup_vs_assembled_patch": 1.5,
+                      "wall_s": {"delta": 1.0, "assembled_patch": 1.5,
+                                 "reassembly": 3.0}},
             "cache": _CACHE, "steps_detail": [], "counters": {},
         }],
     },
