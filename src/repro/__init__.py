@@ -4,7 +4,7 @@ architectures (IPDPS 2022), reproduced in Python.
 Top-level convenience re-exports; see the subpackages for the full API:
 
 * :mod:`repro.mesh` — elements, quadrature, structured/unstructured
-  meshes, refinement, quality.
+  meshes, refinement.
 * :mod:`repro.partition` — slab/RCB/graph partitioners (METIS substitute).
 * :mod:`repro.fem` — operators, loads, boundary conditions, exact
   solutions.

@@ -38,7 +38,7 @@ from repro.core.scatter import HaloExchange, build_comm_maps
 from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
-from repro.util.arrays import INDEX_DTYPE
+from repro.util.arrays import INDEX_DTYPE, WidestScratch
 
 __all__ = ["AssembledOperator", "assemble_csr", "patch_csr"]
 
@@ -290,11 +290,17 @@ class AssembledOperator:
         self.cmaps = build_comm_maps(comm, self.maps, ranges=self._ranges)
         comm.obs.add(f"{prefix}.comm_maps", comm.vtime - t0)
 
-        self.n_dofs_owned = self.A_diag.shape[0]
-        # packed halo exchanges and multi-RHS work buffers, per column
-        # count k, built against these node maps: a reassembly drops them
+        self.n_dofs_owned = n = self.A_diag.shape[0]
+        # packed halo exchanges per column count k, and the (U, Y) work
+        # of apply_owned_multi, built against these node maps: a
+        # reassembly drops them
         self._halos: dict[int, HaloExchange] = {}
-        self._work_multi: dict[int, tuple] = {}
+        maps, ndpn = self.maps, self.ndpn
+        size = maps.n_total * ndpn
+        self._work_multi = WidestScratch((size, n), lambda bufs, k: (
+            DistributedMultiVector(maps, ndpn, k, data=bufs[0][: size * k]),
+            bufs[1][: n * k].reshape(n, k),
+        ))
         if hasattr(self, "_work_u"):
             del self._work_u
 
@@ -419,20 +425,6 @@ class AssembledOperator:
         self.spmv_count += k
         return y
 
-    def _work(self, k: int) -> tuple:
-        """``(U, xcol, Y)`` for ``k`` columns: the GEMM mode's work
-        multivector, the oracle loop's contiguous column and its output
-        block."""
-        w = self._work_multi.get(k)
-        if w is None:
-            n = self.n_dofs_owned
-            w = self._work_multi[k] = (
-                DistributedMultiVector(self.maps, self.ndpn, k),
-                np.empty(n),
-                np.empty((n, k)),
-            )
-        return w
-
     def apply_owned(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
         """``y = A x`` on owned dofs; halo exchange overlapped with the
         diagonal-block product (PETSc's MatMult structure).
@@ -465,7 +457,10 @@ class AssembledOperator:
         as the 1-D path, so it matches the oracle to rounding; it is not
         bitwise (the halo blocks' partial sums add to the diag product in
         a different grouping).  ``copy=False`` may return an
-        operator-owned block, overwritten by the next same-``k`` call.
+        operator-owned block: every width views one buffer per role,
+        sized for the widest ``k`` seen
+        (:class:`~repro.util.arrays.WidestScratch`), so it is overwritten
+        by the next multi-RHS call of *any* width.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -474,11 +469,10 @@ class AssembledOperator:
         if k == 1:
             y = self.apply_owned(np.ascontiguousarray(X[:, 0]), copy=copy)
             return y.reshape(-1, 1)
-        U, xcol, Y = self._work(k)
+        U, Y = self._work_multi.get(k) or self._work_multi(k)
         if resolve_mode(mode, k) != "gemm":
             for j in range(k):
-                np.copyto(xcol, X[:, j])
-                Y[:, j] = self.apply_owned(xcol, copy=False)
+                Y[:, j] = self.apply_owned(X[:, j], copy=False)
         else:
             U.set_owned(X)
             Y = self._apply(U.node_view, U.dof_view, k)

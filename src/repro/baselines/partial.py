@@ -35,6 +35,10 @@ __all__ = ["PartialAssemblyOperator"]
 class PartialAssemblyOperator(EbeOperatorBase):
     """Matrix-free with precomputed geometric factors (libCEED-style)."""
 
+    # the elasticity contractions run as BLAS GEMMs whose summation order
+    # depends on the batch size, so GEMM sweeps stay whole slices
+    _chunked_gemm = False
+
     def __init__(self, comm, lmesh, operator, ranges=None, kernel="einsum",
                  modeled_rate_gflops=None, elem_scale=None):
         super().__init__(

@@ -20,9 +20,11 @@ order and are **bitwise-identical** to the assembled-CSR reference:
   equal to the oracle to rounding, not bitwise (same contract as every
   other operator's gemm mode).
 
-Steady state is allocation-free: all kernel buffers live in per-``k``
-:class:`~repro.core.sellcs.SellWorkspace` bundles cached on the
-operator and invalidated on reassembly.  Padding overhead is surfaced
+Steady state is allocation-free: all kernel buffers live in
+:class:`~repro.core.sellcs.SellWorkspace` bundles cached on the operator
+(the single-RHS set, and one multi-RHS set sized for the widest ``k``
+seen, which every narrower width shares) and invalidated on
+reassembly.  Padding overhead is surfaced
 through the ``sellcs.padded_nnz`` / ``sellcs.occupancy`` counters
 (maintained as *current values* across reassemblies, not running sums).
 """
@@ -87,7 +89,7 @@ class SellCSOperator(AssembledOperator):
                 else None
             )
             self._blocks = (self.S_diag, self.S_pre, self.S_post)
-            # per-k kernel workspaces of the three blocks
+            # kernel workspaces of the three blocks (see _workspaces)
             self._sell_ws: dict[int, tuple] = {}
         blocks = [s for s in (self.S_diag, self.S_pre, self.S_post) if s is not None]
         padded = sum(s.padded_nnz for s in blocks)
@@ -110,9 +112,14 @@ class SellCSOperator(AssembledOperator):
         self.reassemble()
 
     def _workspaces(self, k: int) -> tuple:
-        ws = self._sell_ws.get(k)
-        if ws is None:
-            ws = self._sell_ws[k] = tuple(
+        """The blocks' single-RHS workspaces at ``k = 1``; otherwise one
+        multi-RHS set sized for the widest ``k`` seen, rebuilt only when
+        a wider batch arrives."""
+        key = min(k, 2)
+        ws = self._sell_ws.get(key)
+        if ws is None or ws[0].k < k:
+            self._sell_ws[key] = None  # free the narrower set first
+            ws = self._sell_ws[key] = tuple(
                 None if S is None else SellWorkspace(S, k) for S in self._blocks
             )
         return ws
@@ -127,7 +134,8 @@ class SellCSOperator(AssembledOperator):
         """SELL slice kernel (1-D) or chunk-batched matmul (``(·, k)``)
         of block ``i``, into the block's workspace buffer —
         allocation-free in steady state, so ``copy=False`` results are
-        workspace-owned."""
+        workspace-owned and overwritten by the next product of any
+        width."""
         if x.ndim == 1:
             return sell_spmv(self._blocks[i], x, self._workspaces(1)[i])
         k = x.shape[1]

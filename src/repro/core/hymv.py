@@ -12,7 +12,7 @@ Storage layout: local elements are permuted so the independent set is a
 contiguous prefix and the dependent set a contiguous suffix.  The two
 Algorithm-2 sweeps then operate on *views* of the stored element-matrix
 batch — no per-SPMV copies.  For linear elements
-(``nd <= CSR_VIEW_MAX_ND``) HYMV's default kernel reads that batch
+(``nd <= CSR_VIEW_MAX_ND``) either HYMV kernel reads that batch
 through a :class:`~repro.core.kernels.KeCsrView`: each k = 1 or oracle
 sweep is one SciPy CSR matvec that gathers and multiplies in C, with
 the bits of paper eq. (4) (:func:`~repro.core.kernels.emv_columns` on
@@ -32,7 +32,6 @@ from repro.core.kernels import (
     EMV_KERNELS,
     EmvWorkspace,
     KeCsrView,
-    accumulate_element_vectors,
     emv_columns,
     gather_element_vectors,
     resolve_mode,
@@ -49,7 +48,13 @@ from repro.core.segment import SegmentScatter, _csr_matvec
 from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
-from repro.util.arrays import INDEX_DTYPE, as_index, inverse_permutation, scatter_add
+from repro.util.arrays import (
+    INDEX_DTYPE,
+    WidestScratch,
+    as_index,
+    inverse_permutation,
+    scatter_add,
+)
 
 __all__ = ["EbeOperatorBase", "HymvOperator", "reference_spmv"]
 
@@ -89,6 +94,10 @@ def check_update(local_elems, n_local, n_nodes, coords, stiffness_scale):
 
 class EbeOperatorBase:
     """Element-by-element machinery shared by HYMV and matrix-free."""
+
+    #: whether GEMM sweeps may run in element chunks, i.e. whether the
+    #: local kernel's bits are independent of the batch size
+    _chunked_gemm = True
 
     def __init__(
         self,
@@ -185,8 +194,10 @@ class EbeOperatorBase:
         # zero-allocation hot path: preallocated EMV workspace, packed
         # halo buffers and precomputed segment-sum scatters per sweep
         with comm.compute("setup.workspace"):
+            E = lmesh.n_local_elements
             self._ws = EmvWorkspace(
-                lmesh.n_local_elements, self.e2l_dofs.shape[1]
+                E, self.e2l_dofs.shape[1],
+                chunk=None if self._chunked_gemm else E,
             )
             self._seg_indep = SegmentScatter(self.e2l_dofs[self._sl_indep])
             self._seg_dep = SegmentScatter(self.e2l_dofs[self._sl_dep])
@@ -195,8 +206,13 @@ class EbeOperatorBase:
             self._halos: dict[int, HaloExchange] = {}
             self.halo = self._halo_for(1)
         self._seg_all: SegmentScatter | None = None
-        # work multivectors backing apply_owned_multi, cached per k
-        self._work_multi: dict[int, tuple] = {}
+        # the (U, V) work multivectors backing apply_owned_multi
+        maps, ndpn = self.maps, self.ndpn
+        n = maps.n_total * ndpn
+        self._work_multi = WidestScratch((n, n), lambda bufs, k: tuple(
+            DistributedMultiVector(maps, ndpn, k, data=b[: n * k])
+            for b in bufs
+        ))
 
     # -- construction helpers -------------------------------------------
 
@@ -275,19 +291,32 @@ class EbeOperatorBase:
         oracle column copied contiguous, so the oracle multivector path
         inherits the single-RHS bits column by column) or
         ``(n_dofs, k)`` blocks for the BLAS3 GEMM mode, where the element
-        matrices are produced once for all k columns."""
+        matrices are produced once for all k columns, chunk by chunk
+        (:meth:`_emv_chunks`) with one sweep's bits."""
         n = sl.stop - sl.start
-        if uf.ndim == 1:
-            ue, ve = self._ws.views(n)
-        else:
-            ue, ve = self._ws.multi_views(n, uf.shape[1])
-        ve = self._gather_emv(sl, uf, ue, ve)
         seg = self._segment_for(sl)
         if uf.ndim == 1:
-            seg.add_into(vf, ve, zeroed=zeroed)
+            ue, ve = self._ws.views(n)
+            seg.add_into(vf, self._gather_emv(sl, uf, ue, ve), zeroed=zeroed)
+            return n
+        ws = self._ws
+        if n <= ws.chunk:  # one chunk, without a generator
+            ue, ve = ws.multi_views(n, uf.shape[1])
+            chunks = (self._gather_emv(sl, uf, ue, ve),)
         else:
-            seg.add_into_multi(vf, ve, zeroed=zeroed)
+            chunks = self._emv_chunks(sl, uf)
+        seg.add_chunks_multi(vf, chunks, ws.chunk * ws.nd, zeroed)
         return n
+
+    def _emv_chunks(self, sl: slice, uf: np.ndarray):
+        """Element products of ``sl`` for the ``(n_dofs, k)`` block
+        ``uf``, yielded per chunk of ``chunk`` elements through the
+        workspace's chunk-sized pair."""
+        c, k = self._ws.chunk, uf.shape[1]
+        for a in range(sl.start, sl.stop, c):
+            b = min(a + c, sl.stop)
+            ue, ve = self._ws.multi_views(b - a, k)
+            yield self._gather_emv(slice(a, b), uf, ue, ve)
 
     def _account_sweep(self, n: int, k: int) -> None:
         """Counters and modeled compute of an ``n``-element sweep over
@@ -505,17 +534,12 @@ class EbeOperatorBase:
         self, k: int
     ) -> tuple[DistributedMultiVector, DistributedMultiVector]:
         """The operator-owned ``(U, V)`` work pair of width ``k`` behind
-        :meth:`apply_owned_multi`, built on first use.  Callers that fill
-        ``U`` themselves and run :meth:`spmv_multi` (the Dirichlet block
-        operator of :mod:`repro.serve.cache`) skip the input and output
-        copies; both are overwritten by the next same-``k`` product."""
-        pair = self._work_multi.get(k)
-        if pair is None:
-            pair = self._work_multi[k] = (
-                self.new_multivector(k),
-                self.new_multivector(k),
-            )
-        return pair
+        :meth:`apply_owned_multi`.  Callers that fill ``U`` themselves and
+        run :meth:`spmv_multi` (the Dirichlet block operator of
+        :mod:`repro.serve.cache`) skip the input and output copies.  Every
+        width views one buffer per role sized for the widest ``k`` seen,
+        so both are overwritten by the next work product of *any* width."""
+        return self._work_multi.get(k) or self._work_multi(k)
 
     def apply_owned_multi(
         self, X: np.ndarray, copy: bool = True, mode: str = "auto"
@@ -527,10 +551,10 @@ class EbeOperatorBase:
         is bitwise identical to ``apply_owned(X[:, j])``; the resolved
         ``"gemm"`` mode (``auto`` picks it for ``k >= DEFAULT_K_MIN``) runs
         the BLAS3 elemental stage and matches to rounding (see
-        :meth:`spmv_multi`).  Work multivectors are cached per distinct
-        ``k``; the aliasing contract matches ``apply_owned``
-        (``copy=False`` returns a view overwritten by the next call with
-        the same ``k``).
+        :meth:`spmv_multi`).  The work multivectors are
+        :meth:`work_multivectors`; the aliasing contract matches
+        ``apply_owned`` except that ``copy=False`` returns a view
+        overwritten by the next multi-RHS product of *any* width.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -718,23 +742,22 @@ class HymvOperator(EbeOperatorBase):
                     [ke_cache[int(g)] for g in gids[hit]], axis=0
                 )
         self.cache_hits = int(hit.sum())
-        # column-major matrix layout for the ``columns`` kernel: the
-        # strided ``ke[:, :, j]`` reads fetch a full cache line per
-        # double; ``_kcol[j]`` streams the same column contiguously
-        # (paper eq. 4's SIMD layout).  Same operands, same add order —
-        # bitwise identical products.
-        self._kcol: np.ndarray | None = None
         # remembered unit-scale matrices ``Ke(coords)`` of patched rows,
         # allocated on the first patch (untouched rows stay unfaulted)
         self._unit: np.ndarray | None = None
         self._unit_known: np.ndarray | None = None
-        if self.kernel_name == "columns":
+        # linear elements: either kernel's single-RHS sweeps run as one
+        # CSR matvec over a view of ``ke`` (gather + EMV in C), with the
+        # ``columns`` kernel's eq. (4) bits; the GEMM mode keeps matmul
+        self._eq4 = nd <= CSR_VIEW_MAX_ND
+        # larger elements under ``columns`` (the eq. 4 ablation) stream
+        # a column-major copy: strided ``ke[:, :, j]`` reads fetch a full
+        # cache line per double, ``_kcol[j]`` is contiguous (paper eq.
+        # 4's SIMD layout).  Same operands, same add order, same bits.
+        self._kcol: np.ndarray | None = None
+        if self.kernel_name == "columns" and not self._eq4:
             with comm.compute("setup.column_layout"):
                 self._kcol = np.ascontiguousarray(self.ke.transpose(2, 0, 1))
-        # linear elements: the default kernel's single-RHS sweeps run as
-        # one CSR matvec over a view of ``ke`` (gather + EMV in C), with
-        # eq. (4)'s bits; the GEMM mode keeps the batched matmul
-        self._eq4 = self.kernel_name == "einsum" and nd <= CSR_VIEW_MAX_ND
         self._csr: KeCsrView | None = None
         if self._eq4 and _csr_matvec is not None:
             with comm.compute("setup.csr_view"):
@@ -857,7 +880,7 @@ def reference_spmv(
         idx = A.e2l_dofs[sl]
         if idx.shape[0]:
             ve = A._local_emv(sl, gather_element_vectors(uf, idx))
-            accumulate_element_vectors(vf, idx, ve)
+            scatter_add(vf, idx, ve)
     gather(comm, v.data, A.cmaps)
     n = A.n_local_elements
     comm.obs.incr("spmv.elements", n)

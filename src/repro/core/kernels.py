@@ -54,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.segment import _csr_matvec
-from repro.util.arrays import scatter_add
+from repro.util.arrays import WidestScratch
 
 __all__ = [
     "emv_einsum",
@@ -62,11 +62,11 @@ __all__ = [
     "EMV_KERNELS",
     "EMV_MODES",
     "DEFAULT_K_MIN",
+    "GEMM_CHUNK_BYTES",
     "EmvWorkspace",
     "CSR_VIEW_MAX_ND",
     "KeCsrView",
     "gather_element_vectors",
-    "accumulate_element_vectors",
     "gemm_equivalence_rtol",
     "resolve_mode",
 ]
@@ -236,6 +236,30 @@ def _emv_multi(single, ke, ue, out):
 EMV_KERNELS = {"einsum": emv_einsum, "columns": emv_columns}
 
 
+#: element-chunk budget of the GEMM multi-RHS sweep: a slice of more
+#: than ``C = GEMM_CHUNK_BYTES // (128 nd)`` elements runs gather ->
+#: GEMM -> segment-add on chunks of ``C``, whose ``(ue, ve)`` element
+#: blocks fill the budget at k = 8 (``2 * C * nd * 8`` doubles) instead
+#: of spanning the mesh.  ``C`` depends on ``nd`` alone, so one set of
+#: chunk plans serves every k.  Median ms of single-rank k = 8 GEMM
+#: ``apply_owned_multi`` calls by budget, 9 interleaved rounds, 2-vCPU
+#: x86-64 host (2 MiB L2 per core), NumPy 2.4 ("none" is one block;
+#: ``C`` at 1 MiB in brackets):
+#:
+#:     shape (elements, nd) [C]      none  256K  512K    1M    2M    4M
+#:     HEX8 nel=16 (4096, 8) [1024]  1.24  1.31  1.33  1.29  1.30  1.23
+#:     HEX8 nel=32 (32768, 8) [1024] 13.5  11.9  11.3  10.9  11.3  10.9
+#:     TET4 nel=10 (6000, 4) [2048]  0.78  0.70  0.63  0.71  0.80  0.80
+#:     elastic HEX8 (1024, 24) [341] 1.16  1.31  1.22  1.24  1.23  1.12
+#:     elastic HEX20 (512, 60) [136] 3.18  2.91  2.80  2.96  2.85  3.02
+#:
+#: Out of cache (``nel=32``) chunks run 0.8x; elsewhere every budget is
+#: within the host's noise of one block (each chunk costs ~10 us of
+#: Python), while a k = 8 sweep's scratch shrinks from ``16 E nd`` to
+#: ``16 C nd`` doubles: a constant, not a tuning knob.
+GEMM_CHUNK_BYTES = 1 << 20
+
+
 class EmvWorkspace:
     """Preallocated scratch for the EMV sweep hot path (Alg. 2).
 
@@ -247,23 +271,29 @@ class EmvWorkspace:
     * ``ve`` — elemental products, same shape;
     * ``tmp`` — per-column FMA scratch for the ``columns`` kernel.
 
-    The GEMM multi-RHS path widens the scratch to ``(n_elements, nd, k)``
-    pairs, cached per ``k`` on first use (:meth:`multi_views`) so a
-    steady-state sweep over a repeating batch width allocates nothing;
-    the oracle path at ``k > 1`` sweeps a transposed, row-contiguous
-    copy of the multivector (:meth:`column_views`), sized for the
-    widest batch seen.
+    The GEMM multi-RHS path sweeps ``chunk`` elements at a time (by
+    default from :data:`GEMM_CHUNK_BYTES`) through a chunk-sized
+    ``(ue, ve)`` pair (:meth:`multi_views`); the oracle path at
+    ``k > 1`` sweeps a transposed, row-contiguous copy of the
+    multivector (:meth:`column_views`).  Both pairs are sized for the
+    widest batch seen, so a steady-state sweep allocates nothing.
     """
 
-    __slots__ = ("n_elements", "nd", "ue", "ve", "_tmp", "_multi", "_cols")
+    __slots__ = ("n_elements", "nd", "chunk", "ue", "ve", "_tmp", "_multi",
+                 "_cols")
 
-    def __init__(self, n_elements: int, nd: int):
+    def __init__(self, n_elements: int, nd: int, chunk: int | None = None):
         self.n_elements = int(n_elements)
         self.nd = int(nd)
+        if chunk is None:
+            chunk = GEMM_CHUNK_BYTES // (128 * self.nd)
+        self.chunk = max(1, min(self.n_elements, int(chunk)))
         self.ue = np.empty((self.n_elements, self.nd))
         self.ve = np.empty((self.n_elements, self.nd))
         self._tmp: np.ndarray | None = None  # columns kernel only
-        self._multi: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._multi = WidestScratch(  # GEMM mode only
+            (self.chunk * self.nd,) * 2, lambda bufs, k: bufs
+        )
         self._cols: np.ndarray | None = None  # oracle k > 1 only
 
     @property
@@ -280,19 +310,11 @@ class EmvWorkspace:
         return self.ue[:n], self.ve[:n]
 
     def multi_views(self, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Leading-slice views ``(ue, ve)`` of ``(n, nd, k)`` multivector
-        scratch for a GEMM sweep of ``n`` elements over ``k`` columns.
-
-        The full-size ``(n_elements, nd, k)`` buffers are allocated on
-        the first call for a given ``k`` and reused afterwards.
-        """
-        if k not in self._multi:
-            self._multi[k] = (
-                np.empty((self.n_elements, self.nd, k)),
-                np.empty((self.n_elements, self.nd, k)),
-            )
-        ue, ve = self._multi[k]
-        return ue[:n], ve[:n]
+        """``(n, nd, k)`` views ``(ue, ve)`` of the GEMM scratch for
+        ``n <= chunk`` elements over ``k`` columns."""
+        ue, ve = self._multi.get(k) or self._multi(k)
+        size, shape = n * self.nd * k, (n, self.nd, k)
+        return ue[:size].reshape(shape), ve[:size].reshape(shape)
 
     def column_views(self, n_dofs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """``(k, n_dofs)`` scratch pair ``(U^T, V^T)`` whose rows are
@@ -407,24 +429,3 @@ def gather_element_vectors(
     np.take(flat_data, idx, out=out, mode="clip")
     return out
 
-
-def accumulate_element_vectors(
-    flat_data: np.ndarray,
-    e2l_dofs: np.ndarray,
-    ve: np.ndarray,
-    elems: np.ndarray | None = None,
-) -> None:
-    """Accumulate element vectors ``ve`` (Alg. 2 line 6) into a flat
-    local dof vector.
-
-    A ``(n_dofs, k)`` destination with ``(E, nd, k)`` products is
-    accumulated column by column through the same ``scatter_add``, so
-    each column's additions happen in the single-RHS order (bitwise
-    contract of the multi-RHS path).
-    """
-    idx = e2l_dofs if elems is None else e2l_dofs[elems]
-    if flat_data.ndim == 2:
-        for j in range(flat_data.shape[1]):
-            scatter_add(flat_data[:, j], idx, np.ascontiguousarray(ve[:, :, j]))
-        return
-    scatter_add(flat_data, idx, ve)

@@ -44,6 +44,9 @@ payload.  Untouched rows below ``touched[-1]`` are read and written back
 unchanged.  A non-C-contiguous destination and the NumPy fallback take
 the grouped path, with the same bits.
 
+A GEMM multi-RHS sweep hands its element values over chunk by chunk
+(:meth:`SegmentScatter.add_chunks_multi`), with the same bits.
+
 The fast path drives SciPy's CSR matvec kernel (a tight C loop summing
 each row sequentially; the stored unit coefficients contribute each
 value exactly, since ``1.0 * x`` is exact in IEEE-754).  When the
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.arrays import INDEX_DTYPE
+from repro.util.arrays import INDEX_DTYPE, WidestScratch
 
 __all__ = ["SegmentScatter"]
 
@@ -103,15 +106,17 @@ class SegmentScatter:
         "_sorted",
         "_use_csr",
         "_multi",
+        "_plans",
+        "_plan_width",
     )
 
     def __init__(self, idx: np.ndarray, force_fallback: bool = False):
         flat = np.ascontiguousarray(idx, dtype=INDEX_DTYPE).reshape(-1)
         self.m = int(flat.size)
         self._use_csr = (_csr_matvec is not None) and not force_fallback
-        # per-k (seg, acc, sorted) scratch for add_into_multi, cached on
-        # first use so steady-state multi-RHS sweeps allocate nothing
-        self._multi: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._plans: tuple = ()  # of one chunk width
+        self._plan_width = 0
+        self._full_indptr = None
         if self.m == 0:
             self.touched = np.empty(0, dtype=INDEX_DTYPE)
             self.indptr = np.zeros(1, dtype=np.int32)
@@ -156,6 +161,11 @@ class SegmentScatter:
                 np.arange(k, dtype=INDEX_DTYPE), lengths
             )
             self._sorted = np.empty(self.m)
+        # the multi-RHS grouped path's (seg, acc) scratch
+        self._multi = WidestScratch(
+            (k, k),
+            lambda bufs, n: tuple(b[: k * n].reshape(k, n) for b in bufs),
+        )
 
     @property
     def n_touched(self) -> int:
@@ -241,66 +251,97 @@ class SegmentScatter:
         each row's terms sequentially per column), so the result is
         bitwise identical per column to the 1-D path.
 
-        Allocation-free once the per-``k`` scratch exists (first call
-        for a given ``k`` allocates it).  ``zeroed=True`` on a C-contiguous
-        destination sums straight into it with the same bits, as in
-        :meth:`add_into`, and needs no scratch.
+        ``zeroed=True`` on a C-contiguous destination sums straight into
+        it with the same bits, as in :meth:`add_into`, and needs no
+        scratch; otherwise the grouped path's ``(n_touched, k)`` scratch
+        is sized for the widest ``k`` seen, so every narrower batch
+        reuses it and a steady-state call allocates nothing.
         """
-        k = int(vals.shape[-1])
-        if out.ndim != 2 or out.shape[1] != k:
-            raise ValueError(
-                f"destination/value column mismatch: out has shape "
-                f"{out.shape}, vals end in k={k}"
-            )
+        return self.add_chunks_multi(out, (vals,), self.m, zeroed)
+
+    def add_chunks_multi(
+        self, out: np.ndarray, chunks, width: int, zeroed: bool = False
+    ) -> np.ndarray:
+        """:meth:`add_into_multi` of a value batch that arrives in
+        consecutive chunks of ``width`` entries (the last may be
+        shorter): ``chunks`` yields each chunk's ``(entries, k)`` rows
+        (any shape flattening to them), each consumed before the next is
+        requested, so one chunk-sized buffer can carry them all.
+
+        Same bits as one call: SciPy's ``csr_matvecs`` adds into its
+        destination and a chunk's plan lists its entries in (dof,
+        occurrence) order, so each chunk continues every row's
+        sequential sum — in ``out`` (zeroed) or in the segment scratch
+        added to ``out`` once per touched dof (grouped).  The NumPy
+        fallback continues them with ``np.add.at`` (it allocates).
+        """
+        if out.ndim != 2:
+            raise ValueError(f"expected an (n_dofs, k) out, got {out.shape}")
         if self.m == 0:
             return out
-        flat_vals = vals.reshape(self.m, k)
-        if not flat_vals.flags.c_contiguous:
-            flat_vals = np.ascontiguousarray(flat_vals)
         if self.touched[-1] >= out.shape[0]:
             raise IndexError(
                 f"SegmentScatter: destination too small (max touched dof "
                 f"{int(self.touched[-1])}, out has {out.shape[0]} entries)"
             )
-        if self._direct(out, zeroed):
-            _csr_matvecs(
-                self._full_indptr.size - 1,
-                self.m,
-                k,
-                self._full_indptr,
-                self.indices,
-                self._data,
-                flat_vals,
-                out,
-            )
-            return out
-        seg, acc, srt = self._multi_scratch(k)
-        seg.fill(0.0)
-        if self._use_csr:
-            _csr_matvecs(
-                self.n_touched,
-                self.m,
-                k,
-                self.indptr,
-                self.indices,
-                self._data,
-                flat_vals,
-                seg,
-            )
+        k = out.shape[1]
+        direct = self._direct(out, zeroed)
+        if not direct:
+            seg, acc = self._multi.get(k) or self._multi(k)
+            seg.fill(0.0)
+        if width >= self.m:  # one chunk: the plan is the structure itself
+            plans = ((0, self._full_indptr, 0, self.indptr, self.indices),)
         else:
-            np.take(flat_vals, self.indices, axis=0, out=srt, mode="clip")
-            np.add.at(seg, self._segids, srt)
-        np.take(out, self.touched, axis=0, out=acc, mode="clip")
-        np.add(acc, seg, out=acc)
-        out[self.touched] = acc
+            plans = self._chunk_plans(width)
+        for (lo, full, r_lo, indptr, idx), vals in zip(plans, chunks):
+            flat = vals.reshape(idx.size, k)
+            if not flat.flags.c_contiguous:
+                flat = np.ascontiguousarray(flat)
+            if direct:
+                _csr_matvecs(full.size - 1, idx.size, k, full, idx,
+                             self._data, flat, out[lo:])
+            elif self._use_csr:
+                _csr_matvecs(indptr.size - 1, idx.size, k, indptr, idx,
+                             self._data, flat, seg[r_lo:])
+            else:
+                rows = np.repeat(
+                    np.arange(r_lo, r_lo + indptr.size - 1), np.diff(indptr)
+                )
+                np.add.at(seg, rows, flat[idx])
+        if not direct:
+            np.take(out, self.touched, axis=0, out=acc, mode="clip")
+            np.add(acc, seg, out=acc)
+            out[self.touched] = acc
         return out
 
-    def _multi_scratch(self, k: int):
-        if k not in self._multi:
-            kt = self.n_touched
-            self._multi[k] = (
-                np.empty((kt, k)),
-                np.empty((kt, k)),
-                np.empty((self.m if not self._use_csr else 0, k)),
-            )
-        return self._multi[k]
+    def _chunk_plans(self, width: int) -> tuple:
+        """``(lo, full_indptr, r_lo, indptr, indices)`` per chunk of
+        ``width`` entries: its entries in (dof, occurrence) order as
+        positions within the chunk, with CSR row pointers over
+        destination rows ``lo..`` (untouched dofs as empty rows) and
+        over segment rows ``r_lo..``.  Built once per width; a chunk's
+        plan costs its entries plus its dof span."""
+        if self._plan_width != width:
+            rows = np.repeat(np.arange(self.n_touched), np.diff(self.indptr))
+            chunk = self.indices // width
+            order = np.argsort(chunk, kind="stable")
+            bounds = np.cumsum(np.bincount(chunk))
+            plans = []
+            for c, sel in enumerate(np.split(order, bounds[:-1])):
+                r = rows[sel]
+                dofs = self.touched[r]
+                plans.append((
+                    int(dofs[0]), _row_pointer(dofs - dofs[0]),
+                    int(r[0]), _row_pointer(r - r[0]),
+                    (self.indices[sel] - c * width).astype(np.int32),
+                ))
+            self._plans, self._plan_width = tuple(plans), width
+        return self._plans
+
+
+def _row_pointer(rows: np.ndarray) -> np.ndarray:
+    """int32 CSR row pointer of the sorted, non-negative row ids
+    ``rows`` (rows without entries are empty)."""
+    ptr = np.zeros(int(rows[-1]) + 2, dtype=np.int32)
+    np.cumsum(np.bincount(rows), out=ptr[1:])
+    return ptr

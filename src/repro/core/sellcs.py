@@ -132,18 +132,20 @@ class SellCS:
 
 
 class SellWorkspace:
-    """Per-``(layout, k)`` preallocated buffers for zero-allocation
-    steady-state kernels (the ``EmvWorkspace`` convention).
+    """Per-layout preallocated buffers for zero-allocation steady-state
+    kernels (the ``EmvWorkspace`` convention).
 
-    ``k == 1`` carries the single-RHS buffers; ``k > 1`` the multi-RHS
-    ones.  The padded input slot ``[n_cols]`` is pinned to ``+0.0`` at
-    construction and never written afterwards.
+    ``k == 1`` carries the single-RHS buffers.  ``k > 1`` carries the
+    multi-RHS ones as flat arrays sized for ``k`` columns, which serve
+    every width up to ``k``: :func:`sell_spmm` views their leading part.
+    The padded input slot ``[n_cols]`` is ``+0.0``: pinned here for the
+    single-RHS buffer, written on every multi-RHS call (a narrower
+    width's slot lies where a wider one keeps input values).
     """
 
     def __init__(self, layout: SellCS, k: int = 1):
         if k < 1:
             raise ValueError(f"need at least one column, got k={k}")
-        self.layout = layout
         self.k = int(k)
         n, nc = layout.n_rows, layout.n_cols
         m0 = layout.slices[0].m if layout.slices else 0
@@ -154,13 +156,13 @@ class SellWorkspace:
             self.yp = np.empty(n)
             self.y = np.empty(n)
         else:
-            self.Xpad = np.zeros((nc + 1, k))
             gmax = 0
             for g in layout.groups:
                 gmax = max(gmax, (g.r1 - g.r0) * g.w)
+            self.Xpad = np.zeros((nc + 1) * k)
             self.Gbuf = np.empty(gmax * k)
-            self.Yp = np.empty((n, k))
-            self.Y = np.empty((n, k))
+            self.Yp = np.empty(n * k)
+            self.Y = np.empty(n * k)
 
 
 def build_sellcs(A: sp.spmatrix, C: int, sigma: int) -> SellCS:
@@ -322,12 +324,18 @@ def sell_spmm(
     ``(rows, 1, w) @ (rows, w, k)`` batched matmul per equal-width chunk
     run.  BLAS3 semantics — equal to the per-column oracle to rounding
     (each row contracts its ``w`` lanes in one fused reduction), not
-    bitwise.  Allocation-free given a matching ``k > 1`` workspace.
+    bitwise.  Allocation-free given a ``k > 1`` workspace at least as
+    wide as ``X``; the result lands in ``out`` or a view of the
+    workspace, overwritten by its next call of any width.
     """
-    k = ws.k
-    Xpad = ws.Xpad
-    Xpad[: layout.n_cols] = X
-    Yp = ws.Yp
+    k = X.shape[1]
+    if k > ws.k:
+        raise ValueError(f"X has {k} columns, the workspace serves {ws.k}")
+    n, nc = layout.n_rows, layout.n_cols
+    Xpad = ws.Xpad[: (nc + 1) * k].reshape(nc + 1, k)
+    Xpad[:nc] = X
+    Xpad[nc] = 0.0
+    Yp = ws.Yp[: n * k].reshape(n, k)
     # rows past the last w > 0 group live in zero-width chunks: empty
     # rows, whose product is identically zero
     Yp[layout.active_rows :] = 0.0
@@ -340,6 +348,6 @@ def sell_spmm(
             G.reshape(mg, grp.w, k),
             out=Yp[grp.r0 : grp.r1].reshape(mg, 1, k),
         )
-    Y = ws.Y if out is None else out
+    Y = ws.Y[: n * k].reshape(n, k) if out is None else out
     np.take(Yp, layout.inv, axis=0, out=Y, mode="clip")
     return Y

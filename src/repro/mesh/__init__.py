@@ -18,7 +18,6 @@ from repro.mesh.adapt import refine_local
 from repro.mesh.element import ElementType
 from repro.mesh.mesh import Mesh
 from repro.mesh.quadrature import QuadratureRule, quadrature_for
-from repro.mesh.quality import mesh_quality
 from repro.mesh.refine import refine_uniform
 from repro.mesh.shape_functions import shape_functions_for
 from repro.mesh.structured import box_hex_mesh
@@ -35,5 +34,4 @@ __all__ = [
     "jittered_hex_mesh",
     "refine_uniform",
     "refine_local",
-    "mesh_quality",
 ]

@@ -35,7 +35,7 @@ from repro.simmpi.network import NetworkModel
 from repro.solvers.cg import ResilienceConfig, cg, cg_multi
 from repro.solvers.constrained import owned_dirichlet
 from repro.solvers.preconditioners import JacobiPreconditioner
-from repro.util.arrays import INDEX_DTYPE
+from repro.util.arrays import INDEX_DTYPE, WidestScratch
 
 __all__ = ["ProblemKey", "SolverContext", "OperatorCache", "DEFAULT_RATE_GFLOPS"]
 
@@ -176,9 +176,11 @@ def _dirichlet_state(comm, A, maps, lmesh, spec) -> dict:
     d[rows] = 1.0
     return {
         "rows": rows,
-        # per-k work of :func:`_hat_multi`: (n_rows, k) scratch for the
-        # constrained rows, the work multivectors and their owned views
-        "hat_work": {},
+        # :func:`_hat_multi`'s (n_rows, k) scratch for the constrained rows
+        "hat_held": WidestScratch(
+            (rows.size,),
+            lambda bufs, k: (bufs[0][: rows.size * k].reshape(rows.size, k),),
+        ),
         "u0": u0,
         "Au0": Au0,
         "M": JacobiPreconditioner(d),
@@ -266,18 +268,16 @@ def _hat_multi(st, X, mode="auto"):
     An element-by-element operator gets ``X`` written straight into its
     work multivector, the constrained rows zeroed there, and returns a
     view of its work product with those rows overwritten by ``X``'s — no
-    block copy, and the result is overwritten by the next same-``k``
-    product.  Other kinds project a copy through ``apply_owned_multi``."""
+    block copy, and the result is overwritten by the operator's next
+    work product of *any* width
+    (:meth:`~repro.core.hymv.EbeOperatorBase.work_multivectors`).  Other
+    kinds project a copy through ``apply_owned_multi``."""
     A, rows = st["A"], st["rows"]
     k = X.shape[1]
     if isinstance(A, EbeOperatorBase):
-        work = st["hat_work"].get(k)
-        if work is None:
-            U, V = A.work_multivectors(k)
-            work = st["hat_work"][k] = (
-                np.empty((rows.size, k)), U, V, U.owned_matrix, V.owned_matrix
-            )
-        held, U, V, Xc, Y = work
+        U, V = A.work_multivectors(k)
+        (held,) = st["hat_held"].get(k) or st["hat_held"](k)
+        Xc, Y = U.owned_matrix, V.owned_matrix
         Xc[...] = X  # C-contiguous, so take() gathers unbuffered
         np.take(Xc, rows, axis=0, out=held, mode="clip")
         Xc[rows] = 0.0

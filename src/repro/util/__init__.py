@@ -1,4 +1,4 @@
-"""Shared utilities: timing, tables, array helpers, deterministic RNG."""
+"""Shared utilities: tables, array helpers."""
 
 from repro.util.arrays import (
     INDEX_DTYPE,
@@ -7,10 +7,8 @@ from repro.util.arrays import (
     scatter_add,
 )
 from repro.util.tables import ResultTable
-from repro.util.timer import Timer
 
 __all__ = [
-    "Timer",
     "ResultTable",
     "as_f64",
     "as_index",

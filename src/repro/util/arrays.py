@@ -98,3 +98,35 @@ def rows_unique(a: np.ndarray) -> bool:
         raise ValueError("expected a 2-D array")
     view = np.ascontiguousarray(a).view([("", a.dtype)] * a.shape[1])
     return np.unique(view).size == a.shape[0]
+
+
+class WidestScratch:
+    """Flat float64 scratch, one zeroed buffer of ``sizes[i] * k``
+    doubles per role ``i`` for the widest batch width ``k`` seen, and
+    per-width views of it: ``scratch(k)`` returns (and caches)
+    ``views(bufs, k)``; the hot path reads ``scratch.get(k) or
+    scratch(k)``.  A wider ``k`` reallocates every role and drops every
+    cached view, so no superseded buffer stays alive.  All widths alias
+    one another: a view is overwritten by the next use of *any* width.
+    """
+
+    __slots__ = ("_sizes", "_views", "_bufs", "_cache", "k", "get")
+
+    def __init__(self, sizes, views):
+        self._sizes = tuple(int(s) for s in sizes)
+        self._views = views
+        self._bufs: tuple = ()
+        self._cache: dict = {}
+        self.k = 0  # the widest width the buffers hold
+        self.get = self._cache.get
+
+    def __call__(self, k: int):
+        v = self._cache.get(k)
+        if v is None:
+            if k > self.k:
+                self._cache.clear()
+                self._bufs = ()  # free the narrower buffers first
+                self._bufs = tuple(np.zeros(s * k) for s in self._sizes)
+                self.k = k
+            v = self._cache[k] = self._views(self._bufs, k)
+        return v

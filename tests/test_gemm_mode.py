@@ -125,8 +125,11 @@ def test_emv_workspace_multi_views_cached():
     ue, ve = ws.multi_views(6, 4)
     assert ue.shape == (6, 8, 4) and ve.shape == (6, 8, 4)
     ue2, ve2 = ws.multi_views(4, 4)
-    # same per-k backing buffers, sliced shorter
+    # same backing buffers, sliced shorter, and a narrower k views them
     assert ue2.base is ue.base and ve2.base is ve.base
+    ue3, ve3 = ws.multi_views(6, 2)
+    assert ue3.shape == (6, 8, 2)
+    assert ue3.base is ue.base and ve3.base is ve.base
 
 
 # ----------------------------------------------------------------------------

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from repro.core.kernels import (
     EMV_KERNELS,
     EmvWorkspace,
-    accumulate_element_vectors,
     emv_columns,
     emv_einsum,
     gather_element_vectors,
 )
+from repro.util.arrays import scatter_add
 
 
 @given(
@@ -41,7 +41,7 @@ def test_gather_accumulate_roundtrip(rng):
     ue = gather_element_vectors(flat, idx)
     np.testing.assert_array_equal(ue, flat[idx])
     out = np.zeros(40)
-    accumulate_element_vectors(out, idx, ue)
+    scatter_add(out, idx, ue)
     # accumulating the gathered values equals multiplicity-weighted flat
     counts = np.bincount(idx.reshape(-1), minlength=40)
     np.testing.assert_allclose(out, flat * counts, atol=1e-12)

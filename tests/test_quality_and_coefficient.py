@@ -1,4 +1,4 @@
-"""Mesh quality metrics and the variable-coefficient Poisson operator."""
+"""The variable-coefficient Poisson operator."""
 
 from __future__ import annotations
 
@@ -8,48 +8,9 @@ import pytest
 from repro.baselines import PartialAssemblyOperator, SerialReference
 from repro.core import HymvOperator
 from repro.fem import PoissonOperator
-from repro.mesh import ElementType, box_hex_mesh, box_tet_mesh, jittered_hex_mesh
-from repro.mesh.quality import mesh_quality, scaled_jacobians
+from repro.mesh import ElementType, box_hex_mesh, box_tet_mesh
 from repro.partition import build_partition
 from repro.simmpi import run_spmd
-
-
-# ----------------------------------------------------------------------------
-# quality
-# ----------------------------------------------------------------------------
-
-def test_quality_perfect_on_uniform_grids():
-    q = mesh_quality(box_hex_mesh(3, 3, 3))
-    assert q.ok
-    np.testing.assert_allclose(q.min_scaled_jacobian, 1.0, rtol=1e-12)
-    np.testing.assert_allclose(q.max_aspect_ratio, 1.0, rtol=1e-12)
-
-
-def test_quality_degrades_with_jitter_but_stays_valid():
-    q0 = mesh_quality(jittered_hex_mesh(3, 3, 3, ElementType.HEX8, jitter=0.1))
-    q1 = mesh_quality(jittered_hex_mesh(3, 3, 3, ElementType.HEX8, jitter=0.4))
-    assert q0.ok and q1.ok
-    assert q1.min_scaled_jacobian < q0.min_scaled_jacobian
-    assert q1.max_aspect_ratio > q0.max_aspect_ratio
-
-
-def test_quality_detects_inverted_element():
-    mesh = box_tet_mesh(1, 1, 1)
-    conn = mesh.conn.copy()
-    conn[0] = conn[0][[0, 2, 1, 3]]  # invert one tet
-    from repro.mesh.mesh import Mesh
-
-    bad = Mesh(mesh.coords, conn, mesh.etype)
-    q = mesh_quality(bad)
-    assert q.n_inverted == 1
-    assert not q.ok
-    assert scaled_jacobians(bad)[0] < 0
-
-
-def test_quality_anisotropic_aspect():
-    mesh = box_hex_mesh(2, 2, 2, lengths=(1.0, 1.0, 5.0))
-    q = mesh_quality(mesh)
-    np.testing.assert_allclose(q.max_aspect_ratio, 5.0, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.util.arrays import (
     scatter_add,
 )
 from repro.util.tables import ResultTable, render_many
-from repro.util.timer import Timer
 from repro.util.vtk import write_vtk
 
 
@@ -113,12 +112,6 @@ def test_result_table_render_and_columns():
     with pytest.raises(ValueError):
         t.add_row(1)
     assert "demo" in render_many([t, t])
-
-
-def test_timer_context():
-    with Timer() as t:
-        sum(range(1000))
-    assert t.elapsed >= 0.0
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,11 @@
 ``tracemalloc`` bounds the peak heap growth over post-warmup calls of
 every hot path the serving tier times: the HYMV workspace SPMV (both
 EMV kernels), the copy-free ``apply_owned(copy=False)``, the HYMV
-per-column oracle and GEMM multi-RHS products and the
-Dirichlet-projected block matvec built on the GEMM one, and the
-SELL-C-sigma slice SPMV and chunk-matmul GEMM.
+per-column oracle and GEMM multi-RHS products (on the medium mesh the
+GEMM sweep runs in 8 element chunks) and the Dirichlet-projected block
+matvec built on the GEMM one, and the SELL-C-sigma slice SPMV and
+chunk-matmul GEMM.  Scratch is sized for the widest batch seen, so after
+warm-up at k = 8 products alternating k = 3 and k = 8 allocate nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 
 from repro.baselines.sellcs import SellCSOperator
 from repro.core.hymv import HymvOperator
+from repro.serve.cache import _dirichlet_state, _hat_multi
 
 from .kernel_cases import HYMV_CASES, SELL_LAYOUTS, SHAPES, single_rank, spec
 
@@ -41,17 +44,20 @@ def _hymv_owned(case):
     return lambda: A.apply_owned(x, copy=False)
 
 
-def _hat_gemm(k):
-    """The projected block matvec ``cg_multi`` drives on a served HYMV
-    operator, fed the transposed view ``cg_multi`` hands it."""
-    from repro.serve.cache import _dirichlet_state, _hat_multi
-
-    case = "poisson-hex8-medium"
+def _served_state(case):
+    """The per-rank state of a served HYMV operator."""
     A = single_rank(HymvOperator, case, kernel="einsum")
     s = spec(case)
     st = {"A": A, **_dirichlet_state(A.comm, A, A.maps, s.partition.local(0), s)}
     assert st["rows"].size
-    X = np.random.default_rng(1234).standard_normal((k, A.n_dofs_owned)).T
+    return st
+
+
+def _hat_gemm(k):
+    """The projected block matvec ``cg_multi`` drives on a served HYMV
+    operator, fed the transposed view ``cg_multi`` hands it."""
+    st = _served_state("poisson-hex8-medium")
+    X = np.random.default_rng(1234).standard_normal((k, st["A"].n_dofs_owned)).T
     return lambda: _hat_multi(st, X, mode="gemm")
 
 
@@ -65,6 +71,30 @@ def _hymv_multi(k, mode):
         np.random.default_rng(1234).standard_normal((A.n_dofs_owned, k))
     )
     return lambda: A.spmv_multi(U, V, mode=mode)
+
+
+def _below_widest(kind):
+    """Products at k = 3 and k = 8 on one operator after warm-up at
+    k = 8: the narrower width views the widest width's scratch."""
+    case = "poisson-hex8-medium"
+    if kind == "hat":
+        st = _served_state(case)
+        n = st["A"].n_dofs_owned
+        # cg_multi hands the projected matvec a transposed view
+        X = {k: np.random.default_rng(k).standard_normal((k, n)).T
+             for k in (3, 8)}
+        call = lambda k: _hat_multi(st, X[k], mode="gemm")
+    else:
+        A = single_rank(
+            {"hymv": HymvOperator, "sellcs": SellCSOperator}[kind], case
+        )
+        X = {k: np.random.default_rng(k).standard_normal((A.n_dofs_owned, k))
+             for k in (3, 8)}
+        call = lambda k: A.apply_owned_multi(
+            X[k], copy=False, mode="gemm"
+        )
+    call(8)
+    return lambda: (call(3), call(8))
 
 
 def _sell_spmv(case, C, sigma):
@@ -96,6 +126,10 @@ CASES = [
 ] + [
     pytest.param(_hat_gemm, (8,),
                  id="poisson-hex8-medium/hymv-dirichlet-hat-k8-gemm")
+] + [
+    pytest.param(_below_widest, (kind,),
+                 id=f"poisson-hex8-medium/{kind}-gemm-k3-after-k8")
+    for kind in ("hymv", "sellcs", "hat")
 ] + [
     pytest.param(_sell_spmv, (case, C, sigma),
                  id=f"{case}/sellcs-C{C}-s{sigma}-spmv")
