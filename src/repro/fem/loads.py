@@ -11,11 +11,10 @@ import functools
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from repro.fem.elemmat import jacobians
 from repro.mesh.element import ElementType, corner_faces
-from repro.mesh.quadrature import QuadratureRule, quadrature_for
+from repro.mesh.quadrature import QuadratureRule, gauss_rule, quadrature_for
 from repro.mesh.shape_functions import reference_nodes, shape_functions_for
 from repro.util.arrays import as_f64
 
@@ -60,7 +59,7 @@ def body_force_rhs_batch(
 @functools.lru_cache(maxsize=None)
 def _quad_face_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss rule on the reference square [-1, 1]^2."""
-    x, w = roots_legendre(n)
+    x, w = gauss_rule(n)
     S, T = np.meshgrid(x, x, indexing="ij")
     WS, WT = np.meshgrid(w, w, indexing="ij")
     return np.stack([S.ravel(), T.ravel()], axis=1), (WS * WT).ravel()
@@ -69,8 +68,8 @@ def _quad_face_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=None)
 def _tri_face_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed Gauss rule on the unit triangle {a, b >= 0, a + b <= 1}."""
-    xa, wa = roots_legendre(n)
-    xb, wb = roots_jacobi(n, 1.0, 0.0)
+    xa, wa = gauss_rule(n)
+    xb, wb = gauss_rule(n, 1.0)
     ta, tb = 0.5 * (xa + 1.0), 0.5 * (xb + 1.0)
     wa01, wb01 = wa / 2.0, wb / 4.0  # (1 - b) absorbed into Jacobi weight
     A, B = np.meshgrid(ta, tb, indexing="ij")

@@ -18,7 +18,6 @@ from repro.mesh.adapt import refine_local
 from repro.mesh.element import ElementType
 from repro.mesh.mesh import Mesh
 from repro.mesh.quadrature import QuadratureRule, quadrature_for
-from repro.mesh.refine import refine_uniform
 from repro.mesh.shape_functions import shape_functions_for
 from repro.mesh.structured import box_hex_mesh
 from repro.mesh.unstructured import box_tet_mesh, jittered_hex_mesh
@@ -32,6 +31,5 @@ __all__ = [
     "box_hex_mesh",
     "box_tet_mesh",
     "jittered_hex_mesh",
-    "refine_uniform",
     "refine_local",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = ["JacobiPreconditioner", "BlockJacobiPreconditioner"]
 
@@ -48,6 +47,11 @@ class BlockJacobiPreconditioner:
     """Per-rank owned-block solve ``z = B^-1 r`` via sparse LU."""
 
     def __init__(self, block: sp.spmatrix):
+        # imported here, not at the top: SuperLU pulls in scipy.linalg
+        # and scipy.sparse.linalg (~10 MB), which a Jacobi-preconditioned
+        # or unpreconditioned solve never needs
+        import scipy.sparse.linalg as spla
+
         block = block.tocsc()
         if block.shape[0] != block.shape[1]:
             raise ValueError("block must be square")

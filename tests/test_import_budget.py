@@ -1,0 +1,193 @@
+"""The serve path's import budget, and the tabulated Gauss rules behind it.
+
+Every served operator runs on NumPy and ``scipy.sparse``'s compiled CSR
+kernels; nothing on that path calls ``scipy.special``, ``scipy.linalg``
+or ``scipy.sparse.linalg``, which together hold about 14 MB resident in
+every serving process.  Peak RSS drifts with the host; which modules a
+fresh interpreter has loaded after serving every operator kind does
+not, so that is what is checked.
+
+* **import check**: a fresh interpreter imports :mod:`repro.serve`,
+  builds a small context of every servable kind on 1 and 2 ranks,
+  applies it at k = 1 and k = 8, solves, and patches it through
+  ``OperatorCache.update``; none of the off-path SciPy modules may be
+  loaded.  Block Jacobi's SuperLU is then set up and must still work
+  (it imports ``scipy.sparse.linalg`` on first use).
+* **rules**: the Gauss table in :mod:`repro.mesh.quadrature` holds
+  SciPy's own values, and every rule built from it (hex, tet and both
+  face rules, through the SciPy fallback at n = 5) equals the rule built
+  from ``scipy.special`` directly, bit for bit.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.special import roots_jacobi, roots_legendre
+
+import repro
+from repro.fem.loads import _quad_face_rule, _tri_face_rule
+from repro.mesh.quadrature import _GAUSS_TABLE, gauss_rule, hex_rule, tet_rule
+
+OFF_PATH = (
+    "scipy.special",
+    "scipy.linalg",
+    "scipy.sparse.linalg",
+    "scipy.sparse.csgraph",
+)
+
+#: every servable kind, each on a problem that reaches a different rule:
+#: hex and tet volume rules, hex and triangle face rules (elastic
+#: tractions), the graph Laplacian
+_KINDS = [
+    ("poisson", "hex8", "hymv", "einsum"),
+    ("elastic", "tet4", "hymv", "columns"),
+    ("poisson", "tet4", "matfree", "einsum"),
+    ("elastic", "hex8", "partial", "einsum"),
+    ("poisson", "hex8", "assembled", "einsum"),
+    ("graphlap", "tet4", "sellcs", "einsum"),
+    ("poisson", "tet4", "hymv_gpu", "einsum"),
+]
+
+_PROBE = r"""
+import json
+import sys
+
+import numpy as np
+
+from repro.adapt import MeshDelta
+from repro.serve import OperatorCache, ProblemKey
+
+OFF_PATH, KINDS = json.loads(sys.argv[1])
+rng = np.random.default_rng(0)
+for n_parts in (1, 2):
+    for problem, etype, method, kernel in KINDS:
+        key = ProblemKey(problem, 2, n_parts, etype, 1, method, kernel)
+        cache = OperatorCache(capacity=1)
+        ctx, _ = cache.get(key)
+        for k in (1, 8):
+            ctx.apply_multi(rng.standard_normal((ctx.n_dofs, k)))
+        out, _ = ctx.solve_multi(rng.standard_normal((ctx.n_dofs, 2)), 1e-8)
+        assert all(out["converged"]), (key, out["iterations"])
+        delta = MeshDelta(scale_elements=[0, 1], scale_values=[2.0, 0.5])
+        cache.update(key, delta)
+        ctx.apply_multi(rng.standard_normal((ctx.n_dofs, 1)))
+served = sorted(m for m in OFF_PATH if m in sys.modules)
+
+import scipy.sparse as sp
+
+from repro.solvers.preconditioners import BlockJacobiPreconditioner
+
+n = 12
+A = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+B = rng.standard_normal((3, n))
+Z = BlockJacobiPreconditioner(A)(B)
+err = float(np.abs(A @ Z.T - B.T).max())
+print(json.dumps({"served": served, "superlu": "scipy.sparse.linalg"
+                  in sys.modules, "err": err}))
+"""
+
+
+def test_serve_path_loads_no_off_path_scipy():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps([OFF_PATH, _KINDS])],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["served"] == [], (
+        f"the serve path loaded {got['served']}; a module-level import "
+        "of one of them crept back onto it"
+    )
+    assert got["superlu"], "block Jacobi set up without SuperLU"
+    assert got["err"] < 1e-12
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(_bits(g), _bits(w))
+
+
+def _scipy_rule(n, alpha):
+    return roots_legendre(n) if alpha == 0 else roots_jacobi(n, alpha, 0.0)
+
+
+@pytest.mark.parametrize(
+    "entry", sorted(_GAUSS_TABLE), ids=lambda e: f"n{e[0]}-alpha{e[1]}"
+)
+def test_gauss_table_is_scipys(entry):
+    n, alpha = entry
+    table = [np.array(v) for v in _GAUSS_TABLE[entry]]
+    _assert_same_bits(table, _scipy_rule(n, alpha))
+    # the face rule asks with a float alpha; SciPy gives it the same bits
+    _assert_same_bits(gauss_rule(n, float(alpha)), _scipy_rule(n, alpha))
+
+
+def _hex_want(n):
+    x, w = roots_legendre(n)
+    X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
+    WX, WY, WZ = np.meshgrid(w, w, w, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    return pts, (WX * WY * WZ).ravel()
+
+
+def _tet_want(n):
+    rules = []
+    for alpha in (0, 1, 2):
+        x, w = _scipy_rule(n, alpha)
+        rules.append((0.5 * (x + 1.0), w / (2.0 ** (alpha + 1))))
+    (ta, wa), (tb, wb), (tc, wc) = rules
+    A, B, C = np.meshgrid(ta, tb, tc, indexing="ij")
+    WA, WB, WC = np.meshgrid(wa, wb, wc, indexing="ij")
+    x = A * (1.0 - B) * (1.0 - C)
+    y = B * (1.0 - C)
+    pts = np.stack([x.ravel(), y.ravel(), C.ravel()], axis=1)
+    return pts, (WA * WB * WC).ravel()
+
+
+def _quad_face_want(n):
+    x, w = roots_legendre(n)
+    S, T = np.meshgrid(x, x, indexing="ij")
+    WS, WT = np.meshgrid(w, w, indexing="ij")
+    return np.stack([S.ravel(), T.ravel()], axis=1), (WS * WT).ravel()
+
+
+def _tri_face_want(n):
+    xa, wa = roots_legendre(n)
+    xb, wb = roots_jacobi(n, 1.0, 0.0)
+    A, B = np.meshgrid(0.5 * (xa + 1.0), 0.5 * (xb + 1.0), indexing="ij")
+    WA, WB = np.meshgrid(wa / 2.0, wb / 4.0, indexing="ij")
+    pts = np.stack([(A * (1.0 - B)).ravel(), B.ravel()], axis=1)
+    return pts, (WA * WB).ravel()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])  # 5 is the SciPy fallback
+def test_rules_match_scipy_construction(n):
+    hx, tt = hex_rule(n), tet_rule(n)
+    _assert_same_bits((hx.points, hx.weights), _hex_want(n))
+    _assert_same_bits((tt.points, tt.weights), _tet_want(n))
+    _assert_same_bits(_quad_face_rule(n), _quad_face_want(n))
+    _assert_same_bits(_tri_face_rule(n), _tri_face_want(n))
+
+
+def test_gauss_rule_returns_fresh_arrays():
+    x, w = gauss_rule(2)
+    x[:] = 0.0
+    w[:] = 0.0
+    _assert_same_bits(gauss_rule(2), roots_legendre(2))
