@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.maps import NodeMaps
-from repro.core.scatter import CommMaps, gather, scatter
+from repro.core.scatter import CommMaps, gather
 from repro.simmpi.communicator import Communicator
 
 __all__ = ["DistributedArray", "DistributedMultiVector"]
@@ -73,10 +73,6 @@ class DistributedArray:
     # ------------------------------------------------------------------
     # communication
     # ------------------------------------------------------------------
-
-    def update_ghosts(self, comm: Communicator, cmaps: CommMaps) -> None:
-        """Blocking owner→ghost scatter (fills ghost copies)."""
-        scatter(comm, self.data, cmaps)
 
     def accumulate_ghosts(self, comm: Communicator, cmaps: CommMaps) -> None:
         """Blocking ghost→owner gather (adds ghost partial sums into

@@ -130,9 +130,6 @@ class StreamScheduler:
                 chunk=e.chunk,
             )
 
-    def busy_time(self, kind: str) -> float:
-        return sum(e.duration for e in self.events if e.kind == kind)
-
     def overlap_efficiency(self) -> float:
         """Serial-sum of all operations divided by the makespan (1.0 = no
         overlap; ~3.0 = perfect three-engine overlap)."""

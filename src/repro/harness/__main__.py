@@ -32,7 +32,7 @@ _COMMANDS = {
               "SHARD_report.json (--smoke for CI size)"),
     "adapt": ("repro.adapt.harness", "incremental-update harness -> "
               "ADAPT_report.json (--smoke for CI size)"),
-    "tune": ("repro.tune.calibration", "GEMM + SELL-C-sigma crossovers, "
+    "tune": ("repro.tune.calibration", "GEMM multi-RHS crossover, "
              "measured here -> tuned_config.json (for --tuned-from)"),
 }
 
@@ -52,7 +52,7 @@ _EXAMPLES = (
     ("python -m repro.harness adapt --smoke",
      "delta updates -> ADAPT_report.json"),
     ("python -m repro.harness tune",
-     "measured crossovers -> tuned_config.json"),
+     "measured GEMM crossover -> tuned_config.json"),
 )
 
 

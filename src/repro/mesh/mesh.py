@@ -61,11 +61,6 @@ class Mesh:
     # derived structures (cached)
     # ------------------------------------------------------------------
 
-    def element_coords(self, elements: np.ndarray | None = None) -> np.ndarray:
-        """``(E, n_nodes_per_elem, 3)`` coordinates of (a subset of) elements."""
-        conn = self.conn if elements is None else self.conn[as_index(elements)]
-        return self.coords[conn]
-
     def _sorted_face_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """``(order, dup)`` over the face-major corner keys (row
         ``f * n_elements + e`` is face ``f`` of element ``e``, its corner

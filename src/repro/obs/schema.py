@@ -167,7 +167,7 @@ REPORTS: dict[str, dict] = {
         }],
     },
     # tuned_config.json: `python -m repro.harness tune`, the measured
-    # crossovers as a flat key -> value config;
+    # GEMM crossover as a flat key -> value config;
     # repro.serve.plan.load_tuned_config turns it into an execution plan
     TUNE_CONFIG_SCHEMA: {"config": {}, "source": None},
 }

@@ -93,11 +93,6 @@ class Partition:
     def local(self, rank: int) -> LocalMesh:
         return self.locals_[rank]
 
-    def owned_global_ids(self, rank: int) -> np.ndarray:
-        """Renumbered global ids of the nodes owned by ``rank``."""
-        b, e = self.ranges[rank]
-        return np.arange(b, e, dtype=INDEX_DTYPE)
-
     def owned_coords(self, rank: int) -> np.ndarray:
         """Coordinates of the nodes owned by ``rank`` (renumbered order)."""
         b, e = self.ranges[rank]

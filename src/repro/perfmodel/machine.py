@@ -113,10 +113,6 @@ class FronteraMachine:
     rates: CoreRates = field(default_factory=CoreRates)
     network: NetworkModel = field(default_factory=NetworkModel)
 
-    @property
-    def cores_per_socket(self) -> int:
-        return self.cores_per_node // self.sockets_per_node
-
 
 @dataclass(frozen=True)
 class GpuModel:

@@ -66,12 +66,6 @@ class ProblemSpec:
     #: :mod:`repro.adapt` — ``None`` means all ones)
     elem_scale: np.ndarray | None = None
 
-    def rank_elem_scale(self, rank: int) -> np.ndarray | None:
-        """Per-element scale restricted to one rank's local elements."""
-        if self.elem_scale is None:
-            return None
-        return self.elem_scale[self.partition.local(rank).elements]
-
     @property
     def n_parts(self) -> int:
         return self.partition.n_parts

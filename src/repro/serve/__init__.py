@@ -15,7 +15,7 @@ and amortized over the solver iterations"; here, over *requests* too).
   per operator into one multi-RHS product (bitwise identical per column
   to independent single-RHS execution).
 * :mod:`repro.serve.plan` — :class:`ExecutionPlan`: the frozen execution
-  policy (mode, GEMM crossover, backend routing, SELL layout) and
+  policy (multi-RHS mode and GEMM crossover) and
   :func:`load_tuned_config`, the one way a tuned artifact gets in.
 * :mod:`repro.serve.service` — :class:`SolverService`: one server with
   its own virtual timeline, load shedding and fault-aware degradation

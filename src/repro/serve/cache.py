@@ -67,9 +67,6 @@ class ProblemKey:
     #: a delta-updated operator and one built fresh from the same key are
     #: the same servable identity (and bitwise the same operator)
     deltas: tuple = ()
-    #: SELL-C-sigma layout ``(C, sigma)`` of a ``sellcs`` operator;
-    #: ``None`` is the hand-picked default layout
-    sell: tuple[int, int] | None = None
 
     def _prefix(self):
         """sha1 state of the canonical prefix: the problem fields, then
@@ -92,25 +89,22 @@ class ProblemKey:
         return h
 
     def fingerprint(self) -> str:
-        """Stable short hash of the canonical field tuple (optional
-        fields join only when set, so default keys keep their hash).
+        """Stable short hash of the canonical field tuple (the delta
+        history joins only when set, so delta-free keys keep their hash).
         Computed once per key: the key is frozen, and so are its deltas."""
         fp = self.__dict__.get("_fingerprint")
         if fp is not None:
             return fp
-        h = self._prefix()
-        if self.sell is not None:
-            h = h.copy()
-            h.update(";sell={},{}".format(*self.sell).encode())
-        fp = h.hexdigest()[:12]
+        fp = self._prefix().hexdigest()[:12]
         object.__setattr__(self, "_fingerprint", fp)
         return fp
 
     def n_dofs_estimate(self) -> int:
-        """Cheap closed-form dof-count estimate for backend routing (no
-        mesh build).  Exact for the structured box meshes all three
-        problem kinds use: ``(nel + 1)`` grid nodes per axis (the bar is
-        ``2 nel`` elements tall), times dofs per node."""
+        """Cheap closed-form dof count of the key's problem (no mesh
+        build), for sizing workloads before any operator exists.  Exact
+        for the structured box meshes all three problem kinds use:
+        ``(nel + 1)`` grid nodes per axis (the bar is ``2 nel`` elements
+        tall), times dofs per node."""
         n = self.nel + 1
         if self.problem == "elastic":
             return n * n * (2 * self.nel + 1) * 3
@@ -129,7 +123,8 @@ class ProblemKey:
 
     def build_spec(self):
         """Materialize the :class:`~repro.problems.ProblemSpec`, replaying
-        the delta history so a fresh build lands on the post-update mesh."""
+        the delta history so a fresh build lands on the post-update mesh.
+        An unknown ``problem`` or ``etype`` raises :class:`ValueError`."""
         from repro.mesh.element import ElementType
         from repro.problems import (
             elastic_bar_problem,
@@ -137,7 +132,13 @@ class ProblemKey:
             poisson_problem,
         )
 
-        etype = ElementType[self.etype.upper()]
+        try:
+            etype = ElementType[self.etype.upper()]
+        except KeyError:
+            raise ValueError(
+                f"unknown etype {self.etype!r}; known: "
+                f"{sorted(e.value for e in ElementType)}"
+            ) from None
         if self.problem == "poisson":
             spec = poisson_problem(
                 self.nel, n_parts=self.n_parts, etype=etype, seed=self.seed
@@ -189,11 +190,12 @@ def _dirichlet_state(comm, A, maps, lmesh, spec) -> dict:
 
 
 def _setup_program(comm, lmesh, spec, method, kernel, modeled_rate,
-                   sell=None, ke_cache=None):
-    """Per-rank setup: operator + Dirichlet machinery + preconditioner."""
+                   ke_cache=None):
+    """Per-rank setup: operator + Dirichlet machinery + preconditioner.
+    An unknown ``method`` raises :class:`ValueError`."""
     from repro.core.maps import build_node_maps
     from repro.core.scatter import build_comm_maps
-    from repro.harness.driver import OPERATOR_FACTORIES
+    from repro.harness.driver import _make_operator
 
     ranges = np.asarray(
         comm.allgather((lmesh.n_begin, lmesh.n_end)), dtype=INDEX_DTYPE
@@ -207,11 +209,7 @@ def _setup_program(comm, lmesh, spec, method, kernel, modeled_rate,
         options["elem_scale"] = spec.elem_scale[lmesh.elements]
     if ke_cache is not None and method in ("hymv", "hymv_gpu"):
         options["ke_cache"] = ke_cache
-    if sell is not None and method == "sellcs":
-        options["C"], options["sigma"] = sell
-    A = OPERATOR_FACTORIES[method](
-        comm, lmesh, spec.operator, ranges=ranges, **options
-    )
+    A = _make_operator(method, comm, lmesh, spec.operator, ranges, options)
 
     if hasattr(A, "e2l_dofs"):
         maps = A.maps
@@ -380,7 +378,6 @@ class SolverContext:
                 method=key.method,
                 kernel=key.kernel,
                 modeled_rate=modeled_rate_gflops,
-                sell=key.sell,
             )
             now = self.fault_signal()
             if now == sig:
@@ -605,7 +602,6 @@ class SolverContext:
             method=method,
             kernel=self.key.kernel,
             modeled_rate=self.modeled_rate,
-            sell=self.key.sell,
             ke_cache=ke_cache,
         )
         counts = [st["n_owned"] for st in self.ranks]

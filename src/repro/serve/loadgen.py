@@ -88,18 +88,16 @@ def drive(target, events: list, on_dispatch: Callable) -> float:
 
 
 class Oracle:
-    """Fault-free single-node reference cache of the operators ``plan``
-    binds requests to."""
+    """Fault-free single-node reference cache of the served operators."""
 
-    def __init__(self, plan: ExecutionPlan, n_keys: int):
-        self.plan = plan
+    def __init__(self, n_keys: int):
         self.ref = OperatorCache(
             capacity=max(n_keys, 1), obs=Instrumentation(rank=-1)
         )
 
     def context(self, key: ProblemKey):
         """The reference context a request for ``key`` is served by."""
-        ctx, _ = self.ref.get(self.plan.bind(key))
+        ctx, _ = self.ref.get(key)
         return ctx
 
     def check(self, c: Completion, exact: bool) -> bool:
@@ -204,8 +202,6 @@ class Workload:
             "cache_capacity": self.cache_capacity,
             "mode": self.plan.mode,
             "k_min": self.plan.k_min,
-            "backend": self.plan.backend,
-            "sellcs_crossover_dofs": self.plan.sellcs_crossover_dofs,
             "verify": True,  # every run re-checks its answers post-run
             "keys": [k.fingerprint() for k in self.keys],
             "faults": self.faults.describe() if self.faults else None,
@@ -272,7 +268,7 @@ def run_workload(w: Workload, seed: int = 1234) -> dict[str, Any]:
 
     makespan = drive(service, events, on_dispatch)
 
-    oracle = Oracle(w.plan, len(w.keys))
+    oracle = Oracle(len(w.keys))
     wrong = sum(not oracle.check(c, exact=False) for _, c in done)
     ctx0 = oracle.context(w.keys[0])
     obs.incr("serve.wrong_answers", wrong)  # materialize even when 0

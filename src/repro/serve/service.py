@@ -77,10 +77,9 @@ class SolverService:
         plan: ExecutionPlan = ExecutionPlan(),
     ):
         """``plan`` is the execution policy every batch runs under: the
-        multi-RHS mode and its GEMM crossover, the backend routing, and
-        the SELL-C-sigma layout of every ``sellcs`` operator this service
-        builds (see :mod:`repro.serve.plan`).  Routed batches are counted
-        in ``backend_histogram`` and the ``serve.backend.*`` counters.
+        multi-RHS mode and its GEMM crossover (see
+        :mod:`repro.serve.plan`).  Every batch is served by the operator
+        kind its key names.
 
         ``max_batch`` / ``queue_capacity`` size the batcher and the
         admission queue; ``batcher`` swaps the batch-forming policy (the
@@ -99,8 +98,6 @@ class SolverService:
         self.free_at = 0.0
         self.busy_s = 0.0
         self.dispatches = 0
-        # backend the routing policy actually dispatched to -> batch count
-        self.backend_histogram: dict[str, int] = {}
         self.batch_histogram: dict[int, int] = {}
         # what each dispatched batch actually ran under: "oracle" /
         # "gemm" / "degraded" (fault-degraded solves bypass the batched
@@ -169,22 +166,8 @@ class SolverService:
             self.obs.incr(f"serve.{'completed' if c.status == 'ok' else 'failed'}")
         return DispatchOutcome(completions, duration, expired, k, now + duration)
 
-    def _route_key(self, key):
-        """Apply the plan to a request's key (:meth:`ExecutionPlan.bind`
-        — operator kind and SELL layout) and count the routing."""
-        routed = self.plan.bind(key)
-        if self.plan.backend is not None:
-            method = routed.method
-            self.backend_histogram[method] = (
-                self.backend_histogram.get(method, 0) + 1
-            )
-            self.obs.incr(f"serve.backend.{method}")
-            if method != key.method:
-                self.obs.incr("serve.backend.rerouted")
-        return routed
-
     def _execute(self, batch: list[ServeRequest]) -> tuple[list[Completion], float]:
-        key, kind = self._route_key(batch[0].key), batch[0].kind
+        key, kind = batch[0].key, batch[0].kind
         duration = 0.0
         attempts = 0
         # attribute the (single) cache lookup to every batched request's

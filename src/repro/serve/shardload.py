@@ -217,7 +217,7 @@ def run_shard_workload(w: ShardWorkload, seed: int = 1234) -> dict[str, Any]:
     makespan = drive(cluster, events, on_dispatch)
     cluster.advance(makespan)  # late-scheduled fault events still apply
 
-    oracle = Oracle(w.plan, len(w.keys))
+    oracle = Oracle(len(w.keys))
     exact = w.verify == "bitwise"
     wrong = sum(not oracle.check(c, exact) for _, c in done)
     ctx0 = oracle.context(w.keys[0])

@@ -43,9 +43,6 @@ class VirtualCluster:
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._sims))
 
-    def n_sims(self, name: str) -> int:
-        return len(self._sims.get(name, ()))
-
     def busy_vtime(self, name: str) -> float:
         """Total virtual compute seconds burned on node ``name`` (summed
         final clocks of every simulator ever registered under it)."""

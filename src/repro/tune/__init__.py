@@ -1,11 +1,10 @@
 """repro.tune — the measured plan.
 
-:func:`measure` times the GEMM multi-RHS and SELL-C-sigma backend
-crossovers on the live host; :func:`crossovers` selects the plan keys
-those timings imply.
+:func:`measure` times the GEMM multi-RHS crossover on the live host;
+:func:`crossovers` selects the plan key those timings imply.
 
 Entry point: ``python -m repro.harness tune``, which writes the measured
-crossovers as ``tuned_config.json``;
+crossover as ``tuned_config.json``;
 :func:`repro.serve.plan.load_tuned_config` turns that into an
 :class:`~repro.serve.plan.ExecutionPlan`.
 """

@@ -1,14 +1,34 @@
 """The named problem shapes the kernel-level bitwise, derived-bound and
-zero-allocation checks run on: the ``tune`` crossover shapes plus the
-medium elasticity bar.  Case ids follow ``<case>/<method>``."""
+zero-allocation checks run on: two Poisson and two irregular-row graph
+Laplacian shapes plus the medium elasticity bar.  Case ids follow
+``<case>/<method>``."""
 
 from __future__ import annotations
 
 from functools import cache
 
 from repro.mesh.element import ElementType
-from repro.problems import elastic_bar_problem
-from repro.tune.calibration import SHAPES, _NullComm
+from repro.problems import (
+    elastic_bar_problem,
+    graph_laplacian_problem,
+    poisson_problem,
+)
+from repro.tune.calibration import _NullComm
+
+
+def _graphlap(nel):
+    # jittered tets: irregular row lengths (729 / 4913 dofs)
+    return lambda: graph_laplacian_problem(nel, n_parts=1, seed=3)
+
+
+#: the scalar shapes, smallest first: name -> single-part spec factory
+SHAPES = {
+    "poisson-hex8-tiny": lambda: poisson_problem(6, n_parts=1),  # 343 dofs
+    "graphlap-tet4-small": _graphlap(8),
+    "graphlap-tet4-medium": _graphlap(16),
+    # 8000 HEX8 elements, 9261 dofs: the sweep dominates Python overhead
+    "poisson-hex8-medium": lambda: poisson_problem(20, n_parts=1),
+}
 
 #: case name -> single-part spec factory
 FACTORIES = {

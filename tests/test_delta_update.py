@@ -151,11 +151,10 @@ def test_key_fingerprint_tracks_delta_history():
     d2 = MeshDelta(scale_elements=[1], scale_values=[0.25])
     assert base.with_delta(d2).fingerprint() != k1.fingerprint()
     # a key derived delta by delta hashes like one built with the whole
-    # history, with and without the optional layout suffix
-    for key in (base, replace(base, method="sellcs", sell=(8, 32))):
-        chained = key.with_delta(d).with_delta(d2).with_delta(d)
-        direct = replace(key, deltas=(d, d2, d))
-        assert chained.fingerprint() == direct.fingerprint()
+    # history
+    chained = base.with_delta(d).with_delta(d2).with_delta(d)
+    direct = replace(base, deltas=(d, d2, d))
+    assert chained.fingerprint() == direct.fingerprint()
 
 
 def test_mesh_delta_arrays_are_read_only():
@@ -195,9 +194,6 @@ def test_fingerprint_golden_values():
         "87679d2dbac4", "3a24c95541ee", "83dae5248044", "18adf4988f55",
     ]
     assert ProblemKey().fingerprint() == "d34a86007272"
-    assert ProblemKey(method="sellcs", sell=(8, 32)).fingerprint() == (
-        "8612a9950a37"
-    )
 
 
 def _patched(kind):

@@ -1,25 +1,22 @@
-"""ExecutionPlan: validation, the tuned-config loader, the SELL layout as
-part of a key's identity, and the plan applied end to end by the serve
-and shard harnesses."""
+"""ExecutionPlan: validation, the tuned-config loader, and the pinned
+key fingerprints every baseline and shard placement depend on."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
-import numpy as np
 import pytest
 
-from repro.obs.instrumentation import Instrumentation
 from repro.obs.schema import TUNE_CONFIG_SCHEMA
-from repro.serve.cache import OperatorCache, ProblemKey
+from repro.serve.cache import ProblemKey
 from repro.serve.plan import ExecutionPlan, PlanError, load_tuned_config
-from repro.serve.queue import ServeRequest
-from repro.serve.service import SolverService
 
 # ----------------------------------------------------------------------
 # validation
 # ----------------------------------------------------------------------
+
+
+_RETIRED = ("backend", "sellcs_crossover_dofs", "sell_c", "sell_sigma")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -32,30 +29,18 @@ from repro.serve.service import SolverService
     ("sell_sigma", 0),
 ])
 def test_plan_rejects_out_of_range(field, value):
-    with pytest.raises(PlanError):
+    # the retired SELL router's fields are no plan fields at all
+    error = TypeError if field in _RETIRED else PlanError
+    with pytest.raises(error):
         ExecutionPlan(**{field: value})
-
-
-def test_default_plan_has_default_layout():
-    assert ExecutionPlan().sell is None
-    # the default layout spelled out is still the default layout
-    assert ExecutionPlan(sell_c=32, sell_sigma=256).sell is None
-    assert ExecutionPlan(sell_c=8).sell == (8, 64)
-    assert ExecutionPlan(sell_sigma=32).sell == (32, 32)
 
 
 # ----------------------------------------------------------------------
 # the one loader
 # ----------------------------------------------------------------------
 
-_WINNER = {
-    "max_batch": 6, "queue_capacity": 32, "gemm_k_min": 4,
-    "sellcs_crossover_dofs": 400, "sell_c": 8, "sell_sigma_factor": 2,
-}
-_WINNER_PLAN = ExecutionPlan(
-    k_min=4, backend="auto", sellcs_crossover_dofs=400, sell_c=8,
-    sell_sigma=16,
-)
+_WINNER = {"gemm_k_min": 4}
+_WINNER_PLAN = ExecutionPlan(k_min=4)
 
 
 @pytest.mark.parametrize("content,expected", [
@@ -68,9 +53,16 @@ _WINNER_PLAN = ExecutionPlan(
         {"schema": "repro.tune/1", "winner": {"config": _WINNER}},
         PlanError, id="tune-report",
     ),
+    # keys a retired backend router wrote are an error, not a silent
+    # reroute
     pytest.param(
         {"schema": TUNE_CONFIG_SCHEMA, "config": {"sellcs_crossover_dofs": 0}},
-        ExecutionPlan(), id="zero-crossover",
+        "sellcs_crossover_dofs", id="zero-crossover",
+    ),
+    pytest.param(
+        {"schema": TUNE_CONFIG_SCHEMA,
+         "config": {"gemm_k_min": 2, "sell_c": 8}},
+        "sell_c", id="sell-c",
     ),
     pytest.param(None, PlanError, id="missing"),
     pytest.param("not json {", PlanError, id="garbage"),
@@ -87,7 +79,7 @@ _WINNER_PLAN = ExecutionPlan(
     pytest.param(
         {"schema": TUNE_CONFIG_SCHEMA,
          "config": {"sell_c": 8, "sell_sigma_factor": 0}},
-        PlanError, id="sigma-out-of-range",
+        "sell_c, sell_sigma_factor", id="sigma-out-of-range",
     ),
 ])
 def test_load_tuned_config(tmp_path, content, expected):
@@ -98,6 +90,9 @@ def test_load_tuned_config(tmp_path, content, expected):
         )
     if expected is PlanError:
         with pytest.raises(PlanError):
+            load_tuned_config(path)
+    elif isinstance(expected, str):  # a rejected key, named in the error
+        with pytest.raises(PlanError, match=expected):
             load_tuned_config(path)
     else:
         assert load_tuned_config(path) == expected
@@ -115,7 +110,7 @@ def test_tuned_from_bad_file_exits_nonzero(tmp_path, harness, capsys):
 
 
 # ----------------------------------------------------------------------
-# the SELL layout is identity, not a global
+# key identity
 # ----------------------------------------------------------------------
 
 #: fingerprints recorded before keys could carry a layout: every key of
@@ -173,75 +168,3 @@ def test_fingerprints_pinned():
     for fields, fp in PINNED_FINGERPRINTS.items():
         key = keys.get(fields, ProblemKey(*fields))
         assert key.fingerprint() == fp, fields
-
-
-def test_layout_changes_fingerprint():
-    key = ProblemKey("graphlap", 4, 2, "tet4", 2, "sellcs")
-    default = ExecutionPlan().bind(key)
-    tuned = ExecutionPlan(sell_c=8).bind(key)
-    assert default is key
-    assert tuned.sell == (8, 64)
-    assert tuned.fingerprint() != key.fingerprint()
-    assert ExecutionPlan(sell_c=8, sell_sigma=8).bind(key).fingerprint() \
-        != tuned.fingerprint()
-    # a hymv key carries no layout, whatever the plan
-    hymv = dataclasses.replace(key, method="hymv")
-    assert ExecutionPlan(sell_c=8).bind(hymv) is hymv
-
-
-def test_two_layouts_serve_one_key_side_by_side():
-    """Two services in one process — tuned ``sell_c=8`` and the default
-    plan — serve the same sellcs key.  Each builds its own layout, the
-    oracle answers are bitwise equal (SELL is bitwise-equal to CSR at
-    any layout), and no cache ever hands out the other layout's
-    context, including one cache shared by both services."""
-    key = ProblemKey("graphlap", 4, 2, "tet4", 2, "sellcs")
-    plans = (ExecutionPlan(mode="oracle", sell_c=8),
-             ExecutionPlan(mode="oracle"))
-
-    def serve(svc):
-        for i in range(3):
-            assert svc.submit(ServeRequest(
-                rid=i, key=key, kind="spmv", seed=100 + i, arrival=0.0,
-                deadline=1e9,
-            ))
-        out = svc.dispatch(now=0.0)
-        assert [c.status for c in out.completions] == ["ok"] * 3
-        return np.column_stack([c.value for c in out.completions])
-
-    shared = OperatorCache(capacity=4, obs=Instrumentation(rank=-1))
-    for caches in (
-        [OperatorCache(capacity=4, obs=Instrumentation(rank=-1))
-         for _ in plans],
-        [shared, shared],
-    ):
-        svcs = [SolverService(c, plan=p) for c, p in zip(caches, plans)]
-        Y = [serve(s) for s in svcs]
-        assert np.array_equal(Y[0], Y[1])
-        ctxs = [c.peek(p.bind(key)) for c, p in zip(caches, plans)]
-        assert ctxs[0] is not ctxs[1]
-        for ctx, (C, sigma) in zip(ctxs, ((8, 64), (32, 256))):
-            for st in ctx.ranks:
-                assert (st["A"].C, st["A"].sigma) == (C, sigma)
-    assert len(shared) == 2
-
-
-# ----------------------------------------------------------------------
-# the harnesses apply exactly the plan
-# ----------------------------------------------------------------------
-
-
-def test_shard_suite_routes_by_plan_crossover():
-    from repro.serve.shardload import run_shard_suite
-
-    # the catalog's nel=3 poisson keys (64 dofs) route to SELL-C-sigma,
-    # the larger ones stay on HYMV
-    plan = ExecutionPlan(backend="auto", sellcs_crossover_dofs=100, sell_c=8)
-    doc, _ = run_shard_suite(seed=1234, smoke=True, verbose=False, plan=plan)
-    for sc in doc["scenarios"]:
-        assert sc["requests"]["wrong_answers"] == 0, sc["scenario"]
-        assert sc["counters"].get("serve.backend.sellcs", 0) > 0
-        assert sc["counters"].get("serve.backend.hymv", 0) > 0
-        assert sc["workload"]["k_min"] is None
-    kill = [s for s in doc["scenarios"] if s["scenario"] == "shard-kill"][0]
-    assert kill["workload"]["mode"] == "oracle"

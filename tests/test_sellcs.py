@@ -1,6 +1,6 @@
 """SELL-C-sigma backend: bitwise identity to the assembled-CSR operator
-across problems, ranks, batch widths and reassembly, plus the serve-tier
-backend routing built on it."""
+across problems, ranks, batch widths and reassembly, and as a cached
+serve-tier context."""
 
 from __future__ import annotations
 
@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import AssembledOperator, SellCSOperator
+from repro.core.hymv import HymvOperator
 from repro.core.kernels import gemm_equivalence_rtol
 from repro.obs.instrumentation import Instrumentation
 from repro.problems import graph_laplacian_problem, poisson_problem
 from repro.serve.cache import OperatorCache, ProblemKey
-from repro.serve.plan import ExecutionPlan, PlanError
 from repro.serve.queue import ServeRequest
 from repro.serve.service import SolverService
 from repro.simmpi import run_spmd
@@ -181,93 +181,18 @@ def test_sellcs_serve_context_bitwise_vs_assembled():
     assert np.array_equal(Ys, Ya)
 
 
-# ----------------------------------------------------------------------------
-# backend routing policy
-# ----------------------------------------------------------------------------
-
-def _mini_service(**plan):
-    obs = Instrumentation(rank=-1)
-    cache = OperatorCache(capacity=4, obs=obs)
-    return SolverService(cache, plan=ExecutionPlan(**plan)), obs
-
-
 def test_backend_none_preserves_key():
-    svc, _ = _mini_service()
+    """The service runs every request on the operator kind its key
+    names: a batch for a ``hymv`` key is served from (and cached under)
+    that very key, never rerouted to ``sellcs``."""
+    cache = OperatorCache(capacity=4, obs=Instrumentation(rank=-1))
+    svc = SolverService(cache)
     key = ProblemKey(problem="poisson", nel=3, n_parts=2, etype="hex8")
-    assert svc._route_key(key) is key
-    assert svc.backend_histogram == {}
-
-
-def test_backend_rejects_unknown_policy():
-    with pytest.raises(PlanError, match="backend"):
-        ExecutionPlan(backend="cuda")
-
-
-def test_backend_auto_routes_by_crossover():
-    svc, obs = _mini_service(backend="auto", sellcs_crossover_dofs=400)
-    small = ProblemKey(problem="poisson", nel=3, n_parts=2, etype="hex8",
-                       method="hymv")
-    big = ProblemKey(problem="poisson", nel=12, n_parts=2, etype="hex8",
-                     method="hymv")
-    assert svc._route_key(small).method == "sellcs"
-    assert svc._route_key(big).method == "hymv"
-    assert svc.backend_histogram == {"sellcs": 1, "hymv": 1}
-    counters = dict(obs.snapshot()["counters"])
-    assert counters["serve.backend.sellcs"] == 1
-    assert counters["serve.backend.rerouted"] == 1  # only the rewrite
-
-
-def test_backend_auto_without_calibration_stays_hymv():
-    svc, _ = _mini_service(backend="auto")
-    key = ProblemKey(problem="poisson", nel=3, n_parts=2, etype="hex8",
-                     method="hymv")
-    assert svc._route_key(key).method == "hymv"
-
-
-def test_backend_forced_sellcs_serves_requests():
-    """End to end: a forced-sellcs service completes spmv requests with
-    the same values a backend-less service returns for an explicit
-    sellcs key."""
-    key_hymv = ProblemKey(problem="graphlap", nel=4, n_parts=2,
-                          etype="tet4", method="hymv", seed=2)
-    key_sell = dataclasses.replace(key_hymv, method="sellcs")
-
-    svc, _ = _mini_service(backend="sellcs")
-    reqs = [ServeRequest(rid=i, key=key_hymv, kind="spmv", seed=100 + i,
-                         arrival=0.0, deadline=1e9) for i in range(3)]
-    for r in reqs:
-        assert svc.submit(r)
+    assert svc.submit(ServeRequest(rid=0, key=key, kind="spmv", seed=1,
+                                   arrival=0.0))
     out = svc.dispatch(now=0.0)
-    assert len(out.completions) == 3
-    assert all(c.status == "ok" for c in out.completions)
-    assert svc.backend_histogram == {"sellcs": 1}
-
-    ref_svc, _ = _mini_service()
-    for i, c in enumerate(out.completions):
-        rr = ServeRequest(rid=10 + i, key=key_sell, kind="spmv",
-                          seed=100 + i, arrival=0.0, deadline=1e9)
-        assert ref_svc.submit(rr)
-    ref = ref_svc.dispatch(now=0.0)
-    for c, cr in zip(out.completions, ref.completions):
-        assert np.array_equal(c.value, cr.value)
-
-
-def test_crossover_loader_round_trip(tmp_path):
-    """A tuned backend crossover reaches the service's routing through
-    the one loader (a positive crossover turns on ``backend="auto"``)."""
-    import json
-
-    from repro.obs.schema import TUNE_CONFIG_SCHEMA
-    from repro.serve.plan import load_tuned_config
-
-    path = tmp_path / "tuned_config.json"
-    path.write_text(json.dumps(
-        {"schema": TUNE_CONFIG_SCHEMA, "config": {"sellcs_crossover_dofs": 400}}
-    ))
-    obs = Instrumentation(rank=-1)
-    svc = SolverService(
-        OperatorCache(capacity=4, obs=obs), plan=load_tuned_config(path),
-    )
-    small = ProblemKey(problem="poisson", nel=3, n_parts=2, etype="hex8")
-    assert svc._route_key(small).method == "sellcs"
-    assert svc._route_key(dataclasses.replace(small, nel=12)).method == "hymv"
+    assert [c.status for c in out.completions] == ["ok"]
+    assert len(cache) == 1
+    ctx = cache.peek(key)
+    assert ctx is not None and ctx.key is key
+    assert all(isinstance(st["A"], HymvOperator) for st in ctx.ranks)

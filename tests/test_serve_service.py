@@ -15,7 +15,6 @@ from repro.obs.instrumentation import Instrumentation
 from repro.obs.schema import SERVE_SCHEMA, new_report, validate_report
 from repro.serve.cache import OperatorCache, ProblemKey, SolverContext
 from repro.serve.loadgen import Oracle, run_workload, suite_workloads
-from repro.serve.plan import ExecutionPlan
 from repro.serve.queue import ServeRequest
 from repro.serve.service import Completion, SolverService
 
@@ -170,7 +169,7 @@ def test_all_expired_dispatch_ends_now():
 
 @pytest.fixture(scope="module")
 def oracle():
-    return Oracle(ExecutionPlan(), 1)
+    return Oracle(1)
 
 
 def _answer(oracle, kind, perturb):
@@ -391,6 +390,15 @@ def test_faulted_workload_zero_wrong_answers():
 def test_problem_key_rejects_unknown_problem(bad):
     with pytest.raises((ValueError, KeyError)):
         ProblemKey(problem=bad).build_spec()
+
+
+@pytest.mark.parametrize("field,bad", [("method", "bogus"), ("etype", "hex99")])
+def test_malformed_key_build_raises_value_error(field, bad):
+    """A key naming no operator kind or element type fails its build with
+    a ValueError naming the bad value, not a KeyError from inside set-up."""
+    cache = OperatorCache(capacity=1, obs=Instrumentation(rank=-1))
+    with pytest.raises(ValueError, match=bad):
+        cache.get(dataclasses.replace(KEY_A, **{field: bad}))
 
 
 def test_completion_dataclass_defaults():

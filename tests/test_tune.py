@@ -1,27 +1,22 @@
 """repro.tune unit tests: the crossover selection rule on synthetic
 timings, tuned configs as execution plans, and the ``tune`` harness
-measuring the crossovers and writing them as ``tuned_config.json``."""
+measuring the GEMM crossover and writing it as ``tuned_config.json``."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.obs.schema import read_json
-from repro.serve.plan import ExecutionPlan, load_tuned_config
-from repro.tune.calibration import GEMM_KS, SHAPES, crossovers
+from repro.serve.plan import ExecutionPlan, PlanError, load_tuned_config
+from repro.tune.calibration import GEMM_KS, crossovers
 
 
-def _timings(gemm_wins=(), sellcs_wins=()):
+def _timings(gemm_wins=()):
     """Synthetic timings: GEMM beats the oracle at the ``k`` in
-    ``gemm_wins``, SELL beats HYMV on the shapes in ``sellcs_wins``."""
+    ``gemm_wins``."""
     return {
-        "gemm": {
-            k: {"oracle": 1.0, "gemm": 0.5 if k in gemm_wins else 2.0}
-            for k in GEMM_KS
-        },
-        "sellcs": {
-            name: {"n_dofs": 100 * (i + 1), "hymv": 1.0,
-                   "sellcs": 0.5 if name in sellcs_wins else 1.5}
-            for i, name in enumerate(SHAPES)
-        },
+        k: {"oracle": 1.0, "gemm": 0.5 if k in gemm_wins else 2.0}
+        for k in GEMM_KS
     }
 
 
@@ -34,20 +29,16 @@ class TestCrossovers:
         assert "gemm_k_min" not in crossovers(_timings())
 
     def test_hymv_wins_every_shape_gives_no_crossover(self):
+        # the config names the GEMM crossover and nothing else
         config = crossovers(_timings(gemm_wins=(8, 32)))
         assert config == {"gemm_k_min": 8}
 
     def test_k1_win_gives_k_min_1(self):
         assert crossovers(_timings(gemm_wins=(1, 8, 32)))["gemm_k_min"] == 1
 
-    def test_crossover_is_the_largest_winning_shape(self):
-        names = list(SHAPES)
-        config = crossovers(_timings(sellcs_wins=(names[0], names[2])))
-        assert config == {"sellcs_crossover_dofs": 300}
-
     def test_a_tie_is_no_win(self):
         timings = _timings()
-        timings["gemm"][2]["gemm"] = timings["gemm"][2]["oracle"]
+        timings[2]["gemm"] = timings[2]["oracle"]
         assert crossovers(timings) == {}
 
 
@@ -60,28 +51,23 @@ class TestServiceRoundTrip:
         from repro.serve.cache import OperatorCache
         from repro.serve.service import SolverService
 
-        plan = ExecutionPlan.from_tuned({
-            "max_batch": 4, "queue_capacity": 16, "gemm_k_min": 16,
-            "sellcs_crossover_dofs": 1000, "sell_c": 8,
-            "sell_sigma_factor": 2,
-        })
-        assert plan == ExecutionPlan(
-            k_min=16, backend="auto", sellcs_crossover_dofs=1000,
-            sell_c=8, sell_sigma=16,
-        )
+        plan = ExecutionPlan.from_tuned({"gemm_k_min": 16})
+        assert plan == ExecutionPlan(k_min=16)
         svc = SolverService(OperatorCache(capacity=2), plan=plan)
         assert svc.plan is plan
 
     def test_explicit_args_beat_tuned(self):
-        # sizing is always the caller's: a tuned artifact's max_batch /
-        # queue_capacity never override explicit (even default-valued)
-        # arguments
+        # sizing is always the caller's: a tuned artifact carrying
+        # max_batch / queue_capacity is rejected, and the plan leaves the
+        # explicit (even default-valued) arguments alone
         from repro.serve.cache import OperatorCache
         from repro.serve.service import SolverService
 
-        plan = ExecutionPlan.from_tuned(
-            {"max_batch": 4, "queue_capacity": 16, "gemm_k_min": 16}
-        )
+        with pytest.raises(PlanError, match="max_batch, queue_capacity"):
+            ExecutionPlan.from_tuned(
+                {"max_batch": 4, "queue_capacity": 16, "gemm_k_min": 16}
+            )
+        plan = ExecutionPlan.from_tuned({"gemm_k_min": 16})
         svc = SolverService(
             OperatorCache(capacity=1), max_batch=8, queue_capacity=64,
             plan=plan,
@@ -91,8 +77,9 @@ class TestServiceRoundTrip:
         assert svc.plan.k_min == 16
 
     def test_zero_crossover_does_not_enable_routing(self):
-        plan = ExecutionPlan.from_tuned({"sellcs_crossover_dofs": 0})
-        assert plan.backend is None and plan.sellcs_crossover_dofs is None
+        # a retired router key is rejected, never silently dropped
+        with pytest.raises(PlanError, match="sellcs_crossover_dofs"):
+            ExecutionPlan.from_tuned({"sellcs_crossover_dofs": 0})
 
 
 # ----------------------------------------------------------------------
@@ -107,22 +94,19 @@ def _tune(tmp_path) -> int:
 
 class TestHarness:
     def test_tuned_config_carries_measured_crossovers(self, tmp_path):
-        """One live run: every written value is a measured ladder rung
-        or shape size, and the artifact loads as the plan it names."""
+        """One live run: the written value is a measured ladder rung,
+        and the artifact loads as the plan it names."""
         assert _tune(tmp_path) == 0
         config = read_json(tmp_path / "tuned.json")["config"]
-        assert set(config) <= {"gemm_k_min", "sellcs_crossover_dofs"}
+        assert set(config) <= {"gemm_k_min"}
         assert config.get("gemm_k_min", GEMM_KS[0]) in GEMM_KS
-        shape_dofs = {343, 729, 4913, 9261}  # SHAPES, smallest first
-        crossover = config.get("sellcs_crossover_dofs")
-        assert crossover is None or crossover in shape_dofs
         assert load_tuned_config(tmp_path / "tuned.json") == (
             ExecutionPlan.from_tuned(config)
         )
 
     def test_kernels_only_sets_only_k_min(self, tmp_path, monkeypatch):
-        """HYMV fastest at every shape: the artifact holds only
-        ``gemm_k_min`` and the plan routes no backend."""
+        """The artifact holds only ``gemm_k_min`` and loads as the plan
+        with that crossover."""
         import repro.tune.calibration as calibration
 
         monkeypatch.setattr(
