@@ -59,11 +59,6 @@ class DistributedArray:
         self.data[:] = 0.0
         return self
 
-    def zero_ghosts(self) -> "DistributedArray":
-        self.data[: self.maps.n_pre] = 0.0
-        self.data[self.maps.n_pre + self.maps.n_owned :] = 0.0
-        return self
-
     def set_owned(self, values: np.ndarray) -> "DistributedArray":
         self.owned[:] = np.asarray(values, dtype=np.float64).reshape(
             self.maps.n_owned, self.ndpn
@@ -86,13 +81,6 @@ class DistributedArray:
     def dot(self, other: "DistributedArray", comm: Communicator) -> float:
         local = float(self.owned_flat @ other.owned_flat)
         return float(comm.allreduce(local))
-
-    def norm2(self, comm: Communicator) -> float:
-        return float(np.sqrt(self.dot(self, comm)))
-
-    def norm_inf(self, comm: Communicator) -> float:
-        local = float(np.abs(self.owned_flat).max()) if self.owned_flat.size else 0.0
-        return float(comm.allreduce(local, op="max"))
 
 
 class DistributedMultiVector:

@@ -573,7 +573,7 @@ class EbeOperatorBase:
         d = self.new_array()
         ke = self._element_matrices(self._sl_all)
         nd = self.e2l_dofs.shape[1]
-        diag_e = ke[:, np.arange(nd), np.arange(nd)]
+        diag_e = ke.diagonal(axis1=1, axis2=2)
         scatter_add(d.data.reshape(-1), self.e2l_dofs, diag_e)
         d.accumulate_ghosts(self.comm, self.cmaps)
         return d

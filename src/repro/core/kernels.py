@@ -370,8 +370,8 @@ class KeCsrView:
         # int32 unless the batch outgrows it
         itype = np.int32 if max(ke.size, self.n_cols) < 2**31 else np.int64
         self.indptr = np.arange(0, ke.size + 1, nd, dtype=itype)
-        self.indices = np.empty((E, nd, nd), dtype=itype)
-        self.indices[:] = e2l_dofs[:, None, :]
+        # row i of element e is e2l_dofs[e]: nd copies side by side
+        self.indices = np.tile(e2l_dofs.astype(itype), nd).reshape(E, nd, nd)
         self.data = ke.reshape(-1)
 
     @property

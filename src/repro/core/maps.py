@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.arrays import INDEX_DTYPE, as_index
+from repro.util.arrays import INDEX_DTYPE, as_index, unique_index
 
 __all__ = ["NodeMaps", "build_node_maps"]
 
@@ -95,8 +95,8 @@ def build_node_maps(e2g: np.ndarray, n_begin: int, n_end: int) -> NodeMaps:
     flat = e2g.reshape(-1)
     pre_mask = flat < n_begin
     post_mask = flat >= n_end
-    ghost_pre = np.unique(flat[pre_mask])
-    ghost_post = np.unique(flat[post_mask])
+    ghost_pre = unique_index(flat[pre_mask])
+    ghost_post = unique_index(flat[post_mask])
 
     n_pre = ghost_pre.size
     n_owned = n_end - n_begin

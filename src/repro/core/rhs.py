@@ -15,7 +15,7 @@ from repro.core.scatter import CommMaps
 from repro.fem.loads import ForceFn, body_force_rhs_batch, traction_rhs_batch
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
-from repro.util.arrays import scatter_add
+from repro.util.arrays import INDEX_DTYPE, scatter_add
 
 __all__ = ["local_node_coords", "assemble_rhs"]
 
@@ -24,9 +24,10 @@ def local_node_coords(maps: NodeMaps, lmesh: LocalMesh) -> np.ndarray:
     """``(n_total, 3)`` coordinates of every local slot (owned + ghosts),
     recovered from element coordinates (each local node, owned or ghost,
     belongs to at least one local element)."""
-    coords = np.zeros((maps.n_total, 3))
-    coords[maps.e2l.reshape(-1)] = lmesh.coords.reshape(-1, 3)
-    return coords
+    # one (element, node) position per slot, then one row gather
+    src = np.zeros(maps.n_total, dtype=INDEX_DTYPE)
+    src[maps.e2l.reshape(-1)] = np.arange(maps.e2l.size, dtype=INDEX_DTYPE)
+    return np.take(lmesh.coords.reshape(-1, 3), src, axis=0)
 
 
 def assemble_rhs(

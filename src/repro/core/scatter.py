@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.maps import NodeMaps
 from repro.simmpi.communicator import Communicator, Request
-from repro.util.arrays import INDEX_DTYPE, as_index
+from repro.util.arrays import INDEX_DTYPE, unique_index
 
 __all__ = [
     "SCATTER_TAG",
@@ -87,7 +87,7 @@ def build_comm_maps(
     """
     if ghost_ids is None:
         ghost_ids = np.concatenate([maps.ghost_pre, maps.ghost_post])
-    ghost_ids = np.unique(as_index(ghost_ids))
+    ghost_ids = unique_index(ghost_ids)
 
     if ranges is None:
         ranges = np.asarray(

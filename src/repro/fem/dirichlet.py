@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.util.arrays import INDEX_DTYPE, as_index
+from repro.util.arrays import INDEX_DTYPE, as_index, unique_index
 
 __all__ = ["DirichletBC"]
 
@@ -50,7 +50,7 @@ class DirichletBC:
     components: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        self.nodes = np.unique(as_index(self.nodes))
+        self.nodes = unique_index(self.nodes)
         if self.components is None:
             self.components = tuple(range(self.ndpn))
 

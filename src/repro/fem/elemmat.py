@@ -103,21 +103,23 @@ def _geometry(dNt: np.ndarray, coords: np.ndarray):
     """
     q = dNt.shape[0]
     J = np.matmul(dNt.reshape(3 * q, -1), coords).reshape(-1, q, 3, 3)
-    invJt = np.empty_like(J)
-    for i in range(3):
-        u, v = J[..., (i + 1) % 3, :], J[..., (i + 2) % 3, :]
-        invJt[..., i, 0] = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
-        invJt[..., i, 1] = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
-        invJt[..., i, 2] = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    detJ = (
-        J[..., 0, 0] * invJt[..., 0, 0]
-        + J[..., 0, 1] * invJt[..., 0, 1]
-        + J[..., 0, 2] * invJt[..., 0, 2]
-    )
+    # the same element-wise operations on contiguous components: ``r[d, k]``
+    # is ``J[(d + 1) % 3, (k + 1) % 3]`` over every (element, point)
+    roll = np.array([1, 2, 0, 1])
+    r = J.reshape(-1, 9).T.reshape(3, 3, -1)[np.ix_(roll, roll)]
+    adj = r[:3, :3] * r[1:, 1:]
+    for i in range(3):  # row by row: a (3, E q) temporary, not (3, 3, E q)
+        adj[i] -= r[i, 1:] * r[i + 1, :3]
+    detJ = r[2, 2] * adj[0, 0]  # J[0, k] = r[2, k - 1]
+    detJ += r[2, 0] * adj[0, 1]
+    detJ += r[2, 1] * adj[0, 2]
+    del r  # freed before invJ^T: the peak stays inside ``_ke_words``
     if (detJ <= 0).any():
         raise InvertedElementError(int((detJ <= 0).sum()))
-    invJt /= detJ[..., None, None]
-    return J, detJ, invJt
+    adj /= detJ
+    invJt = np.empty_like(J)
+    invJt.reshape(-1, 9).T[...] = adj.reshape(9, -1)
+    return J, detJ.reshape(J.shape[:2]), invJt
 
 
 def jacobians(
@@ -170,8 +172,10 @@ def poisson_ke_batch(
     etype: ElementType,
     quad: QuadratureRule | None = None,
     coefficient=None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Poisson stiffness matrices ``(E, n, n)`` for ``-div(kappa grad u)``.
+    """Poisson stiffness matrices ``(E, n, n)`` for ``-div(kappa grad u)``,
+    written into ``out`` when given.
 
     ``Ke[n, m] = sum_q w_q detJ_q kappa(x_q) grad(N_n) . grad(N_m)``;
     ``coefficient`` is a callable on physical points (default: 1, the
@@ -184,7 +188,7 @@ def poisson_ke_batch(
     g = np.matmul(np.swapaxes(invJt, -1, -2), basis.dNt)  # (E, q, 3, n)
     E, q, _, n = g.shape
     gw = (g * wd[:, :, None, None]).reshape(E, 3 * q, n)
-    return np.matmul(np.swapaxes(gw, 1, 2), g.reshape(E, 3 * q, n))
+    return np.matmul(np.swapaxes(gw, 1, 2), g.reshape(E, 3 * q, n), out=out)
 
 
 def elasticity_ke_batch(
@@ -193,8 +197,10 @@ def elasticity_ke_batch(
     lam: float,
     mu: float,
     quad: QuadratureRule | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Isotropic linear-elasticity stiffness matrices ``(E, 3n, 3n)``.
+    """Isotropic linear-elasticity stiffness matrices ``(E, 3n, 3n)``,
+    written into ``out`` when given.
 
     DOF ordering is node-major: dof ``3 n + i`` is component ``i`` of node
     ``n``.  The kernel is the standard index form
@@ -213,12 +219,14 @@ def elasticity_ke_batch(
     G = g.reshape(E, q, 3 * n)
     P = np.matmul(np.swapaxes(G * wd[:, :, None], 1, 2), G)
     P = P.reshape(E, n, 3, n, 3)
-    ke = lam * P
+    if out is None:
+        out = np.empty((E, 3 * n, 3 * n))
+    ke = np.multiply(lam, P, out=out.reshape(P.shape))
     ke += mu * P.transpose(0, 1, 4, 3, 2)
     gdot = mu * (P[:, :, 0, :, 0] + P[:, :, 1, :, 1] + P[:, :, 2, :, 2])
     for i in range(3):
         ke[:, :, i, :, i] += gdot
-    return ke.reshape(E, 3 * n, 3 * n)
+    return out
 
 
 def mass_ke_batch(

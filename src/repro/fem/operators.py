@@ -95,7 +95,7 @@ class Operator:
         n_bad = 0
         for s in range(0, shape[0], step):
             try:
-                out[s: s + step] = self._ke_batch(coords[s: s + step], etype)
+                self._ke_batch(coords[s: s + step], etype, out[s: s + step])
             except InvertedElementError as exc:
                 n_bad += exc.n_bad
         if n_bad:
@@ -107,8 +107,9 @@ class Operator:
         keep the kernel's temporaries within :data:`KE_BLOCK_BYTES`."""
         return max(1, KE_BLOCK_BYTES // (8 * self._ke_words(etype)))
 
-    def _ke_batch(self, coords: np.ndarray, etype: ElementType) -> np.ndarray:
-        """The batch kernel: element matrices of one block."""
+    def _ke_batch(self, coords, etype, out=None) -> np.ndarray:
+        """The batch kernel: element matrices of one block, written into
+        ``out`` (allocated when None), which is returned."""
         raise NotImplementedError
 
     def _ke_words(self, etype: ElementType) -> int:
@@ -168,11 +169,12 @@ class PoissonOperator(Operator):
     quad: QuadratureRule | None = None
     coefficient: object = None
 
-    def _ke_batch(self, coords, etype):
-        return poisson_ke_batch(coords, etype, self.quad, self.coefficient)
+    def _ke_batch(self, coords, etype, out=None):
+        return poisson_ke_batch(coords, etype, self.quad, self.coefficient, out)
 
     def _ke_words(self, etype):
-        # geometry ~16 q, two (q, 3, n) gradient stacks, the (n, n) result
+        # invJ^T and weights ~16 q, two (q, 3, n) gradient stacks, the
+        # (n, n) result; also covers the geometry's ~40 q peak before them
         q, n = _n_points(etype, self.quad), etype.n_nodes
         return 16 * q + 6 * q * n + n * n
 
@@ -200,7 +202,7 @@ class GraphLaplacianOperator(Operator):
     drop: float = 0.35
     shift: float = 0.05
 
-    def _ke_batch(self, coords, etype):
+    def _ke_batch(self, coords, etype, out=None):
         # symmetric edge-midpoint hash -> uniform(0, 1) per node pair
         mid = 0.5 * (coords[:, :, None, :] + coords[:, None, :, :])
         phase = (
@@ -215,11 +217,9 @@ class GraphLaplacianOperator(Operator):
         n = coords.shape[1]
         eye = np.eye(n)
         w = w * (1.0 - eye)  # no self-edges
-        ke = np.zeros_like(w)
-        d = w.sum(axis=2)
+        ke = np.subtract(0.0, w, out=out)  # the diagonal's w is +0.0
         idx = np.arange(n)
-        ke[:, idx, idx] = d + self.shift
-        ke -= w
+        ke[:, idx, idx] = w.sum(axis=2) + self.shift
         return ke
 
     def ke_flops(self, etype: ElementType) -> float:
@@ -241,12 +241,12 @@ class ElasticityOperator(Operator):
     material: IsotropicElasticity = field(default_factory=IsotropicElasticity)
     quad: QuadratureRule | None = None
 
-    def _ke_batch(self, coords, etype):
-        return elasticity_ke_batch(
-            coords, etype, self.material.lam, self.material.mu, self.quad
-        )
+    def _ke_batch(self, coords, etype, out=None):
+        m = self.material
+        return elasticity_ke_batch(coords, etype, m.lam, m.mu, self.quad, out)
 
     def _ke_words(self, etype):
-        # as Poisson, but P, lam P, mu P^T alive at once: three (nd, nd)
+        # as Poisson, but P, the result and mu P^T alive at once: three
+        # (nd, nd)
         q, n = _n_points(etype, self.quad), etype.n_nodes
         return 16 * q + 6 * q * n + 3 * (3 * n) ** 2

@@ -48,10 +48,6 @@ class ElementType(enum.Enum):
         return not self.is_hex
 
     @property
-    def is_quadratic(self) -> bool:
-        return self in (ElementType.HEX20, ElementType.HEX27, ElementType.TET10)
-
-    @property
     def corner_count(self) -> int:
         """Number of geometric corner (vertex) nodes."""
         return 8 if self.is_hex else 4

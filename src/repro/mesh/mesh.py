@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.mesh.element import ElementType, corner_faces, face_nodes
-from repro.util.arrays import as_f64, as_index, INDEX_DTYPE
+from repro.util.arrays import INDEX_DTYPE, as_f64, as_index, unique_index
 
 
 @dataclass
@@ -68,12 +68,13 @@ class Mesh:
         keys, and ``dup[i]`` says sorted key ``i + 1`` equals key ``i``."""
         if "face_keys" in self._cache:
             return self._cache["face_keys"]
-        faces = np.asarray(corner_faces(self.etype))
-        keys = np.sort(self.conn[:, faces], axis=2)  # (E, F, c)
-        keys = keys.transpose(1, 0, 2).reshape(-1, faces.shape[1])
-        order = np.lexsort(keys.T[::-1])
-        sk = keys[order]
-        dup = (sk[1:] == sk[:-1]).all(axis=1)
+        faces = np.asarray(corner_faces(self.etype)).T  # (c, F)
+        # row j: corner j of every face, face-major
+        ids = np.ascontiguousarray(self.conn.T)[faces].reshape(len(faces), -1)
+        hi, lo = pack_face_keys(list(ids), self.n_nodes)
+        order = np.lexsort((lo, hi))
+        hi, lo = hi[order], lo[order]
+        dup = (hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1])
         self._cache["face_keys"] = (order, dup)
         return order, dup
 
@@ -92,9 +93,7 @@ class Mesh:
         shared[:-1] |= dup
         once = np.zeros(order.size, dtype=bool)
         once[order] = ~shared
-        face, elem = np.divmod(
-            np.flatnonzero(once).astype(INDEX_DTYPE), self.n_elements
-        )
+        face, elem = np.divmod(np.flatnonzero(once), self.n_elements)
         boundary = np.stack([elem, face], axis=1)
         self._cache["boundary_faces"] = boundary
         return boundary
@@ -106,7 +105,7 @@ class Mesh:
             return self._cache["boundary_nodes"]
         bf = self.boundary_faces()
         fnodes = np.asarray(face_nodes(self.etype))
-        out = np.unique(self.conn[bf[:, :1], fnodes[bf[:, 1]]])
+        out = unique_index(self.conn[bf[:, :1], fnodes[bf[:, 1]]])
         self._cache["boundary_nodes"] = out
         return out
 
@@ -114,18 +113,12 @@ class Mesh:
         """CSR-style node→element adjacency ``(offsets, elements)``."""
         if "node_elements" in self._cache:
             return self._cache["node_elements"]
-        flat_nodes = self.conn.reshape(-1)
-        flat_elems = np.repeat(
-            np.arange(self.n_elements, dtype=INDEX_DTYPE), self.etype.n_nodes
-        )
-        order = np.argsort(flat_nodes, kind="stable")
-        sorted_nodes = flat_nodes[order]
-        sorted_elems = flat_elems[order]
-        counts = np.bincount(sorted_nodes, minlength=self.n_nodes)
+        flat = self.conn.reshape(-1)
         offsets = np.zeros(self.n_nodes + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=offsets[1:])
-        self._cache["node_elements"] = (offsets, sorted_elems)
-        return offsets, sorted_elems
+        np.cumsum(np.bincount(flat, minlength=self.n_nodes), out=offsets[1:])
+        elems = np.argsort(flat, kind="stable") // self.etype.n_nodes
+        self._cache["node_elements"] = (offsets, elems)
+        return offsets, elems
 
     def dual_graph_edges(self) -> np.ndarray:
         """``(m, 2)`` element pairs sharing a face (the element dual graph).
@@ -140,10 +133,29 @@ class Mesh:
         self._cache["dual_edges"] = pairs
         return pairs
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.coords.min(axis=0), self.coords.max(axis=0)
-
     def element_centroids(self) -> np.ndarray:
         """``(E, 3)`` centroids of the corner nodes of each element."""
         nc = self.etype.corner_count
-        return self.coords[self.conn[:, :nc]].mean(axis=1)
+        # corner by corner, in the order ``mean(axis=1)`` adds them
+        out = np.take(self.coords, self.conn[:, 0], axis=0)
+        for j in range(1, nc):
+            out += np.take(self.coords, self.conn[:, j], axis=0)
+        out /= nc
+        return out
+
+
+def pack_face_keys(ids: list, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 keys ``(hi, lo)`` ordered as the sorted corner-id tuples of
+    the 3 or 4 id columns ``ids``: a compare-exchange network sorts the
+    columns in place, then ``hi = a N + b``, ``lo = c N + d`` (``c`` for
+    triangles), ``N = n_nodes``.  ``ValueError`` when ``N^2`` overflows."""
+    if int(n_nodes) ** 2 >= 1 << 63:
+        raise ValueError(f"{n_nodes} nodes overflow the int64 face keys")
+    net = [(0, 1), (1, 2), (0, 1)]
+    if len(ids) == 4:
+        net = [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)]
+    for i, j in net:
+        ids[i], ids[j] = np.minimum(ids[i], ids[j]), np.maximum(ids[i], ids[j])
+    hi = ids[0] * n_nodes + ids[1]
+    lo = ids[2] if len(ids) == 3 else ids[2] * n_nodes + ids[3]
+    return hi, lo

@@ -65,9 +65,8 @@ def _linear_box(nx, ny, nz, lengths, origin) -> Mesh:
         a.transpose(2, 1, 0).ravel() for a in (ex, ey, ez)
     )
     offsets = ((reference_nodes(ElementType.HEX8) + 1) // 2).astype(INDEX_DTYPE)
-    conn = np.stack(
-        [nid(ex + ox, ey + oy, ez + oz) for ox, oy, oz in offsets], axis=1
-    )
+    # nid is linear: corner c of an element is its corner 0 plus nid(c)
+    conn = nid(ex, ey, ez)[:, None] + nid(*offsets.T)
     return Mesh(coords, conn, ElementType.HEX8)
 
 

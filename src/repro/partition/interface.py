@@ -106,25 +106,13 @@ class Partition:
         """Domain-boundary nodes in renumbered ids (sorted)."""
         return np.sort(self.new_of_old[self.mesh.boundary_nodes()])
 
-    def owner_of_new(self, new_ids: np.ndarray) -> np.ndarray:
-        """Owning rank of renumbered node ids (via the range table)."""
-        return (
-            np.searchsorted(self.ranges[:, 1], as_index(new_ids), side="right")
-        ).astype(INDEX_DTYPE)
-
     @cached_property
     def _element_index(self) -> tuple:
         """``(node->element CSR ptr, element ids, element -> local
         index)``, built on first use; valid for the partition's lifetime
         because its mesh connectivity never changes (refinement makes a
         new partition)."""
-        conn = self.mesh.conn
-        flat = conn.reshape(-1)
-        counts = np.bincount(flat, minlength=self.mesh.n_nodes)
-        ptr = np.concatenate(([0], np.cumsum(counts))).astype(INDEX_DTYPE)
-        elems = (np.argsort(flat, kind="stable") // conn.shape[1]).astype(
-            INDEX_DTYPE
-        )
+        ptr, elems = self.mesh.node_elements()
         local = np.empty(self.mesh.n_elements, dtype=INDEX_DTYPE)
         for lm in self.locals_:
             local[lm.elements] = np.arange(lm.elements.size, dtype=INDEX_DTYPE)
@@ -215,16 +203,16 @@ def partition_from_elem_part(
         ranges=ranges,
     )
 
-    e2g_all = new_of_old[mesh.conn]
     for rank in range(n_parts):
         elems = np.flatnonzero(elem_part == rank).astype(INDEX_DTYPE)
+        conn = mesh.conn[elems]
         part.locals_.append(
             LocalMesh(
                 rank=rank,
                 etype=mesh.etype,
                 elements=elems,
-                e2g=e2g_all[elems],
-                coords=mesh.coords[mesh.conn[elems]],
+                e2g=new_of_old[conn],
+                coords=np.take(mesh.coords, conn, axis=0),
                 n_begin=int(ranges[rank, 0]),
                 n_end=int(ranges[rank, 1]),
             )

@@ -176,10 +176,13 @@ class SolverService:
         tenants = [r.tenant for r in batch if r.tenant is not None]
         while True:
             try:
-                if tenants:
-                    ctx, build_dt = self.cache.get(key, tenants=tenants)
-                else:
-                    ctx, build_dt = self.cache.get(key)
+                try:
+                    if tenants:
+                        ctx, build_dt = self.cache.get(key, tenants=tenants)
+                    else:
+                        ctx, build_dt = self.cache.get(key)
+                except ValueError as exc:  # an unbuildable key: no retry helps
+                    return self._fail(batch, f"build failed: {exc}"), duration
                 duration += build_dt
                 sig0 = ctx.fault_signal()
                 completions, dt = self._run_batch(ctx, batch, kind)

@@ -48,9 +48,6 @@ class VirtualCluster:
         final clocks of every simulator ever registered under it)."""
         return sum(s.max_vtime for s in self._sims.get(name, ()))
 
-    def total_busy_vtime(self) -> float:
-        return sum(self.busy_vtime(n) for n in self._sims)
-
     def counters(self, name: str) -> dict[str, float]:
         """Summed per-rank communicator counters of node ``name``."""
         out: dict[str, float] = {}

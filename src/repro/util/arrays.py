@@ -92,6 +92,14 @@ def inverse_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
+def unique_index(a) -> np.ndarray:
+    """``np.unique`` of integer ids as ``INDEX_DTYPE`` by a sort and a
+    neighbour compare: several times faster than NumPy 2's hash-based
+    ``unique`` at set-up sizes."""
+    s = np.sort(as_index(a).reshape(-1))
+    return s[np.diff(s, prepend=s[:1] - 1) != 0]
+
+
 def rows_unique(a: np.ndarray) -> bool:
     """True when the rows of a 2-D integer array are pairwise distinct."""
     if a.ndim != 2:

@@ -42,7 +42,7 @@ def test_hex20_box_counts(nx, ny, nz):
 
 def test_box_respects_lengths_and_origin():
     m = box_hex_mesh(2, 3, 4, lengths=(2.0, 3.0, 4.0), origin=(-1.0, 0.5, 2.0))
-    lo, hi = m.bounding_box()
+    lo, hi = m.coords.min(axis=0), m.coords.max(axis=0)
     np.testing.assert_allclose(lo, [-1.0, 0.5, 2.0])
     np.testing.assert_allclose(hi, [1.0, 3.5, 6.0])
 

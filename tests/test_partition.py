@@ -111,14 +111,14 @@ def test_partition_from_bad_elem_part():
         )
 
 
-def test_owner_of_new_handles_empty_ranks():
+def test_partition_handles_empty_ranks():
     mesh = box_hex_mesh(2, 2, 2)
     # all elements to rank 1 of 3 => ranks 0 and 2 own nothing
     part = partition_from_elem_part(
         mesh, 3, np.ones(mesh.n_elements, dtype=np.int64)
     )
-    ids = np.arange(mesh.n_nodes)
-    assert (part.owner_of_new(ids) == 1).all()
+    assert (part.node_owner == 1).all()
+    assert part.local(0).n_local_elements == part.local(2).n_local_elements == 0
     assert part.ranges[0, 0] == part.ranges[0, 1]  # empty
     assert part.ranges[2, 0] == part.ranges[2, 1]
 

@@ -401,6 +401,31 @@ def test_malformed_key_build_raises_value_error(field, bad):
         cache.get(dataclasses.replace(KEY_A, **{field: bad}))
 
 
+@pytest.mark.parametrize("field,bad", [("method", "bogus"), ("etype", "hex99")])
+def test_unbuildable_key_fails_each_request_once(field, bad):
+    """A batch whose key cannot be built is answered, not dropped: one
+    failed Completion per request naming the bad value, no retry and no
+    rebuild, and the request count balances.  A good key queued behind
+    it is still served."""
+    bad_key = dataclasses.replace(KEY_A, **{field: bad})
+    service = SolverService(OperatorCache(capacity=2), max_batch=4)
+    for rid in range(3):
+        assert service.submit(_request(rid, key=bad_key))
+    assert service.submit(_request(3))
+    out = service.dispatch(now=0.0)
+    assert [c.request.rid for c in out.completions] == [0, 1, 2]
+    for c in out.completions:
+        assert c.status == "failed" and bad in c.info["reason"]
+    (good,) = service.dispatch(now=out.end).completions
+    assert good.status == "ok" and service.pending == 0
+    n = service.obs.counter
+    assert n("serve.failed") == 3 and n("serve.completed") == 1
+    assert n("serve.submitted") == (
+        n("serve.completed") + n("serve.failed") + n("serve.rejected")
+    )
+    assert n("serve.retries") == n("serve.rebuilds") == 0
+
+
 def test_completion_dataclass_defaults():
     c = Completion(_request(0), "failed")
     assert c.value is None and c.info == {}
