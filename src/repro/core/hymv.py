@@ -887,24 +887,3 @@ def reference_spmv(
     comm.obs.incr("spmv.flops", n * A._emv_flops)
     return v
 
-
-def as_scipy_operator(op) -> "object":
-    """Wrap any ``apply_owned`` operator as a
-    ``scipy.sparse.linalg.LinearOperator`` over its owned dofs.
-
-    Lets scipy's iterative solvers (CG, MINRES, LOBPCG, ...) drive the
-    distributed operator directly on a single rank, or a rank-local block
-    in tests — handy for interop and for cross-checking our own CG.
-
-    scipy solvers keep matvec results across calls; ``apply_owned``'s
-    default already returns a caller-owned copy, which is exactly the
-    contract they need.
-    """
-    from scipy.sparse.linalg import LinearOperator
-
-    n = op.n_dofs_owned
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return op.apply_owned(x)
-
-    return LinearOperator((n, n), matvec=matvec, rmatvec=matvec)

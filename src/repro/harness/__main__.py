@@ -1,4 +1,4 @@
-"""Entry point: figures/tables, smoke bench, chaos matrix, serve harness.
+"""Entry point: figures/tables, smoke bench, chaos matrix, load harness.
 
 The usage examples below are generated from ``_EXAMPLES`` (one source of
 truth — the module docstring, ``--help`` epilog and README stay in sync
@@ -26,15 +26,18 @@ _COMMANDS = {
     "bench": ("repro.obs.bench", "modeled smoke bench -> BENCH_smoke.json"),
     "chaos": ("repro.faults.chaos", "fault-injection matrix -> "
               "CHAOS_report.json (--smoke for CI size)"),
-    "serve": ("repro.serve.loadgen", "batched-solver load harness -> "
-              "SERVE_report.json (--smoke for CI size)"),
-    "shard": ("repro.serve.shardload", "sharded-tier Zipf load harness -> "
+    "serve": ("repro.serve.loadgen", "load harness, single-server suite "
+              "-> SERVE_report.json (--smoke for CI size)"),
+    "shard": ("repro.serve.loadgen", "load harness, sharded Zipf suite -> "
               "SHARD_report.json (--smoke for CI size)"),
     "adapt": ("repro.adapt.harness", "incremental-update harness -> "
               "ADAPT_report.json (--smoke for CI size)"),
     "tune": ("repro.tune.calibration", "GEMM multi-RHS crossover, "
              "measured here -> tuned_config.json (for --tuned-from)"),
 }
+#: the subcommands that are suites of the one load harness: its main()
+#: takes the subcommand name as the suite to run
+_SUITES = ("serve", "shard")
 
 # (example invocation, what it does) — the single source of the usage block
 _EXAMPLES = (
@@ -83,8 +86,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] in _COMMANDS:
         import importlib
 
-        module = importlib.import_module(_COMMANDS[argv[0]][0])
-        return module.main(argv[1:])
+        main = importlib.import_module(_COMMANDS[argv[0]][0]).main
+        if argv[0] in _SUITES:
+            return main(argv[1:], suite=argv[0])
+        return main(argv[1:])
 
     from repro.harness.registry import EXPERIMENTS, run_experiment
     from repro.util.tables import render_many

@@ -47,10 +47,6 @@ class LocalRefinement:
     ancestor: np.ndarray
     unchanged: np.ndarray
 
-    @property
-    def n_new_elements(self) -> int:
-        return int((~self.unchanged).sum())
-
 
 def _longest_edge(coords: list, tet: list[int]) -> tuple[int, int]:
     """Longest edge of one tet as a local-vertex pair, ties broken by the

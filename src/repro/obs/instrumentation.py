@@ -180,10 +180,6 @@ class Instrumentation:
             self._stack.pop()
             self.record(path, vtime=vtime, wall=wall)
 
-    @property
-    def current_path(self) -> str:
-        return ".".join(self._stack)
-
     # ------------------------------------------------------------------
     # counters
     # ------------------------------------------------------------------

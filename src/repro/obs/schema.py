@@ -28,7 +28,6 @@ __all__ = [
     "CHAOS_SCHEMA",
     "REPORTS",
     "SERVE_SCHEMA",
-    "SHARD_SCHEMA",
     "TUNE_CONFIG_SCHEMA",
     "SchemaError",
     "machine_fingerprint",
@@ -43,8 +42,7 @@ __all__ = [
 
 BENCH_SCHEMA = "repro.bench/1"
 CHAOS_SCHEMA = "repro.chaos/1"
-SERVE_SCHEMA = "repro.serve/2"
-SHARD_SCHEMA = "repro.shard/1"
+SERVE_SCHEMA = "repro.serve/3"
 TUNE_CONFIG_SCHEMA = "repro.tune-config/1"
 ADAPT_SCHEMA = "repro.adapt/1"
 
@@ -71,14 +69,6 @@ def _latency_all(doc: dict) -> None:
 #: the :func:`new_report` envelope (``created_unix`` is informational)
 _ENVELOPE = {"machine": {}, "config": {}}
 _CACHE = _keys("hits", "misses", "evictions", "hit_rate")
-#: the scenario fields serve and shard reports share
-_SERVED = {
-    **_keys("scenario", "workload", "throughput_rps", "makespan_s"),
-    "latency_s": {"*": _keys("p50", "p95", "p99", "mean", "min", "max", "n")},
-    "batch_histogram": {},
-    "modes": {},
-    "counters": {},
-}
 
 #: every report the program writes: schema id -> shape
 REPORTS: dict[str, dict] = {
@@ -103,32 +93,25 @@ REPORTS: dict[str, dict] = {
             "counters": {},
         }],
     },
-    # SERVE_report.json: `python -m repro.harness serve`.  v2 added the
-    # per-scenario `modes` histogram (the execution mode each dispatched
-    # batch ran under: oracle / gemm / degraded)
+    # SERVE_report.json / SHARD_report.json: `python -m repro.harness
+    # serve` and `shard`, one load harness whose every scenario runs on a
+    # shard cluster (one shard for the serve suite).  Per scenario: the
+    # request tally, latency summaries, per-shard utilization,
+    # replication state, per-tenant stats, the batch and execution-mode
+    # (oracle / gemm / degraded) histograms and the summed cache stats.
+    # v3 merged the single-server v2 and the sharded repro.shard/1 shapes
     SERVE_SCHEMA: {
         **_ENVELOPE,
         "scenarios": [{
-            **_SERVED,
-            "requests": _keys(
-                "submitted", "completed", "rejected", "shed_deadline",
-                "cancelled", "failed", "wrong_answers",
-            ),
-            "cache": _CACHE,
-        }],
-    },
-    # SHARD_report.json: `python -m repro.harness shard`, the sharded-tier
-    # serve report plus per-shard utilization, replication state,
-    # per-tenant stats and failover counts
-    SHARD_SCHEMA: {
-        **_ENVELOPE,
-        "scenarios": [{
-            **_SERVED,
-            "n_shards": None,
+            **_keys("scenario", "workload", "throughput_rps", "makespan_s",
+                    "n_shards"),
+            "latency_s": {
+                "*": _keys("p50", "p95", "p99", "mean", "min", "max", "n"),
+            },
             "requests": _keys(
                 "submitted", "completed", "rejected", "shed_tenant",
-                "shed_deadline", "spilled", "failed", "failovers",
-                "wrong_answers",
+                "shed_deadline", "cancelled", "spilled", "failed",
+                "failovers", "wrong_answers",
             ),
             "shards": ("non-empty", {"*": {
                 **_keys("utilization", "busy_s", "dispatches", "alive"),
@@ -139,6 +122,10 @@ REPORTS: dict[str, dict] = {
                 "keys_seen", "replicated_keys", "replication_factor"
             ),
             "tenants": {},
+            "batch_histogram": {},
+            "modes": {},
+            "cache": _CACHE,
+            "counters": {},
         }],
     },
     # ADAPT_report.json: `python -m repro.harness adapt`.  Per scenario:
@@ -173,7 +160,7 @@ REPORTS: dict[str, dict] = {
 }
 
 #: the rules a shape cannot express, checked once the shape validated
-_CHECKS = {SERVE_SCHEMA: _latency_all, SHARD_SCHEMA: _latency_all}
+_CHECKS = {SERVE_SCHEMA: _latency_all}
 
 
 def machine_fingerprint() -> dict[str, Any]:

@@ -1,5 +1,5 @@
 """Batched solver service: operator cache, multi-RHS micro-batching,
-deadlines, and a closed-loop load harness.
+deadlines, a sharded tier, and the load harness.
 
 The serving layer turns the repository's distributed SPMV/CG stack into a
 long-lived *solver service*, the deployment shape the paper's batched-EMV
@@ -20,18 +20,17 @@ and amortized over the solver iterations"; here, over *requests* too).
 * :mod:`repro.serve.service` — :class:`SolverService`: one server with
   its own virtual timeline, load shedding and fault-aware degradation
   (never wrong answers).
-* :mod:`repro.serve.loadgen` — seeded open-/closed-loop load generator
-  behind ``python -m repro.harness serve``; writes the schema-versioned
-  ``SERVE_report.json``.  Holds the event loop (``drive``) and the answer
-  oracle (``Oracle``) both harnesses run on.
 * :mod:`repro.serve.shard` — the multi-node tier: consistent-hash
   :class:`ShardRouter` with hot-key replication and coherent
   invalidation, and the SLO-aware :class:`ShardCluster` balancer
   (deadline-ordered dispatch, per-tenant admission, shed-or-spill,
   shard-kill failover).
-* :mod:`repro.serve.shardload` — Zipf multi-tenant load harness behind
-  ``python -m repro.harness shard``; writes the schema-versioned
-  ``SHARD_report.json``.
+* :mod:`repro.serve.loadgen` — the one load harness behind
+  ``python -m repro.harness serve`` and ``shard``: seeded open-loop,
+  closed-loop and Zipf multi-tenant scenarios, each on a
+  :class:`ShardCluster` (one shard for the serve suite), with the event
+  loop (``drive``) and the answer oracle (``Oracle``); writes
+  ``repro.serve/3`` reports.
 """
 
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher, MicroBatcher

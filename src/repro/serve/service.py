@@ -1,11 +1,13 @@
 """The solver service: admission, batching, execution, fault handling.
 
-:class:`SolverService` is the single server the load harnesses drive in
-virtual time: admit (or shed) requests into the bounded queue, expire
-deadlines, form a micro-batch of compatible requests, and execute it as
-one multi-RHS operation against the cached operator.  :meth:`step` runs
-one batch at a time on the server's own timeline (``free_at``), which is
-the protocol :func:`repro.serve.loadgen.drive` advances.
+:class:`SolverService` is the public single-server API: admit (or shed)
+requests into the bounded queue, expire deadlines, form a micro-batch of
+compatible requests, and execute it as one multi-RHS operation against
+the cached operator.  :meth:`step` runs one batch at a time on the
+server's own timeline (``free_at``).  Each shard of a
+:class:`~repro.serve.shard.ShardCluster` is one service; the load harness
+(:mod:`repro.serve.loadgen`) drives every scenario through a cluster, its
+single-server ones on one shard.
 
 Fault policy — the service may be slow or reject work, but it never
 returns a wrong answer:

@@ -33,9 +33,13 @@ services and amortizes it across a fleet:
 Each shard's service executes one batch at a time on its own virtual
 timeline (``SolverService.free_at``); the cluster offers the same
 ``pending`` / ``step`` / ``next_wakeup`` protocol as a single service, so
-the one event loop (:func:`repro.serve.loadgen.drive`) advances it event
-by event and every latency is deterministic modeled time, comparable
-across machines like the rest of the serve stack.
+the load harness's event loop (:func:`repro.serve.loadgen.drive`)
+advances it event by event and every latency is deterministic modeled
+time, comparable across machines like the rest of the serve stack.  The
+harness runs every scenario on a cluster, the single-server ones on one
+shard: with no tenant quota or shard faults, and deadlines in arrival
+order, a one-shard cluster dispatches exactly the batches its lone
+service would.
 """
 
 from __future__ import annotations
@@ -326,6 +330,18 @@ class ShardCluster:
             if self._shards[sid].service.submit(req):
                 if sid != primary:
                     self.obs.incr("shard.spills")
+                return True
+        return False
+
+    def cancel(self, rid: int) -> bool:
+        """Cancel a request still queued on an alive shard and release its
+        tenant's quota slot; False when no alive shard queues ``rid``
+        (unknown, or already dispatched)."""
+        for sh in self._shards.values():
+            if sh.alive and rid in sh.service.queue:
+                req = next(r for r in sh.service.queue.fifo() if r.rid == rid)
+                sh.service.cancel(rid)
+                self._release(req)
                 return True
         return False
 

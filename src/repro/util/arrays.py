@@ -100,14 +100,6 @@ def unique_index(a) -> np.ndarray:
     return s[np.diff(s, prepend=s[:1] - 1) != 0]
 
 
-def rows_unique(a: np.ndarray) -> bool:
-    """True when the rows of a 2-D integer array are pairwise distinct."""
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    view = np.ascontiguousarray(a).view([("", a.dtype)] * a.shape[1])
-    return np.unique(view).size == a.shape[0]
-
-
 class WidestScratch:
     """Flat float64 scratch, one zeroed buffer of ``sizes[i] * k``
     doubles per role ``i`` for the widest batch width ``k`` seen, and

@@ -17,7 +17,6 @@ from repro.obs.schema import (
     BENCH_SCHEMA,
     CHAOS_SCHEMA,
     SERVE_SCHEMA,
-    SHARD_SCHEMA,
     SchemaError,
     new_report,
     read_json,
@@ -93,25 +92,12 @@ MINIMAL = {
     SERVE_SCHEMA: {
         **_ENVELOPE,
         "scenarios": [{
-            "scenario": "s", "workload": {},
-            "requests": {
-                "submitted": 1, "completed": 1, "rejected": 0,
-                "shed_deadline": 0, "cancelled": 0, "failed": 0,
-                "wrong_answers": 0,
-            },
-            "latency_s": {"all": _LATENCY}, "throughput_rps": 1.0,
-            "makespan_s": 1.0, "batch_histogram": {}, "cache": _CACHE,
-            "counters": {}, "modes": {},
-        }],
-    },
-    SHARD_SCHEMA: {
-        **_ENVELOPE,
-        "scenarios": [{
             "scenario": "s", "workload": {}, "n_shards": 1,
             "requests": {
                 "submitted": 1, "completed": 1, "rejected": 0,
-                "shed_tenant": 0, "shed_deadline": 0, "spilled": 0,
-                "failed": 0, "failovers": 0, "wrong_answers": 0,
+                "shed_tenant": 0, "shed_deadline": 0, "cancelled": 0,
+                "spilled": 0, "failed": 0, "failovers": 0,
+                "wrong_answers": 0,
             },
             "latency_s": {"all": _LATENCY}, "throughput_rps": 1.0,
             "makespan_s": 1.0,
@@ -123,7 +109,8 @@ MINIMAL = {
                             "peak_to_mean": 1.0},
             "replication": {"keys_seen": 1, "replicated_keys": 0,
                             "replication_factor": 1.0},
-            "tenants": {}, "batch_histogram": {}, "modes": {}, "counters": {},
+            "tenants": {}, "batch_histogram": {}, "modes": {},
+            "cache": _CACHE, "counters": {},
         }],
     },
     ADAPT_SCHEMA: {
@@ -226,47 +213,55 @@ REJECTION_CORPUS = [
      "scenarios[0].counters must be an object"),
     ("serve-v1", SERVE_SCHEMA, ("schema",), "repro.serve/1",
      "unsupported schema 'repro.serve/1'"),
-    # shard
-    ("shard-no-scenarios", SHARD_SCHEMA, ("scenarios",), _DEL,
+    ("serve-v2", SERVE_SCHEMA, ("schema",), "repro.serve/2",
+     "unsupported schema 'repro.serve/2'"),
+    # the sharded suite's scenario fields, in the same report shape
+    ("shard-not-an-object", SERVE_SCHEMA, (), "report",
+     "report must be an object, got str"),
+    ("shard-unknown-schema", SERVE_SCHEMA, ("schema",), "repro.shard/1",
+     "unsupported schema 'repro.shard/1'"),
+    ("shard-no-machine", SERVE_SCHEMA, ("machine",), None,
+     "machine must be an object"),
+    ("shard-no-scenarios", SERVE_SCHEMA, ("scenarios",), _DEL,
      "report missing key 'scenarios'"),
-    ("shard-scenarios-not-list", SHARD_SCHEMA, ("scenarios",), {},
+    ("shard-scenarios-not-list", SERVE_SCHEMA, ("scenarios",), {},
      "scenarios must be a list"),
-    ("shard-scenario-not-object", SHARD_SCHEMA, ("scenarios", 0), None,
+    ("shard-scenario-not-object", SERVE_SCHEMA, ("scenarios", 0), None,
      "scenarios[0] must be an object"),
-    ("shard-scenario-no-tenants", SHARD_SCHEMA, ("scenarios", 0, "tenants"),
+    ("shard-scenario-no-tenants", SERVE_SCHEMA, ("scenarios", 0, "tenants"),
      _DEL, "scenarios[0] missing key 'tenants'"),
-    ("shard-requests-no-failovers", SHARD_SCHEMA,
+    ("shard-requests-no-failovers", SERVE_SCHEMA,
      ("scenarios", 0, "requests", "failovers"), _DEL,
      "scenarios[0].requests missing key 'failovers'"),
-    ("shard-latency-not-object", SHARD_SCHEMA,
+    ("shard-latency-not-object", SERVE_SCHEMA,
      ("scenarios", 0, "latency_s"), "fast",
      "scenarios[0].latency_s must be an object"),
-    ("shard-latency-no-all", SHARD_SCHEMA,
+    ("shard-latency-no-all", SERVE_SCHEMA,
      ("scenarios", 0, "latency_s", "all"), _DEL,
      "scenarios[0].latency_s missing the 'all' summary"),
-    ("shard-latency-no-n", SHARD_SCHEMA,
+    ("shard-latency-no-n", SERVE_SCHEMA,
      ("scenarios", 0, "latency_s", "all", "n"), _DEL,
      "scenarios[0].latency_s['all'] missing key 'n'"),
-    ("shard-shards-empty", SHARD_SCHEMA, ("scenarios", 0, "shards"), {},
+    ("shard-shards-empty", SERVE_SCHEMA, ("scenarios", 0, "shards"), {},
      "scenarios[0].shards must be a non-empty object"),
-    ("shard-shards-not-object", SHARD_SCHEMA, ("scenarios", 0, "shards"),
+    ("shard-shards-not-object", SERVE_SCHEMA, ("scenarios", 0, "shards"),
      ["s0"], "scenarios[0].shards must be a non-empty object"),
-    ("shard-shard-no-busy", SHARD_SCHEMA,
+    ("shard-shard-no-busy", SERVE_SCHEMA,
      ("scenarios", 0, "shards", "s0", "busy_s"), _DEL,
      "scenarios[0].shards['s0'] missing key 'busy_s'"),
-    ("shard-shard-cache-no-misses", SHARD_SCHEMA,
+    ("shard-shard-cache-no-misses", SERVE_SCHEMA,
      ("scenarios", 0, "shards", "s0", "cache", "misses"), _DEL,
      "scenarios[0].shards['s0'].cache missing key 'misses'"),
-    ("shard-utilization-no-peak", SHARD_SCHEMA,
+    ("shard-utilization-no-peak", SERVE_SCHEMA,
      ("scenarios", 0, "utilization", "peak_to_mean"), _DEL,
      "scenarios[0].utilization missing key 'peak_to_mean'"),
-    ("shard-replication-no-factor", SHARD_SCHEMA,
+    ("shard-replication-no-factor", SERVE_SCHEMA,
      ("scenarios", 0, "replication", "replication_factor"), _DEL,
      "scenarios[0].replication missing key 'replication_factor'"),
-    ("shard-tenants-not-object", SHARD_SCHEMA,
+    ("shard-tenants-not-object", SERVE_SCHEMA,
      ("scenarios", 0, "tenants"), [],
      "scenarios[0].tenants must be an object"),
-    ("shard-counters-not-object", SHARD_SCHEMA,
+    ("shard-counters-not-object", SERVE_SCHEMA,
      ("scenarios", 0, "counters"), [],
      "scenarios[0].counters must be an object"),
     # adapt
@@ -342,11 +337,10 @@ def test_validate_rejects_malformed_docs():
             assert_rejected(case_id)
 
 
-@pytest.mark.parametrize("schema", [SERVE_SCHEMA, SHARD_SCHEMA])
-def test_idle_scenario_needs_no_all_latency(schema):
-    idle = malformed(schema, ("scenarios", 0, "latency_s"), {})
+def test_idle_scenario_needs_no_all_latency():
+    idle = malformed(SERVE_SCHEMA, ("scenarios", 0, "latency_s"), {})
     idle["scenarios"][0]["requests"]["completed"] = 0
-    assert validate_report(idle, schema) is idle
+    assert validate_report(idle, SERVE_SCHEMA) is idle
 
 
 def test_wrong_report_kind_names_both_ids():

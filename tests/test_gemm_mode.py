@@ -379,7 +379,7 @@ def test_solver_service_rejects_unknown_mode():
 def test_run_workload_records_modes():
     from repro.serve.loadgen import run_workload, suite_workloads
 
-    _clean, gemm, _faulted = suite_workloads(seed=5, smoke=True)
+    _clean, gemm, _faulted = suite_workloads("serve", seed=5, smoke=True)
     sc = run_workload(gemm, seed=5)
     assert sc["requests"]["wrong_answers"] == 0
     assert "gemm" in sc["modes"] and sc["modes"]["gemm"] > 0
@@ -392,7 +392,7 @@ def test_forced_oracle_workload_never_runs_gemm():
     from repro.serve.loadgen import run_workload, suite_workloads
     from repro.serve.plan import ExecutionPlan
 
-    _clean, gemm, _faulted = suite_workloads(seed=5, smoke=True)
+    _clean, gemm, _faulted = suite_workloads("serve", seed=5, smoke=True)
     forced = dataclasses.replace(gemm, name="open-forced-oracle",
                                  plan=ExecutionPlan(mode="oracle"))
     sc = run_workload(forced, seed=5)
@@ -402,8 +402,10 @@ def test_forced_oracle_workload_never_runs_gemm():
 def test_serve_schema_v2_requires_modes():
     from tests.test_bench_compare import assert_rejected
 
-    # v2 without "modes" is rejected, and v1 documents are no longer read
-    for case_id in ("serve-no-modes", "serve-modes-not-object", "serve-v1"):
+    # a report without "modes" is rejected, and v1/v2 documents are no
+    # longer read
+    for case_id in ("serve-no-modes", "serve-modes-not-object", "serve-v1",
+                    "serve-v2"):
         assert_rejected(case_id)
 
 

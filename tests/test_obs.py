@@ -28,10 +28,11 @@ def test_phase_nesting_builds_dotted_paths():
                 pass
         with obs.phase("scatter"):
             pass
+    with obs.phase("after"):  # the stack unwound: a top-level path
+        pass
     assert sorted(obs.phases) == [
-        "spmv", "spmv.emv", "spmv.emv.independent", "spmv.scatter",
+        "after", "spmv", "spmv.emv", "spmv.emv.independent", "spmv.scatter",
     ]
-    assert obs.current_path == ""
 
 
 def test_phase_stack_unwinds_on_exception():
@@ -40,9 +41,10 @@ def test_phase_stack_unwinds_on_exception():
         with obs.phase("outer"):
             with obs.phase("inner"):
                 raise RuntimeError("boom")
+    with obs.phase("after"):
+        pass
     # both phases were still recorded and the stack is clean
-    assert set(obs.phases) == {"outer", "outer.inner"}
-    assert obs.current_path == ""
+    assert set(obs.phases) == {"outer", "outer.inner", "after"}
 
 
 def test_phase_records_virtual_time_from_clock():

@@ -100,11 +100,10 @@ def test_load_tuned_config(tmp_path, content, expected):
 
 @pytest.mark.parametrize("harness", ["serve", "shard"])
 def test_tuned_from_bad_file_exits_nonzero(tmp_path, harness, capsys):
-    from repro.serve import loadgen, shardload
+    from repro.harness.__main__ import main
 
-    main = {"serve": loadgen.main, "shard": shardload.main}[harness]
     with pytest.raises(SystemExit) as exc:
-        main(["--tuned-from", str(tmp_path / "typo.json")])
+        main([harness, "--tuned-from", str(tmp_path / "typo.json")])
     assert exc.value.code != 0
     assert "typo.json" in capsys.readouterr().err
 
@@ -142,14 +141,12 @@ PINNED_FINGERPRINTS = {
 def _suite_keys():
     from repro.adapt.harness import suite_scenarios
     from repro.serve.loadgen import suite_workloads
-    from repro.serve.shardload import shard_suite_workloads
 
     keys = set()
     for smoke in (True, False):
-        for w in suite_workloads(1234, smoke) + shard_suite_workloads(
-            1234, smoke
-        ):
-            keys.update(w.keys)
+        for suite in ("serve", "shard"):
+            for w in suite_workloads(suite, 1234, smoke):
+                keys.update(w.keys)
         for sc in suite_scenarios(smoke):
             for method in (sc.method, "assembled"):
                 keys.add(ProblemKey(

@@ -359,7 +359,7 @@ def test_faulted_service_never_wrong():
 
 
 def test_run_workload_report_is_schema_valid_and_exact():
-    clean, _gemm, faulted = suite_workloads(seed=99, smoke=True)
+    clean, _gemm, faulted = suite_workloads("serve", seed=99, smoke=True)
     small = dataclasses.replace(clean, n_requests=12)
     sc = run_workload(small, seed=99)
     doc = new_report(SERVE_SCHEMA, {"seed": 99}, scenarios=[])
@@ -378,7 +378,7 @@ def test_run_workload_report_is_schema_valid_and_exact():
 
 
 def test_faulted_workload_zero_wrong_answers():
-    _, _gemm, faulted = suite_workloads(seed=7, smoke=True)
+    _, _gemm, faulted = suite_workloads("serve", seed=7, smoke=True)
     small = dataclasses.replace(faulted, n_requests=10, n_clients=3)
     sc = run_workload(small, seed=7)
     assert sc["requests"]["wrong_answers"] == 0

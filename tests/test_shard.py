@@ -9,7 +9,7 @@ import pytest
 
 from repro.faults.shard import ShardFaultPlan, ShardKill
 from repro.obs.instrumentation import Instrumentation
-from repro.obs.schema import BENCH_SCHEMA, SHARD_SCHEMA, validate_report
+from repro.obs.schema import BENCH_SCHEMA, SERVE_SCHEMA, validate_report
 from repro.serve import (
     BatchPolicy,
     DeadlineBatcher,
@@ -21,15 +21,15 @@ from repro.serve import (
     ShardRouter,
     SolverService,
 )
-from repro.serve.shard import HashRing
-from repro.serve.shardload import (
-    ShardWorkload,
+from repro.serve.loadgen import (
+    Workload,
     build_cluster,
-    run_shard_suite,
-    run_shard_workload,
-    shard_suite_workloads,
+    run_suite,
+    run_workload,
+    suite_workloads,
     zipf_weights,
 )
+from repro.serve.shard import HashRing
 from repro.simmpi.cluster import VirtualCluster
 
 KEY_A = ProblemKey(problem="poisson", nel=3, n_parts=2, etype="hex8", seed=0)
@@ -200,11 +200,12 @@ def test_cache_tenant_hit_rates():
 
 def _mini_cluster(n_shards=2, *, tenant_quota=None, queue_capacity=8,
                   hot_threshold=2, max_replicas=1, shard_faults=None):
-    w = ShardWorkload(
+    w = Workload(
         name="mini",
         keys=(KEY_A, KEY_B),
         n_shards=n_shards,
         queue_capacity=queue_capacity,
+        cache_capacity=3,
         tenant_quota=tenant_quota,
         hot_threshold=hot_threshold,
         max_replicas=max_replicas,
@@ -234,6 +235,35 @@ def test_quota_released_on_deadline_expiry():
     assert cluster.submit(_req(2, tenant="t0"), now=1.0)
     assert obs.counters["shard.shed_tenant"] == 1
 
+
+
+def test_cancel_releases_the_tenant_quota_slot():
+    cluster, _, _ = _mini_cluster(tenant_quota=1)
+    assert cluster.submit(_req(0, tenant="t0"), now=0.0)
+    assert not cluster.submit(_req(1, tenant="t0"), now=0.0)  # over quota
+    assert cluster.cancel(0)
+    assert cluster.submit(_req(2, tenant="t0"), now=0.0)  # admitted now
+    n = cluster.request_counters()
+    assert n["serve.cancelled"] == 1
+    assert n["shard.shed_tenant"] == 1
+    assert cluster.pending == 1
+
+
+def test_cancel_of_unknown_or_dispatched_rid_is_a_no_op():
+    cluster, _, _ = _mini_cluster(tenant_quota=1)
+    assert cluster.submit(_req(0, tenant="t0"), now=0.0)
+    before = cluster.request_counters()
+    assert not cluster.cancel(99)  # never submitted
+    assert cluster.request_counters() == before
+    (out,) = cluster.step(0.0)  # rid 0 dispatched and answered
+    assert out.batch_size == 1
+    after = cluster.request_counters()
+    assert not cluster.cancel(0)
+    assert cluster.request_counters() == after
+    assert "serve.cancelled" not in after
+    # the completion released the one slot: one more is admitted, then shed
+    assert cluster.submit(_req(1, tenant="t0"), now=out.end)
+    assert not cluster.submit(_req(2, tenant="t0"), now=out.end)
 
 def test_full_queues_shed_and_count():
     cluster, _, obs = _mini_cluster(n_shards=1, queue_capacity=1)
@@ -387,6 +417,7 @@ def _tiny_workload(**over):
     base = dict(
         name="tiny",
         keys=(KEY_A, KEY_B),
+        arrival="zipf",
         n_shards=2,
         n_tenants=3,
         n_requests=24,
@@ -399,11 +430,11 @@ def _tiny_workload(**over):
         max_replicas=1,
     )
     base.update(over)
-    return ShardWorkload(**base)
+    return Workload(**base)
 
 
 def test_tiny_workload_scenario_is_valid_and_conserves_requests():
-    sc = run_shard_workload(_tiny_workload(), seed=7)
+    sc = run_workload(_tiny_workload(), seed=7)
     req = sc["requests"]
     assert req["wrong_answers"] == 0
     assert req["submitted"] == 24
@@ -418,10 +449,10 @@ def test_tiny_workload_scenario_is_valid_and_conserves_requests():
 
 
 def test_tiny_workload_deterministic():
-    a = run_shard_workload(_tiny_workload(), seed=11)
-    b = run_shard_workload(_tiny_workload(), seed=11)
+    a = run_workload(_tiny_workload(), seed=11)
+    b = run_workload(_tiny_workload(), seed=11)
     assert a == b
-    c = run_shard_workload(_tiny_workload(), seed=12)
+    c = run_workload(_tiny_workload(), seed=12)
     assert c["latency_s"] != a["latency_s"]  # the seed actually matters
 
 
@@ -429,19 +460,21 @@ def test_tiny_workload_deterministic():
 def suite():
     """One smoke-suite run (the CI scenario set) shared by the e2e
     assertions below — the slow part happens once per module."""
-    return run_shard_suite(seed=1234, smoke=True, verbose=False)
+    return run_suite("shard", seed=1234, smoke=True, verbose=False)
 
 
 def test_workload_rejects_unknown_verify():
     with pytest.raises(ValueError, match="verify"):
-        ShardWorkload(name="typo", keys=(KEY_A,), verify="bitwse")
+        Workload(name="typo", keys=(KEY_A,), verify="bitwse")
+    with pytest.raises(ValueError, match="arrival"):
+        Workload(name="typo", keys=(KEY_A,), arrival="poisson")
 
 
 def test_kill_scenario_bitwise_and_failover(suite):
     """The acceptance scenario: a mid-run shard kill fails queued work
     over and every delivered answer stays bitwise-equal to the fault-free
-    single-node reference (verified inside run_shard_workload)."""
-    w = [w for w in shard_suite_workloads(seed=1234, smoke=True)
+    single-node reference (verified inside run_workload)."""
+    w = [w for w in suite_workloads("shard", seed=1234, smoke=True)
          if w.name == "shard-kill"][0]
     assert w.verify == "bitwise" and w.plan.mode == "oracle"
     shard_doc, _ = suite
@@ -457,7 +490,7 @@ def test_kill_scenario_bitwise_and_failover(suite):
 
 def test_suite_docs_validate(suite):
     shard_doc, bench_doc = suite
-    validate_report(shard_doc, SHARD_SCHEMA)
+    validate_report(shard_doc, SERVE_SCHEMA)
     validate_report(bench_doc, BENCH_SCHEMA)
     names = [s["scenario"] for s in shard_doc["scenarios"]]
     assert names == ["zipf-hot", "tenant-storm", "shard-kill"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.shard import ShardFaultPlan, ShardKill
-from repro.serve.batcher import BatchPolicy, DeadlineBatcher
+from repro.serve.batcher import BatchPolicy, DeadlineBatcher, MicroBatcher
 from repro.serve.queue import RequestQueue, ServeRequest
 from repro.serve.shard import HashRing, ShardCluster, ShardRouter
 
@@ -173,3 +173,39 @@ def test_deadline_batcher_conserves_queue(rids, deadlines):
     assert left == [rid for rid in before if rid not in set(taken)]
     # every batch member shares the seed's key (compatibility)
     assert len({r.key for r in batch}) == 1
+
+
+@given(
+    gaps=st.lists(st.sampled_from([0.0, 1e-6, 0.5, 3.0]), min_size=1,
+                  max_size=24),
+    marks=st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                   min_size=1, max_size=24),
+    c=st.one_of(st.none(), st.floats(0.0, 10.0, allow_nan=False)),
+    max_batch=st.integers(1, 6),
+)
+@settings(max_examples=60)
+def test_deadline_batcher_is_fifo_when_deadlines_follow_arrivals(
+    gaps, marks, c, max_batch
+):
+    """When every deadline is None, or every one is ``arrival + c``, and
+    requests queue in arrival and rid order (as the load harness submits
+    them), earliest deadline first seeds each batch with the FIFO head:
+    DeadlineBatcher forms exactly MicroBatcher's batches."""
+    queues = [RequestQueue(capacity=len(gaps)) for _ in range(2)]
+    t = 0.0
+    for rid, gap in enumerate(gaps):
+        t += gap
+        key, solve = marks[rid % len(marks)]
+        req = ServeRequest(
+            rid=rid, key=f"k{key}", kind="solve" if solve else "spmv",
+            seed=rid, arrival=t, deadline=None if c is None else t + c,
+        )
+        for q in queues:
+            assert q.submit(req)
+    edf, fifo = DeadlineBatcher(BatchPolicy(max_batch)), MicroBatcher(
+        BatchPolicy(max_batch)
+    )
+    while queues[0]:
+        assert ([r.rid for r in edf.next_batch(queues[0])]
+                == [r.rid for r in fifo.next_batch(queues[1])])
+    assert not queues[1]

@@ -12,7 +12,6 @@ from repro.util.arrays import (
     as_f64,
     as_index,
     inverse_permutation,
-    rows_unique,
     scatter_add,
 )
 from repro.util.tables import ResultTable, render_many
@@ -85,13 +84,6 @@ def test_inverse_permutation_property(perm):
     inv = inverse_permutation(p)
     np.testing.assert_array_equal(p[inv], np.arange(9))
     np.testing.assert_array_equal(inv[p], np.arange(9))
-
-
-def test_rows_unique():
-    assert rows_unique(np.array([[1, 2], [2, 1], [3, 4]]))
-    assert not rows_unique(np.array([[1, 2], [1, 2]]))
-    with pytest.raises(ValueError):
-        rows_unique(np.array([1, 2, 3]))
 
 
 def test_as_helpers_dtypes():
