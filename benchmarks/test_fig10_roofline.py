@@ -18,7 +18,7 @@ def tables():
 
 def test_fig10_reproduction_values(tables, save_tables):
     save_tables("fig10", tables)
-    table, art = tables
+    table, _, _ = tables
     rows = {r[0]: r for r in table.rows}
     for method, (ai_p, gf_p) in PAPER_ROOFLINE.items():
         _, ai_m, ai_paper, gf_m, gf_paper, gf_host, _ = rows[method]

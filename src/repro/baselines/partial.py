@@ -35,10 +35,6 @@ __all__ = ["PartialAssemblyOperator"]
 class PartialAssemblyOperator(EbeOperatorBase):
     """Matrix-free with precomputed geometric factors (libCEED-style)."""
 
-    # the elasticity contractions run as BLAS GEMMs whose summation order
-    # depends on the batch size, so GEMM sweeps stay whole slices
-    _chunked_gemm = False
-
     def __init__(self, comm, lmesh, operator, ranges=None, kernel="einsum",
                  modeled_rate_gflops=None, elem_scale=None):
         super().__init__(
@@ -53,6 +49,13 @@ class PartialAssemblyOperator(EbeOperatorBase):
         quad = operator.quad or quadrature_for(self.etype)
         sf = shape_functions_for(self.etype)
         self._dN = sf.grad(quad.points)  # (q, n, 3)
+        # the reference-gradient table as a (3q, n) matrix,
+        # B[(q, d), n] = dN[q, n, d]: one element's quadrature-point
+        # gradients are one matmul, whatever the batch around it
+        q, n = self._dN.shape[:2]
+        self._B = np.ascontiguousarray(
+            self._dN.transpose(0, 2, 1).reshape(3 * q, n)
+        )
         self._qw = quad.weights
         self._N = (
             sf.eval(quad.points)
@@ -116,17 +119,18 @@ class PartialAssemblyOperator(EbeOperatorBase):
     # ------------------------------------------------------------------
 
     def _local_emv(self, sl, ue, ve=None):
-        """Quadrature contractions against the stored geometric factors
-        (allocating; the ``_multi`` forms carry the GEMM column axis ``k``
-        through every einsum, so the factors stream once for all k)."""
-        poisson = isinstance(self.operator, PoissonOperator)
+        """Quadrature contractions against the stored geometric factors,
+        written into ``ve`` when given.  Every contraction with the
+        reference-gradient table is one matmul per element (the element
+        is the stack axis), so an element's bits do not depend on the
+        batch around it and GEMM sweeps run in chunks like HYMV's; the
+        GEMM column axis ``k`` rides in each matmul, so the factors
+        stream once for all k."""
+        if not isinstance(self.operator, PoissonOperator):
+            return self._apply_elasticity(sl, ue, ve)
         if ue.ndim == 3:
-            if poisson:
-                return self._apply_poisson_multi(sl, ue)
-            return self._apply_elasticity_multi(sl, ue)
-        if poisson:
-            return self._apply_poisson(sl, ue)
-        return self._apply_elasticity(sl, ue)
+            return self._apply_poisson_multi(sl, ue, ve)
+        return self._apply_poisson(sl, ue)
 
     def _account_sweep(self, n, k) -> None:
         """Modeled compute only: partial assembly counts no
@@ -146,55 +150,42 @@ class PartialAssemblyOperator(EbeOperatorBase):
         # back to nodes: v[e,n] = dN[q,n,k] f[e,q,k]
         return np.einsum("qnk,eqk->en", self._dN, f, optimize=True)
 
-    def _apply_elasticity(self, sl, ue):
+    def _apply_poisson_multi(self, sl, ue, ve=None):
+        # per element: reference gradients at the quadrature points
+        # g = B u, contraction with the geometric factors f = G g, and
+        # back to the nodes v = B^T f, each one matmul over the stack
+        E, n, k = ue.shape
+        g = np.matmul(self._B, ue).reshape(E, -1, 3, k)
+        f = np.matmul(self._G[sl], g).reshape(E, -1, k)
+        return np.matmul(self._B.T, f, out=ve)
+
+    def _apply_elasticity(self, sl, ue, ve=None):
+        # ue is (E, nd, k), or (E, nd) as the k = 1 view
         op: ElasticityOperator = self.operator
         lam, mu = op.material.lam, op.material.mu
         invJ = self._invJ[sl]
-        wd = self._wd[sl]
-        E, nd = ue.shape
-        n = self.etype.n_nodes
-        uen = ue.reshape(E, n, 3)
-        # physical gradient of the displacement field:
-        # H[e,q,i,k] = d u_i / d x_k
-        gref = np.einsum("qnd,eni->eqid", self._dN, uen, optimize=True)
-        H = np.einsum("eqid,eqkd->eqik", gref, invJ, optimize=True)
+        E, nd = ue.shape[:2]
+        n, k = nd // 3, ue.shape[2] if ue.ndim == 3 else 1
+        # reference gradients g[e,q,d,(i,c)] = dN[q,n,d] u[e,n,i,c]
+        g = np.matmul(self._B, ue.reshape(E, n, 3 * k))
+        g = g.reshape(E, -1, 3, 3 * k)
+        # physical gradients H[e,q,m,i,c] = d u_i / d x_m
+        H = np.matmul(invJ, g).reshape(E, -1, 3, 3, k)
+        tr = H[:, :, 0, 0] + H[:, :, 1, 1] + H[:, :, 2, 2]
         # stress(ish) tensor: sigma = lam tr(eps) I + 2 mu eps
-        tr = np.einsum("eqii->eq", H)
-        sym = 0.5 * (H + np.swapaxes(H, 2, 3))
-        sigma = 2.0 * mu * sym
+        sigma = H + np.swapaxes(H, 2, 3)
+        sigma *= mu
         i3 = np.arange(3)
         sigma[:, :, i3, i3] += lam * tr[:, :, None]
-        sigma *= wd[:, :, None, None]
-        # v[e,n,i] = dN_phys[e,q,n,k] sigma[e,q,i,k]
-        dN_phys = np.einsum("qnd,eqkd->eqnk", self._dN, invJ, optimize=True)
-        ve = np.einsum("eqnk,eqik->eni", dN_phys, sigma, optimize=True)
-        return ve.reshape(E, nd)
-
-    def _apply_poisson_multi(self, sl, ue):
-        # the single-RHS contractions with a trailing column axis c=k
-        g = np.einsum("qnd,enc->eqdc", self._dN, ue, optimize=True)
-        f = np.einsum("eqkl,eqlc->eqkc", self._G[sl], g, optimize=True)
-        return np.einsum("qnk,eqkc->enc", self._dN, f, optimize=True)
-
-    def _apply_elasticity_multi(self, sl, ue):
-        op: ElasticityOperator = self.operator
-        lam, mu = op.material.lam, op.material.mu
-        invJ = self._invJ[sl]
-        wd = self._wd[sl]
-        E, nd, k = ue.shape
-        n = self.etype.n_nodes
-        uen = ue.reshape(E, n, 3, k)
-        gref = np.einsum("qnd,enic->eqidc", self._dN, uen, optimize=True)
-        H = np.einsum("eqidc,eqkd->eqikc", gref, invJ, optimize=True)
-        tr = np.einsum("eqiic->eqc", H)
-        sym = 0.5 * (H + np.swapaxes(H, 2, 3))
-        sigma = 2.0 * mu * sym
-        i3 = np.arange(3)
-        sigma[:, :, i3, i3, :] += lam * tr[:, :, None, :]
-        sigma *= wd[:, :, None, None, None]
-        dN_phys = np.einsum("qnd,eqkd->eqnk", self._dN, invJ, optimize=True)
-        ve = np.einsum("eqnk,eqikc->enic", dN_phys, sigma, optimize=True)
-        return ve.reshape(E, nd, k)
+        sigma *= self._wd[sl][:, :, None, None, None]
+        # back to reference directions, into g (no longer read), then to
+        # the nodes: v[e,n,(i,c)] = dN[q,n,d] invJ[e,q,m,d] sigma[e,q,m,i,c]
+        s = np.matmul(np.swapaxes(invJ, 2, 3), sigma.reshape(g.shape), out=g)
+        out = np.matmul(
+            self._B.T, s.reshape(E, -1, 3 * k),
+            out=None if ve is None else ve.reshape(E, n, 3 * k),
+        )
+        return out.reshape(ue.shape)
 
     # ------------------------------------------------------------------
     # preconditioner support: build Ke on demand (setup-time only)

@@ -95,10 +95,6 @@ def check_update(local_elems, n_local, n_nodes, coords, stiffness_scale):
 class EbeOperatorBase:
     """Element-by-element machinery shared by HYMV and matrix-free."""
 
-    #: whether GEMM sweeps may run in element chunks, i.e. whether the
-    #: local kernel's bits are independent of the batch size
-    _chunked_gemm = True
-
     def __init__(
         self,
         comm: Communicator,
@@ -195,10 +191,7 @@ class EbeOperatorBase:
         # halo buffers and precomputed segment-sum scatters per sweep
         with comm.compute("setup.workspace"):
             E = lmesh.n_local_elements
-            self._ws = EmvWorkspace(
-                E, self.e2l_dofs.shape[1],
-                chunk=None if self._chunked_gemm else E,
-            )
+            self._ws = EmvWorkspace(E, self.e2l_dofs.shape[1])
             self._seg_indep = SegmentScatter(self.e2l_dofs[self._sl_indep])
             self._seg_dep = SegmentScatter(self.e2l_dofs[self._sl_dep])
             # one packed halo exchange per node-row width ndpn*k, so one

@@ -252,11 +252,18 @@ EMV_KERNELS = {"einsum": emv_einsum, "columns": emv_columns}
 #:     TET4 nel=10 (6000, 4) [2048]  0.78  0.70  0.63  0.71  0.80  0.80
 #:     elastic HEX8 (1024, 24) [341] 1.16  1.31  1.22  1.24  1.23  1.12
 #:     elastic HEX20 (512, 60) [136] 3.18  2.91  2.80  2.96  2.85  3.02
+#:     partial assembly, best of 3 calls per round:
+#:     HEX8 nel=16 (4096, 8) [1024]  6.73  2.97  3.26  3.43  3.79  8.69
+#:     elast. HEX8 (1024, 24) [341]  7.36  6.25  6.50  6.98  6.99  7.29
+#:     elast. HEX20 (1024, 60) [136] 48.1  21.9  22.8  23.9  24.5  35.3
 #:
 #: Out of cache (``nel=32``) chunks run 0.8x; elsewhere every budget is
 #: within the host's noise of one block (each chunk costs ~10 us of
 #: Python), while a k = 8 sweep's scratch shrinks from ``16 E nd`` to
-#: ``16 C nd`` doubles: a constant, not a tuning knob.
+#: ``16 C nd`` doubles: a constant, not a tuning knob.  Partial
+#: assembly's quadrature-point temporaries are several times its element
+#: blocks, so its chunked sweeps take about half the time of one block
+#: (the smaller budgets are within ~15% of 1 MiB).
 GEMM_CHUNK_BYTES = 1 << 20
 
 
@@ -271,9 +278,9 @@ class EmvWorkspace:
     * ``ve`` — elemental products, same shape;
     * ``tmp`` — per-column FMA scratch for the ``columns`` kernel.
 
-    The GEMM multi-RHS path sweeps ``chunk`` elements at a time (by
-    default from :data:`GEMM_CHUNK_BYTES`) through a chunk-sized
-    ``(ue, ve)`` pair (:meth:`multi_views`); the oracle path at
+    The GEMM multi-RHS path sweeps ``chunk`` elements at a time (from
+    :data:`GEMM_CHUNK_BYTES`) through a chunk-sized ``(ue, ve)`` pair
+    (:meth:`multi_views`); the oracle path at
     ``k > 1`` sweeps a transposed, row-contiguous copy of the
     multivector (:meth:`column_views`).  Both pairs are sized for the
     widest batch seen, so a steady-state sweep allocates nothing.
@@ -282,12 +289,12 @@ class EmvWorkspace:
     __slots__ = ("n_elements", "nd", "chunk", "ue", "ve", "_tmp", "_multi",
                  "_cols")
 
-    def __init__(self, n_elements: int, nd: int, chunk: int | None = None):
+    def __init__(self, n_elements: int, nd: int):
         self.n_elements = int(n_elements)
         self.nd = int(nd)
-        if chunk is None:
-            chunk = GEMM_CHUNK_BYTES // (128 * self.nd)
-        self.chunk = max(1, min(self.n_elements, int(chunk)))
+        self.chunk = max(
+            1, min(self.n_elements, GEMM_CHUNK_BYTES // (128 * self.nd))
+        )
         self.ue = np.empty((self.n_elements, self.nd))
         self.ve = np.empty((self.n_elements, self.nd))
         self._tmp: np.ndarray | None = None  # columns kernel only

@@ -421,14 +421,33 @@ class SolverContext:
             for r in range(self.n_parts)
         ]
 
+    def timed(self, fn, *args, **kw):
+        """``(fn(*args, **kw), vtime)``: work on this context's simulator
+        and the virtual time it takes on its own.  Every rank's clock
+        starts the work at 0.0 and has its increment added back after,
+        so ``vtime`` (the largest increment) depends on the work alone:
+        a difference of absolute clocks would round differently once the
+        clocks have moved on, and would carry over the ranks' skew from
+        the previous run."""
+        comms = self.sim.comms
+        base = []
+        for c in comms:
+            base.append(c.vtime)
+            c.vtime = 0.0
+        try:
+            out = fn(*args, **kw)
+        finally:
+            dt = 0.0
+            for c, t in zip(comms, base):
+                dt = max(dt, c.vtime)
+                c.vtime += t
+        return out, dt
+
     def _run(self, program, parts, extra=(), **kw):
-        t0 = self.sim.max_vtime
-        res = self.sim.run(
-            program,
-            rank_args=list(zip(self.ranks, parts, *extra)),
-            **kw,
+        return self.timed(
+            self.sim.run, program,
+            rank_args=list(zip(self.ranks, parts, *extra)), **kw,
         )
-        return res, self.sim.max_vtime - t0
 
     # ------------------------------------------------------------------
 
@@ -510,15 +529,22 @@ class SolverContext:
         resulting operator is bitwise identical to one freshly built from
         ``key.with_delta(delta)``.
         """
-        from repro.adapt.apply import apply_delta_to_spec, localize_delta
-
         if self.faulted:
             raise RuntimeError(
                 "apply_delta on a fault-injected context is not supported "
                 "(corrupted update traffic cannot be re-verified in place)"
             )
         new_key = self.key.with_delta(delta)
-        t0 = self.sim.max_vtime
+        info, vtime = self.timed(self._update, delta, threshold)
+        info["vtime"] = vtime
+        self.key = new_key
+        self.delta_version += 1
+        return info
+
+    def _update(self, delta, threshold: float) -> dict:
+        """:meth:`apply_delta`'s patch or rebuild; returns its info."""
+        from repro.adapt.apply import apply_delta_to_spec, localize_delta
+
         if delta.is_empty:
             info = {"path": "patch", "touched": 0, "fraction": 0.0}
         elif delta.is_structural:
@@ -549,9 +575,6 @@ class SolverContext:
                 info = {"path": "patch"}
             info["touched"] = int(touched.size)
             info["fraction"] = float(fraction)
-        info["vtime"] = self.sim.max_vtime - t0
-        self.key = new_key
-        self.delta_version += 1
         return info
 
     def _model_count(self, integrated: int, rescaled: int = 0) -> float:
@@ -628,10 +651,10 @@ class SolverContext:
 class OperatorCache:
     """Bounded LRU cache of :class:`SolverContext` entries.
 
-    ``cluster``/``cluster_name`` register every built context's simulator
-    with a :class:`~repro.simmpi.cluster.VirtualCluster`, so multi-service
-    simulations (the sharded tier) can account busy virtual time per
-    logical node across the whole cache history.  ``on_invalidate`` is an
+    Counters and busy virtual time cover the whole cache history: an
+    evicted or invalidated context leaves its simulator counters and its
+    final clock behind (not its simulator), so the sharded tier can
+    account busy time per logical node.  ``on_invalidate`` is an
     optional hook fired after an explicit :meth:`invalidate` (not on LRU
     eviction — an evicted context was still *valid*); the shard tier uses
     it for cache-coherent invalidation of replicas.
@@ -644,8 +667,6 @@ class OperatorCache:
         faults: FaultPlan | None = None,
         network: NetworkModel | None = None,
         modeled_rate_gflops: float | None = DEFAULT_RATE_GFLOPS,
-        cluster=None,
-        cluster_name: str = "",
     ):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
@@ -654,14 +675,17 @@ class OperatorCache:
         self.faults = faults
         self.network = network
         self.modeled_rate_gflops = modeled_rate_gflops
-        self.cluster = cluster
-        self.cluster_name = cluster_name
         #: post-invalidation hook ``(key) -> None`` (see class docstring)
         self.on_invalidate = None
         self._entries: OrderedDict[str, SolverContext] = OrderedDict()
         #: simulator counters of evicted/invalidated contexts, so scenario
         #: reports see the whole history, not just live entries
         self._retired: dict[str, float] = {}
+        #: every context built, in build order: the live context, or its
+        #: final clock once retired; ``_slots`` maps a live context's id
+        #: to its place
+        self._history: list[SolverContext | float] = []
+        self._slots: dict[int, int] = {}
         #: per-tenant hit/miss accounting: tenant label -> [hits, misses].
         #: Unlike the per-context simulator counters (which are retired on
         #: eviction), hit/miss stats always lived only on ``self.obs`` with
@@ -700,8 +724,8 @@ class OperatorCache:
             network=self.network,
             modeled_rate_gflops=self.modeled_rate_gflops,
         )
-        if self.cluster is not None:
-            self.cluster.register(self.cluster_name, ctx.sim)
+        self._slots[id(ctx)] = len(self._history)
+        self._history.append(ctx)
         self._entries[fp] = ctx
         while len(self._entries) > self.capacity:
             _, old = self._entries.popitem(last=False)
@@ -781,6 +805,16 @@ class OperatorCache:
     def _retire(self, ctx: SolverContext) -> None:
         for name, val in ctx.counters().items():
             self._retired[name] = self._retired.get(name, 0) + val
+        self._history[self._slots.pop(id(ctx))] = ctx.sim.max_vtime
+
+    def busy_vtime(self) -> float:
+        """Virtual seconds burned by every context this cache built, live
+        or retired: their final clocks summed in build order (each
+        simulator's clock advances only while it runs)."""
+        return sum(
+            c if isinstance(c, float) else c.sim.max_vtime
+            for c in self._history
+        )
 
     def tenant_stats(self) -> dict[str, dict[str, float]]:
         """Per-tenant hit/miss counters accumulated by :meth:`get`."""

@@ -49,7 +49,6 @@ from repro.serve.plan import ExecutionPlan, add_tuned_from_argument
 from repro.serve.queue import ServeRequest
 from repro.serve.service import Completion, DispatchOutcome, SolverService
 from repro.serve.shard import ShardCluster, ShardRouter
-from repro.simmpi.cluster import VirtualCluster
 
 __all__ = [
     "Oracle",
@@ -219,15 +218,11 @@ class Workload:
         return out
 
 
-def build_cluster(
-    w: Workload,
-) -> tuple[ShardCluster, VirtualCluster, Instrumentation]:
+def build_cluster(w: Workload) -> ShardCluster:
     """Materialize the cluster a workload describes: one
     :class:`SolverService` (own cache under the workload's fault plan,
     own instrumentation, deadline batcher, the workload's plan) per
-    shard, wired through a :class:`ShardRouter` and registered on a
-    :class:`VirtualCluster` for per-shard busy-time accounting."""
-    vcluster = VirtualCluster()
+    shard, wired through a :class:`ShardRouter`."""
     shard_ids = [f"s{i}" for i in range(w.n_shards)]
     router = ShardRouter(
         shard_ids,
@@ -241,8 +236,6 @@ def build_cluster(
             capacity=w.cache_capacity,
             obs=Instrumentation(rank=-1),
             faults=w.faults,
-            cluster=vcluster,
-            cluster_name=sid,
         )
         # with every deadline None or arrival + deadline_s, earliest
         # deadline first is the FIFO order, so a one-shard cluster
@@ -253,13 +246,12 @@ def build_cluster(
             batcher=DeadlineBatcher(BatchPolicy(w.max_batch)),
             plan=w.plan,
         )
-    cluster = ShardCluster(
+    return ShardCluster(
         router,
         services,
         tenant_quota=w.tenant_quota,
         shard_faults=w.shard_faults,
     )
-    return cluster, vcluster, cluster.obs
 
 
 #: a scenario's request tally: field -> the cluster counters it sums
@@ -279,7 +271,7 @@ _REQUESTS = {
 
 def run_workload(w: Workload, seed: int = 1234) -> dict[str, Any]:
     """Simulate one scenario; returns a schema-conforming scenario dict."""
-    cluster, vcluster, _ = build_cluster(w)
+    cluster = build_cluster(w)
     rng = np.random.default_rng(seed)
     events: list = []
     order = itertools.count()
@@ -384,7 +376,7 @@ def run_workload(w: Workload, seed: int = 1234) -> dict[str, Any]:
         shards[sid] = {
             "utilization": util[sid],
             "busy_s": sh.service.busy_s,
-            "sim_busy_s": vcluster.busy_vtime(sid),
+            "sim_busy_s": sh.service.cache.busy_vtime(),
             "dispatches": sh.service.dispatches,
             "alive": sh.alive,
             "cache": sh.service.cache.stats(),

@@ -43,7 +43,7 @@ def _bare(w):
 
 
 def _one_shard(w):
-    cluster, _, _ = build_cluster(w)
+    cluster = build_cluster(w)
     assert cluster.shard_ids() == ("s0",)
     return (
         cluster,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from repro.serve.loadgen import (
     zipf_weights,
 )
 from repro.serve.shard import HashRing
-from repro.simmpi.cluster import VirtualCluster
 
 KEY_A = ProblemKey(problem="poisson", nel=3, n_parts=2, etype="hex8", seed=0)
 KEY_B = ProblemKey(problem="poisson", nel=4, n_parts=2, etype="tet4", seed=1)
@@ -211,11 +212,12 @@ def _mini_cluster(n_shards=2, *, tenant_quota=None, queue_capacity=8,
         max_replicas=max_replicas,
         shard_faults=shard_faults,
     )
-    return build_cluster(w)
+    cluster = build_cluster(w)
+    return cluster, cluster.obs
 
 
 def test_tenant_quota_sheds_over_limit():
-    cluster, _, obs = _mini_cluster(tenant_quota=2)
+    cluster, obs = _mini_cluster(tenant_quota=2)
     assert cluster.submit(_req(0, tenant="t0"), now=0.0)
     assert cluster.submit(_req(1, tenant="t0"), now=0.0)
     assert not cluster.submit(_req(2, tenant="t0"), now=0.0)  # over quota
@@ -228,7 +230,7 @@ def test_tenant_quota_sheds_over_limit():
 
 
 def test_quota_released_on_deadline_expiry():
-    cluster, _, obs = _mini_cluster(tenant_quota=1)
+    cluster, obs = _mini_cluster(tenant_quota=1)
     assert cluster.submit(_req(0, tenant="t0", deadline=1e-9), now=0.0)
     assert not cluster.submit(_req(1, tenant="t0"), now=0.0)
     cluster.step(1.0)  # rid 0 expires -> quota slot frees
@@ -238,7 +240,7 @@ def test_quota_released_on_deadline_expiry():
 
 
 def test_cancel_releases_the_tenant_quota_slot():
-    cluster, _, _ = _mini_cluster(tenant_quota=1)
+    cluster, _ = _mini_cluster(tenant_quota=1)
     assert cluster.submit(_req(0, tenant="t0"), now=0.0)
     assert not cluster.submit(_req(1, tenant="t0"), now=0.0)  # over quota
     assert cluster.cancel(0)
@@ -250,7 +252,7 @@ def test_cancel_releases_the_tenant_quota_slot():
 
 
 def test_cancel_of_unknown_or_dispatched_rid_is_a_no_op():
-    cluster, _, _ = _mini_cluster(tenant_quota=1)
+    cluster, _ = _mini_cluster(tenant_quota=1)
     assert cluster.submit(_req(0, tenant="t0"), now=0.0)
     before = cluster.request_counters()
     assert not cluster.cancel(99)  # never submitted
@@ -266,7 +268,7 @@ def test_cancel_of_unknown_or_dispatched_rid_is_a_no_op():
     assert not cluster.submit(_req(2, tenant="t0"), now=out.end)
 
 def test_full_queues_shed_and_count():
-    cluster, _, obs = _mini_cluster(n_shards=1, queue_capacity=1)
+    cluster, obs = _mini_cluster(n_shards=1, queue_capacity=1)
     assert cluster.submit(_req(0), now=0.0)
     assert not cluster.submit(_req(1), now=0.0)  # single queue full
     assert obs.counters["shard.shed_full"] == 1
@@ -274,7 +276,7 @@ def test_full_queues_shed_and_count():
 
 
 def test_hot_key_spills_to_replica():
-    cluster, _, obs = _mini_cluster(
+    cluster, obs = _mini_cluster(
         n_shards=2, queue_capacity=1, hot_threshold=1, max_replicas=1
     )
     # KEY_A is hot from its first request: both shards are eligible, so
@@ -286,7 +288,7 @@ def test_hot_key_spills_to_replica():
 
 
 def test_coherent_invalidation_fans_out():
-    cluster, _, obs = _mini_cluster(n_shards=2, hot_threshold=1,
+    cluster, obs = _mini_cluster(n_shards=2, hot_threshold=1,
                                     max_replicas=1)
     for _ in range(2):
         cluster.router.record(KEY_A)  # hot -> replicated on both shards
@@ -305,7 +307,7 @@ def test_coherent_invalidation_fans_out():
 
 def test_kill_fails_queued_work_over():
     plan = ShardFaultPlan(kills=(ShardKill("s0", at=0.5),))
-    cluster, _, obs = _mini_cluster(n_shards=2, shard_faults=plan,
+    cluster, obs = _mini_cluster(n_shards=2, shard_faults=plan,
                                     hot_threshold=100)
     # string keys route fine (never dispatched here); pick some whose
     # primary is the victim and some owned by the survivor
@@ -332,7 +334,7 @@ def test_kill_fails_queued_work_over():
 def test_unbuildable_key_fails_each_request_once_on_a_cluster():
     """Requests for a key no shard can build each get one failed
     Completion; the cluster's request count balances."""
-    cluster, _, _ = _mini_cluster(n_shards=2)
+    cluster, _ = _mini_cluster(n_shards=2)
     bad = dataclasses.replace(KEY_A, method="bogus")
     for rid in range(5):
         assert cluster.submit(_req(rid, key=bad if rid % 2 == 0 else KEY_A),
@@ -355,7 +357,7 @@ def test_unbuildable_key_fails_each_request_once_on_a_cluster():
 
 def test_revive_restores_membership():
     plan = ShardFaultPlan(kills=(ShardKill("s0", at=0.5, revive_at=2.0),))
-    cluster, _, obs = _mini_cluster(n_shards=2, shard_faults=plan)
+    cluster, obs = _mini_cluster(n_shards=2, shard_faults=plan)
     cluster.advance(1.0)
     assert cluster.router.shards == ("s1",)
     cluster.advance(3.0)
@@ -383,20 +385,45 @@ def test_cluster_rejects_mismatched_services():
 
 
 # ----------------------------------------------------------------------
-# virtual cluster accounting
+# busy-time accounting
 # ----------------------------------------------------------------------
 
 
 def test_virtual_cluster_tracks_busy_time():
-    vc = VirtualCluster()
-    cache = OperatorCache(capacity=2, obs=Instrumentation(rank=0),
-                          cluster=vc, cluster_name="s0")
-    ctx, _ = cache.get(KEY_A)
-    x = np.ones(ctx.n_dofs)
-    ctx.apply_multi(x[:, None])
-    assert "s0" in vc.names
-    assert vc.busy_vtime("s0") > 0.0
-    assert vc.counters("s0")  # summed comm counters exist
+    """A shard's busy virtual time is its cache's: the final clocks of
+    every context it built, live or evicted, summed in build order, next
+    to the summed counters of both."""
+    cache = OperatorCache(capacity=1, obs=Instrumentation(rank=0))
+    a, _ = cache.get(KEY_A)
+    a.apply_multi(np.ones((a.n_dofs, 1)))
+    busy_a = a.sim.max_vtime
+    assert busy_a > 0.0 and cache.busy_vtime() == busy_a
+    b, _ = cache.get(KEY_B)  # evicts a
+    b.apply_multi(np.ones((b.n_dofs, 1)))
+    assert cache.stats()["evictions"] == 1
+    assert cache.busy_vtime() == busy_a + b.sim.max_vtime
+    assert cache.counters()  # live and retired comm counters
+
+
+def test_evicted_context_simulator_is_freed():
+    """A shard's cache keeps an evicted context's final clock, not its
+    simulator: once evicted, nothing keeps the simulator alive, and the
+    shard's busy time still counts it."""
+    cluster, _ = _mini_cluster(n_shards=1)
+    cache = cluster.shard_state("s0").service.cache
+    first, _ = cache.get(KEY_A)
+    first.apply_multi(np.ones((first.n_dofs, 1)))
+    clocks = [first.sim.max_vtime]
+    sim = weakref.ref(first.sim)
+    del first
+    for seed in range(1, cache.capacity + 1):  # the last get evicts KEY_A
+        ctx, _ = cache.get(dataclasses.replace(KEY_A, seed=seed))
+        clocks.append(ctx.sim.max_vtime)
+    del ctx
+    gc.collect()
+    assert cache.stats()["evictions"] == 1
+    assert sim() is None
+    assert cache.busy_vtime() == sum(clocks)
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +607,7 @@ def test_delta_update_invalidates_replicas_then_routes_fresh():
     new key completes — zero wrong answers."""
     from repro.serve.cache import SolverContext
 
-    cluster, _, obs = _mini_cluster(n_shards=2, hot_threshold=1,
+    cluster, obs = _mini_cluster(n_shards=2, hot_threshold=1,
                                     max_replicas=1)
     for _ in range(2):
         cluster.router.record(KEY_A)  # hot -> replicated on both shards
