@@ -19,6 +19,12 @@ pytestmark = pytest.mark.slow
 
 P_LIST = [4, 8, 16, 32]
 
+#: runs per table cell; each cell is the minimum over them, as the smoke
+#: bench takes it.  A cell is about 1 ms of measured compute on up to 32
+#: rank threads, and a single hiccup on any one of them (up to ~27 ms on
+#: a shared 2-vCPU host) moves a lone run's max over ranks tenfold.
+REPEATS = 3
+
 
 @pytest.fixture(scope="module")
 def table(save_tables):
@@ -31,11 +37,16 @@ def table(save_tables):
             (7, 7, max(2 * p // 7 + 1, 2)), p, part_method="slab"
         )
         for method in ("hymv", "assembled"):
-            b = run_bench(spec, method, n_spmv=10)
-            comm = b.breakdown.get("setup.comm", 0.0) + b.breakdown.get(
-                "setup.comm_maps", 0.0
+            runs = [run_bench(spec, method, n_spmv=10) for _ in range(REPEATS)]
+            comm = min(
+                b.breakdown.get("setup.comm", 0.0)
+                + b.breakdown.get("setup.comm_maps", 0.0)
+                for b in runs
             )
-            t.add_row(p, spec.n_dofs, method, b.setup_time, b.spmv_time, comm)
+            t.add_row(
+                p, spec.n_dofs, method, min(b.setup_time for b in runs),
+                min(b.spmv_time for b in runs), comm,
+            )
     save_tables("scaling_stress", [t])
     return t
 

@@ -24,7 +24,6 @@ Top-level convenience re-exports; see the subpackages for the full API:
 __version__ = "1.0.0"
 
 from repro.core import DistributedArray, HymvOperator
-from repro.harness import run_bench, run_solve
 from repro.mesh import ElementType, box_hex_mesh, box_tet_mesh
 from repro.partition import build_partition
 from repro.problems import elastic_bar_problem, poisson_problem
@@ -44,3 +43,13 @@ __all__ = [
     "run_solve",
     "run_spmd",
 ]
+
+
+def __getattr__(name):
+    # the experiment drivers load on first use: a serving process never
+    # imports the figure harness
+    if name in ("run_bench", "run_solve"):
+        from repro import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -45,12 +45,8 @@ from repro.obs.schema import (
     validate_report,
     write_report,
 )
-from repro.serve.cache import (
-    DEFAULT_RATE_GFLOPS,
-    OperatorCache,
-    ProblemKey,
-    SolverContext,
-)
+from repro.kinds import MODELED_RATE_GFLOPS
+from repro.serve.cache import OperatorCache, ProblemKey, SolverContext
 
 __all__ = ["AdaptScenario", "run_scenario", "run_adapt_suite", "main"]
 
@@ -134,7 +130,7 @@ def run_scenario(sc: AdaptScenario, seed: int = 1234) -> dict[str, Any]:
     cf = CrackFront(half_width=sc.half_width)
     rng = np.random.default_rng(seed)
     kf = ctx.spec.operator.ke_flops(ctx.spec.mesh.etype)
-    rate = ctx.modeled_rate or DEFAULT_RATE_GFLOPS
+    rate = ctx.modeled_rate or MODELED_RATE_GFLOPS
 
     patches = rebuilds = touched_total = checks = bitwise = wrong = 0
     max_fraction = 0.0

@@ -30,15 +30,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.da import DistributedArray, DistributedMultiVector
 from repro.core.hymv import check_update
-from repro.core.kernels import resolve_mode
 from repro.core.maps import NodeMaps
-from repro.core.scatter import HaloExchange, build_comm_maps
+from repro.core.operator import DistributedOperator, owned_ranges
+from repro.core.scatter import build_comm_maps
 from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
-from repro.util.arrays import INDEX_DTYPE, WidestScratch
+from repro.util.arrays import INDEX_DTYPE
 
 __all__ = ["AssembledOperator", "assemble_csr", "patch_csr"]
 
@@ -224,7 +223,7 @@ def patch_csr(comm, ke, e2g, hit, ndpn, ranges, maps, blocks, phases) -> None:
             A.data[pos[at]] = data[bounds[b]:bounds[b + 1]]
 
 
-class AssembledOperator:
+class AssembledOperator(DistributedOperator):
     """Distributed CSR operator with PETSc-like assembly and SPMV."""
 
     def __init__(
@@ -235,31 +234,13 @@ class AssembledOperator:
         ranges: np.ndarray | None = None,
         elem_scale: np.ndarray | None = None,
     ):
-        self.comm = comm
-        self.lmesh = lmesh
-        self.operator = operator
-        self.ndpn = operator.ndpn
-        self.etype = lmesh.etype
-
-        if ranges is None:
-            ranges = np.asarray(
-                comm.allgather((lmesh.n_begin, lmesh.n_end)), dtype=INDEX_DTYPE
-            )
-        self._ranges = ranges
+        super().__init__(comm, lmesh, operator)
+        self._ranges = owned_ranges(comm, lmesh) if ranges is None else ranges
         # element inputs the assembly is a pure function of; coords start
         # as a reference to the local mesh and go copy-on-write on the
         # first coordinate update
         self._coords = lmesh.coords
-        self._elem_scale: np.ndarray | None = None
-        if elem_scale is not None:
-            scale = np.asarray(elem_scale, dtype=np.float64)
-            if scale.shape != (lmesh.n_local_elements,):
-                raise ValueError(
-                    f"elem_scale shape {scale.shape} != "
-                    f"({lmesh.n_local_elements},) local elements"
-                )
-            self._elem_scale = np.ascontiguousarray(scale)
-        self.spmv_count = 0
+        self._elem_scale = self._checked_scale(elem_scale)
         self._assemble("setup")
 
     def _assemble(self, prefix: str) -> None:
@@ -287,22 +268,13 @@ class AssembledOperator:
         )
 
         t0 = comm.vtime
-        self.cmaps = build_comm_maps(comm, self.maps, ranges=self._ranges)
+        cmaps = build_comm_maps(comm, self.maps, ranges=self._ranges)
         comm.obs.add(f"{prefix}.comm_maps", comm.vtime - t0)
-
-        self.n_dofs_owned = n = self.A_diag.shape[0]
-        # packed halo exchanges per column count k, and the (U, Y) work
-        # of apply_owned_multi, built against these node maps: a
-        # reassembly drops them
-        self._halos: dict[int, HaloExchange] = {}
-        maps, ndpn = self.maps, self.ndpn
-        size = maps.n_total * ndpn
-        self._work_multi = WidestScratch((size, n), lambda bufs, k: (
-            DistributedMultiVector(maps, ndpn, k, data=bufs[0][: size * k]),
-            bufs[1][: n * k].reshape(n, k),
-        ))
-        if hasattr(self, "_work_u"):
-            del self._work_u
+        # packed halos and work vectors are built against these node
+        # maps: a reassembly rebinds them
+        self._bind(self.maps, cmaps)
+        npre = self.maps.n_pre * self.ndpn
+        self._own = slice(npre, npre + self.n_dofs_owned)
 
     # ------------------------------------------------------------------
 
@@ -380,16 +352,6 @@ class AssembledOperator:
 
     # ------------------------------------------------------------------
 
-    def new_array(self) -> DistributedArray:
-        return DistributedArray(self.maps, self.ndpn)
-
-    def _halo_for(self, k: int) -> HaloExchange:
-        """Packed halo exchange for node rows of width ``ndpn * k``."""
-        h = self._halos.get(k)
-        if h is None:
-            h = self._halos[k] = HaloExchange(self.cmaps, self.ndpn * k)
-        return h
-
     #: phases of the diagonal-block and halo-block products
     _phases = ("spmv.csr.diag", "spmv.csr.halo")
 
@@ -399,84 +361,60 @@ class AssembledOperator:
         block under the GEMM mode (one SpMM)."""
         return self._blocks[i] @ x
 
-    def _apply(self, un: np.ndarray, D: np.ndarray, k: int) -> np.ndarray:
-        """Algorithm 2 for assembled blocks over ``k`` columns: the ghost
-        scatter of the node rows ``un`` is in flight during the diagonal
-        block product; the pre/post halo blocks then add into it in that
-        order.  ``D`` is the dof view of ``un``."""
+    def _product(self, un, vn, uf, vf, k, overlap, gemm) -> None:
+        """The owned rows of ``vf`` from :meth:`_apply`.  One column
+        always takes the 1-D product; the oracle runs it per column, each
+        with its own halo round — the bits and messages of ``k`` single
+        products.  GEMM runs each block once over all ``k`` columns
+        after ONE packed ``ndpn*k``-wide scatter (SciPy's CSR·dense
+        kernel streams the matrix once for all columns); it adds the
+        three blocks in the 1-D order, so it matches the oracle to
+        rounding, not bitwise."""
+        own = self._own
+        if uf.ndim == 1 or (gemm and k > 1):
+            vf[own] = self._apply(un, uf, k, overlap)
+        elif k == 1:
+            vf[own, 0] = self._apply(un, uf[:, 0], 1, overlap)
+        else:
+            u = self._work[0]
+            x = u.data.reshape(-1)
+            for j in range(k):
+                x[own] = uf[own, j]
+                vf[own, j] = self._apply(u.data, x, 1, overlap)
+
+    def _apply(
+        self, un: np.ndarray, D: np.ndarray, k: int, overlap: bool
+    ) -> np.ndarray:
+        """PETSc's ``MatMult`` over ``k`` columns; returns the owned rows.
+        Overlapped, the ghost scatter of the node rows ``un`` is in
+        flight during the diagonal block product; blocking, it completes
+        first.  The pre/post halo blocks then add into the product in
+        that order.  ``D`` is the dof view of ``un``."""
         comm = self.comm
         t0 = comm.vtime
-        halo = self._halo_for(k)
-        npre = self.maps.n_pre * self.ndpn
-        off = npre + self.n_dofs_owned
-        reqs = halo.start_scatter(comm, un)
+        halo = self._halos.get(k) or self._halo_for(k)
+        own = self._own
+        if overlap:
+            reqs = halo.start_scatter(comm, un)
+        else:
+            tw = comm.vtime
+            halo.scatter(comm, un)
+            comm.obs.add("spmv.scatter.wait", comm.vtime - tw)
         with comm.compute(self._phases[0]):
-            y = self._block_product(0, D[npre:off])
-        tw = comm.vtime
-        halo.finish_scatter(comm, un, reqs)
-        comm.obs.add("spmv.scatter.wait", comm.vtime - tw)
+            y = self._block_product(0, D[own])
+        if overlap:
+            tw = comm.vtime
+            halo.finish_scatter(comm, un, reqs)
+            comm.obs.add("spmv.scatter.wait", comm.vtime - tw)
         with comm.compute(self._phases[1]):
             if self.A_pre.shape[1]:
-                y += self._block_product(1, D[:npre])
+                y += self._block_product(1, D[: own.start])
             if self.A_post.shape[1]:
-                y += self._block_product(2, D[off:])
+                y += self._block_product(2, D[own.stop:])
         comm.obs.incr("spmv.flops", 2.0 * self.nnz * k)
         comm.obs.add("spmv.total", comm.vtime - t0)
         self.spmv_count += k
         return y
-
-    def apply_owned(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
-        """``y = A x`` on owned dofs; halo exchange overlapped with the
-        diagonal-block product (PETSc's MatMult structure).
-
-        ``copy=False`` may return an operator-owned buffer, overwritten
-        by the next call."""
-        if not hasattr(self, "_work_u"):
-            self._work_u = self.new_array()
-        u = self._work_u
-        u.set_owned(x)
-        y = self._apply(u.data, u.data.reshape(-1), 1)
-        return y.copy() if copy else y
-
-    def apply_owned_multi(
-        self, X: np.ndarray, copy: bool = True, mode: str = "auto"
-    ) -> np.ndarray:
-        """Multi-RHS application.
-
-        The resolved ``"oracle"`` mode runs one :meth:`apply_owned` per
-        column — each column pays its own message round, and the result
-        is trivially bitwise-per-column (signature parity with
-        :meth:`repro.core.hymv.EbeOperatorBase.apply_owned_multi`).  A
-        single column always takes the single-RHS path.
-
-        The resolved ``"gemm"`` mode exchanges ghosts for all k columns
-        in ONE packed ``ndpn*k``-wide scatter and computes each block
-        with a single product over the ``(·, k)`` dof matrix — the BLAS3
-        analogue (scipy's CSR·dense kernel streams the matrix once for
-        all columns).  It accumulates the three blocks in the same order
-        as the 1-D path, so it matches the oracle to rounding; it is not
-        bitwise (the halo blocks' partial sums add to the diag product in
-        a different grouping).  ``copy=False`` may return an
-        operator-owned block: every width views one buffer per role,
-        sized for the widest ``k`` seen
-        (:class:`~repro.util.arrays.WidestScratch`), so it is overwritten
-        by the next multi-RHS call of *any* width.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"expected (n, k) multivector, got shape {X.shape}")
-        k = X.shape[1]
-        if k == 1:
-            y = self.apply_owned(np.ascontiguousarray(X[:, 0]), copy=copy)
-            return y.reshape(-1, 1)
-        U, Y = self._work_multi.get(k) or self._work_multi(k)
-        if resolve_mode(mode, k) != "gemm":
-            for j in range(k):
-                Y[:, j] = self.apply_owned(X[:, j], copy=False)
-        else:
-            U.set_owned(X)
-            Y = self._apply(U.node_view, U.dof_view, k)
-        return Y.copy() if copy else Y
 
     # ------------------------------------------------------------------
     # preconditioner support / accounting

@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.assembled import AssembledOperator
-from repro.core.da import DistributedArray, DistributedMultiVector
 from repro.core.sellcs import (
     DEFAULT_C,
     DEFAULT_SIGMA_FACTOR,
@@ -140,31 +139,6 @@ class SellCSOperator(AssembledOperator):
             return sell_spmv(self._blocks[i], x, self._workspaces(1)[i])
         k = x.shape[1]
         return sell_spmm(self._blocks[i], x, self._workspaces(k)[i])
-
-    # ------------------------------------------------------------------
-    # DistributedArray-level API parity with the EMV operators
-    # ------------------------------------------------------------------
-
-    def new_multivector(self, k: int) -> DistributedMultiVector:
-        return DistributedMultiVector(self.maps, self.ndpn, k)
-
-    def spmv(
-        self, u: DistributedArray, v: DistributedArray, overlap: bool = True
-    ) -> DistributedArray:
-        y = self.apply_owned(u.owned_flat, copy=False)
-        v.set_owned(y)
-        return v
-
-    def spmv_multi(
-        self,
-        u: DistributedMultiVector,
-        v: DistributedMultiVector,
-        overlap: bool = True,
-        mode: str = "auto",
-    ) -> DistributedMultiVector:
-        Y = self.apply_owned_multi(u.owned_matrix, copy=False, mode=mode)
-        v.set_owned(Y)
-        return v
 
     # ------------------------------------------------------------------
     # accounting

@@ -26,7 +26,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.core.da import DistributedArray, DistributedMultiVector
+from repro.core.da import DistributedArray
 from repro.core.kernels import (
     CSR_VIEW_MAX_ND,
     EMV_KERNELS,
@@ -34,23 +34,16 @@ from repro.core.kernels import (
     KeCsrView,
     emv_columns,
     gather_element_vectors,
-    resolve_mode,
 )
 from repro.core.maps import NodeMaps, build_node_maps
-from repro.core.scatter import (
-    CommMaps,
-    HaloExchange,
-    build_comm_maps,
-    gather,
-    scatter,
-)
+from repro.core.operator import DistributedOperator, owned_ranges
+from repro.core.scatter import CommMaps, build_comm_maps, gather, scatter
 from repro.core.segment import SegmentScatter, _csr_matvec
 from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
 from repro.util.arrays import (
     INDEX_DTYPE,
-    WidestScratch,
     as_index,
     inverse_permutation,
     scatter_add,
@@ -92,8 +85,9 @@ def check_update(local_elems, n_local, n_nodes, coords, stiffness_scale):
     return local_elems, coords, stiffness_scale
 
 
-class EbeOperatorBase:
-    """Element-by-element machinery shared by HYMV and matrix-free."""
+class EbeOperatorBase(DistributedOperator):
+    """Element-by-element machinery shared by HYMV and matrix-free: the
+    local product is Algorithm 2 over element sweeps."""
 
     def __init__(
         self,
@@ -105,11 +99,8 @@ class EbeOperatorBase:
         modeled_rate_gflops: float | None = None,
         elem_scale: np.ndarray | None = None,
     ):
-        self.comm = comm
-        self.lmesh = lmesh
-        self.operator = operator
-        self.ndpn = operator.ndpn
-        self.etype = lmesh.etype
+        super().__init__(comm, lmesh, operator)
+        scale = self._checked_scale(elem_scale)
         if kernel not in EMV_KERNELS:
             raise ValueError(f"unknown EMV kernel {kernel!r}")
         self.kernel_name = kernel
@@ -144,31 +135,19 @@ class EbeOperatorBase:
                         f"{n_total_dofs} local dofs"
                     )
             self._coords_perm = lmesh.coords[self._order]
-            # optional per-element stiffness scale (local mesh order),
-            # stored in permuted order like coords.  Absolute semantics:
-            # the effective element matrix is always
-            # ``scale * Ke(coords)`` — multiplying by 1.0 is an IEEE-754
-            # no-op, so a fresh build with a partially-1.0 scale array is
-            # bitwise identical to an unscaled build on the 1.0 rows.
-            self._scale_perm: np.ndarray | None = None
-            if elem_scale is not None:
-                scale = np.asarray(elem_scale, dtype=np.float64)
-                if scale.shape != (lmesh.n_local_elements,):
-                    raise ValueError(
-                        f"elem_scale shape {scale.shape} != "
-                        f"({lmesh.n_local_elements},) local elements"
-                    )
-                self._scale_perm = np.ascontiguousarray(scale[self._order])
+            # optional per-element stiffness scale, stored in permuted
+            # order like coords.  Absolute semantics: the effective
+            # element matrix is always ``scale * Ke(coords)`` —
+            # multiplying by 1.0 is an IEEE-754 no-op, so a fresh build
+            # with a partially-1.0 scale array is bitwise identical to an
+            # unscaled build on the 1.0 rows.
+            self._scale_perm = None if scale is None else scale[self._order]
 
         t0 = comm.vtime
-        if ranges is None:
-            ranges = np.asarray(
-                comm.allgather((lmesh.n_begin, lmesh.n_end)),
-                dtype=INDEX_DTYPE,
-            )
-        self._ranges = ranges
-        self.cmaps: CommMaps = build_comm_maps(comm, self.maps, ranges=ranges)
+        self._ranges = owned_ranges(comm, lmesh) if ranges is None else ranges
+        cmaps = build_comm_maps(comm, self.maps, ranges=self._ranges)
         comm.obs.add("setup.comm_maps", comm.vtime - t0)
+        self._bind(self.maps, cmaps)
 
         # Algorithm-2 slices with explicit bounds (a sweep's element
         # count is ``sl.stop - sl.start``) and fixed per-element flops
@@ -176,8 +155,6 @@ class EbeOperatorBase:
         self._sl_dep = slice(self._n_indep, lmesh.n_local_elements)
         self._sl_all = slice(0, lmesh.n_local_elements)
         self._emv_flops = operator.emv_flops(self.etype)
-        self.n_dofs_owned = self.maps.n_owned * self.ndpn
-        self.spmv_count = 0
         # under fault injection, sanity-check received ghost values so
         # corruption surfaces as a counter the resilient solver can act on
         self._check_ghosts = bool(getattr(comm, "faults_active", False))
@@ -196,16 +173,8 @@ class EbeOperatorBase:
             self._seg_dep = SegmentScatter(self.e2l_dofs[self._sl_dep])
             # one packed halo exchange per node-row width ndpn*k, so one
             # exchange serves all k columns of a multivector product
-            self._halos: dict[int, HaloExchange] = {}
             self.halo = self._halo_for(1)
         self._seg_all: SegmentScatter | None = None
-        # the (U, V) work multivectors backing apply_owned_multi
-        maps, ndpn = self.maps, self.ndpn
-        n = maps.n_total * ndpn
-        self._work_multi = WidestScratch((n, n), lambda bufs, k: tuple(
-            DistributedMultiVector(maps, ndpn, k, data=b[: n * k])
-            for b in bufs
-        ))
 
     # -- construction helpers -------------------------------------------
 
@@ -217,8 +186,8 @@ class EbeOperatorBase:
         )
         return dofs.reshape(E, n * self.ndpn)
 
-    def new_array(self) -> DistributedArray:
-        return DistributedArray(self.maps, self.ndpn)
+    def element_maps(self) -> tuple[NodeMaps, CommMaps]:
+        return self.maps, self.cmaps
 
     # -- elemental sweep -------------------------------------------------
 
@@ -252,8 +221,8 @@ class EbeOperatorBase:
         otherwise.  Operators that do not store or recompute element
         matrices (partial assembly) override this."""
         ke = self._element_matrices(sl)
-        if ue.ndim == 3:
-            return self.kernel(ke, ue, out=ve, mode="gemm")
+        if ue.ndim == 3:  # GEMM: one (nd, nd) @ (nd, k) per element
+            return np.matmul(ke, ue, out=ve)
         if self.kernel is emv_columns and ve is not None:
             return emv_columns(
                 ke, ue, out=ve, tmp=self._ws.tmp[: ue.shape[0]],
@@ -346,13 +315,14 @@ class EbeOperatorBase:
 
     # -- Algorithm 2 ------------------------------------------------------
 
-    def _halo_for(self, k: int) -> HaloExchange:
-        """Packed halo exchange for node rows of width ``ndpn * k``
-        (built once per distinct column count)."""
-        h = self._halos.get(k)
-        if h is None:
-            h = self._halos[k] = HaloExchange(self.cmaps, self.ndpn * k)
-        return h
+    def _product(self, un, vn, uf, vf, k, overlap, gemm) -> None:
+        """Algorithm 2 with one host sweep per slice: over the whole
+        ``(n_dofs, k)`` block under GEMM (or for one vector), else per
+        column (the oracle)."""
+        self._algorithm2(
+            un, vn, uf, vf, k, overlap,
+            self._host_run if gemm or uf.ndim == 1 else self._host_run_columns,
+        )
 
     def _algorithm2(
         self,
@@ -379,7 +349,7 @@ class EbeOperatorBase:
         seconds and no flops, so clocks, counters and bits are kept."""
         comm = self.comm
         obs = comm.obs
-        halo = self._halo_for(k)
+        halo = self._halos.get(k) or self._halo_for(k)
         t0 = comm.vtime
         vn[:] = 0.0
         if overlap:
@@ -437,127 +407,6 @@ class EbeOperatorBase:
                 self._emv_sweep(ut[j], vt[j], sl, zeroed)
             np.copyto(vf.T, vt)
 
-    def spmv(
-        self,
-        u: DistributedArray,
-        v: DistributedArray,
-        overlap: bool = True,
-    ) -> DistributedArray:
-        """Distributed SPMV ``v = K u`` (owned block of ``v`` is exact on
-        return; ghost entries of ``v`` are scratch).
-
-        ``overlap=True`` is Algorithm 2: the ghost scatter of ``u`` is in
-        flight while independent elements compute; ``overlap=False`` is
-        the blocking variant used in the ablation study.
-        """
-        self._algorithm2(
-            u.data, v.data, u.data.reshape(-1), v.data.reshape(-1), 1,
-            overlap, self._host_run,
-        )
-        return v
-
-    def apply(self, u: DistributedArray, v: DistributedArray) -> DistributedArray:
-        """Solver-facing alias of :meth:`spmv` (MatShell interface)."""
-        return self.spmv(u, v)
-
-    def apply_owned(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
-        """MatShell-style application on owned dof vectors (what the CG
-        solver calls); halo handling is internal.  The distributed
-        product lands in work arrays preallocated on first use.
-
-        **Aliasing contract:** by default the result is returned as a
-        fresh copy the caller owns — two products held simultaneously
-        stay distinct, and mutating one (e.g. masking Dirichlet rows)
-        never touches operator state.  ``copy=False`` instead returns a
-        *view* into the operator-owned work buffer, overwritten by the
-        next ``apply_owned``/``spmv`` call: zero-copy for hot loops that
-        consume the result immediately and must not mutate it."""
-        if not hasattr(self, "_work_u"):
-            self._work_u = self.new_array()
-            self._work_v = self.new_array()
-        self._work_u.set_owned(x)
-        self.spmv(self._work_u, self._work_v)
-        owned = self._work_v.owned_flat
-        return np.array(owned, copy=True) if copy else owned
-
-    # -- multi-RHS (matrix-multivector) path ------------------------------
-
-    def new_multivector(self, k: int) -> DistributedMultiVector:
-        return DistributedMultiVector(self.maps, self.ndpn, k)
-
-    def spmv_multi(
-        self,
-        u: DistributedMultiVector,
-        v: DistributedMultiVector,
-        overlap: bool = True,
-        mode: str = "auto",
-    ) -> DistributedMultiVector:
-        """Batched multi-RHS SPMV ``V = K U`` (Algorithm 2 over ``k``
-        right-hand sides at once).
-
-        Under ``mode="oracle"`` column ``j`` of the result is **bitwise
-        identical** to ``spmv`` applied to column ``j`` alone: each
-        column runs through the exact single-RHS elemental sweep (same
-        workspace, same kernels, same accumulation order).  The batching
-        win is in the communication layer — ONE ghost exchange of packed
-        ``ndpn * k`` node rows replaces ``k`` exchanges, amortizing
-        per-message latency across the batch (the multivector analogue
-        of the paper's batched-EMV rationale; per-scalar ghost copies and
-        accumulations are independent, so packing cannot change bits).
-
-        Under ``mode="gemm"`` the elemental stage additionally runs as
-        batched BLAS3 GEMMs over the whole ``(E, nd, k)`` block: each
-        stored/recomputed element matrix is streamed through memory once
-        for all k columns instead of k times.  Results match the oracle
-        to rounding (:func:`repro.core.kernels.gemm_equivalence_rtol`),
-        not bitwise.  ``mode="auto"`` (the default) picks GEMM when
-        ``k >= DEFAULT_K_MIN``.
-        """
-        k = u.k
-        if resolve_mode(mode, k) == "gemm":
-            run = self._host_run
-        else:
-            run = self._host_run_columns
-        self._algorithm2(
-            u.node_view, v.node_view, u.dof_view, v.dof_view, k, overlap, run
-        )
-        return v
-
-    def work_multivectors(
-        self, k: int
-    ) -> tuple[DistributedMultiVector, DistributedMultiVector]:
-        """The operator-owned ``(U, V)`` work pair of width ``k`` behind
-        :meth:`apply_owned_multi`.  Callers that fill ``U`` themselves and
-        run :meth:`spmv_multi` (the Dirichlet block operator of
-        :mod:`repro.serve.cache`) skip the input and output copies.  Every
-        width views one buffer per role sized for the widest ``k`` seen,
-        so both are overwritten by the next work product of *any* width."""
-        return self._work_multi.get(k) or self._work_multi(k)
-
-    def apply_owned_multi(
-        self, X: np.ndarray, copy: bool = True, mode: str = "auto"
-    ) -> np.ndarray:
-        """Multi-RHS :meth:`apply_owned`: applies the operator to the
-        ``(n_owned_dofs, k)`` columns of ``X`` in one batched product.
-
-        Under the resolved ``"oracle"`` mode column ``j`` of the result
-        is bitwise identical to ``apply_owned(X[:, j])``; the resolved
-        ``"gemm"`` mode (``auto`` picks it for ``k >= DEFAULT_K_MIN``) runs
-        the BLAS3 elemental stage and matches to rounding (see
-        :meth:`spmv_multi`).  The work multivectors are
-        :meth:`work_multivectors`; the aliasing contract matches
-        ``apply_owned`` except that ``copy=False`` returns a view
-        overwritten by the next multi-RHS product of *any* width.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"expected (n, k) multivector, got shape {X.shape}")
-        U, V = self.work_multivectors(X.shape[1])
-        U.set_owned(X)
-        self.spmv_multi(U, V, mode=mode)
-        owned = V.owned_matrix
-        return np.array(owned, copy=True) if copy else owned
-
     # -- preconditioner support (shared: HYMV loads stored matrices,
     #    matrix-free recomputes once) --------------------------------------
 
@@ -565,7 +414,6 @@ class EbeOperatorBase:
         """Exact assembled diagonal of K on owned dofs (collective)."""
         d = self.new_array()
         ke = self._element_matrices(self._sl_all)
-        nd = self.e2l_dofs.shape[1]
         diag_e = ke.diagonal(axis1=1, axis2=2)
         scatter_add(d.data.reshape(-1), self.e2l_dofs, diag_e)
         d.accumulate_ghosts(self.comm, self.cmaps)

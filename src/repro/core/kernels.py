@@ -30,20 +30,21 @@ segment sum that follows absorbs).
 
 Multi-RHS execution modes
 -------------------------
-A multivector batch ``ue`` of shape ``(E, nd, k)`` can be processed two
-ways, selected by ``mode``:
+An operator's multivector product
+(:meth:`~repro.core.operator.DistributedOperator.spmv_multi`) runs one
+of two ways, selected by ``mode``:
 
-* ``"oracle"`` — per-column single-RHS kernel calls: column ``j`` of the
+* ``"oracle"`` — the single-RHS product per column: column ``j`` of the
   result is **bitwise identical** to the single-RHS product of column
   ``j``.  This is the verification reference the serve micro-batcher's
   answer-independence contract stands on.
-* ``"gemm"`` — the BLAS3 fast path: the whole ``(E, nd, k)`` block is
-  computed with ONE batched ``np.matmul`` (a dense GEMM per element over
-  the ``(nd, k)`` column block — the distributed matrix-multivector
-  formulation of Panigrahi et al., arXiv:2208.07129).  BLAS may
-  accumulate each dot in a different order than the gemv path, so the
-  result agrees with the oracle only to a derived rounding bound
-  (:func:`gemm_equivalence_rtol`), never bitwise.
+* ``"gemm"`` — the BLAS3 fast path: an element sweep computes its
+  ``(E, nd, k)`` block with ONE batched ``np.matmul`` (a dense GEMM per
+  element over the ``(nd, k)`` column block — the distributed
+  matrix-multivector formulation of Panigrahi et al.,
+  arXiv:2208.07129).  BLAS may accumulate each dot in a different order
+  than the gemv path, so the result agrees with the oracle only to a
+  derived rounding bound (:func:`gemm_equivalence_rtol`), never bitwise.
 * ``"auto"`` — ``gemm`` when ``k >= k_min`` (default
   :data:`DEFAULT_K_MIN`; ``python -m repro.harness tune`` measures
   it), else ``oracle``.  Resolved by :func:`resolve_mode`.
@@ -119,33 +120,15 @@ def gemm_equivalence_rtol(
 
 
 def emv_einsum(
-    ke: np.ndarray,
-    ue: np.ndarray,
-    out: np.ndarray | None = None,
-    mode: str = "oracle",
+    ke: np.ndarray, ue: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``ve[e] = Ke[e] @ ue[e]`` over the whole batch at once (batched
-    BLAS gemv via ``matmul``).
+    """``ve[e] = Ke[e] @ ue[e]`` over the whole ``(E, nd)`` batch at once
+    (batched BLAS gemv via ``matmul``).
 
     With ``out=`` the product is written into the given ``(E, nd)``
     buffer (viewed as ``(E, nd, 1)``) with no heap allocation; the
     result bits are identical either way.
-
-    A multivector batch ``ue`` of shape ``(E, nd, k)`` is accepted and
-    produces the ``(E, nd, k)`` products.  Under ``mode="oracle"`` (the
-    default) each column is computed by the exact single-RHS kernel call
-    on a contiguous copy, so ``emv_einsum(ke, ue)[:, :, j]`` is bitwise
-    identical to ``emv_einsum(ke, ue[:, :, j])``.  Under ``mode="gemm"``
-    the whole block is ONE batched ``np.matmul`` — a dense
-    ``(nd, nd) @ (nd, k)`` GEMM per element — which reuses each loaded
-    ``Ke`` row across all k columns (BLAS3 arithmetic intensity) but
-    agrees with the oracle only to :func:`gemm_equivalence_rtol`.
-    ``mode`` is ignored for 2-D ``ue`` (single RHS has one ordering).
     """
-    if ue.ndim == 3:
-        if resolve_mode(mode, ue.shape[2]) == "gemm":
-            return np.matmul(ke, ue, out=out)
-        return _emv_multi(emv_einsum, ke, ue, out)
     if out is None:
         return np.matmul(ke, ue[:, :, None])[:, :, 0]
     np.matmul(ke, ue[:, :, None], out=out[:, :, None])
@@ -158,7 +141,6 @@ def emv_columns(
     out: np.ndarray | None = None,
     tmp: np.ndarray | None = None,
     columns: np.ndarray | None = None,
-    mode: str = "oracle",
 ) -> np.ndarray:
     """Column-major sum-of-scaled-columns EMV (paper eq. 4).
 
@@ -179,22 +161,7 @@ def emv_columns(
         the precomputed contiguous columns instead is the paper's SIMD
         layout.  The multiply operands and the add order are unchanged,
         so the result is bitwise identical with or without it.
-    mode:
-        Multi-RHS execution mode (see module docstring).  ``"gemm"``
-        computes the 3-D batch with one batched ``np.matmul`` — the
-        column formulation degenerates to a GEMM when the right operand
-        is a block, so there is no separate column-major BLAS3 variant.
     """
-    if ue.ndim == 3:
-        if resolve_mode(mode, ue.shape[2]) == "gemm":
-            return np.matmul(ke, ue, out=out)
-
-        # per-column single-RHS calls (see emv_einsum): bitwise identity
-        # per column is the contract the serve micro-batcher relies on
-        def _single(ke_, ue_, out_=None):
-            return emv_columns(ke_, ue_, out=out_, tmp=tmp, columns=columns)
-
-        return _emv_multi(_single, ke, ue, out)
     nd = ke.shape[2]
     col = (lambda j: columns[j]) if columns is not None else (lambda j: ke[:, :, j])
     if out is None:
@@ -215,21 +182,6 @@ def emv_columns(
     for j in range(1, nd):
         np.einsum("en,e->en", col(j), ue[:, j], out=tmp)
         out += tmp
-    return out
-
-
-def _emv_multi(single, ke, ue, out):
-    """Apply a single-RHS EMV kernel column by column over an
-    ``(E, nd, k)`` multivector batch.
-
-    Each column is copied contiguous before the kernel call so the
-    arithmetic runs on exactly the operands the single-RHS path sees
-    (bitwise contract); the strided write-back is a pure copy.
-    """
-    if out is None:
-        out = np.empty_like(ue)
-    for j in range(ue.shape[2]):
-        out[:, :, j] = single(ke, np.ascontiguousarray(ue[:, :, j]))
     return out
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.assembled import AssembledOperator
-from repro.core.da import DistributedArray
 from repro.core.hymv import HymvOperator
 from repro.gpu.streams import StreamScheduler
 from repro.perfmodel.machine import FRONTERA, GPU_NODE, FronteraMachine, GpuModel
@@ -85,52 +84,64 @@ class HymvGpuOperator(HymvOperator):
         eff = self.threads * r.omp_efficiency if self.threads > 1 else 1.0
         return r.rhs_gather_gbps * 1e9 * eff
 
-    def _device_sweep(
-        self, uf: np.ndarray, vf: np.ndarray, sl: slice, zeroed: bool
-    ) -> float:
-        """Run one batched EMV on the device; returns modeled duration.
-
-        The numerics are the shared host sweep (device-equivalent): host
-        ``bue`` gather (Alg. 3 line 3), kernel, host ``bve`` accumulation
-        (line 8); the modeled time is the chunked stream pipeline plus
-        the host staging of both vector batches."""
-        E = self._gather_emv_add(uf, vf, sl, zeroed)
+    def _device_time(self, E: int, k: int, kernel_bytes: float) -> float:
+        """Modeled duration of one device batch of ``E`` elements over
+        ``k`` columns: the chunked stream pipeline (H2D of ``bue``, the
+        batched kernel streaming ``kernel_bytes`` of element matrices,
+        D2H of ``bve``) plus the host staging of both vector batches."""
         nd = self.e2l_dofs.shape[1]
-        vec_bytes = E * nd * 8
-        t_host = vec_bytes / self._host_rate()
+        vec_bytes = E * nd * 8.0 * k
+        flops = 2.0 * E * nd * nd * k
         sched = StreamScheduler(gpu=self.gpu, n_streams=self.n_streams)
         t_pipe = sched.run_batch(
             h2d_bytes=vec_bytes,
-            kernel_flops=2.0 * E * nd * nd,
-            kernel_bytes=E * nd * nd * 8,
+            kernel_flops=flops,
+            kernel_bytes=kernel_bytes,
             d2h_bytes=vec_bytes,
         )
         self.last_timeline = sched
         obs = self.comm.obs
         obs.incr("gpu.h2d_bytes", vec_bytes)
         obs.incr("gpu.d2h_bytes", vec_bytes)
-        obs.incr("gpu.kernel_flops", 2.0 * E * nd * nd)
+        obs.incr("gpu.kernel_flops", flops)
         obs.incr("gpu.batches")
         sched.export_events(obs, t_offset=self.comm.vtime)
-        t_host += vec_bytes / self._host_rate()
-        return t_host + t_pipe
+        return 2.0 * vec_bytes / self._host_rate() + t_pipe
 
-    def spmv(
-        self,
-        u: DistributedArray,
-        v: DistributedArray,
-        overlap: bool | None = None,
-    ) -> DistributedArray:
-        """Algorithm 3 under the configured scheme.  The base-class
-        ``overlap`` flag maps onto schemes: ``False`` → blocking
-        ``"gpu"``; ``True`` → the configured scheme if it overlaps, else
-        ``"gpu_gpu_overlap"``; ``None`` → the configured scheme."""
-        scheme = self.scheme
-        if overlap is False:
-            scheme = "gpu"
-        elif overlap and scheme == "gpu":
-            scheme = "gpu_gpu_overlap"
+    def _device_sweep(
+        self, uf: np.ndarray, vf: np.ndarray, sl: slice, zeroed: bool
+    ) -> float:
+        """Run one batched EMV on the device; returns modeled duration.
+        The numerics are the shared host sweep (device-equivalent): host
+        ``bue`` gather (Alg. 3 line 3), kernel, host ``bve`` accumulation
+        (line 8)."""
+        E = self._gather_emv_add(uf, vf, sl, zeroed)
+        nd = self.e2l_dofs.shape[1]
+        return self._device_time(E, 1, E * nd * nd * 8)
+
+    def _product(self, un, vn, uf, vf, k, overlap, gemm) -> None:
+        """One vector: Algorithm 3 under the configured scheme, or the
+        blocking ``"gpu"`` scheme when ``overlap`` is false.
+
+        A multivector: the host numerics of every element kind (the
+        resolved oracle is bitwise identical per column to single-RHS,
+        the resolved gemm matches to rounding), then one modeled device
+        batch.  That is where batching pays: the pipeline streams the
+        element-matrix batch from device memory **once** for all ``k``
+        columns (``Ke`` bytes amortized k-fold — the MAGMA-style
+        batched-kernel headroom the paper's related work points at),
+        while H2D/D2H vector traffic and kernel flops scale with ``k``;
+        the modeled durations are mode-independent."""
         comm = self.comm
+        if uf.ndim == 2:
+            super()._product(un, vn, uf, vf, k, overlap, gemm)
+            if self.n_local_elements:
+                comm.advance(
+                    self._device_time(self.n_local_elements, k, self.ke.nbytes),
+                    "spmv.gpu.multivector",
+                )
+            return
+        scheme = self.scheme if overlap else "gpu"
 
         def run(
             part: str, sl: slice, uf: np.ndarray, vf: np.ndarray, zeroed: bool
@@ -147,50 +158,7 @@ class HymvGpuOperator(HymvOperator):
                     self._device_sweep(uf, vf, sl, zeroed), "spmv.gpu." + part
                 )
 
-        self._algorithm2(
-            u.data, v.data, u.data.reshape(-1), v.data.reshape(-1), 1,
-            scheme != "gpu", run,
-        )
-        return v
-
-    def spmv_multi(self, u, v, overlap: bool = True, mode: str = "auto"):
-        """Batched multi-RHS device SPMV.
-
-        Numerics are the base-class multi path (``mode`` forwarded: the
-        resolved oracle is bitwise identical per column to single-RHS,
-        the resolved gemm matches to rounding — the device emulation
-        computes with the same host kernels either way).  The modeled
-        device time is where batching pays: the multivector pipeline
-        streams the element-matrix batch from device memory **once** for
-        all ``k`` columns (``Ke`` bytes amortized k-fold — the
-        MAGMA-style batched-kernel headroom the paper's related work
-        points at), while H2D/D2H vector traffic and kernel flops scale
-        with ``k``; the modeled durations are mode-independent.
-        """
-        v = super().spmv_multi(u, v, overlap=overlap, mode=mode)
-        E = self.n_local_elements
-        if E:
-            comm = self.comm
-            nd = self.e2l_dofs.shape[1]
-            k = u.k
-            vec_bytes = E * nd * 8.0 * k
-            sched = StreamScheduler(gpu=self.gpu, n_streams=self.n_streams)
-            t_pipe = sched.run_batch(
-                h2d_bytes=vec_bytes,
-                kernel_flops=2.0 * E * nd * nd * k,
-                kernel_bytes=self.ke.nbytes,
-                d2h_bytes=vec_bytes,
-            )
-            self.last_timeline = sched
-            obs = comm.obs
-            obs.incr("gpu.h2d_bytes", vec_bytes)
-            obs.incr("gpu.d2h_bytes", vec_bytes)
-            obs.incr("gpu.kernel_flops", 2.0 * E * nd * nd * k)
-            obs.incr("gpu.batches")
-            sched.export_events(obs, t_offset=comm.vtime)
-            t_host = 2.0 * vec_bytes / self._host_rate()
-            comm.advance(t_host + t_pipe, "spmv.gpu.multivector")
-        return v
+        self._algorithm2(un, vn, uf, vf, 1, scheme != "gpu", run)
 
     def _cpu_sweep(
         self, uf: np.ndarray, vf: np.ndarray, sl: slice, zeroed: bool
@@ -242,32 +210,28 @@ class AssembledGpuOperator(AssembledOperator):
             "update.csr_h2d",
         )
 
-    def apply_owned(self, x: np.ndarray, copy: bool = True) -> np.ndarray:
-        # ``copy`` is a no-op (the CSR product is freshly allocated);
-        # kept for signature parity with the EBE operators
-        comm = self.comm
+    def _apply(self, un, D, k, overlap):
+        """The cuSPARSE product over ``k`` columns: the halo is staged
+        through the host (D2H of owned boundary values, MPI exchange,
+        H2D of received ghosts) before the device kernel, so ``overlap``
+        changes nothing; the CSR streams once for all ``k`` columns."""
+        comm, gpu = self.comm, self.gpu
         t0 = comm.vtime
-        if not hasattr(self, "_work_u"):
-            self._work_u = self.new_array()
-        u = self._work_u
-        u.set_owned(x)
-        # halo staged through the host: D2H of owned boundary values,
-        # MPI exchange, H2D of received ghosts
-        ghost_bytes = sum(s.size for s in self.cmaps.recv_slots) * self.ndpn * 8.0
-        comm.advance(ghost_bytes / (self.gpu.pcie_gbps * 1e9), "spmv.halo.d2h")
-        self._halo_for(1).scatter(comm, u.data)
-        comm.advance(ghost_bytes / (self.gpu.pcie_gbps * 1e9), "spmv.halo.h2d")
-        npre = self.maps.n_pre * self.ndpn
-        y = self.A_diag @ u.owned_flat
+        ghost_bytes = sum(s.size for s in self.cmaps.recv_slots) * self.ndpn * 8.0 * k
+        comm.advance(ghost_bytes / (gpu.pcie_gbps * 1e9), "spmv.halo.d2h")
+        (self._halos.get(k) or self._halo_for(k)).scatter(comm, un)
+        comm.advance(ghost_bytes / (gpu.pcie_gbps * 1e9), "spmv.halo.h2d")
+        own = self._own
+        y = self._block_product(0, D[own])
         if self.A_pre.shape[1]:
-            y += self.A_pre @ u.data.reshape(-1)[:npre]
+            y += self._block_product(1, D[: own.start])
         if self.A_post.shape[1]:
-            y += self.A_post @ u.data.reshape(-1)[npre + self.n_dofs_owned:]
+            y += self._block_product(2, D[own.stop:])
         csr_bytes = self.stored_bytes() + y.nbytes * 2
         comm.advance(
-            csr_bytes / (self.gpu.csr_gbps * 1e9) + self.gpu.kernel_launch_s,
+            csr_bytes / (gpu.csr_gbps * 1e9) + gpu.kernel_launch_s,
             "spmv.cusparse",
         )
         comm.obs.add("spmv.total", comm.vtime - t0)
-        self.spmv_count += 1
+        self.spmv_count += k
         return y

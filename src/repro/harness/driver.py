@@ -9,9 +9,9 @@ Two entry points:
   preconditioning (Fig. 11's total-solve-time protocol), with error
   against the analytic solution.
 
-Methods are selected by name: ``"hymv"``, ``"assembled"`` (PETSc
-substitute), ``"matfree"``, plus GPU variants registered by
-:mod:`repro.gpu`.
+Methods are operator kinds selected by name (:mod:`repro.kinds`):
+``"hymv"``, ``"assembled"`` (PETSc substitute), ``"matfree"``,
+``"partial"``, ``"sellcs"`` and the GPU variants.
 """
 
 from __future__ import annotations
@@ -21,15 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.baselines.assembled import AssembledOperator
-from repro.baselines.matfree import MatrixFreeOperator
-from repro.baselines.partial import PartialAssemblyOperator
-from repro.baselines.sellcs import SellCSOperator
-from repro.core.hymv import HymvOperator
-from repro.core.maps import build_node_maps
+from repro.core.operator import owned_ranges
 from repro.core.rhs import assemble_rhs
-from repro.core.scatter import build_comm_maps
 from repro.faults.plan import FaultPlan
+from repro.kinds import make_operator
 from repro.obs.instrumentation import merge_snapshots
 from repro.problems import ProblemSpec
 from repro.simmpi.engine import run_spmd
@@ -40,45 +35,13 @@ from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
     JacobiPreconditioner,
 )
-from repro.util.arrays import INDEX_DTYPE
 
 __all__ = [
     "BenchResult",
     "SolveOutcome",
     "run_bench",
     "run_solve",
-    "OPERATOR_FACTORIES",
 ]
-
-# method name -> factory(comm, lmesh, operator, ranges, **options)
-OPERATOR_FACTORIES = {
-    "hymv": HymvOperator,
-    "assembled": AssembledOperator,
-    "matfree": MatrixFreeOperator,
-    "partial": PartialAssemblyOperator,
-    "sellcs": SellCSOperator,
-}
-
-
-def _register_gpu_factories() -> None:
-    # late import: repro.gpu depends on repro.core
-    from repro.gpu.hymv_gpu import AssembledGpuOperator, HymvGpuOperator
-
-    OPERATOR_FACTORIES.setdefault("hymv_gpu", HymvGpuOperator)
-    OPERATOR_FACTORIES.setdefault("assembled_gpu", AssembledGpuOperator)
-
-
-_register_gpu_factories()
-
-
-def _make_operator(kind, comm, lmesh, operator, ranges, options):
-    try:
-        factory = OPERATOR_FACTORIES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown method {kind!r}; known: {sorted(OPERATOR_FACTORIES)}"
-        ) from None
-    return factory(comm, lmesh, operator, ranges=ranges, **options)
 
 
 # ----------------------------------------------------------------------------
@@ -107,48 +70,37 @@ class BenchResult:
         return self.flops_spmv / self.spmv_time / 1e9 if self.spmv_time else 0.0
 
 
-def _bench_program(comm, lmesh, kind, n_spmv, overlap, options, seed):
-    ranges = np.asarray(
-        comm.allgather((lmesh.n_begin, lmesh.n_end)), dtype=INDEX_DTYPE
-    )
+def _max_timing(results) -> dict[str, float]:
+    """Virtual seconds per phase, max over ranks."""
+    out: dict[str, float] = {}
+    for res in results:
+        for k, v in res["timing"].items():
+            out[k] = max(out.get(k, 0.0), v)
+    return out
+
+
+def _bench_program(comm, lmesh, operator, kind, n_spmv, overlap, options, seed):
+    ranges = owned_ranges(comm, lmesh)
     t0 = comm.vtime
-    A = _make_operator(kind, comm, lmesh, OPTIONS_OPERATOR[0], ranges, options)
+    A = make_operator(kind, comm, lmesh, operator, ranges, **options)
     setup_time = comm.vtime - t0
 
-    ndpn = A.ndpn
-    n_owned_dofs = (lmesh.n_end - lmesh.n_begin) * ndpn
     rng = np.random.default_rng(seed + comm.rank)
-    x = rng.standard_normal(n_owned_dofs)
-
+    u, v = A.new_array(), A.new_array()
+    u.set_owned(rng.standard_normal(A.n_dofs_owned))
     t1 = comm.vtime
-    if kind in ("hymv", "matfree"):
-        u, v = A.new_array(), A.new_array()
-        u.set_owned(x)
-        for _ in range(n_spmv):
-            A.spmv(u, v, overlap=overlap)
-        y = v.owned_flat.copy()
-    else:
-        y = x
-        for _ in range(n_spmv):
-            y = A.apply_owned(x)
+    for _ in range(n_spmv):
+        A.spmv(u, v, overlap=overlap)
     spmv_time = comm.vtime - t1
 
-    flops = A.flops_per_spmv() * n_spmv
-    stored = A.stored_bytes() if hasattr(A, "stored_bytes") else 0
     return {
         "setup": setup_time,
         "spmv": spmv_time,
         "timing": comm.obs.as_dict(),
         "obs": comm.obs.snapshot(),
-        "flops": flops,
-        "stored": stored,
-        "checksum": float(np.sum(y)),
+        "flops": A.flops_per_spmv() * n_spmv,
+        "stored": A.stored_bytes(),
     }
-
-
-# the operator object is large and identical across ranks; pass via a module
-# slot instead of per-rank args to avoid 256 copies in rank_args
-OPTIONS_OPERATOR = [None]
 
 
 def run_bench(
@@ -162,25 +114,23 @@ def run_bench(
     faults: FaultPlan | None = None,
     **options,
 ) -> BenchResult:
-    """Run the setup + ``n_spmv`` protocol for one method on ``spec``."""
+    """Run the setup + ``n_spmv`` protocol for one method on ``spec``;
+    ``options`` go to :func:`repro.kinds.make_operator`."""
     p = spec.n_parts
-    OPTIONS_OPERATOR[0] = spec.operator
-    rank_args = [
-        (spec.partition.local(r), method, n_spmv, overlap, options, seed)
-        for r in range(p)
-    ]
     results, sim = run_spmd(
         p,
         _bench_program,
-        rank_args=rank_args,
+        rank_args=[(spec.partition.local(r),) for r in range(p)],
         network=network,
         compute_scale=compute_scale,
         faults=faults,
+        operator=spec.operator,
+        kind=method,
+        n_spmv=n_spmv,
+        overlap=overlap,
+        options=options,
+        seed=seed,
     )
-    breakdown: dict[str, float] = {}
-    for res in results:
-        for k, v in res["timing"].items():
-            breakdown[k] = max(breakdown.get(k, 0.0), v)
     return BenchResult(
         method=method,
         n_parts=p,
@@ -188,7 +138,7 @@ def run_bench(
         setup_time=max(r["setup"] for r in results),
         spmv_time=max(r["spmv"] for r in results),
         n_spmv=n_spmv,
-        breakdown=breakdown,
+        breakdown=_max_timing(results),
         flops_spmv=sum(r["flops"] for r in results),
         stored_bytes=sum(r["stored"] for r in results),
         obs=merge_snapshots([r["obs"] for r in results]),
@@ -231,29 +181,18 @@ def _constrain_block(B: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
 
 
 def _solve_program(
-    comm, lmesh, tractions, kind, precond, rtol, maxiter, resilience,
+    comm, lmesh, tractions, spec, kind, precond, rtol, maxiter, resilience,
     options,
 ):
-    spec: ProblemSpec = OPTIONS_SPEC[0]
-    operator = spec.operator
-    ndpn = operator.ndpn
-    ranges = np.asarray(
-        comm.allgather((lmesh.n_begin, lmesh.n_end)), dtype=INDEX_DTYPE
-    )
+    ranges = owned_ranges(comm, lmesh)
     t0 = comm.vtime
-    A = _make_operator(kind, comm, lmesh, operator, ranges, options)
+    A = make_operator(kind, comm, lmesh, spec.operator, ranges, **options)
     setup_time = comm.vtime - t0
 
-    # RHS + BC need element-level maps (the assembled operator's maps cover
-    # the matrix halo, not the element ghosts)
-    if hasattr(A, "e2l_dofs"):
-        maps, cmaps = A.maps, A.cmaps
-    else:
-        maps = build_node_maps(lmesh.e2g, lmesh.n_begin, lmesh.n_end)
-        cmaps = build_comm_maps(comm, maps, ranges=ranges)
-
+    # RHS + BC are stated on the element-level maps
+    maps, cmaps = A.element_maps()
     f = assemble_rhs(
-        comm, lmesh, maps, cmaps, ndpn,
+        comm, lmesh, maps, cmaps, A.ndpn,
         body_force=spec.body_force, tractions=tractions,
     )
 
@@ -301,9 +240,6 @@ def _solve_program(
     }
 
 
-OPTIONS_SPEC = [None]
-
-
 def run_solve(
     spec: ProblemSpec,
     method: str,
@@ -324,32 +260,23 @@ def run_solve(
     breakdown-detection + restart policy (chaos testing).
     """
     p = spec.n_parts
-    OPTIONS_SPEC[0] = spec
-    rank_args = [
-        (
-            spec.partition.local(r),
-            spec.rank_tractions(r),
-            method,
-            precond,
-            rtol,
-            maxiter,
-            resilience,
-            options,
-        )
-        for r in range(p)
-    ]
     results, sim = run_spmd(
         p,
         _solve_program,
-        rank_args=rank_args,
+        rank_args=[
+            (spec.partition.local(r), spec.rank_tractions(r)) for r in range(p)
+        ],
         network=network,
         compute_scale=compute_scale,
         faults=faults,
+        spec=spec,
+        kind=method,
+        precond=precond,
+        rtol=rtol,
+        maxiter=maxiter,
+        resilience=resilience,
+        options=options,
     )
-    breakdown: dict[str, float] = {}
-    for res in results:
-        for k, v in res["timing"].items():
-            breakdown[k] = max(breakdown.get(k, 0.0), v)
     r0 = results[0]
     solution = (
         np.concatenate([r["x"] for r in results]) if return_solution else None
@@ -366,7 +293,7 @@ def run_solve(
         solve_time=max(r["solve"] for r in results),
         total_time=max(r["total"] for r in results),
         err_inf=r0["err"],
-        breakdown=breakdown,
+        breakdown=_max_timing(results),
         obs=merge_snapshots([r["obs"] for r in results]),
         solution=solution,
     )

@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.kinds import MODELED_RATE_GFLOPS
 from repro.obs.instrumentation import percentile
 from repro.obs.schema import (
     BENCH_SCHEMA,
@@ -32,14 +33,6 @@ from repro.obs.schema import (
 )
 
 __all__ = ["SmokeCase", "SMOKE_CASES", "run_smoke_suite", "main"]
-
-#: deterministic modeled EMV rate (GFLOP/s) used by element-sweep methods;
-#: deliberately slow so smoke-scale phase durations sit well above the
-#: compare gate's absolute noise floor
-MODELED_RATE_GFLOPS = 1.0
-
-#: methods that accept ``modeled_rate_gflops``
-_MODELED_METHODS = ("hymv", "matfree", "partial")
 
 
 @dataclass(frozen=True)
@@ -81,9 +74,10 @@ def _run_case_method(
     from repro.harness.driver import run_bench
 
     spec = case.make_spec()
-    options = dict(case.options)
-    if modeled and method in _MODELED_METHODS:
-        options["modeled_rate_gflops"] = MODELED_RATE_GFLOPS
+    # taken by the kinds with a modeled EMV rate (repro.kinds)
+    options = dict(
+        case.options, modeled_rate=MODELED_RATE_GFLOPS if modeled else None
+    )
     compute_scale = 0.0 if modeled else 1.0
 
     vtimes: dict[str, list[float]] = {}

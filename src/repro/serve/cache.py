@@ -27,25 +27,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.hymv import EbeOperatorBase
+from repro.core.operator import owned_ranges
 from repro.faults.plan import FaultPlan
+from repro.kinds import MODELED_RATE_GFLOPS, OPERATOR_KINDS, make_operator
 from repro.obs.instrumentation import Instrumentation
 from repro.simmpi.engine import Simulator
 from repro.simmpi.network import NetworkModel
 from repro.solvers.cg import ResilienceConfig, cg, cg_multi
 from repro.solvers.constrained import owned_dirichlet
 from repro.solvers.preconditioners import JacobiPreconditioner
-from repro.util.arrays import INDEX_DTYPE, WidestScratch
+from repro.util.arrays import WidestScratch
 
-__all__ = ["ProblemKey", "SolverContext", "OperatorCache", "DEFAULT_RATE_GFLOPS"]
-
-#: deterministic modeled EMV rate (GFLOP/s) — matches the smoke bench's
-#: convention of a deliberately slow rate so modeled durations sit well
-#: above the compare gate's noise floor
-DEFAULT_RATE_GFLOPS = 1.0
-
-_MODELED_METHODS = ("hymv", "matfree", "partial")
-_KERNEL_METHODS = ("hymv", "matfree", "partial", "hymv_gpu")
+__all__ = ["ProblemKey", "SolverContext", "OperatorCache"]
 
 
 @dataclass(frozen=True)
@@ -193,30 +186,13 @@ def _setup_program(comm, lmesh, spec, method, kernel, modeled_rate,
                    ke_cache=None):
     """Per-rank setup: operator + Dirichlet machinery + preconditioner.
     An unknown ``method`` raises :class:`ValueError`."""
-    from repro.core.maps import build_node_maps
-    from repro.core.scatter import build_comm_maps
-    from repro.harness.driver import _make_operator
-
-    ranges = np.asarray(
-        comm.allgather((lmesh.n_begin, lmesh.n_end)), dtype=INDEX_DTYPE
+    ranges = owned_ranges(comm, lmesh)
+    scale = None if spec.elem_scale is None else spec.elem_scale[lmesh.elements]
+    A = make_operator(
+        method, comm, lmesh, spec.operator, ranges, kernel=kernel,
+        modeled_rate=modeled_rate, ke_cache=ke_cache, elem_scale=scale,
     )
-    options = {}
-    if method in _KERNEL_METHODS:
-        options["kernel"] = kernel
-    if method in _MODELED_METHODS and modeled_rate is not None:
-        options["modeled_rate_gflops"] = modeled_rate
-    if spec.elem_scale is not None:
-        options["elem_scale"] = spec.elem_scale[lmesh.elements]
-    if ke_cache is not None and method in ("hymv", "hymv_gpu"):
-        options["ke_cache"] = ke_cache
-    A = _make_operator(method, comm, lmesh, spec.operator, ranges, options)
-
-    if hasattr(A, "e2l_dofs"):
-        maps = A.maps
-    else:
-        maps = build_node_maps(lmesh.e2g, lmesh.n_begin, lmesh.n_end)
-        build_comm_maps(comm, maps, ranges=ranges)
-
+    maps, _ = A.element_maps()
     st = {"A": A, "lmesh": lmesh, "maps": maps}
     st.update(_dirichlet_state(comm, A, maps, lmesh, spec))
     return st
@@ -263,29 +239,22 @@ def _hat_multi(st, X, mode="auto"):
     mode column-bitwise identical to
     :func:`repro.solvers.constrained.dirichlet_system`'s ``apply_hat``.
 
-    An element-by-element operator gets ``X`` written straight into its
-    work multivector, the constrained rows zeroed there, and returns a
-    view of its work product with those rows overwritten by ``X``'s — no
-    block copy, and the result is overwritten by the operator's next
-    work product of *any* width
-    (:meth:`~repro.core.hymv.EbeOperatorBase.work_multivectors`).  Other
-    kinds project a copy through ``apply_owned_multi``."""
+    ``X`` is written straight into the operator's work multivector, the
+    constrained rows zeroed there, and the result is a view of its work
+    product with those rows overwritten by ``X``'s — no block copy, and
+    the result is overwritten by the operator's next work product of
+    *any* width
+    (:meth:`~repro.core.operator.DistributedOperator.work_multivectors`)."""
     A, rows = st["A"], st["rows"]
     k = X.shape[1]
-    if isinstance(A, EbeOperatorBase):
-        U, V = A.work_multivectors(k)
-        (held,) = st["hat_held"].get(k) or st["hat_held"](k)
-        Xc, Y = U.owned_matrix, V.owned_matrix
-        Xc[...] = X  # C-contiguous, so take() gathers unbuffered
-        np.take(Xc, rows, axis=0, out=held, mode="clip")
-        Xc[rows] = 0.0
-        A.spmv_multi(U, V, mode=mode)
-        Y[rows] = held
-        return Y
-    Xp = X.copy()
-    Xp[rows] = 0.0
-    Y = A.apply_owned_multi(Xp, mode=mode)
-    Y[rows] = X[rows]
+    U, V = A.work_multivectors(k)
+    (held,) = st["hat_held"].get(k) or st["hat_held"](k)
+    Xc, Y = U.owned_matrix, V.owned_matrix
+    Xc[...] = X  # C-contiguous, so take() gathers unbuffered
+    np.take(Xc, rows, axis=0, out=held, mode="clip")
+    Xc[rows] = 0.0
+    A.spmv_multi(U, V, mode=mode)
+    Y[rows] = held
     return Y
 
 
@@ -347,7 +316,7 @@ class SolverContext:
         key: ProblemKey,
         faults: FaultPlan | None = None,
         network: NetworkModel | None = None,
-        modeled_rate_gflops: float | None = DEFAULT_RATE_GFLOPS,
+        modeled_rate_gflops: float | None = MODELED_RATE_GFLOPS,
         setup_attempts: int = 3,
     ):
         self.key = key
@@ -585,8 +554,9 @@ class SolverContext:
         integration), the assembled baseline re-integrates the elements
         around the touched nodes, SELL-C-sigma every element — and a
         rebuild every element not carried over in a ``ke_cache``.
-        Matrix-free stores nothing and is charged nothing."""
-        if self.key.method == "matfree":
+        A kind whose set-up integrates nothing (matrix-free) is charged
+        nothing."""
+        if not OPERATOR_KINDS[self.key.method].integrates:
             return 0
         op, etype = self.spec.operator, self.spec.mesh.etype
         nd = etype.n_nodes * op.ndpn
@@ -594,27 +564,24 @@ class SolverContext:
 
     def _rebuild(self, spec_new, ref=None, exclude=None) -> dict:
         """Full re-setup on the same simulator, carrying unchanged
-        element matrices over as a ``ke_cache`` (hymv methods)."""
+        element matrices over as a ``ke_cache`` (to the kinds that store
+        and take them)."""
         method = self.key.method
-        ke_cache = None
-        if method in ("hymv", "hymv_gpu"):
-            merged: dict = {}
-            for st in self.ranks:
-                merged.update(st["A"].export_ke_cache())
-            if ref is not None:
-                # refinement: an unchanged child is its ancestor, matrix
-                # and all (scale history included — it was carried over by
-                # elem_scale[ancestor])
-                ke_cache = {
-                    int(e): merged[int(ref.ancestor[e])]
-                    for e in np.flatnonzero(ref.unchanged)
-                    if int(ref.ancestor[e]) in merged
-                }
-            else:
-                drop = {int(g) for g in np.asarray(exclude).ravel()}
-                ke_cache = {
-                    g: v for g, v in merged.items() if g not in drop
-                }
+        merged: dict = {}
+        for st in self.ranks:
+            merged.update(st["A"].export_ke_cache())
+        if ref is not None:
+            # refinement: an unchanged child is its ancestor, matrix and
+            # all (scale history included — it was carried over by
+            # elem_scale[ancestor])
+            ke_cache = {
+                int(e): merged[int(ref.ancestor[e])]
+                for e in np.flatnonzero(ref.unchanged)
+                if int(ref.ancestor[e]) in merged
+            }
+        else:
+            drop = {int(g) for g in np.asarray(exclude).ravel()}
+            ke_cache = {g: v for g, v in merged.items() if g not in drop}
         self.spec = spec_new
         self.n_dofs = spec_new.n_dofs
         part = spec_new.partition
@@ -629,9 +596,7 @@ class SolverContext:
         )
         counts = [st["n_owned"] for st in self.ranks]
         self._bounds = np.concatenate(([0], np.cumsum(counts)))
-        hits = [
-            int(getattr(st["A"], "cache_hits", 0) or 0) for st in self.ranks
-        ]
+        hits = [st["A"].cache_hits for st in self.ranks]
         kf = spec_new.operator.ke_flops(spec_new.mesh.etype)
         self.sim.run(
             _rebuild_advance_program,
@@ -666,7 +631,7 @@ class OperatorCache:
         obs: Instrumentation | None = None,
         faults: FaultPlan | None = None,
         network: NetworkModel | None = None,
-        modeled_rate_gflops: float | None = DEFAULT_RATE_GFLOPS,
+        modeled_rate_gflops: float | None = MODELED_RATE_GFLOPS,
     ):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")

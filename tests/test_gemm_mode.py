@@ -10,7 +10,7 @@ not bitwise.  These tests pin down both sides of that contract:
   (:func:`repro.core.kernels.gemm_equivalence_rtol`) relative to the
   magnitude scale ``|K| |u|`` — a rigorous bound on every intermediate
   of either accumulation order, not a hand-tuned tolerance;
-* ``mode="oracle"`` stays bitwise at any batch width;
+* an operator's ``mode="oracle"`` stays bitwise at any batch width;
 * ``resolve_mode`` / ``SegmentScatter.add_into_multi`` / the serve
   layer's mode plumbing behave as specified.
 """
@@ -26,7 +26,6 @@ from repro.core.kernels import (
     DEFAULT_K_MIN,
     EMV_MODES,
     EmvWorkspace,
-    emv_columns,
     emv_einsum,
     gemm_equivalence_rtol,
     resolve_mode,
@@ -93,31 +92,23 @@ def _kernel_case(seed: int, nd: int, k: int, dtype):
 )
 def test_emv_gemm_within_derived_bound(seed, nd, k, dtype):
     ke, ue = _kernel_case(seed, nd, k, dtype)
-    y_oracle = emv_einsum(ke, ue, mode="oracle")
-    y_gemm = emv_einsum(ke, ue, mode="gemm")
+
+    def oracle(ke, ue):
+        # the single-RHS kernel on each contiguous column
+        return np.stack(
+            [emv_einsum(ke, np.ascontiguousarray(ue[:, :, j]))
+             for j in range(ue.shape[2])],
+            axis=2,
+        )
+
+    y_oracle = oracle(ke, ue)
+    y_gemm = np.matmul(ke, ue)  # the operators' GEMM sweep
     # magnitude scale: the oracle product of |K| and |u| bounds every
     # partial sum of either accumulation order entrywise
-    y_abs = emv_einsum(np.abs(ke), np.abs(ue), mode="oracle")
+    y_abs = oracle(np.abs(ke), np.abs(ue))
     rtol = gemm_equivalence_rtol(nd, k=k, dtype=dtype)
     bound = rtol * np.maximum(y_abs, np.finfo(dtype).tiny)
     assert np.all(np.abs(y_gemm - y_oracle) <= bound)
-
-
-@pytest.mark.parametrize("k", _KS)
-def test_emv_columns_gemm_matches_einsum_gemm(k):
-    ke, ue = _kernel_case(99, 8, k, np.float64)
-    # in the 3-D gemm regime both kernel formulations degenerate to the
-    # same batched matmul — bitwise identical
-    assert np.array_equal(
-        emv_columns(ke, ue, mode="gemm"), emv_einsum(ke, ue, mode="gemm")
-    )
-
-
-def test_emv_oracle_is_bitwise_per_column():
-    ke, ue = _kernel_case(7, 8, 5, np.float64)
-    y = emv_einsum(ke, ue, mode="oracle")
-    for j in range(5):
-        assert np.array_equal(y[:, :, j], emv_einsum(ke, ue[:, :, j]))
 
 
 def test_emv_workspace_multi_views_cached():

@@ -3,16 +3,18 @@
 Every served operator runs on NumPy and ``scipy.sparse``'s compiled CSR
 kernels; nothing on that path calls ``scipy.special``, ``scipy.linalg``
 or ``scipy.sparse.linalg``, which together hold about 14 MB resident in
-every serving process.  Peak RSS drifts with the host; which modules a
-fresh interpreter has loaded after serving every operator kind does
-not, so that is what is checked.
+every serving process.  Nor does it need the figure harness: operators
+are built through :mod:`repro.kinds`.  Peak RSS drifts with the host;
+which modules a fresh interpreter has loaded after serving every
+operator kind does not, so that is what is checked.
 
 * **import check**: a fresh interpreter imports :mod:`repro.serve`,
   builds a small context of every servable kind on 1 and 2 ranks,
   applies it at k = 1 and k = 8, solves, and patches it through
-  ``OperatorCache.update``; none of the off-path SciPy modules may be
-  loaded.  Block Jacobi's SuperLU is then set up and must still work
-  (it imports ``scipy.sparse.linalg`` on first use).
+  ``OperatorCache.update``; none of the off-path SciPy modules and no
+  ``repro.harness`` module may be loaded.  Block Jacobi's SuperLU is
+  then set up and must still work (it imports ``scipy.sparse.linalg``
+  on first use).
 * **rules**: the Gauss table in :mod:`repro.mesh.quadrature` holds
   SciPy's own values, and every rule built from it (hex, tet and both
   face rules, through the SciPy fallback at n = 5) equals the rule built
@@ -52,6 +54,7 @@ _KINDS = [
     ("poisson", "hex8", "assembled", "einsum"),
     ("graphlap", "tet4", "sellcs", "einsum"),
     ("poisson", "tet4", "hymv_gpu", "einsum"),
+    ("poisson", "hex8", "assembled_gpu", "einsum"),
 ]
 
 _PROBE = r"""
@@ -78,6 +81,7 @@ for n_parts in (1, 2):
         cache.update(key, delta)
         ctx.apply_multi(rng.standard_normal((ctx.n_dofs, 1)))
 served = sorted(m for m in OFF_PATH if m in sys.modules)
+harness = sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "harness"])
 
 import scipy.sparse as sp
 
@@ -88,8 +92,8 @@ A = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
 B = rng.standard_normal((3, n))
 Z = BlockJacobiPreconditioner(A)(B)
 err = float(np.abs(A @ Z.T - B.T).max())
-print(json.dumps({"served": served, "superlu": "scipy.sparse.linalg"
-                  in sys.modules, "err": err}))
+print(json.dumps({"served": served, "harness": harness, "superlu":
+                  "scipy.sparse.linalg" in sys.modules, "err": err}))
 """
 
 
@@ -109,6 +113,7 @@ def test_serve_path_loads_no_off_path_scipy():
         f"the serve path loaded {got['served']}; a module-level import "
         "of one of them crept back onto it"
     )
+    assert got["harness"] == [], f"serving loaded the harness: {got['harness']}"
     assert got["superlu"], "block Jacobi set up without SuperLU"
     assert got["err"] < 1e-12
 
