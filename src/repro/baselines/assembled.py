@@ -27,8 +27,9 @@ kept), so a coordinate or stiffness patch never changes it.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.hymv import check_update
 from repro.core.maps import NodeMaps
@@ -38,6 +39,9 @@ from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
 from repro.util.arrays import INDEX_DTYPE
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["AssembledOperator", "assemble_csr", "patch_csr"]
 
@@ -151,6 +155,8 @@ def assemble_csr(comm, ke, e2g, ndpn, ranges, phases, diag_only=False):
     ``(ghost_pre, ghost_post, (A_diag, A_pre, A_post))``.  ``diag_only``
     keeps only triplets whose row and column have one owner (no halo):
     the block-Jacobi block, bitwise the full assembly's ``A_diag``."""
+    import scipy.sparse as sp  # here, not at the top: HYMV kinds never need it
+
     local, wire, final = phases
     n_begin, n_end = (int(x) for x in ranges[comm.rank])
     with comm.compute(local):

@@ -8,18 +8,24 @@ routine in :mod:`repro.baselines.assembled` that it checks.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.fem.operators import Operator
 from repro.mesh.mesh import Mesh
 from repro.util.arrays import INDEX_DTYPE, scatter_add
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["SerialReference", "assemble_global_csr"]
 
 
 def assemble_global_csr(mesh: Mesh, operator: Operator) -> sp.csr_matrix:
     """Assemble the global sparse matrix of ``operator`` on ``mesh``."""
+    import scipy.sparse as sp
+
     ke = operator.element_matrices(mesh.coords[mesh.conn], mesh.etype)
     ndpn = operator.ndpn
     n = mesh.etype.n_nodes

@@ -49,13 +49,19 @@ A GEMM multi-RHS sweep hands its element values over chunk by chunk
 
 The fast path drives SciPy's CSR matvec kernel (a tight C loop summing
 each row sequentially; the stored unit coefficients contribute each
-value exactly, since ``1.0 * x`` is exact in IEEE-754).  When the
-private ``_sparsetools`` module is unavailable the pure-NumPy fallback
-reduces the sorted values with ``np.add.at`` over segment ids — same
-bits, slower.
+value exactly, since ``1.0 * x`` is exact in IEEE-754), loaded from
+SciPy's compiled ``_sparsetools`` extension without the ``scipy.sparse``
+package (:func:`_load_csr_kernels`).  When SciPy is unavailable the
+pure-NumPy fallback reduces the sorted values with ``np.add.at`` over
+segment ids — same bits, slower.
 """
 
 from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
@@ -63,16 +69,60 @@ from repro.util.arrays import INDEX_DTYPE, WidestScratch
 
 __all__ = ["SegmentScatter"]
 
-try:  # SciPy >= 1.8 (private but stable; used by scipy.sparse itself)
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
-except ImportError:  # pragma: no cover - exercised via force_fallback
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+#: largest dof whose scatter map sorts as 16-bit keys
+_RADIX_MAX = np.iinfo(np.uint16).max
+
+
+def _load_csr_kernels():
+    """SciPy's compiled ``csr_matvec`` / ``csr_matvecs``, or ``None``s.
+
+    ``scipy.sparse``'s package ``__init__`` holds ~22 MB resident for
+    the sparse-matrix classes; the two C kernels live in its
+    ``_sparsetools`` extension, which needs only NumPy.  So the extension
+    is loaded from its file: ``find_spec("scipy")`` locates SciPy without
+    running its ``__init__``.  If that fails for any reason (another file
+    layout, a frozen install) the ordinary package import takes over, so
+    the kernels never depend on where SciPy keeps them.  The module is
+    registered under its own name, so a later ``import scipy.sparse``
+    binds the same kernels.
+    """
     try:
-        from scipy.sparse.sparsetools import csr_matvec as _csr_matvec
-        from scipy.sparse.sparsetools import csr_matvecs as _csr_matvecs
-    except ImportError:
-        _csr_matvec = None
-        _csr_matvecs = None
+        mod = _load_extension()
+        return mod.csr_matvec, mod.csr_matvecs
+    except Exception:
+        pass
+    try:  # SciPy >= 1.8 (private but stable; used by scipy.sparse itself)
+        from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+    except ImportError:  # pragma: no cover - exercised via force_fallback
+        return None, None
+    return csr_matvec, csr_matvecs
+
+
+def _load_extension():
+    """The ``_sparsetools`` extension module: the one already imported
+    (``scipy.sparse`` loaded first), else loaded from its file."""
+    mod = sys.modules.get(_SPARSETOOLS)
+    if mod is not None:
+        return mod
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no {_SPARSETOOLS} extension under {root}")
+    loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, path)
+    spec = importlib.util.spec_from_file_location(
+        _SPARSETOOLS, path, loader=loader
+    )
+    mod = importlib.util.module_from_spec(spec)
+    loader.exec_module(mod)
+    return sys.modules.setdefault(_SPARSETOOLS, mod)
+
+
+_csr_matvec, _csr_matvecs = _load_csr_kernels()
 
 
 class SegmentScatter:
@@ -127,14 +177,18 @@ class SegmentScatter:
             self._segids = np.empty(0, dtype=INDEX_DTYPE)
             self._sorted = np.empty(0)
             return
-        # stable sort keeps each dof's duplicates in occurrence order
-        perm = np.argsort(flat, kind="stable")
-        sorted_dofs = flat[perm]
-        if sorted_dofs[0] < 0:
+        lowest = int(flat.min())
+        if lowest < 0:
             raise IndexError(
-                f"SegmentScatter: negative dof index {int(sorted_dofs[0])} "
+                f"SegmentScatter: negative dof index {lowest} "
                 "in the scatter map"
             )
+        # stable sort keeps each dof's duplicates in occurrence order; a
+        # stable permutation is unique, so keys that fit 16 bits sort as
+        # a uint16 copy (NumPy's radix sort, not int64 timsort)
+        keys = flat.astype(np.uint16) if flat.max() <= _RADIX_MAX else flat
+        perm = np.argsort(keys, kind="stable")
+        sorted_dofs = flat[perm]
         starts = np.flatnonzero(np.diff(sorted_dofs)) + 1
         self.touched = sorted_dofs[np.concatenate([[0], starts])]
         k = self.touched.size

@@ -39,11 +39,14 @@ bits (a partial sum seeded with ``+0.0`` is never ``-0.0``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.util.arrays import INDEX_DTYPE
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DEFAULT_C",

@@ -19,8 +19,12 @@ in the solvers.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["JacobiPreconditioner", "BlockJacobiPreconditioner"]
 

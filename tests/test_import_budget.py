@@ -1,20 +1,31 @@
 """The serve path's import budget, and the tabulated Gauss rules behind it.
 
-Every served operator runs on NumPy and ``scipy.sparse``'s compiled CSR
-kernels; nothing on that path calls ``scipy.special``, ``scipy.linalg``
-or ``scipy.sparse.linalg``, which together hold about 14 MB resident in
-every serving process.  Nor does it need the figure harness: operators
-are built through :mod:`repro.kinds`.  Peak RSS drifts with the host;
-which modules a fresh interpreter has loaded after serving every
-operator kind does not, so that is what is checked.
+Every served operator runs on NumPy and SciPy's compiled CSR kernels;
+nothing on that path calls ``scipy.special``, ``scipy.linalg`` or
+``scipy.sparse.linalg``, which together hold about 14 MB resident in
+every serving process.  The HYMV-family kinds (``hymv``, ``matfree``,
+``partial``, ``hymv_gpu``) do not load the ``scipy.sparse`` package
+either (another ~22 MB): :mod:`repro.core.segment` loads the two kernels
+from SciPy's ``_sparsetools`` extension file, and only the kinds that
+build a CSR matrix (``assembled``, ``sellcs``, ``assembled_gpu``, block
+Jacobi, ``SerialReference``) import the package.  Nor does serving need
+the figure harness: operators are built through :mod:`repro.kinds`.
+Peak RSS drifts with the host; which modules a fresh interpreter has
+loaded after serving does not, so that is what is checked.
 
 * **import check**: a fresh interpreter imports :mod:`repro.serve`,
-  builds a small context of every servable kind on 1 and 2 ranks,
+  builds a small context of every HYMV-family kind on 1 and 2 ranks,
   applies it at k = 1 and k = 8, solves, and patches it through
-  ``OperatorCache.update``; none of the off-path SciPy modules and no
-  ``repro.harness`` module may be loaded.  Block Jacobi's SuperLU is
-  then set up and must still work (it imports ``scipy.sparse.linalg``
-  on first use).
+  ``OperatorCache.update``; no ``scipy.sparse`` package module may be
+  loaded, and the CSR kernels must be the compiled ones.  It then
+  imports ``scipy.sparse``, serves the CSR kinds the same way, and
+  applies a HYMV operator again through the package's own kernels,
+  which must give the bits of the apply made before the import.  None
+  of the off-path SciPy modules and no ``repro.harness`` module may be
+  loaded.  Block Jacobi's SuperLU is then set up and must still work
+  (it imports ``scipy.sparse.linalg`` on first use).
+* **fallback**: with the extension-file loader failing, the kernels
+  come from the ordinary package import.
 * **rules**: the Gauss table in :mod:`repro.mesh.quadrature` holds
   SciPy's own values, and every rule built from it (hex, tet and both
   face rules, through the SciPy fallback at n = 5) equals the rule built
@@ -33,6 +44,7 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 import repro
+from repro.core import segment
 from repro.fem.loads import _quad_face_rule, _tri_face_rule
 from repro.mesh.quadrature import _GAUSS_TABLE, gauss_rule, hex_rule, tet_rule
 
@@ -45,15 +57,18 @@ OFF_PATH = (
 
 #: every servable kind, each on a problem that reaches a different rule:
 #: hex and tet volume rules, hex and triangle face rules (elastic
-#: tractions), the graph Laplacian
-_KINDS = [
+#: tractions), the graph Laplacian; the HYMV family first, then the
+#: kinds that build a CSR matrix
+_HYMV_KINDS = [
     ("poisson", "hex8", "hymv", "einsum"),
     ("elastic", "tet4", "hymv", "columns"),
     ("poisson", "tet4", "matfree", "einsum"),
     ("elastic", "hex8", "partial", "einsum"),
+    ("poisson", "tet4", "hymv_gpu", "einsum"),
+]
+_CSR_KINDS = [
     ("poisson", "hex8", "assembled", "einsum"),
     ("graphlap", "tet4", "sellcs", "einsum"),
-    ("poisson", "tet4", "hymv_gpu", "einsum"),
     ("poisson", "hex8", "assembled_gpu", "einsum"),
 ]
 
@@ -66,24 +81,55 @@ import numpy as np
 from repro.adapt import MeshDelta
 from repro.serve import OperatorCache, ProblemKey
 
-OFF_PATH, KINDS = json.loads(sys.argv[1])
+OFF_PATH, HYMV_KINDS, CSR_KINDS = json.loads(sys.argv[1])
 rng = np.random.default_rng(0)
-for n_parts in (1, 2):
-    for problem, etype, method, kernel in KINDS:
-        key = ProblemKey(problem, 2, n_parts, etype, 1, method, kernel)
-        cache = OperatorCache(capacity=1)
-        ctx, _ = cache.get(key)
-        for k in (1, 8):
-            ctx.apply_multi(rng.standard_normal((ctx.n_dofs, k)))
-        out, _ = ctx.solve_multi(rng.standard_normal((ctx.n_dofs, 2)), 1e-8)
-        assert all(out["converged"]), (key, out["iterations"])
-        delta = MeshDelta(scale_elements=[0, 1], scale_values=[2.0, 0.5])
-        cache.update(key, delta)
-        ctx.apply_multi(rng.standard_normal((ctx.n_dofs, 1)))
-served = sorted(m for m in OFF_PATH if m in sys.modules)
-harness = sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "harness"])
+
+
+def serve(kinds):
+    for n_parts in (1, 2):
+        for problem, etype, method, kernel in kinds:
+            key = ProblemKey(problem, 2, n_parts, etype, 1, method, kernel)
+            cache = OperatorCache(capacity=1)
+            ctx, _ = cache.get(key)
+            for k in (1, 8):
+                ctx.apply_multi(rng.standard_normal((ctx.n_dofs, k)))
+            out, _ = ctx.solve_multi(rng.standard_normal((ctx.n_dofs, 2)), 1e-8)
+            assert all(out["converged"]), (key, out["iterations"])
+            delta = MeshDelta(scale_elements=[0, 1], scale_values=[2.0, 0.5])
+            cache.update(key, delta)
+            ctx.apply_multi(rng.standard_normal((ctx.n_dofs, 1)))
+
+
+def hymv_apply():
+    key = ProblemKey("poisson", 3, 2, "hex8", 1, "hymv", "einsum")
+    ctx, _ = OperatorCache(capacity=1).get(key)
+    X = np.random.default_rng(1).standard_normal((ctx.n_dofs, 8))
+    return [ctx.apply_multi(X[:, :k])[0].tolist() for k in (1, 8)]
+
+
+serve(HYMV_KINDS)
+import repro.core.segment as segment
+
+sparse = sorted(
+    m for m in sys.modules
+    if m.split(".")[:2] == ["scipy", "sparse"] and m != "scipy.sparse._sparsetools"
+)
+compiled = [type(f).__name__ for f in (segment._csr_matvec, segment._csr_matvecs)]
+before = hymv_apply()
 
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
+
+import repro.core.hymv
+import repro.core.kernels
+
+serve(CSR_KINDS)
+for mod in (segment, repro.core.kernels, repro.core.hymv):
+    mod._csr_matvec = _sparsetools.csr_matvec
+segment._csr_matvecs = _sparsetools.csr_matvecs
+after = hymv_apply()
+served = sorted(m for m in OFF_PATH if m in sys.modules)
+harness = sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "harness"])
 
 from repro.solvers.preconditioners import BlockJacobiPreconditioner
 
@@ -92,8 +138,11 @@ A = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
 B = rng.standard_normal((3, n))
 Z = BlockJacobiPreconditioner(A)(B)
 err = float(np.abs(A @ Z.T - B.T).max())
-print(json.dumps({"served": served, "harness": harness, "superlu":
-                  "scipy.sparse.linalg" in sys.modules, "err": err}))
+print(json.dumps({
+    "sparse": sparse, "compiled": compiled, "before": before, "after": after,
+    "served": served, "harness": harness,
+    "superlu": "scipy.sparse.linalg" in sys.modules, "err": err,
+}))
 """
 
 
@@ -104,11 +153,19 @@ def test_serve_path_loads_no_off_path_scipy():
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps([OFF_PATH, _KINDS])],
+        [sys.executable, "-c", _PROBE,
+         json.dumps([OFF_PATH, _HYMV_KINDS, _CSR_KINDS])],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["sparse"] == [], (
+        f"serving the HYMV kinds loaded {got['sparse']}; a module-level "
+        "import of scipy.sparse crept back onto their path"
+    )
+    assert got["compiled"] == ["builtin_function_or_method"] * 2, got["compiled"]
+    for before, after in zip(got["before"], got["after"]):
+        _assert_same_bits([np.array(after)], [np.array(before)])
     assert got["served"] == [], (
         f"the serve path loaded {got['served']}; a module-level import "
         "of one of them crept back onto it"
@@ -116,6 +173,18 @@ def test_serve_path_loads_no_off_path_scipy():
     assert got["harness"] == [], f"serving loaded the harness: {got['harness']}"
     assert got["superlu"], "block Jacobi set up without SuperLU"
     assert got["err"] < 1e-12
+
+
+def test_csr_kernels_fall_back_to_the_package_import(monkeypatch):
+    from scipy.sparse import _sparsetools
+
+    def fail():
+        raise OSError("no extension file")
+
+    monkeypatch.setattr(segment, "_load_extension", fail)
+    assert segment._load_csr_kernels() == (
+        _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+    )
 
 
 def _bits(a) -> np.ndarray:

@@ -381,3 +381,17 @@ def test_solve_multi_bitwise_direct_vs_grouped(monkeypatch):
     normal, grouped = _direct_vs_grouped(monkeypatch, product)
     assert normal["iterations"] == grouped["iterations"]
     np.testing.assert_array_equal(_bits(normal["x"]), _bits(grouped["x"]))
+
+
+@pytest.mark.parametrize("largest", [65_535, 65_536])
+def test_sort_permutation_matches_int64_stable_sort(largest):
+    """Maps whose dofs fit 16 bits sort as uint16 keys; either way the
+    permutation is the int64 stable sort's."""
+    rng = np.random.default_rng(largest)
+    idx = rng.integers(0, largest + 1, size=(4096, 8))
+    idx[:64] = idx[64:128]  # heavy duplicates: the order among equal keys
+    idx[17, 3] = largest
+    seg = SegmentScatter(idx)
+    want = np.argsort(idx.reshape(-1).astype(np.int64), kind="stable")
+    np.testing.assert_array_equal(seg.indices, want.astype(np.int32))
+    assert seg.touched[-1] == largest
