@@ -27,10 +27,10 @@ kept), so a coordinate or stiffness patch never changes it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
+from repro.core import segment
+from repro.core.csr import CsrBlock
 from repro.core.hymv import check_update
 from repro.core.maps import NodeMaps
 from repro.core.operator import DistributedOperator, owned_ranges
@@ -39,9 +39,6 @@ from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
 from repro.util.arrays import INDEX_DTYPE
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = ["AssembledOperator", "assemble_csr", "patch_csr"]
 
@@ -155,8 +152,6 @@ def assemble_csr(comm, ke, e2g, ndpn, ranges, phases, diag_only=False):
     ``(ghost_pre, ghost_post, (A_diag, A_pre, A_post))``.  ``diag_only``
     keeps only triplets whose row and column have one owner (no halo):
     the block-Jacobi block, bitwise the full assembly's ``A_diag``."""
-    import scipy.sparse as sp  # here, not at the top: HYMV kinds never need it
-
     local, wire, final = phases
     n_begin, n_end = (int(x) for x in ranges[comm.rank])
     with comm.compute(local):
@@ -186,9 +181,9 @@ def assemble_csr(comm, ke, e2g, ndpn, ranges, phases, diag_only=False):
             row = kb // keys.W
             indptr = np.zeros(keys.n_rows + 1, dtype=idx)
             np.cumsum(np.bincount(row, minlength=keys.n_rows), out=indptr[1:])
-            blocks.append(sp.csr_matrix(
-                (data[bounds[b]:bounds[b + 1]], (kb - row * keys.W).astype(idx),
-                 indptr), shape=(keys.n_rows, keys.widths[b]),
+            blocks.append(CsrBlock(
+                data[bounds[b]:bounds[b + 1]], (kb - row * keys.W).astype(idx),
+                indptr, (keys.n_rows, keys.widths[b]),
             ))
     return keys.pre, keys.post, tuple(blocks)
 
@@ -364,8 +359,18 @@ class AssembledOperator(DistributedOperator):
     def _block_product(self, i: int, x: np.ndarray) -> np.ndarray:
         """Product of ``_blocks[i]`` (0 diag, 1 pre, 2 post) with its
         column slice ``x`` of the dof vector, or of the ``(·, k)`` dof
-        block under the GEMM mode (one SpMM)."""
-        return self._blocks[i] @ x
+        block under the GEMM mode (one SpMM): ``CsrBlock.__matmul__``'s
+        kernel calls, inlined so that a product is one Python call."""
+        A = self._blocks[i]
+        m, n = A.shape
+        if x.ndim == 1:
+            y = np.zeros(m)
+            segment._csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
+        else:
+            y = np.zeros((m, x.shape[1]))
+            segment._csr_matvecs(m, n, x.shape[1], A.indptr, A.indices, A.data,
+                                 x.ravel(), y.ravel())
+        return y
 
     def _product(self, un, vn, uf, vf, k, overlap, gemm) -> None:
         """The owned rows of ``vf`` from :meth:`_apply`.  One column
@@ -427,12 +432,13 @@ class AssembledOperator(DistributedOperator):
     # ------------------------------------------------------------------
 
     def diagonal_owned(self) -> np.ndarray:
-        return self.A_diag.diagonal().copy()
+        return self.A_diag.diagonal()
 
-    def owned_block_csr(self) -> sp.csr_matrix:
+    def owned_block_csr(self):
         """The exact (owned x owned) diagonal block, remote contributions
-        included (this is what PETSc's block Jacobi uses)."""
-        return self.A_diag
+        included (this is what PETSc's block Jacobi uses), as a
+        ``scipy.sparse.csr_matrix`` on ``A_diag``'s arrays."""
+        return self.A_diag.to_scipy()
 
     def flops_per_spmv(self) -> float:
         """2 flops per stored nonzero."""

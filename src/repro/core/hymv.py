@@ -432,7 +432,7 @@ class EbeOperatorBase(DistributedOperator):
         ships off-rank contributions to that owner.  Fed in local-mesh
         element order through the assembled baseline's
         :func:`~repro.baselines.assembled.assemble_csr`, the result is its
-        ``A_diag`` bit for bit.
+        ``A_diag`` bit for bit, as a ``scipy.sparse.csr_matrix``.
         """
         from repro.baselines.assembled import assemble_csr  # import cycle
 
@@ -443,7 +443,7 @@ class EbeOperatorBase(DistributedOperator):
              "precond.block_assemble"),
             diag_only=True,
         )
-        return block
+        return block.to_scipy()
 
     # -- adaptivity (the XFEM / AMR use-case, paper §I & §III) ------------
 

@@ -46,7 +46,7 @@ import numpy as np
 from repro.util.arrays import INDEX_DTYPE
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
+    from repro.core.csr import CsrBlock
 
 __all__ = [
     "DEFAULT_C",
@@ -168,8 +168,10 @@ class SellWorkspace:
             self.Y = np.empty(n * k)
 
 
-def build_sellcs(A: sp.spmatrix, C: int, sigma: int) -> SellCS:
-    """Convert a CSR matrix to a :class:`SellCS` layout.
+def build_sellcs(A: CsrBlock, C: int, sigma: int) -> SellCS:
+    """Convert a CSR matrix (its ``indptr``, ``indices``, ``data``,
+    ``shape`` and ``nnz``: a :class:`~repro.core.csr.CsrBlock` or a SciPy
+    CSR matrix) to a :class:`SellCS` layout.
 
     The stored entry order of ``A`` is preserved per row (no column
     re-sort), which is what makes :func:`sell_spmv` bitwise-equal to
@@ -180,7 +182,6 @@ def build_sellcs(A: sp.spmatrix, C: int, sigma: int) -> SellCS:
         raise ValueError(f"chunk height C must be >= 1, got {C}")
     if sigma < 1:
         raise ValueError(f"sorting window sigma must be >= 1, got {sigma}")
-    A = A.tocsr()
     n_rows, n_cols = A.shape
     indptr = A.indptr
     indices = A.indices

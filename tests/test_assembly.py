@@ -62,7 +62,7 @@ def _global_rows(A: AssembledOperator) -> sp.csr_matrix:
     )
     parts = []
     for B, c in zip(A._blocks, cols):
-        coo = B.tocoo()
+        coo = B.to_scipy().tocoo()
         parts.append((coo.row, c[coo.col], coo.data))
     r, c, v = (np.concatenate(x) for x in zip(*parts))
     n = A.A_diag.shape[0]

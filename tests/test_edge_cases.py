@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import AssembledOperator, MatrixFreeOperator
 from repro.core import HymvOperator
 from repro.fem import PoissonOperator
+from repro.kinds import OPERATOR_KINDS
 from repro.mesh import box_hex_mesh
 from repro.partition.interface import partition_from_elem_part
+from repro.serve import ProblemKey, SolverContext
 from repro.simmpi import run_spmd
 
 OP = PoissonOperator()
@@ -24,7 +25,8 @@ def _partition_with_empty_rank(p=3):
 
 
 @pytest.mark.parametrize(
-    "factory", [HymvOperator, MatrixFreeOperator, AssembledOperator]
+    "factory", [k.factory for k in OPERATOR_KINDS.values()],
+    ids=lambda f: f.__name__,
 )
 def test_empty_rank_spmv(factory):
     mesh, part = _partition_with_empty_rank()
@@ -50,6 +52,28 @@ def test_empty_rank_spmv(factory):
     x_old[part.old_of_new] = x
     y_ref = ref.spmv(x_old)[part.old_of_new]
     np.testing.assert_allclose(y, y_ref, atol=1e-12)
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATOR_KINDS))
+def test_served_rank_without_elements_keeps_the_bits(kind):
+    """Rank 0 of the one-element mesh on 2 ranks owns no element and no
+    dof; its k = 1, oracle k = 8 and GEMM k = 8 applies are those of the
+    1-rank key, by int64 view."""
+    ctx = {p: SolverContext(ProblemKey("poisson", 1, p, "hex8", 0, kind))
+           for p in (1, 2)}
+    part = ctx[2].spec.partition
+    assert part.local(0).n_local_elements == 0
+    assert part.local(0).n_owned == 0
+    X = np.random.default_rng(0).standard_normal((ctx[1].n_dofs, 8))
+    for cols, mode in ((slice(0, 1), "auto"), (slice(None), "oracle"),
+                       (slice(None), "gemm")):
+        got, want = (ctx[p].apply_multi(X[:, cols], mode=mode)[0]
+                     for p in (2, 1))
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def test_empty_rank_solve():

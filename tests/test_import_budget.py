@@ -3,27 +3,28 @@
 Every served operator runs on NumPy and SciPy's compiled CSR kernels;
 nothing on that path calls ``scipy.special``, ``scipy.linalg`` or
 ``scipy.sparse.linalg``, which together hold about 14 MB resident in
-every serving process.  The HYMV-family kinds (``hymv``, ``matfree``,
-``partial``, ``hymv_gpu``) do not load the ``scipy.sparse`` package
-either (another ~22 MB): :mod:`repro.core.segment` loads the two kernels
-from SciPy's ``_sparsetools`` extension file, and only the kinds that
-build a CSR matrix (``assembled``, ``sellcs``, ``assembled_gpu``, block
-Jacobi, ``SerialReference``) import the package.  Nor does serving need
-the figure harness: operators are built through :mod:`repro.kinds`.
-Peak RSS drifts with the host; which modules a fresh interpreter has
-loaded after serving does not, so that is what is checked.
+every serving process.  No serving kind loads the ``scipy.sparse``
+package either (another ~15-22 MB): :mod:`repro.core.segment` loads the
+two kernels from SciPy's ``_sparsetools`` extension file, and the kinds
+that assemble (``assembled``, ``sellcs``, ``assembled_gpu``) hold their
+blocks as :class:`repro.core.csr.CsrBlock`, which calls the same
+kernels.  Only block Jacobi, ``owned_block_csr()`` and
+``SerialReference`` import the package.  Nor does serving need the
+figure harness: operators are built through :mod:`repro.kinds`.  Peak
+RSS drifts with the host; which modules a fresh interpreter has loaded
+after serving does not, so that is what is checked.
 
 * **import check**: a fresh interpreter imports :mod:`repro.serve`,
-  builds a small context of every HYMV-family kind on 1 and 2 ranks,
-  applies it at k = 1 and k = 8, solves, and patches it through
+  builds a small context of every kind on 1 and 2 ranks, applies it at
+  k = 1 and k = 8, solves, and patches it through
   ``OperatorCache.update``; no ``scipy.sparse`` package module may be
   loaded, and the CSR kernels must be the compiled ones.  It then
-  imports ``scipy.sparse``, serves the CSR kinds the same way, and
-  applies a HYMV operator again through the package's own kernels,
-  which must give the bits of the apply made before the import.  None
-  of the off-path SciPy modules and no ``repro.harness`` module may be
-  loaded.  Block Jacobi's SuperLU is then set up and must still work
-  (it imports ``scipy.sparse.linalg`` on first use).
+  imports ``scipy.sparse`` and rebinds the kernels to the package's
+  own; a HYMV operator and each CSR kind, applied again at k = 1 and
+  k = 8, must give the bits of the applies made before the import.
+  None of the off-path SciPy modules and no ``repro.harness`` module
+  may be loaded.  Block Jacobi's SuperLU is then set up and must still
+  work (it imports ``scipy.sparse.linalg`` on first use).
 * **fallback**: with the extension-file loader failing, the kernels
   come from the ordinary package import.
 * **rules**: the Gauss table in :mod:`repro.mesh.quadrature` holds
@@ -57,20 +58,20 @@ OFF_PATH = (
 
 #: every servable kind, each on a problem that reaches a different rule:
 #: hex and tet volume rules, hex and triangle face rules (elastic
-#: tractions), the graph Laplacian; the HYMV family first, then the
-#: kinds that build a CSR matrix
-_HYMV_KINDS = [
+#: tractions), the graph Laplacian
+_KINDS = [
     ("poisson", "hex8", "hymv", "einsum"),
     ("elastic", "tet4", "hymv", "columns"),
     ("poisson", "tet4", "matfree", "einsum"),
     ("elastic", "hex8", "partial", "einsum"),
     ("poisson", "tet4", "hymv_gpu", "einsum"),
-]
-_CSR_KINDS = [
     ("poisson", "hex8", "assembled", "einsum"),
     ("graphlap", "tet4", "sellcs", "einsum"),
     ("poisson", "hex8", "assembled_gpu", "einsum"),
 ]
+#: applied before and after the package's kernels are bound: HYMV, and
+#: every kind that holds CSR blocks
+_REBOUND = ["hymv", "assembled", "sellcs", "assembled_gpu"]
 
 _PROBE = r"""
 import json
@@ -81,7 +82,7 @@ import numpy as np
 from repro.adapt import MeshDelta
 from repro.serve import OperatorCache, ProblemKey
 
-OFF_PATH, HYMV_KINDS, CSR_KINDS = json.loads(sys.argv[1])
+OFF_PATH, KINDS, REBOUND = json.loads(sys.argv[1])
 rng = np.random.default_rng(0)
 
 
@@ -100,14 +101,17 @@ def serve(kinds):
             ctx.apply_multi(rng.standard_normal((ctx.n_dofs, 1)))
 
 
-def hymv_apply():
-    key = ProblemKey("poisson", 3, 2, "hex8", 1, "hymv", "einsum")
-    ctx, _ = OperatorCache(capacity=1).get(key)
-    X = np.random.default_rng(1).standard_normal((ctx.n_dofs, 8))
-    return [ctx.apply_multi(X[:, :k])[0].tolist() for k in (1, 8)]
+def applies():
+    out = []
+    for method in REBOUND:
+        key = ProblemKey("poisson", 3, 2, "hex8", 1, method, "einsum")
+        ctx, _ = OperatorCache(capacity=1).get(key)
+        X = np.random.default_rng(1).standard_normal((ctx.n_dofs, 8))
+        out += [ctx.apply_multi(X[:, :k])[0].tolist() for k in (1, 8)]
+    return out
 
 
-serve(HYMV_KINDS)
+serve(KINDS)
 import repro.core.segment as segment
 
 sparse = sorted(
@@ -115,7 +119,7 @@ sparse = sorted(
     if m.split(".")[:2] == ["scipy", "sparse"] and m != "scipy.sparse._sparsetools"
 )
 compiled = [type(f).__name__ for f in (segment._csr_matvec, segment._csr_matvecs)]
-before = hymv_apply()
+before = applies()
 
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
@@ -123,11 +127,11 @@ from scipy.sparse import _sparsetools
 import repro.core.hymv
 import repro.core.kernels
 
-serve(CSR_KINDS)
+# the CSR blocks read the kernels from segment at call time
 for mod in (segment, repro.core.kernels, repro.core.hymv):
     mod._csr_matvec = _sparsetools.csr_matvec
 segment._csr_matvecs = _sparsetools.csr_matvecs
-after = hymv_apply()
+after = applies()
 served = sorted(m for m in OFF_PATH if m in sys.modules)
 harness = sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "harness"])
 
@@ -154,16 +158,17 @@ def test_serve_path_loads_no_off_path_scipy():
     )
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE,
-         json.dumps([OFF_PATH, _HYMV_KINDS, _CSR_KINDS])],
+         json.dumps([OFF_PATH, _KINDS, _REBOUND])],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["sparse"] == [], (
-        f"serving the HYMV kinds loaded {got['sparse']}; a module-level "
-        "import of scipy.sparse crept back onto their path"
+        f"serving loaded {got['sparse']}; a module-level import of "
+        "scipy.sparse crept back onto the serve path"
     )
     assert got["compiled"] == ["builtin_function_or_method"] * 2, got["compiled"]
+    assert len(got["before"]) == 2 * len(_REBOUND)
     for before, after in zip(got["before"], got["after"]):
         _assert_same_bits([np.array(after)], [np.array(before)])
     assert got["served"] == [], (
