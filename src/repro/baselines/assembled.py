@@ -234,9 +234,13 @@ class AssembledOperator(DistributedOperator):
         operator: Operator,
         ranges: np.ndarray | None = None,
         elem_scale: np.ndarray | None = None,
+        modeled_rate_gflops: float | None = None,
     ):
         super().__init__(comm, lmesh, operator)
         self._ranges = owned_ranges(comm, lmesh) if ranges is None else ranges
+        # block products advance 2 flops per stored entry at this rate
+        # (GFLOP/s) of modeled time, as HymvOperator's EMV sweeps do
+        self.modeled_rate_gflops = modeled_rate_gflops
         # element inputs the assembly is a pure function of; coords start
         # as a reference to the local mesh and go copy-on-write on the
         # first coordinate update
@@ -359,8 +363,9 @@ class AssembledOperator(DistributedOperator):
     def _block_product(self, i: int, x: np.ndarray) -> np.ndarray:
         """Product of ``_blocks[i]`` (0 diag, 1 pre, 2 post) with its
         column slice ``x`` of the dof vector, or of the ``(·, k)`` dof
-        block under the GEMM mode (one SpMM): ``CsrBlock.__matmul__``'s
-        kernel calls, inlined so that a product is one Python call."""
+        block under the GEMM mode (one SpMM): the kernel calls of
+        ``scipy.sparse.csr_matrix``'s product, made here so that a
+        product is one Python call."""
         A = self._blocks[i]
         m, n = A.shape
         if x.ndim == 1:
@@ -411,8 +416,12 @@ class AssembledOperator(DistributedOperator):
             tw = comm.vtime
             halo.scatter(comm, un)
             comm.obs.add("spmv.scatter.wait", comm.vtime - tw)
+        rate = self.modeled_rate_gflops
         with comm.compute(self._phases[0]):
             y = self._block_product(0, D[own])
+            if rate:
+                comm.advance(2.0 * self.A_diag.nnz * k / (rate * 1e9),
+                             "spmv.csr.modeled")
         if overlap:
             tw = comm.vtime
             halo.finish_scatter(comm, un, reqs)
@@ -422,6 +431,11 @@ class AssembledOperator(DistributedOperator):
                 y += self._block_product(1, D[: own.start])
             if self.A_post.shape[1]:
                 y += self._block_product(2, D[own.stop:])
+            if rate:
+                comm.advance(
+                    2.0 * (self.A_pre.nnz + self.A_post.nnz) * k / (rate * 1e9),
+                    "spmv.csr.modeled",
+                )
         comm.obs.incr("spmv.flops", 2.0 * self.nnz * k)
         comm.obs.add("spmv.total", comm.vtime - t0)
         self.spmv_count += k

@@ -1,6 +1,9 @@
-"""A CSR matrix on SciPy's compiled kernels, without ``scipy.sparse``:
-the kernel calls ``scipy.sparse.csr_matrix`` makes, with the kernels
-:mod:`repro.core.segment` loads (read at call time), so the same bits."""
+"""A CSR matrix held without ``scipy.sparse``: three arrays and a shape,
+checked once, since SciPy's compiled kernels (which
+:mod:`repro.core.segment` loads; read from there at call time) check no
+bounds.  ``AssembledOperator._block_product`` makes the product calls
+``scipy.sparse.csr_matrix`` makes on them, and :meth:`CsrBlock.diagonal`
+its ``csr_diagonal`` call, so the bits are SciPy's."""
 
 from __future__ import annotations
 
@@ -35,26 +38,12 @@ class CsrBlock:
                 "from 0 to nnz, and columns in [0, n_cols)"
             )
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` for a 1-D ``x`` or an ``(n_cols, k)`` block."""
-        (m, n), k = self.shape, x.shape[1] if x.ndim == 2 else 1
-        if x.shape[0] != n or x.ndim > 2:
-            raise ValueError(f"cannot multiply {self.shape} by {x.shape}")
-        y = np.zeros((m, k))  # (n, 1) takes csr_matvec, as in SciPy
-        if k == 1:
-            segment._csr_matvec(m, n, self.indptr, self.indices, self.data,
-                                x.ravel(), y.ravel())
-        else:
-            segment._csr_matvecs(m, n, k, self.indptr, self.indices, self.data,
-                                 x.ravel(), y.ravel())
-        return y.reshape(m, *x.shape[1:])
-
     def diagonal(self) -> np.ndarray:
-        """``csr_diagonal``'s bits: each ``a_ii`` summed from ``0.0``."""
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        on = self.indices == rows
-        d = np.zeros(min(self.shape))
-        np.add.at(d, rows[on], self.data[on])
+        """The main diagonal: SciPy's ``csr_diagonal`` call (each
+        ``a_ii`` summed from ``0.0``; ``0.0`` where a row stores none)."""
+        m, n = self.shape
+        d = np.empty(min(m, n))
+        segment._csr_diagonal(0, m, n, self.indptr, self.indices, self.data, d)
         return d
 
     def to_scipy(self):

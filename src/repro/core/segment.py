@@ -76,10 +76,11 @@ _RADIX_MAX = np.iinfo(np.uint16).max
 
 
 def _load_csr_kernels():
-    """SciPy's compiled ``csr_matvec`` / ``csr_matvecs``, or ``None``s.
+    """SciPy's compiled ``csr_matvec`` / ``csr_matvecs`` /
+    ``csr_diagonal``, or ``None``s.
 
     ``scipy.sparse``'s package ``__init__`` holds ~22 MB resident for
-    the sparse-matrix classes; the two C kernels live in its
+    the sparse-matrix classes; the C kernels live in its
     ``_sparsetools`` extension, which needs only NumPy.  So the extension
     is loaded from its file: ``find_spec("scipy")`` locates SciPy without
     running its ``__init__``.  If that fails for any reason (another file
@@ -90,14 +91,18 @@ def _load_csr_kernels():
     """
     try:
         mod = _load_extension()
-        return mod.csr_matvec, mod.csr_matvecs
+        return mod.csr_matvec, mod.csr_matvecs, mod.csr_diagonal
     except Exception:
         pass
     try:  # SciPy >= 1.8 (private but stable; used by scipy.sparse itself)
-        from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+        from scipy.sparse._sparsetools import (
+            csr_diagonal,
+            csr_matvec,
+            csr_matvecs,
+        )
     except ImportError:  # pragma: no cover - exercised via force_fallback
-        return None, None
-    return csr_matvec, csr_matvecs
+        return None, None, None
+    return csr_matvec, csr_matvecs, csr_diagonal
 
 
 def _load_extension():
@@ -122,7 +127,7 @@ def _load_extension():
     return sys.modules.setdefault(_SPARSETOOLS, mod)
 
 
-_csr_matvec, _csr_matvecs = _load_csr_kernels()
+_csr_matvec, _csr_matvecs, _csr_diagonal = _load_csr_kernels()
 
 
 class SegmentScatter:

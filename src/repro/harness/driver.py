@@ -17,11 +17,12 @@ Methods are operator kinds selected by name (:mod:`repro.kinds`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.operator import owned_ranges
+from repro.core.operator import DistributedOperator, owned_ranges
 from repro.core.rhs import assemble_rhs
 from repro.faults.plan import FaultPlan
 from repro.kinds import make_operator
@@ -182,11 +183,13 @@ def _constrain_block(B: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
 
 def _solve_program(
     comm, lmesh, tractions, spec, kind, precond, rtol, maxiter, resilience,
-    options,
+    options, setup_model=None,
 ):
     ranges = owned_ranges(comm, lmesh)
     t0 = comm.vtime
     A = make_operator(kind, comm, lmesh, spec.operator, ranges, **options)
+    if setup_model is not None:
+        comm.advance(setup_model(A), "setup.modeled")
     setup_time = comm.vtime - t0
 
     # RHS + BC are stated on the element-level maps
@@ -251,6 +254,7 @@ def run_solve(
     return_solution: bool = False,
     faults: FaultPlan | None = None,
     resilience: ResilienceConfig | None = None,
+    setup_model: Callable[[DistributedOperator], float] | None = None,
     **options,
 ) -> SolveOutcome:
     """Distributed CG solve of ``spec`` with one SPMV method.
@@ -258,6 +262,9 @@ def run_solve(
     ``faults`` injects a :class:`repro.faults.plan.FaultPlan` into the
     simulated network/compute; ``resilience`` enables the CG
     breakdown-detection + restart policy (chaos testing).
+    ``setup_model(A)`` gives each rank's modeled set-up compute in
+    seconds, charged once its operator ``A`` is built (for runs at
+    ``compute_scale=0``).
     """
     p = spec.n_parts
     results, sim = run_spmd(
@@ -276,6 +283,7 @@ def run_solve(
         maxiter=maxiter,
         resilience=resilience,
         options=options,
+        setup_model=setup_model,
     )
     r0 = results[0]
     solution = (

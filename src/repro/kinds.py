@@ -39,7 +39,9 @@ class OperatorKind:
     factory: Callable
     #: takes ``kernel=`` (the EMV kernel of its element sweeps)
     kernel: bool = False
-    #: takes ``modeled_rate_gflops=`` (deterministic EMV compute time)
+    #: ``make_operator``'s ``modeled_rate`` reaches it as
+    #: ``modeled_rate_gflops=`` (deterministic EMV compute time); the
+    #: assembled kind takes that option too, but only when passed as is
     modeled: bool = False
     #: takes a ``ke_cache=`` of element matrices from an earlier build
     ke_cache: bool = False

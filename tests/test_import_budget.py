@@ -5,10 +5,10 @@ nothing on that path calls ``scipy.special``, ``scipy.linalg`` or
 ``scipy.sparse.linalg``, which together hold about 14 MB resident in
 every serving process.  No serving kind loads the ``scipy.sparse``
 package either (another ~15-22 MB): :mod:`repro.core.segment` loads the
-two kernels from SciPy's ``_sparsetools`` extension file, and the kinds
+CSR kernels from SciPy's ``_sparsetools`` extension file, and the kinds
 that assemble (``assembled``, ``sellcs``, ``assembled_gpu``) hold their
-blocks as :class:`repro.core.csr.CsrBlock`, which calls the same
-kernels.  Only block Jacobi, ``owned_block_csr()`` and
+blocks as :class:`repro.core.csr.CsrBlock` and call the same kernels
+on them.  Only block Jacobi, ``owned_block_csr()`` and
 ``SerialReference`` import the package.  Nor does serving need the
 figure harness: operators are built through :mod:`repro.kinds`.  Peak
 RSS drifts with the host; which modules a fresh interpreter has loaded
@@ -118,7 +118,10 @@ sparse = sorted(
     m for m in sys.modules
     if m.split(".")[:2] == ["scipy", "sparse"] and m != "scipy.sparse._sparsetools"
 )
-compiled = [type(f).__name__ for f in (segment._csr_matvec, segment._csr_matvecs)]
+compiled = [
+    type(f).__name__
+    for f in (segment._csr_matvec, segment._csr_matvecs, segment._csr_diagonal)
+]
 before = applies()
 
 import scipy.sparse as sp
@@ -131,6 +134,7 @@ import repro.core.kernels
 for mod in (segment, repro.core.kernels, repro.core.hymv):
     mod._csr_matvec = _sparsetools.csr_matvec
 segment._csr_matvecs = _sparsetools.csr_matvecs
+segment._csr_diagonal = _sparsetools.csr_diagonal
 after = applies()
 served = sorted(m for m in OFF_PATH if m in sys.modules)
 harness = sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "harness"])
@@ -167,7 +171,7 @@ def test_serve_path_loads_no_off_path_scipy():
         f"serving loaded {got['sparse']}; a module-level import of "
         "scipy.sparse crept back onto the serve path"
     )
-    assert got["compiled"] == ["builtin_function_or_method"] * 2, got["compiled"]
+    assert got["compiled"] == ["builtin_function_or_method"] * 3, got["compiled"]
     assert len(got["before"]) == 2 * len(_REBOUND)
     for before, after in zip(got["before"], got["after"]):
         _assert_same_bits([np.array(after)], [np.array(before)])
@@ -188,7 +192,8 @@ def test_csr_kernels_fall_back_to_the_package_import(monkeypatch):
 
     monkeypatch.setattr(segment, "_load_extension", fail)
     assert segment._load_csr_kernels() == (
-        _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+        _sparsetools.csr_matvec, _sparsetools.csr_matvecs,
+        _sparsetools.csr_diagonal,
     )
 
 

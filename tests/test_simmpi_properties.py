@@ -104,6 +104,58 @@ def test_vtime_deterministic_across_runs_with_modeled_compute():
     assert times[0] == times[1] == times[2]
 
 
+def test_assembled_modeled_products_charge_two_flops_per_entry():
+    """With a modeled rate, an assembled operator's products advance 2
+    flops per stored entry per column (1-D, oracle and GEMM blocks
+    alike), the same seconds run to run."""
+    from repro.baselines.assembled import AssembledOperator
+    from repro.problems import poisson_problem
+
+    spec = poisson_problem(6, 3)
+    rate = 0.1
+
+    def prog(comm, lmesh):
+        A = AssembledOperator(
+            comm, lmesh, spec.operator, modeled_rate_gflops=rate
+        )
+        u, v = A.new_array(), A.new_array()
+        u.set_owned(np.ones(A.n_dofs_owned))
+        A.spmv(u, v)
+        U, V = A.work_multivectors(4)
+        for mode in ("oracle", "gemm"):
+            A.spmv_multi(U, V, mode=mode)
+        return comm.obs.as_dict()["spmv.csr.modeled"], A.nnz
+
+    runs = [
+        run_spmd(
+            3, prog,
+            rank_args=[(spec.partition.local(r),) for r in range(3)],
+            compute_scale=0.0,
+        )[0]
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    for charged, nnz in runs[0]:
+        assert charged == pytest.approx(9 * 2.0 * nnz / (rate * 1e9))
+
+
+def test_solve_charges_the_setup_model_once_per_rank():
+    from repro.harness.driver import run_solve
+    from repro.problems import poisson_problem
+
+    spec = poisson_problem(4, 2)
+    seen = []
+
+    def model(A):
+        seen.append(A.n_dofs_owned)
+        return 0.25
+
+    out = run_solve(spec, "hymv", compute_scale=0.0, setup_model=model)
+    assert len(seen) == 2
+    assert out.breakdown["setup.modeled"] == 0.25
+    assert 0.25 <= out.setup_time < 0.25 + 1e-3
+
+
 def test_network_hierarchy_affects_vtime():
     flat = NetworkModel(cores_per_node=1)  # everything inter-node
     packed = NetworkModel(cores_per_node=64)  # everything intra-node
