@@ -1,4 +1,4 @@
-"""SELL-C-sigma operator — the tuned unified-sparse-format baseline.
+"""SELL-C-sigma operator — the unified-sparse-format baseline.
 
 :class:`SellCSOperator` assembles exactly like
 :class:`~repro.baselines.assembled.AssembledOperator` (real parallel

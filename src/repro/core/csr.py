@@ -22,8 +22,6 @@ class CsrBlock:
     __slots__ = ("data", "indices", "indptr", "shape", "nnz")
 
     def __init__(self, data, indices, indptr, shape):
-        if segment._csr_matvec is None:
-            raise ImportError("a CSR block needs SciPy's compiled CSR kernels")
         m, n = self.shape = tuple(int(s) for s in shape)
         self.data, self.indices, self.indptr = data, indices, indptr
         self.nnz = nnz = data.size

@@ -38,7 +38,7 @@ from repro.core.kernels import (
 from repro.core.maps import NodeMaps, build_node_maps
 from repro.core.operator import DistributedOperator, owned_ranges
 from repro.core.scatter import CommMaps, build_comm_maps, gather, scatter
-from repro.core.segment import SegmentScatter, _csr_matvec
+from repro.core.segment import SegmentScatter
 from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
@@ -600,7 +600,7 @@ class HymvOperator(EbeOperatorBase):
             with comm.compute("setup.column_layout"):
                 self._kcol = np.ascontiguousarray(self.ke.transpose(2, 0, 1))
         self._csr: KeCsrView | None = None
-        if self._eq4 and _csr_matvec is not None:
+        if self._eq4:
             with comm.compute("setup.csr_view"):
                 self._csr = KeCsrView(
                     self.ke, self.e2l_dofs, self.maps.n_total * self.ndpn
@@ -623,8 +623,7 @@ class HymvOperator(EbeOperatorBase):
     ) -> np.ndarray:
         """A CSR-view operator's single-RHS products are
         :func:`~repro.core.kernels.emv_columns` on the gathered ``ue``
-        — the view's bits, for :func:`reference_spmv` and for the
-        fallback when SciPy's kernel is unavailable."""
+        — the view's bits, for :func:`reference_spmv`."""
         if not self._eq4 or ue.ndim == 3:
             return super()._local_emv(sl, ue, ve)
         tmp = None if ve is None else self._ws.tmp[: ue.shape[0]]

@@ -45,9 +45,9 @@ of two ways, selected by ``mode``:
   arXiv:2208.07129).  BLAS may accumulate each dot in a different order
   than the gemv path, so the result agrees with the oracle only to a
   derived rounding bound (:func:`gemm_equivalence_rtol`), never bitwise.
-* ``"auto"`` — ``gemm`` when ``k >= k_min`` (default
-  :data:`DEFAULT_K_MIN`; ``python -m repro.harness tune`` measures
-  it), else ``oracle``.  Resolved by :func:`resolve_mode`.
+* ``"auto"`` — ``gemm`` when ``k >= DEFAULT_K_MIN``, else ``oracle``,
+  so batches narrower than :data:`DEFAULT_K_MIN` keep the oracle's
+  bits.  Resolved by :func:`resolve_mode`.
 """
 
 from __future__ import annotations
@@ -75,18 +75,19 @@ __all__ = [
 #: recognized multi-RHS execution modes
 EMV_MODES = ("oracle", "gemm", "auto")
 
-#: conservative default crossover for ``mode="auto"``: GEMM is selected
-#: for k >= DEFAULT_K_MIN columns.  ``python -m repro.harness tune``
-#: measures the real crossover on the current machine and carries it to
-#: the serve tier as :attr:`repro.serve.plan.ExecutionPlan.k_min`.
+#: the ``mode="auto"`` crossover: GEMM for k >= DEFAULT_K_MIN columns.
+#: A constant, not a tuned value: GEMM measured faster from k = 2 on a
+#: 2-vCPU host (EXPERIMENTS.md "The GEMM crossover as a constant"), but
+#: crossing there would give up the oracle's per-column bits for 2-7-wide
+#: batches.
 DEFAULT_K_MIN = 8
 
 
-def resolve_mode(mode: str, k: int, k_min: int | None = None) -> str:
+def resolve_mode(mode: str, k: int) -> str:
     """Resolve an execution mode to ``"oracle"`` or ``"gemm"``.
 
-    ``"auto"`` picks ``"gemm"`` when ``k >= k_min`` (``k_min`` defaults
-    to :data:`DEFAULT_K_MIN`); explicit modes pass through unchanged.
+    ``"auto"`` picks ``"gemm"`` when ``k >= DEFAULT_K_MIN``; explicit
+    modes pass through unchanged; any other mode is a ``ValueError``.
     """
     if mode not in EMV_MODES:
         raise ValueError(
@@ -94,8 +95,7 @@ def resolve_mode(mode: str, k: int, k_min: int | None = None) -> str:
         )
     if mode != "auto":
         return mode
-    threshold = DEFAULT_K_MIN if k_min is None else int(k_min)
-    return "gemm" if k >= threshold else "oracle"
+    return "gemm" if k >= DEFAULT_K_MIN else "oracle"
 
 
 def gemm_equivalence_rtol(

@@ -41,19 +41,18 @@ every ``s`` it can produce: a segment summed sequentially from ``+0.0``
 is never ``-0.0`` (in round-to-nearest ``+0.0 + -0.0`` and ``x + -x``
 are both ``+0.0``), and a NaN passes through the addition with its
 payload.  Untouched rows below ``touched[-1]`` are read and written back
-unchanged.  A non-C-contiguous destination and the NumPy fallback take
-the grouped path, with the same bits.
+unchanged.  A non-C-contiguous destination takes the grouped path, with
+the same bits.
 
 A GEMM multi-RHS sweep hands its element values over chunk by chunk
 (:meth:`SegmentScatter.add_chunks_multi`), with the same bits.
 
-The fast path drives SciPy's CSR matvec kernel (a tight C loop summing
+Both paths drive SciPy's CSR matvec kernel (a tight C loop summing
 each row sequentially; the stored unit coefficients contribute each
 value exactly, since ``1.0 * x`` is exact in IEEE-754), loaded from
 SciPy's compiled ``_sparsetools`` extension without the ``scipy.sparse``
-package (:func:`_load_csr_kernels`).  When SciPy is unavailable the
-pure-NumPy fallback reduces the sorted values with ``np.add.at`` over
-segment ids — same bits, slower.
+package (:func:`_load_csr_kernels`).  SciPy is a requirement: without
+it this module does not import.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ _RADIX_MAX = np.iinfo(np.uint16).max
 
 def _load_csr_kernels():
     """SciPy's compiled ``csr_matvec`` / ``csr_matvecs`` /
-    ``csr_diagonal``, or ``None``s.
+    ``csr_diagonal``; an ``ImportError`` naming SciPy without them.
 
     ``scipy.sparse``'s package ``__init__`` holds ~22 MB resident for
     the sparse-matrix classes; the C kernels live in its
@@ -100,8 +99,11 @@ def _load_csr_kernels():
             csr_matvec,
             csr_matvecs,
         )
-    except ImportError:  # pragma: no cover - exercised via force_fallback
-        return None, None, None
+    except ImportError as exc:
+        raise ImportError(
+            "repro needs SciPy's compiled CSR kernels "
+            f"({_SPARSETOOLS}); install scipy>=1.10"
+        ) from exc
     return csr_matvec, csr_matvecs, csr_diagonal
 
 
@@ -138,9 +140,6 @@ class SegmentScatter:
     idx:
         Integer dof indices (any shape; flattened in C order).  The
         duplicate structure of this array is frozen at construction.
-    force_fallback:
-        Testing hook: use the pure-NumPy reduction even when the SciPy
-        CSR kernel is available.
 
     Attributes
     ----------
@@ -157,18 +156,14 @@ class SegmentScatter:
         "_data",
         "_seg",
         "_acc",
-        "_segids",
-        "_sorted",
-        "_use_csr",
         "_multi",
         "_plans",
         "_plan_width",
     )
 
-    def __init__(self, idx: np.ndarray, force_fallback: bool = False):
+    def __init__(self, idx: np.ndarray):
         flat = np.ascontiguousarray(idx, dtype=INDEX_DTYPE).reshape(-1)
         self.m = int(flat.size)
-        self._use_csr = (_csr_matvec is not None) and not force_fallback
         self._plans: tuple = ()  # of one chunk width
         self._plan_width = 0
         self._full_indptr = None
@@ -179,8 +174,6 @@ class SegmentScatter:
             self._data = np.empty(0)
             self._seg = np.empty(0)
             self._acc = np.empty(0)
-            self._segids = np.empty(0, dtype=INDEX_DTYPE)
-            self._sorted = np.empty(0)
             return
         lowest = int(flat.min())
         if lowest < 0:
@@ -205,21 +198,11 @@ class SegmentScatter:
         self._data = np.ones(self.m)
         self._seg = np.empty(k)
         self._acc = np.empty(k)
-        if self._use_csr:
-            # rows 0..touched[-1] of the same incidence, untouched dofs as
-            # empty rows: the zeroed-destination path's row pointer
-            self._full_indptr = np.concatenate(
-                [[0], np.cumsum(np.bincount(flat))]
-            ).astype(np.int32)
-            self._segids = np.empty(0, dtype=INDEX_DTYPE)
-            self._sorted = np.empty(0)
-        else:
-            # fallback structure: segment id of each sorted position
-            lengths = np.diff(self.indptr).astype(INDEX_DTYPE)
-            self._segids = np.repeat(
-                np.arange(k, dtype=INDEX_DTYPE), lengths
-            )
-            self._sorted = np.empty(self.m)
+        # rows 0..touched[-1] of the same incidence, untouched dofs as
+        # empty rows: the zeroed-destination path's row pointer
+        self._full_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(flat))]
+        ).astype(np.int32)
         # the multi-RHS grouped path's (seg, acc) scratch
         self._multi = WidestScratch(
             (k, k),
@@ -232,7 +215,7 @@ class SegmentScatter:
 
     def _direct(self, out: np.ndarray, zeroed: bool) -> bool:
         """Whether a ``zeroed`` destination takes the one-call path."""
-        return zeroed and self._use_csr and out.flags.c_contiguous
+        return zeroed and out.flags.c_contiguous
 
     def add_into(
         self, out: np.ndarray, vals: np.ndarray, zeroed: bool = False
@@ -274,19 +257,15 @@ class SegmentScatter:
             )
             return out
         self._seg.fill(0.0)
-        if self._use_csr:
-            _csr_matvec(
-                self.n_touched,
-                self.m,
-                self.indptr,
-                self.indices,
-                self._data,
-                flat_vals,
-                self._seg,
-            )
-        else:
-            np.take(flat_vals, self.indices, out=self._sorted, mode="clip")
-            np.add.at(self._seg, self._segids, self._sorted)
+        _csr_matvec(
+            self.n_touched,
+            self.m,
+            self.indptr,
+            self.indices,
+            self._data,
+            flat_vals,
+            self._seg,
+        )
         # single-rounding add per touched dof (bincount's grouping), via
         # gather / add / scatter on preallocated scratch; mode="clip"
         # skips the bounds check that would otherwise buffer the gather
@@ -331,8 +310,7 @@ class SegmentScatter:
         destination and a chunk's plan lists its entries in (dof,
         occurrence) order, so each chunk continues every row's
         sequential sum — in ``out`` (zeroed) or in the segment scratch
-        added to ``out`` once per touched dof (grouped).  The NumPy
-        fallback continues them with ``np.add.at`` (it allocates).
+        added to ``out`` once per touched dof (grouped).
         """
         if out.ndim != 2:
             raise ValueError(f"expected an (n_dofs, k) out, got {out.shape}")
@@ -359,14 +337,9 @@ class SegmentScatter:
             if direct:
                 _csr_matvecs(full.size - 1, idx.size, k, full, idx,
                              self._data, flat, out[lo:])
-            elif self._use_csr:
+            else:
                 _csr_matvecs(indptr.size - 1, idx.size, k, indptr, idx,
                              self._data, flat, seg[r_lo:])
-            else:
-                rows = np.repeat(
-                    np.arange(r_lo, r_lo + indptr.size - 1), np.diff(indptr)
-                )
-                np.add.at(seg, rows, flat[idx])
         if not direct:
             np.take(out, self.touched, axis=0, out=acc, mode="clip")
             np.add(acc, seg, out=acc)

@@ -63,9 +63,9 @@ __all__ = [
 #: Hand-picked (C, sigma) defaults: chunk height 32 (one GPU warp / a
 #: full AVX-512 lane tier) with an 8C sorting window — the layout the
 #: sellcs bench measured at 0.94-0.97 occupancy across the harness
-#: problems.  Kreutzer et al. show these are machine-dependent; a tuned
-#: layout travels in a :class:`repro.serve.plan.ExecutionPlan` and
-#: becomes part of the serving key of every SELL operator built under it.
+#: problems.  Kreutzer et al. show these are machine-dependent; a caller
+#: picks another layout with ``SellCSOperator(C=, sigma=)``.  Served
+#: ``sellcs`` keys carry no layout and always build this one.
 DEFAULT_C = 32
 DEFAULT_SIGMA_FACTOR = 8
 

@@ -32,8 +32,6 @@ _COMMANDS = {
               "SHARD_report.json (--smoke for CI size)"),
     "adapt": ("repro.adapt.harness", "incremental-update harness -> "
               "ADAPT_report.json (--smoke for CI size)"),
-    "tune": ("repro.tune.calibration", "GEMM multi-RHS crossover, "
-             "measured here -> tuned_config.json (for --tuned-from)"),
 }
 #: the subcommands that are suites of the one load harness: its main()
 #: takes the subcommand name as the suite to run
@@ -54,8 +52,6 @@ _EXAMPLES = (
      "sharded tier -> SHARD_report.json"),
     ("python -m repro.harness adapt --smoke",
      "delta updates -> ADAPT_report.json"),
-    ("python -m repro.harness tune",
-     "measured GEMM crossover -> tuned_config.json"),
 )
 
 

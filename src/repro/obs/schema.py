@@ -28,7 +28,6 @@ __all__ = [
     "CHAOS_SCHEMA",
     "REPORTS",
     "SERVE_SCHEMA",
-    "TUNE_CONFIG_SCHEMA",
     "SchemaError",
     "machine_fingerprint",
     "new_report",
@@ -43,7 +42,6 @@ __all__ = [
 BENCH_SCHEMA = "repro.bench/1"
 CHAOS_SCHEMA = "repro.chaos/1"
 SERVE_SCHEMA = "repro.serve/3"
-TUNE_CONFIG_SCHEMA = "repro.tune-config/1"
 ADAPT_SCHEMA = "repro.adapt/1"
 
 
@@ -153,10 +151,6 @@ REPORTS: dict[str, dict] = {
             "counters": {},
         }],
     },
-    # tuned_config.json: `python -m repro.harness tune`, the measured
-    # GEMM crossover as a flat key -> value config;
-    # repro.serve.plan.load_tuned_config turns it into an execution plan
-    TUNE_CONFIG_SCHEMA: {"config": {}, "source": None},
 }
 
 #: the rules a shape cannot express, checked once the shape validated

@@ -60,8 +60,8 @@ def roofline_points(
     flagged by the ceiling coinciding with the rate.  Bytes follow the
     Advisor all-level traffic convention — see
     :data:`repro.perfmodel.counters.ADVISOR_TRAFFIC_FACTOR`.
-    ``sellcs_occupancy`` moves the sellcs point to a measured/tuned
-    padding level instead of the model default.
+    ``sellcs_occupancy`` moves the sellcs point to a measured padding
+    level instead of the model default.
     """
     default_rates = dict(machine.rates.single_core_gflops)
     rates = {**default_rates, **(measured_rates or {})}

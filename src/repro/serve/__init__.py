@@ -14,12 +14,9 @@ and amortized over the solver iterations"; here, over *requests* too).
 * :mod:`repro.serve.batcher` — micro-batcher grouping compatible requests
   per operator into one multi-RHS product (bitwise identical per column
   to independent single-RHS execution).
-* :mod:`repro.serve.plan` — :class:`ExecutionPlan`: the frozen execution
-  policy (multi-RHS mode and GEMM crossover) and
-  :func:`load_tuned_config`, the one way a tuned artifact gets in.
 * :mod:`repro.serve.service` — :class:`SolverService`: one server with
-  its own virtual timeline, load shedding and fault-aware degradation
-  (never wrong answers).
+  its own virtual timeline and multi-RHS execution ``mode``, load
+  shedding and fault-aware degradation (never wrong answers).
 * :mod:`repro.serve.shard` — the multi-node tier: consistent-hash
   :class:`ShardRouter` with hot-key replication and coherent
   invalidation, and the SLO-aware :class:`ShardCluster` balancer
@@ -35,7 +32,6 @@ and amortized over the solver iterations"; here, over *requests* too).
 
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher, MicroBatcher
 from repro.serve.cache import OperatorCache, ProblemKey, SolverContext
-from repro.serve.plan import ExecutionPlan, PlanError, load_tuned_config
 from repro.serve.queue import RequestQueue, ServeRequest
 from repro.serve.service import Completion, DispatchOutcome, SolverService
 from repro.serve.shard import HashRing, ShardCluster, ShardRouter
@@ -45,16 +41,14 @@ __all__ = [
     "Completion",
     "DeadlineBatcher",
     "DispatchOutcome",
-    "ExecutionPlan",
     "HashRing",
     "MicroBatcher",
     "OperatorCache",
-    "PlanError",
     "ProblemKey",
     "RequestQueue",
     "ServeRequest",
     "ShardCluster",
     "ShardRouter",
     "SolverContext",
-    "load_tuned_config",
+    "SolverService",
 ]

@@ -25,12 +25,13 @@ import heapq
 import itertools
 import pathlib
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.kernels import resolve_mode
 from repro.core.scatter import SCATTER_TAG
 from repro.faults.plan import Corrupt, Delay, Drop, FaultPlan, Straggler
 from repro.faults.shard import ShardFaultPlan, ShardKill
@@ -45,7 +46,6 @@ from repro.obs.schema import (
 )
 from repro.serve.batcher import BatchPolicy, DeadlineBatcher
 from repro.serve.cache import OperatorCache, ProblemKey
-from repro.serve.plan import ExecutionPlan, add_tuned_from_argument
 from repro.serve.queue import ServeRequest
 from repro.serve.service import Completion, DispatchOutcome, SolverService
 from repro.serve.shard import ShardCluster, ShardRouter
@@ -192,8 +192,8 @@ class Workload:
     vnodes: int = 64
     faults: FaultPlan | None = None  # communication faults on every shard
     shard_faults: ShardFaultPlan | None = None
-    plan: ExecutionPlan = ExecutionPlan()
     verify: str = "tolerance"  # "tolerance" | "bitwise"
+    mode: str = "auto"  # every shard's multi-RHS execution mode
 
     def __post_init__(self) -> None:
         if self.arrival not in ("open", "closed", "zipf"):
@@ -202,13 +202,11 @@ class Workload:
             raise ValueError(
                 f"verify must be 'tolerance' or 'bitwise', got {self.verify!r}"
             )
+        resolve_mode(self.mode, 1)  # a ValueError on an unknown mode
 
     def describe(self) -> dict[str, Any]:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        del out["plan"]
         out.update(
-            mode=self.plan.mode,
-            k_min=self.plan.k_min,
             keys=[k.fingerprint() for k in self.keys],
             faults=self.faults.describe() if self.faults else None,
             shard_faults=(
@@ -221,7 +219,7 @@ class Workload:
 def build_cluster(w: Workload) -> ShardCluster:
     """Materialize the cluster a workload describes: one
     :class:`SolverService` (own cache under the workload's fault plan,
-    own instrumentation, deadline batcher, the workload's plan) per
+    own instrumentation, deadline batcher, the workload's mode) per
     shard, wired through a :class:`ShardRouter`."""
     shard_ids = [f"s{i}" for i in range(w.n_shards)]
     router = ShardRouter(
@@ -244,7 +242,7 @@ def build_cluster(w: Workload) -> ShardCluster:
             cache,
             queue_capacity=w.queue_capacity,
             batcher=DeadlineBatcher(BatchPolicy(w.max_batch)),
-            plan=w.plan,
+            mode=w.mode,
         )
     return ShardCluster(
         router,
@@ -443,9 +441,8 @@ def suite_workloads(
     suite: str,
     seed: int,
     smoke: bool = True,
-    plan: ExecutionPlan = ExecutionPlan(),
 ) -> tuple[Workload, ...]:
-    """The three scenarios of ``suite``, all executed under ``plan``.
+    """The three scenarios of ``suite``.
 
     ``serve`` (one shard): ``open-clean``, an open-loop burst with cache
     churn and cancellations; ``open-gemm``, batches wide enough for
@@ -462,7 +459,7 @@ def suite_workloads(
     """
     scale = 1 if smoke else 3
     if suite == "serve":
-        serve = partial(Workload, cache_capacity=2, plan=plan)
+        serve = partial(Workload, cache_capacity=2)
         keys = (
             ProblemKey(problem="poisson", nel=4, n_parts=4, etype="tet4",
                        seed=1),
@@ -525,7 +522,7 @@ def suite_workloads(
         return (clean, gemm, faulted)
     if suite != "shard":
         raise ValueError(f"unknown suite {suite!r}")
-    shard = partial(Workload, arrival="zipf", n_shards=4, plan=plan)
+    shard = partial(Workload, arrival="zipf", n_shards=4)
     zipf = shard(
         name="zipf-hot",
         keys=_catalog(8),
@@ -572,7 +569,7 @@ def suite_workloads(
         cache_capacity=4,
         hot_threshold=4,  # replicate early so the kill has warm failover
         max_replicas=2,
-        plan=replace(plan, mode="oracle"),
+        mode="oracle",
         verify="bitwise",
         # arrivals outpace service (2.5 us inter-arrival vs tens-of-us
         # dispatches) so every shard holds a backlog; the kill lands mid
@@ -587,16 +584,12 @@ def run_suite(
     seed: int = 1234,
     smoke: bool = True,
     verbose: bool = True,
-    plan: ExecutionPlan = ExecutionPlan(),
 ) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Run ``suite``'s scenarios under ``plan``; returns
-    ``(report, bench_doc)``."""
+    """Run ``suite``'s scenarios; returns ``(report, bench_doc)``."""
     doc = new_report(
-        SERVE_SCHEMA,
-        {"seed": seed, "smoke": smoke, "k_min": plan.k_min},
-        scenarios=[],
+        SERVE_SCHEMA, {"seed": seed, "smoke": smoke}, scenarios=[]
     )
-    for w in suite_workloads(suite, seed, smoke=smoke, plan=plan):
+    for w in suite_workloads(suite, seed, smoke=smoke):
         if verbose:
             print(f"[{suite}] scenario {w.name} ...", flush=True)
         sc = run_workload(w, seed=seed)
@@ -706,15 +699,11 @@ def main(argv: list[str] | None = None, suite: str = "serve") -> int:
         help="fail when any scenario's per-shard utilization peak-to-mean "
         "ratio exceeds this bound (1.0 = perfectly balanced)",
     )
-    add_tuned_from_argument(ap)
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
 
-    if not args.quiet:
-        print(f"[{suite}] {args.plan}")
     doc, bench = run_suite(
-        suite, seed=args.seed, smoke=args.smoke, verbose=not args.quiet,
-        plan=args.plan,
+        suite, seed=args.seed, smoke=args.smoke, verbose=not args.quiet
     )
     write_report(args.out, doc)
     write_report(args.bench_out, bench)

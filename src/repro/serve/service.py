@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.kernels import resolve_mode
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.cache import OperatorCache
-from repro.serve.plan import ExecutionPlan
 from repro.serve.queue import RequestQueue, ServeRequest
 
 __all__ = ["Completion", "DispatchOutcome", "SolverService"]
@@ -76,12 +75,14 @@ class SolverService:
         max_batch: int = 8,
         queue_capacity: int = 64,
         batcher: MicroBatcher | None = None,
-        plan: ExecutionPlan = ExecutionPlan(),
+        mode: str = "auto",
     ):
-        """``plan`` is the execution policy every batch runs under: the
-        multi-RHS mode and its GEMM crossover (see
-        :mod:`repro.serve.plan`).  Every batch is served by the operator
-        kind its key names.
+        """``mode`` is the multi-RHS execution mode every batch runs
+        under (one of :data:`~repro.core.kernels.EMV_MODES`, else
+        ``ValueError``): ``"auto"`` crosses to GEMM at
+        :data:`~repro.core.kernels.DEFAULT_K_MIN` columns, ``"oracle"``
+        keeps every answer bitwise equal to its single-RHS product.
+        Every batch is served by the operator kind its key names.
 
         ``max_batch`` / ``queue_capacity`` size the batcher and the
         admission queue; ``batcher`` swaps the batch-forming policy (the
@@ -95,7 +96,8 @@ class SolverService:
         self.batcher = (
             batcher if batcher is not None else MicroBatcher(BatchPolicy(max_batch))
         )
-        self.plan = plan
+        resolve_mode(mode, 1)  # a ValueError on an unknown mode
+        self.mode = mode
         # the single-server timeline: busy until `free_at`
         self.free_at = 0.0
         self.busy_s = 0.0
@@ -212,7 +214,7 @@ class SolverService:
         X = np.column_stack(
             [self.input_vector(ctx, r.seed) for r in batch]
         )
-        mode = resolve_mode(self.plan.mode, len(batch), self.plan.k_min)
+        mode = resolve_mode(self.mode, len(batch))
         if kind == "spmv":
             self._record_mode(mode)
             Y, dt = ctx.apply_multi(X, mode=mode)

@@ -13,7 +13,7 @@ from repro.problems import (
     graph_laplacian_problem,
     poisson_problem,
 )
-from repro.tune.calibration import _NullComm
+from repro.simmpi import Simulator
 
 
 def _graphlap(nel):
@@ -62,7 +62,13 @@ def spec(case: str):
     return FACTORIES[case]()
 
 
+def one_rank_comm():
+    """A real one-rank communicator, used in-process without a run: its
+    collectives return at once and its clock charges no compute."""
+    return Simulator(1, compute_scale=0.0).comms[0]
+
+
 def single_rank(cls, case: str, **options):
     """Operator ``cls`` of ``case`` on an in-process single-rank comm."""
     s = spec(case)
-    return cls(_NullComm(), s.partition.local(0), s.operator, **options)
+    return cls(one_rank_comm(), s.partition.local(0), s.operator, **options)

@@ -13,7 +13,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.baselines.assembled import AssembledOperator
-from repro.core import segment
 from repro.core.csr import CsrBlock
 
 
@@ -108,9 +107,3 @@ def _malformed():
 def test_malformed_structure_raises(case):
     with pytest.raises(ValueError):
         CsrBlock(*_malformed()[case])
-
-
-def test_without_scipy_a_block_cannot_be_built(monkeypatch):
-    monkeypatch.setattr(segment, "_csr_matvec", None)
-    with pytest.raises(ImportError):
-        CsrBlock(*_arrays(7, 7, 30), (7, 7))

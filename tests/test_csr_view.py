@@ -5,8 +5,7 @@ oracle sweeps as one SciPy ``csr_matvec`` over ``ke`` read as CSR data.
 These pins fail if that product drifts from paper eq. (4) — the
 sequential sum of scaled columns :func:`emv_columns` computes, with a
 separate multiply and add (an FMA-contracting SciPy build would break
-them) — if the view stops aliasing ``ke`` across adaptive updates, or
-if the fallback without SciPy's kernel changes a bit.
+them) — or if the view stops aliasing ``ke`` across adaptive updates.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.hymv as hymv_mod
 from repro.core.hymv import HymvOperator
 from repro.core.kernels import (
     CSR_VIEW_MAX_ND,
@@ -24,9 +22,8 @@ from repro.core.kernels import (
 from repro.mesh import ElementType
 from repro.problems import poisson_problem
 from repro.simmpi import run_spmd
-from repro.tune.calibration import _NullComm
 
-from .kernel_cases import single_rank
+from .kernel_cases import one_rank_comm, single_rank
 
 LINEAR = [
     pytest.param(ElementType.TET4, id="tet4"),
@@ -78,34 +75,15 @@ def test_csr_view_aliases_ke_across_updates():
     elems = np.array([0, 5, 17, 40])
     scale = np.ones(lmesh.n_local_elements)
     scale[elems] = 3.0
-    A = HymvOperator(_NullComm(), lmesh, s.operator)
+    A = HymvOperator(one_rank_comm(), lmesh, s.operator)
     x = np.random.default_rng(7).standard_normal(A.n_dofs_owned)
     before = A.apply_owned(x)
     A.update_elements(elems, stiffness_scale=3.0)
     assert np.shares_memory(A._csr.data, A.ke)
-    fresh = HymvOperator(_NullComm(), lmesh, s.operator, elem_scale=scale)
+    fresh = HymvOperator(one_rank_comm(), lmesh, s.operator, elem_scale=scale)
     patched = A.apply_owned(x)
     assert not np.array_equal(patched, before)
     assert np.array_equal(_bits(patched), _bits(fresh.apply_owned(x)))
-
-
-@pytest.mark.parametrize("case", ["poisson-hex8-tiny", "graphlap-tet4-small"])
-def test_csr_view_fallback_has_the_same_bits(monkeypatch, case):
-    """Without SciPy's kernel the operator gathers and runs
-    ``emv_columns``: the k = 1 and oracle products keep their bits."""
-    A = single_rank(HymvOperator, case)
-    monkeypatch.setattr(hymv_mod, "_csr_matvec", None)
-    B = single_rank(HymvOperator, case)
-    assert A._csr is not None and B._csr is None
-    X = np.random.default_rng(3).standard_normal((A.n_dofs_owned, 3))
-    for mode in ("oracle", "gemm"):
-        assert np.array_equal(
-            _bits(A.apply_owned_multi(X, mode=mode)),
-            _bits(B.apply_owned_multi(X, mode=mode)),
-        )
-    assert np.array_equal(
-        _bits(A.apply_owned(X[:, 0])), _bits(B.apply_owned(X[:, 0]))
-    )
 
 
 @pytest.mark.parametrize(

@@ -46,7 +46,8 @@ from repro.mesh import ElementType, box_hex_mesh, box_tet_mesh, jittered_hex_mes
 from repro.mesh.quadrature import quadrature_for
 from repro.mesh.shape_functions import shape_functions_for
 from repro.problems import poisson_problem
-from repro.tune.calibration import _NullComm
+
+from .kernel_cases import one_rank_comm
 
 LAM, MU = 1.7, 0.6
 
@@ -264,13 +265,13 @@ def test_hymv_store_bitwise_with_and_without_cache_hits(scaled):
     assert lmesh.n_local_elements > 2 * spec.operator.ke_block(lmesh.etype)
     scale = (np.random.default_rng(4).uniform(0.5, 2.0, lmesh.n_local_elements)
              if scaled else None)
-    fresh = HymvOperator(_NullComm(), lmesh, spec.operator, elem_scale=scale)
+    fresh = HymvOperator(one_rank_comm(), lmesh, spec.operator, elem_scale=scale)
     want = spec.operator._ke_batch(fresh._coords_perm, lmesh.etype)
     if scaled:
         want = want * fresh._scale_perm[:, None, None]
     assert np.array_equal(_bits(fresh.ke), _bits(want))
     half = dict(list(fresh.export_ke_cache().items())[::2])
-    warm = HymvOperator(_NullComm(), lmesh, spec.operator,
+    warm = HymvOperator(one_rank_comm(), lmesh, spec.operator,
                         ke_cache=half, elem_scale=scale)
     assert warm.cache_hits == len(half)
     assert np.array_equal(_bits(warm.ke), _bits(fresh.ke))

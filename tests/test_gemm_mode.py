@@ -51,13 +51,6 @@ def test_resolve_mode_explicit_passthrough():
     assert resolve_mode("gemm", 1) == "gemm"
 
 
-def test_resolve_mode_k_min_override():
-    assert resolve_mode("auto", 2, k_min=2) == "gemm"
-    assert resolve_mode("auto", 2, k_min=3) == "oracle"
-    # None -> DEFAULT_K_MIN
-    assert resolve_mode("auto", DEFAULT_K_MIN, k_min=None) == "gemm"
-
-
 @pytest.mark.parametrize("bad", ["blas3", "", "Oracle", None])
 def test_resolve_mode_rejects_unknown(bad):
     with pytest.raises(ValueError):
@@ -128,33 +121,21 @@ def test_emv_workspace_multi_views_cached():
 # ----------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("force_fallback", [False, True])
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_add_into_multi_bitwise_per_column(force_fallback, k):
+def test_add_into_multi_bitwise_per_column(k):
     rng = np.random.default_rng(5)
     idx = rng.integers(0, 40, size=(30, 6))
     vals = rng.standard_normal((30, 6, k))
-    seg = SegmentScatter(idx, force_fallback=force_fallback)
+    seg = SegmentScatter(idx)
     out_multi = rng.standard_normal((40, k))
     out_cols = out_multi.copy()
     seg.add_into_multi(out_multi, vals)
-    seg1 = SegmentScatter(idx, force_fallback=force_fallback)
+    seg1 = SegmentScatter(idx)
     for j in range(k):
         col = np.ascontiguousarray(out_cols[:, j])
         seg1.add_into(col, np.ascontiguousarray(vals[:, :, j]))
         out_cols[:, j] = col
     assert np.array_equal(out_multi, out_cols)
-
-
-def test_add_into_multi_csr_and_fallback_identical():
-    rng = np.random.default_rng(6)
-    idx = rng.integers(0, 25, size=(20, 4))
-    vals = rng.standard_normal((20, 4, 5))
-    out_a = np.zeros((25, 5))
-    out_b = np.zeros((25, 5))
-    SegmentScatter(idx).add_into_multi(out_a, vals)
-    SegmentScatter(idx, force_fallback=True).add_into_multi(out_b, vals)
-    assert np.array_equal(out_a, out_b)
 
 
 def test_add_into_multi_shape_validation():
@@ -361,10 +342,14 @@ def test_cg_multi_vector_stage_is_mode_independent():
 
 
 def test_solver_service_rejects_unknown_mode():
-    from repro.serve.plan import ExecutionPlan, PlanError
+    from repro.serve.cache import OperatorCache, ProblemKey
+    from repro.serve.loadgen import Workload
+    from repro.serve.service import SolverService
 
-    with pytest.raises(PlanError, match="execution mode"):
-        ExecutionPlan(mode="blas3")
+    with pytest.raises(ValueError, match="unknown EMV mode 'blas3'"):
+        SolverService(OperatorCache(capacity=1), mode="blas3")
+    with pytest.raises(ValueError, match="unknown EMV mode 'blas3'"):
+        Workload(name="typo", keys=(ProblemKey(),), mode="blas3")
 
 
 def test_run_workload_records_modes():
@@ -381,11 +366,10 @@ def test_forced_oracle_workload_never_runs_gemm():
     import dataclasses
 
     from repro.serve.loadgen import run_workload, suite_workloads
-    from repro.serve.plan import ExecutionPlan
 
     _clean, gemm, _faulted = suite_workloads("serve", seed=5, smoke=True)
     forced = dataclasses.replace(gemm, name="open-forced-oracle",
-                                 plan=ExecutionPlan(mode="oracle"))
+                                 mode="oracle")
     sc = run_workload(forced, seed=5)
     assert set(sc["modes"]) <= {"oracle", "degraded"}
 
@@ -400,16 +384,12 @@ def test_serve_schema_v2_requires_modes():
         assert_rejected(case_id)
 
 
-def test_load_calibrated_k_min_roundtrip(tmp_path):
-    """A tuned GEMM crossover reaches the service's per-batch mode
-    resolution through the one loader: a 2-wide batch runs GEMM under
-    ``gemm_k_min=2`` and the oracle under the default plan."""
-    import json
-
+def test_service_resolves_mode_per_batch_width():
+    """The service resolves its ``mode`` per batch: under ``auto`` a
+    2-wide batch runs the oracle and a ``DEFAULT_K_MIN``-wide one GEMM;
+    ``mode="gemm"`` runs GEMM at any width."""
     from repro.obs.instrumentation import Instrumentation
-    from repro.obs.schema import TUNE_CONFIG_SCHEMA
     from repro.serve.cache import ProblemKey
-    from repro.serve.plan import ExecutionPlan, load_tuned_config
     from repro.serve.queue import ServeRequest
     from repro.serve.service import SolverService
 
@@ -429,15 +409,12 @@ def test_load_calibrated_k_min_roundtrip(tmp_path):
         def get(self, key):
             return _Ctx(), 0.0
 
-    p = tmp_path / "tuned_config.json"
-    p.write_text(json.dumps(
-        {"schema": TUNE_CONFIG_SCHEMA, "config": {"gemm_k_min": 2}}
-    ))
-    for plan, expect in ((load_tuned_config(p), "gemm"),
-                         (ExecutionPlan(), "oracle")):
-        svc = SolverService(_Cache(), plan=plan)
-        for rid in range(2):
+    for mode, k, expect in (("auto", 2, "oracle"),
+                            ("auto", DEFAULT_K_MIN, "gemm"),
+                            ("gemm", 2, "gemm")):
+        svc = SolverService(_Cache(), max_batch=DEFAULT_K_MIN, mode=mode)
+        for rid in range(k):
             assert svc.submit(ServeRequest(rid=rid, key=ProblemKey(),
                                            kind="spmv", seed=rid))
-        assert svc.dispatch(now=0.0).batch_size == 2
+        assert svc.dispatch(now=0.0).batch_size == k
         assert svc.mode_histogram == {expect: 1}

@@ -197,6 +197,16 @@ def test_csr_kernels_fall_back_to_the_package_import(monkeypatch):
     )
 
 
+def test_without_the_csr_kernels_the_import_error_names_scipy(monkeypatch):
+    def fail():
+        raise OSError("no extension file")
+
+    monkeypatch.setattr(segment, "_load_extension", fail)
+    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", None)
+    with pytest.raises(ImportError, match="SciPy"):
+        segment._load_csr_kernels()
+
+
 def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 

@@ -37,7 +37,7 @@ def _bare(w):
     )
     service = SolverService(
         cache, max_batch=w.max_batch, queue_capacity=w.queue_capacity,
-        plan=w.plan,
+        mode=w.mode,
     )
     return service, service, service.submit, service.cancel
 

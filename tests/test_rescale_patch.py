@@ -21,9 +21,8 @@ from repro.core.hymv import HymvOperator
 from repro.gpu.hymv_gpu import HymvGpuOperator
 from repro.mesh import ElementType
 from repro.problems import elastic_bar_problem, poisson_problem
-from repro.tune.calibration import _NullComm
 
-from .kernel_cases import single_rank
+from .kernel_cases import one_rank_comm, single_rank
 from .test_zero_alloc import ALLOC_FLOOR_BYTES
 
 ETYPES = ("hex8", "hex20", "hex27", "tet4", "tet10")
@@ -64,7 +63,7 @@ def _assert_fresh(A, cls, spec, scale, coords=None, **options):
     lmesh = spec.partition.local(0)
     if coords is not None:
         lmesh = replace(lmesh, coords=coords)
-    fresh = cls(_NullComm(), lmesh, spec.operator, elem_scale=scale,
+    fresh = cls(one_rank_comm(), lmesh, spec.operator, elem_scale=scale,
                 **options)
     assert np.array_equal(_bits(A.ke), _bits(fresh.ke))
     if fresh._kcol is not None:
@@ -81,7 +80,7 @@ def test_scale_stream_rescales_and_stays_bitwise(etype, problem, kernel):
     integrates, every touched row is rescaled, and the operator equals a
     fresh build on the final scales."""
     spec = _spec(problem, etype)
-    A = HymvOperator(_NullComm(), spec.partition.local(0), spec.operator,
+    A = HymvOperator(one_rank_comm(), spec.partition.local(0), spec.operator,
                      kernel=kernel)
     E = A.n_local_elements
     band_a = np.arange(0, E // 2)
@@ -95,7 +94,7 @@ def test_scale_stream_rescales_and_stays_bitwise(etype, problem, kernel):
 
 def test_gpu_operator_scale_stream_stays_bitwise():
     spec = _spec("poisson", "hex8")
-    A = HymvGpuOperator(_NullComm(), spec.partition.local(0), spec.operator)
+    A = HymvGpuOperator(one_rank_comm(), spec.partition.local(0), spec.operator)
     ids = np.arange(A.n_local_elements // 2)
     for s in (0.05, 1.0, 0.3):
         assert _patch(A, ids, stiffness_scale=s) == (0, ids.size)
@@ -111,7 +110,7 @@ def test_scale_after_move_reintegrates_and_stays_bitwise(etype):
     matrix of the geometry current at the time."""
     spec = _spec("elasticity", etype)
     lmesh = spec.partition.local(0)
-    A = HymvOperator(_NullComm(), lmesh, spec.operator)
+    A = HymvOperator(one_rank_comm(), lmesh, spec.operator)
     E = A.n_local_elements
     ids = np.arange(E // 2)
     assert _patch(A, ids, stiffness_scale=0.5) == (0, ids.size)
@@ -132,7 +131,7 @@ def test_fresh_scaled_key_integrates_on_first_rescale_only():
     spec = _spec("poisson", "hex20")
     E = spec.partition.local(0).n_local_elements
     scale = np.full(E, 2.0)
-    A = HymvOperator(_NullComm(), spec.partition.local(0), spec.operator,
+    A = HymvOperator(one_rank_comm(), spec.partition.local(0), spec.operator,
                      elem_scale=scale)
     ids = np.arange(E // 2)
     assert _patch(A, ids, stiffness_scale=0.5) == (ids.size, 0)

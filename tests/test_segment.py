@@ -55,29 +55,11 @@ def test_segment_bitwise_matches_add_at_and_bincount(
     np.testing.assert_array_equal(seg.add_into(base.copy(), vals), expect)
 
 
-@given(
-    n_dofs=st.integers(min_value=1, max_value=100),
-    n_elems=st.integers(min_value=1, max_value=30),
-    nd=st.integers(min_value=1, max_value=8),
-    seed=st.integers(min_value=0, max_value=500),
-)
-@settings(max_examples=25)
-def test_fallback_bitwise_matches_csr_path(n_dofs, n_elems, nd, seed):
-    idx, vals = _random_batch(n_dofs, n_elems, nd, 4, seed)
-    fast = SegmentScatter(idx)
-    slow = SegmentScatter(idx, force_fallback=True)
-    base = np.random.default_rng(seed).standard_normal(n_dofs)
-    np.testing.assert_array_equal(
-        fast.add_into(base.copy(), vals), slow.add_into(base.copy(), vals)
-    )
-
-
-@pytest.mark.parametrize("force_fallback", [False, True])
-def test_reuse_across_calls(force_fallback):
+def test_reuse_across_calls():
     """One structure, many value sets — the whole point of precomputing."""
     rng = np.random.default_rng(7)
     idx = rng.integers(0, 15, size=(20, 8))
-    seg = SegmentScatter(idx, force_fallback=force_fallback)
+    seg = SegmentScatter(idx)
     for _ in range(4):
         vals = rng.standard_normal((20, 8))
         ref = np.zeros(60)
@@ -205,8 +187,8 @@ def test_zeroed_path_bitwise_matches_grouped(
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_zeroed_path_falls_back_with_same_bits(k):
-    """A strided destination and the NumPy fallback take the grouped
-    path under ``zeroed=True``; either way the bits are the same."""
+    """A strided destination takes the grouped path under
+    ``zeroed=True``, with the same bits."""
     rng = np.random.default_rng(11)
     idx = rng.integers(0, 30, size=(25, 8))
     vals = rng.standard_normal((25, 8))
@@ -223,15 +205,6 @@ def test_zeroed_path_falls_back_with_same_bits(k):
     assert not strided_multi.flags.c_contiguous
     seg.add_into_multi(strided_multi, block, zeroed=True)
     np.testing.assert_array_equal(_bits(strided_multi), _bits(ref_multi))
-
-    slow = SegmentScatter(idx, force_fallback=True)
-    np.testing.assert_array_equal(
-        _bits(slow.add_into(np.zeros(40), vals, zeroed=True)), _bits(ref)
-    )
-    np.testing.assert_array_equal(
-        _bits(slow.add_into_multi(np.zeros((40, k)), block, zeroed=True)),
-        _bits(ref_multi),
-    )
 
 
 def test_zeroed_path_out_of_range_destination_raises():

@@ -503,7 +503,7 @@ def test_kill_scenario_bitwise_and_failover(suite):
     single-node reference (verified inside run_workload)."""
     w = [w for w in suite_workloads("shard", seed=1234, smoke=True)
          if w.name == "shard-kill"][0]
-    assert w.verify == "bitwise" and w.plan.mode == "oracle"
+    assert w.verify == "bitwise" and w.mode == "oracle"
     shard_doc, _ = suite
     sc = [s for s in shard_doc["scenarios"]
           if s["scenario"] == "shard-kill"][0]

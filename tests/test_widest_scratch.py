@@ -39,7 +39,8 @@ from repro.partition import build_partition
 from repro.problems import poisson_problem
 from repro.serve import ProblemKey, SolverContext
 from repro.simmpi import run_spmd
-from repro.tune.calibration import _NullComm
+
+from .kernel_cases import one_rank_comm
 
 FACTORIES = {
     "hymv": HymvOperator,
@@ -197,7 +198,7 @@ EDGES = [C - 1, C, C + 1, 3 * C + 7]
 def test_chunked_sweep_equals_whole_batch_on_one_rank(kind, E):
     """A GEMM sweep of ``E`` elements, zeroed and not, equals the
     whole-batch reference by int64 view."""
-    A = FACTORIES[kind](_NullComm(), _layers(E, 1).local(0), PoissonOperator())
+    A = FACTORIES[kind](one_rank_comm(), _layers(E, 1).local(0), PoissonOperator())
     _check_chunked_sweep(A, E, C)
 
 
@@ -213,7 +214,7 @@ PARTIAL_OPERATORS = {"poisson": PoissonOperator,
 
 def _partial(op: str, etype, E: int) -> PartialAssemblyOperator:
     return PartialAssemblyOperator(
-        _NullComm(), _layers(E, 1, etype).local(0), PARTIAL_OPERATORS[op]()
+        one_rank_comm(), _layers(E, 1, etype).local(0), PARTIAL_OPERATORS[op]()
     )
 
 
@@ -317,7 +318,7 @@ def test_scratch_of_every_width_is_the_widest_ones(kind):
     than products at k = 8 alone (plus the per-width views)."""
     spec = poisson_problem((11, 11, 9), 1)
     make = lambda: FACTORIES[kind](
-        _NullComm(), spec.partition.local(0), spec.operator
+        one_rank_comm(), spec.partition.local(0), spec.operator
     )
     every = _retained(make(), range(1, 9))
     widest = _retained(make(), [8])
@@ -344,7 +345,7 @@ def _sweep_peak(A) -> int:
 def test_gemm_sweep_peak_stays_within_the_chunk_budget():
     """A cold k = 8 GEMM sweep of 3C+7 elements allocates one chunk's
     element blocks (``GEMM_CHUNK_BYTES``), not the mesh's."""
-    A = HymvOperator(_NullComm(), _layers(3 * C + 7, 1).local(0),
+    A = HymvOperator(one_rank_comm(), _layers(3 * C + 7, 1).local(0),
                      PoissonOperator())
     peak = _sweep_peak(A)
     assert 2 * C * ND * 8 * 8 <= GEMM_CHUNK_BYTES
