@@ -40,9 +40,8 @@ __all__ = ["apply_delta_to_spec", "localize_delta", "touched_elements"]
 def apply_delta_to_spec(spec, delta: MeshDelta):
     """Apply ``delta`` to ``spec``; returns ``(spec, refinement)``.
 
-    Non-structural deltas mutate ``spec`` in place (coords, elem_scale,
-    and the incident rows of the ranks' local coords views) and return
-    ``refinement=None``.
+    Non-structural deltas mutate ``spec`` in place (mesh coords,
+    elem_scale) and return ``refinement=None``.
     Structural deltas return a *new* spec on the refined, re-partitioned
     mesh plus the :class:`~repro.mesh.adapt.LocalRefinement` ancestry
     (for ``ke_cache`` carry-over).  Element ids in the delta are mesh
@@ -67,25 +66,9 @@ def apply_delta_to_spec(spec, delta: MeshDelta):
             raise IndexError(
                 f"move_nodes out of range vs {mesh.n_nodes} nodes"
             )
-        old_ids = part.old_of_new[delta.move_nodes]
-        mesh.coords[old_ids] = delta.move_coords
-        # refresh the per-rank element coordinate views (materialized from
-        # mesh.coords at partition time) in just the moved nodes' rows
-        incident = part.incident_elements(old_ids)
-        for r, elems, local in _by_rank(part, incident):
-            part.local(r).coords[local] = mesh.coords[mesh.conn[elems]]
+        # the ranks' local meshes read these coordinates, not a copy
+        mesh.coords[part.old_of_new[delta.move_nodes]] = delta.move_coords
     return spec, None
-
-
-def _by_rank(part, elements: np.ndarray):
-    """``(rank, mesh element ids, local indices)`` per rank for sorted
-    unique ``elements``; local indices come out ascending because every
-    rank's element list is sorted."""
-    owner = part.elem_part[elements]
-    local = part.local_index(elements)
-    for r in range(part.n_parts):
-        mine = owner == r
-        yield r, elements[mine], local[mine]
 
 
 def _refine_spec(spec, delta: MeshDelta):
@@ -148,16 +131,13 @@ def localize_delta(spec, delta: MeshDelta):
     current absolute scale (idempotent to re-apply — same bits).
     """
     touched = touched_elements(spec, delta)
-    mesh = spec.mesh
+    mesh, part = spec.mesh, spec.partition
+    # local indices come out ascending: every rank's element list is sorted
+    owner, local = part.elem_part[touched], part.local_index(touched)
     out = []
-    for _, gids, local_ids in _by_rank(spec.partition, touched):
-        coords = (
-            mesh.coords[mesh.conn[gids]] if delta.move_nodes.size else None
-        )
-        scale = (
-            spec.elem_scale[gids] if spec.elem_scale is not None else None
-        )
-        out.append(
-            OperatorDelta(local_elems=local_ids, coords=coords, scale=scale)
-        )
+    for r in range(part.n_parts):
+        gids, local_ids = touched[owner == r], local[owner == r]
+        coords = mesh.coords[mesh.conn[gids]] if delta.move_nodes.size else None
+        scale = None if spec.elem_scale is None else spec.elem_scale[gids]
+        out.append(OperatorDelta(local_elems=local_ids, coords=coords, scale=scale))
     return touched, out

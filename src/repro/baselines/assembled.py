@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.core import segment
 from repro.core.csr import CsrBlock
-from repro.core.hymv import check_update
 from repro.core.maps import NodeMaps
 from repro.core.operator import DistributedOperator, owned_ranges
 from repro.core.scatter import build_comm_maps
@@ -241,11 +240,9 @@ class AssembledOperator(DistributedOperator):
         # block products advance 2 flops per stored entry at this rate
         # (GFLOP/s) of modeled time, as HymvOperator's EMV sweeps do
         self.modeled_rate_gflops = modeled_rate_gflops
-        # element inputs the assembly is a pure function of; coords start
-        # as a reference to the local mesh and go copy-on-write on the
-        # first coordinate update
-        self._coords = lmesh.coords
-        self._elem_scale = self._checked_scale(elem_scale)
+        # the assembly is a pure function of the element coordinates (read
+        # from the local mesh until an update moves them) and scales
+        self._scale = self._checked_scale(elem_scale)
         self._assemble("setup")
 
     def _assemble(self, prefix: str) -> None:
@@ -297,7 +294,8 @@ class AssembledOperator(DistributedOperator):
         :func:`patch_csr` re-reduces the slots between touched nodes —
         bitwise a fresh assembly.  Signature and absolute-scale semantics
         match :meth:`repro.core.hymv.EbeOperatorBase.update_elements`."""
-        local_elems = self._set_inputs(local_elems, coords, stiffness_scale)
+        local_elems, _ = self._persist_update(local_elems, coords,
+                                              stiffness_scale)
         comm, lmesh = self.comm, self.lmesh
         t0 = comm.vtime
         touched = comm.allgather(np.unique(lmesh.e2g[local_elems]))
@@ -321,26 +319,6 @@ class AssembledOperator(DistributedOperator):
         self._assemble("update")
         self.comm.obs.incr("update.ke_recomputed", self.lmesh.n_local_elements)
 
-    def _set_inputs(self, local_elems, coords, stiffness_scale) -> np.ndarray:
-        """Validate and persist an update's coords/scale (copy-on-write
-        coords); returns the local element ids."""
-        local_elems, coords, scale = check_update(
-            local_elems, self.lmesh.n_local_elements, self.etype.n_nodes,
-            coords, stiffness_scale,
-        )
-        if not local_elems.size:
-            return local_elems
-        if coords is not None:
-            if self._coords is self.lmesh.coords:
-                self._coords = self.lmesh.coords.copy()
-            self._coords[local_elems] = coords
-        if scale is not None:
-            if self._elem_scale is None:
-                self._elem_scale = np.ones(self.lmesh.n_local_elements)
-            self._elem_scale[local_elems] = scale
-        self.comm.obs.incr("update.elements", local_elems.size)
-        return local_elems
-
     @staticmethod
     def _phases_of(prefix: str) -> tuple[str, str, str]:
         return (f"{prefix}.assembly_local", f"{prefix}.comm",
@@ -350,10 +328,7 @@ class AssembledOperator(DistributedOperator):
         """Scaled element matrices of ``elems``: the same bits whatever
         the batch (the kernels are batch invariant)."""
         with self.comm.compute(f"{prefix}.emat_compute"):
-            ke = self.operator.element_matrices(self._coords[elems], self.etype)
-            if self._elem_scale is not None:
-                ke *= self._elem_scale[elems][:, None, None]
-        return ke
+            return self._integrate(elems)
 
     # ------------------------------------------------------------------
 

@@ -20,12 +20,10 @@ class MatrixFreeOperator(EbeOperatorBase):
     """Algorithm 4: recompute ``Ke`` in every elemental sweep."""
 
     def _element_matrices(self, sl: slice) -> np.ndarray:
-        ke = self.operator.element_matrices(self._coords_perm[sl], self.etype)
-        if self._scale_perm is not None:
-            # recompute-then-scale per product: an adaptive update only
-            # touches the persisted coords/scale arrays (the base-class
-            # no-op refresh), and the next sweep picks them up here
-            ke *= self._scale_perm[sl][:, None, None]
+        # recompute-then-scale per product: an adaptive update only
+        # touches the persisted coords/scale arrays (the base-class
+        # no-op refresh), and the next sweep picks them up here
+        ke = self._integrate(sl)
         self.comm.obs.incr("spmv.ke_recomputed", ke.shape[0])
         self.comm.obs.incr(
             "spmv.ke_flops", ke.shape[0] * self.operator.ke_flops(self.etype)

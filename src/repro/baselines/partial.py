@@ -64,10 +64,7 @@ class PartialAssemblyOperator(EbeOperatorBase):
             else None
         )
         with comm.compute("setup.geom_factors"):
-            fa, fb = self._geom_factors(
-                self._coords_perm,
-                None if self._scale_perm is None else self._scale_perm,
-            )
+            fa, fb = self._geom_factors(self._coords, self._scale)
             if isinstance(operator, PoissonOperator):
                 self._G = fa
             else:
@@ -105,10 +102,8 @@ class PartialAssemblyOperator(EbeOperatorBase):
         only — the partial-assembly analogue of HYMV's subset ``Ke``
         recomputation (always, whether or not the geometry ``moved``)."""
         with self.comm.compute("update.geom_factors"):
-            scale = (
-                None if self._scale_perm is None else self._scale_perm[pos]
-            )
-            fa, fb = self._geom_factors(self._coords_perm[pos], scale)
+            scale = None if self._scale is None else self._scale[pos]
+            fa, fb = self._geom_factors(self._coords[pos], scale)
             if isinstance(self.operator, PoissonOperator):
                 self._G[pos] = fa
             else:
@@ -186,18 +181,6 @@ class PartialAssemblyOperator(EbeOperatorBase):
             out=None if ve is None else ve.reshape(E, n, 3 * k),
         )
         return out.reshape(ue.shape)
-
-    # ------------------------------------------------------------------
-    # preconditioner support: build Ke on demand (setup-time only)
-    # ------------------------------------------------------------------
-
-    def _element_matrices(self, sl: slice) -> np.ndarray:
-        ke = self.operator.element_matrices(
-            self._coords_perm[sl], self.etype
-        )
-        if self._scale_perm is not None:
-            ke *= self._scale_perm[sl][:, None, None]
-        return ke
 
     # ------------------------------------------------------------------
 

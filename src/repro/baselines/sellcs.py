@@ -107,7 +107,7 @@ class SellCSOperator(AssembledOperator):
     def update_elements(self, local_elems, coords=None, stiffness_scale=None):
         """Persist the inputs, then reassemble and reconvert (collective):
         the SELL layout is a function of the whole CSR."""
-        self._set_inputs(local_elems, coords, stiffness_scale)
+        self._persist_update(local_elems, coords, stiffness_scale)
         self.reassemble()
 
     def _workspaces(self, k: int) -> tuple:

@@ -44,7 +44,6 @@ from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
 from repro.util.arrays import (
     INDEX_DTYPE,
-    as_index,
     inverse_permutation,
     scatter_add,
 )
@@ -57,37 +56,13 @@ _EMV_PHASES = {
 }
 
 
-def check_update(local_elems, n_local, n_nodes, coords, stiffness_scale):
-    """Validated ``(local_elems, coords, scale)`` of an element update:
-    ids must lie in ``[0, n_local)`` (fancy indexing would wrap or clip
-    them into silently wrong numerics), coords be ``(n, n_nodes, 3)``;
-    a scalar scale is broadcast over the ``n`` elements."""
-    local_elems = as_index(local_elems)
-    n = local_elems.size
-    if n:
-        lo, hi = int(local_elems.min()), int(local_elems.max())
-        if lo < 0 or hi >= n_local:
-            raise IndexError(
-                f"update_elements: local element ids out of range "
-                f"[{lo}, {hi}] vs {n_local} local elements"
-            )
-        if coords is not None:
-            coords = np.asarray(coords, dtype=np.float64)
-            if coords.shape != (n, n_nodes, 3):
-                raise ValueError(
-                    f"coords shape {coords.shape} != {(n, n_nodes, 3)} for "
-                    f"{n} updated elements"
-                )
-        if stiffness_scale is not None:
-            stiffness_scale = np.broadcast_to(
-                np.asarray(stiffness_scale, dtype=np.float64), (n,)
-            )
-    return local_elems, coords, stiffness_scale
-
-
 class EbeOperatorBase(DistributedOperator):
     """Element-by-element machinery shared by HYMV and matrix-free: the
     local product is Algorithm 2 over element sweeps."""
+
+    #: the kind reads element coordinates on every product or geometry
+    #: pass, so it copies them at set-up (HYMV reads the local mesh)
+    _reads_coords = True
 
     def __init__(
         self,
@@ -100,7 +75,6 @@ class EbeOperatorBase(DistributedOperator):
         elem_scale: np.ndarray | None = None,
     ):
         super().__init__(comm, lmesh, operator)
-        scale = self._checked_scale(elem_scale)
         if kernel not in EMV_KERNELS:
             raise ValueError(f"unknown EMV kernel {kernel!r}")
         self.kernel_name = kernel
@@ -134,14 +108,14 @@ class EbeOperatorBase(DistributedOperator):
                         f"E2L dof map out of range: [{lo}, {hi}] vs "
                         f"{n_total_dofs} local dofs"
                     )
-            self._coords_perm = lmesh.coords[self._order]
-            # optional per-element stiffness scale, stored in permuted
-            # order like coords.  Absolute semantics: the effective
-            # element matrix is always ``scale * Ke(coords)`` —
-            # multiplying by 1.0 is an IEEE-754 no-op, so a fresh build
-            # with a partially-1.0 scale array is bitwise identical to an
-            # unscaled build on the 1.0 rows.
-            self._scale_perm = None if scale is None else scale[self._order]
+            if self._reads_coords:
+                self._coords = lmesh.element_coords(self._order)
+            # optional per-element stiffness scale, in permuted order.
+            # Absolute semantics: the effective element matrix is always
+            # ``scale * Ke(coords)`` — multiplying by 1.0 is an IEEE-754
+            # no-op, so a fresh build with a partially-1.0 scale array is
+            # bitwise identical to an unscaled build on the 1.0 rows.
+            self._scale = self._checked_scale(elem_scale)
 
         t0 = comm.vtime
         self._ranges = owned_ranges(comm, lmesh) if ranges is None else ranges
@@ -192,9 +166,9 @@ class EbeOperatorBase(DistributedOperator):
     # -- elemental sweep -------------------------------------------------
 
     def _element_matrices(self, sl: slice) -> np.ndarray:
-        """Element matrices of a permuted-order slice (storage vs.
-        recompute is the HYMV/matrix-free distinction)."""
-        raise NotImplementedError
+        """Element matrices of a permuted-order slice, integrated here
+        (storage vs. recompute is the HYMV/matrix-free distinction)."""
+        return self._integrate(sl)
 
     def _segment_for(self, sl: slice) -> SegmentScatter:
         """Precomputed segment scatter of a sweep slice (the whole-range
@@ -231,11 +205,13 @@ class EbeOperatorBase(DistributedOperator):
         return self.kernel(ke, ue, out=ve)
 
     def _gather_emv(
-        self, sl: slice, uf: np.ndarray, ue: np.ndarray, ve: np.ndarray
+        self, sl: slice, uf: np.ndarray, ue: np.ndarray | None, ve: np.ndarray
     ) -> np.ndarray:
         """Element products of slice ``sl`` for the flat input ``uf``:
-        gather into the workspace ``ue``, then the local kernel into
-        ``ve``; returns the products."""
+        gather into the workspace ``ue`` (``None``: the single-RHS one),
+        then the local kernel into ``ve``; returns the products."""
+        if ue is None:
+            ue = self._ws.ue[: sl.stop - sl.start]
         gather_element_vectors(uf, self.e2l_dofs[sl], out=ue)
         return self._local_emv(sl, ue, ve)
 
@@ -258,8 +234,8 @@ class EbeOperatorBase(DistributedOperator):
         n = sl.stop - sl.start
         seg = self._segment_for(sl)
         if uf.ndim == 1:
-            ue, ve = self._ws.views(n)
-            seg.add_into(vf, self._gather_emv(sl, uf, ue, ve), zeroed=zeroed)
+            ve = self._ws.ve[:n]
+            seg.add_into(vf, self._gather_emv(sl, uf, None, ve), zeroed=zeroed)
             return n
         ws = self._ws
         if n <= ws.chunk:  # one chunk, without a generator
@@ -465,35 +441,23 @@ class EbeOperatorBase(DistributedOperator):
         same scale is idempotent, and the scale persists across later
         coordinate updates of the same element.
 
-        Both updates are persisted (permuted coords / scale arrays), so
-        the post-update operator state is indistinguishable from a fresh
+        Both updates are persisted (coordinates copy-on-write, see
+        :meth:`_persist_update`; the permuted scale array), so the
+        post-update operator state is indistinguishable from a fresh
         build on the updated inputs; subclasses refresh their stored
         products via :meth:`_refresh_elements`, which is told whether the
         subset's geometry changed and its pre-update scales (a
         scale-only update leaves ``Ke(coords)`` unchanged, so HYMV
         rescales instead of re-integrating).  Workspaces, segment
         scratch and work multivectors are kept: an in-place update
-        changes none of their shapes.  Raises ``IndexError`` on any
-        out-of-range (or negative) index rather than letting fancy
-        indexing wrap or clip it into silently-wrong numerics — same
-        hardening as the e2l map check at setup.
+        changes none of their shapes.  Out-of-range (or negative) ids
+        raise ``IndexError``.
         """
-        local_elems, coords, scale = check_update(
-            local_elems, self.n_local_elements, self.etype.n_nodes, coords,
-            stiffness_scale,
+        pos, old_scale = self._persist_update(
+            local_elems, coords, stiffness_scale
         )
-        if local_elems.size == 0:
-            return
-        pos = self._inv_order[local_elems]
-        if coords is not None:
-            self._coords_perm[pos] = coords
-        old_scale = None if self._scale_perm is None else self._scale_perm[pos]
-        if scale is not None:
-            if self._scale_perm is None:
-                self._scale_perm = np.ones(self.lmesh.n_local_elements)
-            self._scale_perm[pos] = scale
-        self._refresh_elements(pos, coords is not None, old_scale)
-        self.comm.obs.incr("update.elements", pos.size)
+        if pos.size:
+            self._refresh_elements(pos, coords is not None, old_scale)
 
     def _refresh_elements(
         self, pos: np.ndarray, moved: bool, old_scale: np.ndarray | None
@@ -529,8 +493,12 @@ class HymvOperator(EbeOperatorBase):
 
     Setup computes and *stores* all local element matrices (timed as
     ``setup.emat_compute`` + ``setup.local_copy`` — the two bars of
-    Figs. 5/7); each SPMV then loads them instead of recomputing.
+    Figs. 5/7); each SPMV then loads them instead of recomputing.  The
+    element coordinates are read from the local mesh, at set-up and when
+    a patch re-integrates an element, not kept.
     """
+
+    _reads_coords = False
 
     def __init__(
         self,
@@ -565,18 +533,9 @@ class HymvOperator(EbeOperatorBase):
             # without cache hits the blocked driver writes straight into
             # the store; the scale multiplies in place, same bits
             if not hit.any():
-                operator.element_matrices(
-                    self._coords_perm, lmesh.etype, out=self.ke
-                )
-                if self._scale_perm is not None:
-                    self.ke *= self._scale_perm[:, None, None]
+                self._integrate(self._sl_all, out=self.ke)
             elif not hit.all():
-                kx = operator.element_matrices(
-                    self._coords_perm[~hit], lmesh.etype
-                )
-                if self._scale_perm is not None:
-                    kx *= self._scale_perm[~hit][:, None, None]
-                self.ke[~hit] = kx
+                self.ke[~hit] = self._integrate(~hit)
         with comm.compute("setup.local_copy"):
             if hit.any():
                 self.ke[hit] = np.stack(
@@ -630,7 +589,7 @@ class HymvOperator(EbeOperatorBase):
         return emv_columns(self.ke[sl], ue, out=ve, tmp=tmp)
 
     def _gather_emv(
-        self, sl: slice, uf: np.ndarray, ue: np.ndarray, ve: np.ndarray
+        self, sl: slice, uf: np.ndarray, ue: np.ndarray | None, ve: np.ndarray
     ) -> np.ndarray:
         if self._csr is None or uf.ndim != 1:
             return super()._gather_emv(sl, uf, ue, ve)
@@ -670,13 +629,13 @@ class HymvOperator(EbeOperatorBase):
         if todo.size:
             with self.comm.compute("update.emat_compute"):
                 unit[todo] = self.operator.element_matrices(
-                    self._coords_perm[todo], self.etype
+                    self._element_coords(todo), self.etype
                 )
             known[todo] = True
         with self.comm.compute("update.local_copy"):
             ke = unit[pos]
-            if self._scale_perm is not None:
-                ke *= self._scale_perm[pos][:, None, None]
+            if self._scale is not None:
+                ke *= self._scale[pos][:, None, None]
             self.ke[pos] = ke
             if self._kcol is not None:
                 self._kcol[:, pos] = ke.transpose(2, 0, 1)

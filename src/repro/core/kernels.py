@@ -226,7 +226,8 @@ class EmvWorkspace:
     elements); each sweep takes a leading-slice view, so the independent
     and dependent sweeps share the same memory.  Holds:
 
-    * ``ue`` — gathered element input vectors, ``(n_elements, nd)``;
+    * ``ue`` — gathered element input vectors, ``(n_elements, nd)``,
+      allocated on first use;
     * ``ve`` — elemental products, same shape;
     * ``tmp`` — per-column FMA scratch for the ``columns`` kernel.
 
@@ -238,7 +239,7 @@ class EmvWorkspace:
     widest batch seen, so a steady-state sweep allocates nothing.
     """
 
-    __slots__ = ("n_elements", "nd", "chunk", "ue", "ve", "_tmp", "_multi",
+    __slots__ = ("n_elements", "nd", "chunk", "ve", "_ue", "_tmp", "_multi",
                  "_cols")
 
     def __init__(self, n_elements: int, nd: int):
@@ -247,13 +248,20 @@ class EmvWorkspace:
         self.chunk = max(
             1, min(self.n_elements, GEMM_CHUNK_BYTES // (128 * self.nd))
         )
-        self.ue = np.empty((self.n_elements, self.nd))
         self.ve = np.empty((self.n_elements, self.nd))
+        self._ue: np.ndarray | None = None  # kernels that gather only
         self._tmp: np.ndarray | None = None  # columns kernel only
         self._multi = WidestScratch(  # GEMM mode only
             (self.chunk * self.nd,) * 2, lambda bufs, k: bufs
         )
         self._cols: np.ndarray | None = None  # oracle k > 1 only
+
+    @property
+    def ue(self) -> np.ndarray:
+        """Allocated on first use: a CSR-view sweep never gathers into it."""
+        if self._ue is None:
+            self._ue = np.empty((self.n_elements, self.nd))
+        return self._ue
 
     @property
     def tmp(self) -> np.ndarray:

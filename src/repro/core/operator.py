@@ -24,7 +24,7 @@ from repro.core.scatter import CommMaps, HaloExchange, build_comm_maps
 from repro.fem.operators import Operator
 from repro.partition.interface import LocalMesh
 from repro.simmpi.communicator import Communicator
-from repro.util.arrays import INDEX_DTYPE, WidestScratch
+from repro.util.arrays import INDEX_DTYPE, WidestScratch, as_index
 
 __all__ = ["DistributedOperator", "owned_ranges"]
 
@@ -45,6 +45,13 @@ class DistributedOperator:
     #: element matrices a set-up took from a ``ke_cache`` (the kinds that
     #: take one count them)
     cache_hits = 0
+    #: element storage order as local-mesh element ids (``None``: the
+    #: local mesh's order), and in that order the private element
+    #: coordinates (``None`` while the local mesh is read) and absolute
+    #: stiffness scales (``None``: unscaled)
+    _order: np.ndarray | None = None
+    _coords: np.ndarray | None = None
+    _scale: np.ndarray | None = None
 
     def __init__(
         self, comm: Communicator, lmesh: LocalMesh, operator: Operator
@@ -57,8 +64,9 @@ class DistributedOperator:
         self.spmv_count = 0
 
     def _checked_scale(self, elem_scale) -> np.ndarray | None:
-        """The per-element stiffness scale in local-mesh order, validated
-        against the local element count (``None``: unscaled)."""
+        """The per-element stiffness scale given in local-mesh order,
+        validated against the local element count, in storage order
+        (``None``: unscaled)."""
         if elem_scale is None:
             return None
         scale = np.asarray(elem_scale, dtype=np.float64)
@@ -67,7 +75,73 @@ class DistributedOperator:
             raise ValueError(
                 f"elem_scale shape {scale.shape} != ({n},) local elements"
             )
-        return np.ascontiguousarray(scale)
+        return scale.copy() if self._order is None else scale[self._order]
+
+    def _element_coords(self, pos) -> np.ndarray:
+        """Node coordinates of the elements at storage positions ``pos``
+        (an index array or slice): rows of the private copy, else only
+        those rows gathered from the local mesh."""
+        if self._coords is not None:
+            return self._coords[pos]
+        return self.lmesh.element_coords(
+            pos if self._order is None else self._order[pos]
+        )
+
+    def _integrate(self, pos, out: np.ndarray | None = None) -> np.ndarray:
+        """Element matrices of the elements at storage positions ``pos``,
+        integrated from their coordinates (into ``out`` when given),
+        times their scales."""
+        ke = self.operator.element_matrices(
+            self._element_coords(pos), self.etype, out=out
+        )
+        if self._scale is not None:
+            ke *= self._scale[pos][:, None, None]
+        return ke
+
+    def _persist_update(self, local_elems, coords, stiffness_scale):
+        """Validate and persist the inputs of an ``update_elements``;
+        returns the elements' storage positions and their pre-update
+        scales (``None`` without a scale array).
+
+        Ids must lie in ``[0, n_local)`` (fancy indexing would wrap or
+        clip them into silently wrong numerics), coords be ``(n,
+        n_nodes, 3)``; a scalar scale is broadcast over the ``n``
+        elements.  Coordinates are copy-on-write: while the local mesh
+        is read, the first coordinates it does not hold (by bits) make
+        the private copy; those it holds — the adaptive path moves the
+        mesh itself first — make none."""
+        ids = as_index(local_elems)
+        n, n_local = ids.size, self.lmesh.n_local_elements
+        if n and (ids.min() < 0 or ids.max() >= n_local):
+            raise IndexError(
+                f"update_elements: local element ids out of range "
+                f"[{ids.min()}, {ids.max()}] vs {n_local} local elements"
+            )
+        pos = ids if self._order is None else self._inv_order[ids]
+        old_scale = None if self._scale is None else self._scale[pos]
+        if not n:
+            return pos, old_scale
+        want = (n, self.etype.n_nodes, 3)
+        if coords is not None and np.shape(coords) != want:
+            raise ValueError(f"coords shape {np.shape(coords)} != {want}")
+        if stiffness_scale is not None:
+            scale = np.broadcast_to(
+                np.asarray(stiffness_scale, dtype=np.float64), (n,)
+            )
+            if self._scale is None:
+                self._scale = np.ones(n_local)
+            self._scale[pos] = scale
+        if coords is not None:
+            coords = np.asarray(coords, dtype=np.float64)
+            if self._coords is None and not np.array_equal(
+                self._element_coords(pos).view(np.int64),
+                coords.view(np.int64),
+            ):
+                self._coords = self._element_coords(np.arange(n_local))
+            if self._coords is not None:
+                self._coords[pos] = coords
+        self.comm.obs.incr("update.elements", n)
+        return pos, old_scale
 
     def _bind(self, maps: NodeMaps, cmaps: CommMaps) -> None:
         """Run products on the node maps ``maps`` / ``cmaps``: packed halo

@@ -65,9 +65,9 @@ class Mesh:
         """``(order, dup)`` over the face-major corner keys (row
         ``f * n_elements + e`` is face ``f`` of element ``e``, its corner
         ids sorted): ``order`` is the stable lexicographic order of the
-        keys, and ``dup[i]`` says sorted key ``i + 1`` equals key ``i``."""
-        if "face_keys" in self._cache:
-            return self._cache["face_keys"]
+        keys, and ``dup[i]`` says sorted key ``i + 1`` equals key ``i``.
+        A set-up intermediate: the structures derived from it are
+        cached, the sort is not."""
         faces = np.asarray(corner_faces(self.etype)).T  # (c, F)
         # row j: corner j of every face, face-major
         ids = np.ascontiguousarray(self.conn.T)[faces].reshape(len(faces), -1)
@@ -75,7 +75,6 @@ class Mesh:
         order = np.lexsort((lo, hi))
         hi, lo = hi[order], lo[order]
         dup = (hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1])
-        self._cache["face_keys"] = (order, dup)
         return order, dup
 
     def boundary_faces(self) -> np.ndarray:
@@ -85,18 +84,18 @@ class Mesh:
         A face is on the boundary iff its corner-node set occurs in exactly
         one element.
         """
-        if "boundary_faces" in self._cache:
-            return self._cache["boundary_faces"]
-        order, dup = self._sorted_face_keys()
+        if "boundary_faces" not in self._cache:
+            self._cache_boundary_faces(*self._sorted_face_keys())
+        return self._cache["boundary_faces"]
+
+    def _cache_boundary_faces(self, order: np.ndarray, dup: np.ndarray) -> None:
         shared = np.zeros(order.size, dtype=bool)
         shared[1:] = dup
         shared[:-1] |= dup
         once = np.zeros(order.size, dtype=bool)
         once[order] = ~shared
         face, elem = np.divmod(np.flatnonzero(once), self.n_elements)
-        boundary = np.stack([elem, face], axis=1)
-        self._cache["boundary_faces"] = boundary
-        return boundary
+        self._cache["boundary_faces"] = np.stack([elem, face], axis=1)
 
     def boundary_nodes(self) -> np.ndarray:
         """Sorted global indices of every node on the domain boundary
@@ -131,6 +130,8 @@ class Mesh:
         se = order % self.n_elements
         pairs = np.stack([se[:-1][dup], se[1:][dup]], axis=1)
         self._cache["dual_edges"] = pairs
+        if "boundary_faces" not in self._cache:  # asked for next, same sort
+            self._cache_boundary_faces(order, dup)
         return pairs
 
     def element_centroids(self) -> np.ndarray:

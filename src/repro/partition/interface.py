@@ -50,19 +50,36 @@ class LocalMesh:
         ``(E_local,)`` global element ids (for adaptive updates).
     e2g:
         ``(E_local, n_nodes_per_elem)`` global node ids (renumbered).
-    coords:
-        ``(E_local, n_nodes_per_elem, 3)`` element node coordinates.
     n_begin, n_end:
         Half-open owned-node range in the renumbered global ids.
+    coords:
+        ``(E_local, n_nodes_per_elem, 3)`` element node coordinates: the
+        array given, else (``None``) gathered from ``mesh`` on every
+        read, so a partition-built local mesh holds no copy and reads a
+        mesh moved in place (:mod:`repro.adapt.apply`).
+    mesh:
+        The global mesh that ``elements`` index.
     """
 
     rank: int
     etype: ElementType
     elements: np.ndarray
     e2g: np.ndarray
-    coords: np.ndarray
     n_begin: int
     n_end: int
+    coords: np.ndarray | None = None
+    mesh: Mesh | None = field(default=None, repr=False, compare=False)
+
+    def element_coords(self, rows=None) -> np.ndarray:
+        """Node coordinates of the local elements ``rows`` (an index
+        array or slice; ``None``: all), gathering only those rows from
+        the mesh.  Given coordinates are returned, not copied, whole."""
+        own = self._own_coords
+        if own is not None:
+            return own if rows is None else own[rows]
+        elems = self.elements if rows is None else self.elements[rows]
+        # np.take: ~3x faster than fancy indexing on (n, 3) rows
+        return np.take(self.mesh.coords, np.take(self.mesh.conn, elems, axis=0), axis=0)
 
     @property
     def n_local_elements(self) -> int:
@@ -71,6 +88,12 @@ class LocalMesh:
     @property
     def n_owned(self) -> int:
         return self.n_end - self.n_begin
+
+
+# set after the class body, so that the dataclass default stays None
+LocalMesh.coords = property(
+    LocalMesh.element_coords, lambda lm, c: setattr(lm, "_own_coords", c)
+)
 
 
 @dataclass
@@ -205,16 +228,15 @@ def partition_from_elem_part(
 
     for rank in range(n_parts):
         elems = np.flatnonzero(elem_part == rank).astype(INDEX_DTYPE)
-        conn = mesh.conn[elems]
         part.locals_.append(
             LocalMesh(
                 rank=rank,
                 etype=mesh.etype,
                 elements=elems,
-                e2g=new_of_old[conn],
-                coords=np.take(mesh.coords, conn, axis=0),
+                e2g=new_of_old[mesh.conn[elems]],
                 n_begin=int(ranges[rank, 0]),
                 n_end=int(ranges[rank, 1]),
+                mesh=mesh,
             )
         )
     return part

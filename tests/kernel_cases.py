@@ -5,6 +5,8 @@ Laplacian shapes plus the medium elasticity bar.  Case ids follow
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from functools import cache
 
 from repro.mesh.element import ElementType
@@ -72,3 +74,22 @@ def single_rank(cls, case: str, **options):
     """Operator ``cls`` of ``case`` on an in-process single-rank comm."""
     s = spec(case)
     return cls(one_rank_comm(), s.partition.local(0), s.operator, **options)
+
+
+def traced_bytes(call) -> tuple[object, int, int]:
+    """``(result, retained, peak)`` of a second ``call()``: the bytes
+    its result still holds, and the most it held at once, both counted
+    from before the call.  The first call warms caches (reference
+    basis, quadrature rules, tracemalloc's own structures)."""
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        gc.collect()
+        now, peak = tracemalloc.get_traced_memory()
+        return out, now - base, peak - base
+    finally:
+        tracemalloc.stop()

@@ -170,7 +170,7 @@ def _patch_program(comm, spec, kind, picks):
             A.update_elements(elems, coords=moved)
     fresh = AssembledOperator(
         comm, replace(lm, coords=A._coords), spec.operator,
-        elem_scale=A._elem_scale,
+        elem_scale=A._scale,
     )
     return A, fresh
 
@@ -259,7 +259,7 @@ def _sellcs_program(comm, spec):
     S = SellCSOperator(comm, lm, spec.operator)
     elems = np.flatnonzero(lm.coords[:, 0, 0] < 0.5)
     S.update_elements(elems, stiffness_scale=0.1)
-    fresh = SellCSOperator(comm, lm, spec.operator, elem_scale=S._elem_scale)
+    fresh = SellCSOperator(comm, lm, spec.operator, elem_scale=S._scale)
     x = np.random.default_rng(comm.rank).standard_normal(S.n_dofs_owned)
     return S, fresh, S.apply_owned(x), fresh.apply_owned(x)
 

@@ -21,8 +21,6 @@ error count and peak allocation are pinned at the end.
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -47,7 +45,7 @@ from repro.mesh.quadrature import quadrature_for
 from repro.mesh.shape_functions import shape_functions_for
 from repro.problems import poisson_problem
 
-from .kernel_cases import one_rank_comm
+from .kernel_cases import one_rank_comm, traced_bytes
 
 LAM, MU = 1.7, 0.6
 
@@ -266,9 +264,9 @@ def test_hymv_store_bitwise_with_and_without_cache_hits(scaled):
     scale = (np.random.default_rng(4).uniform(0.5, 2.0, lmesh.n_local_elements)
              if scaled else None)
     fresh = HymvOperator(one_rank_comm(), lmesh, spec.operator, elem_scale=scale)
-    want = spec.operator._ke_batch(fresh._coords_perm, lmesh.etype)
+    want = spec.operator._ke_batch(lmesh.coords[fresh._order], lmesh.etype)
     if scaled:
-        want = want * fresh._scale_perm[:, None, None]
+        want = want * scale[fresh._order][:, None, None]
     assert np.array_equal(_bits(fresh.ke), _bits(want))
     half = dict(list(fresh.export_ke_cache().items())[::2])
     warm = HymvOperator(one_rank_comm(), lmesh, spec.operator,
@@ -284,15 +282,7 @@ ALLOC_SLACK_BYTES = 64 << 10
 
 
 def _peak_bytes(call) -> int:
-    call()  # warm caches (reference basis, tracemalloc's own structures)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    return traced_bytes(call)[2]
 
 
 def test_element_matrices_into_out_peak_within_block_budget():

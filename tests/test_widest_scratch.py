@@ -169,7 +169,8 @@ def _reference(A, uf, vf, sl, zeroed):
         ve = np.matmul(A.ke[sl], ue)
     else:
         ve = np.matmul(
-            A.operator.element_matrices(A._coords_perm[sl], A.etype), ue
+            A.operator.element_matrices(A.lmesh.coords[A._order[sl]], A.etype),
+            ue,
         )
     return A._segment_for(sl).add_into_multi(vf.copy(), ve, zeroed=zeroed)
 
